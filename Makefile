@@ -96,7 +96,9 @@ serve:
 # smoke boots mcserved on an ephemeral port, curls /healthz and /v1/analyze,
 # checks every response carries an X-Request-ID correlation header, runs a
 # real simulate job through the queue and scrapes its per-tier contention
-# report from /v1/jobs/{id}/telemetry, and pipes both Prometheus scrape
+# report from /v1/jobs/{id}/telemetry, checks the JSON /metrics document
+# carries the analyze route's latency_ms {mean,p50,p90,p99,max} object, and
+# pipes both Prometheus scrape
 # forms (the dedicated endpoint and the Accept-negotiated /metrics, now
 # carrying the mcserved_sim_tier_* families) through cmd/promlint — a
 # malformed exposition fails the build. CI runs this as the serve-smoke
@@ -129,7 +131,10 @@ smoke:
 	done; \
 	[ $$i -lt 100 ] || { echo "smoke: simulate job never finished"; exit 1; }; \
 	curl -fsS "$$url/v1/jobs/$$id/telemetry" | grep -q '"tiers"' || { echo "smoke: telemetry report missing tiers"; exit 1; }; \
-	curl -fsS "$$url/metrics" >/dev/null; \
+	lat="$$(curl -fsS "$$url/metrics" | sed -n 's/.*"POST \/v1\/analyze":{[^}]*"latency_ms":{\([^}]*\)}.*/\1/p')"; \
+	for k in mean p50 p90 p99 max; do \
+		printf '%s' "$$lat" | grep -q "\"$$k\":" || { echo "smoke: /metrics analyze latency_ms missing \"$$k\": {$$lat}"; exit 1; }; \
+	done; \
 	curl -fsS "$$url/metrics/prometheus" | "$$tmp/promlint"; \
 	curl -fsS -H 'Accept: text/plain' "$$url/metrics" | "$$tmp/promlint"; \
 	echo "smoke: ok"

@@ -2,16 +2,18 @@
 // (§4), plus the ablations and extension studies from DESIGN.md. Each
 // figure benchmark runs the full analysis+simulation sweep at a reduced
 // simulation scale and reports the steady-state model error as a metric;
-// the full paper-scale regeneration is `mcexp -exp all` (see EXPERIMENTS.md
-// for recorded results).
+// the full paper-scale regeneration is `mcexp -exp all`, and `mcrepro`
+// records its results with a gated verdict.
 package mcnet
 
 import (
+	"math"
 	"testing"
 
 	"mcnet/internal/analytic"
 	"mcnet/internal/experiments"
 	"mcnet/internal/mcsim"
+	"mcnet/internal/repro"
 	"mcnet/internal/system"
 	"mcnet/internal/units"
 )
@@ -30,34 +32,45 @@ func BenchmarkTable1(b *testing.B) {
 	}
 }
 
-// benchFigure runs one latency panel per iteration and reports the
-// steady-state accuracy of the model against the simulator.
-func benchFigure(b *testing.B, f func(experiments.Runner) (experiments.Figure, error)) {
+// benchFigure runs one manifest latency panel per iteration and reports the
+// worst declared pair's steady-state mean relative error of the model
+// against the simulator.
+func benchFigure(b *testing.B, name string) {
 	b.Helper()
+	e, ok := experiments.Lookup(name)
+	if !ok {
+		b.Fatalf("manifest is missing %q", name)
+	}
 	r := experiments.NewRunner(benchScale())
 	var fig experiments.Figure
 	var err error
 	for i := 0; i < b.N; i++ {
-		fig, err = f(r)
+		fig, err = e.Figure(r, e.Points(0))
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(100*fig.SteadyStateError(), "steady%err")
+	worst := math.NaN()
+	for _, pa := range repro.AgreeAll(e, fig.Series(), 0) {
+		if v := float64(pa.MeanRelErr); math.IsNaN(worst) || v > worst {
+			worst = v
+		}
+	}
+	b.ReportMetric(100*worst, "steady%err")
 	b.ReportMetric(fig.XMax, "λ_sat")
 }
 
 // BenchmarkFig3_M32 regenerates Fig. 3 (left): Org1, M=32, Lm ∈ {256,512}.
-func BenchmarkFig3_M32(b *testing.B) { benchFigure(b, experiments.Runner.Figure3M32) }
+func BenchmarkFig3_M32(b *testing.B) { benchFigure(b, "fig3-m32") }
 
 // BenchmarkFig3_M64 regenerates Fig. 3 (right): Org1, M=64.
-func BenchmarkFig3_M64(b *testing.B) { benchFigure(b, experiments.Runner.Figure3M64) }
+func BenchmarkFig3_M64(b *testing.B) { benchFigure(b, "fig3-m64") }
 
 // BenchmarkFig4_M32 regenerates Fig. 4 (left): Org2, M=32.
-func BenchmarkFig4_M32(b *testing.B) { benchFigure(b, experiments.Runner.Figure4M32) }
+func BenchmarkFig4_M32(b *testing.B) { benchFigure(b, "fig4-m32") }
 
 // BenchmarkFig4_M64 regenerates Fig. 4 (right): Org2, M=64.
-func BenchmarkFig4_M64(b *testing.B) { benchFigure(b, experiments.Runner.Figure4M64) }
+func BenchmarkFig4_M64(b *testing.B) { benchFigure(b, "fig4-m64") }
 
 // BenchmarkAblationICN2Norm contrasts the calibrated and paper-literal
 // model interpretations against the simulator (Ablation A).

@@ -13,7 +13,8 @@
 //	mcexp -exp all -out results/     # everything + CSV files
 //
 // Each figure prints as an ASCII panel (analysis and simulation curves for
-// Lm=256 and Lm=512) plus a steady-state accuracy summary; CSVs land in the
+// Lm=256 and Lm=512) plus the steady-state agreement of each declared
+// analysis/simulation pair (internal/repro.AgreeAll); CSVs land in the
 // -out directory for external plotting.
 package main
 
@@ -27,6 +28,7 @@ import (
 
 	"mcnet/internal/experiments"
 	"mcnet/internal/plot"
+	"mcnet/internal/repro"
 	"mcnet/internal/sweep"
 )
 
@@ -51,7 +53,7 @@ func main() {
 		for _, e := range experiments.Manifest() {
 			fmt.Printf("%-18s %-7s %s\n", e.Name, string(e.Kind), e.Title)
 		}
-		fmt.Println("\ngroups: figs (Table 1 + the four figure panels), all (everything but the validation sweep)")
+		fmt.Println("\ngroups: figs (Table 1 + the four figure panels), all (every experiment)")
 		return
 	}
 
@@ -91,10 +93,14 @@ func main() {
 			if err != nil {
 				fatalf("%s: %v", e.Name, err)
 			}
+			series := fig.Series()
 			fmt.Println(fig.Render(*width, *height))
-			fmt.Printf("steady-state mean |analysis−simulation|/simulation = %.1f%%   (%s, %v)\n\n",
-				100*fig.SteadyStateError(), *scale, time.Since(start).Round(time.Second))
-			writeCSV(*out, e.Name, fig.Series())
+			for _, pa := range repro.AgreeAll(e, series, 0) {
+				fmt.Printf("%s vs %s: steady-state mean |analysis−simulation|/simulation = %.1f%% (max %.1f%%, %d points)\n",
+					pa.Analysis, pa.Simulation, 100*float64(pa.MeanRelErr), 100*float64(pa.MaxRelErr), pa.Points)
+			}
+			fmt.Printf("(%s, %v)\n\n", *scale, time.Since(start).Round(time.Second))
+			writeCSV(*out, e.Name, series)
 		case e.Report != nil:
 			text, err := e.Report(runner, pts)
 			if err != nil {
@@ -119,15 +125,7 @@ func main() {
 func selectEntries(exp string) []experiments.Entry {
 	switch exp {
 	case "all":
-		// Everything except the validation sweep, which is a slow
-		// paper-scale diagnostic requested explicitly.
-		var out []experiments.Entry
-		for _, e := range experiments.Manifest() {
-			if e.Name != "validate" {
-				out = append(out, e)
-			}
-		}
-		return out
+		return experiments.Manifest()
 	case "figs":
 		var out []experiments.Entry
 		for _, name := range []string{"table1", "fig3-m32", "fig3-m64", "fig4-m32", "fig4-m64"} {

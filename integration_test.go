@@ -5,11 +5,12 @@ import (
 	"testing"
 
 	"mcnet/internal/analytic"
+	"mcnet/internal/experiments"
 	"mcnet/internal/mcsim"
+	"mcnet/internal/repro"
 	"mcnet/internal/rng"
 	"mcnet/internal/system"
 	"mcnet/internal/units"
-	"mcnet/internal/validate"
 )
 
 // randomOrg draws a small random heterogeneous organization. Sizes are
@@ -83,30 +84,86 @@ func TestRandomOrganizationsEndToEnd(t *testing.T) {
 	}
 }
 
-// TestValidationSweepOnTable1Orgs runs the validation harness on both paper
-// organizations at reduced scale — the programmatic version of the
-// EXPERIMENTS.md headline numbers.
+// TestValidationSweepOnTable1Orgs runs a reduced Lm=256 latency panel on
+// both paper organizations through the sweep engine and judges it with the
+// fidelity gate's agreement metric.
 func TestValidationSweepOnTable1Orgs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-simulation validation sweep skipped in -short mode")
 	}
+	r := experiments.NewRunner(experiments.Scale{Warmup: 1000, Measure: 12000, Drain: 1000, Seed: 9})
 	for _, org := range []Organization{Table1Org1(), Table1Org2()} {
-		rep, err := validate.Sweep(validate.Config{
-			Org: org, Par: DefaultParams(),
-			Warmup: 1000, Measure: 12000, Drain: 1000, Seed: 9,
-		}, 6, 1.0)
+		fig, err := r.LatencyFigure("validate", org.Name, org, 32, []int{256}, 6)
 		if err != nil {
 			t.Fatalf("%s: %v", org.Name, err)
 		}
-		if math.IsNaN(rep.SteadyStateMAPE) || rep.SteadyStateMAPE > 0.15 {
-			t.Errorf("%s: steady-state MAPE = %.1f%%, want ≤ 15%%\n%s",
-				org.Name, 100*rep.SteadyStateMAPE, rep)
+		pa := repro.Agree(fig.Series(), experiments.Pair{Analysis: "analysis Lm=256", Simulation: "simulation Lm=256"}, 0.15)
+		if !pa.Pass {
+			t.Errorf("%s: steady-state agreement %+v, want mean relative error ≤ 15%%", org.Name, pa)
 		}
 		// The simulated knee, when visible, must sit left of the model's
-		// stability boundary (the regime ordering of EXPERIMENTS.md).
-		if !math.IsNaN(rep.SimKnee) && rep.SimKnee > rep.ModelSaturation {
-			t.Errorf("%s: knee %v beyond model λ_sat %v", org.Name, rep.SimKnee, rep.ModelSaturation)
+		// stability boundary.
+		sat, err := SaturationPoint(org, DefaultParams())
+		if err != nil {
+			t.Fatal(err)
 		}
+		t.Logf("%s: steady-state mean error %.1f%% over %d points, knee %v, model λ_sat %v",
+			org.Name, 100*float64(pa.MeanRelErr), pa.Points, float64(pa.SimSatLambda), sat)
+		if knee := float64(pa.SimSatLambda); !math.IsNaN(knee) && knee > sat {
+			t.Errorf("%s: knee %v beyond model λ_sat %v", org.Name, knee, sat)
+		}
+	}
+}
+
+// TestPerClusterHeterogeneityAgreement checks the paper's subject directly:
+// per-source-cluster latencies under cluster-size heterogeneity. At modest
+// load every cluster's model latency ℓ_i (Eq. 35) must track its simulated
+// latency, and the size ordering must agree between the two sides.
+func TestPerClusterHeterogeneityAgreement(t *testing.T) {
+	org := Organization{
+		Name:  "per-cluster",
+		Ports: 4,
+		Specs: []ClusterSpec{{Count: 2, Levels: 1}, {Count: 2, Levels: 2}},
+	}
+	sys := system.MustNew(org)
+	par := units.Default()
+	model, err := analytic.New(sys, par, analytic.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lambda := 0.3 * model.SaturationPoint(1e-6, 1, 1e-3)
+	an, err := model.Evaluate(lambda)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := mcsim.Run(mcsim.Config{
+		Org: org, Par: par, LambdaG: lambda,
+		Warmup: 500, Measure: 12000, Drain: 500, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(an.PerCluster) != 4 || len(sim.PerCluster) != 4 {
+		t.Fatalf("clusters: analysis %d, simulation %d, want 4", len(an.PerCluster), len(sim.PerCluster))
+	}
+	// Ordering: the small clusters (4 nodes) vs the large (8 nodes) must
+	// sort the same way in both columns.
+	var smallA, smallS, largeA, largeS float64
+	for i := range an.PerCluster {
+		a, s := an.PerCluster[i].Latency, sim.PerCluster[i].Mean
+		if rel := math.Abs(a-s) / s; !(rel <= 0.20) {
+			t.Errorf("cluster %d (N_i=%d): per-cluster error %.1f%% (analysis %v, sim %v)",
+				i, sys.Clusters[i].Nodes, 100*rel, a, s)
+		}
+		if sys.Clusters[i].Nodes == 4 {
+			smallA, smallS = a, s
+		} else {
+			largeA, largeS = a, s
+		}
+	}
+	if (smallA < largeA) != (smallS < largeS) {
+		t.Errorf("size ordering disagrees: analysis (%v vs %v), sim (%v vs %v)",
+			smallA, largeA, smallS, largeS)
 	}
 }
 

@@ -79,8 +79,8 @@ type SaturationRow struct {
 	PaperXMax   float64
 }
 
-// SaturationSummary regenerates the λ_sat table of EXPERIMENTS.md: the
-// model's saturation point for every figure panel next to the paper's
+// SaturationSummary regenerates the λ_sat table (the "saturation" manifest
+// entry): the model's saturation point for every figure panel next to the paper's
 // plotted x-range (the paper stopped each axis where its analysis
 // saturated, which is the comparison that anchors the calibration).
 func SaturationSummary() ([]SaturationRow, error) {

@@ -49,10 +49,6 @@ type Point struct {
 	SimStdDev  float64
 	// AnalysisSaturated marks loads past the model's stability region.
 	AnalysisSaturated bool
-	// SimSaturated flags simulation points dominated by unbounded queue
-	// growth (mean latency > 50× the zero-load analysis value), the regime
-	// right of the knee in the paper's figures.
-	SimSaturated bool
 }
 
 // Curve is one (message geometry) line of a figure: analysis + simulation.
@@ -240,15 +236,6 @@ func (r Runner) LatencyFigure(name, title string, org system.Organization, mFlit
 			}
 		}
 	}
-	zeroLoad := make([]float64, len(flitBytes))
-	for i, m := range models {
-		zl, err := m.MeanLatency(xMax * 1e-6)
-		if err != nil {
-			return fig, err
-		}
-		zeroLoad[i] = zl
-	}
-
 	// The figure's whole simulation grid is one sweep: the message-geometry
 	// axis carries the curves, the load axis the operating points.
 	spec := r.simSpec(name, org, units.Default().WithMessage(mFlits, flitBytes[0]), lambdas)
@@ -264,35 +251,8 @@ func (r Runner) LatencyFigure(name, title string, org system.Organization, mFlit
 		pt := &fig.Curves[k[0]].Points[k[1]]
 		pt.Simulation = st.mean
 		pt.SimStdDev = st.sd
-		pt.SimSaturated = st.mean > 50*zeroLoad[k[0]]
 	}
 	return fig, nil
-}
-
-// Figure3M32 regenerates the left panel of the paper's Fig. 3
-// (N=1120, m=8, M=32, Lm ∈ {256, 512}).
-func (r Runner) Figure3M32() (Figure, error) {
-	return r.LatencyFigure("fig3-m32", "Fig. 3 (left): N=1120, m=8, M=32",
-		system.Table1Org1(), 32, []int{256, 512}, 10)
-}
-
-// Figure3M64 regenerates the right panel of the paper's Fig. 3 (M=64).
-func (r Runner) Figure3M64() (Figure, error) {
-	return r.LatencyFigure("fig3-m64", "Fig. 3 (right): N=1120, m=8, M=64",
-		system.Table1Org1(), 64, []int{256, 512}, 10)
-}
-
-// Figure4M32 regenerates the left panel of the paper's Fig. 4
-// (N=544, m=4, M=32).
-func (r Runner) Figure4M32() (Figure, error) {
-	return r.LatencyFigure("fig4-m32", "Fig. 4 (left): N=544, m=4, M=32",
-		system.Table1Org2(), 32, []int{256, 512}, 10)
-}
-
-// Figure4M64 regenerates the right panel of the paper's Fig. 4 (M=64).
-func (r Runner) Figure4M64() (Figure, error) {
-	return r.LatencyFigure("fig4-m64", "Fig. 4 (right): N=544, m=4, M=64",
-		system.Table1Org2(), 64, []int{256, 512}, 10)
 }
 
 // Series converts the figure into plottable series: per curve, an analysis
@@ -334,43 +294,6 @@ func (f Figure) Render(width, height int) string {
 	b.WriteString(plot.ASCII(f.Title, f.Series(), width, height, yCap))
 	b.WriteString(fmt.Sprintf("%10s  x-axis: offered traffic λ_g (messages/node/time-unit); y: mean latency\n", ""))
 	return b.String()
-}
-
-// SteadyStateError summarizes model accuracy in the steady-state region —
-// the paper's own accuracy claim is limited to that region ("the model
-// predicts … with a good degree of accuracy when the system … has not
-// reached the saturation point"). A point is in the steady-state region
-// when its simulated latency is below 3× the curve's low-load baseline;
-// the mean absolute relative error over those points is returned.
-func (f Figure) SteadyStateError() float64 {
-	var sum float64
-	var n int
-	for _, c := range f.Curves {
-		baseline := math.NaN()
-		for _, p := range c.Points {
-			if !p.AnalysisSaturated && !math.IsNaN(p.Analysis) {
-				baseline = p.Analysis
-				break
-			}
-		}
-		if math.IsNaN(baseline) {
-			continue
-		}
-		for _, p := range c.Points {
-			if p.AnalysisSaturated || p.SimSaturated || math.IsNaN(p.Simulation) || p.Simulation == 0 {
-				continue
-			}
-			if p.Simulation > 3*baseline {
-				continue // past the knee: the paper reports divergence here too
-			}
-			sum += math.Abs(p.Analysis-p.Simulation) / p.Simulation
-			n++
-		}
-	}
-	if n == 0 {
-		return math.NaN()
-	}
-	return sum / float64(n)
 }
 
 // Table1 regenerates the paper's Table 1: the two validated organizations

@@ -77,19 +77,6 @@ func TestLatencyFigureStructure(t *testing.T) {
 	}
 }
 
-func TestSteadyStateAgreement(t *testing.T) {
-	// In the steady-state region the model must track the simulator — the
-	// paper's headline claim. Accept ≤ 20% mean absolute relative error.
-	r := NewRunner(tinyScale())
-	fig, err := r.LatencyFigure("agree", "agreement", tinyOrg(), 32, []int{256}, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e := fig.SteadyStateError(); math.IsNaN(e) || e > 0.20 {
-		t.Errorf("steady-state mean relative error = %v, want ≤ 0.20", e)
-	}
-}
-
 func TestFigureRenderAndSeries(t *testing.T) {
 	r := NewRunner(tinyScale())
 	fig, err := r.LatencyFigure("render", "render panel", tinyOrg(), 32, []int{256}, 4)
@@ -220,7 +207,7 @@ func TestLinkHeterogeneityStudy(t *testing.T) {
 	}
 	// The acceptance bar: the tier-indexed model tracks the simulator on
 	// heterogeneous links about as well as on the homogeneous system
-	// (compare TestSteadyStateAgreement / TestRateHeterogeneityStudy).
+	// (compare repro's TestSteadyStateAgreement / TestRateHeterogeneityStudy).
 	for ci := 0; ci < 3; ci++ {
 		an, sim := series[2*ci], series[2*ci+1]
 		for i := range an.Y {
@@ -422,7 +409,7 @@ func sameCurves(a, b []Curve) bool {
 			p, q := a[ci].Points[pi], b[ci].Points[pi]
 			if !eq(p.Lambda, q.Lambda) || !eq(p.Analysis, q.Analysis) ||
 				!eq(p.Simulation, q.Simulation) || !eq(p.SimStdDev, q.SimStdDev) ||
-				p.AnalysisSaturated != q.AnalysisSaturated || p.SimSaturated != q.SimSaturated {
+				p.AnalysisSaturated != q.AnalysisSaturated {
 				return false
 			}
 		}

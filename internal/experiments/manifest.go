@@ -7,7 +7,6 @@ import (
 	"mcnet/internal/plot"
 	"mcnet/internal/system"
 	"mcnet/internal/units"
-	"mcnet/internal/validate"
 )
 
 // Kind classifies a manifest entry by the shape of its output.
@@ -20,8 +19,7 @@ const (
 	// KindStudy entries produce a set of plottable series (the ablations and
 	// heterogeneity/workload extensions).
 	KindStudy Kind = "study"
-	// KindReport entries produce free text (Table 1, the saturation summary,
-	// the validation sweep).
+	// KindReport entries produce free text (Table 1, the saturation summary).
 	KindReport Kind = "report"
 )
 
@@ -68,8 +66,8 @@ type Entry struct {
 	// Series produces the study's plottable series (nil for reports).
 	Series func(r Runner, points int) ([]plot.Series, error) `json:"-"`
 	// Figure, set for KindFigure entries, regenerates the full Figure
-	// (Series is derived from it; the Figure form additionally carries
-	// saturation flags and the steady-state error summary).
+	// (Series is derived from it; the Figure form additionally carries the
+	// model's saturation flags and the replication spread).
 	Figure func(r Runner, points int) (Figure, error) `json:"-"`
 	// Report produces the entry's text output (KindReport only).
 	Report func(r Runner, points int) (string, error) `json:"-"`
@@ -133,29 +131,6 @@ func Manifest() []Entry {
 					return "", err
 				}
 				return FormatSaturationSummary(rows), nil
-			},
-		},
-		{
-			Name: "validate", Title: "Validation sweep: per-region model accuracy (Org1, Org2)",
-			Kind: KindReport, DefaultPoints: 10,
-			Report: func(r Runner, points int) (string, error) {
-				var b strings.Builder
-				for _, name := range []string{"org1", "org2"} {
-					org, err := system.ParseOrganization(name)
-					if err != nil {
-						return "", err
-					}
-					rep, err := validate.Sweep(validate.Config{
-						Org: org, Par: units.Default(),
-						Warmup: r.Scale.Warmup, Measure: r.Scale.Measure,
-						Drain: r.Scale.Drain, Seed: r.Scale.Seed,
-					}, points, 1.0)
-					if err != nil {
-						return "", fmt.Errorf("validate %s: %w", name, err)
-					}
-					fmt.Fprintf(&b, "Validation sweep — %s (M=32, Lm=256)\n%s\n", org.Name, rep)
-				}
-				return b.String(), nil
 			},
 		},
 		figureEntry("fig3-m32", "Fig. 3 (left): N=1120, m=8, M=32", system.Table1Org1(), 32, true),

@@ -15,7 +15,7 @@ var DefLatencyBuckets = []float64{
 
 // Histogram is a fixed-bucket concurrent histogram: Observe is a couple of
 // atomic adds with no locking, so it can sit on a ~100k op/s request path
-// without becoming the serialization point the old mutexed sample ring was.
+// without becoming a serialization point.
 type Histogram struct {
 	bounds []float64       // ascending upper bounds; an implicit +Inf closes the last bucket
 	counts []atomic.Uint64 // len(bounds)+1: per-bucket (non-cumulative) counts
@@ -85,4 +85,30 @@ func (h *Histogram) Snapshot() HistSnapshot {
 		s.Cumulative[i] = run
 	}
 	return s
+}
+
+// Quantile estimates the q-quantile (0 ≤ q ≤ 1) the way Prometheus's
+// histogram_quantile does: find the bucket holding rank q·total and
+// interpolate linearly inside it, taking 0 as the lower edge of the first
+// bucket (leading empty buckets are skipped, so q=0 gives the lower edge of
+// the first occupied one). A rank in the +Inf bucket returns the largest
+// finite bound. NaN when nothing was observed.
+func (s HistSnapshot) Quantile(q float64) float64 {
+	total := s.Cumulative[len(s.Cumulative)-1]
+	if total == 0 {
+		return math.NaN()
+	}
+	rank := q * float64(total)
+	b := 0
+	for b < len(s.Bounds) && (s.Cumulative[b] == 0 || float64(s.Cumulative[b]) < rank) {
+		b++
+	}
+	if b == len(s.Bounds) {
+		return s.Bounds[b-1]
+	}
+	lo, below := 0.0, uint64(0)
+	if b > 0 {
+		lo, below = s.Bounds[b-1], s.Cumulative[b-1]
+	}
+	return lo + (s.Bounds[b]-lo)*(rank-float64(below))/float64(s.Cumulative[b]-below)
 }

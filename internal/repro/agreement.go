@@ -10,12 +10,12 @@ import (
 )
 
 // PairAgreement is the model-vs-simulation agreement of one analysis/
-// simulation series pair, the unit the fidelity gate judges. The metric is
-// restricted to the steady-state region — the only region the paper claims
-// accuracy for: a grid point is usable when both values are finite, the
-// simulated latency is positive and it is below 3× the pair's low-load
-// analysis baseline (the same region experiments.Figure.SteadyStateError
-// measures). Floats serialize NaN as null (see sweep.Float).
+// simulation series pair, the unit the fidelity gate judges and the repo's
+// only model-vs-simulation accuracy metric. It is restricted to the
+// steady-state region — the only region the paper claims accuracy for: a
+// grid point is usable when both values are finite, the simulated latency is
+// positive and it is below 3× the pair's low-load analysis baseline. Floats
+// serialize NaN as null (see sweep.Float).
 type PairAgreement struct {
 	Analysis   string `json:"analysis"`
 	Simulation string `json:"simulation"`

@@ -7,6 +7,7 @@ import (
 
 	"mcnet/internal/experiments"
 	"mcnet/internal/plot"
+	"mcnet/internal/system"
 )
 
 func pair() experiments.Pair {
@@ -83,6 +84,26 @@ func TestAgreeNoUsablePoints(t *testing.T) {
 	pa := Agree(s, pair(), 0.25)
 	if pa.Pass || pa.Reason == "" {
 		t.Errorf("got %+v, want failure with a reason", pa)
+	}
+}
+
+// TestSteadyStateAgreement: in the steady-state region the model must track
+// the simulator — the paper's headline claim — to ≤ 20% mean relative error
+// on a small heterogeneous system.
+func TestSteadyStateAgreement(t *testing.T) {
+	r := experiments.NewRunner(experiments.Scale{Warmup: 300, Measure: 3000, Drain: 300, Seed: 1, Reps: 1})
+	org := system.Organization{
+		Name:  "tiny",
+		Ports: 4,
+		Specs: []system.ClusterSpec{{Count: 2, Levels: 1}, {Count: 2, Levels: 2}},
+	}
+	fig, err := r.LatencyFigure("agree", "agreement", org, 32, []int{256}, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pa := Agree(fig.Series(), experiments.Pair{Analysis: "analysis Lm=256", Simulation: "simulation Lm=256"}, 0.20)
+	if !pa.Pass {
+		t.Errorf("steady-state agreement %+v, want mean relative error ≤ 0.20", pa)
 	}
 }
 

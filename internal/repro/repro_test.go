@@ -225,18 +225,27 @@ func TestResumeRealStudy(t *testing.T) {
 }
 
 func TestSelectEntries(t *testing.T) {
-	small, err := selectEntries(Config{Small: true})
+	// Every current manifest entry is Small, so the subset filter is
+	// checked on an injected study set.
+	injected := []experiments.Entry{{Name: "a", Small: true}, {Name: "b"}, {Name: "c", Small: true}}
+	small, err := selectEntries(Config{Small: true, Entries: injected})
 	if err != nil {
 		t.Fatal(err)
 	}
-	all, err := selectEntries(Config{})
+	if len(small) != 2 || small[0].Name != "a" || small[1].Name != "c" {
+		t.Errorf("small subset = %v, want [a c]", names(small))
+	}
+	if all, err := selectEntries(Config{Entries: injected}); err != nil || len(all) != 3 {
+		t.Errorf("full set = %v (err %v), want all 3 entries", names(all), err)
+	}
+	manifestSmall, err := selectEntries(Config{Small: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(small) == 0 || len(small) >= len(all) {
-		t.Errorf("small subset has %d of %d entries; want a proper non-empty subset", len(small), len(all))
+	if len(manifestSmall) == 0 {
+		t.Error("the manifest's small subset is empty; the CI gate would run nothing")
 	}
-	for _, e := range small {
+	for _, e := range manifestSmall {
 		if !e.Small {
 			t.Errorf("small subset includes %s, which is not marked Small", e.Name)
 		}

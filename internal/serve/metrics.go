@@ -3,27 +3,19 @@ package serve
 import (
 	"net/http"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"mcnet/internal/obs"
-	"mcnet/internal/stats"
 	"mcnet/internal/sweep"
 )
 
-// latencySamples bounds the per-route reservoir the JSON quantiles are
-// computed from: a ring of the most recent observations.
-const latencySamples = 2048
-
 // metrics aggregates per-route request statistics for GET /metrics.
 //
-// The hot path is sharded per route with atomics: record on one route never
-// contends with record on another, and the only lock taken is the route's
-// own sample-ring mutex. (The previous design took one global mutex on
-// every request across all routes, serializing the ~120k req/s analyze fast
-// path against every other handler; BenchmarkMetricsRecordParallel guards
-// against that regressing.)
+// The hot path is sharded per route and lock-free: record is a handful of
+// atomic operations on the route's own counters and histogram, so it never
+// contends with another route and never blocks a scrape.
+// BenchmarkMetricsRecordParallel guards against that regressing.
 type metrics struct {
 	// routes is immutable after newMetrics: the route set is the mux's
 	// registration list, so lookup is a lock-free map read.
@@ -34,16 +26,11 @@ type metrics struct {
 type routeStats struct {
 	count  atomic.Int64
 	errors atomic.Int64 // responses with status >= 400
-	// hist feeds the Prometheus latency histogram (seconds): pure atomics,
-	// no lock.
+	// hist (seconds) is the one latency store: it feeds the Prometheus
+	// histogram and the JSON mean and quantiles.
 	hist *obs.Histogram
-
-	// mu guards only the JSON snapshot state: the running aggregate and the
-	// ring of recent latencies (ms) behind the exact quantiles.
-	mu      sync.Mutex
-	lat     stats.Running
-	samples []float64
-	next    int
+	// maxNs is the slowest response so far, CAS-maxed.
+	maxNs atomic.Int64
 }
 
 func newMetrics(routes []string) *metrics {
@@ -66,21 +53,17 @@ func (m *metrics) record(route string, code int, d time.Duration) {
 		rs.errors.Add(1)
 	}
 	rs.hist.Observe(d.Seconds())
-
-	ms := float64(d) / float64(time.Millisecond)
-	rs.mu.Lock()
-	rs.lat.Add(ms)
-	if len(rs.samples) < latencySamples {
-		rs.samples = append(rs.samples, ms)
-	} else {
-		rs.samples[rs.next%latencySamples] = ms
+	for ns := int64(d); ; {
+		old := rs.maxNs.Load()
+		if ns <= old || rs.maxNs.CompareAndSwap(old, ns) {
+			break
+		}
 	}
-	rs.next++
-	rs.mu.Unlock()
 }
 
-// latDoc carries latency aggregates in milliseconds. Quantiles are exact
-// over the most recent latencySamples observations.
+// latDoc carries latency aggregates in milliseconds over the process
+// lifetime. The quantiles are interpolated inside the histogram's buckets
+// (obs.HistSnapshot.Quantile) and clamped to the exact max.
 type latDoc struct {
 	Mean sweep.Float `json:"mean"`
 	P50  sweep.Float `json:"p50"`
@@ -128,16 +111,16 @@ func (m *metrics) snapshot() map[string]routeDoc {
 	out := make(map[string]routeDoc, len(m.routes))
 	for route, rs := range m.routes {
 		doc := routeDoc{Count: rs.count.Load(), Errors: rs.errors.Load()}
-		if doc.Count > 0 {
-			rs.mu.Lock()
-			sample := append([]float64(nil), rs.samples...)
-			mean, max := rs.lat.Mean(), rs.lat.Max()
-			rs.mu.Unlock()
+		if h := rs.hist.Snapshot(); h.Count > 0 {
+			max := float64(rs.maxNs.Load()) / float64(time.Millisecond)
+			quantile := func(q float64) sweep.Float {
+				return sweep.Float(min(1e3*h.Quantile(q), max))
+			}
 			doc.Latency = &latDoc{
-				Mean: sweep.Float(mean),
-				P50:  sweep.Float(stats.Quantile(sample, 0.5)),
-				P90:  sweep.Float(stats.Quantile(sample, 0.9)),
-				P99:  sweep.Float(stats.Quantile(sample, 0.99)),
+				Mean: sweep.Float(1e3 * h.Sum / float64(h.Count)),
+				P50:  quantile(0.5),
+				P90:  quantile(0.9),
+				P99:  quantile(0.99),
 				Max:  sweep.Float(max),
 			}
 		}

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -351,9 +352,54 @@ func TestJobLifecycleLogLines(t *testing.T) {
 	}
 }
 
-// BenchmarkMetricsRecordParallel is the satellite proof that metrics.record
-// no longer serializes all routes behind one mutex: parallel recorders on
-// distinct routes must scale, contending only on their own route's ring.
+// TestMetricsLatencyFromHistogram records known durations on one route and
+// checks the JSON latency document derived from the route's histogram: an
+// exact max and mean, and each quantile inside the bucket its rank falls in.
+func TestMetricsLatencyFromHistogram(t *testing.T) {
+	m := newMetrics([]string{"POST /v1/analyze"})
+	// Buckets (seconds): 5×20µs in (10µs, 25µs], 4×300µs in (250µs, 500µs],
+	// 1×3ms in (1ms, 5ms].
+	for i := 0; i < 5; i++ {
+		m.record("POST /v1/analyze", 200, 20*time.Microsecond)
+	}
+	for i := 0; i < 4; i++ {
+		m.record("POST /v1/analyze", 200, 300*time.Microsecond)
+	}
+	m.record("POST /v1/analyze", 500, 3*time.Millisecond)
+
+	doc := m.snapshot()["POST /v1/analyze"]
+	if doc.Count != 10 || doc.Errors != 1 || doc.Latency == nil {
+		t.Fatalf("route doc %+v", doc)
+	}
+	lat := doc.Latency
+	if got := float64(lat.Max); got != 3 {
+		t.Errorf("max = %v ms, want 3", got)
+	}
+	if got := float64(lat.Mean); math.Abs(got-0.43) > 1e-9 {
+		t.Errorf("mean = %v ms, want 0.43", got)
+	}
+	for _, tc := range []struct {
+		name   string
+		v      sweep.Float
+		lo, hi float64 // the observed bucket, ms
+	}{
+		{"p50", lat.P50, 0.010, 0.025},
+		{"p90", lat.P90, 0.25, 0.5},
+		{"p99", lat.P99, 1, 5},
+	} {
+		// The bucket bounds are seconds scaled to ms, so allow rounding.
+		if v := float64(tc.v); !(v > tc.lo && v <= tc.hi+1e-12) {
+			t.Errorf("%s = %v ms, want inside its bucket (%v, %v]", tc.name, v, tc.lo, tc.hi)
+		}
+	}
+	if !(lat.P50 <= lat.P90 && lat.P90 <= lat.P99 && lat.P99 <= lat.Max) {
+		t.Errorf("quantiles not ordered p50 ≤ p90 ≤ p99 ≤ max: %+v", *lat)
+	}
+}
+
+// BenchmarkMetricsRecordParallel is the proof that metrics.record does not
+// serialize routes: parallel recorders on distinct routes must scale, since
+// record takes no lock and touches only its own route's atomics.
 func BenchmarkMetricsRecordParallel(b *testing.B) {
 	routes := []string{"GET /a", "GET /b", "GET /c", "GET /d"}
 	m := newMetrics(routes)
