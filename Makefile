@@ -9,7 +9,7 @@ BENCH_OUT ?= BENCH_$(REV).json
 # Per-fuzzer exploration budget of the fuzz smoke.
 FUZZTIME ?= 15s
 
-.PHONY: all build test race vet fmt-check staticcheck lint fuzz bench bench-all bench-gate cover serve smoke paper paper-small ci clean
+.PHONY: all build test race vet fmt-check staticcheck lint fuzz bench bench-all bench-gate perfbench-check cover serve smoke paper paper-small ci clean
 
 all: build test
 
@@ -83,6 +83,13 @@ bench-gate:
 	status=0; $(GO) run ./cmd/benchdiff -threshold 1.25 "$$baseline" BENCH_gate.json || status=$$?; \
 	rm -f BENCH_gate.json BENCH_gate.summary.json; exit $$status
 
+# perfbench-check vets and tests the end-to-end benchmark (perfbench/). It is
+# a separate Go module, so the root `go build ./...` never compiles it: a
+# rename in a package it imports would otherwise break the benchmark with
+# every other target green.
+perfbench-check:
+	cd perfbench && $(GO) vet . && $(GO) test .
+
 cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) tool cover -func=cover.out | tail -n 1
@@ -153,8 +160,8 @@ paper-small:
 
 # ci mirrors .github/workflows/ci.yml so local runs reproduce the pipeline:
 # lint job (fmt-check, vet, staticcheck), test job (build, test, race, fuzz),
-# the bench-gate, serve-smoke and repro-gate jobs.
-ci: lint build test race fuzz bench-gate smoke paper-small
+# the bench-gate, perfbench-check, serve-smoke and repro-gate jobs.
+ci: lint build test race fuzz bench-gate perfbench-check smoke paper-small
 
 clean:
 	$(GO) clean ./...

@@ -23,7 +23,6 @@ import (
 	"mcnet/internal/routing"
 	"mcnet/internal/system"
 	"mcnet/internal/topo"
-	"mcnet/internal/tree"
 )
 
 func main() {
@@ -78,14 +77,10 @@ func runOrg(out io.Writer, orgSpec, topoAxis string, check bool) error {
 	for i, c := range sys.Clusters {
 		fmt.Fprintf(out, "  %3d %6d %8.4f %10.4f\n", i, c.Nodes, sys.POut(i), c.Net.AvgDistance())
 	}
-	if sys.ICN2 != nil {
-		fmt.Fprintf(out, "\n  ICN2 NCA-level distribution P(h): %v\n", formatDist("j", sys.ICN2ProbH()))
-	} else {
-		fmt.Fprintf(out, "\n  ICN2 route-length distribution P(d): %v\n", formatDist("d", sys.ICN2RouteDist()))
-	}
+	fmt.Fprintf(out, "\n  ICN2 route-length distribution P(d): %v\n", formatDist("d", sys.ICN2RouteDist()))
 	if check {
 		for _, c := range sys.Clusters {
-			if err := c.Shape.CheckStructure(); err != nil {
+			if err := c.ECN1Net.CheckStructure(); err != nil {
 				return fmt.Errorf("cluster %d ECN1: %v", c.Index, err)
 			}
 			if err := c.Net.CheckStructure(); err != nil {
@@ -119,7 +114,7 @@ func runNetwork(out io.Writer, ports, levels, count int, topoSpec string, check 
 		return fmt.Errorf("topology %s needs -ports and -levels", spec)
 	}
 	if spec.IsZero() {
-		// The classic tree report, with the paper's closed forms and the
+		// The fat-tree report, with the paper's closed forms and the
 		// balanced-routing load census no generic plugin exposes.
 		return runTree(out, ports, levels, check)
 	}
@@ -131,7 +126,7 @@ func runNetwork(out io.Writer, ports, levels, count int, topoSpec string, check 
 }
 
 func runTree(out io.Writer, ports, levels int, check bool) error {
-	t, err := tree.New(ports, levels)
+	t, err := topo.NewFatTree(ports, levels, routing.Balanced)
 	if err != nil {
 		return err
 	}
@@ -158,9 +153,8 @@ func runTree(out io.Writer, ports, levels int, check bool) error {
 			return err
 		}
 		fmt.Fprintln(out, "  structural verification: OK")
-		r := routing.Router{T: t}
 		fmt.Fprintln(out, "  all-pairs balanced routing load:")
-		for _, s := range routing.SummarizeLoads(t, r.LoadMatrix()) {
+		for _, s := range t.SummarizeLoads(t.LoadMatrix()) {
 			fmt.Fprintf(out, "    %v\n", s)
 		}
 	}

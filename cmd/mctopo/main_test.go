@@ -46,7 +46,7 @@ func TestRun(t *testing.T) {
 		{
 			name: "org default with check",
 			args: []string{"-org", "org1", "-check"},
-			want: []string{"N=1120", "ICN2 NCA-level distribution P(h)", "structural verification: OK"},
+			want: []string{"N=1120", "ICN2 route-length distribution P(d): [d=2:0.0968 d=4:0.9032]", "structural verification: OK"},
 		},
 		{
 			name: "org with swapped topologies and check",

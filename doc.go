@@ -15,8 +15,8 @@
 //   - orchestrating whole parameter grids (Sweep, SweepEngine, ExpandSweep)
 //
 // The implementation lives under internal/: see internal/analytic (the
-// model, Eqs. 3–36), internal/mcsim (the simulator), internal/tree and
-// internal/routing (the fat-tree substrate), internal/sweep (the concurrent
+// model, Eqs. 3–36), internal/mcsim (the simulator), internal/topo (the
+// fat tree and the other topologies), internal/sweep (the concurrent
 // sweep engine behind cmd/mcsweep and the experiments), and DESIGN.md for
 // the system inventory and fidelity notes.
 //

@@ -8,7 +8,7 @@
 //
 //   - the distribution P(j, n) of the number of link-pairs crossed in an
 //     m-port n-tree under uniform traffic (Eq. 4) and the resulting average
-//     distance d_avg (Eqs. 8–9) — supplied by the tree package;
+//     distance d_avg (Eqs. 8–9) — supplied by the fat tree (topo.FatTree);
 //
 //   - per-channel message rates η for ICN1, ECN1 and ICN2 (Eqs. 10–12)
 //     obtained by spreading each network's aggregate load over its channels;
@@ -191,9 +191,8 @@ func New(sys *system.System, par units.Params, opt Options) (*Model, error) {
 	m.mtcsE1 = make([]float64, sys.C())
 	flits := float64(par.MessageFlits)
 	for i := range sys.Clusters {
-		shape := sys.Clusters[i].Shape
-		m.probJ[i] = shape.ProbJ()
-		m.dAvg[i] = shape.AvgDistance()
+		m.probJ[i] = sys.Clusters[i].ECN1Net.ProbJ()
+		m.dAvg[i] = sys.Clusters[i].ECN1Net.AvgDistance()
 		m.pOut[i] = sys.POut(i)
 		net := sys.Clusters[i].Net
 		m.distI1[i] = net.RouteDist()

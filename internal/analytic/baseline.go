@@ -48,7 +48,7 @@ func NewBaseline(sys *system.System, par units.Params) (*Baseline, error) {
 	b := &Baseline{Sys: sys, Par: par}
 	for i := range sys.Clusters {
 		cl := &sys.Clusters[i]
-		b.dAvg = append(b.dAvg, cl.Shape.AvgDistance())
+		b.dAvg = append(b.dAvg, cl.ECN1Net.AvgDistance())
 		b.pOut = append(b.pOut, sys.POut(i))
 		b.distI1 = append(b.distI1, cl.Net.RouteDist())
 		b.dAvgI1 = append(b.dAvgI1, cl.Net.AvgDistance())

@@ -80,19 +80,18 @@ func (s ChannelGroupStats) String() string {
 func (s *Sim) groupOf(c int32) ChannelGroup {
 	for i := range s.clusters {
 		cn := &s.clusters[i]
-		shape := s.sys.Clusters[i].Shape
 		switch {
 		case c >= cn.icn1Base && c < cn.icn1Base+int32(cn.icn1.Channels()):
 			if cn.icn1.IsNodeChannel(int(c - cn.icn1Base)) {
 				return GroupICN1Node
 			}
 			return GroupICN1Switch
-		case c >= cn.ecn1Base && c < cn.ecn1Base+int32(shape.Channels()):
-			if shape.IsNodeChannel(int(c - cn.ecn1Base)) {
+		case c >= cn.ecn1Base && c < cn.ecn1Base+int32(cn.ecn1.Channels()):
+			if cn.ecn1.IsNodeChannel(int(c - cn.ecn1Base)) {
 				return GroupECN1Node
 			}
 			return GroupECN1Switch
-		case c >= cn.rootUpBase && c < cn.rootDownBase+int32(shape.Roots()):
+		case c >= cn.rootUpBase && c < cn.rootDownBase+int32(cn.ecn1.Roots()):
 			return GroupConcentrator
 		}
 	}

@@ -35,11 +35,11 @@ func TestChannelStatsGroupsCoverEveryChannel(t *testing.T) {
 	sys := s.System()
 	var icn1Node, icn1Sw, conc int
 	for _, c := range sys.Clusters {
-		icn1Node += 2 * c.Shape.Nodes()
-		icn1Sw += c.Shape.Channels() - 2*c.Shape.Nodes()
-		conc += 2 * c.Shape.Roots()
+		icn1Node += 2 * c.ECN1Net.Nodes()
+		icn1Sw += c.ECN1Net.Channels() - 2*c.ECN1Net.Nodes()
+		conc += 2 * c.ECN1Net.Roots()
 	}
-	conc += 2 * sys.ICN2.Nodes() // concentrator↔ICN2 injection/ejection links
+	conc += 2 * sys.ICN2Net.Nodes() // concentrator↔ICN2 injection/ejection links
 	if stats[GroupICN1Node].Channels != icn1Node {
 		t.Errorf("ICN1 node channels = %d, want %d", stats[GroupICN1Node].Channels, icn1Node)
 	}
@@ -52,7 +52,7 @@ func TestChannelStatsGroupsCoverEveryChannel(t *testing.T) {
 	if stats[GroupConcentrator].Channels != conc {
 		t.Errorf("concentrator channels = %d, want %d", stats[GroupConcentrator].Channels, conc)
 	}
-	if want := sys.ICN2.Channels() - 2*sys.ICN2.Nodes(); stats[GroupICN2].Channels != want {
+	if want := sys.ICN2Net.Channels() - 2*sys.ICN2Net.Nodes(); stats[GroupICN2].Channels != want {
 		t.Errorf("ICN2 channels = %d, want %d", stats[GroupICN2].Channels, want)
 	}
 }

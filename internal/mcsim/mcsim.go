@@ -166,20 +166,20 @@ type message struct {
 	pathBuf  []int32
 }
 
-// clusterNets holds the channel-table offsets of one cluster's networks.
+// clusterNets holds one cluster's networks and their offsets in the global
+// channel table.
 type clusterNets struct {
 	icn1Base     int32
 	ecn1Base     int32
 	rootUpBase   int32 // ECN1 root → concentrator links, indexed by root
 	rootDownBase int32 // concentrator → ECN1 root links, indexed by root
-	router       routing.Router
-	// table precomputes the cluster's ECN1 tree routes; clusters sharing a
-	// shape share one table. The ECN1 access network is always an m-port
-	// n_i-tree — only ICN1 is topology-pluggable.
-	table *routing.Table
+	// ecn1 is the cluster's ECN1 access network, the system's shared
+	// balanced m-port n_i-tree. Its concentrator legs pick the root from the
+	// message's selector under every routing mode, so one instance serves
+	// every run; launch calls them on the concrete type.
+	ecn1 *topo.FatTree
 	// icn1 is the cluster's intra network, resolved from the spec's
-	// topology under the run's routing mode (the default fat tree routes
-	// through the same shared table the pre-plugin simulator used).
+	// topology under the run's routing mode through the topo cache.
 	icn1 topo.Topology
 }
 
@@ -294,17 +294,17 @@ func New(cfg Config) (*Sim, error) {
 		if err != nil {
 			return nil, fmt.Errorf("mcsim: cluster %d ICN1: %v", i, err)
 		}
+		cn.ecn1 = cl.ECN1Net
 		cn.icn1Base = appendTree(cn.icn1, icn1.Tcn(lm), icn1.Tcs(lm))
-		cn.ecn1Base = appendTree(cl.Shape, ecn1.Tcn(lm), ecn1.Tcs(lm))
+		cn.ecn1Base = appendTree(cn.ecn1, ecn1.Tcn(lm), ecn1.Tcs(lm))
 		cn.rootUpBase = int32(len(flits))
-		for r := 0; r < cl.Shape.Roots(); r++ {
+		for r := 0; r < cn.ecn1.Roots(); r++ {
 			flits = append(flits, concTcs)
 		}
 		cn.rootDownBase = int32(len(flits))
-		for r := 0; r < cl.Shape.Roots(); r++ {
+		for r := 0; r < cn.ecn1.Roots(); r++ {
 			flits = append(flits, concTcs)
 		}
-		cn.router = routing.Router{T: cl.Shape, Mode: cfg.RoutingMode}
 	}
 	s.icn2, err = topo.NewGlobal(cfg.Org.ICN2Topo, sys.Ports, sys.C(), cfg.RoutingMode)
 	if err != nil {
@@ -313,14 +313,6 @@ func New(cfg Config) (*Sim, error) {
 	s.icn2Base = appendTree(s.icn2, concTcs, icn2Tcs)
 	s.net = wormhole.New(&s.sched, flits)
 	s.hid = s.sched.Register(s)
-
-	// Attach the process-shared precomputed ECN1 route tables (one per
-	// distinct tree shape and routing mode; Table 1's organizations have at
-	// most three shapes).
-	for i := range s.clusters {
-		cn := &s.clusters[i]
-		cn.table = routing.SharedTable(cn.router)
-	}
 
 	if cfg.Pattern != nil {
 		s.pattern = cfg.Pattern(sys)
@@ -655,12 +647,12 @@ func (s *Sim) launch(m *message) {
 		dst := &s.clusters[m.dstCl]
 
 		var srcRootY int
-		path, srcRootY = src.table.AppendUpToRoot(path, src.ecn1Base, int(s.nodeLocal[m.src]), m.sel1)
+		path, srcRootY = src.ecn1.AppendUpToRoot(path, src.ecn1Base, int(s.nodeLocal[m.src]), m.sel1)
 		path = append(path, src.rootUpBase+int32(srcRootY))
 		path = s.icn2.AppendRoute(path, s.icn2Base, m.srcCl, m.dstCl, m.sel2)
-		dstRootY := dst.table.RootIndex(m.sel3)
+		dstRootY := dst.ecn1.RootIndex(m.sel3)
 		path = append(path, dst.rootDownBase+int32(dstRootY))
-		path = dst.table.AppendDownFromRoot(path, dst.ecn1Base, dstRootY, int(s.nodeLocal[m.dst]))
+		path = dst.ecn1.AppendDownFromRoot(path, dst.ecn1Base, dstRootY, int(s.nodeLocal[m.dst]))
 	}
 	m.pathBuf = path
 	m.worm.Reset(m.id, path, m.flits, nil)

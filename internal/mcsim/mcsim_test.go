@@ -56,7 +56,7 @@ func zeroLoadExpectation(t *testing.T, org system.Organization, par units.Params
 			di, dl := sys.ClusterOf(dst)
 			var lat float64
 			if si == di {
-				j := sys.Clusters[si].Shape.NCALevel(sl, dl)
+				j := sys.Clusters[si].ECN1Net.NCALevel(sl, dl)
 				if j == 1 {
 					lat = 2*tcn + (M-1)*tcn
 				} else {
@@ -68,7 +68,7 @@ func zeroLoadExpectation(t *testing.T, org system.Organization, par units.Params
 				// pipelines once behind the header at the t_cs bottleneck.
 				ni := float64(sys.Clusters[si].Levels)
 				nv := float64(sys.Clusters[di].Levels)
-				h := float64(sys.ICN2.NCALevel(si, di))
+				h := float64(sys.ICN2Net.RouteLen(si, di)) / 2
 				lat = 2*tcn + (ni+nv+2*h)*tcs + (M-1)*tcs
 			}
 			total += lat

@@ -1,31 +1,18 @@
-// Package routing implements the deterministic up*/down* routing the paper
-// adopts for its fat-tree networks (§2, following Lin's scheme): a message
-// ascends to a nearest common ancestor of source and destination and then
-// descends. The descent is forced by the destination's digits; the ascent
-// has a free choice of up-port at every level, and the choice discipline is
-// what balances traffic:
+// Package routing names the ascent discipline of the fat tree's up*/down*
+// routing (§2 of the paper, following Lin's scheme). The routes themselves
+// live with the tree in internal/topo; this package holds only the mode,
+// which sweeps, CLIs and the simulator configuration select by name:
 //
 //   - Balanced (default): the up-port at level l is the destination's l-th
-//     digit (the classic d-mod-k discipline). All traffic towards a given
-//     destination converges onto one dedicated subtree, which makes the
-//     descending phase contention-free among distinct destinations and
-//     spreads ascending traffic uniformly for uniform destinations. This is
-//     the "balanced traffic distribution" the paper invokes to rule out
-//     switch contention.
+//     digit (the classic d-mod-k discipline), the "balanced traffic
+//     distribution" the paper invokes to rule out switch contention.
 //
-//   - RandomUp (ablation): the up-port is drawn from the caller-supplied
+//   - RandomUp (ablation): the up-port is drawn from a per-message
 //     selector, modeling an oblivious random ascent. Used by the routing
 //     ablation experiment.
-//
-// Routes are returned as sequences of the tree's dense directed-channel
-// identifiers, ready to be mapped onto simulator channels.
 package routing
 
-import (
-	"fmt"
-
-	"mcnet/internal/tree"
-)
+import "fmt"
 
 // Mode selects the ascent discipline.
 type Mode int
@@ -60,147 +47,4 @@ func ParseMode(spec string) (Mode, error) {
 		return RandomUp, nil
 	}
 	return 0, fmt.Errorf("routing: unknown mode %q (balanced, random-up)", spec)
-}
-
-// Router computes routes on one tree.
-type Router struct {
-	T    *tree.Tree
-	Mode Mode
-}
-
-// upChoice returns the ascent port for level l. In Balanced mode it is the
-// destination digit; in RandomUp mode successive base-k digits of *sel are
-// consumed.
-func (r *Router) upChoice(l, dst int, sel *uint64) int {
-	if r.Mode == Balanced {
-		return r.T.NodeDigit(dst, l)
-	}
-	k := uint64(r.T.K())
-	q := int(*sel % k)
-	*sel /= k
-	return q
-}
-
-// Route returns the channel sequence of the up*/down* route from src to dst
-// (2j channels, j = NCA level). sel feeds the RandomUp ascent and is ignored
-// in Balanced mode. Route panics if src == dst, which is never a valid
-// message in the modeled system.
-func (r *Router) Route(src, dst int, sel uint64) []int {
-	t := r.T
-	j := t.NCALevel(src, dst)
-	if j == 0 {
-		panic(fmt.Sprintf("routing: src == dst == %d", src))
-	}
-	path := make([]int, 0, 2*j)
-	path = append(path, t.NodeUpChannel(src))
-	sw, _ := t.LeafOf(src)
-	for l := 1; l < j; l++ {
-		q := r.upChoice(l, dst, &sel)
-		path = append(path, t.UpChannel(sw, q))
-		sw, _ = t.Parent(sw, q)
-	}
-	// sw is now a common ancestor at level j; descend along dst's digits.
-	for l := j; l >= 2; l-- {
-		child, upPort := t.ChildSwitch(sw, t.NodeDigit(dst, l))
-		path = append(path, t.DownChannel(child, upPort))
-		sw = child
-	}
-	path = append(path, t.NodeDownChannel(dst))
-	return path
-}
-
-// UpToRoot returns the ascent from src all the way to a root switch (n
-// channels: the injection link plus n−1 ascending links), together with the
-// chosen root. The root choice consumes base-k digits of sel in both modes;
-// callers hash the destination into sel for a balanced deterministic choice,
-// or pass a random draw for the oblivious ablation. This is the outbound
-// leg towards the cluster's concentrator.
-func (r *Router) UpToRoot(src int, sel uint64) ([]int, tree.Switch) {
-	t := r.T
-	path := make([]int, 0, t.Levels())
-	path = append(path, t.NodeUpChannel(src))
-	sw, _ := t.LeafOf(src)
-	k := uint64(t.K())
-	for l := 1; l < t.Levels(); l++ {
-		q := int(sel % k)
-		sel /= k
-		path = append(path, t.UpChannel(sw, q))
-		sw, _ = t.Parent(sw, q)
-	}
-	return path, sw
-}
-
-// DownFromRoot returns the descent from a root switch to dst (n channels:
-// n−1 descending links plus the ejection link). This is the inbound leg from
-// the cluster's concentrator.
-func (r *Router) DownFromRoot(root tree.Switch, dst int) []int {
-	t := r.T
-	if root.Level != t.Levels() {
-		panic(fmt.Sprintf("routing: DownFromRoot from non-root level %d", root.Level))
-	}
-	path := make([]int, 0, t.Levels())
-	sw := root
-	for l := t.Levels(); l >= 2; l-- {
-		child, upPort := t.ChildSwitch(sw, t.NodeDigit(dst, l))
-		path = append(path, t.DownChannel(child, upPort))
-		sw = child
-	}
-	path = append(path, t.NodeDownChannel(dst))
-	return path
-}
-
-// RootFor returns the root switch selected by successive base-k digits of
-// sel, mirroring the choice made by UpToRoot with the same selector. The
-// digit arithmetic lives in RootIndex (table.go), shared with the
-// precomputed-table path.
-func (r *Router) RootFor(sel uint64) tree.Switch {
-	return tree.Switch{Level: r.T.Levels(), Suffix: 0, Y: r.RootIndex(sel)}
-}
-
-// Validate checks that a channel sequence is a structurally valid up-then-
-// down route from src to dst: consecutive channels share a switch, the
-// direction never turns upward after descending, and the endpoints match.
-func Validate(t *tree.Tree, src, dst int, path []int) error {
-	if len(path) == 0 {
-		return fmt.Errorf("routing: empty path")
-	}
-	first := t.Channel(path[0])
-	if first.Kind != tree.ChanNodeUp || first.Node != src {
-		return fmt.Errorf("routing: path starts with %v (node %d), want node-up from %d", first.Kind, first.Node, src)
-	}
-	last := t.Channel(path[len(path)-1])
-	if last.Kind != tree.ChanNodeDown || last.Node != dst {
-		return fmt.Errorf("routing: path ends with %v (node %d), want node-down to %d", last.Kind, last.Node, dst)
-	}
-	descending := false
-	at := first.Lower // switch we are currently at after traversing channel 0
-	for i := 1; i < len(path); i++ {
-		info := t.Channel(path[i])
-		switch info.Kind {
-		case tree.ChanUp:
-			if descending {
-				return fmt.Errorf("routing: channel %d ascends after a descent", i)
-			}
-			if info.Lower != at {
-				return fmt.Errorf("routing: channel %d departs from %+v, expected %+v", i, info.Lower, at)
-			}
-			at = info.Upper
-		case tree.ChanDown:
-			descending = true
-			if info.Upper != at {
-				return fmt.Errorf("routing: channel %d departs from %+v, expected %+v", i, info.Upper, at)
-			}
-			at = info.Lower
-		case tree.ChanNodeDown:
-			if i != len(path)-1 {
-				return fmt.Errorf("routing: node-down channel at interior position %d", i)
-			}
-			if info.Lower != at {
-				return fmt.Errorf("routing: ejection from %+v, expected %+v", info.Lower, at)
-			}
-		case tree.ChanNodeUp:
-			return fmt.Errorf("routing: node-up channel at interior position %d", i)
-		}
-	}
-	return nil
 }

@@ -1,258 +1,6 @@
 package routing
 
-import (
-	"testing"
-
-	"mcnet/internal/rng"
-	"mcnet/internal/tree"
-)
-
-var shapes = []struct{ m, n int }{
-	{2, 2}, {4, 1}, {4, 2}, {4, 3}, {8, 1}, {8, 2}, {6, 2},
-}
-
-func mustTree(t *testing.T, m, n int) *tree.Tree {
-	t.Helper()
-	tr, err := tree.New(m, n)
-	if err != nil {
-		t.Fatalf("tree.New(%d,%d): %v", m, n, err)
-	}
-	return tr
-}
-
-func TestRouteLengthIsTwiceNCALevel(t *testing.T) {
-	for _, s := range shapes {
-		tr := mustTree(t, s.m, s.n)
-		r := Router{T: tr}
-		for src := 0; src < tr.Nodes(); src++ {
-			for dst := 0; dst < tr.Nodes(); dst++ {
-				if src == dst {
-					continue
-				}
-				path := r.Route(src, dst, 0)
-				if want := 2 * tr.NCALevel(src, dst); len(path) != want {
-					t.Fatalf("(%d,%d) %d→%d: path length %d, want %d",
-						s.m, s.n, src, dst, len(path), want)
-				}
-			}
-		}
-	}
-}
-
-func TestAllPairsRoutesAreValid(t *testing.T) {
-	for _, s := range shapes {
-		tr := mustTree(t, s.m, s.n)
-		r := Router{T: tr}
-		for src := 0; src < tr.Nodes(); src++ {
-			for dst := 0; dst < tr.Nodes(); dst++ {
-				if src == dst {
-					continue
-				}
-				if err := Validate(tr, src, dst, r.Route(src, dst, 0)); err != nil {
-					t.Fatalf("(%d,%d) %d→%d: %v", s.m, s.n, src, dst, err)
-				}
-			}
-		}
-	}
-}
-
-func TestRandomUpRoutesAreValid(t *testing.T) {
-	src := rng.New(42)
-	for _, s := range shapes {
-		tr := mustTree(t, s.m, s.n)
-		r := Router{T: tr, Mode: RandomUp}
-		for trial := 0; trial < 500; trial++ {
-			a := src.Intn(tr.Nodes())
-			b := src.Intn(tr.Nodes())
-			if a == b {
-				continue
-			}
-			path := r.Route(a, b, src.Uint64())
-			if err := Validate(tr, a, b, path); err != nil {
-				t.Fatalf("(%d,%d) %d→%d: %v", s.m, s.n, a, b, err)
-			}
-			if len(path) != 2*tr.NCALevel(a, b) {
-				t.Fatalf("(%d,%d) %d→%d: random ascent changed path length", s.m, s.n, a, b)
-			}
-		}
-	}
-}
-
-func TestBalancedAscentIsPerfectlyUniformPerLevel(t *testing.T) {
-	// Over all ordered pairs, every ascending channel at a given level must
-	// carry exactly the same number of routes (the "balanced traffic
-	// distribution" property the paper relies on to dismiss switch
-	// contention).
-	for _, s := range shapes {
-		tr := mustTree(t, s.m, s.n)
-		if tr.Levels() < 2 {
-			continue
-		}
-		r := Router{T: tr}
-		usage := make(map[int]int)
-		for src := 0; src < tr.Nodes(); src++ {
-			for dst := 0; dst < tr.Nodes(); dst++ {
-				if src == dst {
-					continue
-				}
-				for _, c := range r.Route(src, dst, 0) {
-					if info := tr.Channel(c); info.Kind == tree.ChanUp {
-						usage[c]++
-					}
-				}
-			}
-		}
-		// Group by level and compare within each level.
-		perLevel := make(map[int]map[int]bool)
-		for c := range usage {
-			l := tr.Channel(c).Lower.Level
-			if perLevel[l] == nil {
-				perLevel[l] = make(map[int]bool)
-			}
-			perLevel[l][usage[c]] = true
-		}
-		for l, counts := range perLevel {
-			if len(counts) != 1 {
-				t.Errorf("(%d,%d) level %d: distinct up-channel usage counts %v, want uniform",
-					s.m, s.n, l, counts)
-			}
-		}
-	}
-}
-
-func TestBalancedDescentIsDeterministicPerDestination(t *testing.T) {
-	// In balanced mode every message to a given destination must use the
-	// same descending chain (contention-free descents across destinations).
-	tr := mustTree(t, 4, 3)
-	r := Router{T: tr}
-	for dst := 0; dst < tr.Nodes(); dst += 7 {
-		downs := make(map[int]map[int]bool) // level → set of channels
-		for src := 0; src < tr.Nodes(); src++ {
-			if src == dst {
-				continue
-			}
-			for _, c := range r.Route(src, dst, 0) {
-				info := tr.Channel(c)
-				if info.Kind != tree.ChanDown {
-					continue
-				}
-				l := info.Lower.Level
-				if downs[l] == nil {
-					downs[l] = make(map[int]bool)
-				}
-				downs[l][c] = true
-			}
-		}
-		for l, set := range downs {
-			if len(set) != 1 {
-				t.Errorf("dst %d level %d: %d distinct descending channels, want 1", dst, l, len(set))
-			}
-		}
-	}
-}
-
-func TestUpToRootPlusDownFromRootFormsValidRoute(t *testing.T) {
-	// This composition is exactly how the simulator builds the ECN1 legs
-	// around the concentrator.
-	src := rng.New(7)
-	for _, s := range shapes {
-		tr := mustTree(t, s.m, s.n)
-		r := Router{T: tr}
-		for trial := 0; trial < 300; trial++ {
-			a, b := src.Intn(tr.Nodes()), src.Intn(tr.Nodes())
-			if a == b {
-				continue
-			}
-			sel := src.Uint64()
-			up, root := r.UpToRoot(a, sel)
-			if len(up) != tr.Levels() {
-				t.Fatalf("(%d,%d): ascent length %d, want n=%d", s.m, s.n, len(up), tr.Levels())
-			}
-			if root.Level != tr.Levels() {
-				t.Fatalf("(%d,%d): ascent ends at level %d", s.m, s.n, root.Level)
-			}
-			if got := r.RootFor(sel); got != root {
-				t.Fatalf("(%d,%d): RootFor(%d) = %+v, UpToRoot chose %+v", s.m, s.n, sel, got, root)
-			}
-			down := r.DownFromRoot(root, b)
-			if len(down) != tr.Levels() {
-				t.Fatalf("(%d,%d): descent length %d, want n=%d", s.m, s.n, len(down), tr.Levels())
-			}
-			full := append(append([]int{}, up...), down...)
-			if err := Validate(tr, a, b, full); err != nil {
-				t.Fatalf("(%d,%d) %d→%d via root %+v: %v", s.m, s.n, a, b, root, err)
-			}
-		}
-	}
-}
-
-func TestUpToRootCoversAllRootsUniformly(t *testing.T) {
-	tr := mustTree(t, 4, 3)
-	r := Router{T: tr}
-	counts := make(map[tree.Switch]int)
-	// Sweep selectors exhaustively over one period: k^(n-1) choices.
-	period := 1
-	for l := 1; l < tr.Levels(); l++ {
-		period *= tr.K()
-	}
-	for sel := 0; sel < period; sel++ {
-		_, root := r.UpToRoot(0, uint64(sel))
-		counts[root]++
-	}
-	if len(counts) != tr.Roots() {
-		t.Fatalf("ascents reached %d roots, want %d", len(counts), tr.Roots())
-	}
-	for root, c := range counts {
-		if c != 1 {
-			t.Errorf("root %+v chosen %d times over one selector period, want 1", root, c)
-		}
-	}
-}
-
-func TestRoutePanicsOnSelfMessage(t *testing.T) {
-	tr := mustTree(t, 4, 2)
-	r := Router{T: tr}
-	defer func() {
-		if recover() == nil {
-			t.Error("Route(5,5) did not panic")
-		}
-	}()
-	r.Route(5, 5, 0)
-}
-
-func TestDownFromRootPanicsOnNonRoot(t *testing.T) {
-	tr := mustTree(t, 4, 3)
-	r := Router{T: tr}
-	defer func() {
-		if recover() == nil {
-			t.Error("DownFromRoot from leaf did not panic")
-		}
-	}()
-	r.DownFromRoot(tree.Switch{Level: 1}, 0)
-}
-
-func TestValidateRejectsCorruptPaths(t *testing.T) {
-	tr := mustTree(t, 4, 3)
-	r := Router{T: tr}
-	src, dst := 0, tr.Nodes()-1
-	good := r.Route(src, dst, 0)
-
-	if err := Validate(tr, src, dst, nil); err == nil {
-		t.Error("empty path accepted")
-	}
-	if err := Validate(tr, src+1, dst, good); err == nil {
-		t.Error("wrong source accepted")
-	}
-	if err := Validate(tr, src, dst-1, good); err == nil {
-		t.Error("wrong destination accepted")
-	}
-	// Reversing the interior of a long path breaks the up-then-down shape.
-	bad := append([]int{}, good...)
-	bad[1], bad[len(bad)-2] = bad[len(bad)-2], bad[1]
-	if err := Validate(tr, src, dst, bad); err == nil {
-		t.Error("shuffled path accepted")
-	}
-}
+import "testing"
 
 func TestModeString(t *testing.T) {
 	if Balanced.String() != "balanced" || RandomUp.String() != "random-up" || Mode(9).String() != "unknown" {

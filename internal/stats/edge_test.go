@@ -152,84 +152,3 @@ func TestBatchMeansRejectsBadBatchSize(t *testing.T) {
 		}()
 	}
 }
-
-func TestQuantileEdgeCases(t *testing.T) {
-	if q := Quantile(nil, 0.5); !math.IsNaN(q) {
-		t.Errorf("Quantile(nil) = %v, want NaN", q)
-	}
-	if q := Quantile([]float64{1, 2}, -0.1); !math.IsNaN(q) {
-		t.Errorf("Quantile(q<0) = %v, want NaN", q)
-	}
-	if q := Quantile([]float64{1, 2}, 1.1); !math.IsNaN(q) {
-		t.Errorf("Quantile(q>1) = %v, want NaN", q)
-	}
-	if q := Quantile([]float64{3}, 0.99); q != 3 {
-		t.Errorf("Quantile(single, 0.99) = %v, want 3", q)
-	}
-	if q := Quantile([]float64{5, 5, 5}, 0.5); q != 5 {
-		t.Errorf("Quantile(constant, 0.5) = %v, want 5", q)
-	}
-}
-
-func TestHistogramQuantileEmpty(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	if q := h.Quantile(0.5); !math.IsNaN(q) {
-		t.Errorf("empty histogram Quantile = %v, want NaN", q)
-	}
-}
-
-// TestHistogramQuantileGappy is the regression test for quantile targets
-// landing on zero-mass bin boundaries: a histogram with interior empty bins
-// must never yield NaN or Inf for any in-range q, and the quantiles must be
-// monotone in q.
-func TestHistogramQuantileGappy(t *testing.T) {
-	h := NewHistogram(0, 10, 5) // bins [0,2) [2,4) [4,6) [6,8) [8,10)
-	for i := 0; i < 5; i++ {
-		h.Add(1) // bin 0
-		h.Add(9) // bin 4; bins 1–3 stay empty
-	}
-	prev := math.Inf(-1)
-	for _, q := range []float64{0, 0.1, 0.25, 0.5, 0.5000000001, 0.75, 0.9, 1} {
-		v := h.Quantile(q)
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Fatalf("gappy histogram Quantile(%v) = %v", q, v)
-		}
-		if v < prev {
-			t.Fatalf("Quantile not monotone: q=%v gives %v after %v", q, v, prev)
-		}
-		prev = v
-	}
-	// q=0.5 is exactly the boundary between the populated bins: the mass up
-	// to bin 0 equals the target, so it resolves inside bin 0, not in the
-	// empty gap and not via a division by the gap's zero count.
-	if v := h.Quantile(0.5); v != 2 {
-		t.Errorf("Quantile(0.5) = %v, want the populated-bin edge 2", v)
-	}
-	// Just past the boundary the quantile jumps over the empty gap into the
-	// next populated bin.
-	if v := h.Quantile(0.6); !(v >= 8 && v <= 10) {
-		t.Errorf("Quantile(0.6) = %v, want inside the top bin [8,10]", v)
-	}
-
-	// A leading zero-mass bin with q=0 (target 0) must likewise skip to the
-	// first populated bin.
-	g := NewHistogram(0, 10, 5)
-	g.Add(5)
-	if v := g.Quantile(0); v != 4 {
-		t.Errorf("leading-gap Quantile(0) = %v, want 4", v)
-	}
-}
-
-// TestQuantileNaNInputs: NaN is outside [0, 1] but passes every q<0 || q>1
-// style check; both quantile implementations must return NaN rather than
-// index out of range (sample form) or silently report Hi (histogram form).
-func TestQuantileNaNInputs(t *testing.T) {
-	if v := Quantile([]float64{1, 2, 3}, math.NaN()); !math.IsNaN(v) {
-		t.Errorf("sample Quantile(NaN) = %v, want NaN", v)
-	}
-	h := NewHistogram(0, 10, 5)
-	h.Add(5)
-	if v := h.Quantile(math.NaN()); !math.IsNaN(v) {
-		t.Errorf("histogram Quantile(NaN) = %v, want NaN", v)
-	}
-}

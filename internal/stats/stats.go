@@ -1,6 +1,6 @@
 // Package stats provides the online statistics used by the simulator:
-// numerically stable running moments (Welford), histograms, and batch-means
-// confidence intervals for steady-state output analysis.
+// numerically stable running moments (Welford), time-weighted averages and
+// batch-means confidence intervals for steady-state output analysis.
 //
 // The paper's methodology (§4) gathers statistics over 100,000 messages after
 // a 10,000-message warm-up; this package supplies the accumulators while the
@@ -10,7 +10,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Running accumulates count, mean, variance, min and max of a stream of
@@ -134,73 +133,6 @@ func (s Summary) String() string {
 		s.Count, s.Mean, math.Sqrt(s.Variance), s.Min, s.Max)
 }
 
-// Histogram counts observations in equal-width bins over [Lo, Hi); values
-// outside the range are tallied in the underflow/overflow counters.
-type Histogram struct {
-	Lo, Hi    float64
-	Bins      []int64
-	Underflow int64
-	Overflow  int64
-}
-
-// NewHistogram creates a histogram with the given number of bins over
-// [lo, hi). It panics if the range or bin count is degenerate.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || !(hi > lo) {
-		panic(fmt.Sprintf("stats: invalid histogram [%v,%v) with %d bins", lo, hi, bins))
-	}
-	return &Histogram{Lo: lo, Hi: hi, Bins: make([]int64, bins)}
-}
-
-// Add tallies one observation.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.Underflow++
-	case x >= h.Hi:
-		h.Overflow++
-	default:
-		i := int(float64(len(h.Bins)) * (x - h.Lo) / (h.Hi - h.Lo))
-		if i >= len(h.Bins) { // guard against float rounding at the edge
-			i = len(h.Bins) - 1
-		}
-		h.Bins[i]++
-	}
-}
-
-// Total returns the number of in-range observations.
-func (h *Histogram) Total() int64 {
-	var t int64
-	for _, b := range h.Bins {
-		t += b
-	}
-	return t
-}
-
-// Quantile returns an approximation of the q-quantile (0 ≤ q ≤ 1) from the
-// binned data, or NaN if the histogram is empty or q is not in [0, 1]
-// (including NaN). Zero-mass bins are skipped, so a target landing on an
-// empty bin's boundary interpolates within the nearest populated bin and
-// never divides by an empty count.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.Total()
-	if total == 0 || !(q >= 0 && q <= 1) {
-		return math.NaN()
-	}
-	target := q * float64(total)
-	var cum float64
-	width := (h.Hi - h.Lo) / float64(len(h.Bins))
-	for i, b := range h.Bins {
-		next := cum + float64(b)
-		if next >= target && b > 0 {
-			frac := (target - cum) / float64(b)
-			return h.Lo + width*(float64(i)+frac)
-		}
-		cum = next
-	}
-	return h.Hi
-}
-
 // BatchMeans implements the batch-means method for estimating a confidence
 // interval of a steady-state mean from a correlated output series: the
 // observations are grouped into contiguous batches and the batch averages are
@@ -251,25 +183,4 @@ func (b *BatchMeans) HalfWidth(z float64) float64 {
 		acc.Add(m)
 	}
 	return z * acc.StdDev() / math.Sqrt(float64(k))
-}
-
-// Quantile returns the exact q-quantile of a sample (the sample is sorted in
-// place). It returns NaN for an empty sample or q outside [0, 1], including
-// NaN (which every comparison-based range check lets through — left
-// unguarded it became an out-of-range index).
-func Quantile(sample []float64, q float64) float64 {
-	if len(sample) == 0 || !(q >= 0 && q <= 1) {
-		return math.NaN()
-	}
-	sort.Float64s(sample)
-	if q == 1 {
-		return sample[len(sample)-1]
-	}
-	pos := q * float64(len(sample)-1)
-	i := int(pos)
-	frac := pos - float64(i)
-	if i+1 < len(sample) {
-		return sample[i]*(1-frac) + sample[i+1]*frac
-	}
-	return sample[i]
 }

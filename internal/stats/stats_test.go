@@ -121,50 +121,6 @@ func TestMergeWithEmpty(t *testing.T) {
 	}
 }
 
-func TestHistogramBinning(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-1)  // underflow
-	h.Add(10)  // overflow (right-open)
-	h.Add(100) // overflow
-	for i, b := range h.Bins {
-		if b != 1 {
-			t.Errorf("bin %d = %d, want 1", i, b)
-		}
-	}
-	if h.Underflow != 1 || h.Overflow != 2 {
-		t.Errorf("underflow=%d overflow=%d, want 1, 2", h.Underflow, h.Overflow)
-	}
-	if h.Total() != 10 {
-		t.Errorf("Total = %d, want 10", h.Total())
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram(0, 100, 100)
-	for i := 0; i < 1000; i++ {
-		h.Add(float64(i % 100))
-	}
-	med := h.Quantile(0.5)
-	if med < 45 || med > 55 {
-		t.Errorf("median of uniform 0..99 = %v, want ≈50", med)
-	}
-	if !math.IsNaN(NewHistogram(0, 1, 4).Quantile(0.5)) {
-		t.Error("quantile of empty histogram should be NaN")
-	}
-}
-
-func TestHistogramPanicsOnBadRange(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewHistogram(1, 1, 4) did not panic")
-		}
-	}()
-	NewHistogram(1, 1, 4)
-}
-
 func TestBatchMeansCoverage(t *testing.T) {
 	// For i.i.d. uniform observations the 95% CI should cover the true mean
 	// in most replications.
@@ -200,25 +156,6 @@ func TestBatchMeansHalfWidthNeedsTwoBatches(t *testing.T) {
 	}
 	if !math.IsNaN(bm.HalfWidth(1.96)) {
 		t.Error("half-width with one batch should be NaN")
-	}
-}
-
-func TestQuantileExact(t *testing.T) {
-	xs := []float64{9, 1, 8, 2, 7, 3, 6, 4, 5}
-	if q := Quantile(xs, 0.5); q != 5 {
-		t.Errorf("median = %v, want 5", q)
-	}
-	if q := Quantile(xs, 0); q != 1 {
-		t.Errorf("q0 = %v, want 1", q)
-	}
-	if q := Quantile(xs, 1); q != 9 {
-		t.Errorf("q1 = %v, want 9", q)
-	}
-	if !math.IsNaN(Quantile(nil, 0.5)) {
-		t.Error("quantile of empty sample should be NaN")
-	}
-	if !math.IsNaN(Quantile(xs, 1.5)) {
-		t.Error("quantile with q>1 should be NaN")
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 
 	"mcnet/internal/routing"
 	"mcnet/internal/topo"
-	"mcnet/internal/tree"
 	"mcnet/internal/units"
 )
 
@@ -64,9 +63,10 @@ type Cluster struct {
 	Nodes      int // N_i = 2(m/2)^n_i
 	NodeBase   int // global id of this cluster's first node
 	RateFactor float64
-	// Shape is the m-port n_i-tree geometry of the cluster's ECN1 access
-	// network (and of ICN1 when Topo is the default fat tree).
-	Shape *tree.Tree
+	// ECN1Net is the cluster's ECN1 access network, the m-port n_i-tree
+	// (balanced-routing instance; its concentrator legs are the same under
+	// every routing mode). It is also Net when Topo is the default fat tree.
+	ECN1Net *topo.FatTree
 	// ICN1 and ECN1 carry the spec's per-cluster link-class overrides
 	// (nil = tier default).
 	ICN1 *units.LinkClass
@@ -86,11 +86,7 @@ type System struct {
 	// ICN2Net is the global interconnect joining the clusters; its "node"
 	// positions host the concentrators, with only the first C populated
 	// when the topology's terminal capacity exceeds the cluster count.
-	ICN2Net topo.Topology
-	// ICN2 is the underlying m-port n_c-tree when the global interconnect
-	// is the default fat tree, and nil otherwise (e.g. dragonfly); callers
-	// needing tree-specific diagnostics must check for nil.
-	ICN2       *tree.Tree
+	ICN2Net    topo.Topology
 	totalNodes int
 }
 
@@ -106,7 +102,6 @@ func New(org Organization) (*System, error) {
 		return nil, fmt.Errorf("%w: no cluster specs", ErrBadOrganization)
 	}
 	s := &System{Name: org.Name, Ports: org.Ports}
-	shapes := make(map[int]*tree.Tree)
 	for _, spec := range org.Specs {
 		if spec.Count <= 0 {
 			return nil, fmt.Errorf("%w: spec count %d", ErrBadOrganization, spec.Count)
@@ -122,14 +117,9 @@ func New(org Organization) (*System, error) {
 				return nil, fmt.Errorf("%w: %v", ErrBadOrganization, err)
 			}
 		}
-		shape := shapes[spec.Levels]
-		if shape == nil {
-			var err error
-			shape, err = tree.New(org.Ports, spec.Levels)
-			if err != nil {
-				return nil, fmt.Errorf("%w: cluster shape: %v", ErrBadOrganization, err)
-			}
-			shapes[spec.Levels] = shape
+		ecn1, err := topo.NewFatTree(org.Ports, spec.Levels, routing.Balanced)
+		if err != nil {
+			return nil, fmt.Errorf("%w: cluster shape: %v", ErrBadOrganization, err)
 		}
 		net, err := topo.New(spec.Topo, org.Ports, spec.Levels, routing.Balanced)
 		if err != nil {
@@ -143,16 +133,16 @@ func New(org Organization) (*System, error) {
 			s.Clusters = append(s.Clusters, Cluster{
 				Index:      len(s.Clusters),
 				Levels:     spec.Levels,
-				Nodes:      shape.Nodes(),
+				Nodes:      ecn1.Nodes(),
 				NodeBase:   s.totalNodes,
 				RateFactor: rate,
-				Shape:      shape,
+				ECN1Net:    ecn1,
 				ICN1:       spec.ICN1,
 				ECN1:       spec.ECN1,
 				Topo:       spec.Topo,
 				Net:        net,
 			})
-			s.totalNodes += shape.Nodes()
+			s.totalNodes += ecn1.Nodes()
 		}
 	}
 	c := len(s.Clusters)
@@ -170,9 +160,6 @@ func New(org Organization) (*System, error) {
 		return nil, fmt.Errorf("%w: m=%d ICN2 cannot host %d clusters", ErrBadOrganization, org.Ports, c)
 	}
 	s.ICN2Net = icn2
-	if ft, ok := icn2.(*topo.FatTree); ok {
-		s.ICN2 = ft.Tree()
-	}
 	return s, nil
 }
 
@@ -222,38 +209,13 @@ func (s *System) GlobalNode(ci, local int) int {
 	return s.Clusters[ci].NodeBase + local
 }
 
-// ICN2ProbH returns the distribution of the ICN2 NCA level h over ordered
-// cluster pairs (i, v), i ≠ v, with both clusters uniform: index h of the
-// result holds P(NCA level == h). For exactly filled ICN2 trees this equals
-// the tree's Eq. 4 distribution; for partially populated trees it is the
-// exact enumeration over the occupied positions. It is only defined for
-// fat-tree global interconnects and returns nil otherwise.
-func (s *System) ICN2ProbH() []float64 {
-	if s.ICN2 == nil {
-		return nil
-	}
-	c := s.C()
-	counts := make([]float64, s.ICN2.Levels()+1)
-	for i := 0; i < c; i++ {
-		for v := 0; v < c; v++ {
-			if i == v {
-				continue
-			}
-			counts[s.ICN2.NCALevel(i, v)]++
-		}
-	}
-	total := float64(c * (c - 1))
-	for h := range counts {
-		counts[h] /= total
-	}
-	return counts
-}
-
-// ICN2RouteDist generalizes ICN2ProbH to any global interconnect: index d
-// holds the probability that the ICN2 route between a uniformly random
-// ordered pair of distinct occupied concentrator positions crosses d
-// channels. For a fat-tree ICN2 it is exactly ICN2ProbH re-indexed at
-// d = 2h (a route with its NCA at level h crosses 2h channels).
+// ICN2RouteDist returns the ICN2 route-length distribution over ordered
+// cluster pairs: index d holds the probability that the ICN2 route between
+// a uniformly random ordered pair of distinct occupied concentrator
+// positions crosses d channels. For a fat-tree ICN2 a route with its NCA at
+// level h crosses 2h channels, so an exactly filled tree gives Eq. 4
+// re-indexed at d = 2h, and a partially populated one the exact enumeration
+// over the occupied positions.
 func (s *System) ICN2RouteDist() []float64 {
 	c := s.C()
 	counts := make([]float64, s.ICN2Net.MaxRouteLen()+1)
@@ -338,15 +300,9 @@ func Uniform(name string, ports, count, levels int) Organization {
 func (s *System) Summary() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", s.Name)
-	if s.ICN2 != nil {
-		fmt.Fprintf(&b, "  N=%d  C=%d  m=%d  ICN2=%v (n_c=%d, %s populated)\n",
-			s.totalNodes, s.C(), s.Ports, s.ICN2, s.ICN2.Levels(),
-			map[bool]string{true: "fully", false: "partially"}[s.ICN2Exact()])
-	} else {
-		fmt.Fprintf(&b, "  N=%d  C=%d  m=%d  ICN2=%v (%s populated)\n",
-			s.totalNodes, s.C(), s.Ports, s.ICN2Net,
-			map[bool]string{true: "fully", false: "partially"}[s.ICN2Exact()])
-	}
+	fmt.Fprintf(&b, "  N=%d  C=%d  m=%d  ICN2=%v (%s populated)\n",
+		s.totalNodes, s.C(), s.Ports, s.ICN2Net,
+		map[bool]string{true: "fully", false: "partially"}[s.ICN2Exact()])
 	type group struct {
 		levels, count, nodes int
 		tp                   topo.Topology
@@ -361,7 +317,7 @@ func (s *System) Summary() string {
 	}
 	for _, g := range groups {
 		fmt.Fprintf(&b, "  %2d clusters × (n_i=%d, N_i=%d, N_sw=%d)",
-			g.count, g.levels, g.nodes, tree.SwitchCountFormula(s.Ports, g.levels))
+			g.count, g.levels, g.nodes, g.tp.Switches())
 		if g.tp.Kind() != topo.KindFatTree {
 			fmt.Fprintf(&b, " ICN1=%v", g.tp)
 		}

@@ -4,7 +4,12 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"mcnet/internal/topo"
 )
+
+// icn2Levels returns n_c of a system whose ICN2 is the default fat tree.
+func icn2Levels(s *System) int { return s.ICN2Net.(*topo.FatTree).Levels() }
 
 func TestTable1Org1MatchesPaper(t *testing.T) {
 	s := MustNew(Table1Org1())
@@ -17,8 +22,8 @@ func TestTable1Org1MatchesPaper(t *testing.T) {
 	if s.Ports != 8 {
 		t.Errorf("m = %d, want 8", s.Ports)
 	}
-	if s.ICN2.Levels() != 2 {
-		t.Errorf("n_c = %d, want 2 (2·4² = 32)", s.ICN2.Levels())
+	if icn2Levels(s) != 2 {
+		t.Errorf("n_c = %d, want 2 (2·4² = 32)", icn2Levels(s))
 	}
 	if !s.ICN2Exact() {
 		t.Error("org 1 should exactly fill its ICN2 tree")
@@ -43,8 +48,8 @@ func TestTable1Org2MatchesPaper(t *testing.T) {
 	if s.Ports != 4 {
 		t.Errorf("m = %d, want 4", s.Ports)
 	}
-	if s.ICN2.Levels() != 3 {
-		t.Errorf("n_c = %d, want 3 (2·2³ = 16)", s.ICN2.Levels())
+	if icn2Levels(s) != 3 {
+		t.Errorf("n_c = %d, want 3 (2·2³ = 16)", icn2Levels(s))
 	}
 	if !s.ICN2Exact() {
 		t.Error("org 2 should exactly fill its ICN2 tree")
@@ -108,23 +113,23 @@ func TestClusterOfPanicsOutOfRange(t *testing.T) {
 	s.ClusterOf(s.TotalNodes())
 }
 
-func TestICN2ProbHExactOrgsMatchEq4(t *testing.T) {
+func TestICN2RouteDistExactOrgsMatchEq4(t *testing.T) {
 	for _, org := range []Organization{Table1Org1(), Table1Org2()} {
 		s := MustNew(org)
-		got := s.ICN2ProbH()
-		want := s.ICN2.ProbJ()
-		if len(got) != len(want) {
-			t.Fatalf("%s: length %d vs %d", org.Name, len(got), len(want))
+		got := s.ICN2RouteDist()
+		want := s.ICN2Net.(*topo.FatTree).ProbJ()
+		if len(got) != 2*len(want)-1 {
+			t.Fatalf("%s: length %d, want %d", org.Name, len(got), 2*len(want)-1)
 		}
-		for h := range got {
-			if math.Abs(got[h]-want[h]) > 1e-12 {
-				t.Errorf("%s: P(h=%d) = %v, Eq. 4 gives %v", org.Name, h, got[h], want[h])
+		for h := range want {
+			if math.Abs(got[2*h]-want[h]) > 1e-12 {
+				t.Errorf("%s: P(h=%d) = %v, Eq. 4 gives %v", org.Name, h, got[2*h], want[h])
 			}
 		}
 	}
 }
 
-func TestICN2ProbHPartiallyPopulated(t *testing.T) {
+func TestICN2RouteDistPartiallyPopulated(t *testing.T) {
 	// 5 clusters on an m=4 ICN2 require n_c=2 (capacity 8), partially filled.
 	s := MustNew(Organization{
 		Name:  "partial",
@@ -134,10 +139,14 @@ func TestICN2ProbHPartiallyPopulated(t *testing.T) {
 	if s.ICN2Exact() {
 		t.Fatal("5 clusters should not exactly fill an m=4 ICN2")
 	}
-	p := s.ICN2ProbH()
+	p := s.ICN2RouteDist()
 	var sum float64
-	for _, v := range p {
-		sum += v
+	for d, v := range p {
+		if d%2 == 0 {
+			sum += v
+		} else if v != 0 {
+			t.Errorf("P(d=%d) = %v, want 0: fat-tree routes cross 2h channels", d, v)
+		}
 	}
 	if math.Abs(sum-1) > 1e-12 {
 		t.Errorf("ΣP(h) = %v, want 1", sum)
@@ -203,7 +212,7 @@ func TestUniformOrganization(t *testing.T) {
 
 func TestSummaryMentionsKeyNumbers(t *testing.T) {
 	sum := MustNew(Table1Org1()).Summary()
-	for _, frag := range []string{"N=1120", "C=32", "m=8", "12 clusters", "16 clusters", "4 clusters", "n_c=2"} {
+	for _, frag := range []string{"N=1120", "C=32", "m=8", "12 clusters", "16 clusters", "4 clusters", "ICN2=8-port 2-tree"} {
 		if !strings.Contains(sum, frag) {
 			t.Errorf("Summary missing %q:\n%s", frag, sum)
 		}

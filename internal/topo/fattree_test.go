@@ -1,71 +1,86 @@
-package tree
+package topo
 
 import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"mcnet/internal/routing"
 )
 
-// shapes used across the tests: (m, n) pairs covering the paper's
+// fatTreeShapes used across the tests: (m, n) pairs covering the paper's
 // organizations (m=8 n∈{1,2,3}; m=4 n∈{3,4,5}) plus degenerate cases.
-var shapes = []struct{ m, n int }{
+var fatTreeShapes = []struct{ m, n int }{
 	{2, 1}, {2, 3}, {4, 1}, {4, 2}, {4, 3}, {4, 4}, {4, 5},
 	{6, 2}, {8, 1}, {8, 2}, {8, 3}, {12, 2},
 }
 
-func mustNew(t *testing.T, m, n int) *Tree {
+func mustFatTree(t *testing.T, m, n int, mode routing.Mode) *FatTree {
 	t.Helper()
-	tr, err := New(m, n)
+	tr, err := NewFatTree(m, n, mode)
 	if err != nil {
-		t.Fatalf("New(%d,%d): %v", m, n, err)
+		t.Fatalf("NewFatTree(%d,%d,%v): %v", m, n, mode, err)
 	}
 	return tr
 }
 
+// distanceCounts enumerates, for a fixed source node, how many destinations
+// have their NCA at each level; the result is independent of the source by
+// symmetry.
+func distanceCounts(f *FatTree, src int) []int64 {
+	counts := make([]int64, f.Levels()+1)
+	for dst := 0; dst < f.Nodes(); dst++ {
+		if dst != src {
+			counts[f.NCALevel(src, dst)]++
+		}
+	}
+	return counts
+}
+
 func TestCountsMatchPaperFormulas(t *testing.T) {
-	for _, s := range shapes {
-		tr := mustNew(t, s.m, s.n)
-		if got, want := tr.Nodes(), NodeCountFormula(s.m, s.n); got != want {
+	for _, s := range fatTreeShapes {
+		tr := mustFatTree(t, s.m, s.n, routing.Balanced)
+		if got, want := tr.Nodes(), nodeCount(s.m, s.n); got != want {
 			t.Errorf("(%d,%d): Nodes = %d, want %d (Eq. 1)", s.m, s.n, got, want)
 		}
-		if got, want := tr.Switches(), SwitchCountFormula(s.m, s.n); got != want {
+		if got, want := tr.Switches(), switchCount(s.m, s.n); got != want {
 			t.Errorf("(%d,%d): Switches = %d, want %d (Eq. 2)", s.m, s.n, got, want)
 		}
 	}
 	// Spot values from the paper's organizations.
-	if n := NodeCountFormula(8, 3); n != 128 {
+	if n := nodeCount(8, 3); n != 128 {
 		t.Errorf("8-port 3-tree has %d nodes, want 128", n)
 	}
-	if n := NodeCountFormula(4, 5); n != 64 {
+	if n := nodeCount(4, 5); n != 64 {
 		t.Errorf("4-port 5-tree has %d nodes, want 64", n)
 	}
-	if sw := SwitchCountFormula(8, 2); sw != 12 {
+	if sw := switchCount(8, 2); sw != 12 {
 		t.Errorf("8-port 2-tree has %d switches, want 12", sw)
 	}
 }
 
 func TestNewRejectsBadShapes(t *testing.T) {
 	for _, bad := range []struct{ m, n int }{{0, 1}, {3, 2}, {-2, 1}, {4, 0}, {4, -1}} {
-		if _, err := New(bad.m, bad.n); err == nil {
-			t.Errorf("New(%d,%d) accepted", bad.m, bad.n)
+		if _, err := newFatTree(bad.m, bad.n, routing.Balanced); err == nil {
+			t.Errorf("newFatTree(%d,%d) accepted", bad.m, bad.n)
 		}
 	}
-	if _, err := New(1024, 12); err == nil {
+	if _, err := newFatTree(1024, 12, routing.Balanced); err == nil {
 		t.Error("oversized tree accepted")
 	}
 }
 
 func TestCheckStructure(t *testing.T) {
-	for _, s := range shapes {
-		if err := mustNew(t, s.m, s.n).CheckStructure(); err != nil {
+	for _, s := range fatTreeShapes {
+		if err := mustFatTree(t, s.m, s.n, routing.Balanced).CheckStructure(); err != nil {
 			t.Errorf("(%d,%d): %v", s.m, s.n, err)
 		}
 	}
 }
 
 func TestProbJSumsToOne(t *testing.T) {
-	for _, s := range shapes {
-		tr := mustNew(t, s.m, s.n)
+	for _, s := range fatTreeShapes {
+		tr := mustFatTree(t, s.m, s.n, routing.Balanced)
 		var sum float64
 		for _, p := range tr.ProbJ() {
 			if p < 0 || p > 1 {
@@ -80,12 +95,12 @@ func TestProbJSumsToOne(t *testing.T) {
 }
 
 func TestProbJMatchesEnumeration(t *testing.T) {
-	for _, s := range shapes {
-		tr := mustNew(t, s.m, s.n)
+	for _, s := range fatTreeShapes {
+		tr := mustFatTree(t, s.m, s.n, routing.Balanced)
 		p := tr.ProbJ()
 		// By symmetry any source gives the same counts; test a few.
 		for _, src := range []int{0, tr.Nodes() / 2, tr.Nodes() - 1} {
-			counts := tr.DistanceCounts(src)
+			counts := distanceCounts(tr, src)
 			if counts[0] != 0 {
 				t.Fatalf("(%d,%d): NCA level 0 counted for distinct nodes", s.m, s.n)
 			}
@@ -101,8 +116,8 @@ func TestProbJMatchesEnumeration(t *testing.T) {
 }
 
 func TestAvgDistanceClosedFormMatchesSum(t *testing.T) {
-	for _, s := range shapes {
-		tr := mustNew(t, s.m, s.n)
+	for _, s := range fatTreeShapes {
+		tr := mustFatTree(t, s.m, s.n, routing.Balanced)
 		sum := tr.AvgDistance()
 		closed := tr.AvgDistanceClosedForm()
 		if math.Abs(sum-closed) > 1e-9 {
@@ -116,7 +131,7 @@ func TestAvgDistanceClosedFormMatchesSum(t *testing.T) {
 }
 
 func TestNCALevelProperties(t *testing.T) {
-	tr := mustNew(t, 4, 3)
+	tr := mustFatTree(t, 4, 3, routing.Balanced)
 	n := tr.Nodes()
 	for a := 0; a < n; a++ {
 		if tr.NCALevel(a, a) != 0 {
@@ -131,8 +146,8 @@ func TestNCALevelProperties(t *testing.T) {
 				t.Fatalf("NCALevel(%d,%d) = %d out of range", a, b, j)
 			}
 			// j == 1 iff the two nodes share a leaf switch.
-			leafA, _ := tr.LeafOf(a)
-			leafB, _ := tr.LeafOf(b)
+			leafA, _ := tr.leafOf(a)
+			leafB, _ := tr.leafOf(b)
 			if (j == 1) != (leafA == leafB) {
 				t.Fatalf("NCALevel(%d,%d) = %d inconsistent with leaves %+v/%+v", a, b, j, leafA, leafB)
 			}
@@ -141,11 +156,11 @@ func TestNCALevelProperties(t *testing.T) {
 }
 
 func TestNodeDigitReconstruction(t *testing.T) {
-	tr := mustNew(t, 6, 3)
+	tr := mustFatTree(t, 6, 3, routing.Balanced)
 	for x := 0; x < tr.Nodes(); x++ {
 		rebuilt, mul := 0, 1
 		for i := 1; i <= tr.Levels(); i++ {
-			rebuilt += tr.NodeDigit(x, i) * mul
+			rebuilt += tr.nodeDigit(x, i) * mul
 			mul *= tr.radix(i)
 		}
 		if rebuilt != x {
@@ -155,14 +170,14 @@ func TestNodeDigitReconstruction(t *testing.T) {
 }
 
 func TestChannelRoundTrip(t *testing.T) {
-	for _, s := range shapes {
-		tr := mustNew(t, s.m, s.n)
+	for _, s := range fatTreeShapes {
+		tr := mustFatTree(t, s.m, s.n, routing.Balanced)
 		seen := make(map[int]bool)
 		total := 0
 		// Enumerate all channels through their constructors and check the
 		// decoder agrees.
 		for x := 0; x < tr.Nodes(); x++ {
-			up, down := tr.NodeUpChannel(x), tr.NodeDownChannel(x)
+			up, down := tr.nodeUpChannel(x), tr.nodeDownChannel(x)
 			for _, c := range []int{up, down} {
 				if seen[c] {
 					t.Fatalf("(%d,%d): duplicate channel id %d", s.m, s.n, c)
@@ -170,28 +185,28 @@ func TestChannelRoundTrip(t *testing.T) {
 				seen[c] = true
 				total++
 			}
-			if info := tr.Channel(up); info.Kind != ChanNodeUp || info.Node != x {
+			if info := tr.channel(up); info.Kind != ChanNodeUp || info.Node != x {
 				t.Fatalf("(%d,%d): decode(%d) = %+v, want node-up %d", s.m, s.n, up, info, x)
 			}
-			if info := tr.Channel(down); info.Kind != ChanNodeDown || info.Node != x {
+			if info := tr.channel(down); info.Kind != ChanNodeDown || info.Node != x {
 				t.Fatalf("(%d,%d): decode(%d) = %+v, want node-down %d", s.m, s.n, down, info, x)
 			}
 		}
 		for l := 1; l < tr.Levels(); l++ {
 			for idx := 0; idx < tr.LevelSize(l); idx++ {
-				sw := Switch{Level: l, Suffix: idx / tr.kPow[l-1], Y: idx % tr.kPow[l-1]}
-				for q := 0; q < tr.K(); q++ {
-					for _, c := range []int{tr.UpChannel(sw, q), tr.DownChannel(sw, q)} {
+				sw := tr.switchAt(l, idx)
+				for q := 0; q < tr.k; q++ {
+					for _, c := range []int{tr.upChannel(sw, q), tr.downChannel(sw, q)} {
 						if seen[c] {
 							t.Fatalf("(%d,%d): duplicate channel id %d", s.m, s.n, c)
 						}
 						seen[c] = true
 						total++
-						info := tr.Channel(c)
+						info := tr.channel(c)
 						if info.Lower != sw || info.Port != q {
 							t.Fatalf("(%d,%d): decode(%d) = %+v, want sw %+v port %d", s.m, s.n, c, info, sw, q)
 						}
-						parent, _ := tr.Parent(sw, q)
+						parent, _ := tr.parent(sw, q)
 						if info.Upper != parent {
 							t.Fatalf("(%d,%d): decode(%d).Upper = %+v, want %+v", s.m, s.n, c, info.Upper, parent)
 						}
@@ -204,7 +219,7 @@ func TestChannelRoundTrip(t *testing.T) {
 		}
 		// Node channels must be exactly those flagged by IsNodeChannel.
 		for c := 0; c < tr.Channels(); c++ {
-			info := tr.Channel(c)
+			info := tr.channel(c)
 			isNode := info.Kind == ChanNodeUp || info.Kind == ChanNodeDown
 			if tr.IsNodeChannel(c) != isNode {
 				t.Fatalf("(%d,%d): IsNodeChannel(%d) = %v, kind %v", s.m, s.n, c, tr.IsNodeChannel(c), info.Kind)
@@ -214,7 +229,7 @@ func TestChannelRoundTrip(t *testing.T) {
 }
 
 func TestChannelPanicsOutOfRange(t *testing.T) {
-	tr := mustNew(t, 4, 2)
+	tr := mustFatTree(t, 4, 2, routing.Balanced)
 	for _, bad := range []int{-1, tr.Channels()} {
 		func() {
 			defer func() {
@@ -222,7 +237,7 @@ func TestChannelPanicsOutOfRange(t *testing.T) {
 					t.Errorf("Channel(%d) did not panic", bad)
 				}
 			}()
-			tr.Channel(bad)
+			tr.channel(bad)
 		}()
 	}
 }
@@ -233,23 +248,23 @@ func TestSubtreeSizesQuick(t *testing.T) {
 	f := func(mRaw, nRaw, nodeRaw uint8) bool {
 		m := int(mRaw%4+1) * 2 // 2,4,6,8
 		n := int(nRaw%3) + 1   // 1..3
-		tr, err := New(m, n)
+		tr, err := NewFatTree(m, n, routing.Balanced)
 		if err != nil {
 			return false
 		}
 		node := int(nodeRaw) % tr.Nodes()
 		// Walk up from the node along up-port 0 and count descendants by
 		// walking down all branches.
-		sw, _ := tr.LeafOf(node)
+		sw, _ := tr.leafOf(node)
 		for l := 1; l <= n; l++ {
-			var count func(s Switch) int
-			count = func(s Switch) int {
+			var count func(s treeSwitch) int
+			count = func(s treeSwitch) int {
 				if s.Level == 1 {
 					return tr.radix(1)
 				}
 				total := 0
 				for p := 0; p < tr.radix(s.Level); p++ {
-					c, _ := tr.ChildSwitch(s, p)
+					c, _ := tr.childSwitch(s, p)
 					total += count(c)
 				}
 				return total
@@ -265,7 +280,7 @@ func TestSubtreeSizesQuick(t *testing.T) {
 				return false
 			}
 			if l < n {
-				sw, _ = tr.Parent(sw, 0)
+				sw, _ = tr.parent(sw, 0)
 			}
 		}
 		return true
@@ -278,8 +293,8 @@ func TestSubtreeSizesQuick(t *testing.T) {
 func TestFullBisectionBandwidth(t *testing.T) {
 	// §2 of the paper: "the m-port n-tree is a full bisection bandwidth
 	// topology". Width must be N/2 and the enumerated cut must agree.
-	for _, s := range shapes {
-		tr := mustNew(t, s.m, s.n)
+	for _, s := range fatTreeShapes {
+		tr := mustFatTree(t, s.m, s.n, routing.Balanced)
 		if got := tr.BisectionWidth(); got != tr.Nodes()/2 {
 			t.Errorf("(%d,%d): BisectionWidth = %d, want N/2 = %d", s.m, s.n, got, tr.Nodes()/2)
 		}
@@ -290,7 +305,7 @@ func TestFullBisectionBandwidth(t *testing.T) {
 }
 
 func TestStringDescribesShape(t *testing.T) {
-	tr := mustNew(t, 8, 2)
+	tr := mustFatTree(t, 8, 2, routing.Balanced)
 	if got := tr.String(); got != "8-port 2-tree (N=32, Nsw=12)" {
 		t.Errorf("String() = %q", got)
 	}

@@ -1,10 +1,12 @@
-// Package topo is the pluggable topology layer: it carves the contract the
-// rest of the stack needs out of the tree+routing pair — dense channel
-// enumeration, zero-alloc route appenders over precomputed tables, and the
-// structural distributions the analytic model consumes — and registers the
-// paper's m-port n-tree as the first plugin next to a seeded random-regular
-// (Jellyfish-style) intra-cluster topology and a Dragonfly-style global
-// interconnect.
+// Package topo is the topology layer: every network the simulator and the
+// analytic model use goes through it. The paper's m-port n-tree (FatTree)
+// carries its own geometry and up*/down* route tables and serves all three
+// tiers — ICN1, the ECN1 access networks and ICN2 — next to a seeded
+// random-regular (Jellyfish-style) intra-cluster topology and a
+// Dragonfly-style global interconnect. All three implement the Topology
+// contract: dense channel enumeration, zero-alloc route appenders over
+// precomputed tables, and the structural distributions the analytic model
+// consumes. Built instances are shared process-wide through one cache.
 //
 // # Channel-id layout
 //
@@ -23,8 +25,7 @@
 // random ordered pair of distinct endpoints crosses exactly d channels;
 // AvgDistance is its mean. EtaChannels is the channel-count denominator the
 // analytic rate equations spread load over: Channels()/2, which for the
-// m-port n-tree equals n·N — the exact quantity the paper's Eqs. 10–12 use,
-// keeping the fat-tree plugin bit-identical to the pre-plugin model.
+// m-port n-tree equals n·N — the exact quantity the paper's Eqs. 10–12 use.
 package topo
 
 import (
@@ -34,7 +35,6 @@ import (
 	"sync"
 
 	"mcnet/internal/routing"
-	"mcnet/internal/tree"
 )
 
 // Topology is the contract every interconnect plugin satisfies. All methods
@@ -195,6 +195,8 @@ func FormatAxis(cluster, global Spec) string {
 // after construction, so concurrent simulations reuse one instance.
 var cache sync.Map // cacheKey -> Topology
 
+// cacheKey identifies a built topology. mode is set only for the fat tree,
+// the one topology whose routes depend on the routing mode.
 type cacheKey struct {
 	kind   string
 	seed   uint64
@@ -225,24 +227,20 @@ func New(spec Spec, ports, levels int, mode routing.Mode) (Topology, error) {
 	if err := spec.ValidCluster(); err != nil {
 		return nil, err
 	}
-	key := cacheKey{kind: spec.Kind, seed: spec.Seed, ports: ports, size: levels, mode: mode}
-	if key.kind == "" {
-		key.kind = KindFatTree
-	}
-	return cached(key, func() (Topology, error) {
-		switch key.kind {
-		case KindFatTree:
-			return newFatTree(ports, levels, mode)
-		case KindJellyfish:
-			t, err := tree.New(ports, levels)
-			if err != nil {
+	if spec.Kind == KindJellyfish {
+		key := cacheKey{kind: KindJellyfish, seed: spec.Seed, ports: ports, size: levels}
+		return cached(key, func() (Topology, error) {
+			if err := checkShape(ports, levels); err != nil {
 				return nil, err
 			}
-			return newJellyfish(t.Nodes(), t.Switches(), ports, spec.Seed)
-		default:
-			return nil, fmt.Errorf("topo: unknown kind %q", key.kind)
-		}
-	})
+			return newJellyfish(nodeCount(ports, levels), switchCount(ports, levels), ports, spec.Seed)
+		})
+	}
+	ft, err := NewFatTree(ports, levels, mode)
+	if err != nil {
+		return nil, err
+	}
+	return ft, nil
 }
 
 // GlobalLevels returns the height of the fat tree the global interconnect

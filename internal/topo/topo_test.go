@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"mcnet/internal/routing"
-	"mcnet/internal/tree"
 )
 
 func TestParseSpecRoundTrip(t *testing.T) {
@@ -76,62 +75,31 @@ func TestParseAxis(t *testing.T) {
 	}
 }
 
-// TestFatTreePluginMatchesTree pins the bit-identity contract of the
-// fat-tree plugin: every Topology method must agree exactly with the
-// underlying tree+routing pair it wraps.
-func TestFatTreePluginMatchesTree(t *testing.T) {
+// TestFatTreeContract runs the fat tree through the generic Topology
+// checks and pins its route-length distribution to Eq. 4 re-indexed by
+// channel count (RouteDist[2j] = P(j), odd entries zero) and its channel
+// denominator to the paper's n·N.
+func TestFatTreeContract(t *testing.T) {
 	for _, shape := range []struct{ ports, levels int }{{4, 1}, {4, 3}, {8, 2}, {8, 3}} {
-		ft, err := New(Spec{}, shape.ports, shape.levels, routing.Balanced)
-		if err != nil {
-			t.Fatalf("New(fattree %d/%d): %v", shape.ports, shape.levels, err)
-		}
-		tr, err := tree.New(shape.ports, shape.levels)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ft.Nodes() != tr.Nodes() || ft.Switches() != tr.Switches() || ft.Channels() != tr.Channels() {
-			t.Fatalf("fattree %d/%d: size mismatch", shape.ports, shape.levels)
-		}
-		if ft.AvgDistance() != tr.AvgDistance() {
-			t.Errorf("fattree %d/%d: AvgDistance %v != %v", shape.ports, shape.levels, ft.AvgDistance(), tr.AvgDistance())
-		}
-		if want := float64(tr.Levels()) * float64(tr.Nodes()); ft.EtaChannels() != want {
-			t.Errorf("fattree %d/%d: EtaChannels %v != %v", shape.ports, shape.levels, ft.EtaChannels(), want)
-		}
-		probJ := tr.ProbJ()
-		dist := ft.RouteDist()
-		for d, p := range dist {
-			want := 0.0
-			if d%2 == 0 && d/2 >= 1 && d/2 < len(probJ) {
-				want = probJ[d/2]
+		for _, mode := range []routing.Mode{routing.Balanced, routing.RandomUp} {
+			ft, err := NewFatTree(shape.ports, shape.levels, mode)
+			if err != nil {
+				t.Fatalf("NewFatTree(%d/%d): %v", shape.ports, shape.levels, err)
 			}
-			if p != want {
-				t.Errorf("fattree %d/%d: RouteDist[%d] = %v, want %v", shape.ports, shape.levels, d, p, want)
+			checkTopology(t, ft)
+			if want := float64(ft.Levels()) * float64(ft.Nodes()); ft.EtaChannels() != want {
+				t.Errorf("%v: EtaChannels %v != n·N = %v", ft, ft.EtaChannels(), want)
 			}
-		}
-		tb := routing.SharedTable(routing.Router{T: tr, Mode: routing.Balanced})
-		for src := 0; src < tr.Nodes(); src += 3 {
-			for dst := 0; dst < tr.Nodes(); dst += 5 {
-				if src == dst {
-					continue
+			probJ := ft.ProbJ()
+			for d, p := range ft.RouteDist() {
+				want := 0.0
+				if d%2 == 0 {
+					want = probJ[d/2]
 				}
-				got := ft.AppendRoute(nil, 100, src, dst, 12345)
-				want := tb.AppendRoute(nil, 100, src, dst, 12345)
-				if len(got) != len(want) {
-					t.Fatalf("route %d→%d: len %d != %d", src, dst, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("route %d→%d differs at hop %d", src, dst, i)
-					}
-				}
-				if got := ft.RouteLen(src, dst); got != len(want) {
-					t.Errorf("RouteLen(%d,%d) = %d, want %d", src, dst, got, len(want))
+				if p != want {
+					t.Errorf("%v: RouteDist[%d] = %v, want %v", ft, d, p, want)
 				}
 			}
-		}
-		if err := ft.CheckStructure(); err != nil {
-			t.Errorf("fattree %d/%d: %v", shape.ports, shape.levels, err)
 		}
 	}
 }
@@ -197,10 +165,10 @@ func TestJellyfish(t *testing.T) {
 		if err != nil {
 			t.Fatalf("jellyfish %d/%d: %v", shape.ports, shape.levels, err)
 		}
-		tr, _ := tree.New(shape.ports, shape.levels)
-		if jf.Nodes() != tr.Nodes() || jf.Switches() != tr.Switches() {
+		ft := mustFatTree(t, shape.ports, shape.levels, routing.Balanced)
+		if jf.Nodes() != ft.Nodes() || jf.Switches() != ft.Switches() {
 			t.Fatalf("jellyfish %d/%d: budget mismatch: N=%d/%d Nsw=%d/%d",
-				shape.ports, shape.levels, jf.Nodes(), tr.Nodes(), jf.Switches(), tr.Switches())
+				shape.ports, shape.levels, jf.Nodes(), ft.Nodes(), jf.Switches(), ft.Switches())
 		}
 		checkTopology(t, jf)
 	}
@@ -274,22 +242,39 @@ func TestNewGlobalFatTreeMatchesSizing(t *testing.T) {
 			t.Fatalf("NewGlobal(%d, %d): %v", c.ports, c.count, err)
 		}
 		ft := tp.(*FatTree)
-		if ft.Tree().Levels() != c.wantLevels {
-			t.Errorf("NewGlobal(%d, %d): levels %d, want %d", c.ports, c.count, ft.Tree().Levels(), c.wantLevels)
+		if ft.Levels() != c.wantLevels {
+			t.Errorf("NewGlobal(%d, %d): levels %d, want %d", c.ports, c.count, ft.Levels(), c.wantLevels)
 		}
 	}
 }
 
+// TestCacheReturnsSameInstance checks the one process-wide cache: equal
+// keys share an instance, the typed fat-tree constructor shares New's
+// entries, only the fat tree is keyed by routing mode, and different
+// shapes never share.
 func TestCacheReturnsSameInstance(t *testing.T) {
-	a, err := New(Spec{Kind: KindJellyfish}, 8, 2, routing.Balanced)
-	if err != nil {
-		t.Fatal(err)
+	must := func(tp Topology, err error) Topology {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tp
 	}
-	b, err := New(Spec{Kind: KindJellyfish}, 8, 2, routing.Balanced)
-	if err != nil {
-		t.Fatal(err)
+	jf := must(New(Spec{Kind: KindJellyfish}, 8, 2, routing.Balanced))
+	if jf != must(New(Spec{Kind: KindJellyfish}, 8, 2, routing.Balanced)) {
+		t.Error("cache returned distinct jellyfish instances for equal keys")
 	}
-	if a != b {
-		t.Error("cache returned distinct instances for equal keys")
+	if jf != must(New(Spec{Kind: KindJellyfish}, 8, 2, routing.RandomUp)) {
+		t.Error("jellyfish ignores the routing mode but was rebuilt per mode")
+	}
+	ft := must(New(Spec{}, 4, 2, routing.Balanced))
+	if ft != must(NewFatTree(4, 2, routing.Balanced)) {
+		t.Error("NewFatTree and New must share one fat tree per shape and mode")
+	}
+	if ft != must(NewGlobal(Spec{}, 4, 8, routing.Balanced)) {
+		t.Error("a global fat tree of the same shape must share the cluster instance")
+	}
+	if ft == must(New(Spec{}, 4, 3, routing.Balanced)) || ft == must(New(Spec{}, 4, 2, routing.RandomUp)) {
+		t.Error("different shape or mode must not share fat trees")
 	}
 }
