@@ -1,174 +1,28 @@
-package routing
+package routing_test
 
 import (
-	"reflect"
 	"testing"
 
-	"mcnet/internal/rng"
-	"mcnet/internal/tree"
+	"mcnet/internal/routing"
+	"mcnet/internal/topo"
 )
 
-// treeShapes are the shapes exercised by the table tests, covering 1-level
-// (single switch), the paper's cluster shapes and a deeper narrow tree.
-var treeShapes = [][2]int{{4, 1}, {8, 1}, {4, 2}, {8, 2}, {8, 3}, {4, 4}}
-
-func toGlobal(route []int, base int32) []int32 {
-	out := make([]int32, len(route))
-	for i, c := range route {
-		out[i] = base + int32(c)
-	}
-	return out
-}
-
-// TestAppendRouteMatchesRoute checks the zero-alloc appenders against the
-// allocating reference implementations, for both modes, every shape and a
-// spread of selectors.
-func TestAppendRouteMatchesRoute(t *testing.T) {
-	src := rng.New(11)
-	for _, sh := range treeShapes {
-		tr, err := tree.New(sh[0], sh[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, mode := range []Mode{Balanced, RandomUp} {
-			r := &Router{T: tr, Mode: mode}
-			for trial := 0; trial < 200; trial++ {
-				a := src.Intn(tr.Nodes())
-				b := src.Intn(tr.Nodes())
-				if a == b {
-					continue
-				}
-				sel := src.Uint64()
-				base := int32(src.Intn(1000))
-				want := toGlobal(r.Route(a, b, sel), base)
-				got := r.AppendRoute(nil, base, a, b, sel)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%v %v: AppendRoute(%d→%d sel=%d) = %v, want %v", tr, mode, a, b, sel, got, want)
-				}
-			}
-		}
-	}
-}
-
-// TestAppendUpDownMatchReference checks the ascent/descent appenders and
-// RootIndex against UpToRoot/RootFor/DownFromRoot.
-func TestAppendUpDownMatchReference(t *testing.T) {
-	src := rng.New(12)
-	for _, sh := range treeShapes {
-		tr, err := tree.New(sh[0], sh[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := &Router{T: tr}
-		for trial := 0; trial < 200; trial++ {
-			node := src.Intn(tr.Nodes())
-			sel := src.Uint64()
-			base := int32(src.Intn(1000))
-
-			wantUp, wantRoot := r.UpToRoot(node, sel)
-			gotUp, gotY := r.AppendUpToRoot(nil, base, node, sel)
-			if !reflect.DeepEqual(gotUp, toGlobal(wantUp, base)) || gotY != tr.SwitchIndex(wantRoot) {
-				t.Fatalf("%v: AppendUpToRoot(%d, %d) = (%v, %d), want (%v, %d)",
-					tr, node, sel, gotUp, gotY, toGlobal(wantUp, base), tr.SwitchIndex(wantRoot))
-			}
-			if y := r.RootIndex(sel); y != tr.SwitchIndex(r.RootFor(sel)) {
-				t.Fatalf("%v: RootIndex(%d) = %d, want %d", tr, sel, y, tr.SwitchIndex(r.RootFor(sel)))
-			}
-			root := r.RootFor(sel)
-			wantDown := toGlobal(r.DownFromRoot(root, node), base)
-			gotDown := r.AppendDownFromRoot(nil, base, tr.SwitchIndex(root), node)
-			if !reflect.DeepEqual(gotDown, wantDown) {
-				t.Fatalf("%v: AppendDownFromRoot(root=%d, %d) = %v, want %v",
-					tr, tr.SwitchIndex(root), node, gotDown, wantDown)
-			}
-		}
-	}
-}
-
-// TestTableMatchesDynamic checks that the precomputed tables reproduce the
-// dynamic appenders exactly — the property that makes table-driven routing
-// result-identical to the original per-message computation.
-func TestTableMatchesDynamic(t *testing.T) {
-	src := rng.New(13)
-	for _, sh := range treeShapes {
-		tr, err := tree.New(sh[0], sh[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, mode := range []Mode{Balanced, RandomUp} {
-			r := Router{T: tr, Mode: mode}
-			tb := NewTable(r)
-			for trial := 0; trial < 300; trial++ {
-				a := src.Intn(tr.Nodes())
-				b := src.Intn(tr.Nodes())
-				sel := src.Uint64()
-				base := int32(src.Intn(1000))
-				if a != b {
-					want := r.AppendRoute(nil, base, a, b, sel)
-					got := tb.AppendRoute(nil, base, a, b, sel)
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%v %v: table route %d→%d = %v, want %v", tr, mode, a, b, got, want)
-					}
-				}
-				wantUp, wantY := r.AppendUpToRoot(nil, base, a, sel)
-				gotUp, gotY := tb.AppendUpToRoot(nil, base, a, sel)
-				if !reflect.DeepEqual(gotUp, wantUp) || gotY != wantY {
-					t.Fatalf("%v: table ascent from %d = (%v,%d), want (%v,%d)", tr, a, gotUp, gotY, wantUp, wantY)
-				}
-				wantDown := r.AppendDownFromRoot(nil, base, wantY, b)
-				gotDown := tb.AppendDownFromRoot(nil, base, wantY, b)
-				if !reflect.DeepEqual(gotDown, wantDown) {
-					t.Fatalf("%v: table descent root %d → %d = %v, want %v", tr, wantY, b, gotDown, wantDown)
-				}
-			}
-		}
-	}
-}
-
-// TestTableRoutesValidate runs every precomputed Balanced route through the
-// structural validator.
-func TestTableRoutesValidate(t *testing.T) {
-	tr, err := tree.New(8, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb := NewTable(Router{T: tr, Mode: Balanced})
-	for a := 0; a < tr.Nodes(); a++ {
-		for b := 0; b < tr.Nodes(); b++ {
-			if a == b {
-				continue
-			}
-			g := tb.AppendRoute(nil, 0, a, b, 0)
-			route := make([]int, len(g))
-			for i, c := range g {
-				route[i] = int(c)
-			}
-			if err := Validate(tr, a, b, route); err != nil {
-				t.Fatalf("table route %d→%d invalid: %v", a, b, err)
-			}
-		}
-	}
-}
-
-// TestSharedTableReturnsSameInstance checks the process-wide cache keys on
-// shape and mode.
+// TestSharedTableReturnsSameInstance checks that route tables are shared
+// per (shape, routing mode): topo.NewFatTree builds each fat tree's route
+// arenas once, so equal keys must yield one instance and a different shape
+// or mode must not.
 func TestSharedTableReturnsSameInstance(t *testing.T) {
-	t1, err := tree.New(4, 2)
-	if err != nil {
-		t.Fatal(err)
+	must := func(ft *topo.FatTree, err error) *topo.FatTree {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ft
 	}
-	t2, err := tree.New(4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t3, err := tree.New(4, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := SharedTable(Router{T: t1, Mode: Balanced})
-	b := SharedTable(Router{T: t2, Mode: Balanced})
-	c := SharedTable(Router{T: t3, Mode: Balanced})
-	d := SharedTable(Router{T: t1, Mode: RandomUp})
+	a := must(topo.NewFatTree(4, 2, routing.Balanced))
+	b := must(topo.NewFatTree(4, 2, routing.Balanced))
+	c := must(topo.NewFatTree(4, 3, routing.Balanced))
+	d := must(topo.NewFatTree(4, 2, routing.RandomUp))
 	if a != b {
 		t.Error("same shape+mode must share one table")
 	}
