@@ -692,26 +692,33 @@ func (m *Model) MeanLatency(lambdaG float64) (float64, error) {
 
 // SaturationPoint locates the offered traffic at which the model first
 // saturates, by doubling search followed by bisection to the given relative
-// tolerance. It returns +Inf if no saturation is found below limit.
+// tolerance. It returns +Inf if no saturation is found below limit. The
+// search runs on a throwaway Grid: every probe is bit-identical to
+// Model.Evaluate, so the point is too, at the memoized evaluator's cost.
 func (m *Model) SaturationPoint(start, limit, tol float64) float64 {
-	return saturationPoint(m.Evaluate, start, limit, tol)
+	return NewGrid(m).SaturationPoint(start, limit, tol)
 }
 
-// SaturationPoint is the batched counterpart of Model.SaturationPoint: the
-// search probes the same λ sequence through the grid's evaluator, so it
-// returns the identical point while reusing the grid's scratch.
+// SaturationPoint runs Model.SaturationPoint's search through the grid's
+// evaluator, reusing its scratch across the probes.
 func (g *Grid) SaturationPoint(start, limit, tol float64) float64 {
-	return saturationPoint(g.Evaluate, start, limit, tol)
+	return saturationPoint(func(l float64) bool {
+		_, err := g.Evaluate(l)
+		return errors.Is(err, ErrSaturated)
+	}, start, limit, tol)
 }
 
-func saturationPoint(eval func(float64) (Result, error), start, limit, tol float64) float64 {
+// saturationPoint is the doubling-plus-bisection search shared by the
+// wormhole model and the baseline; saturated reports whether a probe load
+// saturates.
+func saturationPoint(saturated func(float64) bool, start, limit, tol float64) float64 {
 	if start <= 0 {
 		start = 1e-9
 	}
 	lo := 0.0
 	hi := start
 	for {
-		if _, err := eval(hi); errors.Is(err, ErrSaturated) {
+		if saturated(hi) {
 			break
 		}
 		lo = hi
@@ -722,7 +729,7 @@ func saturationPoint(eval func(float64) (Result, error), start, limit, tol float
 	}
 	for hi-lo > tol*hi {
 		mid := (lo + hi) / 2
-		if _, err := eval(mid); errors.Is(err, ErrSaturated) {
+		if saturated(mid) {
 			hi = mid
 		} else {
 			lo = mid

@@ -150,27 +150,8 @@ func (b *Baseline) MeanLatency(lambdaG float64) (float64, error) {
 
 // SaturationPoint mirrors Model.SaturationPoint for the baseline.
 func (b *Baseline) SaturationPoint(start, limit, tol float64) float64 {
-	if start <= 0 {
-		start = 1e-9
-	}
-	lo, hi := 0.0, start
-	for {
-		if _, err := b.MeanLatency(hi); err != nil {
-			break
-		}
-		lo = hi
-		hi *= 2
-		if hi > limit {
-			return math.Inf(1)
-		}
-	}
-	for hi-lo > tol*hi {
-		mid := (lo + hi) / 2
-		if _, err := b.MeanLatency(mid); err != nil {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return (lo + hi) / 2
+	return saturationPoint(func(l float64) bool {
+		_, err := b.MeanLatency(l)
+		return err != nil
+	}, start, limit, tol)
 }

@@ -191,16 +191,58 @@ func TestGridEvaluateInvalid(t *testing.T) {
 	}
 }
 
-// TestGridSaturationPoint pins that the batched saturation search lands on
-// the identical point.
+// referenceSaturationPoint is the doubling-plus-bisection saturation search
+// written out over the un-memoized Model.Evaluate, the oracle both
+// SaturationPoint methods must reproduce bit for bit.
+func referenceSaturationPoint(m *analytic.Model, start, limit, tol float64) float64 {
+	saturated := func(l float64) bool {
+		_, err := m.Evaluate(l)
+		return errors.Is(err, analytic.ErrSaturated)
+	}
+	lo, hi := 0.0, start
+	for !saturated(hi) {
+		lo, hi = hi, 2*hi
+		if hi > limit {
+			return math.Inf(1)
+		}
+	}
+	for hi-lo > tol*hi {
+		if mid := (lo + hi) / 2; saturated(mid) {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return (lo + hi) / 2
+}
+
+// TestGridSaturationPoint pins that Model.SaturationPoint (which searches on
+// a throwaway Grid) and Grid.SaturationPoint land on the point-wise search's
+// exact point, for both Table 1 organizations under every topology axis the
+// sweep-grid benchmark crosses them with, at the tolerances the sweep
+// (1e-3) and the server (1e-4) use.
 func TestGridSaturationPoint(t *testing.T) {
-	for _, org := range []string{system.Format(system.Table1Org1()), "m=4:2x1@ecn1=0.04/0.02/0.004,2x2@2"} {
-		m := buildModel(t, org, "", 32, 256, analytic.DefaultOptions())
-		g := analytic.NewGrid(m)
-		want := m.SaturationPoint(1e-6, 1, 1e-4)
-		got := g.SaturationPoint(1e-6, 1, 1e-4)
-		if !bitsEqual(want, got) {
-			t.Fatalf("org %s: saturation point diverged: %x vs %x", org, want, got)
+	for _, table1 := range []func() system.Organization{system.Table1Org1, system.Table1Org2} {
+		for _, axis := range []string{"fattree", "jellyfish", "fattree+dragonfly"} {
+			org := table1()
+			if err := system.ApplyTopologyAxis(&org, axis); err != nil {
+				t.Fatal(err)
+			}
+			spec := system.Format(org)
+			m := buildModel(t, spec, "", 32, 256, analytic.DefaultOptions())
+			g := analytic.NewGrid(m)
+			for _, tol := range []float64{1e-3, 1e-4} {
+				want := referenceSaturationPoint(m, 1e-6, 1, tol)
+				if math.IsInf(want, 1) {
+					t.Fatalf("org %s: no saturation below λ=1", spec)
+				}
+				if got := m.SaturationPoint(1e-6, 1, tol); !bitsEqual(want, got) {
+					t.Fatalf("org %s tol %g: Model.SaturationPoint %x, point-wise search %x", spec, tol, got, want)
+				}
+				if got := g.SaturationPoint(1e-6, 1, tol); !bitsEqual(want, got) {
+					t.Fatalf("org %s tol %g: Grid.SaturationPoint %x, point-wise search %x", spec, tol, got, want)
+				}
+			}
 		}
 	}
 }

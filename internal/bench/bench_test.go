@@ -3,6 +3,8 @@ package bench
 import (
 	"bytes"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 
 	"mcnet/internal/des"
@@ -187,6 +189,61 @@ func BenchmarkServeAnalyze(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
+}
+
+// BenchmarkServeAnalyzeMiss measures the serving layer's response-miss path
+// on a prepared model: every iteration posts a λ no earlier request used, so
+// it pays the model evaluation and the response render, but neither the
+// model build nor the saturation search, which the warmup request did once.
+func BenchmarkServeAnalyzeMiss(b *testing.B) {
+	srv, err := serve.New(serve.Config{Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	h := srv.Handler()
+	post := func(lambda float64) *httptest.ResponseRecorder {
+		body := `{"org":"org1","lambda":` + strconv.FormatFloat(lambda, 'g', -1, 64) + `}`
+		req := httptest.NewRequest("POST", "/v1/analyze", strings.NewReader(body))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+	if rec := post(0.0003); rec.Code != 200 {
+		b.Fatalf("warmup request: status %d", rec.Code)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := post(0.0002 + float64(i+1)*1e-12)
+		if rec.Code != 200 || rec.Header().Get("X-Cache") != "miss" {
+			b.Fatalf("status %d X-Cache=%q", rec.Code, rec.Header().Get("X-Cache"))
+		}
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
+}
+
+// BenchmarkSweepExpand measures the sweep engine's prelude on the
+// sweep-grid benchmark's spec (both Table 1 organizations × three topologies
+// at equal switch budget × Poisson and MMPP arrivals × 4 loads): spec
+// parsing, topology construction and the analytic saturation search that
+// places every organization's load grid.
+func BenchmarkSweepExpand(b *testing.B) {
+	spec := sweep.Spec{
+		Name:       "bench-grid",
+		Orgs:       []string{"org1", "org2"},
+		Topologies: []string{"fattree", "jellyfish", "fattree+dragonfly"},
+		Arrivals:   []string{"poisson", "mmpp:8:16"},
+		Loads:      sweep.Loads{Points: 4, MaxFraction: 0.9},
+		Warmup:     200, Measure: 2000, Drain: 200,
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := sweep.Expand(spec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/expand")
 }
 
 // BenchmarkSweepFigure runs the builtin Figure 3 (M=32) grid — 20 jobs over

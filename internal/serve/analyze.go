@@ -204,9 +204,10 @@ func (s *Server) renderAnalyze(c scenario) ([]byte, error) {
 }
 
 // evalModel evaluates the scenario's mean latency (Eq. 36) at its load,
-// plus the saturation point the figures stop at. Both run through the
-// server's prepared-model cache under one lock hold: the saturation search
-// probes dozens of λ points and reuses the grid's scratch for all of them.
+// plus the saturation point the figures stop at. Both come from the
+// server's prepared-model cache under one lock hold: the latency is one
+// grid evaluation, and the saturation point is searched only by the first
+// request on the model and reused by every later one.
 func (s *Server) evalModel(c scenario) (lat sweep.Float, saturated bool, satPoint sweep.Float, err error) {
 	par, err := c.params()
 	if err != nil {
@@ -230,6 +231,6 @@ func (s *Server) evalModel(c scenario) (lat sweep.Float, saturated bool, satPoin
 	default:
 		lat = sweep.Float(v)
 	}
-	satPoint = sweep.Float(pm.grid.SaturationPoint(1e-6, 1, 1e-4))
+	satPoint = sweep.Float(pm.saturation())
 	return lat, saturated, satPoint, nil
 }

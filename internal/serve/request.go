@@ -69,10 +69,27 @@ func checkLambda(lambda float64) error {
 // parsing and topology precompute are done and the batched Grid evaluator
 // carries reusable per-point scratch, so repeated analyze/compare requests
 // against the same model pay only the evaluation itself. The Grid is not
-// safe for concurrent use — mu serializes requests sharing the entry.
+// safe for concurrent use — mu serializes requests sharing the entry and
+// guards the saturation point, which depends only on the model and is
+// searched once, by the first request that needs it.
 type preparedModel struct {
-	mu   sync.Mutex
-	grid *analytic.Grid
+	mu       sync.Mutex
+	grid     *analytic.Grid
+	sat      float64
+	satKnown bool
+}
+
+// saturationSearch finds a prepared model's saturation point; a variable so
+// tests can count the searches.
+var saturationSearch = func(g *analytic.Grid) float64 { return g.SaturationPoint(1e-6, 1, 1e-4) }
+
+// saturation returns the model's saturation point, searching on first use.
+// The caller holds pm.mu.
+func (pm *preparedModel) saturation() float64 {
+	if !pm.satKnown {
+		pm.sat, pm.satKnown = saturationSearch(pm.grid), true
+	}
+	return pm.sat
 }
 
 // modelKey canonically identifies a prepared model: everything that feeds
