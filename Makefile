@@ -6,9 +6,6 @@ REV := $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)$(shell test -
 # bench writes here; bench-gate overrides it so a CI run never clobbers (or
 # accidentally becomes) the committed baseline.
 BENCH_OUT ?= BENCH_$(REV).json
-# Samples per benchmark in `make bench`; benchdiff keeps the minimum ns/op
-# over the repeats, so the gate never judges a single noisy sample.
-BENCH_COUNT ?= 5
 # Per-fuzzer exploration budget of the fuzz smoke.
 FUZZTIME ?= 15s
 
@@ -55,14 +52,15 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTopology$$' -fuzztime $(FUZZTIME) ./internal/topo
 	$(GO) test -run '^$$' -fuzz '^FuzzGridEquivalence$$' -fuzztime $(FUZZTIME) ./internal/analytic
 
-# bench runs the cross-layer hot-path benchmarks (internal/bench)
-# $(BENCH_COUNT) times each and writes the raw `go test -json` stream to
+# bench runs the cross-layer hot-path benchmarks (internal/bench) five times
+# each (benchdiff keeps the minimum ns/op over the repeats, so the gate never
+# judges a single noisy sample) and writes the raw `go test -json` stream to
 # $(BENCH_OUT), plus a condensed machine-readable summary (name → ns/op,
 # allocs/op) next to it. The summary printer is cmd/benchdiff, which parses
 # the same artifact the gate consumes (and is portable: no GNU grep/sed
 # extensions).
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem -count $(BENCH_COUNT) -json ./internal/bench > $(BENCH_OUT)
+	$(GO) test -run '^$$' -bench . -benchmem -count 5 -json ./internal/bench > $(BENCH_OUT)
 	@$(GO) run ./cmd/benchdiff -list $(BENCH_OUT)
 	@$(GO) run ./cmd/benchdiff -summary $(BENCH_OUT) > $(BENCH_OUT:.json=.summary.json)
 	@echo wrote $(BENCH_OUT) and $(BENCH_OUT:.json=.summary.json)

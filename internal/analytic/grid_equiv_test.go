@@ -218,30 +218,35 @@ func referenceSaturationPoint(m *analytic.Model, start, limit, tol float64) floa
 
 // TestGridSaturationPoint pins that Model.SaturationPoint (which searches on
 // a throwaway Grid) and Grid.SaturationPoint land on the point-wise search's
-// exact point, for both Table 1 organizations under every topology axis the
-// sweep-grid benchmark crosses them with, at the tolerances the sweep
-// (1e-3) and the server (1e-4) use.
+// exact point, at the tolerances the sweep (1e-3) and the server (1e-4) use:
+// for both Table 1 organizations under every topology axis the sweep-grid
+// benchmark crosses them with, and for an organization with a per-cluster
+// ECN1 link-tier override.
 func TestGridSaturationPoint(t *testing.T) {
+	var specs []string
 	for _, table1 := range []func() system.Organization{system.Table1Org1, system.Table1Org2} {
 		for _, axis := range []string{"fattree", "jellyfish", "fattree+dragonfly"} {
 			org := table1()
 			if err := system.ApplyTopologyAxis(&org, axis); err != nil {
 				t.Fatal(err)
 			}
-			spec := system.Format(org)
-			m := buildModel(t, spec, "", 32, 256, analytic.DefaultOptions())
-			g := analytic.NewGrid(m)
-			for _, tol := range []float64{1e-3, 1e-4} {
-				want := referenceSaturationPoint(m, 1e-6, 1, tol)
-				if math.IsInf(want, 1) {
-					t.Fatalf("org %s: no saturation below λ=1", spec)
-				}
-				if got := m.SaturationPoint(1e-6, 1, tol); !bitsEqual(want, got) {
-					t.Fatalf("org %s tol %g: Model.SaturationPoint %x, point-wise search %x", spec, tol, got, want)
-				}
-				if got := g.SaturationPoint(1e-6, 1, tol); !bitsEqual(want, got) {
-					t.Fatalf("org %s tol %g: Grid.SaturationPoint %x, point-wise search %x", spec, tol, got, want)
-				}
+			specs = append(specs, system.Format(org))
+		}
+	}
+	specs = append(specs, "m=4:2x1@ecn1=0.04/0.02/0.004,2x2@2")
+	for _, spec := range specs {
+		m := buildModel(t, spec, "", 32, 256, analytic.DefaultOptions())
+		g := analytic.NewGrid(m)
+		for _, tol := range []float64{1e-3, 1e-4} {
+			want := referenceSaturationPoint(m, 1e-6, 1, tol)
+			if math.IsInf(want, 1) {
+				t.Fatalf("org %s: no saturation below λ=1", spec)
+			}
+			if got := m.SaturationPoint(1e-6, 1, tol); !bitsEqual(want, got) {
+				t.Fatalf("org %s tol %g: Model.SaturationPoint %x, point-wise search %x", spec, tol, got, want)
+			}
+			if got := g.SaturationPoint(1e-6, 1, tol); !bitsEqual(want, got) {
+				t.Fatalf("org %s tol %g: Grid.SaturationPoint %x, point-wise search %x", spec, tol, got, want)
 			}
 		}
 	}

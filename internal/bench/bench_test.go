@@ -226,8 +226,10 @@ func BenchmarkServeAnalyzeMiss(b *testing.B) {
 // BenchmarkSweepExpand measures the sweep engine's prelude on the
 // sweep-grid benchmark's spec (both Table 1 organizations × three topologies
 // at equal switch budget × Poisson and MMPP arrivals × 4 loads): spec
-// parsing, topology construction and the analytic saturation search that
-// places every organization's load grid.
+// parsing, model construction and the analytic saturation search that places
+// every organization's load grid. Topologies come from the process-wide
+// topo cache after the first iteration, so the metric is dominated by the
+// saturation search.
 func BenchmarkSweepExpand(b *testing.B) {
 	spec := sweep.Spec{
 		Name:       "bench-grid",

@@ -3,11 +3,9 @@ package serve
 import (
 	"encoding/json"
 	"errors"
-	"math"
 	"net/http"
 	"strconv"
 
-	"mcnet/internal/analytic"
 	"mcnet/internal/sweep"
 	"mcnet/internal/units"
 )
@@ -205,9 +203,8 @@ func (s *Server) renderAnalyze(c scenario) ([]byte, error) {
 
 // evalModel evaluates the scenario's mean latency (Eq. 36) at its load,
 // plus the saturation point the figures stop at. Both come from the
-// server's prepared-model cache under one lock hold: the latency is one
-// grid evaluation, and the saturation point is searched only by the first
-// request on the model and reused by every later one.
+// server's prepared-model cache: the latency is one grid evaluation, and the
+// saturation point was searched once, when the model was built.
 func (s *Server) evalModel(c scenario) (lat sweep.Float, saturated bool, satPoint sweep.Float, err error) {
 	par, err := c.params()
 	if err != nil {
@@ -220,17 +217,9 @@ func (s *Server) evalModel(c scenario) (lat sweep.Float, saturated bool, satPoin
 	if err != nil {
 		return 0, false, 0, err
 	}
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
-	v, err := pm.grid.MeanLatency(c.lambda)
-	switch {
-	case errors.Is(err, analytic.ErrSaturated):
-		lat, saturated = sweep.Float(math.NaN()), true
-	case err != nil:
+	lat, saturated, err = pm.latency(c.lambda)
+	if err != nil {
 		return 0, false, 0, err
-	default:
-		lat = sweep.Float(v)
 	}
-	satPoint = sweep.Float(pm.saturation())
-	return lat, saturated, satPoint, nil
+	return lat, saturated, sweep.Float(pm.sat), nil
 }

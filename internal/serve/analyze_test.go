@@ -66,18 +66,12 @@ func TestAnalyzeGolden(t *testing.T) {
 }
 
 // TestAnalyzeSearchesSaturationOnce pins that a prepared model's saturation
-// point is searched by its first response miss only: later misses at other
-// loads, saturated ones included, reuse it, and every response carries the
-// point a fresh Grid search finds.
+// point is searched once, when the model is built: every response miss on
+// the model, saturated ones included, carries the point a fresh Grid search
+// finds, the server holds one prepared model for them all, and later misses
+// read the stored point (the test overwrites it after the first response and
+// expects the overwritten value back) instead of searching again.
 func TestAnalyzeSearchesSaturationOnce(t *testing.T) {
-	searches := 0
-	orig := saturationSearch
-	saturationSearch = func(g *analytic.Grid) float64 {
-		searches++
-		return orig(g)
-	}
-	t.Cleanup(func() { saturationSearch = orig })
-
 	sys, err := system.New(system.Table1Org1())
 	if err != nil {
 		t.Fatal(err)
@@ -87,9 +81,11 @@ func TestAnalyzeSearchesSaturationOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := analytic.NewGrid(m).SaturationPoint(1e-6, 1, 1e-4)
+	stored := math.Nextafter(want, 0)
 
 	s := newTestServer(t, Config{}, instantOutcome)
-	for _, lambda := range []float64{1e-4, 3e-4, 5e-4, 1e-2, 2e-4} {
+	var pm *preparedModel
+	for i, lambda := range []float64{1e-4, 3e-4, 5e-4, 1e-2, 2e-4} {
 		w := do(t, s, "POST", "/v1/analyze", fmt.Sprintf(`{"org":"org1","lambda":%g}`, lambda))
 		if w.Code != http.StatusOK || w.Header().Get("X-Cache") != "miss" {
 			t.Fatalf("λ=%g: status %d X-Cache=%q: %s", lambda, w.Code, w.Header().Get("X-Cache"), w.Body)
@@ -98,11 +94,23 @@ func TestAnalyzeSearchesSaturationOnce(t *testing.T) {
 		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 			t.Fatal(err)
 		}
-		if got := float64(resp.SaturationPoint); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("λ=%g: saturation_point %x, want %x", lambda, got, want)
+		if n := s.models.Len(); n != 1 {
+			t.Fatalf("λ=%g: %d prepared models, want 1", lambda, n)
 		}
-	}
-	if searches != 1 {
-		t.Fatalf("saturation searched %d times over one prepared model, want 1", searches)
+		got := math.Float64bits(float64(resp.SaturationPoint))
+		if i == 0 {
+			if got != math.Float64bits(want) {
+				t.Fatalf("λ=%g: saturation_point %x, want %x", lambda, float64(resp.SaturationPoint), want)
+			}
+			pm = s.models.ll.Front().Value.(*lruEntry).val.(*preparedModel)
+			pm.sat = stored
+			continue
+		}
+		if cur := s.models.ll.Front().Value.(*lruEntry).val.(*preparedModel); cur != pm {
+			t.Fatalf("λ=%g: prepared model rebuilt", lambda)
+		}
+		if got != math.Float64bits(stored) {
+			t.Fatalf("λ=%g: saturation_point %x, want the stored %x", lambda, float64(resp.SaturationPoint), stored)
+		}
 	}
 }

@@ -66,30 +66,16 @@ func checkLambda(lambda float64) error {
 }
 
 // preparedModel is one cached, ready-to-evaluate analytic model: the spec
-// parsing and topology precompute are done and the batched Grid evaluator
-// carries reusable per-point scratch, so repeated analyze/compare requests
-// against the same model pay only the evaluation itself. The Grid is not
-// safe for concurrent use — mu serializes requests sharing the entry and
-// guards the saturation point, which depends only on the model and is
-// searched once, by the first request that needs it.
+// parsing and topology precompute are done, the batched Grid evaluator
+// carries reusable per-point scratch, and the saturation point (which
+// depends only on the model) was searched once when the entry was built, so
+// repeated analyze/compare requests against the same model pay only the
+// latency evaluation. The Grid is not safe for concurrent use — mu
+// serializes requests sharing the entry; sat is read-only after the build.
 type preparedModel struct {
-	mu       sync.Mutex
-	grid     *analytic.Grid
-	sat      float64
-	satKnown bool
-}
-
-// saturationSearch finds a prepared model's saturation point; a variable so
-// tests can count the searches.
-var saturationSearch = func(g *analytic.Grid) float64 { return g.SaturationPoint(1e-6, 1, 1e-4) }
-
-// saturation returns the model's saturation point, searching on first use.
-// The caller holds pm.mu.
-func (pm *preparedModel) saturation() float64 {
-	if !pm.satKnown {
-		pm.sat, pm.satKnown = saturationSearch(pm.grid), true
-	}
-	return pm.sat
+	mu   sync.Mutex
+	grid *analytic.Grid
+	sat  float64
 }
 
 // modelKey canonically identifies a prepared model: everything that feeds
@@ -141,19 +127,26 @@ func (s *Server) preparedModel(model, org, links, topoAxis string, par units.Par
 	if err != nil {
 		return nil, err
 	}
-	pm := &preparedModel{grid: analytic.NewGrid(m)}
+	g := analytic.NewGrid(m)
+	pm := &preparedModel{grid: g, sat: g.SaturationPoint(1e-6, 1, 1e-4)}
 	s.models.Put(key, pm)
 	return pm, nil
 }
 
 // modelLatency evaluates the mean latency (Eq. 36) at lambda through the
-// cached model. Saturation is an answer, not an error: it returns a NaN
-// latency with saturated set.
+// cached model.
 func (s *Server) modelLatency(model, org, links, topoAxis string, par units.Params, lambda float64) (lat sweep.Float, saturated bool, err error) {
 	pm, err := s.preparedModel(model, org, links, topoAxis, par)
 	if err != nil {
 		return 0, false, err
 	}
+	return pm.latency(lambda)
+}
+
+// latency evaluates the model's mean latency (Eq. 36) at lambda.
+// Saturation is an answer, not an error: it returns a NaN latency with
+// saturated set.
+func (pm *preparedModel) latency(lambda float64) (lat sweep.Float, saturated bool, err error) {
 	pm.mu.Lock()
 	v, err := pm.grid.MeanLatency(lambda)
 	pm.mu.Unlock()
