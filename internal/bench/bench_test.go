@@ -106,16 +106,41 @@ func benchConfig(measure int) mcsim.Config {
 	}
 }
 
+// benchMcsim runs the configuration cfg builds b.N times and reports, next
+// to ns/op, the cost of one executed scheduler event (ns/event) and the
+// number of events per generated message (events/msg): the first moves with
+// the engine's per-event cost, the second only if the engine's event
+// structure changes.
+func benchMcsim(b *testing.B, cfg func() mcsim.Config) {
+	b.ReportAllocs()
+	var events, msgs uint64
+	for i := 0; i < b.N; i++ {
+		res, err := mcsim.Run(cfg())
+		if err != nil {
+			b.Fatal(err)
+		}
+		events += res.Events
+		msgs += uint64(res.Generated)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+	b.ReportMetric(float64(events)/float64(msgs), "events/msg")
+}
+
 // BenchmarkMcsimOrg1 runs the whole-system simulator end to end; ns/op is
 // dominated by the per-message hot path (routing, injection, channel events,
 // measurement).
 func BenchmarkMcsimOrg1(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := mcsim.Run(benchConfig(4000)); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchMcsim(b, func() mcsim.Config { return benchConfig(4000) })
+}
+
+// BenchmarkMcsimTelemetry is BenchmarkMcsimOrg1 with the contention
+// instrument on, the configuration every served simulate job runs.
+func BenchmarkMcsimTelemetry(b *testing.B) {
+	benchMcsim(b, func() mcsim.Config {
+		cfg := benchConfig(4000)
+		cfg.Telemetry = &mcsim.TelemetryConfig{}
+		return cfg
+	})
 }
 
 // benchTopoConfig is benchConfig with a topology axis applied over the
@@ -133,12 +158,7 @@ func benchTopoConfig(measure int, axis string) mcsim.Config {
 // frozen-path-arena AppendRoute instead of the tree's digit walk, on the
 // same per-message hot path.
 func BenchmarkMcsimJellyfish(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := mcsim.Run(benchTopoConfig(4000, "jellyfish")); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchMcsim(b, func() mcsim.Config { return benchTopoConfig(4000, "jellyfish") })
 }
 
 // BenchmarkMcsimBursty runs the same organization under a bursty MMPP
@@ -146,15 +166,12 @@ func BenchmarkMcsimJellyfish(b *testing.B) {
 // subsystem's hot path (per-node modulation state, per-message length draws,
 // variable-M worms) on top of the simulator's.
 func BenchmarkMcsimBursty(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	benchMcsim(b, func() mcsim.Config {
 		cfg := benchConfig(4000)
 		cfg.Arrival = workload.MMPP{Peak: 16, Burst: 32}
 		cfg.Sizes = workload.Bimodal{Short: 8, Long: 128, PLong: 0.2}
-		if _, err := mcsim.Run(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
+		return cfg
+	})
 }
 
 // BenchmarkServeAnalyze measures the serving layer's cached fast path:

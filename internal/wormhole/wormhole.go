@@ -77,6 +77,13 @@ type Worm struct {
 	pos  int
 	slot int32 // index in the network's in-flight table while injected
 	acq  []float64
+	// Once the header has arrived, rel is the index in Path of the next
+	// channel to release, tc its tail-crossing time, and seq the first of
+	// the len(Path)+1 scheduler positions reserved for the releases and the
+	// delivery.
+	rel int
+	tc  float64
+	seq uint64
 }
 
 // Reset prepares a worm for reuse with a new route. Owner and Tag are
@@ -247,7 +254,7 @@ func (n *Network) Grants(c int32) uint64 { return n.ch[c].grants }
 // in the payload slots.
 const (
 	opHeader  int32 = iota // arg = worm slot: header finished crossing a channel
-	opRelease              // arg = channel index: tail crossed, free it
+	opRelease              // arg = worm slot: tail crossed Path[rel], free it and schedule the next release
 	opDeliver              // arg = worm slot: tail arrived at the endpoint
 )
 
@@ -331,37 +338,59 @@ func (n *Network) headerAdvance(w *Worm) {
 }
 
 // complete runs when the header arrives at the endpoint: it computes the
-// tail-crossing times of every held channel, schedules the releases, and
-// schedules delivery at the tail's arrival.
+// tail's arrival, reserves the scheduler positions of the len(Path) releases
+// and the delivery, and schedules the first release. Each release schedules
+// the next one (see release), so a worm has at most one release pending,
+// yet every event keeps the (time, seq) key it would have had if all of
+// them had been scheduled here.
 func (n *Network) complete(w *Worm) {
-	now := n.sched.Now()
-	w.HeaderAt = now
+	w.HeaderAt = n.sched.Now()
 	tc := 0.0
-	for i, ci := range w.Path {
-		ft := n.ch[ci].flit
-		ownDrain := w.acq[i] + float64(w.Flits)*ft
-		if chain := tc + ft; i > 0 && chain > ownDrain {
-			tc = chain
-		} else {
-			tc = ownDrain
+	for i := range w.Path {
+		tc = n.tailCross(w, i, tc)
+		if i == 0 {
+			w.tc = tc
 		}
-		if tc < now {
-			// Short-message clamp: never release before the header has
-			// arrived (see the package comment).
-			tc = now
-		}
-		n.sched.Call(tc, n.hid, opRelease, ci)
 	}
 	w.TailAt = tc
-	n.sched.Call(tc, n.hid, opDeliver, w.slot)
+	w.rel = 0
+	w.seq = n.sched.Reserve(len(w.Path) + 1)
+	n.sched.CallSeq(w.tc, w.seq, n.hid, opRelease, w.slot)
 }
 
-// release frees a channel and grants it to the next waiter, if any.
-func (n *Network) release(ci int32) {
-	c := &n.ch[ci]
+// tailCross returns TC_i, the time the tail finishes crossing w.Path[i],
+// given TC_{i−1} = prev (ignored for i = 0).
+func (n *Network) tailCross(w *Worm, i int, prev float64) float64 {
+	ft := n.ch[w.Path[i]].flit
+	tc := w.acq[i] + float64(w.Flits)*ft
+	if chain := prev + ft; i > 0 && chain > tc {
+		tc = chain
+	}
+	if tc < w.HeaderAt {
+		// Short-message clamp: never release before the header has
+		// arrived (see the package comment).
+		tc = w.HeaderAt
+	}
+	return tc
+}
+
+// release frees channel w.Path[w.rel] of the worm in slot, grants it to the
+// next waiter, if any, and schedules the worm's next release, or its
+// delivery after the last one.
+func (n *Network) release(slot int32) {
+	w := n.worms[slot]
+	c := &n.ch[w.Path[w.rel]]
 	c.busy = false
 	c.busyTotal += n.sched.Now() - c.busySince
 	if c.waiting.len() > 0 {
 		n.grant(c, n.worms[n.qpop(&c.waiting)])
 	}
+	w.rel++
+	seq := w.seq + uint64(w.rel)
+	if w.rel == len(w.Path) {
+		n.sched.CallSeq(w.tc, seq, n.hid, opDeliver, slot)
+		return
+	}
+	w.tc = n.tailCross(w, w.rel, w.tc)
+	n.sched.CallSeq(w.tc, seq, n.hid, opRelease, slot)
 }

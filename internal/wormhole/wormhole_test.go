@@ -2,6 +2,7 @@ package wormhole
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -235,20 +236,47 @@ func TestUtilizationSingleWorm(t *testing.T) {
 }
 
 func TestShortMessageClampNeverReleasesBeforeHeader(t *testing.T) {
-	// M=1 over a long path: releases are clamped to header arrival and the
-	// run must still terminate cleanly.
-	sched, net := newNet(1, 1, 1, 1, 1, 1, 1, 1)
-	w := &Worm{ID: 1, Path: []int32{0, 1, 2, 3, 4, 5, 6, 7}, Flits: 1}
-	var tail float64
-	w.OnDone = func(w *Worm) { tail = w.TailAt }
-	net.Inject(w)
-	sched.RunAll(0)
-	if tail < 8 {
-		t.Errorf("tail = %v, want ≥ header arrival 8", tail)
-	}
-	for c := int32(0); c < 8; c++ {
-		if net.Busy(c) {
-			t.Errorf("channel %d left busy", c)
+	// M=1 over long paths: the first channel's own drain time precedes the
+	// header's arrival, so its release is clamped to the header instant,
+	// and every later channel's unclamped drain time precedes it too — the
+	// recurrence must carry the clamped value forward along the chain.
+	for _, tc := range []struct {
+		name     string
+		flits    []float64
+		header   float64
+		releases []float64 // per channel of the path, in order
+	}{
+		{"uniform", []float64{1, 1, 1, 1, 1, 1, 1, 1}, 8, []float64{8, 9, 10, 11, 12, 13, 14, 15}},
+		{"mixed", []float64{1, 0.5, 2, 0.25, 1}, 4.75, []float64{4.75, 5.25, 7.25, 7.5, 8.5}},
+	} {
+		sched, net := newNet(tc.flits...)
+		path := make([]int32, len(tc.flits))
+		for i := range path {
+			path[i] = int32(i)
+		}
+		w := &Worm{ID: 1, Path: path, Flits: 1}
+		var header, tail float64
+		w.OnDone = func(w *Worm) { header, tail = w.HeaderAt, w.TailAt }
+		net.Inject(w)
+		sched.RunAll(0)
+		// One worm holds each channel once, from its grant to its release.
+		releases := make([]float64, len(path))
+		for i, c := range path {
+			releases[i] = w.Acquired()[i] + net.BusyTime(c)
+		}
+		if header != tc.header || tail != tc.releases[len(path)-1] {
+			t.Errorf("%s: header %v, tail %v; want %v, %v", tc.name, header, tail, tc.header, tc.releases[len(path)-1])
+		}
+		for i, r := range releases {
+			if r != tc.releases[i] || r < header {
+				t.Errorf("%s: releases %v, want %v (none before the header at %v)", tc.name, releases, tc.releases, tc.header)
+				break
+			}
+		}
+		for c := range path {
+			if net.Busy(int32(c)) {
+				t.Errorf("%s: channel %d left busy", tc.name, c)
+			}
 		}
 	}
 }
@@ -350,5 +378,59 @@ func BenchmarkThousandWorms(b *testing.B) {
 			sched.At(src.Float64()*1000, func() { net.Inject(w) })
 		}
 		sched.RunAll(0)
+	}
+}
+
+// TestReleaseTiesWithHeaderRequest pins arbitration when a release and
+// header requests for the same channel fall at the same instant. Channel 0
+// is shared; A holds it, C is queued on it, and at the instant A's tail
+// leaves it two more headers request it: B's, scheduled before A's header
+// arrived and so before A's releases were laid out, and D's, scheduled
+// after. Equal times run in scheduling order, so B queues ahead of A's
+// release and delivery and D behind them: the grants go A, C, B, D, and at
+// A's delivery exactly B is waiting.
+func TestReleaseTiesWithHeaderRequest(t *testing.T) {
+	// Channels: 0 shared; 1..4 the injection links of A, B, C, D.
+	sched, net := newNet(1, 1, 3.5, 1, 1)
+	var order []rune
+	var queued []int
+	done := func(w *Worm) {
+		order = append(order, rune(w.ID))
+		queued = append(queued, net.QueueLen(0))
+	}
+	a := &Worm{ID: 'A', Path: []int32{1, 0}, Flits: 4, OnDone: done}
+	b := &Worm{ID: 'B', Path: []int32{2, 0}, Flits: 2, OnDone: done}
+	c := &Worm{ID: 'C', Path: []int32{3, 0}, Flits: 2, OnDone: done}
+	d := &Worm{ID: 'D', Path: []int32{4, 0}, Flits: 2, OnDone: done}
+	sched.At(0, func() { net.Inject(a) })
+	sched.At(1, func() { net.Inject(c) })
+	sched.At(1.5, func() { net.Inject(b) })
+	sched.At(4, func() { net.Inject(d) })
+	sched.RunAll(0)
+	if string(order) != "ACBD" {
+		t.Errorf("delivery order %q, want ACBD", string(order))
+	}
+	if want := []int{1, 1, 0, 0}; !slices.Equal(queued, want) {
+		t.Errorf("channel 0 queue at each delivery = %v, want %v", queued, want)
+	}
+	for _, tc := range []struct {
+		w    *Worm
+		acq  []float64
+		tail float64
+	}{
+		{a, []float64{0, 1}, 5},
+		{c, []float64{1, 5}, 7},
+		{b, []float64{1.5, 7}, 9.5},
+		{d, []float64{4, 9.5}, 11.5},
+	} {
+		if !slices.Equal(tc.w.Acquired(), tc.acq) || tc.w.TailAt != tc.tail {
+			t.Errorf("worm %c: acquired %v, tail %v; want %v, %v", rune(tc.w.ID), tc.w.Acquired(), tc.w.TailAt, tc.acq, tc.tail)
+		}
+	}
+	if got := net.MaxQueueLen(0); got != 2 {
+		t.Errorf("channel 0 high-water mark = %d, want 2", got)
+	}
+	if got := sched.Executed(); got != 24 {
+		t.Errorf("Executed = %d, want 24", got)
 	}
 }
