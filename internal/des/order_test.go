@@ -240,7 +240,7 @@ func TestCallSeqPanicsOnUnreservedSeq(t *testing.T) {
 }
 
 // callSeqProbe schedules into reserved positions from inside its own
-// dispatch and records what panicked.
+// dispatch and checks which keys CallSeq rejects.
 type callSeqProbe struct {
 	t        *testing.T
 	s        *Scheduler

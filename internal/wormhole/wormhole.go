@@ -345,14 +345,11 @@ func (n *Network) headerAdvance(w *Worm) {
 // them had been scheduled here.
 func (n *Network) complete(w *Worm) {
 	w.HeaderAt = n.sched.Now()
-	tc := 0.0
-	for i := range w.Path {
-		tc = n.tailCross(w, i, tc)
-		if i == 0 {
-			w.tc = tc
-		}
+	w.tc = n.tailCross(w, 0, 0)
+	w.TailAt = w.tc
+	for i := 1; i < len(w.Path); i++ {
+		w.TailAt = n.tailCross(w, i, w.TailAt)
 	}
-	w.TailAt = tc
 	w.rel = 0
 	w.seq = n.sched.Reserve(len(w.Path) + 1)
 	n.sched.CallSeq(w.tc, w.seq, n.hid, opRelease, w.slot)
