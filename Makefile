@@ -51,6 +51,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseLinkClass$$' -fuzztime $(FUZZTIME) ./internal/units
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTopology$$' -fuzztime $(FUZZTIME) ./internal/topo
 	$(GO) test -run '^$$' -fuzz '^FuzzGridEquivalence$$' -fuzztime $(FUZZTIME) ./internal/analytic
+	$(GO) test -run '^$$' -fuzz '^FuzzJourneyChains$$' -fuzztime $(FUZZTIME) ./internal/analytic
 	$(GO) test -run '^$$' -fuzz '^FuzzSchedulerOrder$$' -fuzztime $(FUZZTIME) ./internal/des
 
 # bench runs the cross-layer hot-path benchmarks (internal/bench) five times

@@ -269,31 +269,114 @@ type Result struct {
 // ErrSaturated reports an operating point past the model's stability region.
 var ErrSaturated = errors.New("analytic: operating point is saturated")
 
-// chainService runs the backward stage recursion (Eqs. 16–18) for a K-stage
-// journey and returns S_{0}. eta(k) supplies the channel rate at stage k and
-// mtcs(k) the stage's message transfer time M·t_cs — a constant for journeys
-// within one network, tier-indexed for merged inter-cluster journeys whose
-// stages cross networks of different link technology. mtcn is the transfer
-// time of the final (switch→node) stage. ok is false when any stage's
-// utilization reaches 1.
-func chainService(k int, eta func(int) float64, mtcs func(int) float64, mtcn float64) (s0 float64, ok bool) {
+// stage is one hop of a journey in the backward stage recursion: the
+// message transfer time M·t_cs of its channel class and the channel's rate η.
+type stage struct{ mtcs, eta float64 }
+
+// suffixService runs the backward stage recursion (Eqs. 16–18) once for a
+// family of journeys that share their last stages and differ only in how
+// many head stages precede them. The walk starts at the node end: the final
+// (switch→node) stage has transfer time mtcn and channel rate etaN, tail
+// lists the stages before it from last to first, and head is the stage
+// repeated in front of the tail. suffixService writes s0[x], the S₀ of the
+// journey of 1+len(tail)+x stages, for x = 0, 1, ... and returns how many it
+// wrote: once a stage's utilization reaches 1, every journey that crosses it
+// before its first stage is saturated and has no S₀.
+//
+// Every journey of the family sees the same stage values in the same order,
+// so each S₀ is the same sequence of floating-point operations on the same
+// operands as a recursion over that journey alone; one walk of
+// len(tail)+len(s0) stages replaces a walk per journey.
+func suffixService(mtcn, etaN float64, tail []stage, head stage, s0 []float64) int {
+	if len(s0) == 0 {
+		return 0
+	}
+	last := len(tail) + len(s0) - 1
+	s, e := mtcn, etaN
 	sumW := 0.0
-	s := 0.0
-	for stage := k - 1; stage >= 0; stage-- {
-		if stage == k-1 {
-			s = mtcn
-		} else {
-			s = mtcs(stage) + sumW
-		}
-		if stage > 0 {
-			e := eta(stage)
-			if e*s >= 1 {
-				return math.Inf(1), false
+	for r := 0; ; r++ {
+		if r > 0 {
+			st := head
+			if r <= len(tail) {
+				st = tail[r-1]
 			}
-			sumW += 0.5 * s * markov.ChannelBlockingProbability(e, s)
+			s, e = st.mtcs+sumW, st.eta
+		}
+		if x := r - len(tail); x >= 0 {
+			s0[x] = s
+		}
+		if r == last {
+			return len(s0)
+		}
+		if e*s >= 1 {
+			return max(r-len(tail)+1, 0)
+		}
+		sumW += 0.5 * s * markov.ChannelBlockingProbability(e, s)
+	}
+}
+
+// pairStages are the stage classes of the merged inter-cluster journey i→v:
+// the ascent through cluster i's ECN1 (up), the concentrator↔ICN2 entry and
+// exit links (conc), the ICN2 switch links between them (icn2), and the
+// descent through cluster v's ECN1 (down) ending on its switch→node link of
+// transfer time mtcn.
+type pairStages struct {
+	up, conc, icn2, down stage
+	mtcn                 float64
+}
+
+// suffix appends to tail the stages of the journeys with descent height l
+// and ICN2 route length d₂, from the node end back to the concentrator entry
+// link (Eq. 29): l−1 descent switch links, then the ICN2 exit link, d₂−2
+// ICN2 switch links and the entry link. The ascent's j−1 switch links are
+// the head stages in front of it.
+func (p *pairStages) suffix(tail []stage, l, d2 int) []stage {
+	for r := 1; r < l; r++ {
+		tail = append(tail, p.down)
+	}
+	for q := 0; q < d2; q++ {
+		if q == 0 || q == d2-1 {
+			tail = append(tail, p.conc)
+		} else {
+			tail = append(tail, p.icn2)
 		}
 	}
-	return s, true
+	return tail
+}
+
+// scratch holds the buffers one model evaluation's stage recursions write
+// into, and the per-point rate vectors. A Grid keeps one across points;
+// Model.Evaluate allocates its own.
+type scratch struct {
+	lam, outRate, inRate []float64
+	// s0 holds the S₀ values of one cluster's intra journeys, or of one
+	// pair's inter journeys in blocks of one (l, d₂) suffix each; n counts
+	// each block's unsaturated entries.
+	s0   []float64
+	n    []int
+	tail []stage
+}
+
+// newScratch sizes a scratch for every cluster and pair of m. Pair suffix
+// blocks are laid out by (l, d₂); every exact pair route length indexes the
+// route-length distribution too, so one layout serves both ICN2 options.
+func newScratch(m *Model) scratch {
+	c := m.Sys.C()
+	rates := make([]float64, 3*c)
+	maxJ, maxI1 := 0, 0
+	for i := range m.probJ {
+		maxJ = max(maxJ, len(m.probJ[i]))
+		maxI1 = max(maxI1, len(m.distI1[i]))
+	}
+	blocks := maxJ * len(m.dist2)
+	return scratch{
+		lam:     rates[:c:c],
+		outRate: rates[c : 2*c : 2*c],
+		inRate:  rates[2*c:],
+		s0:      make([]float64, max(blocks*maxJ, maxI1)),
+		n:       make([]int, blocks),
+		tail:    make([]stage, 0, maxJ+len(m.dist2)),
+	}
 }
 
 // satKind names the component class that saturated inside a cluster or pair
@@ -342,15 +425,16 @@ func (m *Model) fillRates(lambdaG float64, lam, outRate, inRate []float64) {
 		outRate[i] = float64(sys.Clusters[i].Nodes) * m.pOut[i] * lam[i]
 	}
 	for v := 0; v < c; v++ {
-		inRate[v] = 0
+		in := 0.0
 		nv := float64(sys.Clusters[v].Nodes)
 		for u := 0; u < c; u++ {
 			if u == v {
 				continue
 			}
 			nu := float64(sys.Clusters[u].Nodes)
-			inRate[v] += outRate[u] * nv / (n - nu)
+			in += outRate[u] * nv / (n - nu)
 		}
+		inRate[v] = in
 	}
 }
 
@@ -369,7 +453,7 @@ type intraResult struct {
 // node link, which for the fat tree (d = 2j) is exactly the paper's Eqs.
 // 24–25 and for other topologies the same stage equations over their own
 // distance distribution.
-func (m *Model) intraCluster(i int, lamI float64) intraResult {
+func (m *Model) intraCluster(i int, lamI float64, sc *scratch) intraResult {
 	cl := &m.Sys.Clusters[i]
 	nNodes := float64(cl.Nodes)
 	f := m.Opt.ChannelFactor
@@ -378,19 +462,21 @@ func (m *Model) intraCluster(i int, lamI float64) intraResult {
 	lamI1 := nNodes * (1 - m.pOut[i]) * lamI // Eq. 5
 	etaI1 := m.dAvgI1[i] * lamI1 / (f * m.etaChI1[i])
 	dist := m.distI1[i]
+	// Every route length shares the node-end stage, so one walk yields S₀
+	// for all of them: s0[d−2] is that of the d−1 stage journey.
+	s0 := sc.s0[:max(len(dist)-2, 0)]
+	ok := suffixService(mtcnI1, etaI1, nil, stage{mtcsI1, etaI1}, s0)
 	var res intraResult
 	for d := 2; d < len(dist); d++ {
 		pd := dist[d]
 		if pd == 0 {
 			continue
 		}
-		s0, ok := chainService(d-1, func(int) float64 { return etaI1 },
-			func(int) float64 { return mtcsI1 }, mtcnI1)
-		if !ok {
+		if d-2 >= ok {
 			res.sat = satChainI1
 			return res
 		}
-		res.s += pd * s0
+		res.s += pd * s0[d-2]
 		res.r += pd * (float64(d-2)*tcsI1 + tcnI1)
 	}
 	sigma2 := sq(res.s - mtcnI1) // Eq. 22
@@ -420,7 +506,7 @@ type pairResult struct {
 // cluster i's ECN1, the ICN2 traverse (whose first and last hops are the
 // concentrator↔ICN2 links), and the descent through cluster v's ECN1 ending
 // on its switch→node link.
-func (m *Model) interPair(i, v int, lamI float64, outRate, inRate []float64) pairResult {
+func (m *Model) interPair(i, v int, lamI float64, outRate, inRate []float64, sc *scratch) pairResult {
 	sys := m.Sys
 	cl := &sys.Clusters[i]
 	clv := &sys.Clusters[v]
@@ -445,38 +531,37 @@ func (m *Model) interPair(i, v int, lamI float64, outRate, inRate []float64) pai
 		etaI2 = lamI2PerConc * m.dICN2 / (f * m.c2)
 	}
 
+	ps := pairStages{
+		up:   stage{mtcsE1i, etaE1},
+		conc: stage{m.mtcsConc, etaI2},
+		icn2: stage{m.mtcsI2, etaI2},
+		down: stage{mtcsE1v, etaE1},
+		mtcn: mtcnE1v,
+	}
+	// Journeys of one (l, d₂) suffix differ only in their ascent height j,
+	// so one walk per suffix yields S₀ for every j. The walks run on the
+	// first ascent height forEachJLD visits, which visits every suffix.
+	pj := m.probJ[i]
+	j0 := 1
+	for j0 < len(pj) && pj[j0] == 0 {
+		j0++
+	}
+	jn := len(pj) - 1
 	var pr pairResult
 	var se, re float64
 	forEachJLD(m, i, v, func(j, l, d2 int, p float64) bool {
-		k := j + l + d2 - 1
-		s0, ok := chainService(k, func(stage int) float64 {
-			// Eq. 29: the d2 ICN2 stages sit between the ascent (j−1
-			// switch-switch hops) and the final descent.
-			if stage >= j-1 && stage < j+d2-1 {
-				return etaI2
-			}
-			return etaE1
-		}, func(stage int) float64 {
-			// Tier-indexed Eq. 16 service: stages j−1 and j+d2−2 are the
-			// concentrator↔ICN2 entry/exit links, the stages between them
-			// ICN2 switch links, everything before the source ECN1,
-			// everything after the destination ECN1.
-			switch {
-			case stage < j-1:
-				return mtcsE1i
-			case stage == j-1 || stage == j+d2-2:
-				return m.mtcsConc
-			case stage < j+d2-1:
-				return m.mtcsI2
-			default:
-				return mtcsE1v
-			}
-		}, mtcnE1v)
-		if !ok {
+		blk := l*len(m.dist2) + d2
+		s0 := sc.s0[blk*jn : (blk+1)*jn]
+		if j == j0 {
+			sc.tail = ps.suffix(sc.tail[:0], l, d2)
+			sc.n[blk] = suffixService(ps.mtcn, ps.down.eta, sc.tail, ps.up, s0)
+		}
+		if j > sc.n[blk] {
 			pr.sat = satChainE
 			return false
 		}
-		se += p * s0
+		k := j + l + d2 - 1
+		se += p * s0[j-1]
 		// Eq. 32: the tail pipeline crosses k−1 switch-class links and the
 		// final node link. With heterogeneous tiers the sum splits per
 		// network; the homogeneous form is kept verbatim so the default
@@ -542,9 +627,9 @@ func (m *Model) Evaluate(lambdaG float64) (Result, error) {
 }
 
 // evaluate is the shared driver behind Model.Evaluate and Grid.Evaluate: with
-// a nil Grid it allocates fresh rate slices and computes every cluster and
+// a nil Grid it allocates a fresh scratch and computes every cluster and
 // pair directly; with a Grid it reuses the grid's scratch and consults its
-// per-λ memo, which returns bit-identical values because equal memo keys
+// per-point memo, which returns bit-identical values because equal class IDs
 // capture every floating-point input of the corresponding computation.
 func (m *Model) evaluate(lambdaG float64, g *Grid) (Result, error) {
 	if lambdaG < 0 || math.IsNaN(lambdaG) {
@@ -554,15 +639,18 @@ func (m *Model) evaluate(lambdaG float64, g *Grid) (Result, error) {
 	res := Result{LambdaG: lambdaG, PerCluster: make([]ClusterResult, sys.C())}
 	c := sys.C()
 
-	var lam, outRate, inRate []float64
+	var sc *scratch
 	if g != nil {
-		lam, outRate, inRate = g.beginPoint()
+		sc = &g.sc
 	} else {
-		lam = make([]float64, c)
-		outRate = make([]float64, c)
-		inRate = make([]float64, c)
+		own := newScratch(m)
+		sc = &own
 	}
+	lam, outRate, inRate := sc.lam, sc.outRate, sc.inRate
 	m.fillRates(lambdaG, lam, outRate, inRate)
+	if g != nil {
+		g.beginPoint()
+	}
 
 	saturate := func(cr *ClusterResult, where string) {
 		cr.Saturated = true
@@ -579,9 +667,9 @@ func (m *Model) evaluate(lambdaG float64, g *Grid) (Result, error) {
 
 		var ir intraResult
 		if g != nil {
-			ir = g.intraCluster(i, lam[i])
+			ir = g.intraCluster(i)
 		} else {
-			ir = m.intraCluster(i, lam[i])
+			ir = m.intraCluster(i, lam[i], sc)
 		}
 		// The partial S/R sums are kept even when saturated, matching the
 		// original single-function evaluation.
@@ -602,11 +690,14 @@ func (m *Model) evaluate(lambdaG float64, g *Grid) (Result, error) {
 			if v == i {
 				continue
 			}
-			var pr pairResult
+			// The grid hands out its memo slot: copying the result out of
+			// a call on each of the C² reads costs a store-forwarding stall.
+			var pr *pairResult
 			if g != nil {
-				pr = g.interPair(i, v, lam[i], outRate, inRate)
+				pr = g.interPair(i, v)
 			} else {
-				pr = m.interPair(i, v, lam[i], outRate, inRate)
+				r := m.interPair(i, v, lam[i], outRate, inRate, sc)
+				pr = &r
 			}
 			if pr.sat != satNone {
 				sat, satV = pr.sat, v

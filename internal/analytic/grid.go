@@ -3,7 +3,7 @@ package analytic
 import "math"
 
 // Grid batch-evaluates one Model over many operating points, amortizing the
-// work the point-wise Evaluate repeats: the per-point rate slices are reused
+// work the point-wise Evaluate repeats: the per-point scratch is reused
 // instead of reallocated, and within each point the per-cluster intra results
 // and per-destination pair results are memoized by the full set of
 // floating-point inputs feeding them. Organizations built from repeated
@@ -14,134 +14,171 @@ import "math"
 // in ascending destination order, so every floating-point operation and its
 // order are unchanged.
 //
+// The memo is keyed by interned classes: once per point, every cluster gets
+// an intra class, a pair-source class and a pair-destination class ID, equal
+// for two clusters exactly when the raw bits of every input their side of
+// the computation reads are equal. The memos are dense tables indexed by
+// those IDs, so a point costs C interning steps instead of C² key hashes.
+//
 // A Grid is not safe for concurrent use; callers that share one across
 // goroutines (e.g. a server) must serialize access. Create with NewGrid.
 type Grid struct {
-	m *Model
+	m  *Model
+	sc scratch
 
-	// Per-point scratch, reused across Evaluate calls.
-	lam, outRate, inRate []float64
-	// topoID caches each cluster's intra-topology identity string for the
-	// memo keys (built once; Spec.String allocates).
-	topoID []string
+	// topoID numbers each cluster's distinct ICN1 topology spec.
+	topoID []int32
+	// d2Slots is the pair memo's extent in the ICN2 route length: the
+	// route-length distribution's length under ExactICN2Pairs, where the
+	// pair's own route length is an input, and 1 otherwise.
+	d2Slots int
 
-	// Per-point memos, cleared by beginPoint. The keys embed every
-	// λ-dependent input as raw float bits, so entries never leak between
-	// operating points even if a caller interleaved λ values.
-	intraMemo map[intraKey]intraResult
-	pairMemo  map[pairKey]pairResult
+	// Per-point class IDs of each cluster and the class keys they index.
+	intraID, srcID, dstID []int32
+	intraCls              []intraClass
+	srcCls                []srcClass
+	dstCls                []dstClass
+	// Per-point memos: intraMemo by intra class, pairMemo by (source class,
+	// destination class, d₂ slot).
+	intraMemo []memoEntry[intraResult]
+	pairMemo  []memoEntry[pairResult]
 }
 
-// intraKey captures every input of Model.intraCluster that can differ
-// between clusters: the tree shape (levels; ports are model-global and
-// determine probJ and dAvg together with levels), the ICN1 topology (two
-// same-shaped clusters may run different intra networks), the cluster size
-// (which determines P_o), the per-node rate, and the cluster's ICN1 link
-// class.
-type intraKey struct {
+// intraClass is every input of Model.intraCluster that can differ between
+// clusters: the tree shape (levels; ports are model-global and determine the
+// route distribution together with levels and topology), the ICN1 topology,
+// the cluster size (which determines P_o), the per-node rate and the
+// cluster's ICN1 link class.
+type intraClass struct {
+	levels, nodes, topo int32
+	pOut, lam           uint64
+	tcnI1, tcsI1        uint64
+}
+
+// srcClass and dstClass split the inputs of Model.interPair that can differ
+// between (source, destination) pairs into the source's and the
+// destination's: shapes and sizes, the source rate and ECN1 class, the
+// destination ECN1 class and the λ-dependent aggregate rates. The pair's
+// ICN2 route length is the third memo index under ExactICN2Pairs; otherwise
+// the averaged distribution is pair-independent. The ECN1 legs are always
+// trees and the global interconnect is model-global, so no topology
+// identity is needed here.
+type srcClass struct {
 	levels, nodes int32
-	topo          string
-	pOut          uint64
-	lam           uint64
-	tcnI1, tcsI1  uint64
+	pOut, lam     uint64
+	tcsE1, out    uint64
 }
 
-// pairKey captures every input of Model.interPair that can differ between
-// (source, destination) pairs: both shapes and sizes, the source rate and
-// ECN1 class, the destination ECN1 class, the pair's λ-dependent aggregate
-// rates, and — under ExactICN2Pairs — the pair's ICN2 route length (d2 is
-// -1 when the averaged distribution is in effect, which is
-// pair-independent). The ECN1 legs are always trees and the global
-// interconnect is model-global, so no topology identity is needed here.
-type pairKey struct {
-	lvI, lvV, nI, nV int32
-	d2               int32
-	pOutI            uint64
-	lamI             uint64
-	tcsE1I           uint64
-	tcnE1V, tcsE1V   uint64
-	outI, outV       uint64
-	inV              uint64
+type dstClass struct {
+	levels, nodes int32
+	tcnE1, tcsE1  uint64
+	out, in       uint64
+}
+
+// memoEntry is one memo slot; set marks it computed at the current point.
+type memoEntry[T any] struct {
+	val T
+	set bool
+}
+
+// intern returns the index of k in classes, appending it if new. A linear
+// scan suits the handful of classes real organizations have, and costs at
+// most the C² pair evaluations it saves when every cluster is distinct.
+func intern[K comparable](classes []K, k K) ([]K, int32) {
+	for id, x := range classes {
+		if x == k {
+			return classes, int32(id)
+		}
+	}
+	return append(classes, k), int32(len(classes))
+}
+
+// resetMemo returns memo resized to n cleared entries.
+func resetMemo[T any](memo []memoEntry[T], n int) []memoEntry[T] {
+	if cap(memo) < n {
+		return make([]memoEntry[T], n)
+	}
+	memo = memo[:n]
+	clear(memo)
+	return memo
 }
 
 // NewGrid prepares a batched evaluator over m. The model must not be
 // mutated while the grid is in use.
 func NewGrid(m *Model) *Grid {
 	c := m.Sys.C()
+	ids := make([]int32, 4*c)
 	g := &Grid{
-		m:         m,
-		lam:       make([]float64, c),
-		outRate:   make([]float64, c),
-		inRate:    make([]float64, c),
-		intraMemo: make(map[intraKey]intraResult),
-		pairMemo:  make(map[pairKey]pairResult),
-		topoID:    make([]string, c),
+		m:        m,
+		sc:       newScratch(m),
+		topoID:   ids[:c:c],
+		intraID:  ids[c : 2*c : 2*c],
+		srcID:    ids[2*c : 3*c : 3*c],
+		dstID:    ids[3*c:],
+		d2Slots:  1,
+		intraCls: make([]intraClass, 0, c),
+		srcCls:   make([]srcClass, 0, c),
+		dstCls:   make([]dstClass, 0, c),
 	}
+	if m.Opt.ExactICN2Pairs {
+		g.d2Slots = len(m.dist2)
+	}
+	var topos []string
 	for i := range g.topoID {
-		g.topoID[i] = m.Sys.Clusters[i].Topo.String()
+		topos, g.topoID[i] = intern(topos, m.Sys.Clusters[i].Topo.String())
 	}
 	return g
 }
 
-// beginPoint hands the evaluation driver the reusable rate scratch and
-// resets the per-point memos.
-func (g *Grid) beginPoint() (lam, outRate, inRate []float64) {
-	clear(g.intraMemo)
-	clear(g.pairMemo)
-	return g.lam, g.outRate, g.inRate
+// beginPoint interns every cluster's classes from the point's rates (already
+// in the scratch) and resets the per-point memos.
+func (g *Grid) beginPoint() {
+	m := g.m
+	g.intraCls, g.srcCls, g.dstCls = g.intraCls[:0], g.srcCls[:0], g.dstCls[:0]
+	for i := range m.Sys.Clusters {
+		cl := &m.Sys.Clusters[i]
+		lv, nn := int32(cl.Levels), int32(cl.Nodes)
+		pOut, lam, out := math.Float64bits(m.pOut[i]), math.Float64bits(g.sc.lam[i]), math.Float64bits(g.sc.outRate[i])
+		g.intraCls, g.intraID[i] = intern(g.intraCls, intraClass{
+			levels: lv, nodes: nn, topo: g.topoID[i], pOut: pOut, lam: lam,
+			tcnI1: math.Float64bits(m.tcnI1[i]), tcsI1: math.Float64bits(m.tcsI1[i]),
+		})
+		g.srcCls, g.srcID[i] = intern(g.srcCls, srcClass{
+			levels: lv, nodes: nn, pOut: pOut, lam: lam,
+			tcsE1: math.Float64bits(m.tcsE1[i]), out: out,
+		})
+		g.dstCls, g.dstID[i] = intern(g.dstCls, dstClass{
+			levels: lv, nodes: nn,
+			tcnE1: math.Float64bits(m.tcnE1[i]), tcsE1: math.Float64bits(m.tcsE1[i]),
+			out: out, in: math.Float64bits(g.sc.inRate[i]),
+		})
+	}
+	g.intraMemo = resetMemo(g.intraMemo, len(g.intraCls))
+	g.pairMemo = resetMemo(g.pairMemo, len(g.srcCls)*len(g.dstCls)*g.d2Slots)
 }
 
 // intraCluster is the memoizing wrapper around Model.intraCluster.
-func (g *Grid) intraCluster(i int, lamI float64) intraResult {
-	m := g.m
-	cl := &m.Sys.Clusters[i]
-	key := intraKey{
-		levels: int32(cl.Levels),
-		nodes:  int32(cl.Nodes),
-		topo:   g.topoID[i],
-		pOut:   math.Float64bits(m.pOut[i]),
-		lam:    math.Float64bits(lamI),
-		tcnI1:  math.Float64bits(m.tcnI1[i]),
-		tcsI1:  math.Float64bits(m.tcsI1[i]),
+func (g *Grid) intraCluster(i int) intraResult {
+	e := &g.intraMemo[g.intraID[i]]
+	if !e.set {
+		e.val, e.set = g.m.intraCluster(i, g.sc.lam[i], &g.sc), true
 	}
-	if r, ok := g.intraMemo[key]; ok {
-		return r
-	}
-	r := m.intraCluster(i, lamI)
-	g.intraMemo[key] = r
-	return r
+	return e.val
 }
 
-// interPair is the memoizing wrapper around Model.interPair.
-func (g *Grid) interPair(i, v int, lamI float64, outRate, inRate []float64) pairResult {
+// interPair is the memoizing wrapper around Model.interPair. It returns the
+// memo slot, valid until the next point.
+func (g *Grid) interPair(i, v int) *pairResult {
 	m := g.m
-	cl := &m.Sys.Clusters[i]
-	clv := &m.Sys.Clusters[v]
-	d2 := int32(-1)
+	d2 := 0
 	if m.Opt.ExactICN2Pairs {
-		d2 = int32(m.dOf[i][v])
+		d2 = m.dOf[i][v]
 	}
-	key := pairKey{
-		lvI:    int32(cl.Levels),
-		lvV:    int32(clv.Levels),
-		nI:     int32(cl.Nodes),
-		nV:     int32(clv.Nodes),
-		d2:     d2,
-		pOutI:  math.Float64bits(m.pOut[i]),
-		lamI:   math.Float64bits(lamI),
-		tcsE1I: math.Float64bits(m.tcsE1[i]),
-		tcnE1V: math.Float64bits(m.tcnE1[v]),
-		tcsE1V: math.Float64bits(m.tcsE1[v]),
-		outI:   math.Float64bits(outRate[i]),
-		outV:   math.Float64bits(outRate[v]),
-		inV:    math.Float64bits(inRate[v]),
+	e := &g.pairMemo[(int(g.srcID[i])*len(g.dstCls)+int(g.dstID[v]))*g.d2Slots+d2]
+	if !e.set {
+		e.val, e.set = m.interPair(i, v, g.sc.lam[i], g.sc.outRate, g.sc.inRate, &g.sc), true
 	}
-	if r, ok := g.pairMemo[key]; ok {
-		return r
-	}
-	r := m.interPair(i, v, lamI, outRate, inRate)
-	g.pairMemo[key] = r
-	return r
+	return &e.val
 }
 
 // Evaluate computes the model at λ_g exactly like Model.Evaluate — same

@@ -137,6 +137,15 @@ func TestGridEquivalence(t *testing.T) {
 		{name: "per-cluster-links", org: "m=4:2x1@ecn1=0.04/0.02/0.004,2x2@2", flits: 32, lm: 256, opt: analytic.DefaultOptions()},
 		{name: "tier-override", org: "m=4:2x1,2x2", links: "icn2=0.04/0.02/0.004+conc=0.04/0.02/0.004", flits: 32, lm: 256, opt: analytic.DefaultOptions()},
 		{name: "paper-literal", org: system.Format(system.Table1Org2()), flits: 32, lm: 256, opt: analytic.PaperLiteralOptions()},
+		// Groups of same-shape clusters, each differing from the first group
+		// in exactly one memo input: the rate factor (by one ulp too), t_cn
+		// or t_cs of the ECN1 or ICN1 class (the default class is
+		// 0.02/0.01/0.002), or the ICN1 topology. Each must get its own
+		// interned class, or the grid replays another cluster's result.
+		{name: "intern-rate-factor", org: "m=4:3x2,3x2@2,3x2@1.0000000000000002", flits: 32, lm: 256, opt: analytic.DefaultOptions()},
+		{name: "intern-ecn1-class", org: "m=4:3x2,3x2@ecn1=0.04/0.01/0.002,3x2@ecn1=0.02/0.03/0.002", flits: 32, lm: 256, opt: analytic.DefaultOptions()},
+		{name: "intern-icn1-class", org: "m=4:3x2,3x2@icn1=0.04/0.01/0.002,3x2@icn1=0.02/0.03/0.002", flits: 32, lm: 256, opt: analytic.DefaultOptions()},
+		{name: "intern-icn1-topo", org: "m=4:3x2,3x2@topo=jellyfish", flits: 32, lm: 256, opt: analytic.DefaultOptions()},
 		{
 			name: "exact-pairs-feedback", org: "m=4:4x2", flits: 32, lm: 256,
 			opt: func() analytic.Options {
@@ -147,6 +156,14 @@ func TestGridEquivalence(t *testing.T) {
 			}(),
 		},
 	}
+	// Exact ICN2 route lengths that differ between pairs of the same
+	// cluster classes.
+	exact := analytic.DefaultOptions()
+	exact.ExactICN2Pairs = true
+	cases = append(cases,
+		tc{name: "exact-pairs-org1", org: system.Format(system.Table1Org1()), flits: 32, lm: 256, opt: exact},
+		tc{name: "exact-pairs-dragonfly", org: "m=4@icn2topo=dragonfly:8x2,4x3@topo=jellyfish", flits: 32, lm: 256, opt: exact},
+	)
 	// The hetero-links builtin sweeps one org against several tier specs;
 	// every combination joins the table.
 	if spec, ok := sweep.Builtin("hetero-links"); ok {

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"mcnet/internal/analytic"
 	"mcnet/internal/des"
 	"mcnet/internal/mcsim"
 	"mcnet/internal/rng"
@@ -238,6 +239,65 @@ func BenchmarkServeAnalyzeMiss(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
+}
+
+// BenchmarkAnalyticEval measures one evaluation of the paper's model on the
+// memoized evaluator (analytic.Grid) at a load no earlier iteration used:
+// the model work behind every /v1/analyze response miss and every
+// saturation-search probe. "org1" is the 32-cluster Table 1 organization;
+// "topologies" cycles through the builtin topologies study's models (Org2
+// under the fat-tree, jellyfish and fat-tree+dragonfly axes), the scenarios
+// analyze traffic spreads over. Loads sit at half of each model's
+// saturation point.
+func BenchmarkAnalyticEval(b *testing.B) {
+	topologies, ok := sweep.Builtin("topologies")
+	if !ok {
+		b.Fatal("builtin topologies missing")
+	}
+	for _, c := range []struct {
+		name string
+		orgs []string
+		axes []string
+	}{
+		{"org1", []string{"org1"}, []string{""}},
+		{"topologies", topologies.Orgs, topologies.Topologies},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var grids []*analytic.Grid
+			var loads []float64
+			for _, spec := range c.orgs {
+				for _, axis := range c.axes {
+					org, err := system.ParseOrganization(spec)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if err := system.ApplyTopologyAxis(&org, axis); err != nil {
+						b.Fatal(err)
+					}
+					sys, err := system.New(org)
+					if err != nil {
+						b.Fatal(err)
+					}
+					m, err := analytic.New(sys, units.Default(), analytic.DefaultOptions())
+					if err != nil {
+						b.Fatal(err)
+					}
+					g := analytic.NewGrid(m)
+					grids = append(grids, g)
+					loads = append(loads, 0.5*g.SaturationPoint(1e-6, 1, 1e-3))
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := i % len(grids)
+				if _, err := grids[k].MeanLatency(loads[k] + float64(i+1)*1e-15); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(b.Elapsed().Seconds()*1e6/float64(b.N), "us/eval")
+		})
+	}
 }
 
 // BenchmarkSweepExpand measures the sweep engine's prelude on the
