@@ -1,7 +1,8 @@
 // Package bench holds the cross-layer performance benchmarks of the
 // simulation core: the discrete-event scheduler (internal/des), the wormhole
 // flow-control engine (internal/wormhole), the whole-system simulator
-// (internal/mcsim) and the end-to-end builtin figure sweep (internal/sweep).
+// (internal/mcsim), the analytic model's evaluator (internal/analytic) and
+// the end-to-end builtin figure sweep (internal/sweep).
 //
 // The benchmarks are the regression harness behind `make bench`, which runs
 // them with -benchmem and -json and writes BENCH_<rev>.json at the repo root.
