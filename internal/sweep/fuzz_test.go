@@ -22,6 +22,7 @@ func FuzzExpand(f *testing.F) {
 	f.Add("m=4:2x1", "uniform", "balanced", "poisson", "bimodal:128:8:0.2", 1e-4, 0.0, uint64(7), 1, 1)
 	f.Add("m=4:2x1", "uniform", "balanced", "poisson", "fixed", -1.0, 0.0, uint64(7), 1, 1)
 	f.Add("m=4:2x1", "uniform", "balanced", "poisson", "fixed", math.NaN(), 0.0, uint64(7), 1, 1)
+	f.Add("m=4:1x15", "cluster-local:0.9", "balinced", "deterministic", "geometric:32", 1e-3, 1e-3, uint64(0), 3, 3)
 
 	f.Fuzz(func(t *testing.T, org, pattern, routing, arrival, size string, l1, l2 float64, baseSeed uint64, reps, flits int) {
 		lambdas := []float64{l1}

@@ -79,8 +79,13 @@ type treeSwitch struct {
 // errBadShape reports an unconstructible m-port n-tree shape.
 var errBadShape = errors.New("topo: invalid m-port n-tree shape")
 
-// checkShape rejects shapes no m-port n-tree has: ports must be an even
-// number ≥ 2 and levels ≥ 1, and sizes that would overflow int are refused.
+// maxTreeNodes bounds the node count 2(m/2)^n of a buildable tree. A fat
+// tree precomputes a route for every ordered node pair, so its tables grow
+// as N²·n: about 70 MB at this bound, and gigabytes a few levels beyond it.
+const maxTreeNodes = 1 << 10
+
+// checkShape rejects shapes no m-port n-tree has (ports must be an even
+// number ≥ 2 and levels ≥ 1) and shapes of more than maxTreeNodes nodes.
 func checkShape(ports, levels int) error {
 	if ports < 2 || ports%2 != 0 {
 		return fmt.Errorf("%w: ports m=%d must be even and ≥ 2", errBadShape, ports)
@@ -88,12 +93,12 @@ func checkShape(ports, levels int) error {
 	if levels < 1 {
 		return fmt.Errorf("%w: levels n=%d must be ≥ 1", errBadShape, levels)
 	}
-	k, pow := ports/2, 1
+	k, nodes := ports/2, 2
 	for i := 0; i < levels; i++ {
-		if pow > (1<<40)/k {
-			return fmt.Errorf("%w: m=%d n=%d is too large", errBadShape, ports, levels)
+		if nodes > maxTreeNodes/k {
+			return fmt.Errorf("%w: m=%d n=%d has more than %d nodes", errBadShape, ports, levels, maxTreeNodes)
 		}
-		pow *= k
+		nodes *= k
 	}
 	return nil
 }

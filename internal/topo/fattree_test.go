@@ -65,8 +65,16 @@ func TestNewRejectsBadShapes(t *testing.T) {
 			t.Errorf("newFatTree(%d,%d) accepted", bad.m, bad.n)
 		}
 	}
-	if _, err := newFatTree(1024, 12, routing.Balanced); err == nil {
-		t.Error("oversized tree accepted")
+	// Oversized: int overflow, and node counts whose all-pairs route tables
+	// would take gigabytes (m=4:1x15 crashed a sweep expansion out of
+	// memory before the node bound).
+	for _, big := range []struct{ m, n int }{{1024, 12}, {4, 15}, {4, 10}, {8, 6}, {64, 2}} {
+		if _, err := newFatTree(big.m, big.n, routing.Balanced); err == nil {
+			t.Errorf("oversized tree (%d,%d) accepted", big.m, big.n)
+		}
+	}
+	if err := checkShape(4, 9); err != nil {
+		t.Errorf("1024-node tree rejected: %v", err)
 	}
 }
 

@@ -18,6 +18,7 @@ func FuzzParseLinkClass(f *testing.F) {
 		"icn2=0.04/0.02/0.004", "conc=0.03/0.015/0.004+icn1=0.01/0.005/0.001",
 		"icn2=0.04/0.02/0.004+icn2=0.04/0.02/0.004", "uniform",
 		"icn1=NaN/0/1", "bogus=1/2/3", "icn2", "=1/2/3",
+		"conc=0/0/1000000", "icn2=1e+22/0/1e-7+conc=0/2E+30/1",
 	} {
 		f.Add(seed)
 	}

@@ -161,7 +161,7 @@ func ParseTiers(spec string) (TierParams, error) {
 		return TierParams{}, nil
 	}
 	var t TierParams
-	for _, part := range strings.Split(spec, "+") {
+	for _, part := range splitTiers(spec) {
 		name, classSpec, ok := strings.Cut(part, "=")
 		if !ok {
 			return TierParams{}, fmt.Errorf("units: tier spec %q: segment %q needs <tier>=<class>", spec, part)
@@ -190,6 +190,21 @@ func ParseTiers(spec string) (TierParams, error) {
 		*slot = &cc
 	}
 	return t, nil
+}
+
+// splitTiers splits a tier spec at the '+' between assignments. A '+' right
+// after 'e' or 'E' is an exponent sign, as in the "1e+06" LinkClass.String
+// renders for large values, not a separator.
+func splitTiers(spec string) []string {
+	var parts []string
+	start := 0
+	for i := 0; i < len(spec); i++ {
+		if spec[i] == '+' && (i == 0 || (spec[i-1] != 'e' && spec[i-1] != 'E')) {
+			parts = append(parts, spec[start:i])
+			start = i + 1
+		}
+	}
+	return append(parts, spec[start:])
 }
 
 // Base returns the Params' global technology vector as a link class.
