@@ -465,14 +465,14 @@ func (m *Model) intraCluster(i int, lamI float64, sc *scratch) intraResult {
 	// Every route length shares the node-end stage, so one walk yields S₀
 	// for all of them: s0[d−2] is that of the d−1 stage journey.
 	s0 := sc.s0[:max(len(dist)-2, 0)]
-	ok := suffixService(mtcnI1, etaI1, nil, stage{mtcsI1, etaI1}, s0)
+	stable := suffixService(mtcnI1, etaI1, nil, stage{mtcsI1, etaI1}, s0)
 	var res intraResult
 	for d := 2; d < len(dist); d++ {
 		pd := dist[d]
 		if pd == 0 {
 			continue
 		}
-		if d-2 >= ok {
+		if d-2 >= stable {
 			res.sat = satChainI1
 			return res
 		}
