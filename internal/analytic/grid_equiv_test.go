@@ -122,15 +122,19 @@ func loadGrid(m *analytic.Model, points int) []float64 {
 	return append(xs, 0, sat)
 }
 
-func TestGridEquivalence(t *testing.T) {
-	type tc struct {
-		name      string
-		org       string
-		links     string
-		flits, lm int
-		opt       analytic.Options
-	}
-	cases := []tc{
+// equivCase is one model of the equivalence suite.
+type equivCase struct {
+	name      string
+	org       string
+	links     string
+	flits, lm int
+	opt       analytic.Options
+}
+
+// equivCases are the models TestGridEquivalence and
+// TestGridHistoryIndependent cover.
+func equivCases(t *testing.T) []equivCase {
+	cases := []equivCase{
 		{name: "org1-default", org: system.Format(system.Table1Org1()), flits: 32, lm: 256, opt: analytic.DefaultOptions()},
 		{name: "mixed-m8-m64", org: "m=8:8x1,8x2,4x3", flits: 64, lm: 512, opt: analytic.DefaultOptions()},
 		{name: "hetero-shapes", org: "m=4:2x1,2x2@2,1x3", flits: 32, lm: 256, opt: analytic.DefaultOptions()},
@@ -161,8 +165,8 @@ func TestGridEquivalence(t *testing.T) {
 	exact := analytic.DefaultOptions()
 	exact.ExactICN2Pairs = true
 	cases = append(cases,
-		tc{name: "exact-pairs-org1", org: system.Format(system.Table1Org1()), flits: 32, lm: 256, opt: exact},
-		tc{name: "exact-pairs-dragonfly", org: "m=4@icn2topo=dragonfly:8x2,4x3@topo=jellyfish", flits: 32, lm: 256, opt: exact},
+		equivCase{name: "exact-pairs-org1", org: system.Format(system.Table1Org1()), flits: 32, lm: 256, opt: exact},
+		equivCase{name: "exact-pairs-dragonfly", org: "m=4@icn2topo=dragonfly:8x2,4x3@topo=jellyfish", flits: 32, lm: 256, opt: exact},
 	)
 	// The hetero-links builtin sweeps one org against several tier specs;
 	// every combination joins the table.
@@ -176,7 +180,7 @@ func TestGridEquivalence(t *testing.T) {
 				if links == "uniform" {
 					links = ""
 				}
-				cases = append(cases, tc{
+				cases = append(cases, equivCase{
 					name: "builtin-hetero-links/" + org + "/" + links,
 					org:  org, links: links, flits: 32, lm: 256, opt: opts,
 				})
@@ -185,10 +189,45 @@ func TestGridEquivalence(t *testing.T) {
 	} else {
 		t.Fatal("builtin hetero-links missing")
 	}
-	for _, c := range cases {
+	return cases
+}
+
+func TestGridEquivalence(t *testing.T) {
+	for _, c := range equivCases(t) {
 		t.Run(c.name, func(t *testing.T) {
 			m := buildModel(t, c.org, c.links, c.flits, c.lm, c.opt)
 			checkEquivalence(t, m, loadGrid(m, 9))
+		})
+	}
+}
+
+// TestGridHistoryIndependent pins what a process-wide shared Grid relies on:
+// a grid that has already evaluated unrelated loads, saturated ones
+// included, answers exactly like a fresh one. Its saturation search lands
+// on a fresh Model's point and its latencies match a fresh grid's, bit for
+// bit.
+func TestGridHistoryIndependent(t *testing.T) {
+	for _, c := range equivCases(t) {
+		t.Run(c.name, func(t *testing.T) {
+			m := buildModel(t, c.org, c.links, c.flits, c.lm, c.opt)
+			lambdas := loadGrid(m, 9)
+			used := analytic.NewGrid(m)
+			sat := lambdas[len(lambdas)-1]
+			for _, l := range []float64{7 * sat, 0.37 * sat, 1.01 * sat, 1e-9, 3.3 * sat, 0.71 * sat} {
+				used.MeanLatency(l)
+			}
+			want := buildModel(t, c.org, c.links, c.flits, c.lm, c.opt).SaturationPoint(1e-6, 1, 1e-3)
+			if got := used.SaturationPoint(1e-6, 1, 1e-3); !bitsEqual(got, want) {
+				t.Fatalf("used grid saturation point %x, fresh model %x", got, want)
+			}
+			for _, l := range lambdas {
+				want, wantErr := analytic.NewGrid(m).MeanLatency(l)
+				got, gotErr := used.MeanLatency(l)
+				if !bitsEqual(got, want) || (wantErr == nil) != (gotErr == nil) ||
+					errors.Is(wantErr, analytic.ErrSaturated) != errors.Is(gotErr, analytic.ErrSaturated) {
+					t.Fatalf("λ=%v: used grid (%x, %v), fresh grid (%x, %v)", l, got, gotErr, want, wantErr)
+				}
+			}
 		})
 	}
 }

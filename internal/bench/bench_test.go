@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"mcnet/internal/analytic"
@@ -300,15 +301,11 @@ func BenchmarkAnalyticEval(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepExpand measures the sweep engine's prelude on the
-// sweep-grid benchmark's spec (both Table 1 organizations × three topologies
-// at equal switch budget × Poisson and MMPP arrivals × 4 loads): spec
-// parsing, model construction and the analytic saturation search that places
-// every organization's load grid. Topologies come from the process-wide
-// topo cache after the first iteration, so the metric is dominated by the
-// saturation search.
-func BenchmarkSweepExpand(b *testing.B) {
-	spec := sweep.Spec{
+// benchGridSpec is the sweep-grid benchmark's spec: both Table 1
+// organizations × three topologies at equal switch budget × Poisson and
+// MMPP arrivals × 4 loads.
+func benchGridSpec() sweep.Spec {
+	return sweep.Spec{
 		Name:       "bench-grid",
 		Orgs:       []string{"org1", "org2"},
 		Topologies: []string{"fattree", "jellyfish", "fattree+dragonfly"},
@@ -316,13 +313,77 @@ func BenchmarkSweepExpand(b *testing.B) {
 		Loads:      sweep.Loads{Points: 4, MaxFraction: 0.9},
 		Warmup:     200, Measure: 2000, Drain: 200,
 	}
+}
+
+// expandRuns numbers every BenchmarkSweepExpand iteration in the process,
+// so each one expands a spec the model memo has not seen.
+var expandRuns int
+
+// BenchmarkSweepExpand measures a cold expansion of the sweep-grid
+// benchmark's spec: spec parsing, model construction and the analytic
+// saturation search that places every organization's load grid. Each
+// iteration scales α_net by a distinct factor just above 1, so the sweep's
+// process-wide model memo never hits and every model is built and searched
+// afresh. Topologies come from the process-wide topo cache after the first
+// iteration, so the metric is dominated by the saturation search.
+func BenchmarkSweepExpand(b *testing.B) {
+	spec := benchGridSpec()
+	d := units.Default()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
+		expandRuns++
+		scale := 1 + float64(expandRuns)*1e-12
+		spec.Tech = &sweep.Tech{AlphaNet: d.AlphaNet * scale, AlphaSw: d.AlphaSw, BetaNet: d.BetaNet}
 		if _, err := sweep.Expand(spec); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/expand")
+}
+
+// warmCache holds the outcomes of every sweep-grid benchmark job, filled
+// once per process by a cold engine pass.
+var warmCache = sync.OnceValues(func() (*sweep.MemCache, error) {
+	cache := sweep.NewMemCache()
+	_, err := (&sweep.Engine{Cache: cache}).Run(benchGridSpec())
+	return cache, err
+})
+
+// BenchmarkSweepWarm measures one engine pass of the sweep-grid benchmark's
+// spec over a filled in-memory outcome cache: expansion, the analysis
+// column and the ordered emission of every row, with no simulation. It is
+// the sweep engine's warm-cache number.
+func BenchmarkSweepWarm(b *testing.B) {
+	cache, err := warmCache()
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := benchGridSpec()
+	run := func() int {
+		var buf bytes.Buffer
+		sink := sweep.NewJSONLSink(&buf)
+		eng := &sweep.Engine{Cache: cache, Sinks: []sweep.Sink{sink}}
+		sum, err := eng.Run(spec)
+		if err == nil {
+			err = sink.Flush()
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		if sum.CacheHits != sum.Total {
+			b.Fatalf("warm pass: %d of %d jobs from the cache", sum.CacheHits, sum.Total)
+		}
+		return sum.Total
+	}
+	jobs := run() // untimed: puts the spec's models in the memo
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	secs := b.Elapsed().Seconds()
+	b.ReportMetric(secs*1e3/float64(b.N), "ms/pass")
+	b.ReportMetric(float64(jobs*b.N)/secs, "jobs/s")
 }
 
 // BenchmarkSweepFigure runs the builtin Figure 3 (M=32) grid — 20 jobs over

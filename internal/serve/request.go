@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strconv"
 	"sync"
 
 	"mcnet/internal/analytic"
@@ -78,33 +77,12 @@ type preparedModel struct {
 	sat  float64
 }
 
-// modelKey canonically identifies a prepared model: everything that feeds
-// analytic.New. org, links and topoAxis arrive in canonical spec syntax
-// (links is the same string par.Tiers was parsed from; topoAxis is the
-// sweep's canonical axis value, "" for the default fat trees); the
-// technology floats render in hex so every bit counts.
-func modelKey(model, org, links, topoAxis string, par units.Params) string {
-	hf := func(v float64) string { return strconv.FormatFloat(v, 'x', -1, 64) }
-	key := "model=" + model +
-		"|org=" + org +
-		"|m=" + strconv.Itoa(par.MessageFlits) +
-		"|lm=" + strconv.Itoa(par.FlitBytes) +
-		"|links=" + links +
-		"|an=" + hf(par.AlphaNet) + "|as=" + hf(par.AlphaSw) + "|bn=" + hf(par.BetaNet)
-	// Default-omitting, like Job identity: fat-tree keys are unchanged from
-	// before the topology axis existed.
-	if topoAxis != "" {
-		key += "|topo=" + topoAxis
-	}
-	return key
-}
-
 // preparedModel returns the cached evaluator for (model, org, links,
 // topoAxis, par), building and caching it on miss. Concurrent misses may
 // build twice; the last Put wins, which is benign (the entries are
 // equivalent).
 func (s *Server) preparedModel(model, org, links, topoAxis string, par units.Params) (*preparedModel, error) {
-	key := modelKey(model, org, links, topoAxis, par)
+	key := sweep.ModelKey(model, org, links, topoAxis, par)
 	if v, ok := s.models.Get(key); ok {
 		return v.(*preparedModel), nil
 	}

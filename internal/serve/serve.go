@@ -140,7 +140,7 @@ type Server struct {
 
 	cache      *layeredCache // simulation outcomes, keyed by Job.Key
 	resp       *lruCache     // rendered analyze responses
-	models     *lruCache     // prepared analytic evaluators, keyed by modelKey
+	models     *lruCache     // prepared analytic evaluators, keyed by sweep.ModelKey
 	respHits   atomic.Int64
 	respMisses atomic.Int64
 	flight     flightGroup

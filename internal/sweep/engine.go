@@ -8,9 +8,7 @@ import (
 	"sync"
 	"time"
 
-	"mcnet/internal/analytic"
 	"mcnet/internal/mcsim"
-	"mcnet/internal/system"
 	"mcnet/internal/workload"
 )
 
@@ -414,7 +412,8 @@ func analysisKey(j Job) [5]int {
 // analysisTable precomputes the analytic latency for every distinct
 // (org, message, links, topology, load) combination of the grid,
 // sequentially and before any simulation starts, so emission never blocks
-// on model evaluation.
+// on model evaluation. The models, and the points already evaluated on
+// them, come from the process-wide memo.
 func analysisTable(spec Spec, jobs []Job) (map[[5]int]analysisPoint, error) {
 	table := make(map[[5]int]analysisPoint)
 	if spec.Model == "none" {
@@ -424,47 +423,26 @@ func analysisTable(spec Spec, jobs []Job) (map[[5]int]analysisPoint, error) {
 		}
 		return table, nil
 	}
-	opts, err := ModelOptions(spec.Model)
-	if err != nil {
-		return nil, err
-	}
-	// One batched evaluator per distinct model: the grid's load axis then
-	// reuses the model's memoized shared terms across its λ points instead
-	// of re-running every stage recursion per point.
 	type mkey struct{ org, msg, links, topo int }
-	grids := make(map[mkey]*analytic.Grid)
+	models := make(map[mkey]*sharedModel)
 	for _, j := range jobs {
 		k := analysisKey(j)
 		if _, ok := table[k]; ok {
 			continue
 		}
 		mk := mkey{j.OrgIndex, j.MsgIndex, j.LinksIndex, j.TopoIndex}
-		g, ok := grids[mk]
+		m, ok := models[mk]
 		if !ok {
-			org, err := j.TopoOrg()
-			if err != nil {
-				return nil, err
-			}
-			sys, err := system.New(org)
-			if err != nil {
-				return nil, err
-			}
 			par, err := j.Params()
 			if err != nil {
 				return nil, err
 			}
-			m, err := analytic.New(sys, par, opts)
-			if err != nil {
-				return nil, err
-			}
-			g = analytic.NewGrid(m)
-			grids[mk] = g
+			m = sharedModelFor(spec.Model, j.Org, j.Links, j.Topo, par)
+			models[mk] = m
 		}
-		var p analysisPoint
-		if v, err := g.MeanLatency(j.Lambda); err != nil {
-			p = analysisPoint{value: Float(math.NaN()), saturated: true}
-		} else {
-			p = analysisPoint{value: Float(v)}
+		p, err := m.point(j.Lambda)
+		if err != nil {
+			return nil, err
 		}
 		table[k] = p
 	}

@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"strings"
 
-	"mcnet/internal/analytic"
 	"mcnet/internal/system"
 	"mcnet/internal/topo"
 	"mcnet/internal/units"
@@ -204,10 +203,6 @@ func Expand(spec Spec) ([]Job, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	grids, err := loadGrids(spec)
-	if err != nil {
-		return nil, err
-	}
 	arrivals, err := canonicalArrivals(spec.Arrivals)
 	if err != nil {
 		return nil, err
@@ -224,12 +219,18 @@ func Expand(spec Spec) ([]Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	var jobs []Job
-	for oi, org := range spec.Orgs {
-		canonical, err := canonicalOrg(org)
-		if err != nil {
+	orgs := make([]string, len(spec.Orgs))
+	for i, org := range spec.Orgs {
+		if orgs[i], err = canonicalOrg(org); err != nil {
 			return nil, err
 		}
+	}
+	grids, err := loadGrids(spec, orgs, links, topos)
+	if err != nil {
+		return nil, err
+	}
+	var jobs []Job
+	for oi, canonical := range orgs {
 		for mi, msg := range spec.Messages {
 			par, err := spec.params(msg, "")
 			if err != nil {
@@ -362,9 +363,11 @@ func canonicalOrg(spec string) (string, error) {
 // explicit lambda list (shared), or Points loads ending at MaxFraction × the
 // organization's analytic saturation point maximized over the message and
 // link axes (so all of an organization's curves share one grid, as the
-// paper's figures do).
-func loadGrids(spec Spec) ([][]float64, error) {
-	grids := make([][]float64, len(spec.Orgs))
+// paper's figures do). orgs, links and topos are the spec's canonical axis
+// values; the models and their saturation points come from the
+// process-wide memo.
+func loadGrids(spec Spec, orgs, links, topos []string) ([][]float64, error) {
+	grids := make([][]float64, len(orgs))
 	if len(spec.Loads.Lambdas) > 0 {
 		for i := range grids {
 			grids[i] = spec.Loads.Lambdas
@@ -377,39 +380,27 @@ func loadGrids(spec Spec) ([][]float64, error) {
 	// runs over the topology axis too, so every topology's curve fits on
 	// the shared grid; with the default axis this materializes exactly the
 	// pre-topology systems.
-	opts, _ := ModelOptions("calibrated")
-	for oi, orgSpec := range spec.Orgs {
+	for oi, org := range orgs {
 		var sat float64
-		for _, topoAxis := range spec.Topologies {
-			org, err := system.ParseOrganization(orgSpec)
-			if err != nil {
-				return nil, err
-			}
-			if err := system.ApplyTopologyAxis(&org, topoAxis); err != nil {
-				return nil, fmt.Errorf("sweep: spec %q: %v", spec.Name, err)
-			}
-			sys, err := system.New(org)
-			if err != nil {
-				return nil, err
-			}
+		for _, topoAxis := range topos {
 			for _, msg := range spec.Messages {
-				for _, links := range spec.Links {
-					par, err := spec.params(msg, links)
+				for _, lk := range links {
+					par, err := spec.params(msg, lk)
 					if err != nil {
 						return nil, fmt.Errorf("sweep: spec %q: %v", spec.Name, err)
 					}
-					m, err := analytic.New(sys, par, opts)
+					s, err := sharedModelFor("calibrated", org, lk, topoAxis, par).saturation()
 					if err != nil {
-						return nil, fmt.Errorf("sweep: spec %q: org %q: %v", spec.Name, orgSpec, err)
+						return nil, fmt.Errorf("sweep: spec %q: org %q: %v", spec.Name, spec.Orgs[oi], err)
 					}
-					if s := m.SaturationPoint(1e-6, 1, 1e-3); !math.IsInf(s, 1) && s > sat {
+					if !math.IsInf(s, 1) && s > sat {
 						sat = s
 					}
 				}
 			}
 		}
 		if sat == 0 {
-			return nil, fmt.Errorf("sweep: spec %q: org %q has no finite saturation point", spec.Name, orgSpec)
+			return nil, fmt.Errorf("sweep: spec %q: org %q has no finite saturation point", spec.Name, spec.Orgs[oi])
 		}
 		xMax := sat * spec.Loads.MaxFraction
 		grid := make([]float64, spec.Loads.Points)
