@@ -60,7 +60,6 @@ type sharedModel struct {
 	par             units.Params
 
 	grid    *analytic.Grid // nil until first use
-	err     error          // the build's error, if it failed
 	sat     float64        // grid-placement saturation point, once satDone
 	satDone bool
 	points  map[uint64]analysisPoint // by Float64bits of λ
@@ -86,13 +85,16 @@ func sharedModelFor(model, org, links, topoAxis string, par units.Params) *share
 	return m
 }
 
-// gridLocked builds the model on first use; m.mu must be held. A failed
-// build is remembered: it is a function of the key too.
+// gridLocked builds the model on first use; m.mu must be held.
 func (m *sharedModel) gridLocked() (*analytic.Grid, error) {
-	if m.grid == nil && m.err == nil {
-		m.grid, m.err = m.build()
+	if m.grid == nil {
+		g, err := m.build()
+		if err != nil {
+			return nil, err
+		}
+		m.grid = g
 	}
-	return m.grid, m.err
+	return m.grid, nil
 }
 
 func (m *sharedModel) build() (*analytic.Grid, error) {
