@@ -29,7 +29,9 @@
 //	fmt.Printf("analysis %.2f vs simulation %.2f time units\n",
 //		cmp.Analysis, cmp.Simulation)
 //
-// The runnable examples under examples/ and the five command-line tools
-// under cmd/ (mclat, mcsim, mcexp, mctopo, mcsweep) build on the same
-// facade.
+// The Example functions in example_test.go run under go test and show the
+// facade on heterogeneous links, alternative topologies and bursty traffic
+// with trace replay. The nine command-line tools under cmd/ (mclat, mcsim,
+// mcexp, mctopo, mcsweep, mcrepro, mcserved, benchdiff, promlint) import
+// the internal/ packages directly rather than this facade.
 package mcnet

@@ -193,21 +193,3 @@ func (g *Grid) MeanLatency(lambdaG float64) (float64, error) {
 	res, err := g.Evaluate(lambdaG)
 	return res.MeanLatency, err
 }
-
-// EvalGrid evaluates the model at every λ of a load grid through one Grid.
-// Results are positionally aligned with lambdaGs; saturated points carry
-// Result.Saturated and +Inf latencies as usual. The error is the first
-// non-saturation error (an invalid λ), with the corresponding Result zero.
-func EvalGrid(m *Model, lambdaGs []float64) ([]Result, error) {
-	g := NewGrid(m)
-	out := make([]Result, len(lambdaGs))
-	var firstErr error
-	for k, l := range lambdaGs {
-		res, err := g.Evaluate(l)
-		out[k] = res
-		if err != nil && err != ErrSaturated && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return out, firstErr
-}

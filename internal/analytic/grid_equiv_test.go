@@ -98,12 +98,6 @@ func checkEquivalence(t *testing.T, m *analytic.Model, lambdas []float64) {
 		}
 		requireSameResult(t, want, got)
 	}
-	// EvalGrid is the one-shot wrapper over the same machinery.
-	batch, _ := analytic.EvalGrid(m, lambdas)
-	for i, l := range lambdas {
-		want, _ := m.Evaluate(l)
-		requireSameResult(t, want, batch[i])
-	}
 }
 
 // loadGrid builds a λ grid reaching deliberately past the model's saturation
@@ -241,9 +235,6 @@ func TestGridEvaluateInvalid(t *testing.T) {
 		if _, err := g.Evaluate(bad); err == nil {
 			t.Fatalf("λ=%v: grid accepted an invalid load", bad)
 		}
-	}
-	if _, err := analytic.EvalGrid(m, []float64{1e-5, -1}); err == nil {
-		t.Fatal("EvalGrid swallowed the invalid-λ error")
 	}
 }
 

@@ -22,7 +22,7 @@ func (r Runner) BaselineComparison(org system.Organization, par units.Params, po
 	if err != nil {
 		return nil, err
 	}
-	model, err := analytic.New(sys, par, r.Options)
+	model, err := analytic.New(sys, par, analytic.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 
+	"mcnet/internal/analytic"
 	"mcnet/internal/mcsim"
 	"mcnet/internal/plot"
 	"mcnet/internal/system"
@@ -144,7 +145,7 @@ func (r Runner) ContentionStudy(points int) ([]plot.Series, error) {
 				return nil, err
 			}
 			topoAxis[ci] = c.Axis
-			g, err := newModelGrid(sys, par, rc.Options)
+			g, err := newModelGrid(sys, par, analytic.DefaultOptions())
 			if err != nil {
 				return nil, err
 			}

@@ -60,14 +60,13 @@ type Curve struct {
 
 // Figure is a regenerated evaluation panel.
 type Figure struct {
-	Name    string // e.g. "fig3-m32"
-	Title   string
-	Org     system.Organization
-	MFlits  int
-	XMax    float64
-	Curves  []Curve
-	Scale   Scale
-	Options analytic.Options
+	Name   string // e.g. "fig3-m32"
+	Title  string
+	Org    system.Organization
+	MFlits int
+	XMax   float64
+	Curves []Curve
+	Scale  Scale
 }
 
 // Runner carries the common knobs of all experiments. Every experiment's
@@ -75,8 +74,7 @@ type Figure struct {
 // bounds, deterministic per-job seeding and (optionally) result caching are
 // inherited from that subsystem.
 type Runner struct {
-	Scale   Scale
-	Options analytic.Options
+	Scale Scale
 	// Workers bounds the simulation parallelism (0 = GOMAXPROCS), enforced
 	// by the sweep engine's worker pool.
 	Workers int
@@ -91,17 +89,12 @@ type Runner struct {
 	ExtraSinks func(spec sweep.Spec) []sweep.Sink
 }
 
-// NewRunner returns a Runner with the calibrated model options.
+// NewRunner returns a Runner at the given measurement scale. Every study's
+// model uses the calibrated options (analytic.DefaultOptions).
 func NewRunner(scale Scale) Runner {
-	return Runner{Scale: scale, Options: analytic.DefaultOptions()}
+	return Runner{Scale: scale}
 }
 
-// simSpec builds the simulation side of an experiment as a sweep spec: an
-// explicit load grid at the runner's measurement scale, with engine-side
-// analysis disabled (experiments attach their own model curves, which may
-// use custom options). Tier overrides carried by par become the spec's link
-// axis, so a study handed heterogeneous technology simulates it too
-// (studies that sweep links themselves overwrite Links afterwards).
 // newModelGrid builds the analytic model and wraps it in a batched
 // evaluator: every study probes its model over a load grid (plus the
 // saturation search), exactly the access pattern analytic.Grid amortizes.
@@ -113,6 +106,13 @@ func newModelGrid(sys *system.System, par units.Params, opts analytic.Options) (
 	return analytic.NewGrid(m), nil
 }
 
+// simSpec builds the simulation side of an experiment as a sweep spec: an
+// explicit load grid at the runner's measurement scale, with engine-side
+// analysis disabled (experiments attach their own model curves, which the
+// interpretation ablation evaluates under two option presets). Tier
+// overrides carried by par become the spec's link axis, so a study handed
+// heterogeneous technology simulates it too (studies that sweep links
+// themselves overwrite Links afterwards).
 func (r Runner) simSpec(name string, org system.Organization, par units.Params, lambdas []float64) sweep.Spec {
 	spec := sweep.Spec{
 		Name:     name,
@@ -187,7 +187,7 @@ func aggregateReps(results []sweep.Result, key func(sweep.Job) [2]int) map[[2]in
 func (r Runner) LatencyFigure(name, title string, org system.Organization, mFlits int, flitBytes []int, points int) (Figure, error) {
 	fig := Figure{
 		Name: name, Title: title, Org: org, MFlits: mFlits,
-		Scale: r.Scale, Options: r.Options,
+		Scale: r.Scale,
 	}
 	sys, err := system.New(org)
 	if err != nil {
@@ -197,7 +197,7 @@ func (r Runner) LatencyFigure(name, title string, org system.Organization, mFlit
 	var xMax float64
 	for i, lm := range flitBytes {
 		par := units.Default().WithMessage(mFlits, lm)
-		m, err := newModelGrid(sys, par, r.Options)
+		m, err := newModelGrid(sys, par, analytic.DefaultOptions())
 		if err != nil {
 			return fig, err
 		}
@@ -317,7 +317,7 @@ func (r Runner) TrafficPatternStudy(org system.Organization, par units.Params, p
 	if err != nil {
 		return nil, err
 	}
-	model, err := newModelGrid(sys, par, r.Options)
+	model, err := newModelGrid(sys, par, analytic.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -372,7 +372,7 @@ func (r Runner) WorkloadStudy(org system.Organization, par units.Params, points 
 	if err != nil {
 		return nil, err
 	}
-	model, err := newModelGrid(sys, par, r.Options)
+	model, err := newModelGrid(sys, par, analytic.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -455,7 +455,7 @@ func (r Runner) LinkHeterogeneityStudy(org system.Organization, par units.Params
 		}
 		p.Tiers = tiers
 		linksAxis[ci] = c.Links
-		if models[ci], err = newModelGrid(sys, p, r.Options); err != nil {
+		if models[ci], err = newModelGrid(sys, p, analytic.DefaultOptions()); err != nil {
 			return nil, err
 		}
 		sat := models[ci].SaturationPoint(1e-6, 1, 1e-3)
@@ -534,7 +534,7 @@ func (r Runner) TopologyCompareStudy(org system.Organization, par units.Params, 
 			return nil, err
 		}
 		topoAxis[ci] = c.Axis
-		if models[ci], err = newModelGrid(sys, par, r.Options); err != nil {
+		if models[ci], err = newModelGrid(sys, par, analytic.DefaultOptions()); err != nil {
 			return nil, err
 		}
 		sat := models[ci].SaturationPoint(1e-6, 1, 1e-3)
@@ -585,7 +585,7 @@ func (r Runner) RoutingAblation(org system.Organization, par units.Params, point
 	if err != nil {
 		return nil, err
 	}
-	model, err := newModelGrid(sys, par, r.Options)
+	model, err := newModelGrid(sys, par, analytic.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -675,7 +675,7 @@ func (r Runner) RateHeterogeneityStudy(points int) ([]plot.Series, error) {
 	if err != nil {
 		return nil, err
 	}
-	model, err := newModelGrid(sys, par, r.Options)
+	model, err := newModelGrid(sys, par, analytic.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}

@@ -386,3 +386,28 @@ func TestOnProgressDoesNotPerturbResults(t *testing.T) {
 		t.Errorf("probe reported %d events, run executed %d", lastEvents, observed.Events)
 	}
 }
+
+func TestSourceWaitGrowsWithLoad(t *testing.T) {
+	low, err := Run(smallConfig(0.0002, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	high, err := Run(smallConfig(0.004, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.IsNaN(low.SourceWait.Mean) || math.IsNaN(high.SourceWait.Mean) {
+		t.Fatal("source wait not recorded")
+	}
+	if low.SourceWait.Mean < 0 {
+		t.Errorf("negative source wait %v", low.SourceWait.Mean)
+	}
+	if !(high.SourceWait.Mean > low.SourceWait.Mean) {
+		t.Errorf("source wait at high load (%v) not above low load (%v)",
+			high.SourceWait.Mean, low.SourceWait.Mean)
+	}
+	// The source wait is a component of total latency.
+	if high.SourceWait.Mean >= high.Latency.Mean {
+		t.Errorf("source wait %v exceeds total latency %v", high.SourceWait.Mean, high.Latency.Mean)
+	}
+}

@@ -49,7 +49,7 @@ type TelemetryConfig struct {
 	SeriesCap int
 }
 
-// Tier aggregates the simulator's channel groups into the four components
+// Tier classifies the simulator's directed links into the four components
 // the analytical model distinguishes: the intra-cluster networks (ICN1),
 // the inter-cluster access networks (ECN1), the concentrator links, and the
 // global network (ICN2). Telemetry reports per tier — never per channel —
@@ -89,18 +89,27 @@ func TierNames() [numTiers]string {
 	return [numTiers]string{TierICN1.String(), TierECN1.String(), TierConc.String(), TierICN2.String()}
 }
 
-// tierOfGroup folds the six channel groups onto the four model tiers.
-func tierOfGroup(g ChannelGroup) Tier {
-	switch g {
-	case GroupICN1Node, GroupICN1Switch:
-		return TierICN1
-	case GroupECN1Node, GroupECN1Switch:
-		return TierECN1
-	case GroupConcentrator:
-		return TierConc
-	default:
-		return TierICN2
+// tierOf resolves a global channel index to its tier using the layout
+// recorded at construction. Every concentrator-owned link — the ECN1
+// root↔concentrator links and the concentrator↔ICN2 injection and ejection
+// links — belongs to TierConc; the injection link is the single
+// serialization point the model's Eq. 33 queue describes.
+func (s *Sim) tierOf(c int32) Tier {
+	for i := range s.clusters {
+		cn := &s.clusters[i]
+		switch {
+		case c >= cn.icn1Base && c < cn.icn1Base+int32(cn.icn1.Channels()):
+			return TierICN1
+		case c >= cn.ecn1Base && c < cn.ecn1Base+int32(cn.ecn1.Channels()):
+			return TierECN1
+		case c >= cn.rootUpBase && c < cn.rootDownBase+int32(cn.ecn1.Roots()):
+			return TierConc
+		}
 	}
+	if s.icn2.IsNodeChannel(int(c - s.icn2Base)) {
+		return TierConc
+	}
+	return TierICN2
 }
 
 // Default histogram bucket layouts. Times are in model time units (the same
@@ -142,7 +151,7 @@ type Telemetry struct {
 	stride uint64 // current sampling stride (doubles on series compaction)
 
 	// tierOf maps every channel to its tier: one arena, built at setup, so
-	// the sampler and the delivery walk never call groupOf.
+	// the sampler and the delivery walk never call Sim.tierOf.
 	tierOf   []uint8
 	channels [numTiers]int
 
@@ -186,7 +195,7 @@ func (s *Sim) setupTelemetry() {
 	t := &Telemetry{sim: s, stride: cfg.SampleEvery}
 	t.tierOf = make([]uint8, s.net.Channels())
 	for c := range t.tierOf {
-		tier := tierOfGroup(s.groupOf(int32(c)))
+		tier := s.tierOf(int32(c))
 		t.tierOf[c] = uint8(tier)
 		t.channels[tier]++
 	}

@@ -3,6 +3,9 @@ package mcsim
 import (
 	"math"
 	"testing"
+
+	"mcnet/internal/system"
+	"mcnet/internal/units"
 )
 
 func telemetryConfig(lambda float64, seed uint64) Config {
@@ -65,8 +68,26 @@ func TestTelemetryReportConsistency(t *testing.T) {
 			t.Errorf("tier %s busy time %v outside [0, %v]", tier.Tier, tier.BusyTime, rep.Time*float64(tier.Channels))
 		}
 	}
-	if channels == 0 {
-		t.Fatal("report covers no channels")
+	if channels != sim.Network().Channels() {
+		t.Errorf("tiers cover %d channels, network has %d", channels, sim.Network().Channels())
+	}
+	// Channel count per tier is structural: verify against the topology.
+	// Each cluster's ICN1 has the shape of its ECN1; the concentrator tier
+	// adds the ECN1 root↔concentrator links and the concentrator↔ICN2
+	// injection/ejection links.
+	sys := sim.System()
+	var want [numTiers]int
+	for _, c := range sys.Clusters {
+		want[TierICN1] += c.ECN1Net.Channels()
+		want[TierECN1] += c.ECN1Net.Channels()
+		want[TierConc] += 2 * c.ECN1Net.Roots()
+	}
+	want[TierConc] += 2 * sys.ICN2Net.Nodes()
+	want[TierICN2] = sys.ICN2Net.Channels() - 2*sys.ICN2Net.Nodes()
+	for i, tier := range rep.Tiers {
+		if tier.Channels != want[i] {
+			t.Errorf("tier %s covers %d channels, want %d", tier.Tier, tier.Channels, want[i])
+		}
 	}
 	if math.Abs(blockSum-1) > 1e-9 {
 		t.Errorf("blocking fractions sum to %v, want 1", blockSum)
@@ -108,6 +129,39 @@ func TestTelemetryReportConsistency(t *testing.T) {
 	}
 	if sum.TierByName(sum.Bottleneck) == nil {
 		t.Errorf("bottleneck %q is not a tier", sum.Bottleneck)
+	}
+}
+
+func TestConcentratorUtilizationMatchesEq33Load(t *testing.T) {
+	// The busiest concentrator link should be utilized at roughly
+	// ρ = N_max·P_o·λ_g·M·t_cs, the arrival×service product of the model's
+	// concentrator queue (Eq. 33). This pins the physical grounding of the
+	// analytic concentrator term.
+	org := system.Table1Org2()
+	par := units.Default()
+	lambda := 3e-4
+	s, err := New(Config{
+		Org: org, Par: par, LambdaG: lambda,
+		Warmup: 2000, Measure: 30000, Drain: 2000, Seed: 31,
+		Telemetry: &TelemetryConfig{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	sys := s.System()
+	var want float64
+	for i, c := range sys.Clusters {
+		rho := float64(c.Nodes) * sys.POut(i) * lambda * par.MTcs()
+		if rho > want {
+			want = rho
+		}
+	}
+	got := s.Telemetry().Snapshot().Tiers[TierConc].MaxUtilization
+	if math.Abs(got-want) > 0.25*want {
+		t.Errorf("max concentrator utilization = %v, Eq. 33 load predicts ≈%v", got, want)
 	}
 }
 

@@ -301,15 +301,7 @@ func (e *Engine) runJobInner(ctx context.Context, j Job, telemetry bool) (Result
 
 // Execute runs one job's simulation to completion.
 func Execute(j Job) (Outcome, error) {
-	return ExecuteObserved(j, 0, nil)
-}
-
-// ExecuteObserved is Execute with a live progress probe: onProgress, if
-// non-nil, is sampled from the simulator's event loop about every `every`
-// executed events (0 = the simulator's default stride). The probe has no
-// effect on the outcome — ExecuteObserved(j, 0, nil) is exactly Execute(j).
-func ExecuteObserved(j Job, every uint64, onProgress func(events uint64, simTime float64)) (Outcome, error) {
-	o, _, err := ExecuteOpts(j, ExecOptions{ProgressEvery: every, OnProgress: onProgress})
+	o, _, err := ExecuteOpts(j, ExecOptions{})
 	return o, err
 }
 

@@ -287,7 +287,7 @@ func Table1Org2() Organization {
 }
 
 // Uniform returns an organization of `count` identical clusters, the
-// homogeneous baseline used by the heterogeneity-study example.
+// homogeneous baseline a heterogeneous organization is compared against.
 func Uniform(name string, ports, count, levels int) Organization {
 	return Organization{
 		Name:  name,

@@ -44,8 +44,8 @@ var (
 	// Table1Org2 is the paper's second validated organization
 	// (N=544, C=16, m=4).
 	Table1Org2 = system.Table1Org2
-	// UniformOrg builds a homogeneous organization (the baseline of the
-	// heterogeneity-study example).
+	// UniformOrg builds a homogeneous organization, the baseline a
+	// heterogeneous one is compared against.
 	UniformOrg = system.Uniform
 	// ParseOrganization parses "m=8:12x1,16x2,4x3"-style specs (cluster
 	// groups may carry @icn1=/@ecn1= link-class suffixes).
