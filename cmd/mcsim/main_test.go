@@ -1,0 +1,79 @@
+package main
+
+import (
+	"bytes"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// tiny is a small organization at a few hundred messages: each run takes
+// milliseconds.
+var tiny = []string{"-org", "m=4:2x2,2x3", "-lambda", "2e-4", "-warmup", "50", "-measure", "400", "-drain", "50"}
+
+func runMcsim(t *testing.T, args ...string) (string, error) {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	err := run(append(append([]string{}, tiny...), args...), &stdout, &stderr)
+	return stdout.String(), err
+}
+
+// latencyLine returns the "rep 0 (seed …): mean=…" line of a run's output.
+func latencyLine(t *testing.T, out string) string {
+	t.Helper()
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "rep 0 (seed ") {
+			return line
+		}
+	}
+	t.Fatalf("no latency line in output:\n%s", out)
+	return ""
+}
+
+// TestPatternSyntax checks that -pattern uses the sweep grammar: fractions
+// outside [0,1] and the old "local:" spelling are rejected.
+func TestPatternSyntax(t *testing.T) {
+	for _, bad := range []string{"hotspot:1.5", "local:0.6"} {
+		if _, err := runMcsim(t, "-pattern", bad); err == nil {
+			t.Errorf("-pattern %s accepted", bad)
+		}
+	}
+	out, err := runMcsim(t, "-pattern", "cluster-local:0.6")
+	if err != nil {
+		t.Fatalf("-pattern cluster-local:0.6: %v", err)
+	}
+	latencyLine(t, out)
+}
+
+func TestRoutingRandomUp(t *testing.T) {
+	out, err := runMcsim(t, "-routing", "random-up")
+	if err != nil {
+		t.Fatalf("-routing random-up: %v", err)
+	}
+	if !strings.Contains(out, "routing=random-up") {
+		t.Errorf("parameters line does not name the routing:\n%s", out)
+	}
+	latencyLine(t, out)
+}
+
+// TestJellyfishRecordReplay records a run on Jellyfish cluster networks and
+// replays the trace: the trace header must carry the topology, so the
+// replay prints the same latency line.
+func TestJellyfishRecordReplay(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "run.jsonl")
+	rec, err := runMcsim(t, "-topo", "jellyfish", "-record", trace)
+	if err != nil {
+		t.Fatalf("record: %v", err)
+	}
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-replay", trace}, &stdout, &stderr); err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	rep := stdout.String()
+	if !strings.Contains(rep, "@topo=jellyfish") {
+		t.Errorf("replayed org lost the topology:\n%s", rep)
+	}
+	if got, want := latencyLine(t, rep), latencyLine(t, rec); got != want {
+		t.Errorf("replay latency line differs:\n got %s\nwant %s", got, want)
+	}
+}

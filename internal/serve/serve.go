@@ -74,8 +74,9 @@ type Config struct {
 	// MaxJobs bounds retained job records; the oldest finished records are
 	// evicted first (0 = 4096).
 	MaxJobs int
-	// CacheSize bounds the in-memory LRU of simulation outcomes and rendered
-	// analyze responses, each (0 = 4096).
+	// CacheSize bounds each of the in-memory LRUs: simulation outcomes,
+	// rendered analyze responses, prepared analytic models and finished
+	// runs' telemetry reports (0 = 4096).
 	CacheSize int
 	// Disk, if non-nil, is a second outcome-cache layer under the LRU —
 	// typically a *sweep.DirCache shared with cmd/mcsweep runs.

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"mcnet/internal/mcsim"
-	"mcnet/internal/workload"
 )
 
 // Result is one emitted row of a sweep: the job, the attached analytic
@@ -325,38 +324,13 @@ type ExecOptions struct {
 // ExecuteOpts runs one job's simulation with optional observation hooks.
 // The returned report is nil unless opt.Telemetry is set.
 func ExecuteOpts(j Job, opt ExecOptions) (Outcome, *mcsim.TelemetryReport, error) {
-	org, err := j.TopoOrg()
+	cfg, err := j.Config()
 	if err != nil {
 		return Outcome{}, nil, err
 	}
-	pattern, err := ParsePattern(j.Pattern)
-	if err != nil {
-		return Outcome{}, nil, err
-	}
-	mode, err := ParseRouting(j.Routing)
-	if err != nil {
-		return Outcome{}, nil, err
-	}
-	arrival, err := workload.ParseArrival(j.Arrival)
-	if err != nil {
-		return Outcome{}, nil, err
-	}
-	sizes, err := workload.ParseSize(j.SizeDist)
-	if err != nil {
-		return Outcome{}, nil, err
-	}
-	par, err := j.Params()
-	if err != nil {
-		return Outcome{}, nil, err
-	}
-	sim, err := mcsim.New(mcsim.Config{
-		Org: org, Par: par, LambdaG: j.Lambda,
-		Warmup: j.Warmup, Measure: j.Measure, Drain: j.Drain,
-		Seed: j.SimSeed, Pattern: pattern, RoutingMode: mode,
-		Arrival: arrival, Sizes: sizes,
-		OnProgress: opt.OnProgress, ProgressEvery: opt.ProgressEvery,
-		Telemetry: opt.Telemetry,
-	})
+	cfg.OnProgress, cfg.ProgressEvery = opt.OnProgress, opt.ProgressEvery
+	cfg.Telemetry = opt.Telemetry
+	sim, err := mcsim.New(cfg)
 	if err != nil {
 		return Outcome{}, nil, err
 	}

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 
+	"mcnet/internal/mcsim"
 	"mcnet/internal/system"
 	"mcnet/internal/topo"
 	"mcnet/internal/units"
@@ -133,6 +134,45 @@ func (j Job) Params() (units.Params, error) {
 	}
 	par.Tiers = tiers
 	return par, nil
+}
+
+// Config translates the job into the simulator configuration that runs it:
+// the organization with its topology axis folded in, the technology
+// parameters, the pattern, routing and workload axis values, the phases and
+// the seed. It is the one translation from job strings to an mcsim.Config;
+// callers add their observation hooks (progress, telemetry, recording,
+// replay) to the result.
+func (j Job) Config() (mcsim.Config, error) {
+	org, err := j.TopoOrg()
+	if err != nil {
+		return mcsim.Config{}, err
+	}
+	pattern, err := ParsePattern(j.Pattern)
+	if err != nil {
+		return mcsim.Config{}, err
+	}
+	mode, err := ParseRouting(j.Routing)
+	if err != nil {
+		return mcsim.Config{}, err
+	}
+	arrival, err := workload.ParseArrival(j.Arrival)
+	if err != nil {
+		return mcsim.Config{}, err
+	}
+	sizes, err := workload.ParseSize(j.SizeDist)
+	if err != nil {
+		return mcsim.Config{}, err
+	}
+	par, err := j.Params()
+	if err != nil {
+		return mcsim.Config{}, err
+	}
+	return mcsim.Config{
+		Org: org, Par: par, LambdaG: j.Lambda,
+		Warmup: j.Warmup, Measure: j.Measure, Drain: j.Drain,
+		Seed: j.SimSeed, Pattern: pattern, RoutingMode: mode,
+		Arrival: arrival, Sizes: sizes,
+	}, nil
 }
 
 // identity renders the outcome-determining fields canonically. Floats use

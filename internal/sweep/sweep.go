@@ -375,8 +375,8 @@ func ParseRouting(spec string) (routing.Mode, error) {
 }
 
 // ModelOptions resolves a model preset name. The empty name and "calibrated"
-// select the calibrated defaults; "none" returns ok=false meaning analysis
-// is skipped.
+// select the calibrated defaults; "none" (analysis skipped) returns the zero
+// Options and no error.
 func ModelOptions(name string) (analytic.Options, error) {
 	switch name {
 	case "", "calibrated":

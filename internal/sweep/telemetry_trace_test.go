@@ -6,8 +6,6 @@ import (
 	"testing"
 
 	"mcnet/internal/mcsim"
-	"mcnet/internal/system"
-	"mcnet/internal/workload"
 )
 
 // TestTelemetryReplayBitExact records a telemetry-enabled run and replays it
@@ -28,67 +26,16 @@ func TestTelemetryReplayBitExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	j := jobs[0]
+	cfg, err := j.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Telemetry = &mcsim.TelemetryConfig{}
+	sim, rsim := recordAndReplay(t, j, cfg)
 
-	org, err := system.ParseOrganization(j.Org)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := j.Params()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	w, err := workload.NewWriter(&buf, j.TraceHeader())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := mcsim.Config{
-		Org: org, Par: par,
-		LambdaG: j.Lambda, Warmup: j.Warmup, Measure: j.Measure, Drain: j.Drain,
-		Seed:      j.SimSeed,
-		Telemetry: &mcsim.TelemetryConfig{},
-		Record: func(e workload.Event) {
-			if err := w.Add(e); err != nil {
-				t.Fatal(err)
-			}
-		},
-	}
-	sim, err := mcsim.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	orig, err := sim.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	origRep, err := json.Marshal(sim.Telemetry().Snapshot())
 	if err != nil {
 		t.Fatal(err)
-	}
-
-	tr, err := workload.Read(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	repCfg, err := ReplayConfig(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	repCfg.Telemetry = &mcsim.TelemetryConfig{}
-	rsim, err := mcsim.New(repCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := rsim.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Latency != orig.Latency || rep.SourceWait != orig.SourceWait || rep.Events != orig.Events {
-		t.Fatalf("replayed run diverged:\n original %+v (%d events)\n replayed %+v (%d events)",
-			orig.Latency, orig.Events, rep.Latency, rep.Events)
 	}
 	replayRep, err := json.Marshal(rsim.Telemetry().Snapshot())
 	if err != nil {

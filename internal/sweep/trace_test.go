@@ -2,12 +2,73 @@ package sweep
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"mcnet/internal/mcsim"
-	"mcnet/internal/system"
 	"mcnet/internal/workload"
 )
+
+// recordAndReplay runs cfg (job j's Config plus any hooks) while recording
+// its generation stream under j's trace header, parses the serialized trace
+// back, checks that the header survived, and replays it through
+// ReplayConfig with cfg's telemetry setting. It fails the test unless the
+// replayed run reproduces the original latency summary exactly, and returns
+// both simulators after their runs.
+func recordAndReplay(t *testing.T, j Job, cfg mcsim.Config) (orig, rep *mcsim.Sim) {
+	t.Helper()
+	hdr, err := j.TraceHeader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	w, err := workload.NewWriter(&buf, hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Record = func(e workload.Event) {
+		if err := w.Add(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	orig, err = mcsim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	origRes, err := orig.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	tr, err := workload.Read(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Header != hdr {
+		t.Fatalf("header round trip:\n got %+v\nwant %+v", tr.Header, hdr)
+	}
+	repCfg, err := ReplayConfig(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repCfg.Telemetry = cfg.Telemetry
+	rep, err = mcsim.New(repCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repRes, err := rep.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if repRes.Latency != origRes.Latency || repRes.SourceWait != origRes.SourceWait || repRes.Events != origRes.Events {
+		t.Fatalf("replayed run diverged:\n original %+v (%d events)\n replayed %+v (%d events)",
+			origRes.Latency, origRes.Events, repRes.Latency, repRes.Events)
+	}
+	return orig, rep
+}
 
 // TestTraceHeaderReplayRoundTrip records one workload job's generation
 // stream through the trace serialization and replays it from the parsed
@@ -36,71 +97,43 @@ func TestTraceHeaderReplayRoundTrip(t *testing.T) {
 	if j.Links != "icn2=0.04/0.02/0.004" {
 		t.Fatalf("job links = %q, want the canonical axis value", j.Links)
 	}
-
-	// Assemble the job's config the way Execute does, plus a recorder.
-	org, err := system.ParseOrganization(j.Org)
+	cfg, err := j.Config()
 	if err != nil {
 		t.Fatal(err)
 	}
-	arrival, err := workload.ParseArrival(j.Arrival)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sizes, err := workload.ParseSize(j.SizeDist)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mode, err := ParseRouting(j.Routing)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	w, err := workload.NewWriter(&buf, j.TraceHeader())
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := j.Params()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.Tiers.Homogeneous() {
+	if cfg.Par.Tiers.Homogeneous() {
 		t.Fatal("job params lost the tier overrides")
 	}
-	cfg := mcsim.Config{
-		Org: org, Par: par,
-		LambdaG: j.Lambda, Warmup: j.Warmup, Measure: j.Measure, Drain: j.Drain,
-		Seed: j.SimSeed, RoutingMode: mode, Arrival: arrival, Sizes: sizes,
-		Record: func(e workload.Event) {
-			if err := w.Add(e); err != nil {
-				t.Fatal(err)
-			}
-		},
-	}
-	orig, err := mcsim.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	recordAndReplay(t, j, cfg)
+}
 
-	tr, err := workload.Read(bytes.NewReader(buf.Bytes()))
+// TestTraceHeaderKeepsTopology records a job on the Jellyfish topology axis:
+// the header's organization must carry the topology, so the replay runs on
+// the same switch graphs and reproduces the run bit-exactly.
+func TestTraceHeaderKeepsTopology(t *testing.T) {
+	spec := Spec{
+		Name:       "trace-topo",
+		Orgs:       []string{"m=4:2x2,2x3"},
+		Topologies: []string{"jellyfish"},
+		Loads:      Loads{Lambdas: []float64{2e-4}},
+		Warmup:     50, Measure: 400, Drain: 50,
+		Model: "none",
+	}
+	jobs, err := Expand(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Header != j.TraceHeader() {
-		t.Fatalf("header round trip:\n got %+v\nwant %+v", tr.Header, j.TraceHeader())
-	}
-	repCfg, err := ReplayConfig(tr)
+	j := jobs[0]
+	hdr, err := j.TraceHeader()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := mcsim.Run(repCfg)
+	if !strings.Contains(hdr.Org, "@topo=jellyfish") {
+		t.Fatalf("trace header org %q lost the jellyfish topology", hdr.Org)
+	}
+	cfg, err := j.Config()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Latency != orig.Latency || rep.SourceWait != orig.SourceWait || rep.Events != orig.Events {
-		t.Fatalf("replayed run diverged:\n original %+v (%d events)\n replayed %+v (%d events)",
-			orig.Latency, orig.Events, rep.Latency, rep.Events)
-	}
+	recordAndReplay(t, j, cfg)
 }

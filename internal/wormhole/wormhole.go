@@ -220,23 +220,9 @@ func (n *Network) QueueLen(c int32) int { return n.ch[c].waiting.len() }
 // MaxQueueLen returns the high-water mark of channel c's waiting queue.
 func (n *Network) MaxQueueLen(c int32) int { return n.ch[c].waiting.high }
 
-// Utilization returns the fraction of [0, now] that channel c was held.
-func (n *Network) Utilization(c int32) float64 {
-	now := n.sched.Now()
-	if now == 0 {
-		return 0
-	}
-	total := n.ch[c].busyTotal
-	if n.ch[c].busy {
-		total += now - n.ch[c].busySince
-	}
-	return total / now
-}
-
 // BusyTime returns the total time channel c has been held in [0, now],
-// including the currently open holding interval (Utilization without the
-// division, for observers that aggregate busy time across channels before
-// normalizing).
+// including the currently open holding interval. Observers aggregate it
+// across channels before normalizing by the elapsed time.
 func (n *Network) BusyTime(c int32) float64 {
 	total := n.ch[c].busyTotal
 	if n.ch[c].busy {

@@ -182,9 +182,8 @@ func TestConservationUnderRandomLoad(t *testing.T) {
 		if net.QueueLen(int32(c)) != 0 {
 			t.Errorf("channel %d still has waiters", c)
 		}
-		u := net.Utilization(int32(c))
-		if u < 0 || u > 1 {
-			t.Errorf("channel %d utilization %v outside [0,1]", c, u)
+		if b := net.BusyTime(int32(c)); b < 0 || b > sched.Now() {
+			t.Errorf("channel %d busy time %v outside [0, %v]", c, b, sched.Now())
 		}
 	}
 }
@@ -224,11 +223,14 @@ func TestUtilizationSingleWorm(t *testing.T) {
 	net.Inject(w)
 	sched.RunAll(0)
 	// ch0 held [0, 4] (M·ft), ch1 held [1, 5]; now = 5.
-	if u := net.Utilization(0); math.Abs(u-4.0/5.0) > 1e-12 {
-		t.Errorf("ch0 utilization = %v, want 0.8", u)
+	if now := sched.Now(); now != 5 {
+		t.Errorf("now = %v, want 5", now)
 	}
-	if u := net.Utilization(1); math.Abs(u-4.0/5.0) > 1e-12 {
-		t.Errorf("ch1 utilization = %v, want 0.8", u)
+	if b := net.BusyTime(0); math.Abs(b-4) > 1e-12 {
+		t.Errorf("ch0 busy time = %v, want 4", b)
+	}
+	if b := net.BusyTime(1); math.Abs(b-4) > 1e-12 {
+		t.Errorf("ch1 busy time = %v, want 4", b)
 	}
 	if g := net.Grants(0); g != 1 {
 		t.Errorf("ch0 grants = %d, want 1", g)
