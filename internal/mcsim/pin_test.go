@@ -19,6 +19,12 @@ import (
 // histograms, decomposition and the time series, whose sampling points are
 // event counts). A change to how the engine schedules its events — even one
 // that preserves every latency — moves at least one of these.
+//
+// The run-end digest covers the report without the fields sampled on the
+// event stride (events, series_every, series and the occupancy
+// histograms): it moves only if a simulated statistic does, so a change
+// that dispatches fewer events for the same simulation keeps it while
+// re-pinning the event-counted digests.
 func TestEventCountAndTelemetryPinned(t *testing.T) {
 	org2Jelly := system.Table1Org2()
 	if err := system.ApplyTopologyAxis(&org2Jelly, "jellyfish"); err != nil {
@@ -31,6 +37,7 @@ func TestEventCountAndTelemetryPinned(t *testing.T) {
 		simTime   uint64 // math.Float64bits of Result.SimTime
 		progress  string // SHA-256 of the OnProgress (events, time) stream
 		telemetry string // SHA-256 of the JSON TelemetryReport
+		runEnd    string // SHA-256 of the JSON TelemetryReport minus its event-stride fields
 	}{
 		{
 			name: "org1-fattree-poisson",
@@ -42,6 +49,7 @@ func TestEventCountAndTelemetryPinned(t *testing.T) {
 			simTime:   0x40b8585308058174,
 			progress:  "31e49606db3e1ffcf46674f0ff7071a4f07efbeb7595f6d2b638eb68b508759e",
 			telemetry: "1769031bcc85b421310588acc5624d918e82b4739b156c58020b9510db79ca76",
+			runEnd:    "c49c537ed2b2f09e84cb6870778e43b4e66d5e62f6100ea857bd61b764490bb6",
 		},
 		{
 			name: "org2-jellyfish-mmpp-bimodal",
@@ -55,6 +63,22 @@ func TestEventCountAndTelemetryPinned(t *testing.T) {
 			simTime:   0x40d4b2db9e95ff34,
 			progress:  "c2e64250a37b7b447cf115850f28230491582f01b1d3aa986c5dfdfa6b34015f",
 			telemetry: "e9563cefd03339403901ecf7d5a18458ff5db784dcf6fd94021b258911505258",
+			runEnd:    "adde971fac0f5e14ea7e3d8771b7a74e7c7665b354de24363e8b9cf693e0eb93",
+		},
+		{
+			// Near saturation (≈0.95× the model's Org2 saturation load of
+			// 1.0582e-3) most channel releases find a worm waiting.
+			name: "org2-fattree-near-saturation-bimodal",
+			cfg: Config{
+				Org: system.Table1Org2(), Par: units.Default(), LambdaG: 1.0053e-3,
+				Warmup: 200, Measure: 2000, Drain: 200, Seed: 13,
+				Sizes: workload.Bimodal{Short: 8, Long: 128, PLong: 0.2},
+			},
+			events:    78303,
+			simTime:   0x40c3639a80089a5a,
+			progress:  "cb6d5d984b49c8e2a616551110f4a2ce82a516ef12b0be34f7df0549cdf090fd",
+			telemetry: "ef44f3877aa60d0843707ae40563442fd44065b8bd3cea9c78804e0314bfb612",
+			runEnd:    "e0b0d5fb1e155876cbd26a779dd6602cbe53fb02cba7390e1b298f3e772440f1",
 		},
 	}
 	for _, tc := range cases {
@@ -84,6 +108,17 @@ func TestEventCountAndTelemetryPinned(t *testing.T) {
 				t.Fatal(err)
 			}
 			teleSum := sha256.Sum256(rep)
+			end := sim.Telemetry().Snapshot()
+			end.Events, end.SeriesEvery, end.Series = 0, 0, nil
+			for i := range end.Tiers {
+				end.Tiers[i].Occupancy = HistogramSnapshot{}
+			}
+			rep, err = json.Marshal(end)
+			if err != nil {
+				t.Fatal(err)
+			}
+			endSum := sha256.Sum256(rep)
+			gotEnd := hex.EncodeToString(endSum[:])
 			gotProgress := hex.EncodeToString(progress.Sum(nil))
 			gotTele := hex.EncodeToString(teleSum[:])
 			if res.Events != tc.events {
@@ -97,6 +132,9 @@ func TestEventCountAndTelemetryPinned(t *testing.T) {
 			}
 			if gotTele != tc.telemetry {
 				t.Errorf("TelemetryReport digest = %s, want %s", gotTele, tc.telemetry)
+			}
+			if gotEnd != tc.runEnd {
+				t.Errorf("run-end TelemetryReport digest = %s, want %s", gotEnd, tc.runEnd)
 			}
 		})
 	}
