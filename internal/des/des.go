@@ -34,9 +34,11 @@
 //
 //   - Reserve(n) and CallSeq(t, seq, h, op, arg) split a Call in two: the
 //     sequence positions of a known series of events are claimed up front,
-//     and each event is scheduled later, typically by its predecessor, with
-//     the tie-break it would have had if scheduled at the Reserve. The
-//     wormhole engine chains a worm's channel releases this way.
+//     and each event is scheduled later, if at all, with the tie-break it
+//     would have had if scheduled at the Reserve. Passed(t, seq) tells
+//     whether such a key has already gone by, so a caller can settle an
+//     event it never scheduled. The wormhole engine keys a worm's channel
+//     releases this way and schedules only those a waiting worm needs.
 //
 //   - At(t, fn) / After(d, fn) is the ergonomic closure path. It allocates
 //     one small handle per event (which is also what makes Cancel possible)
@@ -143,6 +145,14 @@ func (s *Scheduler) Pending() int {
 
 // Executed returns the number of events executed so far.
 func (s *Scheduler) Executed() uint64 { return s.executed }
+
+// Passed reports whether the event key (t, seq) is at or before the running
+// event's key, or the last dispatched event's once Step or Run has
+// returned: an event scheduled there would already have run. Before the
+// first dispatch no schedulable key has passed.
+func (s *Scheduler) Passed(t float64, seq uint64) bool {
+	return t < s.now || (t == s.now && seq < s.cur)
+}
 
 // initLists creates the closure list of a zero-value scheduler.
 func (s *Scheduler) initLists() {

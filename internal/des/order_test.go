@@ -160,6 +160,7 @@ func (c *orderCheck) dispatched(h int, id int32) {
 		c.t.Fatalf("dispatched event %d (handler %d) at %v, reference wants %d (handler %d) at %v",
 			id, h, c.s.Now(), want.id, want.h, want.t)
 	}
+	c.checkPassed(want)
 	c.now, c.cur = want.t, want.seq+1
 	c.executed++
 	if got := c.s.Executed(); got != c.executed {
@@ -169,6 +170,29 @@ func (c *orderCheck) dispatched(h int, id int32) {
 		c.t.Fatalf("Pending() = %d while event %d runs, reference has %d", got, id, len(c.live))
 	}
 	c.runBlock()
+}
+
+// checkPassed checks Passed against the reference while run, the event it
+// picked, is dispatched: its key and the previous dispatch's have passed,
+// no pending event's has, and a reserved but unused position at the
+// running time has exactly when it sorts before run.
+func (c *orderCheck) checkPassed(run refEvent) {
+	if !c.s.Passed(run.t, run.seq) {
+		c.t.Fatalf("Passed(%v, %d) = false for the running event", run.t, run.seq)
+	}
+	if c.executed > 0 && !c.s.Passed(c.now, c.cur-1) {
+		c.t.Fatalf("Passed(%v, %d) = false for the previous dispatch", c.now, c.cur-1)
+	}
+	for _, e := range c.live {
+		if c.s.Passed(e.t, e.seq) {
+			c.t.Fatalf("Passed(%v, %d) = true for a pending event", e.t, e.seq)
+		}
+	}
+	for _, seq := range c.reserved {
+		if got, want := c.s.Passed(run.t, seq), seq < run.seq; got != want {
+			c.t.Fatalf("Passed(%v, %d) = %v at reserved position, reference order says %v", run.t, seq, got, want)
+		}
+	}
 }
 
 func checkSchedulerOrder(t *testing.T, prog []byte) {
@@ -193,9 +217,12 @@ func checkSchedulerOrder(t *testing.T, prog []byte) {
 	if s.Pending() != 0 {
 		t.Fatalf("Pending() = %d after the run", s.Pending())
 	}
+	if c.executed > 0 && (!s.Passed(c.now, c.cur-1) || s.Passed(c.now, c.seq)) {
+		t.Fatalf("after the run Passed disagrees at the last dispatch (%v, %d)", c.now, c.cur-1)
+	}
 }
 
-// FuzzSchedulerOrder checks the dispatch sequence and Executed() of
+// FuzzSchedulerOrder checks the dispatch sequence, Executed() and Passed of
 // arbitrary programs of Call, At, Cancel and Reserve+CallSeq over three
 // handlers against a reference that sorts the live events by (time, seq).
 func FuzzSchedulerOrder(f *testing.F) {
@@ -323,4 +350,62 @@ func TestPendingWhileHandlerRuns(t *testing.T) {
 	if s.Pending() != 0 || s.Executed() != 7 {
 		t.Errorf("Pending = %d, Executed = %d after the run; want 0, 7", s.Pending(), s.Executed())
 	}
+}
+
+// passedProbe checks Passed against the key of the event it runs in: seq
+// positions first..first+2 are reserved, and the probe runs at (2, first+1).
+type passedProbe struct {
+	t     *testing.T
+	s     *Scheduler
+	first uint64
+	ran   bool
+}
+
+func (p *passedProbe) HandleEvent(op, arg int32) {
+	if op != 0 {
+		return
+	}
+	p.ran = true
+	checkPassed(p.t, "while running", p.s, p.first)
+}
+
+// checkPassed checks Passed around the key (2, first+1) of the running or
+// last dispatched event.
+func checkPassed(t *testing.T, when string, s *Scheduler, first uint64) {
+	t.Helper()
+	for _, c := range []struct {
+		t    float64
+		seq  uint64
+		want bool
+	}{
+		{2, first, true},      // tie at now, earlier seq
+		{2, first + 1, true},  // the running key itself
+		{2, first + 2, false}, // tie at now, later seq
+		{1.5, first + 9, true},
+		{2.5, 0, false},
+	} {
+		if got := s.Passed(c.t, c.seq); got != c.want {
+			t.Errorf("%s: Passed(%v, %d) = %v, want %v", when, c.t, c.seq, got, c.want)
+		}
+	}
+}
+
+func TestPassed(t *testing.T) {
+	var s Scheduler
+	if s.Passed(0, 0) {
+		t.Error("Passed(0, 0) before any dispatch")
+	}
+	p := &passedProbe{t: t, s: &s}
+	h := s.Register(p)
+	s.Call(1, h, 1, 0)
+	p.first = s.Reserve(3)
+	s.CallSeq(2, p.first+1, h, 0, 0)
+	if s.Passed(1, 0) {
+		t.Error("Passed(1, 0) before any dispatch")
+	}
+	s.RunAll(0)
+	if !p.ran {
+		t.Fatal("probe never ran")
+	}
+	checkPassed(t, "after Run", &s, p.first)
 }

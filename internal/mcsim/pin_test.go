@@ -45,10 +45,10 @@ func TestEventCountAndTelemetryPinned(t *testing.T) {
 				Org: system.Table1Org1(), Par: units.Default(), LambdaG: 0.00032298,
 				Warmup: 200, Measure: 2000, Drain: 200, Seed: 7,
 			},
-			events:    49689,
+			events:    29307,
 			simTime:   0x40b8585308058174,
-			progress:  "31e49606db3e1ffcf46674f0ff7071a4f07efbeb7595f6d2b638eb68b508759e",
-			telemetry: "1769031bcc85b421310588acc5624d918e82b4739b156c58020b9510db79ca76",
+			progress:  "651545fceef3addd4cde628ed68186a54e6ae8e5cd26c4edb40d186a17b3b199",
+			telemetry: "77024013f679a0b5e9f21b9f99eeda1f613c6a845dcf7597414e756a08b0ae27",
 			runEnd:    "c49c537ed2b2f09e84cb6870778e43b4e66d5e62f6100ea857bd61b764490bb6",
 		},
 		{
@@ -59,25 +59,26 @@ func TestEventCountAndTelemetryPinned(t *testing.T) {
 				Arrival: workload.MMPP{Peak: 8, Burst: 16},
 				Sizes:   workload.Bimodal{Short: 8, Long: 128, PLong: 0.2},
 			},
-			events:    71463,
+			events:    39113,
 			simTime:   0x40d4b2db9e95ff34,
-			progress:  "c2e64250a37b7b447cf115850f28230491582f01b1d3aa986c5dfdfa6b34015f",
-			telemetry: "e9563cefd03339403901ecf7d5a18458ff5db784dcf6fd94021b258911505258",
+			progress:  "4eb97c2122b64b46ead039088c2fb0f2ddf440ea8a4bd9fb484a807749197ae0",
+			telemetry: "cbe552f680f0559c3ce69f29ff27ea1255131096945020ac90e685720c0f841e",
 			runEnd:    "adde971fac0f5e14ea7e3d8771b7a74e7c7665b354de24363e8b9cf693e0eb93",
 		},
 		{
 			// Near saturation (≈0.95× the model's Org2 saturation load of
-			// 1.0582e-3) most channel releases find a worm waiting.
+			// 1.0582e-3) about a fifth of the ≈36,500 channel releases find
+			// a worm waiting and so run as events.
 			name: "org2-fattree-near-saturation-bimodal",
 			cfg: Config{
 				Org: system.Table1Org2(), Par: units.Default(), LambdaG: 1.0053e-3,
 				Warmup: 200, Measure: 2000, Drain: 200, Seed: 13,
 				Sizes: workload.Bimodal{Short: 8, Long: 128, PLong: 0.2},
 			},
-			events:    78303,
+			events:    49574,
 			simTime:   0x40c3639a80089a5a,
-			progress:  "cb6d5d984b49c8e2a616551110f4a2ce82a516ef12b0be34f7df0549cdf090fd",
-			telemetry: "ef44f3877aa60d0843707ae40563442fd44065b8bd3cea9c78804e0314bfb612",
+			progress:  "ebdcdba4833c01f7bd9f12161771b482367a8e40454ef8a17d57f4f64cf6783f",
+			telemetry: "ad6304992ffcfeb89579254770707c15d100f55ad551f7d0d74d19c6b11a94ed",
 			runEnd:    "e0b0d5fb1e155876cbd26a779dd6602cbe53fb02cba7390e1b298f3e772440f1",
 		},
 	}

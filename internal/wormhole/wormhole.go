@@ -28,6 +28,19 @@
 // messages shorter than their path — the paper's workloads (M = 32/64 flits
 // over ≤ 13 hops) are far from that regime.
 //
+// # Events
+//
+// A worm costs one scheduler event per header hop, one for its delivery,
+// and one per release that has a worm waiting for the channel. When the
+// header arrives, every TC_i is computed at once and each channel records
+// its release key (TC_i, seq+i) in positions reserved for the K releases
+// and the delivery. A release with no waiter is never scheduled: the next
+// request for the channel, or an observer, settles it from the recorded key
+// (des.Scheduler.Passed). A request that has to queue schedules the
+// release into its reserved position. Events that do run therefore keep the
+// (time, seq) keys and order they would have if every release were an
+// event, and so does every simulated statistic.
+//
 // The engine is deliberately topology-agnostic: routes are sequences of
 // dense channel indices whose flit times are fixed at construction. The
 // multi-cluster simulator lays out all of its networks in one channel table.
@@ -77,13 +90,6 @@ type Worm struct {
 	pos  int
 	slot int32 // index in the network's in-flight table while injected
 	acq  []float64
-	// Once the header has arrived, rel is the index in Path of the next
-	// channel to release, tc its tail-crossing time, and seq the first of
-	// the len(Path)+1 scheduler positions reserved for the releases and the
-	// delivery.
-	rel int
-	tc  float64
-	seq uint64
 }
 
 // Reset prepares a worm for reuse with a new route. Owner and Tag are
@@ -158,13 +164,25 @@ func (n *Network) qpop(f *fifo) int32 {
 
 func (f *fifo) len() int { return f.n }
 
-// channel is one directed link.
+// Release states of a held channel.
+const (
+	relUnknown   uint8 = iota // the holder's header has not arrived yet
+	relKnown                  // relT/relSeq hold the release key; no event is scheduled
+	relScheduled              // a release event is scheduled at the key
+)
+
+// channel is one directed link. While busy, rel says what is known of the
+// holder's release; relT and relSeq are its key once the holder's header
+// has arrived.
 type channel struct {
 	flit      float64
 	busy      bool
+	rel       uint8
 	waiting   fifo
 	busySince float64
 	busyTotal float64
+	relT      float64
+	relSeq    uint64
 	grants    uint64
 }
 
@@ -211,8 +229,17 @@ func (n *Network) InFlight() int { return n.inFlight }
 func (n *Network) Injected() uint64  { return n.injected }
 func (n *Network) Delivered() uint64 { return n.done }
 
+// released reports whether ch's holder has already let it go at a release
+// key no event was scheduled for.
+func (n *Network) released(ch *channel) bool {
+	return ch.rel == relKnown && n.sched.Passed(ch.relT, ch.relSeq)
+}
+
 // Busy reports whether channel c is currently held.
-func (n *Network) Busy(c int32) bool { return n.ch[c].busy }
+func (n *Network) Busy(c int32) bool {
+	ch := &n.ch[c]
+	return ch.busy && !n.released(ch)
+}
 
 // QueueLen returns the number of worms waiting for channel c.
 func (n *Network) QueueLen(c int32) int { return n.ch[c].waiting.len() }
@@ -224,11 +251,14 @@ func (n *Network) MaxQueueLen(c int32) int { return n.ch[c].waiting.high }
 // including the currently open holding interval. Observers aggregate it
 // across channels before normalizing by the elapsed time.
 func (n *Network) BusyTime(c int32) float64 {
-	total := n.ch[c].busyTotal
-	if n.ch[c].busy {
-		total += n.sched.Now() - n.ch[c].busySince
+	ch := &n.ch[c]
+	if !ch.busy {
+		return ch.busyTotal
 	}
-	return total
+	if n.released(ch) {
+		return ch.busyTotal + (ch.relT - ch.busySince)
+	}
+	return ch.busyTotal + (n.sched.Now() - ch.busySince)
 }
 
 // Grants returns how many times channel c was acquired.
@@ -240,7 +270,7 @@ func (n *Network) Grants(c int32) uint64 { return n.ch[c].grants }
 // in the payload slots.
 const (
 	opHeader  int32 = iota // arg = worm slot: header finished crossing a channel
-	opRelease              // arg = worm slot: tail crossed Path[rel], free it and schedule the next release
+	opRelease              // arg = channel: the holder's tail crossed it, grant it to the first waiter
 	opDeliver              // arg = worm slot: tail arrived at the endpoint
 )
 
@@ -250,7 +280,9 @@ func (n *Network) HandleEvent(op, arg int32) {
 	case opHeader:
 		n.headerAdvance(n.worms[arg])
 	case opRelease:
-		n.release(arg)
+		c := &n.ch[arg]
+		c.busyTotal += n.sched.Now() - c.busySince
+		n.grant(c, n.worms[n.qpop(&c.waiting)])
 	case opDeliver:
 		w := n.worms[arg]
 		n.worms[arg] = nil
@@ -293,19 +325,31 @@ func (n *Network) Inject(w *Worm) {
 }
 
 // request asks for the channel at w.pos, granting immediately when idle.
+// A release that went by unscheduled is settled first; a worm that has to
+// queue behind a holder whose release key is known schedules that release.
 func (n *Network) request(w *Worm) {
-	c := &n.ch[w.Path[w.pos]]
+	ci := w.Path[w.pos]
+	c := &n.ch[ci]
+	if c.busy && n.released(c) {
+		c.busy = false
+		c.busyTotal += c.relT - c.busySince
+	}
 	if !c.busy {
 		n.grant(c, w)
 		return
 	}
 	n.qpush(&c.waiting, w.slot)
+	if c.rel == relKnown {
+		c.rel = relScheduled
+		n.sched.CallSeq(c.relT, c.relSeq, n.hid, opRelease, ci)
+	}
 }
 
 // grant hands the channel to the worm and schedules the header's hop.
 func (n *Network) grant(c *channel, w *Worm) {
 	now := n.sched.Now()
 	c.busy = true
+	c.rel = relUnknown
 	c.busySince = now
 	c.grants++
 	w.acq = append(w.acq, now)
@@ -323,22 +367,25 @@ func (n *Network) headerAdvance(w *Worm) {
 	n.complete(w)
 }
 
-// complete runs when the header arrives at the endpoint: it computes the
-// tail's arrival, reserves the scheduler positions of the len(Path) releases
-// and the delivery, and schedules the first release. Each release schedules
-// the next one (see release), so a worm has at most one release pending,
-// yet every event keeps the (time, seq) key it would have had if all of
-// them had been scheduled here.
+// complete runs when the header arrives at the endpoint: it reserves the
+// scheduler positions of the len(Path) releases and the delivery, records
+// each channel's release key (TC_i, seq+i), schedules the releases that a
+// worm is already waiting for, and schedules the delivery at TC_{K−1}.
 func (n *Network) complete(w *Worm) {
 	w.HeaderAt = n.sched.Now()
-	w.tc = n.tailCross(w, 0, 0)
-	w.TailAt = w.tc
-	for i := 1; i < len(w.Path); i++ {
-		w.TailAt = n.tailCross(w, i, w.TailAt)
+	seq := n.sched.Reserve(len(w.Path) + 1)
+	tc := 0.0
+	for i, ci := range w.Path {
+		tc = n.tailCross(w, i, tc)
+		c := &n.ch[ci]
+		c.relT, c.relSeq, c.rel = tc, seq+uint64(i), relKnown
+		if c.waiting.len() > 0 {
+			c.rel = relScheduled
+			n.sched.CallSeq(tc, c.relSeq, n.hid, opRelease, ci)
+		}
 	}
-	w.rel = 0
-	w.seq = n.sched.Reserve(len(w.Path) + 1)
-	n.sched.CallSeq(w.tc, w.seq, n.hid, opRelease, w.slot)
+	w.TailAt = tc
+	n.sched.CallSeq(tc, seq+uint64(len(w.Path)), n.hid, opDeliver, w.slot)
 }
 
 // tailCross returns TC_i, the time the tail finishes crossing w.Path[i],
@@ -355,25 +402,4 @@ func (n *Network) tailCross(w *Worm, i int, prev float64) float64 {
 		tc = w.HeaderAt
 	}
 	return tc
-}
-
-// release frees channel w.Path[w.rel] of the worm in slot, grants it to the
-// next waiter, if any, and schedules the worm's next release, or its
-// delivery after the last one.
-func (n *Network) release(slot int32) {
-	w := n.worms[slot]
-	c := &n.ch[w.Path[w.rel]]
-	c.busy = false
-	c.busyTotal += n.sched.Now() - c.busySince
-	if c.waiting.len() > 0 {
-		n.grant(c, n.worms[n.qpop(&c.waiting)])
-	}
-	w.rel++
-	seq := w.seq + uint64(w.rel)
-	if w.rel == len(w.Path) {
-		n.sched.CallSeq(w.tc, seq, n.hid, opDeliver, slot)
-		return
-	}
-	w.tc = n.tailCross(w, w.rel, w.tc)
-	n.sched.CallSeq(w.tc, seq, n.hid, opRelease, slot)
 }

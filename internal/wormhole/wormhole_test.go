@@ -390,7 +390,10 @@ func BenchmarkThousandWorms(b *testing.B) {
 // arrived and so before A's releases were laid out, and D's, scheduled
 // after. Equal times run in scheduling order, so B queues ahead of A's
 // release and delivery and D behind them: the grants go A, C, B, D, and at
-// A's delivery exactly B is waiting.
+// A's delivery exactly B is waiting. The run dispatches 19 events: four
+// injections, eight header hops, four deliveries and the three releases of
+// channel 0 that a worm waits for; the injection links' releases and D's
+// are never scheduled.
 func TestReleaseTiesWithHeaderRequest(t *testing.T) {
 	// Channels: 0 shared; 1..4 the injection links of A, B, C, D.
 	sched, net := newNet(1, 1, 3.5, 1, 1)
@@ -432,7 +435,7 @@ func TestReleaseTiesWithHeaderRequest(t *testing.T) {
 	if got := net.MaxQueueLen(0); got != 2 {
 		t.Errorf("channel 0 high-water mark = %d, want 2", got)
 	}
-	if got := sched.Executed(); got != 24 {
-		t.Errorf("Executed = %d, want 24", got)
+	if got := sched.Executed(); got != 19 {
+		t.Errorf("Executed = %d, want 19", got)
 	}
 }
