@@ -89,29 +89,6 @@ func TierNames() [numTiers]string {
 	return [numTiers]string{TierICN1.String(), TierECN1.String(), TierConc.String(), TierICN2.String()}
 }
 
-// tierOf resolves a global channel index to its tier using the layout
-// recorded at construction. Every concentrator-owned link — the ECN1
-// root↔concentrator links and the concentrator↔ICN2 injection and ejection
-// links — belongs to TierConc; the injection link is the single
-// serialization point the model's Eq. 33 queue describes.
-func (s *Sim) tierOf(c int32) Tier {
-	for i := range s.clusters {
-		cn := &s.clusters[i]
-		switch {
-		case c >= cn.icn1Base && c < cn.icn1Base+int32(cn.icn1.Channels()):
-			return TierICN1
-		case c >= cn.ecn1Base && c < cn.ecn1Base+int32(cn.ecn1.Channels()):
-			return TierECN1
-		case c >= cn.rootUpBase && c < cn.rootDownBase+int32(cn.ecn1.Roots()):
-			return TierConc
-		}
-	}
-	if s.icn2.IsNodeChannel(int(c - s.icn2Base)) {
-		return TierConc
-	}
-	return TierICN2
-}
-
 // Default histogram bucket layouts. Times are in model time units (the same
 // units as Par's flit times and Result.Latency); the log-spaced blocking
 // buckets span sub-flit-time waits through deep-saturation queueing.
@@ -150,8 +127,8 @@ type Telemetry struct {
 	sim    *Sim
 	stride uint64 // current sampling stride (doubles on series compaction)
 
-	// tierOf maps every channel to its tier: one arena, built at setup, so
-	// the sampler and the delivery walk never call Sim.tierOf.
+	// tierOf maps every channel to its tier: one arena, built at setup by
+	// Sim.channelTiers.
 	tierOf   []uint8
 	channels [numTiers]int
 
@@ -181,6 +158,36 @@ type Telemetry struct {
 	lastTime float64
 }
 
+// channelTiers maps every channel to its tier in one pass over the layout
+// New laid out: each cluster's ICN1, ECN1 and concentrator links are
+// contiguous ranges, and ICN2 follows them all. Every concentrator-owned
+// link — the ECN1 root↔concentrator links and the concentrator↔ICN2
+// injection and ejection links (ICN2's node channels) — belongs to
+// TierConc; the injection link is the single serialization point the
+// model's Eq. 33 queue describes.
+func (s *Sim) channelTiers() []uint8 {
+	tiers := make([]uint8, s.net.Channels())
+	mark := func(from, to int32, tier Tier) {
+		for c := from; c < to; c++ {
+			tiers[c] = uint8(tier)
+		}
+	}
+	for i := range s.clusters {
+		cn := &s.clusters[i]
+		mark(cn.icn1Base, cn.ecn1Base, TierICN1)
+		mark(cn.ecn1Base, cn.rootUpBase, TierECN1)
+		mark(cn.rootUpBase, cn.rootDownBase+int32(cn.ecn1.Roots()), TierConc)
+	}
+	for c := s.icn2Base; c < int32(len(tiers)); c++ {
+		if s.icn2.IsNodeChannel(int(c - s.icn2Base)) {
+			tiers[c] = uint8(TierConc)
+		} else {
+			tiers[c] = uint8(TierICN2)
+		}
+	}
+	return tiers
+}
+
 // setupTelemetry builds the collector: the per-channel tier arena, the
 // per-tier histograms and the preallocated series buffer. Every allocation
 // telemetry will ever make happens here.
@@ -193,10 +200,8 @@ func (s *Sim) setupTelemetry() {
 		cfg.SeriesCap = 256
 	}
 	t := &Telemetry{sim: s, stride: cfg.SampleEvery}
-	t.tierOf = make([]uint8, s.net.Channels())
-	for c := range t.tierOf {
-		tier := s.tierOf(int32(c))
-		t.tierOf[c] = uint8(tier)
+	t.tierOf = s.channelTiers()
+	for _, tier := range t.tierOf {
 		t.channels[tier]++
 	}
 	for i := 0; i < int(numTiers); i++ {

@@ -240,3 +240,61 @@ func TestTelemetryConcurrentSnapshot(t *testing.T) {
 		t.Error("no snapshots taken during the run")
 	}
 }
+
+// linearTier classifies channel c by searching the layout cluster by
+// cluster: the reference for Sim.channelTiers.
+func linearTier(s *Sim, c int32) Tier {
+	for i := range s.clusters {
+		cn := &s.clusters[i]
+		switch {
+		case c >= cn.icn1Base && c < cn.icn1Base+int32(cn.icn1.Channels()):
+			return TierICN1
+		case c >= cn.ecn1Base && c < cn.ecn1Base+int32(cn.ecn1.Channels()):
+			return TierECN1
+		case c >= cn.rootUpBase && c < cn.rootDownBase+int32(cn.ecn1.Roots()):
+			return TierConc
+		}
+	}
+	if s.icn2.IsNodeChannel(int(c - s.icn2Base)) {
+		return TierConc
+	}
+	return TierICN2
+}
+
+// TestChannelTiersMatchLinearSearch checks the one-pass tier map against a
+// per-channel search of the layout on every topology mix.
+func TestChannelTiersMatchLinearSearch(t *testing.T) {
+	for _, tc := range []struct {
+		org  system.Organization
+		axis string
+	}{
+		{system.Table1Org1(), ""},
+		{system.Table1Org2(), "jellyfish"},
+		{system.Table1Org2(), "fattree+dragonfly"},
+		{system.Table1Org1(), "jellyfish+dragonfly"},
+	} {
+		org := tc.org
+		if tc.axis != "" {
+			if err := system.ApplyTopologyAxis(&org, tc.axis); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sim, err := New(Config{Org: org, Par: units.Default(), LambdaG: 1e-4, Measure: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tiers := sim.channelTiers()
+		var counts [numTiers]int
+		for c, tier := range tiers {
+			if want := linearTier(sim, int32(c)); Tier(tier) != want {
+				t.Fatalf("%s %s: channel %d in tier %v, want %v", system.Format(org), tc.axis, c, Tier(tier), want)
+			}
+			counts[tier]++
+		}
+		for i, n := range counts {
+			if n == 0 {
+				t.Errorf("%s %s: tier %v has no channels", system.Format(org), tc.axis, Tier(i))
+			}
+		}
+	}
+}
