@@ -39,8 +39,10 @@ import (
 // TelemetryConfig parameterizes the instrument layer; the zero value gives
 // the defaults. Enable by setting Config.Telemetry to a non-nil pointer.
 type TelemetryConfig struct {
-	// SampleEvery is the time-series sampling stride in executed events
-	// (0 = 65536, the OnProgress default). Samples cost one walk over the
+	// SampleEvery is the time-series sampling stride in dispatched
+	// scheduler events (0 = 65536, the OnProgress default). A channel
+	// release nobody waits for is not dispatched, so the stride is not a
+	// fixed count of messages or hops. Samples cost one walk over the
 	// channel table, so strides below ~1000 start to show up in run time.
 	SampleEvery uint64
 	// SeriesCap bounds the retained time series (0 = 256 samples). When the
