@@ -160,8 +160,8 @@ type Telemetry struct {
 	lastTime float64
 }
 
-// channelTiers maps every channel to its tier in one pass over the layout
-// New laid out: each cluster's ICN1, ECN1 and concentrator links are
+// channelTiers maps every channel to its tier in one pass over the channel
+// table New builds: each cluster's ICN1, ECN1 and concentrator links are
 // contiguous ranges, and ICN2 follows them all. Every concentrator-owned
 // link — the ECN1 root↔concentrator links and the concentrator↔ICN2
 // injection and ejection links (ICN2's node channels) — belongs to

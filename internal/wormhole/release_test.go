@@ -214,8 +214,8 @@ type releaseRun struct {
 }
 
 // drive schedules the case's injections and observations on s, runs it to
-// completion and fills the channel views of run. inject starts worm i;
-// view reads channel c.
+// completion and records the channel views and the final clock in run.
+// inject starts worm i; view reads channel c.
 func (rc releaseCase) drive(s *des.Scheduler, run *releaseRun, inject func(i int), view func(c int) chanView) {
 	for i, w := range rc.worms {
 		i := i
@@ -243,9 +243,6 @@ func (rc releaseCase) drive(s *des.Scheduler, run *releaseRun, inject func(i int
 	s.RunAll(0)
 	run.final = views()
 	run.now = s.Now()
-	run.acq = make([][]float64, len(rc.worms))
-	run.header = make([]float64, len(rc.worms))
-	run.tail = make([]float64, len(rc.worms))
 }
 
 // runLazy runs the case on Network.
@@ -262,8 +259,10 @@ func (rc releaseCase) runLazy() releaseRun {
 		ci := int32(c)
 		return chanView{n.Busy(ci), n.QueueLen(ci), n.MaxQueueLen(ci), n.BusyTime(ci), n.Grants(ci)}
 	})
-	for i, w := range worms {
-		run.acq[i], run.header[i], run.tail[i] = w.Acquired(), w.HeaderAt, w.TailAt
+	for _, w := range worms {
+		run.acq = append(run.acq, w.Acquired())
+		run.header = append(run.header, w.HeaderAt)
+		run.tail = append(run.tail, w.TailAt)
 	}
 	return run
 }
@@ -282,8 +281,10 @@ func (rc releaseCase) runEager() releaseRun {
 		ch := &n.ch[c]
 		return chanView{ch.busy, len(ch.queue), ch.high, n.busyTime(c), ch.grants}
 	})
-	for i, w := range worms {
-		run.acq[i], run.header[i], run.tail[i] = w.acq, w.headerAt, w.tailAt
+	for _, w := range worms {
+		run.acq = append(run.acq, w.acq)
+		run.header = append(run.header, w.headerAt)
+		run.tail = append(run.tail, w.tailAt)
 	}
 	return run
 }
