@@ -9,9 +9,11 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"mcnet/internal/analytic"
+	"mcnet/internal/sweep"
 	"mcnet/internal/system"
 	"mcnet/internal/units"
 )
@@ -45,23 +47,30 @@ func TestAnalyzeGolden(t *testing.T) {
 		}
 		got.Write(w.Body.Bytes())
 	}
-	path := filepath.Join("testdata", "analyze_golden.ndjson")
+	checkGolden(t, "analyze_golden.ndjson", got.Bytes())
+}
+
+// checkGolden compares got with testdata/name, or rewrites the file under
+// -update-golden.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("rewrote %s (%d bytes)", path, got.Len())
+		t.Logf("rewrote %s (%d bytes)", path, len(got))
 		return
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("reading fixture (regenerate with -update-golden): %v", err)
 	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Fatalf("analyze responses diverged from %s:\n--- got ---\n%s--- want ---\n%s", path, got.Bytes(), want)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("responses diverged from %s:\n--- got ---\n%s--- want ---\n%s", path, got, want)
 	}
 }
 
@@ -111,6 +120,91 @@ func TestAnalyzeSearchesSaturationOnce(t *testing.T) {
 		}
 		if got != math.Float64bits(stored) {
 			t.Fatalf("λ=%g: saturation_point %x, want the stored %x", lambda, float64(resp.SaturationPoint), stored)
+		}
+	}
+}
+
+// TestAnalyzeErrorGolden pins the /v1/analyze error documents byte for
+// byte: the status and body of every 400 in analyzeValidationCases, plus a
+// document cut off by the 1 MiB body bound. Regenerate with -update-golden.
+func TestAnalyzeErrorGolden(t *testing.T) {
+	cases := []struct{ name, body string }{
+		{"over 1 MiB", `{"org":"` + strings.Repeat("x", maxBodyBytes) + `","lambda":0.0003}`},
+	}
+	for _, tc := range analyzeValidationCases {
+		if tc.want != http.StatusOK {
+			cases = append(cases, struct{ name, body string }{tc.name, tc.body})
+		}
+	}
+	s := newTestServer(t, Config{}, instantOutcome)
+	var got bytes.Buffer
+	for _, tc := range cases {
+		w := do(t, s, "POST", "/v1/analyze", tc.body)
+		fmt.Fprintf(&got, "%s\t%d\t%s", tc.name, w.Code, w.Body.Bytes())
+	}
+	checkGolden(t, "analyze_errors_golden.txt", got.Bytes())
+}
+
+// TestScenarioKeyStable pins the canonical response-cache keys of six
+// analyze requests: a named organization and its expanded spec (one key),
+// default and explicit message geometry, a link tier and a technology
+// override. A changed key silently orphans every cached response.
+func TestScenarioKeyStable(t *testing.T) {
+	cases := []struct {
+		name             string
+		org              string
+		lambda           float64
+		flits, flitBytes int
+		links            string
+		tech             *sweep.Tech
+		model            string
+		key              string
+	}{
+		{name: "org1", org: "org1", lambda: 0.0003,
+			key: "org=m=8:12x1,16x2,4x3|m=32|lm=256|links=|model=calibrated|an=0x1.47ae147ae147bp-06|as=0x1.47ae147ae147bp-07|bn=0x1.0624dd2f1a9fcp-09|lambda=0x1.3a92a30553261p-12"},
+		{name: "org1 expanded", org: "m=8:12x1,16x2,4x3", lambda: 0.0003,
+			key: "org=m=8:12x1,16x2,4x3|m=32|lm=256|links=|model=calibrated|an=0x1.47ae147ae147bp-06|as=0x1.47ae147ae147bp-07|bn=0x1.0624dd2f1a9fcp-09|lambda=0x1.3a92a30553261p-12"},
+		{name: "default geometry", org: "org2", lambda: 0.00001, model: "paper-literal",
+			key: "org=m=4:8x3,3x4,5x5|m=32|lm=256|links=|model=paper-literal|an=0x1.47ae147ae147bp-06|as=0x1.47ae147ae147bp-07|bn=0x1.0624dd2f1a9fcp-09|lambda=0x1.4f8b588e368f1p-17"},
+		{name: "explicit geometry", org: "org2", lambda: 0.00001, flits: 64, flitBytes: 512, model: "paper-literal",
+			key: "org=m=4:8x3,3x4,5x5|m=64|lm=512|links=|model=paper-literal|an=0x1.47ae147ae147bp-06|as=0x1.47ae147ae147bp-07|bn=0x1.0624dd2f1a9fcp-09|lambda=0x1.4f8b588e368f1p-17"},
+		{name: "links tier", org: "org1", lambda: 0.0002, links: "icn2=0.04/0.02/0.004",
+			key: "org=m=8:12x1,16x2,4x3|m=32|lm=256|links=icn2=0.04/0.02/0.004|model=calibrated|an=0x1.47ae147ae147bp-06|as=0x1.47ae147ae147bp-07|bn=0x1.0624dd2f1a9fcp-09|lambda=0x1.a36e2eb1c432dp-13"},
+		{name: "tech override", org: "org1", lambda: 0.0002, tech: &sweep.Tech{AlphaNet: 0.05, AlphaSw: 0.01, BetaNet: 0.003},
+			key: "org=m=8:12x1,16x2,4x3|m=32|lm=256|links=|model=calibrated|an=0x1.999999999999ap-05|as=0x1.47ae147ae147bp-07|bn=0x1.89374bc6a7efap-09|lambda=0x1.a36e2eb1c432dp-13"},
+	}
+	for _, tc := range cases {
+		c, err := canonicalScenario(tc.org, tc.lambda, tc.flits, tc.flitBytes, tc.links, tc.tech, tc.model)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := c.key(); got != tc.key {
+			t.Errorf("%s: key\n got %s\nwant %s", tc.name, got, tc.key)
+		}
+	}
+}
+
+// TestAnalyzeRespelledHit pins that a respelling of a cached scenario is
+// answered from the cache with the same bytes: the expanded form of a named
+// organization, and the same fields in a different order.
+func TestAnalyzeRespelledHit(t *testing.T) {
+	s := newTestServer(t, Config{}, instantOutcome)
+	first := do(t, s, "POST", "/v1/analyze", `{"org":"org1","lambda":0.0003}`)
+	if first.Code != http.StatusOK || first.Header().Get("X-Cache") != "miss" {
+		t.Fatalf("first analyze: %d X-Cache=%q: %s", first.Code, first.Header().Get("X-Cache"), first.Body)
+	}
+	for _, body := range []string{
+		`{"org":"m=8:12x1,16x2,4x3","lambda":0.0003}`,
+		`{"lambda":0.0003,"org":"org1"}`,
+	} {
+		for i := 0; i < 2; i++ {
+			w := do(t, s, "POST", "/v1/analyze", body)
+			if w.Code != http.StatusOK || w.Header().Get("X-Cache") != "hit" {
+				t.Fatalf("%s (#%d): %d X-Cache=%q", body, i+1, w.Code, w.Header().Get("X-Cache"))
+			}
+			if !bytes.Equal(w.Body.Bytes(), first.Body.Bytes()) {
+				t.Fatalf("%s (#%d): body differs:\n%s\n%s", body, i+1, w.Body, first.Body)
+			}
 		}
 	}
 }

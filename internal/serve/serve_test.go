@@ -86,30 +86,34 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
+// analyzeValidationCases are the /v1/analyze bodies TestAnalyzeValidation
+// checks the status of; testdata/analyze_errors_golden.txt pins the exact
+// error documents of its 400s.
+var analyzeValidationCases = []struct {
+	name string
+	body string
+	want int
+}{
+	{"ok", `{"org":"org1","lambda":0.0003}`, 200},
+	{"ok links + geometry", `{"org":"org2","lambda":0.0004,"flits":64,"flit_bytes":512,"links":"icn2=0.04/0.02/0.004"}`, 200},
+	{"ok paper-literal", `{"org":"org1","lambda":0.0003,"model":"paper-literal"}`, 200},
+	{"missing org", `{"lambda":0.0003}`, 400},
+	{"bad org", `{"org":"m=3:2x1","lambda":0.0003}`, 400},
+	{"zero lambda", `{"org":"org1","lambda":0}`, 400},
+	{"negative lambda", `{"org":"org1","lambda":-1}`, 400},
+	{"bad links", `{"org":"org1","lambda":0.0003,"links":"warp=1/2/3"}`, 400},
+	{"model none", `{"org":"org1","lambda":0.0003,"model":"none"}`, 400},
+	{"unknown model", `{"org":"org1","lambda":0.0003,"model":"psychic"}`, 400},
+	{"unknown field", `{"org":"org1","lambda":0.0003,"lambada":1}`, 400},
+	{"negative flits", `{"org":"org1","lambda":0.0003,"flits":-4}`, 400},
+	{"bad tech", `{"org":"org1","lambda":0.0003,"tech":{"alpha_net":-1,"alpha_sw":0.01,"beta_net":0.002}}`, 400},
+	{"not json", `latency please`, 400},
+	{"trailing garbage", `{"org":"org1","lambda":0.0003} extra`, 400},
+}
+
 func TestAnalyzeValidation(t *testing.T) {
 	s := newTestServer(t, Config{}, instantOutcome)
-	cases := []struct {
-		name string
-		body string
-		want int
-	}{
-		{"ok", `{"org":"org1","lambda":0.0003}`, 200},
-		{"ok links + geometry", `{"org":"org2","lambda":0.0004,"flits":64,"flit_bytes":512,"links":"icn2=0.04/0.02/0.004"}`, 200},
-		{"ok paper-literal", `{"org":"org1","lambda":0.0003,"model":"paper-literal"}`, 200},
-		{"missing org", `{"lambda":0.0003}`, 400},
-		{"bad org", `{"org":"m=3:2x1","lambda":0.0003}`, 400},
-		{"zero lambda", `{"org":"org1","lambda":0}`, 400},
-		{"negative lambda", `{"org":"org1","lambda":-1}`, 400},
-		{"bad links", `{"org":"org1","lambda":0.0003,"links":"warp=1/2/3"}`, 400},
-		{"model none", `{"org":"org1","lambda":0.0003,"model":"none"}`, 400},
-		{"unknown model", `{"org":"org1","lambda":0.0003,"model":"psychic"}`, 400},
-		{"unknown field", `{"org":"org1","lambda":0.0003,"lambada":1}`, 400},
-		{"negative flits", `{"org":"org1","lambda":0.0003,"flits":-4}`, 400},
-		{"bad tech", `{"org":"org1","lambda":0.0003,"tech":{"alpha_net":-1,"alpha_sw":0.01,"beta_net":0.002}}`, 400},
-		{"not json", `latency please`, 400},
-		{"trailing garbage", `{"org":"org1","lambda":0.0003} extra`, 400},
-	}
-	for _, tc := range cases {
+	for _, tc := range analyzeValidationCases {
 		t.Run(tc.name, func(t *testing.T) {
 			w := do(t, s, "POST", "/v1/analyze", tc.body)
 			if w.Code != tc.want {
