@@ -54,6 +54,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzJourneyChains$$' -fuzztime $(FUZZTIME) ./internal/analytic
 	$(GO) test -run '^$$' -fuzz '^FuzzSchedulerOrder$$' -fuzztime $(FUZZTIME) ./internal/des
 	$(GO) test -run '^$$' -fuzz '^FuzzReleaseOrder$$' -fuzztime $(FUZZTIME) ./internal/wormhole
+	$(GO) test -run '^$$' -fuzz '^FuzzAnalyzeRepeat$$' -fuzztime $(FUZZTIME) ./internal/serve
 
 # bench runs the cross-layer hot-path benchmarks (internal/bench) five times
 # each (benchdiff keeps the minimum ns/op over the repeats, so the gate never

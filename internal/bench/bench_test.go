@@ -181,9 +181,9 @@ func BenchmarkMcsimBursty(b *testing.B) {
 
 // BenchmarkServeAnalyze measures the serving layer's cached fast path:
 // requests/sec through the full handler stack (mux routing, instrumentation,
-// body decode, scenario canonicalization, response-cache lookup) for a
-// repeated POST /v1/analyze. The first request renders and caches the
-// response; every measured iteration must be answered from the cache. The
+// body read, response-cache lookup by the body's bytes) for a repeated
+// POST /v1/analyze. The first request renders and caches the response;
+// every measured iteration must be answered from the cache. The
 // capacity-planning service is sized against a ≥10k req/s target here,
 // i.e. ≤100µs/op.
 func BenchmarkServeAnalyze(b *testing.B) {

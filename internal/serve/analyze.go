@@ -127,13 +127,40 @@ func linksName(links string) string {
 	return links
 }
 
+// aliasPrefix starts every byte-alias key of the response cache. Canonical
+// scenario keys start with "org=", so the two never collide.
+const aliasPrefix = "body="
+
+// maxAliasBytes bounds the request bodies kept as alias keys: an alias holds
+// its body for as long as it stays in the cache, and every accepted analyze
+// document is a few hundred bytes. A longer body is answered by canonical
+// key every time.
+const maxAliasBytes = 4 << 10
+
 // handleAnalyze implements POST /v1/analyze: the synchronous model fast
 // path. Rendered responses are LRU-cached and single-flighted by canonical
 // scenario, so repeated identical requests are answered byte-identically
-// without re-evaluating the model.
+// without re-evaluating the model. Every 200 also stores the request's
+// bytes as an alias of its response, so a byte-identical repeat is answered
+// before any decoding, canonicalization or validation. Only 200s are
+// aliased, and a response is a function of its canonical scenario, so an
+// alias can never answer differently from the full path.
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
+	body, err := readBody(r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	alias := ""
+	if len(body) <= maxAliasBytes {
+		alias = aliasPrefix + string(body)
+		if b, ok := s.resp.Get(alias); ok {
+			s.writeAnalyze(w, b.([]byte), true)
+			return
+		}
+	}
 	var req analyzeRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeBody(body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -143,37 +170,44 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := c.key()
-	if b, ok := s.resp.Get(key); ok {
-		s.respHits.Add(1)
-		w.Header().Set("X-Cache", "hit")
-		writeRaw(w, http.StatusOK, b.([]byte))
-		return
-	}
-	v, err, shared := s.flight.Do("analyze|"+key, func() (any, error) {
-		if b, ok := s.resp.Get(key); ok {
-			return b, nil
-		}
-		body, err := s.renderAnalyze(c)
-		if err != nil {
-			return nil, err
-		}
-		s.resp.Put(key, body)
-		return body, nil
-	})
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, "%v", err)
-		return
-	}
+	v, ok := s.resp.Get(key)
 	// A response shared from another caller's in-flight render is a hit:
 	// this request did not pay for a model evaluation.
-	if shared {
+	hit := ok
+	if !ok {
+		v, err, hit = s.flight.Do("analyze|"+key, func() (any, error) {
+			if b, ok := s.resp.Get(key); ok {
+				return b, nil
+			}
+			b, err := s.renderAnalyze(c)
+			if err != nil {
+				return nil, err
+			}
+			s.resp.Put(key, b)
+			return b, nil
+		})
+		if err != nil {
+			writeError(w, http.StatusUnprocessableEntity, "%v", err)
+			return
+		}
+	}
+	if alias != "" {
+		s.resp.Put(alias, v)
+	}
+	s.writeAnalyze(w, v.([]byte), hit)
+}
+
+// writeAnalyze writes a 200 analyze response and counts it as a response
+// cache hit or miss.
+func (s *Server) writeAnalyze(w http.ResponseWriter, b []byte, hit bool) {
+	if hit {
 		s.respHits.Add(1)
 		w.Header().Set("X-Cache", "hit")
 	} else {
 		s.respMisses.Add(1)
 		w.Header().Set("X-Cache", "miss")
 	}
-	writeRaw(w, http.StatusOK, v.([]byte))
+	writeRaw(w, http.StatusOK, b)
 }
 
 // renderAnalyze evaluates the model at the scenario's operating point and

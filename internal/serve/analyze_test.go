@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -207,4 +208,38 @@ func TestAnalyzeRespelledHit(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzAnalyzeRepeat checks the byte-alias path against the full one: any
+// body, sent twice to one server and once to a fresh server, gets the same
+// status and body bytes every time and never a 5xx, and a repeated 200 is
+// answered from the response cache.
+func FuzzAnalyzeRepeat(f *testing.F) {
+	for _, body := range goldenAnalyzeBodies {
+		f.Add(body)
+	}
+	for _, tc := range analyzeValidationCases {
+		f.Add(tc.body)
+	}
+	warm, err := New(Config{Workers: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(warm.Close)
+	f.Fuzz(func(t *testing.T, body string) {
+		first := do(t, warm, "POST", "/v1/analyze", body)
+		if first.Code >= 500 {
+			t.Fatalf("status %d: %s", first.Code, first.Body)
+		}
+		again := do(t, warm, "POST", "/v1/analyze", body)
+		if first.Code == http.StatusOK && again.Header().Get("X-Cache") != "hit" {
+			t.Fatalf("repeated 200 answered with X-Cache=%q", again.Header().Get("X-Cache"))
+		}
+		fresh := do(t, newTestServer(t, Config{Workers: 1}, nil), "POST", "/v1/analyze", body)
+		for _, w := range []*httptest.ResponseRecorder{again, fresh} {
+			if w.Code != first.Code || !bytes.Equal(w.Body.Bytes(), first.Body.Bytes()) {
+				t.Fatalf("answers differ:\n%d %s\n%d %s", first.Code, first.Body, w.Code, w.Body)
+			}
+		}
+	})
 }

@@ -9,9 +9,11 @@
 // Endpoints:
 //
 //	POST /v1/analyze       pure model, synchronous — the fast path. Rendered
-//	                       responses are LRU-cached by canonicalized request,
-//	                       so repeated identical requests are answered
-//	                       byte-identically without re-evaluating the model.
+//	                       responses are LRU-cached by canonicalized request
+//	                       and by the request's bytes, so repeated requests
+//	                       are answered byte-identically without re-evaluating
+//	                       the model, and a byte-identical repeat without
+//	                       decoding the request.
 //	POST /v1/simulate      one simulation as an asynchronous job.
 //	POST /v1/compare       model + simulation at one operating point.
 //	GET  /v1/jobs/{id}     job status and result. Job ids are content hashes
@@ -45,10 +47,12 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -75,8 +79,9 @@ type Config struct {
 	// evicted first (0 = 4096).
 	MaxJobs int
 	// CacheSize bounds each of the in-memory LRUs: simulation outcomes,
-	// rendered analyze responses, prepared analytic models and finished
-	// runs' telemetry reports (0 = 4096).
+	// rendered analyze responses (canonical keys and byte aliases share
+	// it), prepared analytic models and finished runs' telemetry reports
+	// (0 = 4096).
 	CacheSize int
 	// Disk, if non-nil, is a second outcome-cache layer under the LRU —
 	// typically a *sweep.DirCache shared with cmd/mcsweep runs.
@@ -140,7 +145,7 @@ type Server struct {
 	handler http.Handler
 
 	cache      *layeredCache // simulation outcomes, keyed by Job.Key
-	resp       *lruCache     // rendered analyze responses
+	resp       *lruCache     // rendered analyze responses, by canonical key and by request bytes
 	models     *lruCache     // prepared analytic evaluators, keyed by sweep.ModelKey
 	respHits   atomic.Int64
 	respMisses atomic.Int64
@@ -388,11 +393,30 @@ func writeRaw(w http.ResponseWriter, code int, body []byte) {
 // smaller.
 const maxBodyBytes = 1 << 20
 
-// decodeJSON strictly parses the request body into v: unknown fields and
+// readBody reads the whole request body under the maxBodyBytes bound: a
+// body past the bound is an error however early its JSON document ends.
+func readBody(r *http.Request) ([]byte, error) {
+	b, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
+	if err != nil {
+		return nil, fmt.Errorf("parsing request body: %v", err)
+	}
+	return b, nil
+}
+
+// decodeJSON strictly parses the request body into v (see decodeBody).
+func decodeJSON(r *http.Request, v any) error {
+	b, err := readBody(r)
+	if err != nil {
+		return err
+	}
+	return decodeBody(b, v)
+}
+
+// decodeBody strictly parses a request body into v: unknown fields and
 // trailing garbage are errors, so a typo'd field name fails loudly instead
 // of silently running the default scenario.
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
+func decodeBody(b []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("parsing request body: %v", err)

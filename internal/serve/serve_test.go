@@ -480,6 +480,37 @@ func TestSweepValidationAndLimits(t *testing.T) {
 	}
 }
 
+// TestBodyBoundCoversWholeBody pins that the 1 MiB body bound covers the
+// whole body, not just its JSON document: a valid document padded past the
+// bound is rejected on every endpoint that decodes a body, while one padded
+// up to the bound is still accepted.
+func TestBodyBoundCoversWholeBody(t *testing.T) {
+	s := newTestServer(t, Config{}, instantOutcome)
+	const tooLarge = `{"error":"parsing request body: http: request body too large"}` + "\n"
+	for _, tc := range []struct {
+		path, doc string
+		ok        int
+	}{
+		{"/v1/analyze", `{"org":"org1","lambda":0.0003}`, http.StatusOK},
+		{"/v1/simulate", `{"org":"m=4:2x1,2x2","lambda":0.0005,"measure":1000}`, http.StatusAccepted},
+		{"/v1/sweep", sweepBody(), http.StatusOK},
+	} {
+		for _, over := range []string{
+			tc.doc + strings.Repeat(" ", 2<<20),
+			tc.doc + strings.Repeat(" ", maxBodyBytes) + "x",
+		} {
+			w := do(t, s, "POST", tc.path, over)
+			if w.Code != http.StatusBadRequest || w.Body.String() != tooLarge {
+				t.Fatalf("%s, %d-byte body: %d %s", tc.path, len(over), w.Code, w.Body)
+			}
+		}
+		atBound := tc.doc + strings.Repeat(" ", maxBodyBytes-len(tc.doc))
+		if w := do(t, s, "POST", tc.path, atBound); w.Code != tc.ok {
+			t.Fatalf("%s, body at the bound: %d %s", tc.path, w.Code, w.Body)
+		}
+	}
+}
+
 func TestFailedJobRetriesOnResubmit(t *testing.T) {
 	// A transiently failing job must not poison its content-derived id: the
 	// first submission fails, an identical resubmission re-enqueues and
