@@ -1,13 +1,13 @@
 // Package queueing implements the single-server queue formulas the
 // analytical model relies on: the Pollaczek–Khinchine mean waiting time for
-// M/G/1 queues and its M/M/1 and M/D/1 specializations.
+// M/G/1 queues and its M/M/1 specialization.
 //
 // The paper models the channel at a source node as an M/G/1 queue (Eq. 19)
 //
 //	W = λ·x̄²·(1 + C_x²) / (2·(1 − ρ)),  ρ = λ·x̄,  C_x² = σ_x²/x̄²
 //
 // and the concentrator/dispatcher buffers as M/G/1 queues with deterministic
-// service (Eq. 33), which is exactly M/D/1.
+// service (Eq. 33), which is exactly M/D/1: MG1Wait with zero variance.
 package queueing
 
 import (
@@ -46,15 +46,6 @@ func MG1Wait(lambda, mean, variance float64) (float64, error) {
 	return lambda * ex2 / (2 * (1 - rho)), nil
 }
 
-// MG1WaitCS2 is MG1Wait parameterized by the squared coefficient of
-// variation C² = σ²/x̄², matching the form of Eq. 19 in the paper.
-func MG1WaitCS2(lambda, mean, cs2 float64) (float64, error) {
-	if mean < 0 || cs2 < 0 {
-		return 0, fmt.Errorf("queueing: negative argument (x̄=%v, C²=%v)", mean, cs2)
-	}
-	return MG1Wait(lambda, mean, cs2*mean*mean)
-}
-
 // MM1Wait returns the mean waiting time of an M/M/1 queue (exponential
 // service with mean 1/mu).
 func MM1Wait(lambda, mu float64) (float64, error) {
@@ -63,33 +54,4 @@ func MM1Wait(lambda, mu float64) (float64, error) {
 	}
 	mean := 1 / mu
 	return MG1Wait(lambda, mean, mean*mean)
-}
-
-// MD1Wait returns the mean waiting time of an M/D/1 queue (deterministic
-// service time d), the form used for the concentrator/dispatcher buffers
-// (Eq. 33): W = λ·d² / (2(1 − λ·d)).
-func MD1Wait(lambda, d float64) (float64, error) {
-	return MG1Wait(lambda, d, 0)
-}
-
-// MG1Sojourn returns the mean total time in system (waiting plus service).
-func MG1Sojourn(lambda, mean, variance float64) (float64, error) {
-	w, err := MG1Wait(lambda, mean, variance)
-	if err != nil {
-		return w, err
-	}
-	return w + mean, nil
-}
-
-// MM1QueueLength returns the mean number of customers in an M/M/1 system,
-// ρ/(1−ρ). Used as an independent cross-check in tests via Little's law.
-func MM1QueueLength(lambda, mu float64) (float64, error) {
-	if mu <= 0 {
-		return 0, fmt.Errorf("queueing: non-positive service rate %v", mu)
-	}
-	rho := lambda / mu
-	if rho >= 1 {
-		return math.Inf(1), ErrUnstable
-	}
-	return rho / (1 - rho), nil
 }

@@ -35,7 +35,7 @@ func TestMD1IsHalfOfMM1(t *testing.T) {
 	f := func(lRaw, dRaw uint16) bool {
 		d := float64(dRaw%100+1) / 100
 		lambda := float64(lRaw%99+1) / 100 / d * 0.99 // keep ρ < 0.99
-		md1, err1 := MD1Wait(lambda, d)
+		md1, err1 := MG1Wait(lambda, d, 0)
 		mm1, err2 := MM1Wait(lambda, 1/d)
 		if err1 != nil || err2 != nil {
 			return false
@@ -51,7 +51,7 @@ func TestSaturationDetection(t *testing.T) {
 	if _, err := MM1Wait(1, 1); !errors.Is(err, ErrUnstable) {
 		t.Errorf("ρ=1: err = %v, want ErrUnstable", err)
 	}
-	if _, err := MD1Wait(2, 1); !errors.Is(err, ErrUnstable) {
+	if _, err := MG1Wait(2, 1, 0); !errors.Is(err, ErrUnstable) {
 		t.Errorf("ρ=2: err = %v, want ErrUnstable", err)
 	}
 	w, err := MG1Wait(3, 1, 0.5)
@@ -80,26 +80,6 @@ func TestNegativeArgumentsRejected(t *testing.T) {
 	if _, err := MM1Wait(1, 0); err == nil {
 		t.Error("zero μ accepted")
 	}
-	if _, err := MG1WaitCS2(1, -1, 0); err == nil {
-		t.Error("negative mean accepted by CS2 form")
-	}
-}
-
-func TestCS2FormMatchesVarianceForm(t *testing.T) {
-	f := func(l, m, c uint8) bool {
-		mean := float64(m%50+1) / 10
-		lambda := 0.9 / mean * float64(l%100) / 100
-		cs2 := float64(c) / 64
-		a, err1 := MG1WaitCS2(lambda, mean, cs2)
-		b, err2 := MG1Wait(lambda, mean, cs2*mean*mean)
-		if err1 != nil || err2 != nil {
-			return err1 != nil && err2 != nil
-		}
-		return math.Abs(a-b) < 1e-12*math.Max(1, b)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
 }
 
 func TestWaitMonotoneInLoad(t *testing.T) {
@@ -113,28 +93,6 @@ func TestWaitMonotoneInLoad(t *testing.T) {
 			t.Errorf("W(λ=%v) = %v not monotone increasing", lambda, w)
 		}
 		prev = w
-	}
-}
-
-func TestMG1SojournAddsService(t *testing.T) {
-	w, _ := MG1Wait(0.5, 1, 0.3)
-	s, err := MG1Sojourn(0.5, 1, 0.3)
-	if err != nil || math.Abs(s-(w+1)) > 1e-12 {
-		t.Errorf("Sojourn = %v, want W+x̄ = %v", s, w+1)
-	}
-}
-
-func TestMM1QueueLengthLittlesLaw(t *testing.T) {
-	// L = λ·T where T is the sojourn time.
-	lambda, mu := 0.6, 1.0
-	l, err := MM1QueueLength(lambda, mu)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, _ := MM1Wait(lambda, mu)
-	T := w + 1/mu
-	if math.Abs(l-lambda*T) > 1e-12 {
-		t.Errorf("L = %v, λT = %v; Little's law violated", l, lambda*T)
 	}
 }
 

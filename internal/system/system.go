@@ -234,16 +234,6 @@ func (s *System) ICN2RouteDist() []float64 {
 	return counts
 }
 
-// MeanRateFactor returns the node-weighted mean injection-rate factor; 1.0
-// for homogeneous-rate systems.
-func (s *System) MeanRateFactor() float64 {
-	var sum float64
-	for i := range s.Clusters {
-		sum += s.Clusters[i].RateFactor * float64(s.Clusters[i].Nodes)
-	}
-	return sum / float64(s.totalNodes)
-}
-
 // LinkHeterogeneous reports whether any cluster overrides its networks' link
 // technology. (System-wide tier overrides live in units.Params and are not
 // visible here.)

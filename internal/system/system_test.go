@@ -168,9 +168,6 @@ func TestRateFactors(t *testing.T) {
 	if s.Clusters[0].RateFactor != 2 || s.Clusters[3].RateFactor != 1 {
 		t.Errorf("rate factors = %v, %v; want 2, 1", s.Clusters[0].RateFactor, s.Clusters[3].RateFactor)
 	}
-	if got := s.MeanRateFactor(); math.Abs(got-1.5) > 1e-12 {
-		t.Errorf("MeanRateFactor = %v, want 1.5", got)
-	}
 }
 
 func TestNewRejectsBadOrganizations(t *testing.T) {

@@ -78,11 +78,6 @@ func (p Params) Tcs() float64 {
 	return p.AlphaSw + p.BetaNet*float64(p.FlitBytes)
 }
 
-// MessageBytes returns the total message size M·L_m in bytes.
-func (p Params) MessageBytes() int {
-	return p.MessageFlits * p.FlitBytes
-}
-
 // MTcn returns M·t_cn, the minimum service time of a message on a node link.
 func (p Params) MTcn() float64 {
 	return float64(p.MessageFlits) * p.Tcn()

@@ -60,9 +60,6 @@ func TestTcnTcsPaperValues(t *testing.T) {
 
 func TestMessageAggregates(t *testing.T) {
 	p := Default().WithMessage(64, 512)
-	if p.MessageBytes() != 64*512 {
-		t.Errorf("MessageBytes = %d, want %d", p.MessageBytes(), 64*512)
-	}
 	if !almostEqual(p.MTcs(), 64*p.Tcs(), 1e-12) {
 		t.Errorf("MTcs = %v, want %v", p.MTcs(), 64*p.Tcs())
 	}
