@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"mcnet/internal/analytic"
@@ -207,6 +208,40 @@ func TestAnalyzeRespelledHit(t *testing.T) {
 				t.Fatalf("%s (#%d): body differs:\n%s\n%s", body, i+1, w.Body, first.Body)
 			}
 		}
+	}
+}
+
+// TestAnalyzeConcurrentRepeats sends one scenario in three spellings from
+// several goroutines at once, so byte aliases are stored and read while
+// other requests render and alias the same response: every answer is the
+// bytes a lone request on a fresh server gets.
+func TestAnalyzeConcurrentRepeats(t *testing.T) {
+	bodies := []string{
+		`{"org":"org1","lambda":0.0003}`,
+		`{"lambda":0.0003,"org":"org1"}`,
+		`{"org":"m=8:12x1,16x2,4x3","lambda":0.0003}`,
+	}
+	want := do(t, newTestServer(t, Config{}, instantOutcome), "POST", "/v1/analyze", bodies[0]).Body.String()
+	s := newTestServer(t, Config{}, instantOutcome)
+	const goroutines, requests = 4, 50
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < requests; i++ {
+				body := bodies[(g+i)%len(bodies)]
+				w := do(t, s, "POST", "/v1/analyze", body)
+				if w.Code != http.StatusOK || w.Body.String() != want {
+					t.Errorf("%s: %d %s", body, w.Code, w.Body)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := s.respHits.Load() + s.respMisses.Load(); n != goroutines*requests {
+		t.Errorf("%d responses counted, want %d", n, goroutines*requests)
 	}
 }
 
