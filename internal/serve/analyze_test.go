@@ -211,6 +211,32 @@ func TestAnalyzeRespelledHit(t *testing.T) {
 	}
 }
 
+// TestAnalyzeAliasBound pins which 200s store a byte alias: a body up to
+// maxAliasBytes adds one entry beside its canonical key, a longer one adds
+// none and is answered by canonical key on every repeat.
+func TestAnalyzeAliasBound(t *testing.T) {
+	doc := `{"org":"org1","lambda":0.0003}`
+	for _, tc := range []struct {
+		body    string
+		entries int
+	}{
+		{doc, 2},
+		{doc + strings.Repeat(" ", maxAliasBytes-len(doc)), 2},
+		{doc + strings.Repeat(" ", maxAliasBytes-len(doc)+1), 1},
+	} {
+		s := newTestServer(t, Config{}, instantOutcome)
+		for i, want := range []string{"miss", "hit", "hit"} {
+			w := do(t, s, "POST", "/v1/analyze", tc.body)
+			if w.Code != http.StatusOK || w.Header().Get("X-Cache") != want {
+				t.Fatalf("%d-byte body, request %d: %d X-Cache=%q, want %q", len(tc.body), i+1, w.Code, w.Header().Get("X-Cache"), want)
+			}
+		}
+		if n := s.resp.Len(); n != tc.entries {
+			t.Fatalf("%d-byte body: %d response cache entries, want %d", len(tc.body), n, tc.entries)
+		}
+	}
+}
+
 // TestAnalyzeConcurrentRepeats sends one scenario in three spellings from
 // several goroutines at once, so byte aliases are stored and read while
 // other requests render and alias the same response: every answer is the
