@@ -81,9 +81,15 @@ func (c scenario) params() (units.Params, error) {
 // fields. Model "none" is rejected: an analyze without an analytic curve
 // has nothing to answer.
 func canonicalScenario(org string, lambda float64, flits, flitBytes int, links string, tech *sweep.Tech, model string) (scenario, error) {
+	return canonicalize(canonicalOrgSpec, org, lambda, flits, flitBytes, links, tech, model)
+}
+
+// canonicalize is canonicalScenario with the organization rendered by
+// orgSpec, which may skip the organization's materialization.
+func canonicalize(orgSpec func(string) (string, error), org string, lambda float64, flits, flitBytes int, links string, tech *sweep.Tech, model string) (scenario, error) {
 	var c scenario
 	var err error
-	if c.org, err = canonicalOrgSpec(org); err != nil {
+	if c.org, err = orgSpec(org); err != nil {
 		return c, err
 	}
 	if c.flits, c.flitBytes, err = resolveGeometry(flits, flitBytes); err != nil {
@@ -164,8 +170,13 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	c, err := canonicalScenario(req.Org, req.Lambda, req.Flits, req.FlitBytes, req.Links, req.Tech, req.Model)
+	// Canonicalize without materializing the organization: system.New only
+	// validates it here, and a cached response or a prepared model already
+	// shows that it builds. An invalid request gets canonicalScenario's
+	// error, so a build failure still outranks later fields' errors.
+	c, err := canonicalize(formatOrgSpec, req.Org, req.Lambda, req.Flits, req.FlitBytes, req.Links, req.Tech, req.Model)
 	if err != nil {
+		_, err = canonicalScenario(req.Org, req.Lambda, req.Flits, req.FlitBytes, req.Links, req.Tech, req.Model)
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -175,6 +186,12 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	// this request did not pay for a model evaluation.
 	hit := ok
 	if !ok {
+		if !s.modelPrepared(c) {
+			if _, err := canonicalOrgSpec(req.Org); err != nil {
+				writeError(w, http.StatusBadRequest, "%v", err)
+				return
+			}
+		}
 		v, err, hit = s.flight.Do("analyze|"+key, func() (any, error) {
 			if b, ok := s.resp.Get(key); ok {
 				return b, nil
@@ -233,6 +250,17 @@ func (s *Server) renderAnalyze(c scenario) ([]byte, error) {
 		return nil, err
 	}
 	return append(b, '\n'), nil
+}
+
+// modelPrepared reports whether the server holds the scenario's prepared
+// model, whose build proved that the scenario's organization builds.
+func (s *Server) modelPrepared(c scenario) bool {
+	par, err := c.params()
+	if err != nil {
+		return false
+	}
+	_, ok := s.models.Get(sweep.ModelKey(c.model, c.org, c.links, "", par))
+	return ok
 }
 
 // evalModel evaluates the scenario's mean latency (Eq. 36) at its load,

@@ -211,6 +211,28 @@ func TestAnalyzeRespelledHit(t *testing.T) {
 	}
 }
 
+// TestAnalyzeBuildErrorFirst pins that an organization that parses but
+// does not build is reported ahead of every later field's fault, although
+// canonicalization only materializes the organization when no cached
+// response or prepared model shows that it builds.
+func TestAnalyzeBuildErrorFirst(t *testing.T) {
+	s := newTestServer(t, Config{}, instantOutcome)
+	for _, tc := range []struct{ body, want string }{
+		{`{"org":"m=3:2x1","lambda":0}`, "system: invalid organization: ports m=3 must be even and ≥ 2"},
+		{`{"org":"m=3:2x1","lambda":0.0003,"model":"psychic"}`, "system: invalid organization: ports m=3 must be even and ≥ 2"},
+		{`{"org":"m=64:2x9","lambda":0.0003,"flits":-1}`, "system: invalid organization: cluster shape: topo: invalid m-port n-tree shape: m=64 n=9 has more than 1024 nodes"},
+	} {
+		w := do(t, s, "POST", "/v1/analyze", tc.body)
+		var doc errorDoc
+		if err := json.Unmarshal(w.Body.Bytes(), &doc); err != nil {
+			t.Fatal(err)
+		}
+		if w.Code != http.StatusBadRequest || doc.Error != tc.want {
+			t.Errorf("%s: %d %q, want 400 %q", tc.body, w.Code, doc.Error, tc.want)
+		}
+	}
+}
+
 // TestAnalyzeAliasBound pins which 200s store a byte alias: a body up to
 // maxAliasBytes adds one entry beside its canonical key, a longer one adds
 // none and is answered by canonical key on every repeat.

@@ -30,6 +30,16 @@ func canonicalOrgSpec(spec string) (string, error) {
 	return system.Format(org), nil
 }
 
+// formatOrgSpec parses and canonically re-renders an organization spec
+// without materializing it: canonicalOrgSpec less the system.New check.
+func formatOrgSpec(spec string) (string, error) {
+	org, err := system.ParseOrganization(spec)
+	if err != nil {
+		return "", err
+	}
+	return system.Format(org), nil
+}
+
 // resolveGeometry fills the default message geometry (the paper's M=32,
 // L_m=256) for zero fields and rejects non-positive ones.
 func resolveGeometry(flits, flitBytes int) (int, int, error) {
