@@ -35,8 +35,12 @@ staticcheck:
 
 lint: fmt-check vet staticcheck
 
+# The allocation gates run twenty more times in one process, so a gate that
+# GC timing or other runtime noise can move fails on the change that makes
+# it flaky rather than on a later one.
 test: vet
 	$(GO) test ./...
+	$(GO) test -count=20 -run '^TestAllocs' ./internal/bench
 
 race:
 	$(GO) test -race ./...

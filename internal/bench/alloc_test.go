@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"runtime/debug"
 	"testing"
 
 	"mcnet/internal/des"
@@ -19,19 +20,22 @@ import (
 // testing.AllocsPerRun so a regression fails `go test ./...` rather than
 // waiting for someone to read benchmark output. Budgets are hard ceilings
 // with headroom over the measured values (see README "Performance"); they
-// are not targets to grow into.
+// are not targets to grow into. Garbage collection is off while a gate
+// measures: a cycle that lands inside a run moves a few runtime allocations
+// into it, which made the counts vary by up to four between runs.
 func gate(t *testing.T, name string, budget float64, f func()) {
 	t.Helper()
 	if raceEnabled {
 		t.Skip("race detector instruments allocations; gate runs in the non-race CI lane")
 	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	got := testing.AllocsPerRun(3, f)
 	if got > budget {
 		t.Errorf("%s: %.1f allocs/run, budget %.0f", name, got, budget)
 	}
 }
 
-// TestAllocsDESCall pins the scheduler's Register/Call fast path at zero
+// TestAllocsDESCall pins the scheduler's Register/Call path at zero
 // steady-state allocations: self-rescheduling handlers churn the event heap
 // without ever touching it structurally once warmed.
 func TestAllocsDESCall(t *testing.T) {
@@ -119,6 +123,7 @@ func TestAllocsMcsimTelemetry(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instruments allocations; gate runs in the non-race CI lane")
 	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // as in gate
 	small, large := run(4000), run(8000)
 	// Equality up to scheduling noise: a per-message or per-sample leak
 	// would show up as thousands of allocs at double the Measure, not ±2.

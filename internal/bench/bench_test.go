@@ -20,24 +20,7 @@ import (
 	"mcnet/internal/wormhole"
 )
 
-// BenchmarkDESScheduleRun measures raw future-event-list churn: a pool of
-// self-rescheduling timers, the dominant access pattern of the simulator
-// (every executed event schedules roughly one successor).
-func BenchmarkDESScheduleRun(b *testing.B) {
-	const timers = 256
-	b.ReportAllocs()
-	var s des.Scheduler
-	src := rng.New(1)
-	var tick func()
-	tick = func() { s.After(src.Exp(1), tick) }
-	for i := 0; i < timers; i++ {
-		s.At(src.Float64(), tick)
-	}
-	b.ResetTimer()
-	s.RunAll(uint64(b.N))
-}
-
-// callHandler is a self-rescheduling fast-path handler.
+// callHandler is a self-rescheduling handler.
 type callHandler struct {
 	s   *des.Scheduler
 	h   des.HandlerID
@@ -48,8 +31,9 @@ func (c *callHandler) HandleEvent(op, arg int32) {
 	c.s.Call(c.s.Now()+c.src.Exp(1), c.h, op, arg)
 }
 
-// BenchmarkDESCall measures the same churn through the allocation-free
-// Call/Register fast path the simulation engines use.
+// BenchmarkDESCall measures raw future-event-list churn: a pool of
+// self-rescheduling timers, the dominant access pattern of the simulator
+// (every executed event schedules roughly one successor).
 func BenchmarkDESCall(b *testing.B) {
 	const timers = 256
 	b.ReportAllocs()

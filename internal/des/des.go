@@ -1,5 +1,5 @@
 // Package des implements a deterministic discrete-event simulation engine:
-// a future-event list ordered by (time, insertion sequence) and a scheduler
+// future-event lists ordered by (time, insertion sequence) and a scheduler
 // that executes events in that total order.
 //
 // Determinism is load-bearing for the whole reproduction: simultaneous events
@@ -10,27 +10,26 @@
 //
 // # Hot path
 //
-// The future-event list is split by destination: one index-addressed
-// binary heap per registered Handler plus one for closure events, each over
-// concrete 32-byte event structs stored in one slice. Step runs the
-// smallest (time, seq) root among the heaps; seq is one global counter, so
-// the execution order is exactly that of a single heap over all events,
-// while an engine's near-term events never sift through another engine's
-// far-future ones (the simulator's per-node arrivals sit in the generator's
-// heap, not the network's). A running handler's event stays at its heap's
-// root until the handler's first Call on the same heap overwrites it and
-// sifts down, which for a near-term successor stops within a level or two.
-// The struct is deliberately pointer-free — callbacks are registered
-// Handler IDs and payloads are caller-managed integer indices — so
-// sift-up/down is a plain value copy with no per-event allocation, no
-// interface boxing and no GC write barriers. Three scheduling APIs feed the
-// heaps:
+// Every event is a call to a Handler registered once via Register: the
+// event names the handler, an op that discriminates the event kind and an
+// arg that carries a small integer payload (a channel, node or pool-slot
+// index). The future-event list is split by handler: one index-addressed
+// binary heap per registered Handler, each over concrete 32-byte event
+// structs stored in one slice. Step runs the smallest (time, seq) root among
+// the heaps; seq is one global counter, so the execution order is exactly
+// that of a single heap over all events, while an engine's near-term events
+// never sift through another engine's far-future ones (the simulator's
+// per-node arrivals sit in the generator's heap, not the network's). A
+// running handler's event stays at its heap's root until the handler's first
+// Call on the same heap overwrites it and sifts down, which for a near-term
+// successor stops within a level or two. The struct is deliberately
+// pointer-free, so sift-up/down is a plain value copy with no per-event
+// allocation, no interface boxing and no GC write barriers.
 //
-//   - Call(t, h, op, arg) is the allocation-free fast path: h names a
-//     Handler registered once via Register, op discriminates the event kind
-//     and arg carries a small integer payload (a channel, node or pool-slot
-//     index). Simulation engines (wormhole, mcsim) dispatch all of their
-//     per-message traffic through it.
+// Events are scheduled in one of two ways:
+//
+//   - Call(t, h, op, arg) and CallAfter(d, h, op, arg) schedule an event at
+//     an absolute time or after a delay, in the next sequence position.
 //
 //   - Reserve(n) and CallSeq(t, seq, h, op, arg) split a Call in two: the
 //     sequence positions of a known series of events are claimed up front,
@@ -39,10 +38,6 @@
 //     whether such a key has already gone by, so a caller can settle an
 //     event it never scheduled. The wormhole engine keys a worm's channel
 //     releases this way and schedules only those a waiting worm needs.
-//
-//   - At(t, fn) / After(d, fn) is the ergonomic closure path. It allocates
-//     one small handle per event (which is also what makes Cancel possible)
-//     and is meant for setup, tests and low-rate callers.
 package des
 
 import (
@@ -50,38 +45,15 @@ import (
 	"math"
 )
 
-// Handler receives fast-path events. One Handler (typically the simulation
-// engine itself) serves many event kinds, discriminated by op; arg carries a
-// small integer payload such as a channel, node or pool-slot index.
+// Handler receives events. One Handler (typically the simulation engine
+// itself) serves many event kinds, discriminated by op; arg carries a small
+// integer payload such as a channel, node or pool-slot index.
 type Handler interface {
 	HandleEvent(op, arg int32)
 }
 
 // HandlerID names a Handler registered with a Scheduler.
 type HandlerID int32
-
-// closureHandler marks heap slots whose callback is a closure handle (the
-// At/After path); arg then indexes the scheduler's handle table.
-const closureHandler HandlerID = -1
-
-// Event is the handle of a closure-scheduled callback. Cancelled events stay
-// in the heap but are skipped when popped (lazy deletion), which keeps
-// cancellation O(1).
-type Event struct {
-	time     float64
-	fn       func()
-	canceled bool
-}
-
-// Cancel prevents the event from running. Cancelling an already-executed or
-// already-cancelled event is a no-op.
-func (e *Event) Cancel() { e.canceled = true }
-
-// Canceled reports whether the event was cancelled.
-func (e *Event) Canceled() bool { return e.canceled }
-
-// Time returns the simulated time at which the event fires.
-func (e *Event) Time() float64 { return e.time }
 
 // event is one heap slot: 32 pointer-free bytes.
 type event struct {
@@ -102,7 +74,7 @@ func (e *event) before(o *event) bool {
 }
 
 // Scheduler owns the simulation clock and the future-event lists. The zero
-// value is a scheduler at time 0 with no pending events.
+// value is a scheduler at time 0 with no handlers and no pending events.
 type Scheduler struct {
 	now float64
 	// seq is the next unclaimed sequence number; cur is one past the seq of
@@ -112,59 +84,32 @@ type Scheduler struct {
 	cur      uint64
 	executed uint64
 
-	// lists[0] holds the closure events of At/After, lists[h+1] those of
-	// handler h. held is the index of the list whose root is the running
-	// fast-path event (0 when none is: closure events are popped before
-	// their callback runs).
+	// lists[h] holds the events of handler h. While a handler runs, its
+	// event is still the root of lists[held-1]; held is 0 when no root is
+	// held.
 	lists []eventHeap
 	held  int
 
 	handlers []Handler
-	// handles and freeHandles form the side table of in-flight closure
-	// events: slots are reused so a steady closure load allocates only the
-	// *Event handles themselves.
-	handles     []*Event
-	freeHandles []int32
 }
 
 // Now returns the current simulated time.
 func (s *Scheduler) Now() float64 { return s.now }
 
-// Pending returns the number of events in the future-event lists, including
-// cancelled events not yet discarded. The running event is not pending.
-func (s *Scheduler) Pending() int {
-	n := 0
-	for _, l := range s.lists {
-		n += len(l)
-	}
-	if s.held != 0 {
-		n--
-	}
-	return n
-}
-
 // Executed returns the number of events executed so far.
 func (s *Scheduler) Executed() uint64 { return s.executed }
 
 // Passed reports whether the event key (t, seq) is at or before the running
-// event's key, or the last dispatched event's once Step or Run has
+// event's key, or the last dispatched event's once Step or RunAll has
 // returned: an event scheduled there would already have run. Before the
 // first dispatch no schedulable key has passed.
 func (s *Scheduler) Passed(t float64, seq uint64) bool {
 	return t < s.now || (t == s.now && seq < s.cur)
 }
 
-// initLists creates the closure list of a zero-value scheduler.
-func (s *Scheduler) initLists() {
-	if s.lists == nil {
-		s.lists = make([]eventHeap, 1, 4)
-	}
-}
-
-// Register adds a fast-path handler and returns its ID. Handlers are
-// registered once at construction time and never removed.
+// Register adds a handler and returns its ID. Handlers are registered once
+// at construction time and never removed.
 func (s *Scheduler) Register(h Handler) HandlerID {
-	s.initLists()
 	s.handlers = append(s.handlers, h)
 	s.lists = append(s.lists, nil)
 	return HandlerID(len(s.handlers) - 1)
@@ -186,9 +131,9 @@ func (s *Scheduler) checkTime(t float64) {
 	}
 }
 
-// Call schedules handlers[h].HandleEvent(op, arg) at absolute time t. This
-// is the allocation-free fast path; no handle is returned (fast-path events
-// cannot be cancelled).
+// Call schedules handlers[h].HandleEvent(op, arg) at absolute time t. It
+// panics with ErrPastEvent if t precedes the current time or is not a finite
+// number.
 func (s *Scheduler) Call(t float64, h HandlerID, op, arg int32) {
 	s.checkTime(t)
 	s.schedule(event{time: t, seq: s.seq, h: h, op: op, arg: arg})
@@ -229,52 +174,19 @@ func (s *Scheduler) CallSeq(t float64, seq uint64, h HandlerID, op, arg int32) {
 	s.schedule(event{time: t, seq: seq, h: h, op: op, arg: arg})
 }
 
-// schedule files a fast-path event in its handler's list. The first event a
-// running handler schedules on its own list takes over the root slot the
-// running event still occupies: it sifts down from there, which for a
-// near-term successor stops within a level or two, instead of the running
-// event being popped and the successor pushed.
+// schedule files an event in its handler's list. The first event a running
+// handler schedules on its own list takes over the root slot the running
+// event still occupies: it sifts down from there, which for a near-term
+// successor stops within a level or two, instead of the running event being
+// popped and the successor pushed.
 func (s *Scheduler) schedule(e event) {
-	li := int(e.h) + 1
-	if li == s.held {
+	li := int(e.h)
+	if li+1 == s.held {
 		s.held = 0
 		s.lists[li].siftDown(0, e)
 		return
 	}
 	s.lists[li].push(e)
-}
-
-// At schedules fn at absolute time t and returns the event handle.
-// It panics if t precedes the current time or is not a finite number.
-func (s *Scheduler) At(t float64, fn func()) *Event {
-	s.checkTime(t)
-	s.initLists()
-	e := &Event{time: t, fn: fn}
-	var slot int32
-	if n := len(s.freeHandles); n > 0 {
-		slot = s.freeHandles[n-1]
-		s.freeHandles = s.freeHandles[:n-1]
-		s.handles[slot] = e
-	} else {
-		slot = int32(len(s.handles))
-		s.handles = append(s.handles, e)
-	}
-	s.lists[0].push(event{time: t, seq: s.seq, h: closureHandler, arg: slot})
-	s.seq++
-	return e
-}
-
-// After schedules fn after delay d from the current time.
-func (s *Scheduler) After(d float64, fn func()) *Event {
-	return s.At(s.now+d, fn)
-}
-
-// takeHandle detaches and returns the closure handle of slot.
-func (s *Scheduler) takeHandle(slot int32) *Event {
-	e := s.handles[slot]
-	s.handles[slot] = nil
-	s.freeHandles = append(s.freeHandles, slot)
-	return e
 }
 
 // eventHeap is one future-event list: a binary min-heap in (time, seq)
@@ -331,53 +243,36 @@ func (h *eventHeap) popRoot() {
 }
 
 // next returns the index of the list whose root is the next event to run,
-// discarding cancelled closure events on the way, or −1 if every list is
-// empty. seq is global, so comparing the roots by (time, seq) yields exactly
-// the order one heap over all events would.
+// or −1 if every list is empty. seq is global, so comparing the roots by
+// (time, seq) yields exactly the order one heap over all events would.
 func (s *Scheduler) next() int {
-	for {
-		best := -1
-		for i := range s.lists {
-			if len(s.lists[i]) > 0 && (best < 0 || s.lists[i][0].before(&s.lists[best][0])) {
-				best = i
-			}
+	best := -1
+	for i := range s.lists {
+		if len(s.lists[i]) > 0 && (best < 0 || s.lists[i][0].before(&s.lists[best][0])) {
+			best = i
 		}
-		if best != 0 {
-			return best
-		}
-		slot := s.lists[0][0].arg
-		if !s.handles[slot].canceled {
-			return 0
-		}
-		s.takeHandle(slot)
-		s.lists[0].popRoot()
 	}
+	return best
 }
 
-// dispatch executes the root event of list li. A fast-path event stays at
-// its list's root while its handler runs (see schedule) and is removed
+// dispatch executes the root event of list li. The event stays at its
+// list's root while its handler runs (see schedule) and is removed
 // afterwards only if the handler did not reuse the slot.
 func (s *Scheduler) dispatch(li int) {
 	e := s.lists[li][0]
 	s.now = e.time
 	s.cur = e.seq + 1
 	s.executed++
-	if li == 0 {
-		fn := s.takeHandle(e.arg).fn
-		s.lists[0].popRoot()
-		fn()
-		return
-	}
-	s.held = li
-	s.handlers[e.h].HandleEvent(e.op, e.arg)
+	s.held = li + 1
+	s.handlers[li].HandleEvent(e.op, e.arg)
 	if s.held != 0 {
 		s.held = 0
 		s.lists[li].popRoot()
 	}
 }
 
-// Step executes the next non-cancelled event and returns true, or returns
-// false if the future-event lists are empty. Events must not call Step.
+// Step executes the next event and returns true, or returns false if the
+// future-event lists are empty. Handlers must not call Step.
 func (s *Scheduler) Step() bool {
 	li := s.next()
 	if li < 0 {
@@ -387,54 +282,13 @@ func (s *Scheduler) Step() bool {
 	return true
 }
 
-// Run executes events until the lists are exhausted, the clock would pass
-// `until`, or maxEvents events have run (0 means no event limit). It returns
-// the reason the loop stopped.
-func (s *Scheduler) Run(until float64, maxEvents uint64) StopReason {
-	start := s.executed
-	for {
-		if maxEvents > 0 && s.executed-start >= maxEvents {
-			return StoppedEventLimit
+// RunAll executes events until none remain or maxEvents have run in this
+// call (0 means no limit). Callers that need to know which stop it was
+// compare Executed with the limit.
+func (s *Scheduler) RunAll(maxEvents uint64) {
+	for n := uint64(0); maxEvents == 0 || n < maxEvents; n++ {
+		if !s.Step() {
+			return
 		}
-		li := s.next()
-		if li < 0 {
-			return StoppedEmpty
-		}
-		if s.lists[li][0].time > until {
-			return StoppedHorizon
-		}
-		s.dispatch(li)
-	}
-}
-
-// RunAll executes events until none remain or maxEvents is reached (0 = no
-// limit).
-func (s *Scheduler) RunAll(maxEvents uint64) StopReason {
-	return s.Run(math.Inf(1), maxEvents)
-}
-
-// StopReason describes why Run returned.
-type StopReason int
-
-const (
-	// StoppedEmpty means the future-event list is exhausted.
-	StoppedEmpty StopReason = iota
-	// StoppedHorizon means the next event lies beyond the time horizon.
-	StoppedHorizon
-	// StoppedEventLimit means the event budget was exhausted.
-	StoppedEventLimit
-)
-
-// String names the stop reason.
-func (r StopReason) String() string {
-	switch r {
-	case StoppedEmpty:
-		return "empty"
-	case StoppedHorizon:
-		return "horizon"
-	case StoppedEventLimit:
-		return "event-limit"
-	default:
-		return "unknown"
 	}
 }

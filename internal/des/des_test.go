@@ -9,49 +9,56 @@ import (
 	"mcnet/internal/rng"
 )
 
+// times returns the clock of each dispatch r saw.
+func (r *recorder) times() []float64 {
+	ts := make([]float64, len(r.calls))
+	for i, c := range r.calls {
+		ts[i] = c.t
+	}
+	return ts
+}
+
 func TestEventsRunInTimeOrder(t *testing.T) {
 	var s Scheduler
-	var got []float64
+	r := newRecorder(&s)
 	times := []float64{5, 1, 3, 2, 4}
 	for _, tm := range times {
-		tm := tm
-		s.At(tm, func() { got = append(got, tm) })
+		s.Call(tm, r.h, 0, 0)
 	}
 	s.RunAll(0)
-	if !sort.Float64sAreSorted(got) {
+	if got := r.times(); !sort.Float64sAreSorted(got) {
 		t.Errorf("execution order %v not sorted", got)
 	}
-	if len(got) != len(times) {
-		t.Errorf("executed %d events, want %d", len(got), len(times))
+	if len(r.calls) != len(times) {
+		t.Errorf("executed %d events, want %d", len(r.calls), len(times))
 	}
 }
 
 func TestTiesBreakByInsertionOrder(t *testing.T) {
 	var s Scheduler
-	var got []int
-	for i := 0; i < 10; i++ {
-		i := i
-		s.At(1.0, func() { got = append(got, i) })
+	r := newRecorder(&s)
+	for i := int32(0); i < 10; i++ {
+		s.Call(1.0, r.h, 0, i)
 	}
 	s.RunAll(0)
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("tie order %v, want insertion order", got)
+	for i, c := range r.calls {
+		if c.arg != int32(i) {
+			t.Fatalf("tie order %+v, want insertion order", r.calls)
 		}
 	}
 }
 
 func TestClockAdvances(t *testing.T) {
 	var s Scheduler
-	s.At(2.5, func() {
-		if s.Now() != 2.5 {
-			t.Errorf("Now() inside event = %v, want 2.5", s.Now())
-		}
-	})
+	r := newRecorder(&s)
+	s.Call(2.5, r.h, 0, 0)
 	if s.Now() != 0 {
 		t.Errorf("initial Now() = %v, want 0", s.Now())
 	}
 	s.RunAll(0)
+	if len(r.calls) != 1 || r.calls[0].t != 2.5 {
+		t.Errorf("Now() inside event = %v, want [2.5]", r.times())
+	}
 	if s.Now() != 2.5 {
 		t.Errorf("final Now() = %v, want 2.5", s.Now())
 	}
@@ -59,107 +66,73 @@ func TestClockAdvances(t *testing.T) {
 
 func TestAfterSchedulesRelative(t *testing.T) {
 	var s Scheduler
-	var fired []float64
-	s.At(1, func() {
-		s.After(2, func() { fired = append(fired, s.Now()) })
-	})
+	r := newRecorder(&s)
+	r.react = func(op, arg int32) {
+		if op == 0 {
+			s.CallAfter(2, r.h, 1, 0)
+		}
+	}
+	s.Call(1, r.h, 0, 0)
 	s.RunAll(0)
-	if len(fired) != 1 || fired[0] != 3 {
-		t.Errorf("After event fired at %v, want [3]", fired)
-	}
-}
-
-func TestCancel(t *testing.T) {
-	var s Scheduler
-	ran := false
-	e := s.At(1, func() { ran = true })
-	e.Cancel()
-	if !e.Canceled() {
-		t.Error("Canceled() = false after Cancel")
-	}
-	s.RunAll(0)
-	if ran {
-		t.Error("cancelled event executed")
-	}
-	if s.Executed() != 0 {
-		t.Errorf("Executed = %d, want 0", s.Executed())
+	if len(r.calls) != 2 || r.calls[1].op != 1 || r.calls[1].t != 3 {
+		t.Errorf("dispatches %+v, want the CallAfter event at 3", r.calls)
 	}
 }
 
 func TestPastSchedulingPanics(t *testing.T) {
 	var s Scheduler
-	s.At(10, func() {})
+	r := newRecorder(&s)
+	s.Call(10, r.h, 0, 0)
 	s.Step()
-	defer func() {
-		if recover() == nil {
-			t.Error("scheduling in the past did not panic")
-		}
-	}()
-	s.At(5, func() {})
+	mustPanic(t, "Call before now", ErrPastEvent, func() { s.Call(5, r.h, 0, 0) })
+	mustPanic(t, "CallAfter a negative delay", ErrPastEvent, func() { s.CallAfter(-1, r.h, 0, 0) })
 }
 
 func TestNonFiniteTimePanics(t *testing.T) {
 	var s Scheduler
+	r := newRecorder(&s)
 	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("At(%v) did not panic", bad)
-				}
-			}()
-			s.At(bad, func() {})
-		}()
-	}
-}
-
-func TestRunHorizon(t *testing.T) {
-	var s Scheduler
-	count := 0
-	for i := 1; i <= 10; i++ {
-		s.At(float64(i), func() { count++ })
-	}
-	reason := s.Run(5.5, 0)
-	if reason != StoppedHorizon {
-		t.Errorf("stop reason = %v, want horizon", reason)
-	}
-	if count != 5 {
-		t.Errorf("executed %d events before horizon 5.5, want 5", count)
-	}
-	if s.Pending() != 5 {
-		t.Errorf("pending = %d, want 5", s.Pending())
+		mustPanic(t, "Call at a non-finite time", ErrPastEvent, func() { s.Call(bad, r.h, 0, 0) })
 	}
 }
 
 func TestRunEventLimit(t *testing.T) {
 	var s Scheduler
+	r := newRecorder(&s)
 	for i := 1; i <= 10; i++ {
-		s.At(float64(i), func() {})
+		s.Call(float64(i), r.h, 0, 0)
 	}
-	if reason := s.RunAll(3); reason != StoppedEventLimit {
-		t.Errorf("stop reason = %v, want event-limit", reason)
+	s.RunAll(3)
+	if s.Executed() != 3 || s.Now() != 3 {
+		t.Errorf("Executed = %d, Now = %v; want 3, 3", s.Executed(), s.Now())
 	}
-	if s.Executed() != 3 {
-		t.Errorf("Executed = %d, want 3", s.Executed())
+	// The limit counts from the call, not from the first event.
+	s.RunAll(3)
+	if s.Executed() != 6 {
+		t.Errorf("Executed = %d after a second RunAll(3), want 6", s.Executed())
+	}
+	s.RunAll(0)
+	if s.Executed() != 10 {
+		t.Errorf("Executed = %d after RunAll(0), want 10", s.Executed())
 	}
 }
 
 func TestCascadingEvents(t *testing.T) {
 	// An event chain that schedules its successor; classic DES self-clocking.
 	var s Scheduler
-	count := 0
-	var tick func()
-	tick = func() {
-		count++
-		if count < 100 {
-			s.After(1, tick)
+	r := newRecorder(&s)
+	r.react = func(op, arg int32) {
+		if len(r.calls) < 100 {
+			s.CallAfter(1, r.h, 0, 0)
 		}
 	}
-	s.At(0, tick)
-	if reason := s.RunAll(0); reason != StoppedEmpty {
-		t.Errorf("stop reason = %v, want empty", reason)
+	s.Call(0, r.h, 0, 0)
+	s.RunAll(0)
+	if len(r.calls) != 100 || s.Now() != 99 {
+		t.Errorf("count=%d now=%v, want 100, 99", len(r.calls), s.Now())
 	}
-	if count != 100 || s.Now() != 99 {
-		t.Errorf("count=%d now=%v, want 100, 99", count, s.Now())
+	if s.Step() {
+		t.Error("Step found an event after RunAll(0) returned")
 	}
 }
 
@@ -167,46 +140,15 @@ func TestRandomWorkloadExecutesAllInOrder(t *testing.T) {
 	f := func(seed uint64) bool {
 		src := rng.New(seed)
 		var s Scheduler
+		r := newRecorder(&s)
 		const n = 500
-		var got []float64
 		for i := 0; i < n; i++ {
-			tm := src.Float64() * 100
-			tm2 := tm
-			s.At(tm, func() { got = append(got, tm2) })
+			s.Call(src.Float64()*100, r.h, 0, 0)
 		}
 		s.RunAll(0)
-		return len(got) == n && sort.Float64sAreSorted(got)
+		return len(r.calls) == n && sort.Float64sAreSorted(r.times())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestStopReasonStrings(t *testing.T) {
-	for r, want := range map[StopReason]string{
-		StoppedEmpty:      "empty",
-		StoppedHorizon:    "horizon",
-		StoppedEventLimit: "event-limit",
-		StopReason(99):    "unknown",
-	} {
-		if r.String() != want {
-			t.Errorf("StopReason(%d).String() = %q, want %q", int(r), r.String(), want)
-		}
-	}
-}
-
-func BenchmarkScheduleAndRun(b *testing.B) {
-	src := rng.New(1)
-	times := make([]float64, 1024)
-	for i := range times {
-		times[i] = src.Float64() * 1000
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var s Scheduler
-		for _, tm := range times {
-			s.At(tm, func() {})
-		}
-		s.RunAll(0)
 	}
 }

@@ -2,37 +2,44 @@ package des
 
 import (
 	"testing"
-
-	"mcnet/internal/rng"
 )
 
-// recorder is a test Handler that logs every dispatch.
+// call is one dispatch a recorder saw: the clock, the payload, and the
+// dispatch's position in the run (Executed() while it ran).
+type call struct {
+	t       float64
+	op, arg int32
+	n       uint64
+}
+
+// recorder is a test Handler that logs every dispatch and then runs react,
+// if set, which may schedule more events.
 type recorder struct {
 	s     *Scheduler
-	calls []struct {
-		t       float64
-		op, arg int32
-	}
+	h     HandlerID
+	calls []call
+	react func(op, arg int32)
+}
+
+func newRecorder(s *Scheduler) *recorder {
+	r := &recorder{s: s}
+	r.h = s.Register(r)
+	return r
 }
 
 func (r *recorder) HandleEvent(op, arg int32) {
-	r.calls = append(r.calls, struct {
-		t       float64
-		op, arg int32
-	}{r.s.Now(), op, arg})
+	r.calls = append(r.calls, call{r.s.Now(), op, arg, r.s.Executed()})
+	if r.react != nil {
+		r.react(op, arg)
+	}
 }
 
 func TestCallDispatchesToRegisteredHandler(t *testing.T) {
 	var s Scheduler
-	a := &recorder{s: &s}
-	b := &recorder{s: &s}
-	ha, hb := s.Register(a), s.Register(b)
-	s.Call(2, ha, 1, 10)
-	s.Call(1, hb, 2, 20)
-	s.CallAfter(3, ha, 3, 30)
-	if got := s.Pending(); got != 3 {
-		t.Fatalf("Pending = %d, want 3", got)
-	}
+	a, b := newRecorder(&s), newRecorder(&s)
+	s.Call(2, a.h, 1, 10)
+	s.Call(1, b.h, 2, 20)
+	s.CallAfter(3, a.h, 3, 30)
 	s.RunAll(0)
 	if len(a.calls) != 2 || len(b.calls) != 1 {
 		t.Fatalf("dispatch counts a=%d b=%d, want 2/1", len(a.calls), len(b.calls))
@@ -51,104 +58,37 @@ func TestCallDispatchesToRegisteredHandler(t *testing.T) {
 	}
 }
 
-// seqHandler appends its arg, interleaving with closure events in one log.
-type seqHandler struct {
-	log *[]int32
-}
-
-func (h *seqHandler) HandleEvent(op, arg int32) { *h.log = append(*h.log, arg) }
-
-// TestCallAndAtShareFIFOTieBreak checks the determinism contract across both
-// scheduling APIs: simultaneous events run in scheduling order regardless of
-// which path scheduled them.
+// TestCallAndAtShareFIFOTieBreak checks the determinism contract across
+// handlers: simultaneous events run in scheduling order regardless of which
+// handler's list holds them.
 func TestCallAndAtShareFIFOTieBreak(t *testing.T) {
 	var s Scheduler
-	var log []int32
-	h := s.Register(&seqHandler{log: &log})
+	rs := [2]*recorder{newRecorder(&s), newRecorder(&s)}
 	for i := int32(0); i < 20; i++ {
-		if i%2 == 0 {
-			s.Call(1.0, h, 0, i)
-		} else {
-			i := i
-			s.At(1.0, func() { log = append(log, i) })
-		}
+		s.Call(1.0, rs[i%2].h, 0, i)
 	}
 	s.RunAll(0)
-	if len(log) != 20 {
-		t.Fatalf("executed %d events, want 20", len(log))
+	if s.Executed() != 20 {
+		t.Fatalf("executed %d events, want 20", s.Executed())
 	}
-	for i, v := range log {
-		if v != int32(i) {
-			t.Fatalf("tie order %v, want scheduling order", log)
+	for _, r := range rs {
+		for _, c := range r.calls {
+			if c.n != uint64(c.arg)+1 {
+				t.Fatalf("event %d ran as dispatch %d, want scheduling order", c.arg, c.n)
+			}
 		}
 	}
 }
 
 func TestCallPanicsOnPastEvent(t *testing.T) {
 	var s Scheduler
-	h := s.Register(&seqHandler{log: new([]int32)})
-	s.Call(5, h, 0, 0)
+	r := newRecorder(&s)
+	s.Call(5, r.h, 0, 0)
 	s.RunAll(0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Call into the past did not panic")
 		}
 	}()
-	s.Call(1, h, 0, 0)
-}
-
-// TestHandleSlotsAreReused drives a long closure-event workload (with
-// cancellations) and checks the side table of in-flight handles stays
-// bounded, i.e. slots are recycled.
-func TestHandleSlotsAreReused(t *testing.T) {
-	var s Scheduler
-	src := rng.New(3)
-	var live int
-	var tick func()
-	tick = func() {
-		live--
-		for live < 8 {
-			live++
-			e := s.After(src.Float64()+0.01, tick)
-			if src.Float64() < 0.25 {
-				e.Cancel()
-				live--
-			}
-		}
-	}
-	live = 1
-	s.At(0, tick)
-	s.RunAll(50000)
-	if n := len(s.handles); n > 64 {
-		t.Errorf("handle table grew to %d slots for ≤9 concurrent events; slots are not reused", n)
-	}
-}
-
-// TestMixedCancellation checks lazy deletion across peek/pop in the presence
-// of fast-path events at the same timestamp.
-func TestMixedCancellation(t *testing.T) {
-	var s Scheduler
-	var log []int32
-	h := s.Register(&seqHandler{log: &log})
-	e1 := s.At(1, func() { log = append(log, -1) })
-	s.Call(1, h, 0, 100)
-	e2 := s.At(1, func() { log = append(log, -2) })
-	s.Call(2, h, 0, 200)
-	e1.Cancel()
-	e2.Cancel()
-	if got := s.Run(1.5, 0); got != StoppedHorizon {
-		t.Fatalf("Run = %v, want horizon stop", got)
-	}
-	if len(log) != 1 || log[0] != 100 {
-		t.Fatalf("log = %v, want [100]", log)
-	}
-	if got := s.Run(3, 0); got != StoppedEmpty {
-		t.Fatalf("Run = %v, want empty stop", got)
-	}
-	if len(log) != 2 || log[1] != 200 {
-		t.Fatalf("log = %v, want [100 200]", log)
-	}
-	if s.Executed() != 2 {
-		t.Errorf("Executed = %d, want 2 (cancelled events must not count)", s.Executed())
-	}
+	s.Call(1, r.h, 0, 0)
 }

@@ -9,11 +9,10 @@ import (
 
 // refEvent is one pending event of the reference model in orderCheck.
 type refEvent struct {
-	t        float64
-	seq      uint64
-	id       int32
-	h        int // handler index, or -1 for a closure event
-	canceled bool
+	t   float64
+	seq uint64
+	id  int32
+	h   int // handler index
 }
 
 // orderCheck runs a byte-coded program against a Scheduler and, in
@@ -27,7 +26,6 @@ type orderCheck struct {
 	hids     [3]HandlerID
 	prog     []byte
 	live     []refEvent
-	closures map[int32]*Event
 	reserved []uint64
 	// seq, cur and now mirror the scheduler's sequence counter, one past
 	// the running event's seq, and clock.
@@ -37,7 +35,7 @@ type orderCheck struct {
 	executed uint64
 }
 
-// orderHandler forwards fast-path dispatches of handler idx to the check.
+// orderHandler forwards the dispatches of handler idx to the check.
 type orderHandler struct {
 	c   *orderCheck
 	idx int
@@ -71,7 +69,7 @@ func (c *orderCheck) runBlock() {
 		if op < 0 || b < 0 {
 			return
 		}
-		c.act(op%5, b)
+		c.act(op%3, b)
 	}
 }
 
@@ -89,24 +87,7 @@ func (c *orderCheck) act(op, b int) {
 		id := c.add(t, c.seq, h)
 		c.seq++
 		c.s.Call(t, c.hids[h], int32(h), id)
-	case 1: // At
-		id := c.add(t, c.seq, -1)
-		c.seq++
-		c.closures[id] = c.s.At(t, func() { c.dispatched(-1, id) })
-	case 2: // Cancel the (b mod n)-th live closure event
-		var open []int
-		for i, e := range c.live {
-			if e.h < 0 && !e.canceled {
-				open = append(open, i)
-			}
-		}
-		if len(open) == 0 {
-			return
-		}
-		e := &c.live[open[b%len(open)]]
-		e.canceled = true
-		c.closures[e.id].Cancel()
-	case 3: // Reserve
+	case 1: // Reserve
 		n := 1 + b%3
 		if first := c.s.Reserve(n); first != c.seq {
 			c.t.Fatalf("Reserve(%d) = %d, want %d", n, first, c.seq)
@@ -115,7 +96,7 @@ func (c *orderCheck) act(op, b int) {
 			c.reserved = append(c.reserved, c.seq+uint64(i))
 		}
 		c.seq += uint64(n)
-	case 4: // CallSeq into a reserved position
+	case 2: // CallSeq into a reserved position
 		if len(c.reserved) == 0 {
 			return
 		}
@@ -130,25 +111,20 @@ func (c *orderCheck) act(op, b int) {
 	}
 }
 
-// refNext removes and returns the reference's next event, discarding
-// cancelled closure events that reach the front as the scheduler does.
+// refNext removes and returns the reference's next event.
 func (c *orderCheck) refNext() (refEvent, bool) {
-	for {
-		best := -1
-		for i, e := range c.live {
-			if best < 0 || e.t < c.live[best].t || (e.t == c.live[best].t && e.seq < c.live[best].seq) {
-				best = i
-			}
-		}
-		if best < 0 {
-			return refEvent{}, false
-		}
-		e := c.live[best]
-		c.live = append(c.live[:best], c.live[best+1:]...)
-		if !e.canceled {
-			return e, true
+	best := -1
+	for i, e := range c.live {
+		if best < 0 || e.t < c.live[best].t || (e.t == c.live[best].t && e.seq < c.live[best].seq) {
+			best = i
 		}
 	}
+	if best < 0 {
+		return refEvent{}, false
+	}
+	e := c.live[best]
+	c.live = append(c.live[:best], c.live[best+1:]...)
+	return e, true
 }
 
 func (c *orderCheck) dispatched(h int, id int32) {
@@ -165,9 +141,6 @@ func (c *orderCheck) dispatched(h int, id int32) {
 	c.executed++
 	if got := c.s.Executed(); got != c.executed {
 		c.t.Fatalf("Executed() = %d during dispatch %d", got, c.executed)
-	}
-	if got := c.s.Pending(); got != len(c.live) {
-		c.t.Fatalf("Pending() = %d while event %d runs, reference has %d", got, id, len(c.live))
 	}
 	c.runBlock()
 }
@@ -197,15 +170,12 @@ func (c *orderCheck) checkPassed(run refEvent) {
 
 func checkSchedulerOrder(t *testing.T, prog []byte) {
 	s := &Scheduler{}
-	c := &orderCheck{t: t, s: s, prog: prog, closures: map[int32]*Event{}}
+	c := &orderCheck{t: t, s: s, prog: prog}
 	for i := range c.hids {
 		c.hids[i] = s.Register(&orderHandler{c: c, idx: i})
 	}
 	for i := 0; i < 4; i++ {
 		c.runBlock()
-	}
-	if got := s.Pending(); got != len(c.live) {
-		t.Fatalf("Pending() = %d before the run, reference has %d", got, len(c.live))
 	}
 	s.RunAll(0)
 	if e, ok := c.refNext(); ok {
@@ -214,20 +184,16 @@ func checkSchedulerOrder(t *testing.T, prog []byte) {
 	if s.Executed() != c.executed {
 		t.Fatalf("Executed() = %d, reference executed %d", s.Executed(), c.executed)
 	}
-	if s.Pending() != 0 {
-		t.Fatalf("Pending() = %d after the run", s.Pending())
-	}
 	if c.executed > 0 && (!s.Passed(c.now, c.cur-1) || s.Passed(c.now, c.seq)) {
 		t.Fatalf("after the run Passed disagrees at the last dispatch (%v, %d)", c.now, c.cur-1)
 	}
 }
 
 // FuzzSchedulerOrder checks the dispatch sequence, Executed() and Passed of
-// arbitrary programs of Call, At, Cancel and Reserve+CallSeq over three
-// handlers against a reference that sorts the live events by (time, seq).
+// arbitrary programs of Call and Reserve+CallSeq over three handlers against a reference that sorts the live events by (time, seq).
 func FuzzSchedulerOrder(f *testing.F) {
 	f.Add([]byte{3, 0, 0, 1, 0, 3, 2})
-	f.Add([]byte{3, 3, 2, 4, 8, 4, 17, 3, 0, 9, 1, 0, 2, 1, 3, 4, 0, 3, 0, 1, 4, 3})
+	f.Add([]byte{3, 1, 2, 2, 8, 2, 17, 3, 0, 9, 0, 0, 0, 1, 3, 2, 0, 1, 0, 0, 4, 3})
 	src := rng.New(5)
 	for k := 0; k < 4; k++ {
 		prog := make([]byte, 200+100*k)
@@ -259,7 +225,7 @@ func mustPanic(t *testing.T, name string, want error, fn func()) {
 
 func TestCallSeqPanicsOnUnreservedSeq(t *testing.T) {
 	var s Scheduler
-	h := s.Register(&seqHandler{log: new([]int32)})
+	h := newRecorder(&s).h
 	mustPanic(t, "nothing reserved", ErrUnreservedSeq, func() { s.CallSeq(1, 0, h, 0, 0) })
 	first := s.Reserve(2)
 	s.CallSeq(1, first+1, h, 0, 0)
@@ -296,59 +262,6 @@ func TestCallSeqPanicsAtOrBeforeRunningEvent(t *testing.T) {
 	s.RunAll(0)
 	if s.Executed() != 2 || s.Now() != 3 {
 		t.Errorf("Executed = %d, Now = %v; want 2 events ending at 3", s.Executed(), s.Now())
-	}
-}
-
-// pendingProbe records Pending() around the scheduling its dispatch does.
-type pendingProbe struct {
-	s      *Scheduler
-	self   HandlerID
-	other  HandlerID
-	counts []int
-}
-
-func (p *pendingProbe) HandleEvent(op, arg int32) {
-	if op != 0 {
-		return
-	}
-	p.counts = append(p.counts, p.s.Pending())
-	p.s.Call(p.s.Now()+1, p.other, 1, 0) // another list: a plain push
-	p.counts = append(p.counts, p.s.Pending())
-	p.s.Call(p.s.Now()+1, p.self, 1, 0) // own list: takes over the held root
-	p.counts = append(p.counts, p.s.Pending())
-	p.s.Call(p.s.Now()+2, p.self, 1, 0)
-	p.counts = append(p.counts, p.s.Pending())
-}
-
-// TestPendingWhileHandlerRuns checks that the root slot the running event
-// holds is never counted, before or after the handler reuses it.
-func TestPendingWhileHandlerRuns(t *testing.T) {
-	var s Scheduler
-	p := &pendingProbe{s: &s}
-	p.self = s.Register(p)
-	p.other = s.Register(&seqHandler{log: new([]int32)})
-	s.Call(1, p.self, 0, 0)
-	s.Call(5, p.self, 1, 0)
-	s.At(6, func() {})
-	s.Step()
-	want := []int{2, 3, 4, 5}
-	for i := range want {
-		if i >= len(p.counts) || p.counts[i] != want[i] {
-			t.Fatalf("Pending() during dispatch = %v, want %v", p.counts, want)
-		}
-	}
-	if got := s.Pending(); got != 5 {
-		t.Errorf("Pending() after dispatch = %d, want 5", got)
-	}
-	// A handler that schedules nothing on its own list gives up its root.
-	s.Call(1, p.other, 1, 0)
-	s.Step()
-	if got := s.Pending(); got != 5 {
-		t.Errorf("Pending() after a dispatch that scheduled nothing = %d, want 5", got)
-	}
-	s.RunAll(0)
-	if s.Pending() != 0 || s.Executed() != 7 {
-		t.Errorf("Pending = %d, Executed = %d after the run; want 0, 7", s.Pending(), s.Executed())
 	}
 }
 
@@ -407,5 +320,5 @@ func TestPassed(t *testing.T) {
 	if !p.ran {
 		t.Fatal("probe never ran")
 	}
-	checkPassed(t, "after Run", &s, p.first)
+	checkPassed(t, "after RunAll", &s, p.first)
 }

@@ -441,7 +441,7 @@ func hash64(x uint64) uint64 {
 var ErrTruncated = errors.New("mcsim: event budget exhausted before measurement completed")
 
 // Event discriminators of the Sim's des.Handler. Generation shares the
-// scheduler's allocation-free fast path with the wormhole engine.
+// scheduler with the wormhole engine.
 const (
 	// opGenerate: node arg generates its next message.
 	opGenerate int32 = iota

@@ -96,47 +96,60 @@ func TestWaitMonotoneInLoad(t *testing.T) {
 	}
 }
 
+// Ops of mg1.
+const (
+	mg1Arrive int32 = iota
+	mg1Depart
+)
+
+// mg1 is a FIFO single-server queue as a des Handler: op mg1Arrive is a
+// job's arrival, op mg1Depart the end of a service.
+type mg1 struct {
+	sched   des.Scheduler
+	h       des.HandlerID
+	src     *rng.Source
+	lambda  float64
+	service func(*rng.Source) float64
+	queue   []float64 // arrival times of the waiting jobs
+	busy    bool
+	left    int // arrivals still to come
+	wait    stats.Running
+}
+
+func (q *mg1) start(arrival float64) {
+	q.busy = true
+	q.wait.Add(q.sched.Now() - arrival)
+	q.sched.CallAfter(q.service(q.src), q.h, mg1Depart, 0)
+}
+
+func (q *mg1) HandleEvent(op, arg int32) {
+	if op == mg1Depart {
+		q.busy = false
+		if len(q.queue) > 0 {
+			arrival := q.queue[0]
+			q.queue = q.queue[1:]
+			q.start(arrival)
+		}
+		return
+	}
+	if q.busy {
+		q.queue = append(q.queue, q.sched.Now())
+	} else {
+		q.start(q.sched.Now())
+	}
+	if q.left--; q.left > 0 {
+		q.sched.CallAfter(q.src.Exp(q.lambda), q.h, mg1Arrive, 0)
+	}
+}
+
 // simulateMG1 runs a small event-driven M/G/1 queue and returns the observed
 // mean waiting time. It doubles as an integration test of the des package.
 func simulateMG1(lambda float64, service func(*rng.Source) float64, n int, seed uint64) float64 {
-	var sched des.Scheduler
-	src := rng.New(seed)
-	var wait stats.Running
-
-	type job struct{ arrival float64 }
-	var queue []job
-	busy := false
-	var depart func()
-	start := func(j job) {
-		busy = true
-		wait.Add(sched.Now() - j.arrival)
-		sched.After(service(src), depart)
-	}
-	depart = func() {
-		busy = false
-		if len(queue) > 0 {
-			j := queue[0]
-			queue = queue[1:]
-			start(j)
-		}
-	}
-	arrivals := 0
-	var arrive func()
-	arrive = func() {
-		j := job{arrival: sched.Now()}
-		if busy {
-			queue = append(queue, j)
-		} else {
-			start(j)
-		}
-		arrivals++
-		if arrivals < n {
-			sched.After(src.Exp(lambda), arrive)
-		}
-	}
-	sched.After(src.Exp(lambda), arrive)
-	sched.RunAll(0)
-	return wait.Mean()
+	q := &mg1{src: rng.New(seed), lambda: lambda, service: service, left: n}
+	q.h = q.sched.Register(q)
+	q.sched.CallAfter(q.src.Exp(lambda), q.h, mg1Arrive, 0)
+	q.sched.RunAll(0)
+	return q.wait.Mean()
 }
 
 func TestMG1FormulaAgainstSimulation(t *testing.T) {

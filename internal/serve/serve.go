@@ -421,7 +421,7 @@ func decodeBody(b []byte, v any) error {
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("parsing request body: %v", err)
 	}
-	if dec.More() {
+	if len(bytes.TrimLeft(b[dec.InputOffset():], " \t\r\n")) > 0 {
 		return errors.New("parsing request body: trailing data after the JSON document")
 	}
 	return nil

@@ -109,6 +109,8 @@ var analyzeValidationCases = []struct {
 	{"bad tech", `{"org":"org1","lambda":0.0003,"tech":{"alpha_net":-1,"alpha_sw":0.01,"beta_net":0.002}}`, 400},
 	{"not json", `latency please`, 400},
 	{"trailing garbage", `{"org":"org1","lambda":0.0003} extra`, 400},
+	{"trailing bracket", `{"org":"org1","lambda":0.0003}]x`, 400},
+	{"trailing brace", `{"org":"org1","lambda":0.0003}}`, 400},
 }
 
 func TestAnalyzeValidation(t *testing.T) {
@@ -483,10 +485,13 @@ func TestSweepValidationAndLimits(t *testing.T) {
 // TestBodyBoundCoversWholeBody pins that the 1 MiB body bound covers the
 // whole body, not just its JSON document: a valid document padded past the
 // bound is rejected on every endpoint that decodes a body, while one padded
-// up to the bound is still accepted.
+// up to the bound is still accepted. A document followed by anything but
+// whitespace is rejected too, even when the first trailing byte is one
+// json.Decoder.More treats as the end of a value.
 func TestBodyBoundCoversWholeBody(t *testing.T) {
 	s := newTestServer(t, Config{}, instantOutcome)
 	const tooLarge = `{"error":"parsing request body: http: request body too large"}` + "\n"
+	const trailing = `{"error":"parsing request body: trailing data after the JSON document"}` + "\n"
 	for _, tc := range []struct {
 		path, doc string
 		ok        int
@@ -503,6 +508,9 @@ func TestBodyBoundCoversWholeBody(t *testing.T) {
 			if w.Code != http.StatusBadRequest || w.Body.String() != tooLarge {
 				t.Fatalf("%s, %d-byte body: %d %s", tc.path, len(over), w.Code, w.Body)
 			}
+		}
+		if w := do(t, s, "POST", tc.path, tc.doc+"]x"); w.Code != http.StatusBadRequest || w.Body.String() != trailing {
+			t.Fatalf("%s, document followed by ]x: %d %s", tc.path, w.Code, w.Body)
 		}
 		atBound := tc.doc + strings.Repeat(" ", maxBodyBytes-len(tc.doc))
 		if w := do(t, s, "POST", tc.path, atBound); w.Code != tc.ok {

@@ -217,9 +217,9 @@ type releaseRun struct {
 // completion and records the channel views and the final clock in run.
 // inject starts worm i; view reads channel c.
 func (rc releaseCase) drive(s *des.Scheduler, run *releaseRun, inject func(i int), view func(c int) chanView) {
+	d := newDriver(s, func(i int32) { inject(int(i)) })
 	for i, w := range rc.worms {
-		i := i
-		s.At(w.at, func() { inject(i) })
+		s.Call(w.at, d.h, driveInject, int32(i))
 	}
 	views := func() []chanView {
 		v := make([]chanView, len(rc.flits))
@@ -229,16 +229,15 @@ func (rc releaseCase) drive(s *des.Scheduler, run *releaseRun, inject func(i int
 		return v
 	}
 	left := rc.observeAfter
-	var observe func()
-	observe = func() {
+	d.observe = func() {
 		run.observed = append(run.observed, views())
 		if len(left) > 0 {
-			s.After(left[0], observe)
+			s.CallAfter(left[0], d.h, driveObserve, 0)
 			left = left[1:]
 		}
 	}
 	for _, t := range rc.observeAt {
-		s.At(t, observe)
+		s.Call(t, d.h, driveObserve, 0)
 	}
 	s.RunAll(0)
 	run.final = views()

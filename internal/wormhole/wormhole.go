@@ -265,9 +265,9 @@ func (n *Network) BusyTime(c int32) float64 {
 func (n *Network) Grants(c int32) uint64 { return n.ch[c].grants }
 
 // Event discriminators of the network's des.Handler. All per-flit traffic is
-// dispatched through the scheduler's allocation-free fast path: the network
-// is the handler, op selects the action, and the worm or channel index rides
-// in the payload slots.
+// dispatched through the scheduler without allocation: the network is the
+// handler, op selects the action, and the worm or channel index rides in the
+// payload slots.
 const (
 	opHeader  int32 = iota // arg = worm slot: header finished crossing a channel
 	opRelease              // arg = channel: the holder's tail crossed it, grant it to the first waiter

@@ -15,6 +15,53 @@ func newNet(fts ...float64) (*des.Scheduler, *Network) {
 	return sched, New(sched, fts)
 }
 
+// Ops of driver.
+const (
+	driveInject int32 = iota
+	driveObserve
+)
+
+// driver is the tests' Handler: an event with op driveInject starts worm arg
+// through inject, one with op driveObserve calls observe.
+type driver struct {
+	s       *des.Scheduler
+	h       des.HandlerID
+	inject  func(i int32)
+	observe func()
+}
+
+func newDriver(s *des.Scheduler, inject func(i int32)) *driver {
+	d := &driver{s: s, inject: inject}
+	d.h = s.Register(d)
+	return d
+}
+
+func (d *driver) HandleEvent(op, arg int32) {
+	if op == driveObserve {
+		d.observe()
+		return
+	}
+	d.inject(arg)
+}
+
+// injector schedules worms into a Network through a driver.
+type injector struct {
+	d     *driver
+	worms []*Worm
+}
+
+func newInjector(sched *des.Scheduler, net *Network) *injector {
+	in := &injector{}
+	in.d = newDriver(sched, func(i int32) { net.Inject(in.worms[i]) })
+	return in
+}
+
+// at schedules the injection of w at time t.
+func (in *injector) at(t float64, w *Worm) {
+	in.d.s.Call(t, in.d.h, driveInject, int32(len(in.worms)))
+	in.worms = append(in.worms, w)
+}
+
 func TestSingleWormUniformPipeline(t *testing.T) {
 	// Zero-load latency over K channels of equal flit time is (M+K−1)·ft.
 	const ft = 0.5
@@ -74,9 +121,9 @@ func TestTwoWormsSerializeOnSharedChannel(t *testing.T) {
 		return &Worm{ID: id, Path: []int32{0, 1}, Flits: 2,
 			OnDone: func(w *Worm) { tails = append(tails, w.TailAt) }}
 	}
-	a, b := mk(1), mk(2)
-	sched.At(0, func() { net.Inject(a) })
-	sched.At(0.5, func() { net.Inject(b) })
+	in := newInjector(sched, net)
+	in.at(0, mk(1))
+	in.at(0.5, mk(2))
 	sched.RunAll(0)
 	if len(tails) != 2 {
 		t.Fatalf("delivered %d worms, want 2", len(tails))
@@ -92,10 +139,10 @@ func TestTwoWormsSerializeOnSharedChannel(t *testing.T) {
 func TestFIFOOrderOnInjectionChannel(t *testing.T) {
 	sched, net := newNet(1, 1)
 	var order []uint64
+	in := newInjector(sched, net)
 	for i := uint64(1); i <= 5; i++ {
-		w := &Worm{ID: i, Path: []int32{0, 1}, Flits: 3,
-			OnDone: func(w *Worm) { order = append(order, w.ID) }}
-		sched.At(0, func() { net.Inject(w) })
+		in.at(0, &Worm{ID: i, Path: []int32{0, 1}, Flits: 3,
+			OnDone: func(w *Worm) { order = append(order, w.ID) }})
 	}
 	sched.RunAll(0)
 	for i, id := range order {
@@ -116,9 +163,10 @@ func TestChainedBlockingHoldsUpstreamChannels(t *testing.T) {
 		OnDone: func(w *Worm) { tailB = w.TailAt }}
 	c := &Worm{ID: 3, Path: []int32{1, 3}, Flits: 2,
 		OnDone: func(w *Worm) { tailC = w.TailAt }}
-	sched.At(0, func() { net.Inject(a) })    // holds ch2 until t=10
-	sched.At(0.5, func() { net.Inject(b) })  // acquires ch1 at 0.5, blocks on ch2
-	sched.At(0.75, func() { net.Inject(c) }) // waits for ch1 behind B
+	in := newInjector(sched, net)
+	in.at(0, a)    // holds ch2 until t=10
+	in.at(0.5, b)  // acquires ch1 at 0.5, blocks on ch2
+	in.at(0.75, c) // waits for ch1 behind B
 	sched.RunAll(0)
 	// B: granted ch2 at t=10, header at 11, tail at max(.., 10+2)=12.
 	if math.Abs(tailB-12) > 1e-12 {
@@ -145,6 +193,7 @@ func TestConservationUnderRandomLoad(t *testing.T) {
 		fts[i] = 0.25 + src.Float64()
 	}
 	net := New(sched, fts)
+	in := newInjector(sched, net)
 	delivered := 0
 	for i := 0; i < worms; i++ {
 		// Random path of 1..6 distinct channels, acquired in increasing
@@ -165,7 +214,7 @@ func TestConservationUnderRandomLoad(t *testing.T) {
 					t.Errorf("worm %d: inconsistent times %v/%v/%v", w.ID, w.InjectedAt, w.HeaderAt, w.TailAt)
 				}
 			}}
-		sched.At(src.Float64()*500, func() { net.Inject(w) })
+		in.at(src.Float64()*500, w)
 	}
 	sched.RunAll(0)
 	if delivered != worms {
@@ -192,6 +241,7 @@ func TestDeterminism(t *testing.T) {
 	run := func() []float64 {
 		sched := &des.Scheduler{}
 		net := New(sched, []float64{1, 1, 1, 1, 1, 1})
+		in := newInjector(sched, net)
 		src := rng.New(7)
 		var tails []float64
 		for i := 0; i < 500; i++ {
@@ -201,7 +251,7 @@ func TestDeterminism(t *testing.T) {
 			}
 			w := &Worm{ID: uint64(i), Path: []int32{a, b}, Flits: 4,
 				OnDone: func(w *Worm) { tails = append(tails, w.TailAt) }}
-			sched.At(src.Float64()*200, func() { net.Inject(w) })
+			in.at(src.Float64()*200, w)
 		}
 		sched.RunAll(0)
 		return tails
@@ -287,11 +337,10 @@ func TestMaxQueueLenHighWater(t *testing.T) {
 	// Queue three worms behind a long-running holder: the high-water mark
 	// must reach 3 and survive the queue draining.
 	sched, net := newNet(1, 1)
-	a := &Worm{ID: 1, Path: []int32{0}, Flits: 50}
-	sched.At(0, func() { net.Inject(a) })
+	in := newInjector(sched, net)
+	in.at(0, &Worm{ID: 1, Path: []int32{0}, Flits: 50})
 	for i := uint64(2); i <= 4; i++ {
-		w := &Worm{ID: i, Path: []int32{0, 1}, Flits: 1}
-		sched.At(float64(i), func() { net.Inject(w) })
+		in.at(float64(i), &Worm{ID: i, Path: []int32{0, 1}, Flits: 1})
 	}
 	sched.RunAll(0)
 	if got := net.MaxQueueLen(0); got != 3 {
@@ -309,8 +358,9 @@ func TestSourceWaitAccessor(t *testing.T) {
 	if !math.IsNaN(waiter.SourceWait()) {
 		t.Error("SourceWait before injection should be NaN")
 	}
-	sched.At(0, func() { net.Inject(blocker) })
-	sched.At(1, func() { net.Inject(waiter) })
+	in := newInjector(sched, net)
+	in.at(0, blocker)
+	in.at(1, waiter)
 	sched.RunAll(0)
 	// Blocker holds channel 0 for 5 units; waiter injected at 1 → waits 4.
 	if got := waiter.SourceWait(); math.Abs(got-4) > 1e-12 {
@@ -370,14 +420,14 @@ func BenchmarkThousandWorms(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sched := &des.Scheduler{}
 		net := New(sched, []float64{1, 1, 1, 1, 1, 1, 1, 1})
+		in := newInjector(sched, net)
 		src := rng.New(3)
 		for j := 0; j < 1000; j++ {
 			a, c := int32(src.Intn(8)), int32(src.Intn(8))
 			if a == c {
 				continue
 			}
-			w := &Worm{ID: uint64(j), Path: []int32{a, c}, Flits: 32}
-			sched.At(src.Float64()*1000, func() { net.Inject(w) })
+			in.at(src.Float64()*1000, &Worm{ID: uint64(j), Path: []int32{a, c}, Flits: 32})
 		}
 		sched.RunAll(0)
 	}
@@ -407,10 +457,11 @@ func TestReleaseTiesWithHeaderRequest(t *testing.T) {
 	b := &Worm{ID: 'B', Path: []int32{2, 0}, Flits: 2, OnDone: done}
 	c := &Worm{ID: 'C', Path: []int32{3, 0}, Flits: 2, OnDone: done}
 	d := &Worm{ID: 'D', Path: []int32{4, 0}, Flits: 2, OnDone: done}
-	sched.At(0, func() { net.Inject(a) })
-	sched.At(1, func() { net.Inject(c) })
-	sched.At(1.5, func() { net.Inject(b) })
-	sched.At(4, func() { net.Inject(d) })
+	in := newInjector(sched, net)
+	in.at(0, a)
+	in.at(1, c)
+	in.at(1.5, b)
+	in.at(4, d)
 	sched.RunAll(0)
 	if string(order) != "ACBD" {
 		t.Errorf("delivery order %q, want ACBD", string(order))
