@@ -64,7 +64,7 @@ fuzz:
 # each (benchdiff keeps the minimum ns/op over the repeats, so the gate never
 # judges a single noisy sample) and writes the raw `go test -json` stream to
 # $(BENCH_OUT), plus a condensed machine-readable summary (name → ns/op,
-# allocs/op) next to it. The summary printer is cmd/benchdiff, which parses
+# B/op, allocs/op) next to it. The summary printer is cmd/benchdiff, which parses
 # the same artifact the gate consumes (and is portable: no GNU grep/sed
 # extensions).
 bench:

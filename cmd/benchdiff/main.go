@@ -12,7 +12,7 @@
 //	benchdiff -threshold 1.5 old.json new.json
 //	benchdiff -alloc-threshold 2 old.json new.json
 //	benchdiff -list file.json                # pretty-print one artifact
-//	benchdiff -summary file.json             # condensed JSON: name → ns/op, allocs/op
+//	benchdiff -summary file.json             # condensed JSON: name → ns/op, B/op, allocs/op
 //	benchdiff -trajectory BENCH_*.json       # perf-over-time table across revisions
 //	benchdiff -trajectory -out dir BENCH_*.json BENCH_*.summary.json
 //
@@ -33,7 +33,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -74,7 +73,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		threshold      = fs.Float64("threshold", 1.25, "fail when new ns/op exceeds threshold × old ns/op")
 		allocThreshold = fs.Float64("alloc-threshold", 1.25, "fail when new allocs/op exceeds alloc-threshold × old allocs/op (skipped when either artifact lacks allocs/op)")
 		list           = fs.Bool("list", false, "print one artifact's benchmarks and exit")
-		summary        = fs.Bool("summary", false, "print one artifact as condensed JSON (name → ns/op, allocs/op) and exit")
+		summary        = fs.Bool("summary", false, "print one artifact as condensed JSON (name → ns/op, B/op, allocs/op) and exit")
 		trajectory     = fs.Bool("trajectory", false, "assemble BENCH_<rev> artifacts into a perf-over-time table and chart")
 		out            = fs.String("out", "", "with -trajectory: directory to write trajectory.md and trajectory.txt into (default: stdout)")
 	)
@@ -99,7 +98,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 		if *summary {
-			return printSummary(stdout, benches)
+			return benchfmt.WriteSummary(stdout, benches)
 		}
 		printBenches(stdout, benches)
 		return nil
@@ -213,35 +212,6 @@ func diff(w io.Writer, old, new_ []Bench, threshold, allocThreshold float64) err
 	}
 	fmt.Fprintf(w, "no regressions beyond %.2f×\n", threshold)
 	return nil
-}
-
-// summaryRow is one benchmark in the -summary JSON document. AllocsOp is a
-// pointer so a stream captured without -benchmem omits the key instead of
-// reporting a fake zero.
-type summaryRow struct {
-	NsOp     float64  `json:"ns_op"`
-	AllocsOp *float64 `json:"allocs_op,omitempty"`
-}
-
-// printSummary emits the condensed machine-readable artifact `make bench`
-// stores next to the raw stream: benchmark name → ns/op and allocs/op,
-// sorted by name so repeated runs diff cleanly.
-func printSummary(w io.Writer, benches []Bench) error {
-	doc := make(map[string]summaryRow, len(benches))
-	for _, b := range benches {
-		row := summaryRow{NsOp: b.NsOp}
-		if b.AllocsOp >= 0 {
-			allocs := b.AllocsOp
-			row.AllocsOp = &allocs
-		}
-		doc[b.Name] = row
-	}
-	b, err := json.MarshalIndent(doc, "", "  ") // map keys marshal sorted
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintln(w, string(b))
-	return err
 }
 
 func printBenches(w io.Writer, benches []Bench) {

@@ -356,8 +356,8 @@ func TestCountKeepsMinimum(t *testing.T) {
 }
 
 // TestSummaryMode: -summary must emit valid JSON keyed by benchmark name
-// with ns/op and allocs/op, the condensed artifact `make bench` stores next
-// to the raw stream.
+// with ns/op, B/op and allocs/op, the condensed artifact `make bench`
+// stores next to the raw stream.
 func TestSummaryMode(t *testing.T) {
 	dir := t.TempDir()
 	path := writeStream(t, dir, "run.json", map[string]float64{
@@ -369,6 +369,7 @@ func TestSummaryMode(t *testing.T) {
 	}
 	var doc map[string]struct {
 		NsOp     float64  `json:"ns_op"`
+		BytesOp  *float64 `json:"bytes_op"`
 		AllocsOp *float64 `json:"allocs_op"`
 	}
 	if err := json.Unmarshal(stdout.Bytes(), &doc); err != nil {
@@ -383,6 +384,9 @@ func TestSummaryMode(t *testing.T) {
 	}
 	if foo.AllocsOp == nil || *foo.AllocsOp != 1 {
 		t.Errorf("BenchmarkFoo allocs_op = %v, want 1", foo.AllocsOp)
+	}
+	if foo.BytesOp == nil || *foo.BytesOp != 24 {
+		t.Errorf("BenchmarkFoo bytes_op = %v, want 24", foo.BytesOp)
 	}
 }
 

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"runtime"
 	"runtime/debug"
 	"testing"
 
@@ -16,13 +17,16 @@ import (
 // grant/advance/release cycle run steady-state with zero allocations, and a
 // whole mcsim run costs a fixed setup-time budget regardless of message
 // count (worm paths, acquisition buffers, arrival processes and messages all
-// come from slab pools). These tests pin that property with
-// testing.AllocsPerRun so a regression fails `go test ./...` rather than
-// waiting for someone to read benchmark output. Budgets are hard ceilings
-// with headroom over the measured values (see README "Performance"); they
-// are not targets to grow into. Garbage collection is off while a gate
-// measures: a cycle that lands inside a run moves a few runtime allocations
-// into it, which made the counts vary by up to four between runs.
+// come from slab pools). A released run's organization-sized arrays back the
+// next run, so that budget is mostly small allocations; TestAllocsMcsimBytes
+// pins their bytes. These tests pin both properties with
+// testing.AllocsPerRun and runtime.MemStats, so a regression fails `go test
+// ./...` rather than waiting for someone to read benchmark output. Budgets
+// are hard ceilings with headroom over the measured values (see README
+// "Performance"); they are not targets to grow into. Garbage collection is
+// off while a gate measures: a cycle that lands inside a run moves a few
+// runtime allocations into it, which made the counts vary by up to four
+// between runs.
 func gate(t *testing.T, name string, budget float64, f func()) {
 	t.Helper()
 	if raceEnabled {
@@ -89,6 +93,32 @@ func TestAllocsMcsimOrg1(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestAllocsMcsimBytes bounds the bytes, not the count, of an Org1 run that
+// follows another one. mcsim.Run releases its simulation, so the second run
+// draws the channel table, the event lists, the message slabs and the
+// per-node arrays from the free lists the first run filled: it allocates
+// ~16 KB where a run built from scratch allocates ~1.45 MB.
+func TestAllocsMcsimBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instruments allocations; gate runs in the non-race CI lane")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // as in gate
+	cfg := benchConfig(4000)
+	run := func() {
+		if _, err := mcsim.Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	if got, budget := after.TotalAlloc-before.TotalAlloc, uint64(128<<10); got > budget {
+		t.Errorf("mcsim-org1 after a released run: %d B allocated, budget %d B", got, budget)
+	}
 }
 
 // TestAllocsMcsimJellyfish bounds a run whose ICN1s are the random-regular

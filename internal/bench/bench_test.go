@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"io"
 	"net/http/httptest"
 	"strconv"
 	"strings"
@@ -371,6 +372,35 @@ func BenchmarkSweepWarm(b *testing.B) {
 	secs := b.Elapsed().Seconds()
 	b.ReportMetric(secs*1e3/float64(b.N), "ms/pass")
 	b.ReportMetric(float64(jobs*b.N)/secs, "jobs/s")
+}
+
+// BenchmarkSweepCold measures one engine pass of the sweep-grid benchmark's
+// spec with no cache, at Workers: 0 (GOMAXPROCS): expansion, all 48
+// simulations and the ordered emission of every row. It is the sweep
+// engine's cold-cache number, next to BenchmarkSweepWarm's warm one; with
+// two or more workers it includes the garbage collector's share of the
+// workers' CPU, which a released run's recycled arrays keep small.
+func BenchmarkSweepCold(b *testing.B) {
+	spec := benchGridSpec()
+	var jobs int
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sink := sweep.NewJSONLSink(io.Discard)
+		sum, err := (&sweep.Engine{Sinks: []sweep.Sink{sink}}).Run(spec)
+		if err == nil {
+			err = sink.Flush()
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		if sum.Executed != sum.Total {
+			b.Fatalf("cold pass: %d of %d jobs executed", sum.Executed, sum.Total)
+		}
+		jobs += sum.Total
+	}
+	secs := b.Elapsed().Seconds()
+	b.ReportMetric(secs*1e3/float64(b.N), "ms/pass")
+	b.ReportMetric(float64(jobs)/secs, "jobs/s")
 }
 
 // BenchmarkSweepFigure runs the builtin Figure 3 (M=32) grid — 20 jobs over

@@ -81,14 +81,41 @@ func Parse(r io.Reader) ([]Bench, error) {
 	return out, nil
 }
 
-// summaryRow mirrors the benchdiff -summary document schema.
+// summaryRow is one benchmark of a summary document. BytesOp and AllocsOp
+// are pointers so a stream captured without -benchmem omits the keys
+// instead of reporting fake zeros; summaries written before bytes_op
+// existed carry allocs_op alone.
 type summaryRow struct {
 	NsOp     float64  `json:"ns_op"`
+	BytesOp  *float64 `json:"bytes_op,omitempty"`
 	AllocsOp *float64 `json:"allocs_op,omitempty"`
 }
 
+// WriteSummary writes the condensed BENCH_<rev>.summary.json document:
+// benchmark name → ns/op, B/op and allocs/op, sorted by name so repeated
+// runs diff cleanly.
+func WriteSummary(w io.Writer, benches []Bench) error {
+	opt := func(v float64) *float64 {
+		if v < 0 {
+			return nil
+		}
+		return &v
+	}
+	doc := make(map[string]summaryRow, len(benches))
+	for _, b := range benches {
+		doc[b.Name] = summaryRow{NsOp: b.NsOp, BytesOp: opt(b.BytesOp), AllocsOp: opt(b.AllocsOp)}
+	}
+	out, err := json.MarshalIndent(doc, "", "  ") // map keys marshal sorted
+	if err != nil {
+		return err
+	}
+	_, err = fmt.Fprintln(w, string(out))
+	return err
+}
+
 // ParseSummary reads a condensed BENCH_<rev>.summary.json document
-// (benchmark name → ns/op, allocs/op), returning benches sorted by name.
+// (benchmark name → ns/op, B/op, allocs/op), returning benches sorted by
+// name. A measurement the document lacks is -1.
 func ParseSummary(r io.Reader) ([]Bench, error) {
 	var doc map[string]summaryRow
 	if err := json.NewDecoder(r).Decode(&doc); err != nil {
@@ -97,13 +124,15 @@ func ParseSummary(r io.Reader) ([]Bench, error) {
 	if len(doc) == 0 {
 		return nil, errors.New("benchfmt: empty summary document")
 	}
+	val := func(p *float64) float64 {
+		if p == nil {
+			return -1
+		}
+		return *p
+	}
 	out := make([]Bench, 0, len(doc))
 	for name, row := range doc {
-		b := Bench{Name: name, NsOp: row.NsOp, BytesOp: -1, AllocsOp: -1}
-		if row.AllocsOp != nil {
-			b.AllocsOp = *row.AllocsOp
-		}
-		out = append(out, b)
+		out = append(out, Bench{Name: name, NsOp: row.NsOp, BytesOp: val(row.BytesOp), AllocsOp: val(row.AllocsOp)})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out, nil
@@ -202,7 +231,7 @@ func RevFromPath(path string) (string, bool) {
 
 // LoadArtifacts parses the given artifact files into per-revision
 // measurements. When a revision appears both as a raw stream and as a
-// summary, the raw stream wins (it carries B/op too); duplicates of the
+// summary, the raw stream wins (older summaries lack B/op); duplicates of the
 // same form keep the first path given. Files whose names do not follow the
 // BENCH_<rev> convention are rejected.
 func LoadArtifacts(paths []string) ([]Artifact, error) {

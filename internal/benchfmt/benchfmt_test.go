@@ -46,6 +46,40 @@ func TestParseSummary(t *testing.T) {
 	if benches[0].AllocsOp != 3 || benches[1].AllocsOp != -1 {
 		t.Errorf("allocs = %g, %g; want 3 and -1 (absent)", benches[0].AllocsOp, benches[1].AllocsOp)
 	}
+	// A summary written before bytes_op existed reads B/op as absent.
+	if benches[0].BytesOp != -1 || benches[1].BytesOp != -1 {
+		t.Errorf("bytes = %g, %g; want -1 (absent) for both", benches[0].BytesOp, benches[1].BytesOp)
+	}
+}
+
+// TestSummaryRoundTrip: WriteSummary keeps ns/op, B/op and allocs/op, and
+// omits what the stream did not measure, so ParseSummary reads back the
+// same benches.
+func TestSummaryRoundTrip(t *testing.T) {
+	want := []Bench{
+		{Name: "BenchmarkA", NsOp: 5.25, BytesOp: 79103, AllocsOp: 59},
+		{Name: "BenchmarkB", NsOp: 10.5, BytesOp: -1, AllocsOp: -1},
+		{Name: "BenchmarkC", NsOp: 1, BytesOp: 0, AllocsOp: 0},
+	}
+	var buf strings.Builder
+	if err := WriteSummary(&buf, []Bench{want[2], want[0], want[1]}); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"bytes_op": 79103`) || strings.Count(buf.String(), "bytes_op") != 2 {
+		t.Errorf("summary does not carry bytes_op for exactly the measured benches:\n%s", buf.String())
+	}
+	got, err := ParseSummary(strings.NewReader(buf.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("read back %d benches, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("bench %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
 }
 
 func TestParseErrors(t *testing.T) {

@@ -43,6 +43,8 @@ package des
 import (
 	"errors"
 	"math"
+
+	"mcnet/internal/freelist"
 )
 
 // Handler receives events. One Handler (typically the simulation engine
@@ -107,12 +109,36 @@ func (s *Scheduler) Passed(t float64, seq uint64) bool {
 	return t < s.now || (t == s.now && seq < s.cur)
 }
 
+// eventLists holds the event lists of released schedulers: each entry is a
+// Scheduler's lists, with every per-handler heap kept, emptied, in its
+// capacity.
+var eventLists freelist.List[eventHeap]
+
 // Register adds a handler and returns its ID. Handlers are registered once
-// at construction time and never removed.
+// at construction time and never removed. A scheduler's first Register takes
+// a released scheduler's event lists, so its heaps start at the capacity an
+// earlier run grew them to.
 func (s *Scheduler) Register(h Handler) HandlerID {
+	if s.lists == nil {
+		s.lists = eventLists.Get(0)
+	}
 	s.handlers = append(s.handlers, h)
-	s.lists = append(s.lists, nil)
+	if n := len(s.lists); n < cap(s.lists) {
+		s.lists = s.lists[:n+1]
+		s.lists[n] = s.lists[n][:0]
+	} else {
+		s.lists = append(s.lists, nil)
+	}
 	return HandlerID(len(s.handlers) - 1)
+}
+
+// Release hands the scheduler's event lists to the next Scheduler to
+// Register a handler, and resets the scheduler to its zero value: pending
+// events are dropped, and the handlers are forgotten. The lists hold only
+// pointer-free events, so nothing they keep points back into the run.
+func (s *Scheduler) Release() {
+	eventLists.Put(s.lists)
+	*s = Scheduler{}
 }
 
 // ErrPastEvent reports an attempt to schedule an event before the current

@@ -43,6 +43,7 @@ import (
 	"math"
 
 	"mcnet/internal/des"
+	"mcnet/internal/freelist"
 	"mcnet/internal/rng"
 	"mcnet/internal/routing"
 	"mcnet/internal/stats"
@@ -183,7 +184,8 @@ type clusterNets struct {
 	icn1 topo.Topology
 }
 
-// Sim is a fully built simulation instance. Create with New, run with Run.
+// Sim is a fully built simulation instance. Create with New, run with Run,
+// and hand its arrays to the next New with Release.
 type Sim struct {
 	cfg   Config
 	sys   *system.System
@@ -224,11 +226,11 @@ type Sim struct {
 	perCluster   []stats.Running
 	interCount   int64
 	measuredDone int
-	// msgs is the pool registry: worm Tags index into it, so delivery finds
-	// the message without a closure. freeMsgs holds the idle pool slots;
-	// maxHops bounds any route in this organization and sizes the per-message
-	// path/acq arena slices.
-	msgs     []*message
+	// slabs is the message pool: a worm's Tag is its message's pool index,
+	// so delivery finds the message without a closure. freeMsgs holds the
+	// idle messages; maxHops bounds any route in this organization and sizes
+	// the per-message path/acq arena slices.
+	slabs    []msgSlab
 	freeMsgs []*message
 	maxHops  int
 	// tele is the opt-in telemetry collector (nil when Config.Telemetry is
@@ -259,26 +261,48 @@ func New(cfg Config) (*Sim, error) {
 	// network carries its own link technology. Root↔concentrator bridges and
 	// the concentrator↔ICN2 links (ICN2's "node" channels — its nodes are
 	// devices) use the concentrator class's t_cs; with no overrides every
-	// channel gets the same t_cn/t_cs as the single-technology layout.
-	lm := cfg.Par.FlitBytes
-	concTcs := cfg.Par.ConcClass().Tcs(lm)
-	icn2Tcs := cfg.Par.ICN2Class().Tcs(lm)
-	var flits []float64
-	appendTree := func(t interface {
-		Channels() int
-		IsNodeChannel(int) bool
-	}, nodeTime, swTime float64) int32 {
-		base := int32(len(flits))
-		for c := 0; c < t.Channels(); c++ {
-			if t.IsNodeChannel(c) {
-				flits = append(flits, nodeTime)
-			} else {
-				flits = append(flits, swTime)
-			}
-		}
+	// channel gets the same t_cn/t_cs as the single-technology layout. The
+	// first pass resolves the networks and places their ranges, so the flit
+	// table is drawn at its final size and filled in place.
+	var nch int32
+	place := func(n int) int32 {
+		base := nch
+		nch += int32(n)
 		return base
 	}
 	s.clusters = make([]clusterNets, sys.C())
+	for i := range sys.Clusters {
+		cl := &sys.Clusters[i]
+		cn := &s.clusters[i]
+		cn.icn1, err = topo.New(cl.Topo, sys.Ports, cl.Levels, cfg.RoutingMode)
+		if err != nil {
+			return nil, fmt.Errorf("mcsim: cluster %d ICN1: %v", i, err)
+		}
+		cn.ecn1 = cl.ECN1Net
+		cn.icn1Base = place(cn.icn1.Channels())
+		cn.ecn1Base = place(cn.ecn1.Channels())
+		cn.rootUpBase = place(cn.ecn1.Roots())
+		cn.rootDownBase = place(cn.ecn1.Roots())
+	}
+	s.icn2, err = topo.NewGlobal(cfg.Org.ICN2Topo, sys.Ports, sys.C(), cfg.RoutingMode)
+	if err != nil {
+		return nil, fmt.Errorf("mcsim: ICN2: %v", err)
+	}
+	s.icn2Base = place(s.icn2.Channels())
+
+	lm := cfg.Par.FlitBytes
+	concTcs := cfg.Par.ConcClass().Tcs(lm)
+	icn2Tcs := cfg.Par.ICN2Class().Tcs(lm)
+	flits := flitTables.Get(int(nch))
+	fillTree := func(t topo.Topology, base int32, nodeTime, swTime float64) {
+		for c := 0; c < t.Channels(); c++ {
+			if t.IsNodeChannel(c) {
+				flits[int(base)+c] = nodeTime
+			} else {
+				flits[int(base)+c] = swTime
+			}
+		}
+	}
 	for i := range sys.Clusters {
 		cl := &sys.Clusters[i]
 		cn := &s.clusters[i]
@@ -290,28 +314,15 @@ func New(cfg Config) (*Sim, error) {
 		if cl.ECN1 != nil {
 			ecn1 = *cl.ECN1
 		}
-		cn.icn1, err = topo.New(cl.Topo, sys.Ports, cl.Levels, cfg.RoutingMode)
-		if err != nil {
-			return nil, fmt.Errorf("mcsim: cluster %d ICN1: %v", i, err)
-		}
-		cn.ecn1 = cl.ECN1Net
-		cn.icn1Base = appendTree(cn.icn1, icn1.Tcn(lm), icn1.Tcs(lm))
-		cn.ecn1Base = appendTree(cn.ecn1, ecn1.Tcn(lm), ecn1.Tcs(lm))
-		cn.rootUpBase = int32(len(flits))
-		for r := 0; r < cn.ecn1.Roots(); r++ {
-			flits = append(flits, concTcs)
-		}
-		cn.rootDownBase = int32(len(flits))
-		for r := 0; r < cn.ecn1.Roots(); r++ {
-			flits = append(flits, concTcs)
+		fillTree(cn.icn1, cn.icn1Base, icn1.Tcn(lm), icn1.Tcs(lm))
+		fillTree(cn.ecn1, cn.ecn1Base, ecn1.Tcn(lm), ecn1.Tcs(lm))
+		for c := cn.rootUpBase; c < cn.rootDownBase+int32(cn.ecn1.Roots()); c++ {
+			flits[c] = concTcs
 		}
 	}
-	s.icn2, err = topo.NewGlobal(cfg.Org.ICN2Topo, sys.Ports, sys.C(), cfg.RoutingMode)
-	if err != nil {
-		return nil, fmt.Errorf("mcsim: ICN2: %v", err)
-	}
-	s.icn2Base = appendTree(s.icn2, concTcs, icn2Tcs)
+	fillTree(s.icn2, s.icn2Base, concTcs, icn2Tcs)
 	s.net = wormhole.New(&s.sched, flits)
+	flitTables.Put(flits) // the network copied it into its channel table
 	s.hid = s.sched.Register(s)
 
 	if cfg.Pattern != nil {
@@ -319,10 +330,11 @@ func New(cfg Config) (*Sim, error) {
 	} else {
 		s.pattern = traffic.Uniform{N: sys.TotalNodes()}
 	}
-	s.nodeRNG = make([]rng.Source, sys.TotalNodes())
-	s.rates = make([]float64, sys.TotalNodes())
-	s.nodeCl = make([]int32, sys.TotalNodes())
-	s.nodeLocal = make([]int32, sys.TotalNodes())
+	nodes := sys.TotalNodes()
+	s.nodeRNG = nodeRNGs.Get(nodes)
+	s.rates = nodeRates.Get(nodes)
+	s.nodeCl = nodeClusters.Get(nodes)
+	s.nodeLocal = nodeLocals.Get(nodes)
 	for n := range s.nodeRNG {
 		s.nodeRNG[n].ReseedStream(cfg.Seed, uint64(n))
 		ci, local := sys.ClusterOf(n)
@@ -330,6 +342,7 @@ func New(cfg Config) (*Sim, error) {
 		s.nodeLocal[n] = int32(local)
 		s.rates[n] = cfg.LambdaG * sys.Clusters[ci].RateFactor
 	}
+	s.slabs = msgSlabs.Get(0)
 	s.perCluster = make([]stats.Running, sys.C())
 	// Bound the longest possible route: an inter-cluster journey climbs the
 	// source ECN1 (Levels channels), crosses a root↔concentrator bridge, the
@@ -352,6 +365,7 @@ func New(cfg Config) (*Sim, error) {
 	}
 	s.genCap = cfg.Warmup + cfg.Measure + cfg.Drain
 	if err := s.setupWorkload(); err != nil {
+		s.Release()
 		return nil, err
 	}
 	if cfg.Telemetry != nil {
@@ -661,7 +675,9 @@ func (s *Sim) launch(m *message) {
 
 // WormDelivered implements wormhole.Deliverer: the worm's Tag is the
 // message's pool slot, so delivery needs no per-message closure.
-func (s *Sim) WormDelivered(w *wormhole.Worm) { s.deliver(s.msgs[w.Tag]) }
+func (s *Sim) WormDelivered(w *wormhole.Worm) {
+	s.deliver(&s.slabs[w.Tag/poolSlab].msgs[w.Tag%poolSlab])
+}
 
 // deliver records the end-to-end latency of a completed message.
 func (s *Sim) deliver(m *message) {
@@ -701,25 +717,46 @@ func (s *Sim) getMessage() *message {
 	return m
 }
 
-// growPool adds poolSlab pooled messages backed by three shared allocations:
-// the message structs themselves and one path and one acq arena, carved into
-// per-message maxHops-capacity slices. The three-index carving caps each
-// slice's capacity so an append past maxHops (impossible by construction, but
-// cheap to make safe) reallocates instead of bleeding into a neighbor's
-// buffer. Worms are wired to the Sim via Owner/Tag for closure-free delivery.
+// poolSlab is the number of messages one growPool step adds.
+const poolSlab = 64
+
+// msgSlab is one growPool step: poolSlab messages and the path and
+// acquisition arenas their buffers are carved from.
+type msgSlab struct {
+	msgs  []message
+	paths []int32
+	acqs  []float64
+}
+
+// growPool adds poolSlab pooled messages backed by the three arrays of one
+// slab, carved into per-message maxHops-capacity slices. The slab is one an
+// earlier run left in the capacity of s.slabs when there is one, with new
+// arenas only if its own are too short for this organization's maxHops.
+// The three-index carving caps each slice's capacity so an append past
+// maxHops (impossible by construction, but cheap to make safe) reallocates
+// instead of bleeding into a neighbor's buffer. Worms are wired to the Sim
+// via Owner/Tag for closure-free delivery.
 func (s *Sim) growPool() {
-	const poolSlab = 64
-	msgs := make([]message, poolSlab)
-	paths := make([]int32, poolSlab*s.maxHops)
-	acqs := make([]float64, poolSlab*s.maxHops)
-	for i := range msgs {
-		m := &msgs[i]
+	k := len(s.slabs)
+	var sl msgSlab
+	if k < cap(s.slabs) {
+		sl = s.slabs[:k+1][k]
+	}
+	if sl.msgs == nil {
+		sl.msgs = make([]message, poolSlab)
+	}
+	if n := poolSlab * s.maxHops; cap(sl.paths) < n {
+		sl.paths = make([]int32, n)
+		sl.acqs = make([]float64, n)
+	}
+	s.slabs = append(s.slabs, sl)
+	for i := range sl.msgs {
+		m := &sl.msgs[i]
 		lo, hi := i*s.maxHops, (i+1)*s.maxHops
-		m.pathBuf = paths[lo:lo:hi]
-		m.worm.SetAcqBuf(acqs[lo:lo:hi])
+		*m = message{pathBuf: sl.paths[lo:lo:hi]}
+		m.worm.SetAcqBuf(sl.acqs[lo:lo:hi])
 		m.worm.Owner = s
-		m.worm.Tag = int32(len(s.msgs))
-		s.msgs = append(s.msgs, m)
+		m.worm.Tag = int32(k*poolSlab + i)
 		s.freeMsgs = append(s.freeMsgs, m)
 	}
 }
@@ -728,11 +765,49 @@ func (s *Sim) putMessage(m *message) {
 	s.freeMsgs = append(s.freeMsgs, m)
 }
 
-// Run builds and runs a simulation in one call.
+// The free lists Release hands a finished run's organization-sized arrays
+// to, and New draws from (see package freelist).
+var (
+	flitTables   freelist.List[float64]
+	nodeRNGs     freelist.List[rng.Source]
+	nodeRates    freelist.List[float64]
+	nodeClusters freelist.List[int32]
+	nodeLocals   freelist.List[int32]
+	// msgSlabs holds whole message pools: a released Sim's slabs, each with
+	// its messages cleared, so the pool keeps nothing of the finished run.
+	msgSlabs freelist.List[msgSlab]
+)
+
+// Release returns the run's organization-sized arrays — the wormhole
+// channel table, the scheduler's event lists, the message slabs with their
+// path and acquisition arenas, and the per-node RNG, rate and cluster
+// arrays — to bounded process-wide free lists, for the next New to reuse.
+// Call it once the Result and any telemetry snapshot are taken. The Sim
+// must not be used afterwards: every field is cleared, so any use panics.
+// A Telemetry collector obtained from the Sim stays valid, since Snapshot
+// reads only the collector's own state.
+func (s *Sim) Release() {
+	s.net.Release()
+	s.sched.Release()
+	for i := range s.slabs {
+		// Each worm points at the Sim, and its Path into the slab.
+		clear(s.slabs[i].msgs)
+	}
+	msgSlabs.Put(s.slabs)
+	nodeRNGs.Put(s.nodeRNG)
+	nodeRates.Put(s.rates)
+	nodeClusters.Put(s.nodeCl)
+	nodeLocals.Put(s.nodeLocal)
+	*s = Sim{}
+}
+
+// Run builds and runs a simulation in one call, and releases it.
 func Run(cfg Config) (Result, error) {
 	s, err := New(cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	return s.Run()
+	res, err := s.Run()
+	s.Release()
+	return res, err
 }

@@ -10,7 +10,9 @@ import (
 	"sync"
 	"testing"
 
+	"mcnet/internal/mcsim"
 	"mcnet/internal/repro"
+	"mcnet/internal/sweep"
 )
 
 // submitSimulate posts one simulate job and returns its id.
@@ -202,5 +204,47 @@ func TestJobTelemetryScrapeRaceHammer(t *testing.T) {
 	w := do(t, s, "GET", "/v1/jobs/"+id+"/telemetry", "")
 	if w.Code != http.StatusOK {
 		t.Fatalf("telemetry after done: %d %s", w.Code, w.Body)
+	}
+}
+
+// TestCollectorOutlivesRelease: ExecuteOpts releases a job's simulation
+// before it returns, and the next job reuses its arrays, but the live
+// collector the server published through OnTelemetry must keep answering
+// Snapshot with the finished run's report — a telemetry scrape can land
+// between the run's end and the probe's removal.
+func TestCollectorOutlivesRelease(t *testing.T) {
+	jobs, err := sweep.Expand(sweep.Spec{
+		Name:   "release",
+		Orgs:   []string{"org1"},
+		Loads:  sweep.Loads{Lambdas: []float64{2e-4, 3e-4}},
+		Warmup: 50, Measure: 400, Drain: 50,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(j sweep.Job) (*mcsim.Telemetry, *mcsim.TelemetryReport) {
+		var live *mcsim.Telemetry
+		_, rep, err := sweep.ExecuteOpts(j, sweep.ExecOptions{
+			OnProgress:  func(uint64, float64) {},
+			Telemetry:   &mcsim.TelemetryConfig{},
+			OnTelemetry: func(t *mcsim.Telemetry) { live = t },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return live, rep
+	}
+	first, rep := run(jobs[0])
+	run(jobs[1]) // reuses the first run's released arrays
+	want, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(first.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("collector snapshot after release differs from the job's report:\ngot  %s\nwant %s", got, want)
 	}
 }

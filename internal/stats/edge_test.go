@@ -65,21 +65,21 @@ func TestRunningConstantSamples(t *testing.T) {
 	}
 }
 
-// TestRunningVarianceNeverNegative drives Merge through magnitudes chosen to
-// provoke floating-point cancellation and checks the clamp holds.
+// TestRunningVarianceNeverNegative feeds Add runs of equal values at a
+// magnitude (1e15, where one ulp is 0.125) chosen to provoke floating-point
+// cancellation in the accumulated squared deviation, and checks that the
+// variance and standard deviation stay non-negative and defined.
 func TestRunningVarianceNeverNegative(t *testing.T) {
 	var total Running
 	for i := 0; i < 50; i++ {
-		var part Running
 		for j := 0; j < 20; j++ {
-			part.Add(1e15 + float64(i))
+			total.Add(1e15 + float64(i))
 		}
-		total.Merge(part)
-		if v := total.Variance(); v < 0 || math.IsNaN(v) && total.Count() >= 2 {
-			t.Fatalf("Variance = %v after merge %d", v, i)
+		if v := total.Variance(); v < 0 || math.IsNaN(v) {
+			t.Fatalf("Variance = %v after run %d", v, i)
 		}
-		if sd := total.StdDev(); sd < 0 || math.IsNaN(sd) && total.Count() >= 2 {
-			t.Fatalf("StdDev = %v after merge %d", sd, i)
+		if sd := total.StdDev(); sd < 0 || math.IsNaN(sd) {
+			t.Fatalf("StdDev = %v after run %d", sd, i)
 		}
 	}
 }

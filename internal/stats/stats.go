@@ -40,29 +40,6 @@ func (r *Running) Add(x float64) {
 	r.m2 += delta * (x - r.mean)
 }
 
-// Merge combines another accumulator into r (parallel Welford / Chan et al.).
-func (r *Running) Merge(o Running) {
-	if o.n == 0 {
-		return
-	}
-	if r.n == 0 {
-		*r = o
-		return
-	}
-	n1, n2 := float64(r.n), float64(o.n)
-	delta := o.mean - r.mean
-	total := n1 + n2
-	r.mean += delta * n2 / total
-	r.m2 += o.m2 + delta*delta*n1*n2/total
-	r.n += o.n
-	if o.min < r.min {
-		r.min = o.min
-	}
-	if o.max > r.max {
-		r.max = o.max
-	}
-}
-
 // Count returns the number of observations.
 func (r *Running) Count() int64 { return r.n }
 
@@ -76,8 +53,8 @@ func (r *Running) Mean() float64 {
 
 // Variance returns the unbiased sample variance, or NaN with fewer than two
 // observations. Constant samples yield exactly 0: the accumulated squared
-// deviation is clamped at zero, so floating-point cancellation (possible in
-// Merge) can never produce a negative variance or a NaN standard deviation.
+// deviation is clamped at zero, so floating-point cancellation can never
+// produce a negative variance or a NaN standard deviation.
 func (r *Running) Variance() float64 {
 	if r.n < 2 {
 		return math.NaN()

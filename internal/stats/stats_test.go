@@ -80,47 +80,6 @@ func TestRunningMinMax(t *testing.T) {
 	}
 }
 
-func TestMergeEquivalentToSequential(t *testing.T) {
-	f := func(seed uint64, split uint8) bool {
-		src := rng.New(seed)
-		n := 200
-		cut := int(split) % n
-		var whole, left, right Running
-		for i := 0; i < n; i++ {
-			x := src.Float64()*100 - 50
-			whole.Add(x)
-			if i < cut {
-				left.Add(x)
-			} else {
-				right.Add(x)
-			}
-		}
-		left.Merge(right)
-		return left.Count() == whole.Count() &&
-			math.Abs(left.Mean()-whole.Mean()) < 1e-9 &&
-			math.Abs(left.Variance()-whole.Variance()) < 1e-7 &&
-			left.Min() == whole.Min() && left.Max() == whole.Max()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMergeWithEmpty(t *testing.T) {
-	var a, b Running
-	a.Add(1)
-	a.Add(2)
-	before := a.Summarize()
-	a.Merge(b)
-	if a.Summarize() != before {
-		t.Error("merging an empty accumulator changed the receiver")
-	}
-	b.Merge(a)
-	if b.Summarize() != before {
-		t.Error("merging into an empty accumulator should copy the argument")
-	}
-}
-
 func TestBatchMeansCoverage(t *testing.T) {
 	// For i.i.d. uniform observations the 95% CI should cover the true mean
 	// in most replications.

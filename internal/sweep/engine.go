@@ -321,8 +321,9 @@ type ExecOptions struct {
 	OnTelemetry func(*mcsim.Telemetry)
 }
 
-// ExecuteOpts runs one job's simulation with optional observation hooks.
-// The returned report is nil unless opt.Telemetry is set.
+// ExecuteOpts runs one job's simulation with optional observation hooks,
+// and releases the simulation once its outcome and report are taken. The
+// returned report is nil unless opt.Telemetry is set.
 func ExecuteOpts(j Job, opt ExecOptions) (Outcome, *mcsim.TelemetryReport, error) {
 	cfg, err := j.Config()
 	if err != nil {
@@ -359,6 +360,9 @@ func ExecuteOpts(j Job, opt ExecOptions) (Outcome, *mcsim.TelemetryReport, error
 		rep = &r
 		o.Telemetry = r.Summary()
 	}
+	// The next job reuses the run's arrays; a collector handed out through
+	// OnTelemetry stays readable.
+	sim.Release()
 	return o, rep, nil
 }
 

@@ -262,3 +262,30 @@ func TestRunInvalidSpecFails(t *testing.T) {
 		t.Error("invalid spec ran without error")
 	}
 }
+
+// TestWorkersIdenticalOverBenchGrid: the sweep-grid benchmark's spec gives
+// byte-identical JSONL at one and at four workers. Each job's simulation
+// reuses the arrays of whichever job its worker (or another) released
+// before it, so this is the check that recycling changes no answer under
+// concurrency; the race lane runs it too.
+func TestWorkersIdenticalOverBenchGrid(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the 48-job grid is not -short")
+	}
+	spec := Spec{
+		Name:       "bench-grid",
+		Orgs:       []string{"org1", "org2"},
+		Topologies: []string{"fattree", "jellyfish", "fattree+dragonfly"},
+		Arrivals:   []string{"poisson", "mmpp:8:16"},
+		Loads:      Loads{Points: 4, MaxFraction: 0.9},
+		Warmup:     200, Measure: 2000, Drain: 200,
+	}
+	_, one, sum := runToBytes(t, &Engine{Workers: 1}, spec)
+	if sum.Executed != 48 {
+		t.Fatalf("executed %d jobs, want the grid's 48", sum.Executed)
+	}
+	_, four, _ := runToBytes(t, &Engine{Workers: 4}, spec)
+	if !bytes.Equal(one, four) {
+		t.Error("Workers=1 and Workers=4 wrote different JSONL over the bench grid")
+	}
+}

@@ -51,6 +51,7 @@ import (
 	"math"
 
 	"mcnet/internal/des"
+	"mcnet/internal/freelist"
 )
 
 // Deliverer receives delivery callbacks without a per-flight closure: a worm
@@ -203,17 +204,30 @@ type Network struct {
 	done      uint64
 }
 
+// channelTables holds the channel tables of released networks.
+var channelTables freelist.List[channel]
+
 // New creates a network whose channel i has flit transfer time flitTimes[i].
+// The channel table is a released network's when one is large enough.
 func New(sched *des.Scheduler, flitTimes []float64) *Network {
-	n := &Network{sched: sched, ch: make([]channel, len(flitTimes))}
+	n := &Network{sched: sched, ch: channelTables.Get(len(flitTimes))}
 	n.hid = sched.Register(n)
 	for i, ft := range flitTimes {
 		if ft <= 0 {
 			panic(fmt.Sprintf("wormhole: channel %d has non-positive flit time %v", i, ft))
 		}
-		n.ch[i].flit = ft
+		n.ch[i] = channel{flit: ft}
 	}
 	return n
+}
+
+// Release hands the channel table to the next New and clears the network,
+// worms in flight included; the scheduler it runs on is left alone. The
+// network must not be used afterwards. The table holds no pointers, so
+// nothing it keeps points back into the run.
+func (n *Network) Release() {
+	channelTables.Put(n.ch)
+	*n = Network{}
 }
 
 // Channels returns the size of the channel table.
