@@ -123,12 +123,11 @@ func (s *Scheduler) Register(h Handler) HandlerID {
 		s.lists = eventLists.Get(0)
 	}
 	s.handlers = append(s.handlers, h)
+	var list eventHeap
 	if n := len(s.lists); n < cap(s.lists) {
-		s.lists = s.lists[:n+1]
-		s.lists[n] = s.lists[n][:0]
-	} else {
-		s.lists = append(s.lists, nil)
+		list = s.lists[:n+1][n][:0] // a released scheduler's heap
 	}
+	s.lists = append(s.lists, list)
 	return HandlerID(len(s.handlers) - 1)
 }
 
