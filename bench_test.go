@@ -34,7 +34,8 @@ func BenchmarkTable1(b *testing.B) {
 
 // benchFigure runs one manifest latency panel per iteration and reports the
 // worst declared pair's steady-state mean relative error of the model
-// against the simulator.
+// against the simulator, and the figure's x-axis edge (1.02 × the latest
+// model saturation point, the right end of its load grid).
 func benchFigure(b *testing.B, name string) {
 	b.Helper()
 	e, ok := experiments.Lookup(name)
@@ -57,7 +58,7 @@ func benchFigure(b *testing.B, name string) {
 		}
 	}
 	b.ReportMetric(100*worst, "steady%err")
-	b.ReportMetric(fig.XMax, "λ_sat")
+	b.ReportMetric(fig.XMax, "λ_xmax")
 }
 
 // BenchmarkFig3_M32 regenerates Fig. 3 (left): Org1, M=32, Lm ∈ {256,512}.

@@ -47,7 +47,6 @@ import (
 	"fmt"
 	"math"
 
-	"mcnet/internal/markov"
 	"mcnet/internal/queueing"
 	"mcnet/internal/system"
 	"mcnet/internal/units"
@@ -311,8 +310,27 @@ func suffixService(mtcn, etaN float64, tail []stage, head stage, s0 []float64) i
 		if e*s >= 1 {
 			return max(r-len(tail)+1, 0)
 		}
-		sumW += 0.5 * s * markov.ChannelBlockingProbability(e, s)
+		sumW += 0.5 * s * ChannelBlockingProbability(e, s)
 	}
+}
+
+// ChannelBlockingProbability returns P_B of Eq. 17: the steady-state
+// probability that a channel with Poisson message rate eta and mean service
+// time service is busy when a new message arrives. The paper (following its
+// reference [25]) takes it from a birth–death chain whose birth rate is η
+// and whose death rate is 1/S. For the single-flit-buffer channel of the
+// paper the chain has two states (idle, busy), giving P_B = ηS/(1+ηS); the
+// paper linearizes this to the channel utilization ηS, which we adopt,
+// clamped to [0, 1].
+func ChannelBlockingProbability(eta, service float64) float64 {
+	p := eta * service
+	if p < 0 {
+		return 0
+	}
+	if p > 1 {
+		return 1
+	}
+	return p
 }
 
 // pairStages are the stage classes of the merged inter-cluster journey i→v:

@@ -3,8 +3,7 @@ package analytic
 import (
 	"math"
 	"testing"
-
-	"mcnet/internal/markov"
+	"testing/quick"
 )
 
 // chainServiceOracle is the per-journey form of the backward stage recursion
@@ -27,7 +26,7 @@ func chainServiceOracle(k int, eta func(int) float64, mtcs func(int) float64, mt
 			if e*s >= 1 {
 				return math.Inf(1), false
 			}
-			sumW += 0.5 * s * markov.ChannelBlockingProbability(e, s)
+			sumW += 0.5 * s * ChannelBlockingProbability(e, s)
 		}
 	}
 	return s, true
@@ -108,4 +107,37 @@ func FuzzJourneyChains(f *testing.F) {
 				func(int) float64 { return mtcsUp }, mtcn)
 		})
 	})
+}
+
+func TestChannelBlockingClampAndLinearization(t *testing.T) {
+	if p := ChannelBlockingProbability(0.5, 1); p != 0.5 {
+		t.Errorf("P_B(0.5) = %v, want 0.5", p)
+	}
+	if p := ChannelBlockingProbability(3, 1); p != 1 {
+		t.Errorf("P_B must clamp to 1, got %v", p)
+	}
+	if p := ChannelBlockingProbability(-1, 1); p != 0 {
+		t.Errorf("P_B must clamp to 0, got %v", p)
+	}
+	// twoStateBusy is the exact busy probability ηS/(1+ηS) of the two-state
+	// birth–death chain the paper linearizes.
+	twoStateBusy := func(eta, s float64) float64 {
+		if eta <= 0 || s <= 0 {
+			return 0
+		}
+		return eta * s / (1 + eta*s)
+	}
+	// The paper's linearization upper-bounds the exact two-state busy
+	// probability and converges to it at low utilization.
+	f := func(eRaw, sRaw uint8) bool {
+		eta := float64(eRaw) / 300
+		s := float64(sRaw%20) / 10
+		return ChannelBlockingProbability(eta, s) >= twoStateBusy(eta, s)-1e-12
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+	if math.Abs(ChannelBlockingProbability(0.01, 1)-twoStateBusy(0.01, 1)) > 1e-4 {
+		t.Error("linearization should match exact chain at low load")
+	}
 }

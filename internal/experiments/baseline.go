@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"mcnet/internal/analytic"
@@ -22,47 +21,20 @@ func (r Runner) BaselineComparison(org system.Organization, par units.Params, po
 	if err != nil {
 		return nil, err
 	}
-	model, err := analytic.New(sys, par, analytic.DefaultOptions())
-	if err != nil {
-		return nil, err
-	}
 	baseline, err := analytic.NewBaseline(sys, par)
 	if err != nil {
 		return nil, err
 	}
-	sat := model.SaturationPoint(1e-6, 1, 1e-3)
-	if math.IsInf(sat, 1) {
-		return nil, fmt.Errorf("experiments: no saturation point for %s", org.Name)
-	}
-	xs := make([]float64, points)
-	for i := range xs {
-		xs[i] = 0.9 * sat * float64(i+1) / float64(points)
-	}
-	series := []plot.Series{
-		{Label: "model wormhole", X: xs, Y: make([]float64, points)},
-		{Label: "model store-and-forward", X: xs, Y: make([]float64, points)},
-		{Label: "simulation", X: xs, Y: make([]float64, points)},
-	}
-	for i, x := range xs {
-		if v, err := model.MeanLatency(x); err == nil {
-			series[0].Y[i] = v
-		} else {
-			series[0].Y[i] = math.NaN()
-		}
-		if v, err := baseline.MeanLatency(x); err == nil {
-			series[1].Y[i] = v
-		} else {
-			series[1].Y[i] = math.NaN()
-		}
-	}
-	results, err := r.runSweep(r.simSpec("baseline", org, par, xs))
+	spec := r.simSpec("baseline", org, par, sweep.Loads{Points: points, MaxFraction: 0.9})
+	cs, err := r.curves(spec, 1, oneCurve)
 	if err != nil {
 		return nil, err
 	}
-	for k, st := range aggregateReps(results, func(j sweep.Job) [2]int { return [2]int{0, j.LoadIndex} }) {
-		series[2].Y[k[1]] = st.mean
-	}
-	return series, nil
+	return []plot.Series{
+		line("model wormhole", cs[0], analysisOf),
+		modelLine("model store-and-forward", cs[0], baseline.MeanLatency),
+		line("simulation", cs[0], simulationOf),
+	}, nil
 }
 
 // SaturationRow is one line of the saturation summary table.

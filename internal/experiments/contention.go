@@ -3,11 +3,13 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"mcnet/internal/analytic"
 	"mcnet/internal/mcsim"
 	"mcnet/internal/plot"
+	"mcnet/internal/sweep"
 	"mcnet/internal/system"
 	"mcnet/internal/units"
 )
@@ -122,49 +124,19 @@ func (r Runner) ContentionStudy(points int) ([]plot.Series, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Per-topology models, as in TopologyCompareStudy: the model is
-		// route-distribution-indexed, so each interconnect gets its own
-		// saturation point and bottleneck rendering.
-		type topoModel struct {
-			sat        float64
-			bottleneck string
-		}
-		models := make([]topoModel, len(TopologyConfigs))
-		topoAxis := make([]string, len(TopologyConfigs))
-		minSat := math.Inf(1)
-		for ci, c := range TopologyConfigs {
-			o, err := system.ParseOrganization(system.Format(org))
-			if err != nil {
-				return nil, err
-			}
-			if err := system.ApplyTopologyAxis(&o, c.Axis); err != nil {
-				return nil, err
-			}
-			sys, err := system.New(o)
-			if err != nil {
-				return nil, err
-			}
-			topoAxis[ci] = c.Axis
-			g, err := newModelGrid(sys, par, analytic.DefaultOptions())
-			if err != nil {
-				return nil, err
-			}
-			sat := g.SaturationPoint(1e-6, 1, 1e-3)
-			if math.IsInf(sat, 1) {
-				return nil, fmt.Errorf("experiments: no saturation point for %s %s", orgName, c.Label)
-			}
-			res, _ := g.Evaluate(sat * 1.02)
-			models[ci] = topoModel{sat: sat, bottleneck: res.Bottleneck}
-			if sat < minSat {
-				minSat = sat
-			}
+		// The model is route-distribution-indexed, so each interconnect has
+		// its own saturation point; the grid ends below the earliest.
+		topos := topologyAxis()
+		minSat, err := minSaturation(org, par, []string{""}, topos)
+		if err != nil {
+			return nil, err
 		}
 		xs := make([]float64, points)
 		for i, f := range fracs {
 			xs[i] = f * minSat
 		}
-		spec := rc.simSpec("contention-"+orgName, org, par, xs)
-		spec.Topologies = topoAxis
+		spec := rc.simSpec("contention-"+orgName, org, par, sweep.Loads{Lambdas: xs})
+		spec.Topologies = topos
 		spec.Telemetry = true
 		results, err := rc.runSweep(spec)
 		if err != nil {
@@ -176,6 +148,7 @@ func (r Runner) ContentionStudy(points int) ([]plot.Series, error) {
 		type cell struct {
 			frac [len(tiers)]float64
 			n    int
+			job  sweep.Job
 		}
 		cells := make(map[[2]int]*cell)
 		for _, res := range results {
@@ -186,7 +159,7 @@ func (r Runner) ContentionStudy(points int) ([]plot.Series, error) {
 			k := [2]int{res.Job.TopoIndex, res.Job.LoadIndex}
 			c := cells[k]
 			if c == nil {
-				c = &cell{}
+				c = &cell{job: res.Job}
 				cells[k] = c
 			}
 			for ti, name := range tiers {
@@ -213,24 +186,49 @@ func (r Runner) ContentionStudy(points int) ([]plot.Series, error) {
 					best, bestV = name, v
 				}
 			}
-			allowed := BottleneckTiers(models[ci].bottleneck)
+			bottleneck, err := modelBottleneck(top.job)
+			if err != nil {
+				return nil, err
+			}
+			allowed := BottleneckTiers(bottleneck)
 			if allowed == nil {
 				return nil, fmt.Errorf("experiments: unrecognized analytic bottleneck %q for %s %s",
-					models[ci].bottleneck, orgName, c.Label)
+					bottleneck, orgName, c.Label)
 			}
-			ok := false
-			for _, name := range allowed {
-				if name == best {
-					ok = true
-					break
-				}
-			}
-			if !ok {
+			if !slices.Contains(allowed, best) {
 				return nil, fmt.Errorf(
 					"experiments: contention gate: %s %s observed bottleneck tier %q (share %.3f) not among %v predicted by analytic bottleneck %q",
-					orgName, c.Label, best, bestV, allowed, models[ci].bottleneck)
+					orgName, c.Label, best, bestV, allowed, bottleneck)
 			}
 		}
 	}
 	return series, nil
+}
+
+// modelBottleneck renders the calibrated model's bottleneck just past its
+// saturation point (Result.Bottleneck) for the organization, topology and
+// technology a job simulates.
+func modelBottleneck(j sweep.Job) (string, error) {
+	org, err := j.TopoOrg()
+	if err != nil {
+		return "", err
+	}
+	par, err := j.Params()
+	if err != nil {
+		return "", err
+	}
+	sys, err := system.New(org)
+	if err != nil {
+		return "", err
+	}
+	m, err := analytic.New(sys, par, analytic.DefaultOptions())
+	if err != nil {
+		return "", err
+	}
+	sat, err := sweep.Saturation(j.Org, j.Links, j.Topo, par)
+	if err != nil {
+		return "", err
+	}
+	res, _ := m.Evaluate(sat * 1.02)
+	return res.Bottleneck, nil
 }

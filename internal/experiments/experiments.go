@@ -15,6 +15,7 @@ import (
 	"mcnet/internal/stats"
 	"mcnet/internal/sweep"
 	"mcnet/internal/system"
+	"mcnet/internal/topo"
 	"mcnet/internal/units"
 )
 
@@ -64,7 +65,7 @@ type Figure struct {
 	Title  string
 	Org    system.Organization
 	MFlits int
-	XMax   float64
+	XMax   float64 // 1.02 × the latest model saturation point
 	Curves []Curve
 	Scale  Scale
 }
@@ -95,33 +96,22 @@ func NewRunner(scale Scale) Runner {
 	return Runner{Scale: scale}
 }
 
-// newModelGrid builds the analytic model and wraps it in a batched
-// evaluator: every study probes its model over a load grid (plus the
-// saturation search), exactly the access pattern analytic.Grid amortizes.
-func newModelGrid(sys *system.System, par units.Params, opts analytic.Options) (*analytic.Grid, error) {
-	m, err := analytic.New(sys, par, opts)
-	if err != nil {
-		return nil, err
-	}
-	return analytic.NewGrid(m), nil
-}
-
-// simSpec builds the simulation side of an experiment as a sweep spec: an
-// explicit load grid at the runner's measurement scale, with engine-side
-// analysis disabled (experiments attach their own model curves, which the
-// interpretation ablation evaluates under two option presets). Tier
-// overrides carried by par become the spec's link axis, so a study handed
-// heterogeneous technology simulates it too (studies that sweep links
+// simSpec builds a study's sweep at the runner's measurement scale: one
+// organization and message geometry over the given load axis, with the
+// calibrated model's latency attached to every result, so the studies read
+// their model curves from the sweep engine's memo. Tier overrides carried
+// by par become the spec's link axis, so a study handed heterogeneous
+// technology simulates and models it too (studies that sweep links
 // themselves overwrite Links afterwards).
-func (r Runner) simSpec(name string, org system.Organization, par units.Params, lambdas []float64) sweep.Spec {
+func (r Runner) simSpec(name string, org system.Organization, par units.Params, loads sweep.Loads) sweep.Spec {
 	spec := sweep.Spec{
 		Name:     name,
 		Orgs:     []string{system.Format(org)},
 		Messages: []sweep.MessageGeometry{{Flits: par.MessageFlits, FlitBytes: par.FlitBytes}},
-		Loads:    sweep.Loads{Lambdas: lambdas},
+		Loads:    loads,
 		Warmup:   r.Scale.Warmup, Measure: r.Scale.Measure, Drain: r.Scale.Drain,
 		BaseSeed: r.Scale.Seed, Reps: r.Scale.Reps,
-		Model: "none",
+		Model: "calibrated",
 		Tech:  &sweep.Tech{AlphaNet: par.AlphaNet, AlphaSw: par.AlphaSw, BetaNet: par.BetaNet},
 	}
 	if !par.Tiers.Homogeneous() {
@@ -145,38 +135,113 @@ func (r Runner) runSweep(spec sweep.Spec) ([]sweep.Result, error) {
 	return mem.Results, nil
 }
 
-// pointStat is an aggregated simulation measurement at one grid point.
-type pointStat struct{ mean, sd float64 }
-
-// aggregateReps folds a sweep's replications into per-point means and
-// standard deviations, keyed by the caller's choice of job coordinates.
-// Replications that delivered nothing (NaN latency) are skipped; a point
-// with no surviving replication aggregates to NaN.
-func aggregateReps(results []sweep.Result, key func(sweep.Job) [2]int) map[[2]int]pointStat {
-	accs := make(map[[2]int]*stats.Running)
+// curves runs a study's sweep and folds its results into n curves of one
+// Point per load: curve picks a job's curve, its load index the point. Each
+// point carries the job's λ and model value and the mean and standard
+// deviation of its replications' simulated latency; replications that
+// delivered nothing (NaN latency) are skipped, and a point with no surviving
+// replication has NaN simulation.
+func (r Runner) curves(spec sweep.Spec, n int, curve func(sweep.Job) int) ([][]Point, error) {
+	results, err := r.runSweep(spec)
+	if err != nil {
+		return nil, err
+	}
+	points := max(spec.Loads.Points, len(spec.Loads.Lambdas)) // one of them is set
+	out := make([][]Point, n)
+	accs := make([]stats.Running, n*points)
+	for c := range out {
+		out[c] = make([]Point, points)
+	}
 	for _, res := range results {
-		k := key(res.Job)
-		acc := accs[k]
-		if acc == nil {
-			acc = &stats.Running{}
-			accs[k] = acc
+		c, li := curve(res.Job), res.Job.LoadIndex
+		out[c][li] = Point{
+			Lambda:            res.Job.Lambda,
+			Analysis:          float64(res.Analysis),
+			AnalysisSaturated: res.AnalysisSaturated,
 		}
 		if v := float64(res.SimLatency); !math.IsNaN(v) {
-			acc.Add(v)
+			accs[c*points+li].Add(v)
 		}
 	}
-	out := make(map[[2]int]pointStat, len(accs))
-	for k, acc := range accs {
-		switch {
-		case acc.Count() == 0:
-			out[k] = pointStat{mean: math.NaN()}
-		case acc.Count() == 1:
-			out[k] = pointStat{mean: acc.Mean()}
-		default:
-			out[k] = pointStat{mean: acc.Mean(), sd: acc.StdDev()}
+	for c := range out {
+		for li := range out[c] {
+			p, acc := &out[c][li], &accs[c*points+li]
+			switch {
+			case acc.Count() == 0:
+				p.Simulation = math.NaN()
+			case acc.Count() == 1:
+				p.Simulation = acc.Mean()
+			default:
+				p.Simulation, p.SimStdDev = acc.Mean(), acc.StdDev()
+			}
 		}
 	}
-	return out
+	return out, nil
+}
+
+// oneCurve is the curve selector of a study whose sweep has a single curve.
+func oneCurve(sweep.Job) int { return 0 }
+
+// line renders one side of a curve as a plot series over its loads.
+func line(label string, pts []Point, y func(Point) float64) plot.Series {
+	s := plot.Series{Label: label, X: make([]float64, len(pts)), Y: make([]float64, len(pts))}
+	for i, p := range pts {
+		s.X[i], s.Y[i] = p.Lambda, y(p)
+	}
+	return s
+}
+
+func analysisOf(p Point) float64   { return p.Analysis }
+func simulationOf(p Point) float64 { return p.Simulation }
+
+// modelLine evaluates a directly built model over a curve's loads (NaN where
+// it saturates), for the curves no sweep model preset provides.
+func modelLine(label string, pts []Point, meanLatency func(float64) (float64, error)) plot.Series {
+	return line(label, pts, func(p Point) float64 {
+		if v, err := meanLatency(p.Lambda); err == nil {
+			return v
+		}
+		return math.NaN()
+	})
+}
+
+// minSaturation is the earliest calibrated saturation point of org over a
+// study's link and topology configurations: the scale of a load grid every
+// configuration can share.
+func minSaturation(org system.Organization, par units.Params, links, topos []string) (float64, error) {
+	minSat := math.Inf(1)
+	for _, lk := range links {
+		tiers, err := units.ParseTiers(lk)
+		if err != nil {
+			return 0, err
+		}
+		p := par
+		p.Tiers = tiers
+		for _, axis := range topos {
+			cl, gl, err := topo.ParseAxis(axis)
+			if err != nil {
+				return 0, err
+			}
+			sat, err := sweep.Saturation(system.Format(org), tiers.String(), topo.FormatAxis(cl, gl), p)
+			if err != nil {
+				return 0, err
+			}
+			if math.IsInf(sat, 1) {
+				return 0, fmt.Errorf("experiments: no saturation point for links %q, topology %q", lk, axis)
+			}
+			minSat = min(minSat, sat)
+		}
+	}
+	return minSat, nil
+}
+
+// steadyGrid is points evenly spaced loads ending at frac × sat.
+func steadyGrid(frac, sat float64, points int) []float64 {
+	xs := make([]float64, points)
+	for i := range xs {
+		xs[i] = frac * sat * float64(i+1) / float64(points)
+	}
+	return xs
 }
 
 // LatencyFigure regenerates one latency-vs-offered-traffic panel: for each
@@ -189,68 +254,26 @@ func (r Runner) LatencyFigure(name, title string, org system.Organization, mFlit
 		Name: name, Title: title, Org: org, MFlits: mFlits,
 		Scale: r.Scale,
 	}
-	sys, err := system.New(org)
-	if err != nil {
-		return fig, err
-	}
-	models := make([]*analytic.Grid, len(flitBytes))
-	var xMax float64
-	for i, lm := range flitBytes {
-		par := units.Default().WithMessage(mFlits, lm)
-		m, err := newModelGrid(sys, par, analytic.DefaultOptions())
-		if err != nil {
-			return fig, err
-		}
-		models[i] = m
-		sat := m.SaturationPoint(1e-6, 1, 1e-3)
-		if !math.IsInf(sat, 1) && sat > xMax {
-			xMax = sat
-		}
-	}
-	if xMax == 0 {
-		return fig, fmt.Errorf("experiments: no finite saturation point for %s", name)
-	}
-	xMax *= 1.02
-	fig.XMax = xMax
-
-	lambdas := make([]float64, points)
-	for pi := range lambdas {
-		lambdas[pi] = xMax * float64(pi+1) / float64(points)
-	}
-	fig.Curves = make([]Curve, len(flitBytes))
-	for ci, lm := range flitBytes {
-		fig.Curves[ci] = Curve{
-			Label:     fmt.Sprintf("Lm=%d", lm),
-			FlitBytes: lm,
-			Points:    make([]Point, points),
-		}
-		for pi := range lambdas {
-			pt := &fig.Curves[ci].Points[pi]
-			pt.Lambda = lambdas[pi]
-			an, err := models[ci].MeanLatency(lambdas[pi])
-			if err != nil {
-				pt.Analysis = math.NaN()
-				pt.AnalysisSaturated = true
-			} else {
-				pt.Analysis = an
-			}
-		}
-	}
-	// The figure's whole simulation grid is one sweep: the message-geometry
-	// axis carries the curves, the load axis the operating points.
-	spec := r.simSpec(name, org, units.Default().WithMessage(mFlits, flitBytes[0]), lambdas)
+	// The figure's whole grid is one sweep: the message-geometry axis
+	// carries the curves, the load axis the operating points.
+	spec := r.simSpec(name, org, units.Default(), sweep.Loads{Points: points, MaxFraction: 1.02})
 	spec.Messages = make([]sweep.MessageGeometry, len(flitBytes))
 	for ci, lm := range flitBytes {
 		spec.Messages[ci] = sweep.MessageGeometry{Flits: mFlits, FlitBytes: lm}
 	}
-	results, err := r.runSweep(spec)
+	cs, err := r.curves(spec, len(flitBytes), func(j sweep.Job) int { return j.MsgIndex })
 	if err != nil {
 		return fig, err
 	}
-	for k, st := range aggregateReps(results, func(j sweep.Job) [2]int { return [2]int{j.MsgIndex, j.LoadIndex} }) {
-		pt := &fig.Curves[k[0]].Points[k[1]]
-		pt.Simulation = st.mean
-		pt.SimStdDev = st.sd
+	for ci, lm := range flitBytes {
+		fig.Curves = append(fig.Curves, Curve{Label: fmt.Sprintf("Lm=%d", lm), FlitBytes: lm, Points: cs[ci]})
+		sat, err := sweep.Saturation(spec.Orgs[0], "", "", units.Default().WithMessage(mFlits, lm))
+		if err != nil {
+			return fig, err
+		}
+		if !math.IsInf(sat, 1) {
+			fig.XMax = max(fig.XMax, 1.02*sat)
+		}
 	}
 	return fig, nil
 }
@@ -261,18 +284,10 @@ func (f Figure) Series() []plot.Series {
 	var out []plot.Series
 	markers := []rune{'a', 'o', 'A', 'O'}
 	for ci, c := range f.Curves {
-		xs := make([]float64, len(c.Points))
-		an := make([]float64, len(c.Points))
-		sim := make([]float64, len(c.Points))
-		for i, p := range c.Points {
-			xs[i] = p.Lambda
-			an[i] = p.Analysis
-			sim[i] = p.Simulation
-		}
-		out = append(out,
-			plot.Series{Label: "analysis " + c.Label, X: xs, Y: an, Marker: markers[(2*ci)%len(markers)]},
-			plot.Series{Label: "simulation " + c.Label, X: xs, Y: sim, Marker: markers[(2*ci+1)%len(markers)]},
-		)
+		an := line("analysis "+c.Label, c.Points, analysisOf)
+		sim := line("simulation "+c.Label, c.Points, simulationOf)
+		an.Marker, sim.Marker = markers[(2*ci)%len(markers)], markers[(2*ci+1)%len(markers)]
+		out = append(out, an, sim)
 	}
 	return out
 }
@@ -313,50 +328,23 @@ func Table1() string {
 // with the model's uniform-traffic curve for reference. It quantifies how
 // far the model's assumption 2 carries under non-uniform load.
 func (r Runner) TrafficPatternStudy(org system.Organization, par units.Params, points int) ([]plot.Series, error) {
-	sys, err := system.New(org)
-	if err != nil {
-		return nil, err
-	}
-	model, err := newModelGrid(sys, par, analytic.DefaultOptions())
-	if err != nil {
-		return nil, err
-	}
-	sat := model.SaturationPoint(1e-6, 1, 1e-3)
-	if math.IsInf(sat, 1) {
-		return nil, fmt.Errorf("experiments: no saturation point")
-	}
-	xs := make([]float64, points)
-	for i := range xs {
-		xs[i] = 0.7 * sat * float64(i+1) / float64(points)
-	}
 	patterns := []struct{ label, spec string }{
 		{"uniform", "uniform"},
 		{"hotspot 5%", "hotspot:0.05"},
 		{"cluster-local 60%", "cluster-local:0.6"},
 	}
-	series := make([]plot.Series, len(patterns)+1)
-	series[0] = plot.Series{Label: "analysis uniform", X: xs, Y: make([]float64, points)}
-	for i, x := range xs {
-		v, err := model.MeanLatency(x)
-		if err != nil {
-			v = math.NaN()
-		}
-		series[0].Y[i] = v
-	}
-	for pi, p := range patterns {
-		series[pi+1] = plot.Series{Label: "sim " + p.label, X: xs, Y: make([]float64, points)}
-	}
-	spec := r.simSpec("traffic-patterns", org, par, xs)
+	spec := r.simSpec("traffic-patterns", org, par, sweep.Loads{Points: points, MaxFraction: 0.7})
 	spec.Patterns = make([]string, len(patterns))
 	for pi, p := range patterns {
 		spec.Patterns[pi] = p.spec
 	}
-	results, err := r.runSweep(spec)
+	cs, err := r.curves(spec, len(patterns), func(j sweep.Job) int { return j.PatternIndex })
 	if err != nil {
 		return nil, err
 	}
-	for k, st := range aggregateReps(results, func(j sweep.Job) [2]int { return [2]int{j.PatternIndex, j.LoadIndex} }) {
-		series[k[0]+1].Y[k[1]] = st.mean
+	series := []plot.Series{line("analysis uniform", cs[0], analysisOf)}
+	for pi, p := range patterns {
+		series = append(series, line("sim "+p.label, cs[pi], simulationOf))
 	}
 	return series, nil
 }
@@ -368,55 +356,25 @@ func (r Runner) TrafficPatternStudy(org system.Organization, par units.Params, p
 // analytic curve. Where the simulated curves pull away from the analysis is
 // exactly where the model's assumptions 1 and 3 stop carrying.
 func (r Runner) WorkloadStudy(org system.Organization, par units.Params, points int) ([]plot.Series, error) {
-	sys, err := system.New(org)
-	if err != nil {
-		return nil, err
-	}
-	model, err := newModelGrid(sys, par, analytic.DefaultOptions())
-	if err != nil {
-		return nil, err
-	}
-	sat := model.SaturationPoint(1e-6, 1, 1e-3)
-	if math.IsInf(sat, 1) {
-		return nil, fmt.Errorf("experiments: no saturation point")
-	}
-	xs := make([]float64, points)
-	for i := range xs {
-		xs[i] = 0.7 * sat * float64(i+1) / float64(points)
-	}
 	arrivals := []string{"poisson", "mmpp:16:32", "mmpp:64:64"}
 	// The bimodal mix is chosen to preserve the mean length M=32
 	// (0.2·128 + 0.8·8 = 32), isolating the variability effect.
 	sizes := []string{"fixed", "bimodal:8:128:0.2"}
-
-	series := make([]plot.Series, 1, 1+len(arrivals)*len(sizes))
-	series[0] = plot.Series{Label: "analysis poisson/fixed", X: xs, Y: make([]float64, points)}
-	for i, x := range xs {
-		v, err := model.MeanLatency(x)
-		if err != nil {
-			v = math.NaN()
-		}
-		series[0].Y[i] = v
-	}
-	for _, a := range arrivals {
-		for _, d := range sizes {
-			series = append(series, plot.Series{
-				Label: "sim " + a + "/" + strings.SplitN(d, ":", 2)[0],
-				X:     xs, Y: make([]float64, points),
-			})
-		}
-	}
-	spec := r.simSpec("workload-study", org, par, xs)
+	spec := r.simSpec("workload-study", org, par, sweep.Loads{Points: points, MaxFraction: 0.7})
 	spec.Arrivals = arrivals
 	spec.Sizes = sizes
-	results, err := r.runSweep(spec)
+	cs, err := r.curves(spec, len(arrivals)*len(sizes), func(j sweep.Job) int {
+		return j.ArrivalIndex*len(sizes) + j.SizeIndex
+	})
 	if err != nil {
 		return nil, err
 	}
-	for k, st := range aggregateReps(results, func(j sweep.Job) [2]int {
-		return [2]int{j.ArrivalIndex*len(sizes) + j.SizeIndex, j.LoadIndex}
-	}) {
-		series[k[0]+1].Y[k[1]] = st.mean
+	series := []plot.Series{line("analysis poisson/fixed", cs[0], analysisOf)}
+	for ai, a := range arrivals {
+		for si, d := range sizes {
+			label := "sim " + a + "/" + strings.SplitN(d, ":", 2)[0]
+			series = append(series, line(label, cs[ai*len(sizes)+si], simulationOf))
+		}
 	}
 	return series, nil
 }
@@ -439,61 +397,25 @@ var LinkHeterogeneityConfigs = []struct{ Label, Links string }{
 // configuration — the same model-vs-simulation reading as Figures 3–4,
 // repeated per link technology.
 func (r Runner) LinkHeterogeneityStudy(org system.Organization, par units.Params, points int) ([]plot.Series, error) {
-	sys, err := system.New(org)
+	configs := LinkHeterogeneityConfigs
+	linksAxis := make([]string, len(configs))
+	for ci, c := range configs {
+		linksAxis[ci] = c.Links
+	}
+	minSat, err := minSaturation(org, par, linksAxis, []string{""})
 	if err != nil {
 		return nil, err
 	}
-	configs := LinkHeterogeneityConfigs
-	models := make([]*analytic.Grid, len(configs))
-	linksAxis := make([]string, len(configs))
-	minSat := math.Inf(1)
-	for ci, c := range configs {
-		p := par
-		tiers, err := units.ParseTiers(c.Links)
-		if err != nil {
-			return nil, err
-		}
-		p.Tiers = tiers
-		linksAxis[ci] = c.Links
-		if models[ci], err = newModelGrid(sys, p, analytic.DefaultOptions()); err != nil {
-			return nil, err
-		}
-		sat := models[ci].SaturationPoint(1e-6, 1, 1e-3)
-		if math.IsInf(sat, 1) {
-			return nil, fmt.Errorf("experiments: no saturation point for links %q", c.Links)
-		}
-		if sat < minSat {
-			minSat = sat
-		}
-	}
-	xs := make([]float64, points)
-	for i := range xs {
-		// Stay in the steady-state region, where the model is valid.
-		xs[i] = 0.55 * minSat * float64(i+1) / float64(points)
+	// Stay in the steady-state region, where the model is valid.
+	spec := r.simSpec("link-hetero", org, par, sweep.Loads{Lambdas: steadyGrid(0.55, minSat, points)})
+	spec.Links = linksAxis
+	cs, err := r.curves(spec, len(configs), func(j sweep.Job) int { return j.LinksIndex })
+	if err != nil {
+		return nil, err
 	}
 	series := make([]plot.Series, 0, 2*len(configs))
 	for ci, c := range configs {
-		an := plot.Series{Label: "analysis " + c.Label, X: xs, Y: make([]float64, points)}
-		for i, x := range xs {
-			v, err := models[ci].MeanLatency(x)
-			if err != nil {
-				v = math.NaN()
-			}
-			an.Y[i] = v
-		}
-		series = append(series,
-			an,
-			plot.Series{Label: "sim " + c.Label, X: xs, Y: make([]float64, points)},
-		)
-	}
-	spec := r.simSpec("link-hetero", org, par, xs)
-	spec.Links = linksAxis
-	results, err := r.runSweep(spec)
-	if err != nil {
-		return nil, err
-	}
-	for k, st := range aggregateReps(results, func(j sweep.Job) [2]int { return [2]int{j.LinksIndex, j.LoadIndex} }) {
-		series[2*k[0]+1].Y[k[1]] = st.mean
+		series = append(series, line("analysis "+c.Label, cs[ci], analysisOf), line("sim "+c.Label, cs[ci], simulationOf))
 	}
 	return series, nil
 }
@@ -508,6 +430,15 @@ var TopologyConfigs = []struct{ Label, Axis string }{
 	{"dragonfly icn2", "fattree+dragonfly"},
 }
 
+// topologyAxis is the sweep topology axis of TopologyConfigs.
+func topologyAxis() []string {
+	axis := make([]string, len(TopologyConfigs))
+	for ci, c := range TopologyConfigs {
+		axis[ci] = c.Axis
+	}
+	return axis
+}
+
 // TopologyCompareStudy (Extension 5) compares interconnect topologies at an
 // equal switch budget: for each configuration it runs the
 // route-distribution-indexed model and the simulator over a common traffic
@@ -515,64 +446,21 @@ var TopologyConfigs = []struct{ Label, Axis string }{
 // series pair off as analysis/simulation per topology — the same
 // model-vs-simulation reading as Figures 3–4, repeated per interconnect.
 func (r Runner) TopologyCompareStudy(org system.Organization, par units.Params, points int) ([]plot.Series, error) {
-	configs := TopologyConfigs
-	models := make([]*analytic.Grid, len(configs))
-	topoAxis := make([]string, len(configs))
-	minSat := math.Inf(1)
-	for ci, c := range configs {
-		// ApplyTopologyAxis overwrites the Specs slice in place, so every
-		// configuration re-parses an owned copy of the organization.
-		o, err := system.ParseOrganization(system.Format(org))
-		if err != nil {
-			return nil, err
-		}
-		if err := system.ApplyTopologyAxis(&o, c.Axis); err != nil {
-			return nil, err
-		}
-		sys, err := system.New(o)
-		if err != nil {
-			return nil, err
-		}
-		topoAxis[ci] = c.Axis
-		if models[ci], err = newModelGrid(sys, par, analytic.DefaultOptions()); err != nil {
-			return nil, err
-		}
-		sat := models[ci].SaturationPoint(1e-6, 1, 1e-3)
-		if math.IsInf(sat, 1) {
-			return nil, fmt.Errorf("experiments: no saturation point for topology %q", c.Label)
-		}
-		if sat < minSat {
-			minSat = sat
-		}
-	}
-	xs := make([]float64, points)
-	for i := range xs {
-		// Stay in the steady-state region, where the model is valid.
-		xs[i] = 0.55 * minSat * float64(i+1) / float64(points)
-	}
-	series := make([]plot.Series, 0, 2*len(configs))
-	for ci, c := range configs {
-		an := plot.Series{Label: "analysis " + c.Label, X: xs, Y: make([]float64, points)}
-		for i, x := range xs {
-			v, err := models[ci].MeanLatency(x)
-			if err != nil {
-				v = math.NaN()
-			}
-			an.Y[i] = v
-		}
-		series = append(series,
-			an,
-			plot.Series{Label: "sim " + c.Label, X: xs, Y: make([]float64, points)},
-		)
-	}
-	spec := r.simSpec("topology-compare", org, par, xs)
-	spec.Topologies = topoAxis
-	results, err := r.runSweep(spec)
+	topos := topologyAxis()
+	minSat, err := minSaturation(org, par, []string{""}, topos)
 	if err != nil {
 		return nil, err
 	}
-	for k, st := range aggregateReps(results, func(j sweep.Job) [2]int { return [2]int{j.TopoIndex, j.LoadIndex} }) {
-		series[2*k[0]+1].Y[k[1]] = st.mean
+	// Stay in the steady-state region, where the model is valid.
+	spec := r.simSpec("topology-compare", org, par, sweep.Loads{Lambdas: steadyGrid(0.55, minSat, points)})
+	spec.Topologies = topos
+	cs, err := r.curves(spec, len(TopologyConfigs), func(j sweep.Job) int { return j.TopoIndex })
+	if err != nil {
+		return nil, err
+	}
+	series := make([]plot.Series, 0, 2*len(TopologyConfigs))
+	for ci, c := range TopologyConfigs {
+		series = append(series, line("analysis "+c.Label, cs[ci], analysisOf), line("sim "+c.Label, cs[ci], simulationOf))
 	}
 	return series, nil
 }
@@ -581,32 +469,16 @@ func (r Runner) TopologyCompareStudy(org system.Organization, par units.Params, 
 // with oblivious random ascent in the simulator, quantifying the switch
 // contention the paper's routing choice avoids.
 func (r Runner) RoutingAblation(org system.Organization, par units.Params, points int) ([]plot.Series, error) {
-	sys, err := system.New(org)
-	if err != nil {
-		return nil, err
-	}
-	model, err := newModelGrid(sys, par, analytic.DefaultOptions())
-	if err != nil {
-		return nil, err
-	}
-	sat := model.SaturationPoint(1e-6, 1, 1e-3)
-	xs := make([]float64, points)
-	for i := range xs {
-		xs[i] = 0.85 * sat * float64(i+1) / float64(points)
-	}
 	modes := []string{"balanced", "random-up"}
-	series := make([]plot.Series, len(modes))
-	for mi := range modes {
-		series[mi] = plot.Series{Label: "sim " + modes[mi], X: xs, Y: make([]float64, points)}
-	}
-	spec := r.simSpec("routing-ablation", org, par, xs)
+	spec := r.simSpec("routing-ablation", org, par, sweep.Loads{Points: points, MaxFraction: 0.85})
 	spec.Routing = modes
-	results, err := r.runSweep(spec)
+	cs, err := r.curves(spec, len(modes), func(j sweep.Job) int { return j.RoutingIndex })
 	if err != nil {
 		return nil, err
 	}
-	for k, st := range aggregateReps(results, func(j sweep.Job) [2]int { return [2]int{j.RoutingIndex, j.LoadIndex} }) {
-		series[k[0]].Y[k[1]] = st.mean
+	series := make([]plot.Series, len(modes))
+	for mi, mode := range modes {
+		series[mi] = line("sim "+mode, cs[mi], simulationOf)
 	}
 	return series, nil
 }
@@ -619,43 +491,20 @@ func (r Runner) InterpretationAblation(org system.Organization, par units.Params
 	if err != nil {
 		return nil, err
 	}
-	calibrated, err := newModelGrid(sys, par, analytic.DefaultOptions())
+	literal, err := analytic.New(sys, par, analytic.PaperLiteralOptions())
 	if err != nil {
 		return nil, err
 	}
-	literal, err := newModelGrid(sys, par, analytic.PaperLiteralOptions())
+	spec := r.simSpec("interpretation-ablation", org, par, sweep.Loads{Points: points, MaxFraction: 1})
+	cs, err := r.curves(spec, 1, oneCurve)
 	if err != nil {
 		return nil, err
 	}
-	sat := calibrated.SaturationPoint(1e-6, 1, 1e-3)
-	xs := make([]float64, points)
-	for i := range xs {
-		xs[i] = sat * float64(i+1) / float64(points)
-	}
-	mk := func(label string, m *analytic.Grid) plot.Series {
-		s := plot.Series{Label: label, X: xs, Y: make([]float64, points)}
-		for i, x := range xs {
-			v, err := m.MeanLatency(x)
-			if err != nil {
-				v = math.NaN()
-			}
-			s.Y[i] = v
-		}
-		return s
-	}
-	series := []plot.Series{
-		mk("model calibrated", calibrated),
-		mk("model paper-literal", literal),
-		{Label: "simulation", X: xs, Y: make([]float64, points)},
-	}
-	results, err := r.runSweep(r.simSpec("interpretation-ablation", org, par, xs))
-	if err != nil {
-		return nil, err
-	}
-	for k, st := range aggregateReps(results, func(j sweep.Job) [2]int { return [2]int{0, j.LoadIndex} }) {
-		series[2].Y[k[1]] = st.mean
-	}
-	return series, nil
+	return []plot.Series{
+		line("model calibrated", cs[0], analysisOf),
+		modelLine("model paper-literal", cs[0], literal.MeanLatency),
+		line("simulation", cs[0], simulationOf),
+	}, nil
 }
 
 // RateHeterogeneityStudy (Extension 2) compares model and simulation on an
@@ -670,38 +519,11 @@ func (r Runner) RateHeterogeneityStudy(points int) ([]plot.Series, error) {
 			{Count: 4, Levels: 2, RateFactor: 1},
 		},
 	}
-	par := units.Default()
-	sys, err := system.New(org)
+	// Stay in the steady-state region, where the model is valid.
+	spec := r.simSpec("rate-hetero", org, units.Default(), sweep.Loads{Points: points, MaxFraction: 0.5})
+	cs, err := r.curves(spec, 1, oneCurve)
 	if err != nil {
 		return nil, err
 	}
-	model, err := newModelGrid(sys, par, analytic.DefaultOptions())
-	if err != nil {
-		return nil, err
-	}
-	sat := model.SaturationPoint(1e-6, 1, 1e-3)
-	xs := make([]float64, points)
-	for i := range xs {
-		// Stay in the steady-state region, where the model is valid.
-		xs[i] = 0.5 * sat * float64(i+1) / float64(points)
-	}
-	series := []plot.Series{
-		{Label: "analysis", X: xs, Y: make([]float64, points)},
-		{Label: "simulation", X: xs, Y: make([]float64, points)},
-	}
-	for i, x := range xs {
-		v, err := model.MeanLatency(x)
-		if err != nil {
-			v = math.NaN()
-		}
-		series[0].Y[i] = v
-	}
-	results, err := r.runSweep(r.simSpec("rate-hetero", org, par, xs))
-	if err != nil {
-		return nil, err
-	}
-	for k, st := range aggregateReps(results, func(j sweep.Job) [2]int { return [2]int{0, j.LoadIndex} }) {
-		series[1].Y[k[1]] = st.mean
-	}
-	return series, nil
+	return []plot.Series{line("analysis", cs[0], analysisOf), line("simulation", cs[0], simulationOf)}, nil
 }

@@ -1,9 +1,12 @@
 package repro
 
 import (
+	"encoding/csv"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -221,6 +224,67 @@ func TestResumeRealStudy(t *testing.T) {
 	}
 	if !rep2.Passed() || ReadStatus(dir) != StatusDone {
 		t.Errorf("resumed run: verdict=%q STATUS=%q, want pass/DONE", rep2.Verdict, ReadStatus(dir))
+	}
+}
+
+// TestRawCSVCarriesStudyAnalysis checks that the raw sweep rows behind a
+// study carry the model value its study CSV plots at the same load: the
+// study reads its analysis curve from the sweep engine, so both files hold
+// one model.
+func TestRawCSVCarriesStudyAnalysis(t *testing.T) {
+	rep, dir, err := Run(Config{Root: t.TempDir(), Small: true, Only: []string{"rate-hetero"}, Points: 3})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if !rep.Passed() {
+		t.Fatalf("rate-hetero run failed: %v", rep.Failures)
+	}
+	readCSV := func(rel string) (map[string]int, [][]string) {
+		f, err := os.Open(filepath.Join(dir, rel))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		rows, err := csv.NewReader(f).ReadAll()
+		if err != nil {
+			t.Fatalf("%s: %v", rel, err)
+		}
+		cols := map[string]int{}
+		for i, name := range rows[0] {
+			cols[name] = i
+		}
+		return cols, rows[1:]
+	}
+	// The study CSV leaves a saturated model point empty; raw rows write NaN.
+	value := func(cell string) float64 {
+		if cell == "" {
+			return math.NaN()
+		}
+		v, err := strconv.ParseFloat(cell, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	same := func(a, b float64) bool { return a == b || (math.IsNaN(a) && math.IsNaN(b)) }
+
+	studyCols, study := readCSV(filepath.Join("csv", "rate-hetero.csv"))
+	rawCols, raw := readCSV(filepath.Join("csv", "raw", "rate-hetero.csv"))
+	if len(study) != 3 || len(raw) != len(study) {
+		t.Fatalf("%d study rows and %d raw rows, want 3 each (one replication per load)", len(study), len(raw))
+	}
+	for i, row := range raw {
+		x, an := value(study[i][studyCols["x"]]), value(study[i][studyCols["analysis"]])
+		lambda, rawAn := value(row[rawCols["lambda"]]), value(row[rawCols["analysis"]])
+		if lambda != x {
+			t.Errorf("load %d: raw λ %v, study x %v", i, lambda, x)
+		}
+		if math.IsNaN(an) {
+			t.Errorf("load %d: study analysis is empty below saturation", i)
+		}
+		if !same(rawAn, an) {
+			t.Errorf("load %d: raw analysis %v, study analysis %v", i, rawAn, an)
+		}
 	}
 }
 

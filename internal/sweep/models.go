@@ -120,6 +120,15 @@ func (m *sharedModel) build() (*analytic.Grid, error) {
 	return analytic.NewGrid(am), nil
 }
 
+// Saturation returns the calibrated model's grid-placement saturation point
+// from the process-wide memo: the point a {Points, MaxFraction} load grid
+// scales (+Inf when the model does not saturate below λ = 1). org, links and
+// topoAxis are canonical axis values, as for ModelKey, and par carries the
+// tiers parsed from links.
+func Saturation(org, links, topoAxis string, par units.Params) (float64, error) {
+	return sharedModelFor("calibrated", org, links, topoAxis, par).saturation()
+}
+
 // saturation returns the model's grid-placement saturation point, searched
 // once per entry (+Inf when the model does not saturate below λ = 1).
 func (m *sharedModel) saturation() (float64, error) {
