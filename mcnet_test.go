@@ -2,6 +2,7 @@ package mcnet
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 )
@@ -71,5 +72,60 @@ func TestParseOrganizationFacade(t *testing.T) {
 	}
 	if sys.TotalNodes() != 544 {
 		t.Errorf("N = %d, want 544", sys.TotalNodes())
+	}
+}
+
+// TestCompareMatchesDirectConfig pins Compare's simulation to the
+// paper-methodology configuration written out by hand: the same
+// organization, parameters, load and seed, with 10k/100k/10k message
+// phases. Every case runs at a load where the model and the simulation
+// are both finite, so the whole Comparison is compared.
+func TestCompareMatchesDirectConfig(t *testing.T) {
+	icn2 := LinkClass{AlphaNet: 0.04, AlphaSw: 0.02, BetaNet: 0.004}
+	slow := DefaultParams().WithMessage(16, 128)
+	slow.Tiers = TierParams{ICN2: &icn2}
+	cases := []struct {
+		name   string
+		org    string
+		par    Params
+		lambda float64
+		seed   uint64
+	}{
+		{"named org", "org2", DefaultParams(), 1e-4, 7},
+		{"rates and cluster link", "m=4:2x1@2,2x2@icn1=0.04/0.02/0.004,1x3@0.5", DefaultParams(), 3e-4, 11},
+		{"topologies", "m=4@icn2topo=dragonfly:2x2@topo=jellyfish,2x3", DefaultParams(), 2e-4, 3},
+		{"tier override and geometry", "m=4@icn2topo=dragonfly:2x1@1.5,2x2@topo=jellyfish", slow, 4e-4, 5},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			org, err := ParseOrganization(c.org)
+			if err != nil {
+				t.Fatal(err)
+			}
+			an, err := Analyze(org, c.par, c.lambda)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Simulate(SimConfig{
+				Org: org, Par: c.par, LambdaG: c.lambda,
+				Warmup: 10000, Measure: 100000, Drain: 10000, Seed: c.seed,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim := res.Latency.Mean
+			if math.IsInf(an, 0) || math.IsNaN(an) || !(sim > 0) {
+				t.Fatalf("reference is not finite: analysis=%v simulation=%v", an, sim)
+			}
+			want := Comparison{LambdaG: c.lambda, Analysis: an, Simulation: sim,
+				RelativeError: math.Abs(an-sim) / sim}
+			got, err := Compare(org, c.par, c.lambda, c.seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g, w := fmt.Sprintf("%#v", got), fmt.Sprintf("%#v", want); g != w {
+				t.Errorf("Compare = %s\nwant      %s", g, w)
+			}
+		})
 	}
 }
