@@ -2,7 +2,7 @@
 // (§4), plus the ablations and extension studies from DESIGN.md. Each
 // figure benchmark runs the full analysis+simulation sweep at a reduced
 // simulation scale and reports the steady-state model error as a metric;
-// the full paper-scale regeneration is `mcexp -exp all`, and `mcrepro`
+// the full paper-scale regeneration is `mcrepro` (`make paper`), which
 // records its results with a gated verdict.
 package mcnet
 

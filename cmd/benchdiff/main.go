@@ -21,8 +21,9 @@
 // ns/op and allocs/op) and an ASCII chart of each benchmark's ns/op
 // normalized to its first measurement. Revisions are ordered by git
 // first-parent history when run inside the repository (argument order
-// otherwise); a raw stream wins over a summary of the same revision.
-// Benchmarks present in only one artifact are reported (per row and in a
+// otherwise); a raw stream wins over a summary of the same revision. Only
+// the benchmarks the newest artifact measures are listed. In the gate,
+// benchmarks present in only one artifact are reported (per row and in a
 // summary count) but never fail the gate — new benchmarks must be able to
 // land together with their baseline refresh, and removals land with one
 // too. Benchmarks whose ns/op is unmeasurable on either side (zero,
@@ -42,7 +43,6 @@ import (
 	"strings"
 
 	"mcnet/internal/benchfmt"
-	"mcnet/internal/plot"
 )
 
 // Bench is one benchmark's parsed measurements (see internal/benchfmt;
@@ -231,20 +231,14 @@ func parseFile(path string) ([]Bench, error) {
 	return benchfmt.ParseFile(path)
 }
 
-// runTrajectory assembles the given BENCH_<rev> artifacts into the
-// perf-over-time report: a markdown table and a normalized ns/op chart.
-// Revisions are ordered by git first-parent history when available,
-// argument order otherwise. With outDir empty the report goes to stdout;
-// otherwise trajectory.md and trajectory.txt are written there.
+// runTrajectory writes the perf-over-time report of the given BENCH_<rev>
+// artifacts (benchfmt.TrajectoryReport): to stdout with outDir empty,
+// otherwise as trajectory.md and trajectory.txt in outDir.
 func runTrajectory(stdout io.Writer, paths []string, outDir string) error {
-	arts, err := benchfmt.LoadArtifacts(paths)
+	md, chart, err := benchfmt.TrajectoryReport(paths)
 	if err != nil {
 		return err
 	}
-	if order, err := benchfmt.GitRevOrder("."); err == nil {
-		benchfmt.SortByRevOrder(arts, order)
-	}
-	md, chart := renderTrajectory(arts)
 	if outDir == "" {
 		fmt.Fprint(stdout, md)
 		fmt.Fprint(stdout, chart)
@@ -264,15 +258,4 @@ func runTrajectory(stdout io.Writer, paths []string, outDir string) error {
 		fmt.Fprintf(stdout, "wrote %s\n", path)
 	}
 	return nil
-}
-
-// renderTrajectory pivots ordered artifacts into the markdown table and
-// ASCII chart forms, shared by stdout and -out modes.
-func renderTrajectory(arts []benchfmt.Artifact) (md, chart string) {
-	revs, names, nsOp, allocsOp := benchfmt.Trajectory(arts)
-	series := make([]plot.TrajectorySeries, len(names))
-	for i, n := range names {
-		series[i] = plot.TrajectorySeries{Name: n, NsOp: nsOp[n], AllocsOp: allocsOp[n]}
-	}
-	return plot.TrajectoryMarkdown(revs, series), plot.TrajectoryChart(revs, series, 72, 16)
 }

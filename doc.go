@@ -31,7 +31,7 @@
 //
 // The Example functions in example_test.go run under go test and show the
 // facade on heterogeneous links, alternative topologies and bursty traffic
-// with trace replay. The nine command-line tools under cmd/ (mclat, mcsim,
-// mcexp, mctopo, mcsweep, mcrepro, mcserved, benchdiff, promlint) import
-// the internal/ packages directly rather than this facade.
+// with trace replay. The seven command-line tools under cmd/ (mcsim,
+// mctopo, mcsweep, mcrepro, mcserved, benchdiff, promlint) import the
+// internal/ packages directly rather than this facade.
 package mcnet

@@ -49,6 +49,46 @@ func ExampleSaturationPoint() {
 	// λ_sat ≈ 5.3e-04 messages/node/time-unit
 }
 
+// ExampleNewModel_perCluster breaks the model's answer down by cluster on
+// the paper's second organization: each cluster's outgoing probability
+// P_o, its intra- and inter-cluster journey times, its concentrator wait
+// W_d (Eq. 34) and its mean latency ℓ_i (Eq. 35).
+func ExampleNewModel_perCluster() {
+	org := mcnet.Table1Org2()
+	model, err := mcnet.NewModel(org, mcnet.DefaultParams())
+	if err != nil {
+		panic(err)
+	}
+	res, err := model.Evaluate(1e-4)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("mean message latency: %.2f\n", res.MeanLatency)
+	fmt.Printf("%3s %6s %8s %8s %6s %8s\n", "i", "P_o", "T_intra", "T_inter", "W_d", "latency")
+	for i, c := range res.PerCluster {
+		fmt.Printf("%3d %6.4f %8.3f %8.3f %6.3f %8.3f\n", i, c.POut, c.TIntra, c.TInter, c.WConc, c.Latency)
+	}
+	// Output:
+	// mean message latency: 24.57
+	//   i    P_o  T_intra  T_inter    W_d  latency
+	//   0 0.9724   18.266   23.335  0.706   23.881
+	//   1 0.9724   18.266   23.335  0.706   23.881
+	//   2 0.9724   18.266   23.335  0.706   23.881
+	//   3 0.9724   18.266   23.335  0.706   23.881
+	//   4 0.9724   18.266   23.335  0.706   23.881
+	//   5 0.9724   18.266   23.335  0.706   23.881
+	//   6 0.9724   18.266   23.335  0.706   23.881
+	//   7 0.9724   18.266   23.335  0.706   23.881
+	//   8 0.9429   19.490   23.753  0.912   24.370
+	//   9 0.9429   19.490   23.753  0.912   24.370
+	//  10 0.9429   19.490   23.753  0.912   24.370
+	//  11 0.8840   20.607   24.153  1.312   24.901
+	//  12 0.8840   20.607   24.153  1.312   24.901
+	//  13 0.8840   20.607   24.153  1.312   24.901
+	//  14 0.8840   20.607   24.153  1.312   24.901
+	//  15 0.8840   20.607   24.153  1.312   24.901
+}
+
 // ExampleSimulate runs a small simulation with the full §4 lifecycle
 // (warm-up, measurement, drain) on a custom four-cluster system.
 func ExampleSimulate() {

@@ -91,7 +91,7 @@ type Options struct {
 	// The aggregate reading saturates the model a factor ≈2 before the
 	// paper's own plotted traffic ranges, while the per-node reading puts
 	// the model's saturation exactly where the paper's figures stop —
-	// see the "saturation" and "ablation-icn2" experiments (mcexp -list).
+	// see the "saturation" and "ablation-icn2" experiments (mcrepro -list).
 	SourceAggregate bool
 	// ExactICN2Pairs replaces the distribution P(h, n_c) by the exact NCA
 	// level of each cluster pair (i,v), a refinement the paper's model

@@ -1,8 +1,8 @@
 // Package benchfmt parses the benchmark artifacts `make bench` produces —
 // raw `go test -json` streams (BENCH_<rev>.json) and the condensed
 // summaries next to them (BENCH_<rev>.summary.json) — and assembles them
-// into per-revision trajectories for the perf-over-time reporting in
-// cmd/benchdiff and internal/repro.
+// into the perf-over-time report (TrajectoryReport) that cmd/benchdiff and
+// internal/repro write.
 package benchfmt
 
 import (
@@ -18,6 +18,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"mcnet/internal/plot"
 )
 
 // Bench is one benchmark's parsed measurements. BytesOp and AllocsOp are -1
@@ -340,4 +342,35 @@ func Trajectory(arts []Artifact) (revs []string, names []string, nsOp, allocsOp 
 		}
 	}
 	return revs, names, nsOp, allocsOp
+}
+
+// TrajectoryReport loads the given BENCH_<rev> artifacts, orders them by git
+// first-parent history when available (argument order otherwise) and renders
+// the perf-over-time report: a markdown table and a normalized ns/op chart.
+// It lists only the benchmarks the newest artifact measures, so a deleted
+// benchmark leaves the report with its code.
+func TrajectoryReport(paths []string) (md, chart string, err error) {
+	arts, err := LoadArtifacts(paths)
+	if err != nil {
+		return "", "", err
+	}
+	if order, err := GitRevOrder("."); err == nil {
+		SortByRevOrder(arts, order)
+	}
+	md, chart = renderTrajectory(arts)
+	return md, chart, nil
+}
+
+// renderTrajectory pivots ordered artifacts into the report's two forms,
+// dropping every benchmark absent from the last artifact.
+func renderTrajectory(arts []Artifact) (md, chart string) {
+	revs, names, nsOp, allocsOp := Trajectory(arts)
+	var series []plot.TrajectorySeries
+	for _, n := range names {
+		if math.IsNaN(nsOp[n][len(revs)-1]) {
+			continue
+		}
+		series = append(series, plot.TrajectorySeries{Name: n, NsOp: nsOp[n], AllocsOp: allocsOp[n]})
+	}
+	return plot.TrajectoryMarkdown(revs, series), plot.TrajectoryChart(revs, series, 72, 16)
 }

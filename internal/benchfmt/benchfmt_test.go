@@ -191,6 +191,19 @@ func TestSortByRevOrderAndTrajectory(t *testing.T) {
 	if b := nsOp["BenchmarkB"]; !math.IsNaN(b[0]) || b[2] != 10 {
 		t.Errorf("BenchmarkB ns/op = %v, want [NaN NaN 10]", b)
 	}
+
+	// The report lists only what the newest artifact measures: BenchmarkA
+	// and BenchmarkGone (present only in the oldest) are deleted benchmarks.
+	arts[0].Benches = append(arts[0].Benches, Bench{Name: "BenchmarkGone", NsOp: 50, AllocsOp: 1})
+	md, chart := renderTrajectory(arts)
+	for _, gone := range []string{"BenchmarkA", "BenchmarkGone"} {
+		if strings.Contains(md, gone) || strings.Contains(chart, gone) {
+			t.Errorf("report lists %s, which the newest artifact does not measure:\n%s\n%s", gone, md, chart)
+		}
+	}
+	if !strings.Contains(md, "| BenchmarkB | zzz9999 | 10.0 | 0 |") || !strings.Contains(chart, "BenchmarkB") {
+		t.Errorf("report misses BenchmarkB's newest row:\n%s\n%s", md, chart)
+	}
 }
 
 func TestGitRevOrder(t *testing.T) {

@@ -292,25 +292,6 @@ func (f Figure) Series() []plot.Series {
 	return out
 }
 
-// Render draws the figure as an ASCII chart in the style of the paper's
-// panels (y clipped a little above the largest finite analysis value, so
-// saturated simulation points show as off-scale markers).
-func (f Figure) Render(width, height int) string {
-	var yCap float64
-	for _, c := range f.Curves {
-		for _, p := range c.Points {
-			if !math.IsNaN(p.Analysis) && p.Analysis > yCap {
-				yCap = p.Analysis
-			}
-		}
-	}
-	yCap *= 1.6
-	var b strings.Builder
-	b.WriteString(plot.ASCII(f.Title, f.Series(), width, height, yCap))
-	b.WriteString(fmt.Sprintf("%10s  x-axis: offered traffic λ_g (messages/node/time-unit); y: mean latency\n", ""))
-	return b.String()
-}
-
 // Table1 regenerates the paper's Table 1: the two validated organizations
 // with their derived quantities, verified against Eqs. 1–2.
 func Table1() string {

@@ -36,10 +36,10 @@ type Pair struct {
 }
 
 // Entry is one enumerable study of the experiment manifest: everything the
-// reproduction pipeline (internal/repro, cmd/mcrepro) and the CLI
-// (cmd/mcexp) need to run it, validate its output schema and judge its
-// model-vs-simulation agreement. The manifest is the single source of truth
-// for which studies exist, so the CLIs and CI can never drift.
+// reproduction pipeline (internal/repro, cmd/mcrepro) needs to run it,
+// validate its output schema and judge its model-vs-simulation agreement.
+// The manifest is the single source of truth for which studies exist, so
+// the CLI and CI can never drift.
 type Entry struct {
 	// Name is the stable identifier (CLI flag value, output file stem).
 	Name string `json:"name"`
@@ -248,18 +248,8 @@ func Manifest() []Entry {
 	return entries
 }
 
-// ManifestNames lists the manifest entries' names in run order.
-func ManifestNames() []string {
-	entries := Manifest()
-	names := make([]string, len(entries))
-	for i, e := range entries {
-		names[i] = e.Name
-	}
-	return names
-}
-
-// Lookup resolves a name to its manifest entry. Dashes are insignificant
-// ("fig3m32" finds "fig3-m32"), preserving the older mcexp spellings.
+// Lookup resolves a name to its manifest entry, as typed after mcrepro
+// -only. Dashes are insignificant ("fig3m32" finds "fig3-m32").
 func Lookup(name string) (Entry, bool) {
 	norm := strings.ReplaceAll(name, "-", "")
 	for _, e := range Manifest() {

@@ -74,7 +74,7 @@ func TestManifestDeclaredSchemas(t *testing.T) {
 
 func TestLookupAliases(t *testing.T) {
 	for alias, want := range map[string]string{
-		"fig3m32":  "fig3-m32", // older mcexp spelling
+		"fig3m32":  "fig3-m32", // dashes are insignificant
 		"fig4-m64": "fig4-m64",
 		"table1":   "table1",
 	} {

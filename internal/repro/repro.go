@@ -533,28 +533,18 @@ func writeSeriesCSV(path string, series []plot.Series) error {
 	return f.Close()
 }
 
-// writeTrajectory folds the BENCH artifacts into analysis/trajectory.md
-// and .txt, ordered by git history when available.
+// writeTrajectory writes the BENCH artifacts' perf-over-time report
+// (benchfmt.TrajectoryReport) to analysis/trajectory.md and .txt.
 func writeTrajectory(dir string, paths []string) (string, error) {
-	arts, err := benchfmt.LoadArtifacts(paths)
+	md, chart, err := benchfmt.TrajectoryReport(paths)
 	if err != nil {
 		return "", err
 	}
-	if order, oerr := benchfmt.GitRevOrder("."); oerr == nil {
-		benchfmt.SortByRevOrder(arts, order)
-	}
-	revs, benchNames, nsOp, allocsOp := benchfmt.Trajectory(arts)
-	series := make([]plot.TrajectorySeries, len(benchNames))
-	for i, n := range benchNames {
-		series[i] = plot.TrajectorySeries{Name: n, NsOp: nsOp[n], AllocsOp: allocsOp[n]}
-	}
 	rel := filepath.Join("analysis", "trajectory.md")
-	if err := os.WriteFile(filepath.Join(dir, rel),
-		[]byte(plot.TrajectoryMarkdown(revs, series)), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, rel), []byte(md), 0o644); err != nil {
 		return "", err
 	}
-	if err := os.WriteFile(filepath.Join(dir, "analysis", "trajectory.txt"),
-		[]byte(plot.TrajectoryChart(revs, series, 72, 16)), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "analysis", "trajectory.txt"), []byte(chart), 0o644); err != nil {
 		return "", err
 	}
 	return rel, nil

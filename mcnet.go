@@ -1,8 +1,11 @@
 package mcnet
 
 import (
+	"math"
+
 	"mcnet/internal/analytic"
 	"mcnet/internal/mcsim"
+	"mcnet/internal/sweep"
 	"mcnet/internal/system"
 	"mcnet/internal/units"
 )
@@ -107,7 +110,9 @@ type Comparison struct {
 	LambdaG    float64
 	Analysis   float64
 	Simulation float64
-	// RelativeError is |Analysis−Simulation|/Simulation.
+	// RelativeError is |Analysis−Simulation|/Simulation, or NaN when there
+	// is nothing to compare: the model saturated or the simulation measured
+	// no positive latency.
 	RelativeError float64
 	// AnalysisSaturated reports that the model refused this load; Analysis
 	// is +Inf in that case.
@@ -117,7 +122,7 @@ type Comparison struct {
 // Compare evaluates both the model and a paper-methodology simulation
 // (10k/100k/10k messages) at one operating point.
 func Compare(org Organization, par Params, lambdaG float64, seed uint64) (Comparison, error) {
-	cmp := Comparison{LambdaG: lambdaG}
+	cmp := Comparison{LambdaG: lambdaG, RelativeError: math.NaN()}
 	an, err := Analyze(org, par, lambdaG)
 	cmp.Analysis = an
 	if err != nil {
@@ -126,23 +131,23 @@ func Compare(org Organization, par Params, lambdaG float64, seed uint64) (Compar
 		}
 		cmp.AnalysisSaturated = true
 	}
-	res, err := mcsim.Run(SimConfig{
-		Org: org, Par: par, LambdaG: lambdaG,
-		Warmup: 10000, Measure: 100000, Drain: 10000, Seed: seed,
-	})
+	cfg, err := sweep.Job{
+		Org: system.Format(org), Links: par.Tiers.String(),
+		Flits: par.MessageFlits, FlitBytes: par.FlitBytes,
+		AlphaNet: par.AlphaNet, AlphaSw: par.AlphaSw, BetaNet: par.BetaNet,
+		Pattern: "uniform", Routing: "balanced", Lambda: lambdaG, SimSeed: seed,
+		Warmup: 10000, Measure: 100000, Drain: 10000,
+	}.Config()
+	if err != nil {
+		return cmp, err
+	}
+	res, err := mcsim.Run(cfg)
 	if err != nil {
 		return cmp, err
 	}
 	cmp.Simulation = res.Latency.Mean
 	if !cmp.AnalysisSaturated && cmp.Simulation > 0 {
-		cmp.RelativeError = abs(cmp.Analysis-cmp.Simulation) / cmp.Simulation
+		cmp.RelativeError = math.Abs(cmp.Analysis-cmp.Simulation) / cmp.Simulation
 	}
 	return cmp, nil
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -49,6 +49,30 @@ func TestFacadeCompare(t *testing.T) {
 	}
 }
 
+// TestCompareSaturatedHasNoRelativeError checks that a load past the
+// model's saturation leaves nothing to compare: RelativeError is NaN, so a
+// caller filtering on RelativeError < tol does not count the point as exact.
+func TestCompareSaturatedHasNoRelativeError(t *testing.T) {
+	org, err := ParseOrganization("m=4:2x1,2x2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sat, err := SaturationPoint(org, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmp, err := Compare(org, DefaultParams(), 1.5*sat, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !cmp.AnalysisSaturated || !math.IsInf(cmp.Analysis, 1) {
+		t.Fatalf("1.5·λ_sat: AnalysisSaturated=%t Analysis=%v, want saturated +Inf", cmp.AnalysisSaturated, cmp.Analysis)
+	}
+	if !math.IsNaN(cmp.RelativeError) {
+		t.Errorf("RelativeError = %v at a saturated point, want NaN", cmp.RelativeError)
+	}
+}
+
 func TestFacadeRejectsBadOrg(t *testing.T) {
 	if _, err := Analyze(Organization{Ports: 3}, DefaultParams(), 1e-4); err == nil {
 		t.Error("bad organization accepted")
