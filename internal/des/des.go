@@ -13,9 +13,10 @@
 // Every event is a call to a Handler registered once via Register: the
 // event names the handler, an op that discriminates the event kind and an
 // arg that carries a small integer payload (a channel, node or pool-slot
-// index). The future-event list is split by handler: one index-addressed
-// binary heap per registered Handler, each over concrete 32-byte event
-// structs stored in one slice. Step runs the smallest (time, seq) root among
+// index). The future-event list is split by handler: one list per
+// registered Handler, an index-addressed binary heap unless the handler is
+// a FIFO lane (below), each over concrete 32-byte event structs stored in
+// one slice. Step runs the smallest (time, seq) root among
 // the heaps; seq is one global counter, so the execution order is exactly
 // that of a single heap over all events, while an engine's near-term events
 // never sift through another engine's far-future ones (the simulator's
@@ -25,6 +26,20 @@
 // successor stops within a level or two. The struct is deliberately
 // pointer-free, so sift-up/down is a plain value copy with no per-event
 // allocation, no interface boxing and no GC write barriers.
+//
+// A handler registered with RegisterFIFO is a lane: a FIFO instead of a
+// heap, for events that are always scheduled one fixed delay d after the
+// current time. The clock never goes back, float addition is monotone and
+// seq only grows, so such events arrive in (time, seq) order and a FIFO
+// holds them exactly: append at the tail, pop at the head, no sifting. Step
+// compares a lane's head with the heaps' roots by the same (time, seq) key,
+// so lanes change no dispatch order. A lane checks its order on every
+// append and panics with ErrFIFOOrder if an event would precede its tail,
+// so a delay that is not constant fails loudly instead of reordering the
+// run. A lane's event is popped before its handler runs; the held-root
+// reuse above is a heap trick. The wormhole engine gives each distinct flit
+// time of a network a lane for its header hops, up to eight; hops over
+// channels past the eighth distinct flit time use the network's heap.
 //
 // Events are scheduled in one of two ways:
 //
@@ -86,10 +101,10 @@ type Scheduler struct {
 	cur      uint64
 	executed uint64
 
-	// lists[h] holds the events of handler h. While a handler runs, its
-	// event is still the root of lists[held-1]; held is 0 when no root is
-	// held.
-	lists []eventHeap
+	// lists[h] holds the events of handler h. While a heap handler runs,
+	// its event is still the root of lists[held-1]; held is 0 when no root
+	// is held.
+	lists []eventList
 	held  int
 
 	handlers []Handler
@@ -110,24 +125,34 @@ func (s *Scheduler) Passed(t float64, seq uint64) bool {
 }
 
 // eventLists holds the event lists of released schedulers: each entry is a
-// Scheduler's lists, with every per-handler heap kept, emptied, in its
+// Scheduler's lists, with every per-handler list kept, emptied, in its
 // capacity.
-var eventLists freelist.List[eventHeap]
+var eventLists freelist.List[eventList]
 
-// Register adds a handler and returns its ID. Handlers are registered once
-// at construction time and never removed. A scheduler's first Register takes
-// a released scheduler's event lists, so its heaps start at the capacity an
+// Register adds a handler whose events are kept in a binary heap, and
+// returns its ID. Handlers are registered once at construction time and
+// never removed. A scheduler's first Register or RegisterFIFO takes a
+// released scheduler's event lists, so its lists start at the capacity an
 // earlier run grew them to.
-func (s *Scheduler) Register(h Handler) HandlerID {
+func (s *Scheduler) Register(h Handler) HandlerID { return s.register(h, false) }
+
+// RegisterFIFO adds a handler whose events are kept in a FIFO, and returns
+// its ID. Every event scheduled for it must follow the last one still
+// pending, in (time, seq) order; Call and CallSeq panic with ErrFIFOOrder
+// otherwise. Scheduling each event at the current time plus one fixed
+// delay always meets that.
+func (s *Scheduler) RegisterFIFO(h Handler) HandlerID { return s.register(h, true) }
+
+func (s *Scheduler) register(h Handler, fifo bool) HandlerID {
 	if s.lists == nil {
 		s.lists = eventLists.Get(0)
 	}
 	s.handlers = append(s.handlers, h)
-	var list eventHeap
+	var ev eventHeap
 	if n := len(s.lists); n < cap(s.lists) {
-		list = s.lists[:n+1][n][:0] // a released scheduler's heap
+		ev = s.lists[:n+1][n].ev[:0] // a released scheduler's list
 	}
-	s.lists = append(s.lists, list)
+	s.lists = append(s.lists, eventList{ev: ev, fifo: fifo})
 	return HandlerID(len(s.handlers) - 1)
 }
 
@@ -143,6 +168,10 @@ func (s *Scheduler) Release() {
 // ErrPastEvent reports an attempt to schedule an event before the current
 // simulated time, or at the current time but ahead of the running event.
 var ErrPastEvent = errors.New("des: event scheduled in the past")
+
+// ErrFIFOOrder reports an event scheduled for a RegisterFIFO handler ahead
+// of an event already pending for it.
+var ErrFIFOOrder = errors.New("des: event precedes the tail of its FIFO list")
 
 // ErrUnreservedSeq reports a CallSeq at a sequence position no Reserve has
 // claimed.
@@ -200,18 +229,56 @@ func (s *Scheduler) CallSeq(t float64, seq uint64, h HandlerID, op, arg int32) {
 }
 
 // schedule files an event in its handler's list. The first event a running
-// handler schedules on its own list takes over the root slot the running
-// event still occupies: it sifts down from there, which for a near-term
-// successor stops within a level or two, instead of the running event being
-// popped and the successor pushed.
+// heap handler schedules on its own list takes over the root slot the
+// running event still occupies: it sifts down from there, which for a
+// near-term successor stops within a level or two, instead of the running
+// event being popped and the successor pushed.
 func (s *Scheduler) schedule(e event) {
 	li := int(e.h)
-	if li+1 == s.held {
+	l := &s.lists[li]
+	switch {
+	case l.fifo:
+		l.append(e)
+	case li+1 == s.held:
 		s.held = 0
-		s.lists[li].siftDown(0, e)
-		return
+		l.ev.siftDown(0, e)
+	default:
+		l.ev.push(e)
 	}
-	s.lists[li].push(e)
+}
+
+// eventList is one handler's future-event list: a heap, or for a
+// RegisterFIFO handler a FIFO whose pending events are ev[head:]. A heap's
+// head is always 0, so ev[head] is the next event of either kind.
+type eventList struct {
+	ev   eventHeap
+	head int
+	fifo bool
+}
+
+// append adds e at the tail of a FIFO list, after checking that it does
+// not precede the tail. A full list first moves its pending events to the
+// start of its storage if that frees at least half of it, and grows
+// otherwise, so appends stay amortized O(1).
+func (l *eventList) append(e event) {
+	n := len(l.ev)
+	if n > l.head && e.before(&l.ev[n-1]) {
+		panic(ErrFIFOOrder)
+	}
+	if n == cap(l.ev) && 2*l.head >= n {
+		l.ev = l.ev[:copy(l.ev, l.ev[l.head:])]
+		l.head = 0
+	}
+	l.ev = append(l.ev, e)
+}
+
+// pop removes the head event of a non-empty FIFO list; an emptied list
+// starts again at the start of its storage.
+func (l *eventList) pop() {
+	l.head++
+	if l.head == len(l.ev) {
+		l.ev, l.head = l.ev[:0], 0
+	}
 }
 
 // eventHeap is one future-event list: a binary min-heap in (time, seq)
@@ -267,32 +334,42 @@ func (h *eventHeap) popRoot() {
 	}
 }
 
-// next returns the index of the list whose root is the next event to run,
-// or −1 if every list is empty. seq is global, so comparing the roots by
+// next returns the index of the list whose head is the next event to run,
+// or −1 if every list is empty. seq is global, so comparing the heads by
 // (time, seq) yields exactly the order one heap over all events would.
 func (s *Scheduler) next() int {
 	best := -1
+	var min *event
 	for i := range s.lists {
-		if len(s.lists[i]) > 0 && (best < 0 || s.lists[i][0].before(&s.lists[best][0])) {
-			best = i
+		l := &s.lists[i]
+		if l.head < len(l.ev) {
+			if e := &l.ev[l.head]; min == nil || e.before(min) {
+				best, min = i, e
+			}
 		}
 	}
 	return best
 }
 
-// dispatch executes the root event of list li. The event stays at its
-// list's root while its handler runs (see schedule) and is removed
-// afterwards only if the handler did not reuse the slot.
+// dispatch executes the head event of list li. A FIFO list pops it first.
+// A heap keeps it at its root while its handler runs (see schedule) and
+// removes it afterwards only if the handler did not reuse the slot.
 func (s *Scheduler) dispatch(li int) {
-	e := s.lists[li][0]
+	l := &s.lists[li]
+	e := l.ev[l.head]
 	s.now = e.time
 	s.cur = e.seq + 1
 	s.executed++
+	if l.fifo {
+		l.pop()
+		s.handlers[li].HandleEvent(e.op, e.arg)
+		return
+	}
 	s.held = li + 1
 	s.handlers[li].HandleEvent(e.op, e.arg)
 	if s.held != 0 {
 		s.held = 0
-		s.lists[li].popRoot()
+		s.lists[li].ev.popRoot()
 	}
 }
 

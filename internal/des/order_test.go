@@ -19,11 +19,12 @@ type refEvent struct {
 // lockstep, against a reference model that keeps every pending event in one
 // slice and always runs the (time, seq) minimum. Each dispatch must name the
 // event the reference picks; the dispatched event then runs the program's
-// next block of scheduling actions on both sides.
+// next block of scheduling actions on both sides. Handlers 0–2 are heaps;
+// handlers 3–5 are FIFO lanes, each fed at its own fixed delay.
 type orderCheck struct {
 	t        *testing.T
 	s        *Scheduler
-	hids     [3]HandlerID
+	hids     [3 + len(laneDelays)]HandlerID
 	prog     []byte
 	live     []refEvent
 	reserved []uint64
@@ -52,6 +53,10 @@ func (h *orderHandler) HandleEvent(op, arg int32) {
 // or small multiples of 0.5, so equal times are common and exact.
 var fuzzDelays = [...]float64{0, 0, 0, 0.5, 1, 1, 2, 3}
 
+// laneDelays are the fixed delays of the FIFO lanes, drawn from fuzzDelays
+// so lane events tie with heap events and with each other.
+var laneDelays = [...]float64{0, 0.5, 1}
+
 func (c *orderCheck) next() int {
 	if len(c.prog) == 0 {
 		return -1
@@ -69,7 +74,7 @@ func (c *orderCheck) runBlock() {
 		if op < 0 || b < 0 {
 			return
 		}
-		c.act(op%3, b)
+		c.act(op%4, b)
 	}
 }
 
@@ -81,7 +86,7 @@ func (c *orderCheck) add(t float64, seq uint64, h int) int32 {
 
 func (c *orderCheck) act(op, b int) {
 	t := c.now + fuzzDelays[b%len(fuzzDelays)]
-	h := b / len(fuzzDelays) % len(c.hids)
+	h := b / len(fuzzDelays) % 3 // a heap handler
 	switch op {
 	case 0: // Call
 		id := c.add(t, c.seq, h)
@@ -108,6 +113,12 @@ func (c *orderCheck) act(op, b int) {
 		}
 		id := c.add(t, seq, h)
 		c.s.CallSeq(t, seq, c.hids[h], int32(h), id)
+	case 3: // Call on a lane, at its fixed delay
+		k := b % len(laneDelays)
+		h = 3 + k
+		id := c.add(c.now+laneDelays[k], c.seq, h)
+		c.seq++
+		c.s.Call(c.now+laneDelays[k], c.hids[h], int32(h), id)
 	}
 }
 
@@ -171,8 +182,10 @@ func (c *orderCheck) checkPassed(run refEvent) {
 func checkSchedulerOrder(t *testing.T, prog []byte) {
 	s := &Scheduler{}
 	c := &orderCheck{t: t, s: s, prog: prog}
-	for i := range c.hids {
+	// Lanes and heaps interleave in the list order next() scans.
+	for i := range 3 {
 		c.hids[i] = s.Register(&orderHandler{c: c, idx: i})
+		c.hids[3+i] = s.RegisterFIFO(&orderHandler{c: c, idx: 3 + i})
 	}
 	for i := 0; i < 4; i++ {
 		c.runBlock()
@@ -190,10 +203,14 @@ func checkSchedulerOrder(t *testing.T, prog []byte) {
 }
 
 // FuzzSchedulerOrder checks the dispatch sequence, Executed() and Passed of
-// arbitrary programs of Call and Reserve+CallSeq over three handlers against a reference that sorts the live events by (time, seq).
+// arbitrary programs of Call and Reserve+CallSeq over three heap handlers,
+// and of fixed-delay Calls on three FIFO lanes, against a reference that
+// sorts the live events by (time, seq).
 func FuzzSchedulerOrder(f *testing.F) {
 	f.Add([]byte{3, 0, 0, 1, 0, 3, 2})
 	f.Add([]byte{3, 1, 2, 2, 8, 2, 17, 3, 0, 9, 0, 0, 0, 1, 3, 2, 0, 1, 0, 0, 4, 3})
+	// Lane calls at every delay, tied with heap calls at the same times.
+	f.Add([]byte{3, 3, 0, 3, 1, 0, 3, 3, 3, 2, 0, 4, 3, 0, 3, 1, 3, 2, 2, 3, 1, 3, 0, 3, 3, 1, 0, 0, 3, 2})
 	src := rng.New(5)
 	for k := 0; k < 4; k++ {
 		prog := make([]byte, 200+100*k)
@@ -221,6 +238,62 @@ func mustPanic(t *testing.T, name string, want error, fn func()) {
 		}
 	}()
 	fn()
+}
+
+// TestFIFOPanicsOutOfOrder: a lane rejects an event that would run before
+// the last one pending on it, whether it comes by an earlier time or by an
+// earlier reserved sequence position at the same time, and accepts a later
+// one. A lane whose delay is not constant cannot reorder a run silently.
+func TestFIFOPanicsOutOfOrder(t *testing.T) {
+	var s Scheduler
+	r := &recorder{s: &s}
+	r.h = s.RegisterFIFO(r)
+	first := s.Reserve(1)
+	s.Call(2, r.h, 0, 0)
+	mustPanic(t, "earlier time", ErrFIFOOrder, func() { s.Call(1, r.h, 0, 1) })
+	mustPanic(t, "earlier seq at the same time", ErrFIFOOrder, func() { s.CallSeq(2, first, r.h, 0, 1) })
+	s.Call(2, r.h, 0, 2)
+	s.Call(3, r.h, 0, 3)
+	s.RunAll(0)
+	if len(r.calls) != 3 || r.calls[1].arg != 2 || r.calls[2].t != 3 {
+		t.Fatalf("dispatches %+v, want args 0, 2, 3", r.calls)
+	}
+	// An emptied lane takes any event that follows the last dispatch.
+	s.Call(3, r.h, 0, 4)
+	s.RunAll(0)
+	if len(r.calls) != 4 {
+		t.Fatalf("emptied lane dropped an event: %+v", r.calls)
+	}
+}
+
+// TestFIFOReusesStorage: a lane that is drained as fast as it is fed runs
+// every event in order, and its storage, once it has grown to hold the
+// pending events, stops growing: a full lane moves them to its start.
+func TestFIFOReusesStorage(t *testing.T) {
+	var s Scheduler
+	r := &recorder{s: &s}
+	r.h = s.RegisterFIFO(r)
+	const pending = 8
+	r.react = func(op, arg int32) {
+		if arg < 1000 {
+			s.CallAfter(1, r.h, 0, arg+pending)
+		}
+	}
+	for i := int32(0); i < pending; i++ {
+		s.Call(float64(i)/pending, r.h, 0, i)
+	}
+	s.RunAll(0)
+	if len(r.calls) != 1000+pending {
+		t.Fatalf("%d dispatches, want %d", len(r.calls), 1000+pending)
+	}
+	for i, c := range r.calls {
+		if c.arg != int32(i) {
+			t.Fatalf("dispatch %d ran event %d", i, c.arg)
+		}
+	}
+	if c := cap(s.lists[r.h].ev); c > 2*pending {
+		t.Errorf("lane storage grew to %d events for %d pending", c, pending)
+	}
 }
 
 func TestCallSeqPanicsOnUnreservedSeq(t *testing.T) {

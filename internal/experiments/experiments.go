@@ -466,7 +466,11 @@ func (r Runner) RoutingAblation(org system.Organization, par units.Params, point
 
 // InterpretationAblation (Ablation A) plots the calibrated model, the
 // paper-literal model and the simulation on one grid, documenting why the
-// calibrated reading was chosen (see DESIGN.md §3).
+// calibrated reading was chosen (see DESIGN.md §3). The paper-literal model
+// saturates several times earlier than the calibrated one, so the grid has
+// two parts: its lower half steps up to 0.9 of the paper-literal
+// saturation, and its upper half on to the calibrated saturation. Each
+// curve then has points below its own knee.
 func (r Runner) InterpretationAblation(org system.Organization, par units.Params, points int) ([]plot.Series, error) {
 	sys, err := system.New(org)
 	if err != nil {
@@ -476,7 +480,20 @@ func (r Runner) InterpretationAblation(org system.Organization, par units.Params
 	if err != nil {
 		return nil, err
 	}
-	spec := r.simSpec("interpretation-ablation", org, par, sweep.Loads{Points: points, MaxFraction: 1})
+	calSat, err := minSaturation(org, par, []string{par.Tiers.String()}, []string{""})
+	if err != nil {
+		return nil, err
+	}
+	litSat := literal.SaturationPoint(1e-6, 1, 1e-3)
+	if !(litSat < calSat) {
+		return nil, fmt.Errorf("experiments: paper-literal saturation %g is not below the calibrated %g", litSat, calSat)
+	}
+	lo := points / 2
+	lambdas := steadyGrid(0.9, litSat, lo)
+	for i := 1; i <= points-lo; i++ {
+		lambdas = append(lambdas, litSat+(calSat-litSat)*float64(i)/float64(points-lo))
+	}
+	spec := r.simSpec("interpretation-ablation", org, par, sweep.Loads{Lambdas: lambdas})
 	cs, err := r.curves(spec, 1, oneCurve)
 	if err != nil {
 		return nil, err

@@ -294,7 +294,8 @@ func TestInterpretationAblation(t *testing.T) {
 		t.Fatalf("series = %d, want 3", len(series))
 	}
 	// The paper-literal model saturates within the calibrated model's
-	// stability range, so its curve must end in NaNs.
+	// stability range, so its curve must end in NaNs; the grid's lower
+	// half lies below that knee, so the curve must start with values.
 	litNaN := 0
 	for _, y := range series[1].Y {
 		if math.IsNaN(y) {
@@ -303,6 +304,9 @@ func TestInterpretationAblation(t *testing.T) {
 	}
 	if litNaN == 0 {
 		t.Error("paper-literal curve never saturated inside the grid")
+	}
+	if y := series[1].Y[0]; math.IsNaN(y) || y <= 0 {
+		t.Errorf("paper-literal curve starts at %v, want a finite latency", y)
 	}
 }
 

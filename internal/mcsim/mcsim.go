@@ -209,9 +209,9 @@ type Sim struct {
 	nodeCl    []int32
 	nodeLocal []int32
 	// arr holds per-node arrival processes for non-Poisson workloads; nil
-	// selects the allocation-free default (exponential inter-arrivals at
-	// rates[n], bit-identical with pre-workload simulator versions).
-	arr []workload.Process
+	// Procs selects the allocation-free default (exponential inter-arrivals
+	// at rates[n], bit-identical with pre-workload simulator versions).
+	arr workload.Fleet
 	// sizes draws per-message lengths; nil means fixed Par.MessageFlits.
 	sizes workload.SizeDist
 	// replay, when non-nil, is the recorded generation stream being re-run.
@@ -416,7 +416,7 @@ func (s *Sim) setupWorkload() error {
 	}
 	if cfg.Arrival != nil {
 		if _, isDefault := cfg.Arrival.(workload.Poisson); !isDefault {
-			s.arr = workload.NewProcesses(cfg.Arrival, s.rates)
+			s.arr = workload.NewFleet(cfg.Arrival, s.rates)
 		}
 	}
 	if cfg.Sizes != nil {
@@ -429,8 +429,8 @@ func (s *Sim) setupWorkload() error {
 
 // nextArrival draws node's next inter-arrival time from its process.
 func (s *Sim) nextArrival(node int, r *rng.Source) float64 {
-	if s.arr != nil {
-		return s.arr[node].Next(r)
+	if s.arr.Procs != nil {
+		return s.arr.Procs[node].Next(r)
 	}
 	return r.Exp(s.rates[node])
 }
@@ -773,6 +773,7 @@ var (
 	nodeRates    freelist.List[float64]
 	nodeClusters freelist.List[int32]
 	nodeLocals   freelist.List[int32]
+	tierTables   freelist.List[uint8]
 	// msgSlabs holds whole message pools: a released Sim's slabs, each with
 	// its messages cleared, so the pool keeps nothing of the finished run.
 	msgSlabs freelist.List[msgSlab]
@@ -780,15 +781,21 @@ var (
 
 // Release returns the run's organization-sized arrays — the wormhole
 // channel table, the scheduler's event lists, the message slabs with their
-// path and acquisition arenas, and the per-node RNG, rate and cluster
-// arrays — to bounded process-wide free lists, for the next New to reuse.
-// Call it once the Result and any telemetry snapshot are taken. The Sim
-// must not be used afterwards: every field is cleared, so any use panics.
-// A Telemetry collector obtained from the Sim stays valid, since Snapshot
-// reads only the collector's own state.
+// path and acquisition arenas, the per-node RNG, rate and cluster arrays,
+// the per-node arrival processes and the telemetry tier map — to bounded
+// process-wide free lists, for the next New to reuse. Call it once the
+// Result and any telemetry snapshot are taken. The Sim must not be used
+// afterwards: every field is cleared, so any use panics. A Telemetry
+// collector obtained from the Sim stays valid, since Snapshot reads only
+// the collector's own state.
 func (s *Sim) Release() {
 	s.net.Release()
 	s.sched.Release()
+	s.arr.Release()
+	if s.tele != nil {
+		tierTables.Put(s.tele.tierOf)
+		s.tele.tierOf = nil
+	}
 	for i := range s.slabs {
 		// Each worm points at the Sim, and its Path into the slab.
 		clear(s.slabs[i].msgs)

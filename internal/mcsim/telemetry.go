@@ -130,7 +130,7 @@ type Telemetry struct {
 	stride uint64 // current sampling stride (doubles on series compaction)
 
 	// tierOf maps every channel to its tier: one arena, built at setup by
-	// Sim.channelTiers.
+	// Sim.channelTiers and handed back by Sim.Release.
 	tierOf   []uint8
 	channels [numTiers]int
 
@@ -166,9 +166,11 @@ type Telemetry struct {
 // link — the ECN1 root↔concentrator links and the concentrator↔ICN2
 // injection and ejection links (ICN2's node channels) — belongs to
 // TierConc; the injection link is the single serialization point the
-// model's Eq. 33 queue describes.
+// model's Eq. 33 queue describes. The map is a released run's when one is
+// large enough; the ranges cover every channel, so each element is
+// rewritten.
 func (s *Sim) channelTiers() []uint8 {
-	tiers := make([]uint8, s.net.Channels())
+	tiers := tierTables.Get(s.net.Channels())
 	mark := func(from, to int32, tier Tier) {
 		for c := from; c < to; c++ {
 			tiers[c] = uint8(tier)

@@ -480,14 +480,8 @@ func runStudy(dir string, e experiments.Entry, cfg Config, runner experiments.Ru
 				labels = append(labels, s.Label)
 			}
 		}
-		// Gated entries only require data in the columns the fidelity gate
-		// compares; ungated ones require it everywhere.
-		var required []string
-		for _, p := range e.Pairs {
-			required = append(required, p.Analysis, p.Simulation)
-		}
 		sr.SchemaViolations = append(sr.SchemaViolations,
-			ValidateSeriesCSV(filepath.Join(dir, sr.CSV), labels, required, points)...)
+			ValidateSeriesCSV(filepath.Join(dir, sr.CSV), labels, points)...)
 
 		sr.Output = filepath.Join("analysis", e.Name+".txt")
 		chart := plot.ASCII(e.Title, series, 72, 18, plot.AutoCap(series))

@@ -23,14 +23,11 @@ import (
 //     encoding of NaN) or a finite float — the literal strings "NaN" and
 //     "inf" are schema violations in result columns;
 //   - the x column is fully populated and strictly increasing;
-//   - every required series column carries at least one finite value (a
-//     fully empty column means the study silently produced nothing).
-//     required lists the labels the fidelity gate compares (nil = all):
-//     reference curves may legitimately saturate across a coarse grid —
-//     e.g. the paper-literal model interpretation on a 5-point quick grid —
-//     but a gated column with no data would make the agreement check
-//     vacuous.
-func ValidateSeriesCSV(path string, labels, required []string, wantRows int) []string {
+//   - every series column carries at least one finite value: a fully
+//     empty column means the study silently produced nothing, whether it
+//     is a gated column (the agreement check would be vacuous) or a
+//     reference curve whose grid lies wholly past its saturation.
+func ValidateSeriesCSV(path string, labels []string, wantRows int) []string {
 	header, rows, violations := readCSV(path)
 	if violations != nil {
 		return violations
@@ -79,15 +76,8 @@ func ValidateSeriesCSV(path string, labels, required []string, wantRows int) []s
 			finiteInCol[ci] = true
 		}
 	}
-	requiredCol := make(map[string]bool, len(required))
-	if required == nil {
-		required = labels
-	}
-	for _, l := range required {
-		requiredCol[plot.SanitizeLabel(l)] = true
-	}
 	for ci := 1; ci < len(finiteInCol); ci++ {
-		if !finiteInCol[ci] && requiredCol[header[ci]] {
+		if !finiteInCol[ci] {
 			violations = append(violations, fmt.Sprintf("column %q has no finite values", header[ci]))
 		}
 	}

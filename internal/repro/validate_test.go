@@ -31,7 +31,7 @@ func TestValidateSeriesCSVConformingFile(t *testing.T) {
 	if err := writeSeriesCSV(path, series); err != nil {
 		t.Fatal(err)
 	}
-	v := ValidateSeriesCSV(path, []string{"analysis Lm=256", "simulation Lm=256"}, nil, 3)
+	v := ValidateSeriesCSV(path, []string{"analysis Lm=256", "simulation Lm=256"}, 3)
 	if len(v) != 0 {
 		t.Fatalf("violations on a conforming file: %v", v)
 	}
@@ -57,7 +57,7 @@ func TestValidateSeriesCSVViolations(t *testing.T) {
 	for _, c := range cases[:len(cases)-1] {
 		t.Run(c.name, func(t *testing.T) {
 			path := writeFile(t, "f.csv", c.content)
-			v := ValidateSeriesCSV(path, c.labels, nil, c.rows)
+			v := ValidateSeriesCSV(path, c.labels, c.rows)
 			if len(v) == 0 {
 				t.Fatalf("no violations, want one matching %q", c.want)
 			}
@@ -66,26 +66,26 @@ func TestValidateSeriesCSVViolations(t *testing.T) {
 			}
 		})
 	}
-	if v := ValidateSeriesCSV(filepath.Join(t.TempDir(), "missing.csv"), nil, nil, 0); len(v) == 0 {
+	if v := ValidateSeriesCSV(filepath.Join(t.TempDir(), "missing.csv"), nil, 0); len(v) == 0 {
 		t.Error("missing file produced no violation")
 	}
 }
 
-// TestValidateSeriesCSVRequiredColumns: the no-finite-values check binds
-// only the required (gated) columns — a reference curve that saturates
-// across the whole grid is legitimate, but a gated column without data is
-// a violation.
+// TestValidateSeriesCSVRequiredColumns: every series column is required to
+// carry data, the gated ones and the reference curves alike. The file has
+// the shape of an ablation whose grid lies wholly past the paper-literal
+// model's saturation: its calibrated model and simulation columns are
+// full and its paper-literal column is empty.
 func TestValidateSeriesCSVRequiredColumns(t *testing.T) {
-	path := writeFile(t, "f.csv", "x,model,reference,simulation\n1,10,,9\n2,20,,21\n")
-	labels := []string{"model", "reference", "simulation"}
-	if v := ValidateSeriesCSV(path, labels, []string{"model", "simulation"}, 2); len(v) != 0 {
-		t.Errorf("empty non-required column flagged: %v", v)
+	labels := []string{"model calibrated", "model paper-literal", "simulation"}
+	path := writeFile(t, "f.csv", "x,model calibrated,model paper-literal,simulation\n1,10,,9\n2,20,,21\n")
+	v := ValidateSeriesCSV(path, labels, 2)
+	if len(v) != 1 || !strings.Contains(v[0], `"model paper-literal" has no finite values`) {
+		t.Errorf("violations = %v, want the empty paper-literal column flagged", v)
 	}
-	if v := ValidateSeriesCSV(path, labels, []string{"model", "reference"}, 2); len(v) == 0 {
-		t.Error("empty required column not flagged")
-	}
-	if v := ValidateSeriesCSV(path, labels, nil, 2); len(v) == 0 {
-		t.Error("nil required must mean all columns are required")
+	path = writeFile(t, "g.csv", "x,model calibrated,model paper-literal,simulation\n1,10,12,9\n2,20,,21\n")
+	if v := ValidateSeriesCSV(path, labels, 2); len(v) != 0 {
+		t.Errorf("a column with one finite value flagged: %v", v)
 	}
 }
 
@@ -97,7 +97,7 @@ func TestValidateSeriesCSVSanitizedLabels(t *testing.T) {
 	if err := writeSeriesCSV(path, series); err != nil {
 		t.Fatal(err)
 	}
-	if v := ValidateSeriesCSV(path, []string{"a,b"}, nil, 1); len(v) != 0 {
+	if v := ValidateSeriesCSV(path, []string{"a,b"}, 1); len(v) != 0 {
 		t.Errorf("sanitized label mismatch: %v", v)
 	}
 }

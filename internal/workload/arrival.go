@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 
+	"mcnet/internal/freelist"
 	"mcnet/internal/rng"
 )
 
@@ -173,34 +174,67 @@ func (p *mmppProcess) Next(r *rng.Source) float64 {
 	}
 }
 
-// NewProcesses instantiates one process per rate, backing the per-node state
-// of the known stateful families (MMPP, Deterministic) with a single arena
-// allocation instead of one heap object per node. The returned processes are
-// independent — each element owns its own slot in the arena — and boxing
-// &arena[i] into the interface does not allocate, so a whole fleet of bursty
-// nodes costs O(1) allocations. Unknown families fall back to per-node
-// NewProcess.
+// NewProcesses returns the processes of a new Fleet, for a caller that
+// never releases them.
 func NewProcesses(a Arrival, rates []float64) []Process {
-	ps := make([]Process, len(rates))
+	return NewFleet(a, rates).Procs
+}
+
+// Fleet is one process per node: Procs[i] draws node i's inter-arrival
+// times. The per-node state of the known stateful families (MMPP,
+// Deterministic) lives in a single arena instead of one heap object per
+// node, and boxing &arena[i] into the interface does not allocate, so a
+// whole fleet of bursty nodes costs O(1) allocations; Release hands the
+// arena and Procs to the next NewFleet, so a fleet built after a released
+// one costs none. Unknown families fall back to per-node NewProcess.
+type Fleet struct {
+	Procs []Process
+	mmpp  []mmppProcess
+	det   []deterministicProcess
+}
+
+// The free lists Fleet.Release hands a fleet's arrays to and NewFleet draws
+// from (see package freelist).
+var (
+	procSlices freelist.List[Process]
+	mmppArenas freelist.List[mmppProcess]
+	detArenas  freelist.List[deterministicProcess]
+)
+
+// NewFleet instantiates one independent process per rate.
+func NewFleet(a Arrival, rates []float64) Fleet {
+	f := Fleet{Procs: procSlices.Get(len(rates))}
 	switch a := a.(type) {
 	case MMPP:
-		arena := make([]mmppProcess, len(rates))
+		f.mmpp = mmppArenas.Get(len(rates))
 		for i, rate := range rates {
-			arena[i] = a.process(rate)
-			ps[i] = &arena[i]
+			f.mmpp[i] = a.process(rate)
+			f.Procs[i] = &f.mmpp[i]
 		}
 	case Deterministic:
-		arena := make([]deterministicProcess, len(rates))
+		f.det = detArenas.Get(len(rates))
 		for i, rate := range rates {
-			arena[i] = a.process(rate)
-			ps[i] = &arena[i]
+			f.det[i] = a.process(rate)
+			f.Procs[i] = &f.det[i]
 		}
 	default:
 		for i, rate := range rates {
-			ps[i] = a.NewProcess(rate)
+			f.Procs[i] = a.NewProcess(rate)
 		}
 	}
-	return ps
+	return f
+}
+
+// Release hands the fleet's arrays to the next NewFleet and clears the
+// fleet; its processes must not be used afterwards. The arenas are
+// pointer-free, and Procs is cleared first, so nothing kept points back
+// into the run.
+func (f *Fleet) Release() {
+	clear(f.Procs)
+	procSlices.Put(f.Procs)
+	mmppArenas.Put(f.mmpp)
+	detArenas.Put(f.det)
+	*f = Fleet{}
 }
 
 // ParseArrival resolves an arrival spec string. Recognized forms:

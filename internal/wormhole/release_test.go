@@ -289,7 +289,13 @@ func (rc releaseCase) runEager() releaseRun {
 }
 
 func checkReleaseOrder(t *testing.T, data []byte) {
-	rc := decodeReleaseCase(data)
+	checkReleaseCase(t, decodeReleaseCase(data))
+}
+
+// checkReleaseCase runs rc on Network and on eagerNet and compares
+// everything either engine shows.
+func checkReleaseCase(t *testing.T, rc releaseCase) {
+	t.Helper()
 	got, want := rc.runLazy(), rc.runEager()
 	if !slices.Equal(got.delivered, want.delivered) {
 		t.Fatalf("delivery order %v, reference %v", got.delivered, want.delivered)
@@ -334,4 +340,55 @@ func FuzzReleaseOrder(f *testing.F) {
 		f.Add(data)
 	}
 	f.Fuzz(checkReleaseOrder)
+}
+
+// TestReleaseOrderPastLaneCap checks Network against eagerNet on networks
+// with more distinct flit times than it has lanes, so the hops over the
+// channels past the cap go through the network's heap beside the lanes'
+// FIFOs. The decoder's flit times have too few distinct values to get
+// there.
+func TestReleaseOrderPastLaneCap(t *testing.T) {
+	src := rng.New(3)
+	for k := 0; k < 50; k++ {
+		var rc releaseCase
+		channels := maxLanes + 1 + k%4
+		for c := 0; c < channels; c++ {
+			// Distinct binary fractions, so hop times tie exactly.
+			rc.flits = append(rc.flits, 0.5*float64(1+(c+k)%channels))
+		}
+		for i := 0; i < 4+int(src.Uint64()%20); i++ {
+			var path []int32
+			for c := 0; c < channels; c++ {
+				if src.Uint64()%3 == 0 {
+					path = append(path, int32(c))
+				}
+			}
+			if len(path) == 0 {
+				path = append(path, int32(i%channels))
+			}
+			rc.worms = append(rc.worms, struct {
+				path  []int32
+				flits int
+				at    float64
+			}{path, 1 + int(src.Uint64()%8), 0.5 * float64(src.Uint64()%12)})
+		}
+		for i := 0; i < 3; i++ {
+			rc.observeAt = append(rc.observeAt, 0.5*float64(src.Uint64()%16))
+		}
+		for i := 0; i < 16; i++ {
+			rc.observeAfter = append(rc.observeAfter, releaseGaps[src.Uint64()%uint64(len(releaseGaps))])
+		}
+		checkReleaseCase(t, rc)
+	}
+	var s des.Scheduler
+	fts := make([]float64, maxLanes+2)
+	for i := range fts {
+		fts[i] = float64(i + 1)
+	}
+	n := New(&s, fts)
+	for i := range fts {
+		if onHeap := n.ch[i].hop == n.hid; onHeap != (i >= maxLanes) {
+			t.Errorf("channel %d (flit time %v): hop on the heap = %v", i, fts[i], onHeap)
+		}
+	}
 }

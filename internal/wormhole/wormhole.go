@@ -41,6 +41,12 @@
 // (time, seq) keys and order they would have if every release were an
 // event, and so does every simulated statistic.
 //
+// A header hop is the one event scheduled a fixed delay ahead, the hop's
+// channel's flit time, so each distinct flit time of a network gets its own
+// des lane (Scheduler.RegisterFIFO) and its hops never sift through a heap.
+// An organization has few distinct flit times; channels past the first
+// maxLanes distinct ones schedule their hops on the network's heap.
+//
 // The engine is deliberately topology-agnostic: routes are sequences of
 // dense channel indices whose flit times are fixed at construction. The
 // multi-cluster simulator lays out all of its networks in one channel table.
@@ -174,11 +180,13 @@ const (
 
 // channel is one directed link. While busy, rel says what is known of the
 // holder's release; relT and relSeq are its key once the holder's header
-// has arrived.
+// has arrived. hop is the list the header's hop over the channel is
+// scheduled on: its flit time's lane, or the network's heap.
 type channel struct {
 	flit      float64
 	busy      bool
 	rel       uint8
+	hop       des.HandlerID
 	waiting   fifo
 	busySince float64
 	busyTotal float64
@@ -207,16 +215,34 @@ type Network struct {
 // channelTables holds the channel tables of released networks.
 var channelTables freelist.List[channel]
 
+// maxLanes bounds the FIFO lanes a network registers for its header hops.
+const maxLanes = 8
+
 // New creates a network whose channel i has flit transfer time flitTimes[i].
 // The channel table is a released network's when one is large enough.
 func New(sched *des.Scheduler, flitTimes []float64) *Network {
 	n := &Network{sched: sched, ch: channelTables.Get(len(flitTimes))}
 	n.hid = sched.Register(n)
+	var laneFlit [maxLanes]float64
+	var lanes [maxLanes]des.HandlerID
+	nl := 0
 	for i, ft := range flitTimes {
 		if ft <= 0 {
 			panic(fmt.Sprintf("wormhole: channel %d has non-positive flit time %v", i, ft))
 		}
-		n.ch[i] = channel{flit: ft}
+		k := 0
+		for k < nl && laneFlit[k] != ft {
+			k++
+		}
+		if k == nl && nl < maxLanes {
+			laneFlit[k], lanes[k] = ft, sched.RegisterFIFO(n)
+			nl++
+		}
+		hop := n.hid
+		if k < nl {
+			hop = lanes[k]
+		}
+		n.ch[i] = channel{flit: ft, hop: hop}
 	}
 	return n
 }
@@ -367,7 +393,7 @@ func (n *Network) grant(c *channel, w *Worm) {
 	c.busySince = now
 	c.grants++
 	w.acq = append(w.acq, now)
-	n.sched.Call(now+c.flit, n.hid, opHeader, w.slot)
+	n.sched.Call(now+c.flit, c.hop, opHeader, w.slot)
 }
 
 // headerAdvance moves the header one hop: either request the next channel or

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"mcnet/internal/des"
 	"mcnet/internal/rng"
@@ -60,6 +61,14 @@ func newInjector(sched *des.Scheduler, net *Network) *injector {
 func (in *injector) at(t float64, w *Worm) {
 	in.d.s.Call(t, in.d.h, driveInject, int32(len(in.worms)))
 	in.worms = append(in.worms, w)
+}
+
+// TestChannelRecordSize: the per-channel hop lane rides in the padding
+// after busy and rel, so the channel table stays at 80 bytes a channel.
+func TestChannelRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(channel{}); got != 80 {
+		t.Errorf("channel record is %d bytes, want 80", got)
+	}
 }
 
 func TestSingleWormUniformPipeline(t *testing.T) {
