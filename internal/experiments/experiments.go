@@ -467,10 +467,10 @@ func (r Runner) RoutingAblation(org system.Organization, par units.Params, point
 // InterpretationAblation (Ablation A) plots the calibrated model, the
 // paper-literal model and the simulation on one grid, documenting why the
 // calibrated reading was chosen (see DESIGN.md §3). The paper-literal model
-// saturates several times earlier than the calibrated one, so the grid has
-// two parts: its lower half steps up to 0.9 of the paper-literal
-// saturation, and its upper half on to the calibrated saturation. Each
-// curve then has points below its own knee.
+// saturates far earlier than the calibrated one (ten times earlier on
+// Org1), so the grid has two parts: its lower half steps up to 0.9 of the
+// paper-literal saturation, and its upper half on to the calibrated
+// saturation. Each model curve then has points below its own knee.
 func (r Runner) InterpretationAblation(org system.Organization, par units.Params, points int) ([]plot.Series, error) {
 	sys, err := system.New(org)
 	if err != nil {
