@@ -2,6 +2,7 @@ package des
 
 import (
 	"testing"
+	"unsafe"
 )
 
 // call is one dispatch a recorder saw: the clock, the payload, and the
@@ -91,4 +92,16 @@ func TestCallPanicsOnPastEvent(t *testing.T) {
 		}
 	}()
 	s.Call(1, r.h, 0, 0)
+}
+
+// TestListsArrayFillsCacheLines: a scheduler's lists array, whose slice
+// headers change on every dispatch, spans whole 64-byte cache lines, so its
+// allocation size class starts every object on a line boundary and two
+// schedulers running on two cores never write to one line.
+func TestListsArrayFillsCacheLines(t *testing.T) {
+	var s Scheduler
+	newRecorder(&s)
+	if n := uintptr(cap(s.lists)) * unsafe.Sizeof(eventList{}); n%64 != 0 {
+		t.Errorf("lists array is %d bytes, not whole cache lines", n)
+	}
 }
