@@ -367,19 +367,19 @@ func TestAppendUpDownMatchReference(t *testing.T) {
 	}
 }
 
-// TestTableMatchesDynamic checks that the precomputed tables reproduce the
-// hop-by-hop computation exactly — the property that makes table-driven
-// routing result-identical to per-message routing — and that the ECN1 legs
-// are the same under either routing mode, which lets the simulator route
-// every run's ECN1 legs through the Balanced instance.
+// TestTableMatchesDynamic checks, for every ordered pair, that the
+// precomputed tables reproduce the hop-by-hop computation exactly — the
+// property that makes table-driven routing result-identical to per-message
+// routing — and that the ECN1 legs are the same under either routing mode,
+// which lets the simulator route every run's ECN1 legs through the Balanced
+// instance.
 func TestTableMatchesDynamic(t *testing.T) {
 	src := rng.New(13)
 	for _, sh := range tableShapes {
 		bal := mustFatTree(t, sh[0], sh[1], routing.Balanced)
 		rnd := mustFatTree(t, sh[0], sh[1], routing.RandomUp)
-		for trial := 0; trial < 300; trial++ {
-			a := src.Intn(bal.Nodes())
-			b := src.Intn(bal.Nodes())
+		for pair := 0; pair < bal.Nodes()*bal.Nodes(); pair++ {
+			a, b := pair/bal.Nodes(), pair%bal.Nodes()
 			sel := src.Uint64()
 			base := int32(src.Intn(1000))
 			if a != b {
