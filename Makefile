@@ -60,15 +60,16 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReleaseOrder$$' -fuzztime $(FUZZTIME) ./internal/wormhole
 	$(GO) test -run '^$$' -fuzz '^FuzzAnalyzeRepeat$$' -fuzztime $(FUZZTIME) ./internal/serve
 
-# bench runs the cross-layer hot-path benchmarks (internal/bench) five times
-# each (benchdiff keeps the minimum ns/op over the repeats, so the gate never
-# judges a single noisy sample) and writes the raw `go test -json` stream to
+# bench runs the cross-layer hot-path benchmarks (internal/bench) and the
+# topology build benchmark (internal/topo) five times each (benchdiff keeps
+# the minimum ns/op over the repeats, so the gate never judges a single
+# noisy sample) and writes the raw `go test -json` stream to
 # $(BENCH_OUT), plus a condensed machine-readable summary (name → ns/op,
 # B/op, allocs/op) next to it. The summary printer is cmd/benchdiff, which parses
 # the same artifact the gate consumes (and is portable: no GNU grep/sed
 # extensions).
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem -count 5 -json ./internal/bench > $(BENCH_OUT)
+	$(GO) test -run '^$$' -bench . -benchmem -count 5 -json ./internal/bench ./internal/topo > $(BENCH_OUT)
 	@$(GO) run ./cmd/benchdiff -list $(BENCH_OUT)
 	@$(GO) run ./cmd/benchdiff -summary $(BENCH_OUT) > $(BENCH_OUT:.json=.summary.json)
 	@echo wrote $(BENCH_OUT) and $(BENCH_OUT:.json=.summary.json)
@@ -81,7 +82,7 @@ bench-all:
 
 # bench-gate is the CI benchmark regression gate: re-measure and compare
 # against the committed BENCH_<rev>.json baseline, failing on >25% ns/op
-# regression in any internal/bench benchmark. Refresh the baseline
+# regression in any internal/bench or internal/topo benchmark. Refresh the baseline
 # deliberately with: make bench && git rm BENCH_<old>.json && git add
 # BENCH_<new>.json (see README).
 bench-gate:

@@ -111,6 +111,8 @@ var analyzeValidationCases = []struct {
 	{"trailing garbage", `{"org":"org1","lambda":0.0003} extra`, 400},
 	{"trailing bracket", `{"org":"org1","lambda":0.0003}]x`, 400},
 	{"trailing brace", `{"org":"org1","lambda":0.0003}}`, 400},
+	{"deep 2-port jellyfish", `{"org":"m=2:2x50000@topo=jellyfish","lambda":0.0003}`, 400},
+	{"oversized jellyfish", `{"org":"m=4:2x8@topo=jellyfish","lambda":0.0003}`, 400},
 }
 
 func TestAnalyzeValidation(t *testing.T) {

@@ -81,17 +81,35 @@ var errBadShape = errors.New("topo: invalid m-port n-tree shape")
 
 // maxTreeNodes bounds the node count 2(m/2)^n of a buildable tree. A fat
 // tree precomputes a route for every ordered node pair, so its tables grow
-// as N²·n: about 70 MB at this bound, and gigabytes a few levels beyond it.
+// as N²·n: 94.4 MB for the m=4 9-tree, the deepest tree within the bound
+// (71.3 MB of routes, 4.2 MB of offsets and 9.4 MB each of ascents and
+// descents), and gigabytes a few levels beyond it.
 const maxTreeNodes = 1 << 10
 
+// maxTreeLevels bounds n at the depth of that m=4 9-tree, so every tree
+// with k ≥ 2 within maxTreeNodes passes it. It is what bounds the 2-port
+// trees: their N = 2 passes the node bound at any depth, while the
+// equal-budget jellyfish of such a tree has 2n−1 switches.
+const maxTreeLevels = 9
+
+// maxJellyfishSwitches bounds the switch count S of a jellyfish, whose
+// all-pairs tables grow as S²: the largest accepted one (m=4 n=7, 832
+// switches) builds 21.7 MB of tables, while the next, m=4 n=8 with 1920
+// switches, would build 127 MB.
+const maxJellyfishSwitches = 1 << 10
+
 // checkShape rejects shapes no m-port n-tree has (ports must be an even
-// number ≥ 2 and levels ≥ 1) and shapes of more than maxTreeNodes nodes.
+// number ≥ 2 and levels ≥ 1) and shapes of more than maxTreeNodes nodes or
+// maxTreeLevels levels.
 func checkShape(ports, levels int) error {
 	if ports < 2 || ports%2 != 0 {
 		return fmt.Errorf("%w: ports m=%d must be even and ≥ 2", errBadShape, ports)
 	}
 	if levels < 1 {
 		return fmt.Errorf("%w: levels n=%d must be ≥ 1", errBadShape, levels)
+	}
+	if levels > maxTreeLevels {
+		return fmt.Errorf("%w: levels n=%d exceed %d", errBadShape, levels, maxTreeLevels)
 	}
 	k, nodes := ports/2, 2
 	for i := 0; i < levels; i++ {

@@ -41,8 +41,8 @@ func (f *FatTree) upChoice(l, dst int, sel *uint64) int {
 }
 
 // appendRoute computes the up*/down* route from src to dst hop by hop,
-// offset by base. It fills the Balanced route arena and routes RandomUp
-// messages, whose ascent depends on sel.
+// offset by base. It routes RandomUp messages, whose ascent depends on sel,
+// and is the reference the Balanced route table is tested against.
 func (f *FatTree) appendRoute(path []int32, base int32, src, dst int, sel uint64) []int32 {
 	j := f.NCALevel(src, dst)
 	if j == 0 {
@@ -85,38 +85,75 @@ func (f *FatTree) appendAscent(path []int32, src, y int) []int32 {
 	return path
 }
 
-// buildTables precomputes the Balanced intra routes for every ordered
-// (src, dst) pair, and in both modes the ascent from every node to every
-// root and the descent from every root to every node.
+// buildTables precomputes, in both modes, the ascent from every node to
+// every root and the descent from every root to every node, and then the
+// Balanced intra route of every ordered (src, dst) pair.
+//
+// A Balanced route with its NCA at level j ascends along dst's digits, the
+// same up-ports as the ascent to root y = dst mod k^(n−1), and that ascent
+// reaches the same level-j switch as the descent from root y to dst. So the
+// route is the first j channels of the ascent src → y followed by the last
+// j channels of the descent y → dst: both copied from the arenas, with no
+// per-hop label arithmetic.
 func (f *FatTree) buildTables() {
-	n, roots := f.nodes, f.Roots()
-	if f.mode == routing.Balanced {
-		f.routeOff = make([]int32, n*n+1)
-		// A route from NCA level j has 2j channels; sizing the arena exactly
-		// would mean computing every NCA twice, so just append.
-		f.routeArena = make([]int32, 0, n*n*f.levels)
-		for src := 0; src < n; src++ {
-			for dst := 0; dst < n; dst++ {
-				if src != dst {
-					f.routeArena = f.appendRoute(f.routeArena, 0, src, dst, 0)
-				}
-				f.routeOff[src*n+dst+1] = int32(len(f.routeArena))
+	n, roots, levels := f.nodes, f.Roots(), f.levels
+	// The arenas fill through locals and are stored once at the end.
+	up := make([]int32, 0, n*roots*levels)
+	for src := 0; src < n; src++ {
+		for y := 0; y < roots; y++ {
+			up = f.appendAscent(up, src, y)
+		}
+	}
+	down := make([]int32, 0, roots*n*levels)
+	for y := 0; y < roots; y++ {
+		root := treeSwitch{Level: levels, Y: y}
+		for dst := 0; dst < n; dst++ {
+			down = f.appendDescent(down, 0, root, dst)
+		}
+	}
+	f.upArena, f.downArena = up, down
+	if f.mode != routing.Balanced {
+		return
+	}
+
+	// Every source has k^j − k^(j−1) destinations with their NCA at level
+	// j < n and N − k^(n−1) at level n (Eq. 4), each route 2j channels long,
+	// which sizes the arena exactly.
+	perSource := 2 * levels * (n - f.kPow[levels-1])
+	for j := 1; j < levels; j++ {
+		perSource += 2 * j * (f.kPow[j] - f.kPow[j-1])
+	}
+	off := make([]int32, n*n+1)
+	routes := make([]int32, 0, n*perSource)
+	// nca[dst] is the NCA level of (src, dst) for the current source: n
+	// outside src's level-(n−1) block of k^(n−1) nodes, then each smaller
+	// block of k^l nodes around src overwritten with l.
+	nca := make([]int, n)
+	for src := 0; src < n; src++ {
+		for dst := range nca {
+			nca[dst] = levels
+		}
+		for l := levels - 1; l >= 1; l-- {
+			lo := src / f.kPow[l] * f.kPow[l]
+			for dst := lo; dst < lo+f.kPow[l]; dst++ {
+				nca[dst] = l
+			}
+		}
+		ascents := up[src*roots*levels : (src+1)*roots*levels]
+		y := 0 // dst mod k^(n−1)
+		for dst := 0; dst < n; dst++ {
+			if dst != src {
+				j := nca[dst]
+				routes = append(routes, ascents[y*levels:][:j]...)
+				routes = append(routes, down[(y*n+dst)*levels+levels-j:][:j]...)
+			}
+			off[src*n+dst+1] = int32(len(routes))
+			if y++; y == roots {
+				y = 0
 			}
 		}
 	}
-	f.upArena = make([]int32, 0, n*roots*f.levels)
-	for src := 0; src < n; src++ {
-		for y := 0; y < roots; y++ {
-			f.upArena = f.appendAscent(f.upArena, src, y)
-		}
-	}
-	f.downArena = make([]int32, 0, roots*n*f.levels)
-	for y := 0; y < roots; y++ {
-		root := treeSwitch{Level: f.levels, Y: y}
-		for dst := 0; dst < n; dst++ {
-			f.downArena = f.appendDescent(f.downArena, 0, root, dst)
-		}
-	}
+	f.routeOff, f.routeArena = off, routes
 }
 
 // appendOffset appends src to dst with every element offset by base.

@@ -238,59 +238,60 @@ func (j *Jellyfish) buildAdjacency() {
 
 // buildPaths runs BFS from every switch and freezes one shortest path per
 // ordered switch pair into a flat arena, so AppendRoute is a bounds-checked
-// copy with no allocation or per-hop branching.
+// copy with no allocation or per-hop branching. The searches fill the
+// distance table, whose sum sizes the arena exactly, and record in last
+// the channel over which each pair's search first reached its destination;
+// each path is then written straight into the arena by walking those
+// channels back from its destination.
 func (j *Jellyfish) buildPaths() {
 	S := j.switches
 	j.dist = make([]int32, S*S)
-	for i := range j.dist {
-		j.dist[i] = -1
-	}
-	prevChan := make([]int32, S)
-	prevSw := make([]int32, S)
-	paths := make([][]int32, S*S)
-	queue := make([]int32, 0, S)
+	last := make([]int32, S*S)
+	queue := make([]int32, S)
+	total := 0
 	for a := 0; a < S; a++ {
-		row := j.dist[a*S : (a+1)*S]
-		for i := range prevSw {
-			prevSw[i] = -1
+		row, via := j.dist[a*S:(a+1)*S], last[a*S:(a+1)*S]
+		for i := range row {
+			row[i] = -1
 		}
 		row[a] = 0
-		prevSw[a] = int32(a)
-		queue = append(queue[:0], int32(a))
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
+		queue[0] = int32(a)
+		for head, tail := 0, 1; head < tail; head++ {
+			u := queue[head]
 			for k, v := range j.adj[u] {
-				if prevSw[v] < 0 {
-					prevSw[v] = u
-					prevChan[v] = j.adjChan[u][k]
+				if row[v] < 0 {
 					row[v] = row[u] + 1
-					queue = append(queue, v)
+					via[v] = j.adjChan[u][k]
+					total += int(row[v])
+					queue[tail] = v
+					tail++
 				}
 			}
 		}
-		for b := 0; b < S; b++ {
-			if b == a || row[b] < 0 {
-				continue
-			}
-			p := make([]int32, row[b])
-			for at, i := int32(b), row[b]-1; at != int32(a); at, i = prevSw[at], i-1 {
-				p[i] = prevChan[at]
-			}
-			paths[a*S+b] = p
-		}
 	}
 	j.pathOff = make([]int32, S*S+1)
-	total := 0
-	for i, p := range paths {
-		j.pathOff[i] = int32(total)
-		total += len(p)
+	j.pathArena = make([]int32, total)
+	base := int32(2 * j.nodes)
+	off := int32(0)
+	for a := 0; a < S; a++ {
+		row, via := j.dist[a*S:(a+1)*S], last[a*S:(a+1)*S]
+		for b, d := range row {
+			j.pathOff[a*S+b] = off
+			if d <= 0 { // b == a, or unreachable
+				continue
+			}
+			off += d
+			p := j.pathArena[off-d : off]
+			for at, i := b, d-1; i >= 0; i-- {
+				c := via[at]
+				p[i] = c
+				// Channel base+2e+dir leaves switch edges[e][dir].
+				e := c - base
+				at = int(j.edges[e>>1][e&1])
+			}
+		}
 	}
-	j.pathOff[S*S] = int32(total)
-	j.pathArena = make([]int32, 0, total)
-	for _, p := range paths {
-		j.pathArena = append(j.pathArena, p...)
-	}
+	j.pathOff[S*S] = off
 	j.maxRoute = 2
 	for _, d := range j.dist {
 		if int(d)+2 > j.maxRoute {

@@ -233,7 +233,12 @@ func New(spec Spec, ports, levels int, mode routing.Mode) (Topology, error) {
 			if err := checkShape(ports, levels); err != nil {
 				return nil, err
 			}
-			return newJellyfish(nodeCount(ports, levels), switchCount(ports, levels), ports, spec.Seed)
+			switches := switchCount(ports, levels)
+			if switches > maxJellyfishSwitches {
+				return nil, fmt.Errorf("%w: a jellyfish over m=%d n=%d has %d switches, more than %d",
+					errBadShape, ports, levels, switches, maxJellyfishSwitches)
+			}
+			return newJellyfish(nodeCount(ports, levels), switches, ports, spec.Seed)
 		})
 	}
 	ft, err := NewFatTree(ports, levels, mode)

@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -214,6 +215,42 @@ func TestJellyfishSeedsDiffer(t *testing.T) {
 	}
 	if c.String() != a.String() {
 		t.Errorf("seed 1 rebuilt differently: %s vs %s", c, a)
+	}
+}
+
+// TestShapeBoundsRejectBeforeBuilding checks that New refuses, with
+// errBadShape and before allocating anything of the shape's size, the
+// shapes whose tables would break the budget: a 2-port tree of 50,000
+// levels (its jellyfish would wire 99,999 switches over a 10 GB S² flag
+// table), any tree deeper than maxTreeLevels, and jellyfish of more than
+// maxJellyfishSwitches switches. Every tree with k ≥ 2 within maxTreeNodes
+// stays valid.
+func TestShapeBoundsRejectBeforeBuilding(t *testing.T) {
+	jelly := Spec{Kind: KindJellyfish}
+	for _, c := range []struct {
+		spec Spec
+		m, n int
+	}{
+		{Spec{}, 2, 50000}, {jelly, 2, 50000}, {Spec{}, 2, maxTreeLevels + 1}, {jelly, 4, 8}, {jelly, 4, 9},
+	} {
+		var err error
+		allocs := testing.AllocsPerRun(1, func() { _, err = New(c.spec, c.m, c.n, routing.Balanced) })
+		if !errors.Is(err, errBadShape) {
+			t.Errorf("%s m=%d n=%d: err = %v, want errBadShape", c.spec, c.m, c.n, err)
+		}
+		if allocs > 16 {
+			t.Errorf("%s m=%d n=%d: %v allocations before the rejection", c.spec, c.m, c.n, allocs)
+		}
+	}
+	for m := 4; m <= maxTreeNodes; m += 2 {
+		for n := 1; nodeCount(m, n) <= maxTreeNodes; n++ {
+			if err := checkShape(m, n); err != nil {
+				t.Errorf("m=%d n=%d: %v", m, n, err)
+			}
+		}
+	}
+	if _, err := New(jelly, 4, 7, routing.Balanced); err != nil {
+		t.Errorf("largest accepted jellyfish: %v", err)
 	}
 }
 
