@@ -97,7 +97,8 @@ func (f *FatTree) appendAscent(path []int32, src, y int) []int32 {
 // per-hop label arithmetic.
 func (f *FatTree) buildTables() {
 	n, roots, levels := f.nodes, f.Roots(), f.levels
-	// The arenas fill through locals and are stored once at the end.
+	// The arenas fill through locals, stored once at the end, so appends
+	// pay no GC write barrier on the FatTree's fields.
 	up := make([]int32, 0, n*roots*levels)
 	for src := 0; src < n; src++ {
 		for y := 0; y < roots; y++ {

@@ -3,6 +3,7 @@ package topo
 import (
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"mcnet/internal/routing"
@@ -233,13 +234,15 @@ func TestShapeBoundsRejectBeforeBuilding(t *testing.T) {
 	}{
 		{Spec{}, 2, 50000}, {jelly, 2, 50000}, {Spec{}, 2, maxTreeLevels + 1}, {jelly, 4, 8}, {jelly, 4, 9},
 	} {
-		var err error
-		allocs := testing.AllocsPerRun(1, func() { _, err = New(c.spec, c.m, c.n, routing.Balanced) })
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := New(c.spec, c.m, c.n, routing.Balanced)
+		runtime.ReadMemStats(&after)
 		if !errors.Is(err, errBadShape) {
 			t.Errorf("%s m=%d n=%d: err = %v, want errBadShape", c.spec, c.m, c.n, err)
 		}
-		if allocs > 16 {
-			t.Errorf("%s m=%d n=%d: %v allocations before the rejection", c.spec, c.m, c.n, allocs)
+		if b := after.TotalAlloc - before.TotalAlloc; b > 64<<10 {
+			t.Errorf("%s m=%d n=%d: allocated %d bytes before the rejection", c.spec, c.m, c.n, b)
 		}
 	}
 	for m := 4; m <= maxTreeNodes; m += 2 {
