@@ -24,7 +24,7 @@ func BenchmarkTopoBuild(b *testing.B) {
 		{"jellyfish-m4-n5", func() (Topology, error) {
 			return newJellyfish(nodeCount(4, 5), switchCount(4, 5), 4, 0)
 		}},
-		{"dragonfly-32", func() (Topology, error) { return newDragonfly(32) }},
+		{"dragonfly-org1", func() (Topology, error) { return newDragonfly(32) }},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
