@@ -114,7 +114,8 @@ serve:
 # smoke boots mcserved on an ephemeral port, curls /healthz and /v1/analyze,
 # checks every response carries an X-Request-ID correlation header, runs a
 # real simulate job through the queue and scrapes its per-tier contention
-# report from /v1/jobs/{id}/telemetry, checks the JSON /metrics document
+# report from /v1/jobs/{id}/telemetry, runs a compare job and checks its
+# result carries a numeric analysis, checks the JSON /metrics document
 # carries the analyze route's latency_ms {mean,p50,p90,p99,max} object, and
 # pipes both Prometheus scrape
 # forms (the dedicated endpoint and the Accept-negotiated /metrics, now
@@ -149,6 +150,14 @@ smoke:
 	done; \
 	[ $$i -lt 100 ] || { echo "smoke: simulate job never finished"; exit 1; }; \
 	curl -fsS "$$url/v1/jobs/$$id/telemetry" | grep -q '"tiers"' || { echo "smoke: telemetry report missing tiers"; exit 1; }; \
+	id="$$(curl -fsS -X POST -d '{"org":"org1","lambda":0.0003,"warmup":100,"measure":1000,"drain":100}' "$$url/v1/compare" | sed -n 's/.*"id":"\([0-9a-f]*\)".*/\1/p')"; \
+	[ -n "$$id" ] || { echo "smoke: compare returned no job id"; exit 1; }; \
+	i=0; while [ $$i -lt 100 ]; do \
+		curl -fsS "$$url/v1/jobs/$$id" >"$$tmp/compare"; grep -q '"status":"done"' "$$tmp/compare" && break; \
+		i=$$((i+1)); sleep 0.1; \
+	done; \
+	[ $$i -lt 100 ] || { echo "smoke: compare job never finished"; exit 1; }; \
+	grep -q '"analysis":[0-9]' "$$tmp/compare" || { echo "smoke: compare result carries no numeric analysis:"; cat "$$tmp/compare"; exit 1; }; \
 	lat="$$(curl -fsS "$$url/metrics" | sed -n 's/.*"POST \/v1\/analyze":{[^}]*"latency_ms":{\([^}]*\)}.*/\1/p')"; \
 	for k in mean p50 p90 p99 max; do \
 		printf '%s' "$$lat" | grep -q "\"$$k\":" || { echo "smoke: /metrics analyze latency_ms missing \"$$k\": {$$lat}"; exit 1; }; \

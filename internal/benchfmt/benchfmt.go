@@ -35,9 +35,9 @@ type Bench struct {
 // Parse extracts benchmark results from a `go test -json` stream. A result
 // is an output event whose payload carries an "ns/op" measurement; the
 // benchmark name comes from the event's Test field (or from the payload
-// itself for streams captured without -json framing per benchmark). The
-// -<GOMAXPROCS> suffix is stripped so artifacts from differently sized
-// machines stay comparable. Results are returned in first-seen order;
+// itself when go test leaves the field empty, as it does for repeats after
+// the first). The payload's -<GOMAXPROCS> suffix is stripped so artifacts
+// from differently sized machines stay comparable. Results are returned in first-seen order;
 // repeated measurements of one benchmark (e.g. -count > 1) keep the
 // minimum ns/op, the conventional noise-resistant choice.
 func Parse(r io.Reader) ([]Bench, error) {
@@ -156,12 +156,14 @@ func ParseFile(path string) ([]Bench, error) {
 
 // parseResultLine parses one benchmark result payload, e.g.
 //
-//	" 7731849\t       150.8 ns/op\t      24 B/op\t       1 allocs/op\n"
+//	"BenchmarkName-8\t 7731849\t       150.8 ns/op\t      24 B/op\t       1 allocs/op\n"
 //
-// optionally prefixed with "BenchmarkName-8" when the Test field is empty.
+// The name is the event's Test field, which go test writes without the
+// -<GOMAXPROCS> suffix (a trailing -<digits> there belongs to the name),
+// or, when the field is empty, the payload's first field less that suffix.
 func parseResultLine(test, output string) (Bench, bool) {
 	fields := strings.Fields(output)
-	name := stripProcs(test)
+	name := test
 	start := 0
 	if len(fields) > 0 && strings.HasPrefix(fields[0], "Benchmark") {
 		if name == "" {

@@ -8,11 +8,19 @@ import (
 	"testing"
 )
 
+// stream has the shape `go test -json -bench` writes: the Test field names
+// the benchmark without the -<GOMAXPROCS> suffix the payload carries, and
+// repeats after the first (-count > 1) come without a Test field. The
+// sub-benchmark's own name ends in -<digits>, which is not a suffix.
 const stream = `{"Action":"run","Test":"BenchmarkAnalyze"}
-{"Action":"output","Test":"BenchmarkAnalyze","Output":"BenchmarkAnalyze-8\n"}
-{"Action":"output","Test":"BenchmarkAnalyze-8","Output":" 7731849\t       150.8 ns/op\t      24 B/op\t       1 allocs/op\n"}
-{"Action":"output","Test":"BenchmarkAnalyze-8","Output":" 8000000\t       140.2 ns/op\t      24 B/op\t       1 allocs/op\n"}
-{"Action":"output","Test":"BenchmarkSim-8","Output":" 1000\t       98765.0 ns/op\n"}
+{"Action":"output","Test":"BenchmarkAnalyze","Output":"=== RUN   BenchmarkAnalyze\n"}
+{"Action":"output","Test":"BenchmarkAnalyze","Output":"BenchmarkAnalyze\n"}
+{"Action":"output","Test":"BenchmarkAnalyze","Output":"BenchmarkAnalyze-8   \t 7731849\t       150.8 ns/op\t      24 B/op\t       1 allocs/op\n"}
+{"Action":"output","Output":"BenchmarkAnalyze-8   \t 8000000\t       140.2 ns/op\t      24 B/op\t       1 allocs/op\n"}
+{"Action":"output","Test":"BenchmarkSim","Output":"BenchmarkSim-8   \t 1000\t       98765.0 ns/op\n"}
+{"Action":"run","Test":"BenchmarkTopoBuild/dragonfly-32"}
+{"Action":"output","Test":"BenchmarkTopoBuild/dragonfly-32","Output":"BenchmarkTopoBuild/dragonfly-32-8   \t 9000\t       1412.0 ns/op\n"}
+{"Action":"output","Output":"BenchmarkTopoBuild/dragonfly-32-8   \t 9000\t       1388.5 ns/op\n"}
 {"Action":"pass","Test":"BenchmarkAnalyze"}
 `
 
@@ -21,8 +29,8 @@ func TestParseStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(benches) != 2 {
-		t.Fatalf("got %d benches, want 2: %+v", len(benches), benches)
+	if len(benches) != 3 {
+		t.Fatalf("got %d benches, want 3: %+v", len(benches), benches)
 	}
 	a := benches[0]
 	if a.Name != "BenchmarkAnalyze" || a.NsOp != 140.2 || a.AllocsOp != 1 || a.BytesOp != 24 {
@@ -31,6 +39,10 @@ func TestParseStream(t *testing.T) {
 	s := benches[1]
 	if s.Name != "BenchmarkSim" || s.NsOp != 98765 || s.AllocsOp != -1 {
 		t.Errorf("second bench = %+v; want BenchmarkSim without memstats", s)
+	}
+	d := benches[2]
+	if d.Name != "BenchmarkTopoBuild/dragonfly-32" || d.NsOp != 1388.5 {
+		t.Errorf("third bench = %+v; want min-ns/op BenchmarkTopoBuild/dragonfly-32", d)
 	}
 }
 

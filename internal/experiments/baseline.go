@@ -72,15 +72,13 @@ func SaturationSummary() ([]SaturationRow, error) {
 			return nil, err
 		}
 		par := units.Default().WithMessage(cases[i].MFlits, cases[i].FlitBytes)
-		model, err := analytic.New(sys, par, analytic.DefaultOptions())
-		if err != nil {
+		if cases[i].ModelSat, err = sweep.ModelFor("calibrated", system.Format(org), "", "", par).SaturationPoint(1e-4); err != nil {
 			return nil, err
 		}
 		baseline, err := analytic.NewBaseline(sys, par)
 		if err != nil {
 			return nil, err
 		}
-		cases[i].ModelSat = model.SaturationPoint(1e-6, 1, 1e-4)
 		cases[i].BaselineSat = baseline.SaturationPoint(1e-6, 1, 1e-4)
 	}
 	return cases, nil

@@ -225,7 +225,7 @@ func modelBottleneck(j sweep.Job) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	sat, err := sweep.Saturation(j.Org, j.Links, j.Topo, par)
+	sat, err := sweep.ModelFor("calibrated", j.Org, j.Links, j.Topo, par).SaturationPoint(1e-3)
 	if err != nil {
 		return "", err
 	}

@@ -10,7 +10,6 @@ import (
 	"math"
 	"strings"
 
-	"mcnet/internal/analytic"
 	"mcnet/internal/plot"
 	"mcnet/internal/stats"
 	"mcnet/internal/sweep"
@@ -194,8 +193,8 @@ func line(label string, pts []Point, y func(Point) float64) plot.Series {
 func analysisOf(p Point) float64   { return p.Analysis }
 func simulationOf(p Point) float64 { return p.Simulation }
 
-// modelLine evaluates a directly built model over a curve's loads (NaN where
-// it saturates), for the curves no sweep model preset provides.
+// modelLine evaluates a model over a curve's loads (NaN where it saturates),
+// for the curves the sweep's analysis column does not carry.
 func modelLine(label string, pts []Point, meanLatency func(float64) (float64, error)) plot.Series {
 	return line(label, pts, func(p Point) float64 {
 		if v, err := meanLatency(p.Lambda); err == nil {
@@ -222,7 +221,7 @@ func minSaturation(org system.Organization, par units.Params, links, topos []str
 			if err != nil {
 				return 0, err
 			}
-			sat, err := sweep.Saturation(system.Format(org), tiers.String(), topo.FormatAxis(cl, gl), p)
+			sat, err := sweep.ModelFor("calibrated", system.Format(org), tiers.String(), topo.FormatAxis(cl, gl), p).SaturationPoint(1e-3)
 			if err != nil {
 				return 0, err
 			}
@@ -267,7 +266,7 @@ func (r Runner) LatencyFigure(name, title string, org system.Organization, mFlit
 	}
 	for ci, lm := range flitBytes {
 		fig.Curves = append(fig.Curves, Curve{Label: fmt.Sprintf("Lm=%d", lm), FlitBytes: lm, Points: cs[ci]})
-		sat, err := sweep.Saturation(spec.Orgs[0], "", "", units.Default().WithMessage(mFlits, lm))
+		sat, err := sweep.ModelFor("calibrated", spec.Orgs[0], "", "", units.Default().WithMessage(mFlits, lm)).SaturationPoint(1e-3)
 		if err != nil {
 			return fig, err
 		}
@@ -472,19 +471,15 @@ func (r Runner) RoutingAblation(org system.Organization, par units.Params, point
 // paper-literal saturation, and its upper half on to the calibrated
 // saturation. Each model curve then has points below its own knee.
 func (r Runner) InterpretationAblation(org system.Organization, par units.Params, points int) ([]plot.Series, error) {
-	sys, err := system.New(org)
-	if err != nil {
-		return nil, err
-	}
-	literal, err := analytic.New(sys, par, analytic.PaperLiteralOptions())
-	if err != nil {
-		return nil, err
-	}
 	calSat, err := minSaturation(org, par, []string{par.Tiers.String()}, []string{""})
 	if err != nil {
 		return nil, err
 	}
-	litSat := literal.SaturationPoint(1e-6, 1, 1e-3)
+	literal := sweep.ModelFor("paper-literal", system.Format(org), par.Tiers.String(), "", par)
+	litSat, err := literal.SaturationPoint(1e-3)
+	if err != nil {
+		return nil, err
+	}
 	if !(litSat < calSat) {
 		return nil, fmt.Errorf("experiments: paper-literal saturation %g is not below the calibrated %g", litSat, calSat)
 	}

@@ -3,10 +3,13 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"strconv"
 
+	"mcnet/internal/analytic"
 	"mcnet/internal/sweep"
+	"mcnet/internal/system"
 	"mcnet/internal/units"
 )
 
@@ -77,19 +80,14 @@ func (c scenario) params() (units.Params, error) {
 	return par, par.Validate()
 }
 
-// canonicalScenario validates and canonicalizes an analyze request's
-// fields. Model "none" is rejected: an analyze without an analytic curve
-// has nothing to answer.
-func canonicalScenario(org string, lambda float64, flits, flitBytes int, links string, tech *sweep.Tech, model string) (scenario, error) {
-	return canonicalize(canonicalOrgSpec, org, lambda, flits, flitBytes, links, tech, model)
-}
-
-// canonicalize is canonicalScenario with the organization rendered by
-// orgSpec, which may skip the organization's materialization.
-func canonicalize(orgSpec func(string) (string, error), org string, lambda float64, flits, flitBytes int, links string, tech *sweep.Tech, model string) (scenario, error) {
+// canonicalize validates and canonicalizes an analyze request's fields.
+// The organization is parsed and re-rendered but not materialized: the
+// model build does that. Model "none" is rejected: an analyze without an
+// analytic curve has nothing to answer.
+func canonicalize(org string, lambda float64, flits, flitBytes int, links string, tech *sweep.Tech, model string) (scenario, error) {
 	var c scenario
 	var err error
-	if c.org, err = orgSpec(org); err != nil {
+	if c.org, err = formatOrgSpec(org); err != nil {
 		return c, err
 	}
 	if c.flits, c.flitBytes, err = resolveGeometry(flits, flitBytes); err != nil {
@@ -170,13 +168,12 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// Canonicalize without materializing the organization: system.New only
-	// validates it here, and a cached response or a prepared model already
-	// shows that it builds. An invalid request gets canonicalScenario's
-	// error, so a build failure still outranks later fields' errors.
-	c, err := canonicalize(formatOrgSpec, req.Org, req.Lambda, req.Flits, req.FlitBytes, req.Links, req.Tech, req.Model)
+	c, err := canonicalize(req.Org, req.Lambda, req.Flits, req.FlitBytes, req.Links, req.Tech, req.Model)
 	if err != nil {
-		_, err = canonicalScenario(req.Org, req.Lambda, req.Flits, req.FlitBytes, req.Links, req.Tech, req.Model)
+		// A build failure outranks later fields' errors.
+		if _, berr := canonicalOrgSpec(req.Org); berr != nil {
+			err = berr
+		}
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -186,12 +183,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	// this request did not pay for a model evaluation.
 	hit := ok
 	if !ok {
-		if !s.modelPrepared(c) {
-			if _, err := canonicalOrgSpec(req.Org); err != nil {
-				writeError(w, http.StatusBadRequest, "%v", err)
-				return
-			}
-		}
 		v, err, hit = s.flight.Do("analyze|"+key, func() (any, error) {
 			if b, ok := s.resp.Get(key); ok {
 				return b, nil
@@ -204,7 +195,13 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			return b, nil
 		})
 		if err != nil {
-			writeError(w, http.StatusUnprocessableEntity, "%v", err)
+			// The model build materializes the organization; an
+			// organization that does not build is the request's fault.
+			status := http.StatusUnprocessableEntity
+			if errors.Is(err, system.ErrBadOrganization) {
+				status = http.StatusBadRequest
+			}
+			writeError(w, status, "%v", err)
 			return
 		}
 	}
@@ -252,36 +249,39 @@ func (s *Server) renderAnalyze(c scenario) ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// modelPrepared reports whether the server holds the scenario's prepared
-// model, whose build proved that the scenario's organization builds.
-func (s *Server) modelPrepared(c scenario) bool {
-	par, err := c.params()
-	if err != nil {
-		return false
-	}
-	_, ok := s.models.Get(sweep.ModelKey(c.model, c.org, c.links, "", par))
-	return ok
-}
-
 // evalModel evaluates the scenario's mean latency (Eq. 36) at its load,
-// plus the saturation point the figures stop at. Both come from the
-// server's prepared-model cache: the latency is one grid evaluation, and the
-// saturation point was searched once, when the model was built.
+// plus the saturation point the figures stop at, searched to 1e-4. Both
+// come from the process-wide model memo: the latency is one grid
+// evaluation, and the saturation point is searched once per model.
 func (s *Server) evalModel(c scenario) (lat sweep.Float, saturated bool, satPoint sweep.Float, err error) {
 	par, err := c.params()
 	if err != nil {
 		return 0, false, 0, err
 	}
 	// Topology selection rides inside the org spec itself (@topo=/@icn2topo=
-	// suffixes survive canonicalOrgSpec), so the analyze path needs no
+	// suffixes survive formatOrgSpec), so the analyze path needs no
 	// separate axis value.
-	pm, err := s.preparedModel(c.model, c.org, c.links, "", par)
+	m := sweep.ModelFor(c.model, c.org, c.links, "", par)
+	if lat, saturated, err = modelLatency(m, c.lambda); err != nil {
+		return 0, false, 0, err
+	}
+	sat, err := m.SaturationPoint(1e-4)
 	if err != nil {
 		return 0, false, 0, err
 	}
-	lat, saturated, err = pm.latency(c.lambda)
-	if err != nil {
-		return 0, false, 0, err
+	return lat, saturated, sweep.Float(sat), nil
+}
+
+// modelLatency evaluates the model's mean latency (Eq. 36) at lambda.
+// Saturation is an answer, not an error: it returns a NaN latency with
+// saturated set.
+func modelLatency(m *sweep.Model, lambda float64) (lat sweep.Float, saturated bool, err error) {
+	v, err := m.MeanLatency(lambda)
+	switch {
+	case errors.Is(err, analytic.ErrSaturated):
+		return sweep.Float(math.NaN()), true, nil
+	case err != nil:
+		return 0, false, err
 	}
-	return lat, saturated, sweep.Float(pm.sat), nil
+	return sweep.Float(v), false, nil
 }

@@ -546,7 +546,7 @@ func (s *Server) compareOutcome(model string, j sweep.Job, o sweep.Outcome) (com
 	if err != nil {
 		return doc, err
 	}
-	lat, saturated, err := s.modelLatency(model, j.Org, j.Links, j.Topo, par, j.Lambda)
+	lat, saturated, err := modelLatency(sweep.ModelFor(model, j.Org, j.Links, j.Topo, par), j.Lambda)
 	if err != nil {
 		return doc, err
 	}

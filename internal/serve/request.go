@@ -1,12 +1,9 @@
 package serve
 
 import (
-	"errors"
 	"fmt"
 	"math"
-	"sync"
 
-	"mcnet/internal/analytic"
 	"mcnet/internal/sweep"
 	"mcnet/internal/system"
 	"mcnet/internal/units"
@@ -72,77 +69,4 @@ func checkLambda(lambda float64) error {
 		return fmt.Errorf("lambda must be positive and finite, got %v", lambda)
 	}
 	return nil
-}
-
-// preparedModel is one cached, ready-to-evaluate analytic model: the spec
-// parsing and topology precompute are done, the batched Grid evaluator
-// carries reusable per-point scratch, and the saturation point (which
-// depends only on the model) was searched once when the entry was built, so
-// repeated analyze/compare requests against the same model pay only the
-// latency evaluation. The Grid is not safe for concurrent use — mu
-// serializes requests sharing the entry; sat is read-only after the build.
-type preparedModel struct {
-	mu   sync.Mutex
-	grid *analytic.Grid
-	sat  float64
-}
-
-// preparedModel returns the cached evaluator for (model, org, links,
-// topoAxis, par), building and caching it on miss. Concurrent misses may
-// build twice; the last Put wins, which is benign (the entries are
-// equivalent).
-func (s *Server) preparedModel(model, org, links, topoAxis string, par units.Params) (*preparedModel, error) {
-	key := sweep.ModelKey(model, org, links, topoAxis, par)
-	if v, ok := s.models.Get(key); ok {
-		return v.(*preparedModel), nil
-	}
-	opts, err := sweep.ModelOptions(model)
-	if err != nil {
-		return nil, err
-	}
-	parsed, err := system.ParseOrganization(org)
-	if err != nil {
-		return nil, err
-	}
-	if err := system.ApplyTopologyAxis(&parsed, topoAxis); err != nil {
-		return nil, err
-	}
-	sys, err := system.New(parsed)
-	if err != nil {
-		return nil, err
-	}
-	m, err := analytic.New(sys, par, opts)
-	if err != nil {
-		return nil, err
-	}
-	g := analytic.NewGrid(m)
-	pm := &preparedModel{grid: g, sat: g.SaturationPoint(1e-6, 1, 1e-4)}
-	s.models.Put(key, pm)
-	return pm, nil
-}
-
-// modelLatency evaluates the mean latency (Eq. 36) at lambda through the
-// cached model.
-func (s *Server) modelLatency(model, org, links, topoAxis string, par units.Params, lambda float64) (lat sweep.Float, saturated bool, err error) {
-	pm, err := s.preparedModel(model, org, links, topoAxis, par)
-	if err != nil {
-		return 0, false, err
-	}
-	return pm.latency(lambda)
-}
-
-// latency evaluates the model's mean latency (Eq. 36) at lambda.
-// Saturation is an answer, not an error: it returns a NaN latency with
-// saturated set.
-func (pm *preparedModel) latency(lambda float64) (lat sweep.Float, saturated bool, err error) {
-	pm.mu.Lock()
-	v, err := pm.grid.MeanLatency(lambda)
-	pm.mu.Unlock()
-	switch {
-	case errors.Is(err, analytic.ErrSaturated):
-		return sweep.Float(math.NaN()), true, nil
-	case err != nil:
-		return 0, false, err
-	}
-	return sweep.Float(v), false, nil
 }

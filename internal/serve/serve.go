@@ -80,8 +80,9 @@ type Config struct {
 	MaxJobs int
 	// CacheSize bounds each of the in-memory LRUs: simulation outcomes,
 	// rendered analyze responses (canonical keys and byte aliases share
-	// it), prepared analytic models and finished runs' telemetry reports
-	// (0 = 4096).
+	// it) and finished runs' telemetry reports (0 = 4096). Prepared
+	// analytic models live in the sweep package's process-wide memo,
+	// bounded at 64 models whatever CacheSize says.
 	CacheSize int
 	// Disk, if non-nil, is a second outcome-cache layer under the LRU —
 	// typically a *sweep.DirCache shared with cmd/mcsweep runs.
@@ -146,7 +147,6 @@ type Server struct {
 
 	cache      *layeredCache // simulation outcomes, keyed by Job.Key
 	resp       *lruCache     // rendered analyze responses, by canonical key and by request bytes
-	models     *lruCache     // prepared analytic evaluators, keyed by sweep.ModelKey
 	respHits   atomic.Int64
 	respMisses atomic.Int64
 	flight     flightGroup
@@ -186,7 +186,6 @@ func New(cfg Config) (*Server, error) {
 		cfg:              cfg,
 		cache:            newLayeredCache(cfg.CacheSize, cfg.Disk),
 		resp:             newLRU(cfg.CacheSize),
-		models:           newLRU(cfg.CacheSize),
 		store:            newJobStore(cfg.QueueDepth, cfg.MaxJobs),
 		sweepSem:         make(chan struct{}, cfg.ConcurrentSweeps),
 		logger:           cfg.Logger,

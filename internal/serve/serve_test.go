@@ -113,6 +113,7 @@ var analyzeValidationCases = []struct {
 	{"trailing brace", `{"org":"org1","lambda":0.0003}}`, 400},
 	{"deep 2-port jellyfish", `{"org":"m=2:2x50000@topo=jellyfish","lambda":0.0003}`, 400},
 	{"oversized jellyfish", `{"org":"m=4:2x8@topo=jellyfish","lambda":0.0003}`, 400},
+	{"oversized dragonfly", `{"org":"m=8@icn2topo=dragonfly:1025x1","lambda":0.0003}`, 400},
 }
 
 func TestAnalyzeValidation(t *testing.T) {

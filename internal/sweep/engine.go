@@ -394,7 +394,7 @@ func analysisTable(spec Spec, jobs []Job) (map[[5]int]analysisPoint, error) {
 		return table, nil
 	}
 	type mkey struct{ org, msg, links, topo int }
-	models := make(map[mkey]*sharedModel)
+	models := make(map[mkey]*Model)
 	for _, j := range jobs {
 		k := analysisKey(j)
 		if _, ok := table[k]; ok {
@@ -407,7 +407,7 @@ func analysisTable(spec Spec, jobs []Job) (map[[5]int]analysisPoint, error) {
 			if err != nil {
 				return nil, err
 			}
-			m = sharedModelFor(spec.Model, j.Org, j.Links, j.Topo, par)
+			m = ModelFor(spec.Model, j.Org, j.Links, j.Topo, par)
 			models[mk] = m
 		}
 		p, err := m.point(j.Lambda)

@@ -429,7 +429,7 @@ func loadGrids(spec Spec, orgs, links, topos []string) ([][]float64, error) {
 					if err != nil {
 						return nil, fmt.Errorf("sweep: spec %q: %v", spec.Name, err)
 					}
-					s, err := Saturation(org, lk, topoAxis, par)
+					s, err := ModelFor("calibrated", org, lk, topoAxis, par).SaturationPoint(1e-3)
 					if err != nil {
 						return nil, fmt.Errorf("sweep: spec %q: org %q: %v", spec.Name, spec.Orgs[oi], err)
 					}

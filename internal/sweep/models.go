@@ -14,8 +14,7 @@ import (
 // feeds analytic.New. org, links and topoAxis arrive in canonical spec syntax
 // (links is the same string par.Tiers was parsed from; topoAxis is the
 // canonical axis value, "" for the default fat trees); the technology floats
-// render in hex so every bit counts. The sweep's model memo and the serving
-// layer's per-server model cache both key on it.
+// render in hex so every bit counts. The process-wide model memo keys on it.
 func ModelKey(model, org, links, topoAxis string, par units.Params) string {
 	hf := func(v float64) string { return strconv.FormatFloat(v, 'x', -1, 64) }
 	key := "model=" + model +
@@ -42,33 +41,33 @@ const (
 )
 
 // memo shares prepared analytic models process-wide, on the pattern of the
-// topology cache: a model is a pure function of its ModelKey, so every sweep
-// in the process (grid placement and the analysis column alike) reuses one
-// instance, and a repeated sweep builds and searches nothing.
+// topology cache: a model is a pure function of its ModelKey, so every user
+// in the process (sweep grid placement and analysis columns, the service's
+// analyze and compare answers, the studies' model curves) reuses one
+// instance, and a repeated question builds and searches nothing.
 var memo = struct {
 	sync.Mutex
-	entries map[string]*sharedModel
+	entries map[string]*Model
 	ring    [memoCapacity]string // keys in insertion order, for eviction
 	next    int                  // ring slot of the next insertion
-}{entries: make(map[string]*sharedModel)}
+}{entries: make(map[string]*Model)}
 
-// sharedModel is one memoized model. The Grid evaluator is not safe for
+// Model is one memoized analytic model. The Grid evaluator is not safe for
 // concurrent use, so mu serializes every use of the entry.
-type sharedModel struct {
+type Model struct {
 	mu              sync.Mutex
 	model, org, top string
 	par             units.Params
 
-	grid    *analytic.Grid // nil until first use
-	sat     float64        // grid-placement saturation point, once satDone
-	satDone bool
-	points  map[uint64]analysisPoint // by Float64bits of λ
+	grid   *analytic.Grid           // nil until first use
+	sat    map[float64]float64      // saturation points by search tolerance
+	points map[uint64]analysisPoint // by Float64bits of λ, for the engine's analysis table
 }
 
-// sharedModelFor returns the memo entry of the model with the given
+// ModelFor returns the memo entry of the model preset with the given
 // canonical identity (see ModelKey); par must carry the tiers parsed from
 // links. The model is built on first use, not here.
-func sharedModelFor(model, org, links, topoAxis string, par units.Params) *sharedModel {
+func ModelFor(model, org, links, topoAxis string, par units.Params) *Model {
 	key := ModelKey(model, org, links, topoAxis, par)
 	memo.Lock()
 	defer memo.Unlock()
@@ -78,7 +77,7 @@ func sharedModelFor(model, org, links, topoAxis string, par units.Params) *share
 	if old := memo.ring[memo.next]; old != "" {
 		delete(memo.entries, old)
 	}
-	m := &sharedModel{model: model, org: org, top: topoAxis, par: par}
+	m := &Model{model: model, org: org, top: topoAxis, par: par, sat: make(map[float64]float64)}
 	memo.entries[key] = m
 	memo.ring[memo.next] = key
 	memo.next = (memo.next + 1) % memoCapacity
@@ -86,7 +85,7 @@ func sharedModelFor(model, org, links, topoAxis string, par units.Params) *share
 }
 
 // gridLocked builds the model on first use; m.mu must be held.
-func (m *sharedModel) gridLocked() (*analytic.Grid, error) {
+func (m *Model) gridLocked() (*analytic.Grid, error) {
 	if m.grid == nil {
 		g, err := m.build()
 		if err != nil {
@@ -97,7 +96,7 @@ func (m *sharedModel) gridLocked() (*analytic.Grid, error) {
 	return m.grid, nil
 }
 
-func (m *sharedModel) build() (*analytic.Grid, error) {
+func (m *Model) build() (*analytic.Grid, error) {
 	opts, err := ModelOptions(m.model)
 	if err != nil {
 		return nil, err
@@ -120,33 +119,42 @@ func (m *sharedModel) build() (*analytic.Grid, error) {
 	return analytic.NewGrid(am), nil
 }
 
-// Saturation returns the calibrated model's grid-placement saturation point
-// from the process-wide memo: the point a {Points, MaxFraction} load grid
-// scales (+Inf when the model does not saturate below λ = 1). org, links and
-// topoAxis are canonical axis values, as for ModelKey, and par carries the
-// tiers parsed from links.
-func Saturation(org, links, topoAxis string, par units.Params) (float64, error) {
-	return sharedModelFor("calibrated", org, links, topoAxis, par).saturation()
-}
-
-// saturation returns the model's grid-placement saturation point, searched
-// once per entry (+Inf when the model does not saturate below λ = 1).
-func (m *sharedModel) saturation() (float64, error) {
+// SaturationPoint returns the load at which the model first saturates,
+// searched from 1e-6 to the relative tolerance tol once per entry and
+// tolerance (+Inf when the model does not saturate below λ = 1). Grid
+// placement uses 1e-3; the service reports the point at 1e-4.
+func (m *Model) SaturationPoint(tol float64) (float64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if !m.satDone {
-		g, err := m.gridLocked()
-		if err != nil {
-			return 0, err
-		}
-		m.sat, m.satDone = g.SaturationPoint(1e-6, 1, 1e-3), true
+	if sat, ok := m.sat[tol]; ok {
+		return sat, nil
 	}
-	return m.sat, nil
+	g, err := m.gridLocked()
+	if err != nil {
+		return 0, err
+	}
+	sat := g.SaturationPoint(1e-6, 1, tol)
+	m.sat[tol] = sat
+	return sat, nil
+}
+
+// MeanLatency evaluates the model's mean latency (Eq. 36) at lambda; a
+// saturated model answers analytic.ErrSaturated. The value is not kept:
+// callers that answer the same λ again keep their own answers.
+func (m *Model) MeanLatency(lambda float64) (float64, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	g, err := m.gridLocked()
+	if err != nil {
+		return 0, err
+	}
+	return g.MeanLatency(lambda)
 }
 
 // point returns the model's mean latency (Eq. 36) at lambda as an analysis
-// point: NaN and saturated when the model does not evaluate there.
-func (m *sharedModel) point(lambda float64) (analysisPoint, error) {
+// point, memoized per λ: NaN and saturated when the model does not evaluate
+// there.
+func (m *Model) point(lambda float64) (analysisPoint, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	bits := math.Float64bits(lambda)

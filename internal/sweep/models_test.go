@@ -17,7 +17,7 @@ import (
 func resetModelMemo() {
 	memo.Lock()
 	defer memo.Unlock()
-	memo.entries = make(map[string]*sharedModel)
+	memo.entries = make(map[string]*Model)
 	memo.ring = [memoCapacity]string{}
 	memo.next = 0
 }
@@ -82,8 +82,8 @@ func requireFreshAnalysis(t *testing.T, model string, jsonl []byte) {
 	}
 }
 
-// TestModelKeyStable pins the exact model key renderings. The serving
-// layer's model cache keys on them too, so a change here changes its keys.
+// TestModelKeyStable pins the exact model key renderings the model memo
+// keys on.
 func TestModelKeyStable(t *testing.T) {
 	tiers, err := units.ParseTiers("icn2=0.04/0.02/0.004+conc=0.03/0.015/0.004")
 	if err != nil {
@@ -241,7 +241,7 @@ func TestModelMemoCapacity(t *testing.T) {
 	const lambda = 2e-3
 	for i := 0; i < memoCapacity+10; i++ {
 		par := tech(i)
-		got, err := sharedModelFor("calibrated", org, "", "", par).point(lambda)
+		got, err := ModelFor("calibrated", org, "", "", par).point(lambda)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,7 +256,7 @@ func TestModelMemoCapacity(t *testing.T) {
 		t.Fatalf("memo holds %d models after overfilling, want %d", n, memoCapacity)
 	}
 	// The first vector was evicted; asking again rebuilds it correctly.
-	got, err := sharedModelFor("calibrated", org, "", "", tech(0)).point(lambda)
+	got, err := ModelFor("calibrated", org, "", "", tech(0)).point(lambda)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestModelMemoCapacity(t *testing.T) {
 	}
 
 	// One model's point map is bounded too.
-	m := sharedModelFor("calibrated", org, "", "", units.Default())
+	m := ModelFor("calibrated", org, "", "", units.Default())
 	for i := 0; i <= memoPointCap; i++ {
 		if _, err := m.point(1e-4 * (1 + float64(i)/memoPointCap)); err != nil {
 			t.Fatal(err)
@@ -280,5 +280,64 @@ func TestModelMemoCapacity(t *testing.T) {
 	got, _ = m.point(lambda)
 	if want := fresh(units.Default(), lambda); !samePoint(got, want) {
 		t.Fatalf("point after the map reset %+v, fresh model %+v", got, want)
+	}
+}
+
+// TestModelSaturationPerTolerance pins the memo entry's saturation points:
+// the grid-placement point (1e-3) and the service's reported point (1e-4)
+// each equal a fresh Grid search bit for bit, neither tolerance answers
+// with the other's point, and each is searched once per entry (the test
+// overwrites both stored points and expects the overwritten values back).
+// MeanLatency answers without adding to the engine's λ-points map.
+func TestModelSaturationPerTolerance(t *testing.T) {
+	resetModelMemo()
+	const org = "m=8:12x1,16x2,4x3"
+	sys, err := system.New(system.Table1Org1())
+	if err != nil {
+		t.Fatal(err)
+	}
+	am, err := analytic.New(sys, units.Default(), analytic.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := ModelFor("calibrated", org, "", "", units.Default())
+	stored := map[float64]float64{}
+	for _, tol := range []float64{1e-3, 1e-4} {
+		got, err := m.SaturationPoint(tol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := analytic.NewGrid(am).SaturationPoint(1e-6, 1, tol); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("tol %g: memo point %x, fresh search %x", tol, got, want)
+		}
+		stored[tol] = math.Nextafter(got, 0)
+	}
+	if stored[1e-3] == stored[1e-4] {
+		t.Fatalf("tolerances 1e-3 and 1e-4 gave the same point %x", stored[1e-3])
+	}
+	m.mu.Lock()
+	for tol, v := range stored {
+		m.sat[tol] = v
+	}
+	m.mu.Unlock()
+	for _, tol := range []float64{1e-4, 1e-3} {
+		if got, _ := ModelFor("calibrated", org, "", "", units.Default()).SaturationPoint(tol); got != stored[tol] {
+			t.Fatalf("tol %g: point %x, want the stored %x", tol, got, stored[tol])
+		}
+	}
+
+	const lambda = 3e-4
+	got, err := m.MeanLatency(lambda)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := freshPoint(t, "calibrated", org, "", units.Default(), lambda); !samePoint(analysisPoint{value: Float(got)}, want) {
+		t.Fatalf("MeanLatency %x, fresh model %+v", got, want)
+	}
+	m.mu.Lock()
+	n := len(m.points)
+	m.mu.Unlock()
+	if n != 0 {
+		t.Fatalf("MeanLatency added %d points to the engine's map", n)
 	}
 }

@@ -27,10 +27,16 @@ type Dragonfly struct {
 }
 
 // newDragonfly sizes the smallest balanced Dragonfly with at least count
-// terminals (t=1 → 6, t=2 → 72, t=3 → 342, …).
+// terminals (t=1 → 6, t=2 → 72, t=3 → 342, …). The route-length
+// distribution enumerates all T² terminal pairs, so count is bounded like a
+// fat tree's nodes, by maxTreeNodes: the largest accepted instance has
+// 1,056 terminals.
 func newDragonfly(count int) (*Dragonfly, error) {
 	if count < 1 {
 		return nil, fmt.Errorf("topo: dragonfly needs a positive terminal count (got %d)", count)
+	}
+	if count > maxTreeNodes {
+		return nil, fmt.Errorf("%w: a dragonfly for %d terminals, more than %d", errBadShape, count, maxTreeNodes)
 	}
 	t := 1
 	for ; ; t++ {

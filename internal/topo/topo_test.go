@@ -270,6 +270,32 @@ func TestDragonfly(t *testing.T) {
 	}
 }
 
+// TestDragonflyBound checks that a Dragonfly ICN2 refuses, with errBadShape
+// and before sizing, more terminals than maxTreeNodes (the count a fat-tree
+// ICN2 cannot host either), and that the largest accepted count builds.
+func TestDragonflyBound(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := NewGlobal(Spec{Kind: KindDragonfly}, 8, maxTreeNodes+1, routing.Balanced)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, errBadShape) {
+		t.Errorf("dragonfly %d: err = %v, want errBadShape", maxTreeNodes+1, err)
+	}
+	if b := after.TotalAlloc - before.TotalAlloc; b > 64<<10 {
+		t.Errorf("dragonfly %d: allocated %d bytes before the rejection", maxTreeNodes+1, b)
+	}
+	if _, err := NewGlobal(Spec{}, 8, maxTreeNodes+1, routing.Balanced); !errors.Is(err, errBadShape) {
+		t.Errorf("fat tree %d: err = %v, want errBadShape", maxTreeNodes+1, err)
+	}
+	df, err := newDragonfly(maxTreeNodes)
+	if err != nil {
+		t.Fatalf("dragonfly %d: %v", maxTreeNodes, err)
+	}
+	if df.Nodes() < maxTreeNodes {
+		t.Fatalf("dragonfly %d: only %d terminals", maxTreeNodes, df.Nodes())
+	}
+}
+
 func TestNewGlobalFatTreeMatchesSizing(t *testing.T) {
 	// The fat-tree global sizing must reproduce the system layer's historic
 	// rule: smallest n with 2(m/2)^n ≥ count.
