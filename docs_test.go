@@ -1,6 +1,9 @@
 package mcnet
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -13,11 +16,13 @@ import (
 // names another module's command and does not match.
 var cmdRef = regexp.MustCompile(`(?:^|[^\w./-]|\./)cmd/([\w-]+)`)
 
+// verifySkill is the verify skill's notes on building and driving the repo.
+var verifySkill = filepath.Join(".claude", "skills", "verify", "SKILL.md")
+
 // TestDocsNameExistingCommands fails when a document still names a command
 // whose directory under cmd/ is gone.
 func TestDocsNameExistingCommands(t *testing.T) {
-	docs := []string{"README.md", "DESIGN.md", "doc.go", "Makefile",
-		filepath.Join(".claude", "skills", "verify", "SKILL.md")}
+	docs := []string{"README.md", "DESIGN.md", "doc.go", "Makefile", verifySkill}
 	for _, doc := range docs {
 		b, err := os.ReadFile(doc)
 		if err != nil {
@@ -31,4 +36,164 @@ func TestDocsNameExistingCommands(t *testing.T) {
 			}
 		}
 	}
+}
+
+// codeSpan matches an inline code span; identRef matches a package-qualified
+// name inside one, pkg.Ident or pkg.Type.Member. A path or file name such as
+// internal/mcsim/mcsim.go does not match: the package must not follow a word
+// character, '.' or '/'.
+var (
+	codeSpan = regexp.MustCompile("`[^`]+`")
+	identRef = regexp.MustCompile(`(?:^|[^\w./])([a-z]\w*)\.([A-Za-z_]\w*)(?:\.([A-Za-z_]\w*))?`)
+)
+
+// TestDocsNameExistingIdentifiers fails when a document's code span names an
+// internal package's declaration, method or struct field that the package's
+// non-test files no longer declare. pkg.Ident may name a method or field of
+// any of the package's types (des.RegisterFIFO); pkg.Type.Member must name
+// one of Type's.
+func TestDocsNameExistingIdentifiers(t *testing.T) {
+	pkgs := map[string]*pkgDecls{}
+	for _, doc := range []string{"README.md", "DESIGN.md", verifySkill} {
+		b, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fenced := false
+		for i, line := range strings.Split(string(b), "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "```") {
+				fenced = !fenced
+				continue
+			}
+			if fenced {
+				continue
+			}
+			for _, span := range codeSpan.FindAllString(line, -1) {
+				for _, m := range identRef.FindAllStringSubmatch(span, -1) {
+					pkg, name, member := m[1], m[2], m[3]
+					dir := filepath.Join("internal", pkg)
+					if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+						continue
+					}
+					if _, err := os.Stat(filepath.Join(dir, pkg+"."+name)); err == nil {
+						continue // a file name such as mcsim.go
+					}
+					d, ok := pkgs[pkg]
+					if !ok {
+						d = parseDecls(t, dir)
+						pkgs[pkg] = d
+					}
+					ref := pkg + "." + name
+					if member != "" {
+						ref += "." + member
+					}
+					switch {
+					case member == "" && !d.names[name] && !d.anyMember(name):
+						t.Errorf("%s:%d names %s, which package %s does not declare", doc, i+1, ref, pkg)
+					case member != "" && !d.names[name]:
+						t.Errorf("%s:%d names %s, but package %s declares no %s", doc, i+1, ref, pkg, name)
+					case member != "" && !d.members[name][member]:
+						t.Errorf("%s:%d names %s, which is no method or field of %s.%s", doc, i+1, ref, pkg, name)
+					}
+				}
+			}
+		}
+	}
+}
+
+// pkgDecls is what one package's non-test files declare: top-level names,
+// and each type's methods and fields (an embedded field by its type name).
+type pkgDecls struct {
+	names   map[string]bool
+	members map[string]map[string]bool
+}
+
+func parseDecls(t *testing.T, dir string) *pkgDecls {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &pkgDecls{names: map[string]bool{}, members: map[string]map[string]bool{}}
+	addMember := func(typ, name string) {
+		if d.members[typ] == nil {
+			d.members[typ] = map[string]bool{}
+		}
+		d.members[typ][name] = true
+	}
+	fset := token.NewFileSet()
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				if decl.Recv == nil {
+					d.names[decl.Name.Name] = true
+				} else if typ := typeName(decl.Recv.List[0].Type); typ != "" {
+					addMember(typ, decl.Name.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range decl.Specs {
+					switch spec := spec.(type) {
+					case *ast.ValueSpec:
+						for _, n := range spec.Names {
+							d.names[n.Name] = true
+						}
+					case *ast.TypeSpec:
+						typ := spec.Name.Name
+						d.names[typ] = true
+						var fields []*ast.Field
+						switch st := spec.Type.(type) {
+						case *ast.StructType:
+							fields = st.Fields.List
+						case *ast.InterfaceType:
+							fields = st.Methods.List
+						}
+						for _, field := range fields {
+							for _, n := range field.Names {
+								addMember(typ, n.Name)
+							}
+							if len(field.Names) == 0 {
+								if emb := typeName(field.Type); emb != "" {
+									addMember(typ, emb)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return d
+}
+
+// typeName is the local type a receiver or embedded field names, "" for
+// another package's.
+func typeName(e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.Ident:
+		return e.Name
+	case *ast.StarExpr:
+		return typeName(e.X)
+	case *ast.IndexExpr: // a generic receiver such as freelist.List[E]
+		return typeName(e.X)
+	}
+	return ""
+}
+
+// anyMember reports whether some type of the package has the method or
+// field member.
+func (d *pkgDecls) anyMember(member string) bool {
+	for _, m := range d.members {
+		if m[member] {
+			return true
+		}
+	}
+	return false
 }

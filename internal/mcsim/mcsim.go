@@ -99,18 +99,10 @@ type Config struct {
 	// OnDeliver, if non-nil, observes every delivered message (its generation
 	// index, whether it fell in the measurement window, and its latency).
 	OnDeliver func(id uint64, measured bool, latency float64)
-	// OnProgress, if non-nil, observes the run's liveness about every
-	// ProgressEvery executed events: the event count and the simulated time
-	// reached so far. The probe costs one integer compare per event when set
-	// and nothing when nil, allocates nothing, and has no effect on the
-	// measurements — a run produces an identical Result with or without it.
-	OnProgress func(events uint64, simTime float64)
-	// ProgressEvery is the OnProgress sampling stride in executed events
-	// (0 = 65536). Ignored when OnProgress is nil.
-	ProgressEvery uint64
 	// Telemetry, if non-nil, enables the opt-in contention instrument layer
 	// (per-tier utilization, blocking and occupancy histograms, latency
-	// decomposition, time series — see telemetry.go). Like OnProgress it is
+	// decomposition, time series, and the live (events, simulated time)
+	// progress of Telemetry.Progress — see telemetry.go). It is
 	// observation-only: a run produces a bit-identical Result with or
 	// without it, and off costs nothing.
 	Telemetry *TelemetryConfig
@@ -489,25 +481,11 @@ func (s *Sim) Run() (Result, error) {
 	if maxEvents == 0 {
 		maxEvents = 1 << 40
 	}
-	// With no OnProgress and no telemetry every threshold is the uint64
-	// maximum, so the hot loop pays exactly one always-false compare per
-	// event (nextWake). Either observer arms its own threshold; nextWake is
-	// their minimum, recomputed only when a threshold fires.
-	nextProgress := ^uint64(0)
-	stride := s.cfg.ProgressEvery
-	if s.cfg.OnProgress != nil {
-		if stride == 0 {
-			stride = 1 << 16
-		}
-		nextProgress = stride
-	}
+	// With telemetry off the sample threshold is the uint64 maximum, so the
+	// hot loop pays exactly one always-false compare per event.
 	nextSample := ^uint64(0)
 	if s.tele != nil {
 		nextSample = s.tele.stride
-	}
-	nextWake := nextProgress
-	if nextSample < nextWake {
-		nextWake = nextSample
 	}
 	truncated := false
 	for s.measuredDone < s.cfg.Measure {
@@ -521,20 +499,10 @@ func (s *Sim) Run() (Result, error) {
 			// on its own) — unless phase counts exceed generated messages.
 			break
 		}
-		if ev := s.sched.Executed(); ev >= nextWake {
-			if ev >= nextProgress {
-				s.cfg.OnProgress(ev, s.sched.Now())
-				nextProgress = ev + stride
-			}
-			if ev >= nextSample {
-				s.tele.sample(ev)
-				// Re-read the stride: a series compaction doubles it.
-				nextSample = ev + s.tele.stride
-			}
-			nextWake = nextProgress
-			if nextSample < nextWake {
-				nextWake = nextSample
-			}
+		if ev := s.sched.Executed(); ev >= nextSample {
+			s.tele.sample(ev)
+			// Re-read the stride: a series compaction doubles it.
+			nextSample = ev + s.tele.stride
 		}
 	}
 	if s.tele != nil {

@@ -348,45 +348,6 @@ func TestTable1Org2SmallRun(t *testing.T) {
 	}
 }
 
-// TestOnProgressDoesNotPerturbResults: the probe is pure observation — a
-// run with OnProgress wired produces a Result identical to the same run
-// without it, samples fire at the configured stride, and with the probe
-// nil nothing fires. This is the guarantee that lets the serving layer
-// watch live jobs without invalidating golden fixtures or cached outcomes.
-func TestOnProgressDoesNotPerturbResults(t *testing.T) {
-	base, err := Run(smallConfig(0.0004, 42))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cfg := smallConfig(0.0004, 42)
-	var samples int
-	var lastEvents uint64
-	cfg.ProgressEvery = 1000
-	cfg.OnProgress = func(events uint64, simTime float64) {
-		samples++
-		if events < lastEvents {
-			t.Errorf("events went backwards: %d after %d", events, lastEvents)
-		}
-		lastEvents = events
-	}
-	observed, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if samples == 0 {
-		t.Fatal("OnProgress never fired")
-	}
-	if observed.Events != base.Events || observed.SimTime != base.SimTime ||
-		observed.Latency != base.Latency || observed.SourceWait != base.SourceWait ||
-		observed.Generated != base.Generated || observed.DeliveredMeasured != base.DeliveredMeasured {
-		t.Errorf("OnProgress changed the result:\nwith    %+v\nwithout %+v", observed, base)
-	}
-	if lastEvents > observed.Events {
-		t.Errorf("probe reported %d events, run executed %d", lastEvents, observed.Events)
-	}
-}
-
 func TestSourceWaitGrowsWithLoad(t *testing.T) {
 	low, err := Run(smallConfig(0.0002, 8))
 	if err != nil {

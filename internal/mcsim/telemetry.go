@@ -4,18 +4,20 @@
 // see *where* a worm spends its time and *which* tier saturates, the
 // question the analytic model answers with its Bottleneck rendering.
 //
-// The design follows the OnProgress contract (DESIGN.md §10):
+// It is also the run's only liveness probe: Progress reads the event count
+// and simulated time of the latest sample. The design (DESIGN.md §10):
 //
 //   - Off (Config.Telemetry == nil) costs nothing: no hooks fire, the run
-//     loop pays the same single always-false compare per event, and the
-//     Result is bit-identical.
+//     loop pays a single always-false compare per event, and the Result is
+//     bit-identical.
 //   - On, all accounting is derived from state the engine already keeps:
 //     channel busy time and queue depths are read by a sampler that runs at
-//     an event stride merged into the OnProgress sentinel, and the latency
-//     decomposition is computed once per measured delivery by walking the
-//     worm's existing acquisition-timestamp buffer (the wait for channel
-//     i+1 is acq[i+1] − (acq[i] + ft_i); the wait for channel 0 is the
-//     source-queue time). No per-flit or per-event instrumentation exists.
+//     an event stride (the run loop's only observer threshold), and the
+//     latency decomposition is computed once per measured delivery by
+//     walking the worm's existing acquisition-timestamp buffer (the wait
+//     for channel i+1 is acq[i+1] − (acq[i] + ft_i); the wait for channel
+//     0 is the source-queue time). No per-flit or per-event
+//     instrumentation exists.
 //   - Steady state allocates nothing: the tier map is a per-channel arena
 //     built at setup, histograms are obs.Histogram (atomic, fixed
 //     buckets), and the time series lives in a preallocated buffer that
@@ -39,11 +41,13 @@ import (
 // TelemetryConfig parameterizes the instrument layer; the zero value gives
 // the defaults. Enable by setting Config.Telemetry to a non-nil pointer.
 type TelemetryConfig struct {
-	// SampleEvery is the time-series sampling stride in dispatched
-	// scheduler events (0 = 65536, the OnProgress default). A channel
-	// release nobody waits for is not dispatched, so the stride is not a
-	// fixed count of messages or hops. Samples cost one walk over the
-	// channel table, so strides below ~1000 start to show up in run time.
+	// SampleEvery is the sampling stride in dispatched scheduler events
+	// (0 = 65536): the time series and Progress both advance once per
+	// stride, and the stride doubles with each series compaction, so a
+	// long run's progress updates grow sparser. A channel release nobody
+	// waits for is not dispatched, so the stride is not a fixed count of
+	// messages or hops. Samples cost one walk over the channel table, so
+	// strides below ~1000 start to show up in run time.
 	SampleEvery uint64
 	// SeriesCap bounds the retained time series (0 = 256 samples). When the
 	// buffer fills, every other sample is dropped in place and the stride
@@ -220,6 +224,14 @@ func (s *Sim) setupTelemetry() {
 // not set. Safe to use (via Snapshot) while Run is in flight on another
 // goroutine.
 func (s *Sim) Telemetry() *Telemetry { return s.tele }
+
+// Progress returns the event count and simulated time of the latest sample
+// (0, 0 before the first). Safe to call while Run is in flight on another
+// goroutine; the two values are published separately, so a read racing a
+// sample may pair that sample's simulated time with the previous count.
+func (t *Telemetry) Progress() (events uint64, simTime float64) {
+	return t.events.Load(), t.sampleTime.Load()
+}
 
 // sample runs on the simulator goroutine at the sampling stride: one walk
 // over the channel table updating the per-tier aggregates and appending a

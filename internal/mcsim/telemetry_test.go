@@ -51,6 +51,9 @@ func TestTelemetryReportConsistency(t *testing.T) {
 	if rep.Events != res.Events || rep.Time != res.SimTime {
 		t.Errorf("report clock (%d, %v) != result clock (%d, %v)", rep.Events, rep.Time, res.Events, res.SimTime)
 	}
+	if ev, now := sim.Telemetry().Progress(); ev != res.Events || now != res.SimTime {
+		t.Errorf("Progress() = (%d, %v), want the result clock (%d, %v)", ev, now, res.Events, res.SimTime)
+	}
 	if len(rep.Tiers) != int(numTiers) {
 		t.Fatalf("%d tiers in report, want %d", len(rep.Tiers), numTiers)
 	}

@@ -19,8 +19,7 @@ var DefLatencyBuckets = []float64{
 type Histogram struct {
 	bounds []float64       // ascending upper bounds; an implicit +Inf closes the last bucket
 	counts []atomic.Uint64 // len(bounds)+1: per-bucket (non-cumulative) counts
-	count  atomic.Uint64
-	sum    atomic.Uint64 // float64 bits, CAS-accumulated
+	sum    atomic.Uint64   // float64 bits, CAS-accumulated
 }
 
 // NewHistogram builds a histogram over the given ascending upper bounds.
@@ -50,7 +49,6 @@ func (h *Histogram) Observe(v float64) {
 		i++
 	}
 	h.counts[i].Add(1)
-	h.count.Add(1)
 	for {
 		old := h.sum.Load()
 		new := math.Float64bits(math.Float64frombits(old) + v)
@@ -67,7 +65,7 @@ func (h *Histogram) Observe(v float64) {
 type HistSnapshot struct {
 	Bounds     []float64 // the histogram's upper bounds (not including +Inf)
 	Cumulative []uint64  // len(Bounds)+1: count ≤ each bound, then the +Inf total
-	Count      uint64
+	Count      uint64    // the +Inf total, so _count always equals the +Inf bucket
 	Sum        float64
 }
 
@@ -76,7 +74,6 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	s := HistSnapshot{
 		Bounds:     h.bounds,
 		Cumulative: make([]uint64, len(h.counts)),
-		Count:      h.count.Load(),
 		Sum:        math.Float64frombits(h.sum.Load()),
 	}
 	var run uint64
@@ -84,6 +81,7 @@ func (h *Histogram) Snapshot() HistSnapshot {
 		run += h.counts[i].Load()
 		s.Cumulative[i] = run
 	}
+	s.Count = run
 	return s
 }
 

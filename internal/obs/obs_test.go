@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -110,6 +111,38 @@ func TestHistogramObserveAndSnapshot(t *testing.T) {
 		if c != want[i] {
 			t.Fatalf("cumulative %v, want %v", s.Cumulative, want)
 		}
+	}
+}
+
+// TestHistogramCountIsInfBucket: with observers running, every snapshot's
+// Count is its own +Inf cumulative total, so an exposition's _count and
+// _bucket{le="+Inf"} never disagree.
+func TestHistogramCountIsInfBucket(t *testing.T) {
+	h := NewHistogram([]float64{1, 10, 100})
+	const writers, each = 4, 2000
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				h.Observe(float64(i % 200))
+			}
+		}()
+	}
+	check := func(s HistSnapshot) {
+		if inf := s.Cumulative[len(s.Cumulative)-1]; s.Count != inf {
+			t.Errorf("Count %d, +Inf cumulative %d", s.Count, inf)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		check(h.Snapshot())
+	}
+	wg.Wait()
+	s := h.Snapshot()
+	check(s)
+	if s.Count != writers*each {
+		t.Fatalf("count %d, want %d", s.Count, writers*each)
 	}
 }
 

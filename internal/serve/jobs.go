@@ -485,8 +485,6 @@ type compareDoc struct {
 
 // runJobRecord executes one queued job on a worker.
 func (s *Server) runJobRecord(rec *jobRecord) {
-	s.workersBusy.Add(1)
-	defer s.workersBusy.Add(-1)
 	started := s.store.setRunning(rec)
 	if s.logger != nil {
 		s.logger.Info("job started",

@@ -24,10 +24,10 @@ type metrics struct {
 }
 
 type routeStats struct {
-	count  atomic.Int64
 	errors atomic.Int64 // responses with status >= 400
-	// hist (seconds) is the one latency store: it feeds the Prometheus
-	// histogram and the JSON mean and quantiles.
+	// hist (seconds) is the one latency and request-count store: it feeds
+	// the Prometheus histogram and request counter, and the JSON count,
+	// mean and quantiles.
 	hist *obs.Histogram
 	// maxNs is the slowest response so far, CAS-maxed.
 	maxNs atomic.Int64
@@ -48,7 +48,6 @@ func (m *metrics) record(route string, code int, d time.Duration) {
 		// programming error. Drop rather than racing a map write.
 		return
 	}
-	rs.count.Add(1)
 	if code >= 400 {
 		rs.errors.Add(1)
 	}
@@ -110,8 +109,9 @@ type metricsDoc struct {
 func (m *metrics) snapshot() map[string]routeDoc {
 	out := make(map[string]routeDoc, len(m.routes))
 	for route, rs := range m.routes {
-		doc := routeDoc{Count: rs.count.Load(), Errors: rs.errors.Load()}
-		if h := rs.hist.Snapshot(); h.Count > 0 {
+		h := rs.hist.Snapshot()
+		doc := routeDoc{Count: int64(h.Count), Errors: rs.errors.Load()}
+		if h.Count > 0 {
 			max := float64(rs.maxNs.Load()) / float64(time.Millisecond)
 			quantile := func(q float64) sweep.Float {
 				return sweep.Float(min(1e3*h.Quantile(q), max))

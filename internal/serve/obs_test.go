@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"mcnet/internal/mcsim"
 	"mcnet/internal/obs"
 	"mcnet/internal/sweep"
 )
@@ -224,52 +225,70 @@ func TestJobTimestampsAndWallTime(t *testing.T) {
 	}
 }
 
-// TestRunningJobReportsProgress holds a job mid-execution with a live
-// progress probe registered under its key — the shape the real execution
-// path (outcome → sweep.ExecuteOpts) produces — and checks the running
-// document surfaces it.
+// TestRunningJobReportsProgress holds a job mid-execution with a live probe
+// registered under its key, the shape the real execution path (outcome →
+// sweep.ExecuteOpts) produces, and checks the running document reads its
+// progress from the probe's collector: zero before the collector is
+// published, then the collector's latest sample.
 func TestRunningJobReportsProgress(t *testing.T) {
-	started := make(chan string, 1)
+	started := make(chan sweep.Job, 1)
 	release := make(chan struct{})
 	s := newTestServer(t, Config{Workers: 1}, func(j sweep.Job) (sweep.Outcome, error) {
-		started <- j.Key()
+		started <- j
 		<-release
 		return instantOutcome(j)
 	})
-	w := do(t, s, "POST", "/v1/simulate", `{"org":"org1","lambda":0.0003,"measure":100}`)
+	w := do(t, s, "POST", "/v1/simulate", `{"org":"org1","lambda":0.0003,"warmup":50,"measure":400,"drain":50}`)
 	var ref jobRef
 	if err := json.Unmarshal(w.Body.Bytes(), &ref); err != nil {
 		t.Fatal(err)
 	}
-	key := <-started
-	p := s.progress.begin(key)
-	p.update(123456, 0.75)
+	j := <-started
+	p := s.progress.begin(j.Key())
+	progress := func() map[string]any {
+		t.Helper()
+		var doc map[string]any
+		if err := json.Unmarshal(do(t, s, "GET", "/v1/jobs/"+ref.ID, "").Body.Bytes(), &doc); err != nil {
+			t.Fatal(err)
+		}
+		if doc["status"] != "running" {
+			t.Fatalf("job status = %v, want running", doc["status"])
+		}
+		if _, ok := doc["wall_time_sec"]; !ok {
+			t.Error("running job missing wall_time_sec")
+		}
+		prog, ok := doc["progress"].(map[string]any)
+		if !ok {
+			t.Fatalf("running job has no progress object: %v", doc)
+		}
+		for _, k := range []string{"events", "events_per_sec", "sim_time", "elapsed_sec"} {
+			if _, ok := prog[k]; !ok {
+				t.Errorf("progress missing %s", k)
+			}
+		}
+		return prog
+	}
 
-	var doc map[string]any
-	if err := json.Unmarshal(do(t, s, "GET", "/v1/jobs/"+ref.ID, "").Body.Bytes(), &doc); err != nil {
+	if prog := progress(); prog["events"] != 0.0 || prog["sim_time"] != 0.0 {
+		t.Errorf("progress before the collector is published = %v, want zero events and sim_time", prog)
+	}
+	if _, _, err := sweep.ExecuteOpts(j, sweep.ExecOptions{
+		Telemetry:   &mcsim.TelemetryConfig{},
+		OnTelemetry: func(tele *mcsim.Telemetry) { p.tele.Store(tele) },
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if doc["status"] != "running" {
-		t.Fatalf("job status = %v, want running", doc["status"])
+	events, simTime := p.tele.Load().Progress()
+	if events == 0 {
+		t.Fatal("the finished run's collector reports no events")
 	}
-	prog, ok := doc["progress"].(map[string]any)
-	if !ok {
-		t.Fatalf("running job has no progress object: %v", doc)
-	}
-	if prog["events"] != float64(123456) {
-		t.Errorf("progress events = %v, want 123456", prog["events"])
-	}
-	if prog["sim_time"] != 0.75 {
-		t.Errorf("progress sim_time = %v, want 0.75", prog["sim_time"])
-	}
-	if _, ok := prog["events_per_sec"]; !ok {
-		t.Error("progress missing events_per_sec")
-	}
-	if _, ok := doc["wall_time_sec"]; !ok {
-		t.Error("running job missing wall_time_sec")
+	prog := progress()
+	if prog["events"] != float64(events) || prog["sim_time"] != simTime {
+		t.Errorf("progress events %v, sim_time %v; collector's latest sample (%d, %v)",
+			prog["events"], prog["sim_time"], events, simTime)
 	}
 
-	s.progress.end(key)
+	s.progress.end(j.Key())
 	close(release)
 	waitDone(t, s, ref.ID)
 }

@@ -10,24 +10,15 @@ import (
 	"mcnet/internal/sweep"
 )
 
-// jobProgress is one running simulation's live telemetry, updated from the
-// simulator's OnProgress probe (a couple of atomic stores every sampling
-// stride — the event loop never blocks on a reader).
+// jobProgress is one running simulation's live view: its start time and
+// its contention collector, whose latest sample is the job's progress.
 type jobProgress struct {
-	start   time.Time
-	events  atomic.Uint64
-	simTime atomic.Uint64 // float64 bits
-	// tele is the run's live contention collector, published once the
-	// simulator is constructed (mcsim.Telemetry snapshots are safe against
-	// the running event loop). GET /v1/jobs/{id}/telemetry reads it while
-	// the job runs.
+	start time.Time
+	// tele is the run's live collector, published once the simulator is
+	// constructed (mcsim.Telemetry reads are safe against the running
+	// event loop). GET /v1/jobs/{id} and GET /v1/jobs/{id}/telemetry read
+	// it while the job runs.
 	tele atomic.Pointer[mcsim.Telemetry]
-}
-
-// update is the mcsim.Config.OnProgress callback.
-func (p *jobProgress) update(events uint64, simTime float64) {
-	p.events.Store(events)
-	p.simTime.Store(math.Float64bits(simTime))
 }
 
 // progressDoc is the live "progress" object on GET /v1/jobs/{id} while the
@@ -40,13 +31,18 @@ type progressDoc struct {
 	ElapsedSec   sweep.Float `json:"elapsed_sec"`
 }
 
-// snapshot renders the probe at `now`.
+// snapshot renders the probe at `now`: the collector's latest sample, or
+// zero events before the collector is published.
 func (p *jobProgress) snapshot(now time.Time) *progressDoc {
 	elapsed := now.Sub(p.start).Seconds()
-	events := p.events.Load()
+	var events uint64
+	var simTime float64
+	if t := p.tele.Load(); t != nil {
+		events, simTime = t.Progress()
+	}
 	doc := &progressDoc{
 		Events:     events,
-		SimTime:    sweep.Float(math.Float64frombits(p.simTime.Load())),
+		SimTime:    sweep.Float(simTime),
 		ElapsedSec: sweep.Float(elapsed),
 	}
 	if elapsed > 0 {

@@ -30,7 +30,7 @@ func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 
 	e.Family("mcserved_requests_total", "counter", "HTTP requests served, by route.")
 	for _, route := range s.metrics.names {
-		e.Sample([]obs.Label{{Name: "route", Value: route}}, float64(s.metrics.routes[route].count.Load()))
+		e.Sample([]obs.Label{{Name: "route", Value: route}}, float64(s.metrics.routes[route].hist.Snapshot().Count))
 	}
 	e.Family("mcserved_request_errors_total", "counter", "HTTP responses with status >= 400, by route.")
 	for _, route := range s.metrics.names {
@@ -62,7 +62,7 @@ func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 	e.Family("mcserved_queue_workers", "gauge", "Queue workers executing simulate/compare jobs.")
 	e.Sample(nil, float64(s.cfg.Workers))
 	e.Family("mcserved_queue_workers_busy", "gauge", "Queue workers currently executing a job.")
-	e.Sample(nil, float64(s.workersBusy.Load()))
+	e.Sample(nil, float64(running))
 
 	e.Family("mcserved_simulations_executed_total", "counter", "Simulations actually run (cache misses that executed).")
 	e.Sample(nil, float64(s.executed.Load()))

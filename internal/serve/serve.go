@@ -157,8 +157,7 @@ type Server struct {
 	metrics  *metrics
 	logger   *slog.Logger
 
-	// Queue-worker and sweep-engine telemetry behind /metrics.
-	workersBusy      atomic.Int64
+	// Sweep-engine telemetry behind /metrics.
 	engineStarted    atomic.Int64
 	engineExecuted   atomic.Int64
 	engineCached     atomic.Int64
@@ -301,14 +300,20 @@ var testHookExecute func(sweep.Job) (sweep.Outcome, error)
 // outcome satisfies one job from the layered cache or by running the
 // simulator, single-flighted so concurrent requests for the same job compute
 // it once. The boolean reports whether the result was shared (cache or
-// another caller's in-flight run) rather than computed here.
+// another caller's run) rather than computed here. It is also the sweep
+// engine's Exec hook, so streaming sweeps share the cache and singleflight
+// group with the queue workers.
 func (s *Server) outcome(j sweep.Job) (sweep.Outcome, bool, error) {
 	key := j.Key()
 	if o, ok := s.cache.Get(key); ok {
 		return o, true, nil
 	}
-	v, err, shared := s.flight.Do(key, func() (any, error) {
-		if o, ok := s.cache.Get(key); ok {
+	executed := false
+	v, err, _ := s.flight.Do(key, func() (any, error) {
+		// A flight that finished since the lookup above has filled the
+		// memory layer. The re-check belongs to that counted lookup, so it
+		// reads the memory layer directly.
+		if o, ok := s.cache.mem.Get(key); ok {
 			return o, nil
 		}
 		var o sweep.Outcome
@@ -316,17 +321,16 @@ func (s *Server) outcome(j sweep.Job) (sweep.Outcome, bool, error) {
 		if testHookExecute != nil {
 			o, err = testHookExecute(j)
 		} else {
-			// Register a live progress probe for the duration of the run:
-			// GET /v1/jobs/{id} of a running job reports events, events/sec
-			// and simulated time sampled from the event loop. Executions run
-			// with contention telemetry on (the cost is setup-only), feeding
-			// the live and finished views of GET /v1/jobs/{id}/telemetry and
-			// the per-tier Prometheus counters.
+			// Executions run with contention telemetry on (the cost is
+			// setup-only). Its live collector, registered for the duration
+			// of the run, gives GET /v1/jobs/{id} of a running job its
+			// events, events/sec and simulated time, and feeds the live
+			// view of GET /v1/jobs/{id}/telemetry; the final report feeds
+			// the finished view and the per-tier Prometheus counters.
 			p := s.progress.begin(key)
 			var rep *mcsim.TelemetryReport
 			o, rep, err = sweep.ExecuteOpts(j, sweep.ExecOptions{
-				OnProgress: p.update,
-				Telemetry:  &mcsim.TelemetryConfig{},
+				Telemetry: &mcsim.TelemetryConfig{},
 				OnTelemetry: func(t *mcsim.Telemetry) {
 					p.tele.Store(t)
 				},
@@ -341,6 +345,7 @@ func (s *Server) outcome(j sweep.Job) (sweep.Outcome, bool, error) {
 			return nil, err
 		}
 		s.executed.Add(1)
+		executed = true
 		if err := s.cache.Put(key, o); err != nil {
 			return nil, fmt.Errorf("caching outcome: %w", err)
 		}
@@ -349,14 +354,7 @@ func (s *Server) outcome(j sweep.Job) (sweep.Outcome, bool, error) {
 	if err != nil {
 		return sweep.Outcome{}, false, err
 	}
-	return v.(sweep.Outcome), shared, nil
-}
-
-// execJob adapts outcome to the sweep engine's Exec hook, so streaming
-// sweeps share the server's cache and singleflight group.
-func (s *Server) execJob(j sweep.Job) (sweep.Outcome, error) {
-	o, _, err := s.outcome(j)
-	return o, err
+	return v.(sweep.Outcome), !executed, nil
 }
 
 // handleHealthz implements GET /healthz.

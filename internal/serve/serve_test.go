@@ -368,6 +368,15 @@ func TestCompareJobAttachesAnalysis(t *testing.T) {
 	if after := s.executed.Load(); after != before {
 		t.Fatalf("outcome not shared: executed went %d -> %d", before, after)
 	}
+	// One execution is one lookup: the singleflight's re-check of the cache
+	// is not counted as a second miss.
+	var m metricsDoc
+	if err := json.Unmarshal(do(t, s, "GET", "/metrics", "").Body.Bytes(), &m); err != nil {
+		t.Fatal(err)
+	}
+	if m.Cache.Misses != 1 || m.Cache.MemoryHits != 1 || m.Cache.HitRatio != 0.5 {
+		t.Fatalf("outcome cache counters %+v, want 1 miss and 1 memory hit", m.Cache)
+	}
 }
 
 func TestQueueBackpressure429(t *testing.T) {
@@ -454,6 +463,12 @@ func TestSweepStreamsNDJSON(t *testing.T) {
 	}
 	if after := s.executed.Load(); after != before {
 		t.Fatalf("repeated sweep re-executed jobs: %d -> %d", before, after)
+	}
+	// The engine observer sees the first sweep execute and the second hit
+	// the cache, and every started job finish.
+	if started, executed, cached, busy := s.engineStarted.Load(), s.engineExecuted.Load(),
+		s.engineCached.Load(), s.engineBusy.Load(); started != 8 || executed != 4 || cached != 4 || busy != 0 {
+		t.Fatalf("engine jobs: started %d, executed %d, cached %d, busy %d; want 8/4/4/0", started, executed, cached, busy)
 	}
 }
 

@@ -110,7 +110,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	eng := &sweep.Engine{
 		Workers:  s.cfg.SweepWorkers,
-		Exec:     s.execJob,
+		Exec:     s.outcome,
 		Sinks:    []sweep.Sink{&ndjsonSink{w: w}},
 		Observer: engineObserver{s: s},
 	}

@@ -225,7 +225,6 @@ func TestCollectorOutlivesRelease(t *testing.T) {
 	run := func(j sweep.Job) (*mcsim.Telemetry, *mcsim.TelemetryReport) {
 		var live *mcsim.Telemetry
 		_, rep, err := sweep.ExecuteOpts(j, sweep.ExecOptions{
-			OnProgress:  func(uint64, float64) {},
 			Telemetry:   &mcsim.TelemetryConfig{},
 			OnTelemetry: func(t *mcsim.Telemetry) { live = t },
 		})

@@ -18,11 +18,11 @@ func TestRunContextCancelStopsWorkers(t *testing.T) {
 	eng := &Engine{
 		Workers: 2,
 		Sinks:   []Sink{&MemorySink{}},
-		Exec: func(j Job) (Outcome, error) {
+		Exec: func(j Job) (Outcome, bool, error) {
 			atomic.AddInt32(&started, 1)
 			entered <- struct{}{}
 			<-release
-			return Outcome{Delivered: 1}, nil
+			return Outcome{Delivered: 1}, false, nil
 		},
 	}
 	spec := tinySpec()
@@ -57,9 +57,9 @@ func TestRunContextAlreadyCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var started int32
-	eng := &Engine{Exec: func(Job) (Outcome, error) {
+	eng := &Engine{Exec: func(Job) (Outcome, bool, error) {
 		atomic.AddInt32(&started, 1)
-		return Outcome{}, nil
+		return Outcome{}, false, nil
 	}}
 	if _, err := eng.RunContext(ctx, tinySpec()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunContext = %v, want context.Canceled", err)
@@ -76,9 +76,9 @@ func TestExecHookReplacesSimulator(t *testing.T) {
 	var calls int32
 	eng := &Engine{
 		Cache: cache,
-		Exec: func(j Job) (Outcome, error) {
+		Exec: func(j Job) (Outcome, bool, error) {
 			atomic.AddInt32(&calls, 1)
-			return Outcome{SimLatency: Float(float64(j.Index) + 1), Delivered: 42}, nil
+			return Outcome{SimLatency: Float(float64(j.Index) + 1), Delivered: 42}, false, nil
 		},
 	}
 	mem := &MemorySink{}

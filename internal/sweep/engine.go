@@ -56,8 +56,11 @@ type Engine struct {
 	Progress func(Progress)
 	// Exec, if non-nil, replaces Execute for jobs not satisfied by Cache.
 	// The serving layer uses it to single-flight identical jobs across
-	// concurrent sweeps and queue workers sharing one outcome cache.
-	Exec func(Job) (Outcome, error)
+	// concurrent sweeps and queue workers sharing one outcome cache. The
+	// boolean reports that the outcome was not executed by this call (the
+	// hook's own cache, or another caller's run); the result then counts
+	// as Cached.
+	Exec func(Job) (Outcome, bool, error)
 	// Observer, if non-nil, receives per-job lifecycle telemetry from the
 	// workers. Unlike Progress (which reports in job order as results are
 	// emitted), the Observer sees events as they happen, from whichever
@@ -72,9 +75,11 @@ type Engine struct {
 }
 
 // Observer receives engine job lifecycle events. JobStarted fires when a
-// worker picks a job up (before the cache lookup); JobFinished fires when
-// the job resolves, with whether it was satisfied from the cache and its
-// wall time in seconds. Both may be called concurrently from many workers.
+// worker picks a job up (before the cache lookup); JobFinished fires once
+// for every JobStarted, when the job resolves, with whether it was
+// satisfied from the cache and its wall time in seconds. A job that fails
+// or is cancelled finishes as not cached. Both may be called concurrently
+// from many workers.
 type Observer interface {
 	JobStarted(j Job)
 	JobFinished(j Job, cached bool, seconds float64)
@@ -250,7 +255,7 @@ func (e *Engine) runJob(ctx context.Context, j Job, telemetry bool) (Result, err
 		e.Observer.JobStarted(j)
 	}
 	res, err := e.runJobInner(ctx, j, telemetry)
-	if e.Observer != nil && err == nil {
+	if e.Observer != nil {
 		e.Observer.JobFinished(j, res.Cached, time.Since(start).Seconds())
 	}
 	return res, err
@@ -275,9 +280,10 @@ func (e *Engine) runJobInner(ctx context.Context, j Job, telemetry bool) (Result
 		testHookJobStart(j)
 	}
 	var o Outcome
+	var cached bool
 	var err error
 	if e.Exec != nil {
-		o, err = e.Exec(j)
+		o, cached, err = e.Exec(j)
 	} else if telemetry {
 		var rep *mcsim.TelemetryReport
 		o, rep, err = ExecuteOpts(j, ExecOptions{Telemetry: &mcsim.TelemetryConfig{}})
@@ -295,7 +301,7 @@ func (e *Engine) runJobInner(ctx context.Context, j Job, telemetry bool) (Result
 			return Result{}, fmt.Errorf("sweep: cache: %w", err)
 		}
 	}
-	return Result{Job: j, Outcome: o}, nil
+	return Result{Job: j, Outcome: o, Cached: cached}, nil
 }
 
 // Execute runs one job's simulation to completion.
@@ -306,10 +312,6 @@ func Execute(j Job) (Outcome, error) {
 
 // ExecOptions parameterizes ExecuteOpts. The zero value is plain Execute.
 type ExecOptions struct {
-	// OnProgress, if non-nil, samples the run's liveness about every
-	// ProgressEvery executed events (0 = the simulator's default stride).
-	ProgressEvery uint64
-	OnProgress    func(events uint64, simTime float64)
 	// Telemetry, if non-nil, enables the simulator's contention instrument:
 	// the returned outcome carries the summary digest and ExecuteOpts
 	// returns the full report. Observation-only — the measurements are
@@ -317,7 +319,7 @@ type ExecOptions struct {
 	Telemetry *mcsim.TelemetryConfig
 	// OnTelemetry, if non-nil (and Telemetry is set), receives the live
 	// collector before the run starts, so a serving layer can snapshot a
-	// simulation in flight.
+	// simulation in flight and read its progress.
 	OnTelemetry func(*mcsim.Telemetry)
 }
 
@@ -329,7 +331,6 @@ func ExecuteOpts(j Job, opt ExecOptions) (Outcome, *mcsim.TelemetryReport, error
 	if err != nil {
 		return Outcome{}, nil, err
 	}
-	cfg.OnProgress, cfg.ProgressEvery = opt.OnProgress, opt.ProgressEvery
 	cfg.Telemetry = opt.Telemetry
 	sim, err := mcsim.New(cfg)
 	if err != nil {

@@ -44,18 +44,22 @@ const (
 // topology cache: a model is a pure function of its ModelKey, so every user
 // in the process (sweep grid placement and analysis columns, the service's
 // analyze and compare answers, the studies' model curves) reuses one
-// instance, and a repeated question builds and searches nothing.
+// instance, and a repeated question builds and searches nothing. An entry
+// takes a ring slot only once its model has built: a build that fails
+// drops the entry and evicts nothing, so questions about organizations
+// that parse but do not build cannot push good models out.
 var memo = struct {
 	sync.Mutex
 	entries map[string]*Model
-	ring    [memoCapacity]string // keys in insertion order, for eviction
-	next    int                  // ring slot of the next insertion
+	ring    [memoCapacity]string // keys of built entries in build order, for eviction
+	next    int                  // ring slot of the next built entry
 }{entries: make(map[string]*Model)}
 
 // Model is one memoized analytic model. The Grid evaluator is not safe for
 // concurrent use, so mu serializes every use of the entry.
 type Model struct {
 	mu              sync.Mutex
+	key             string
 	model, org, top string
 	par             units.Params
 
@@ -74,26 +78,39 @@ func ModelFor(model, org, links, topoAxis string, par units.Params) *Model {
 	if m, ok := memo.entries[key]; ok {
 		return m
 	}
-	if old := memo.ring[memo.next]; old != "" {
-		delete(memo.entries, old)
-	}
-	m := &Model{model: model, org: org, top: topoAxis, par: par, sat: make(map[float64]float64)}
+	m := &Model{key: key, model: model, org: org, top: topoAxis, par: par, sat: make(map[float64]float64)}
 	memo.entries[key] = m
-	memo.ring[memo.next] = key
-	memo.next = (memo.next + 1) % memoCapacity
 	return m
 }
 
-// gridLocked builds the model on first use; m.mu must be held.
+// gridLocked builds the model on first use; m.mu must be held. A built
+// entry takes the next ring slot, evicting that slot's entry; a failed one
+// leaves the memo.
 func (m *Model) gridLocked() (*analytic.Grid, error) {
-	if m.grid == nil {
-		g, err := m.build()
-		if err != nil {
-			return nil, err
-		}
-		m.grid = g
+	if m.grid != nil {
+		return m.grid, nil
 	}
-	return m.grid, nil
+	g, err := m.build()
+	memo.Lock()
+	// An entry dropped by an earlier failed build, or by a memo reset,
+	// while this caller held it is no longer the memo's to place.
+	if memo.entries[m.key] == m {
+		if err != nil {
+			delete(memo.entries, m.key)
+		} else {
+			if old := memo.ring[memo.next]; old != "" {
+				delete(memo.entries, old)
+			}
+			memo.ring[memo.next] = m.key
+			memo.next = (memo.next + 1) % memoCapacity
+		}
+	}
+	memo.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	m.grid = g
+	return g, nil
 }
 
 func (m *Model) build() (*analytic.Grid, error) {

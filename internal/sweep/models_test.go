@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -134,7 +135,7 @@ func memoGridSpec() Spec {
 
 // fakeExec stands in for the simulator where only the analysis column is
 // under test.
-func fakeExec(j Job) (Outcome, error) { return Outcome{SimLatency: Float(j.Lambda)}, nil }
+func fakeExec(j Job) (Outcome, bool, error) { return Outcome{SimLatency: Float(j.Lambda)}, false, nil }
 
 // TestModelMemoHistoryIndependent runs the reduced sweep-grid spec cold,
 // warm, and after a spec that shares its models but evaluates other loads
@@ -280,6 +281,34 @@ func TestModelMemoCapacity(t *testing.T) {
 	got, _ = m.point(lambda)
 	if want := fresh(units.Default(), lambda); !samePoint(got, want) {
 		t.Fatalf("point after the map reset %+v, fresh model %+v", got, want)
+	}
+}
+
+// TestModelMemoFailedBuilds: a model whose organization parses but does not
+// build takes no memo slot, so a memo's worth of distinct bad organizations
+// leaves a built model in place and built.
+func TestModelMemoFailedBuilds(t *testing.T) {
+	resetModelMemo()
+	const org = "m=8:12x1,16x2,4x3"
+	m := ModelFor("calibrated", org, "", "", units.Default())
+	if _, err := m.MeanLatency(3e-4); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= memoCapacity; i++ {
+		bad := fmt.Sprintf("m=3:%dx1", i) // odd port count: parses, does not build
+		if _, err := ModelFor("calibrated", bad, "", "", units.Default()).MeanLatency(3e-4); err == nil {
+			t.Fatalf("%s built", bad)
+		}
+	}
+	if n := memoLen(); n != 1 {
+		t.Fatalf("memo holds %d entries after the failed builds, want 1", n)
+	}
+	again := ModelFor("calibrated", org, "", "", units.Default())
+	again.mu.Lock()
+	built := again.grid != nil
+	again.mu.Unlock()
+	if again != m || !built {
+		t.Fatalf("Org1 entry replaced (%v) or unbuilt (%v) after the failed builds", again != m, !built)
 	}
 }
 

@@ -1,8 +1,11 @@
 package sweep
 
 import (
+	"errors"
 	"sync"
 	"testing"
+
+	"mcnet/internal/mcsim"
 )
 
 // countingObserver records engine lifecycle events (called concurrently).
@@ -63,9 +66,44 @@ func TestObserverSeesEveryJob(t *testing.T) {
 	}
 }
 
-// TestExecuteObservedIdentity: the probe has no effect on the outcome —
-// ExecuteOpts with a progress callback returns exactly what Execute
-// returns, and the probe reports monotonically non-decreasing event counts.
+// TestObserverFinishesEveryStartedJob: every JobStarted gets one
+// JobFinished, also when the job fails, and an Exec hook that reports an
+// outcome it did not execute makes the job a cache hit in the result, the
+// summary and the observer.
+func TestObserverFinishesEveryStartedJob(t *testing.T) {
+	failing := &countingObserver{}
+	eng := &Engine{Workers: 2, Observer: failing, Exec: func(Job) (Outcome, bool, error) {
+		return Outcome{}, false, errors.New("exec failed")
+	}}
+	if _, err := eng.Run(tinySpec()); err == nil {
+		t.Fatal("a sweep whose every job fails returned no error")
+	}
+	if failing.started == 0 || failing.executed+failing.cached != failing.started {
+		t.Errorf("failing Exec: started %d, finished %d", failing.started, failing.executed+failing.cached)
+	}
+
+	shared := &countingObserver{}
+	mem := &MemorySink{}
+	eng = &Engine{Workers: 2, Observer: shared, Sinks: []Sink{mem}, Exec: func(j Job) (Outcome, bool, error) {
+		return Outcome{Delivered: 1}, true, nil
+	}}
+	sum, err := eng.Run(tinySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.CacheHits != sum.Total || sum.Executed != 0 || shared.cached != sum.Total || shared.executed != 0 {
+		t.Errorf("shared Exec: summary %+v, observer executed %d cached %d", sum, shared.executed, shared.cached)
+	}
+	for i, r := range mem.Results {
+		if !r.Cached {
+			t.Errorf("result %d not marked cached", i)
+		}
+	}
+}
+
+// TestExecuteObservedIdentity: telemetry is pure observation — ExecuteOpts
+// with the collector on returns Execute's outcome plus the digest, and the
+// collector handed to OnTelemetry ends at the run's last sample.
 func TestExecuteObservedIdentity(t *testing.T) {
 	jobs, err := Expand(tinySpec())
 	if err != nil {
@@ -77,28 +115,23 @@ func TestExecuteObservedIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var samples int
-	var lastEvents uint64
-	lastSim := -1.0
-	// A small stride on a tiny job still yields several samples.
-	observed, _, err := ExecuteOpts(j, ExecOptions{ProgressEvery: 512, OnProgress: func(events uint64, simTime float64) {
-		samples++
-		if events < lastEvents {
-			t.Errorf("events went backwards: %d after %d", events, lastEvents)
-		}
-		if simTime < lastSim {
-			t.Errorf("sim time went backwards: %g after %g", simTime, lastSim)
-		}
-		lastEvents, lastSim = events, simTime
-	}})
+	var tele *mcsim.Telemetry
+	observed, rep, err := ExecuteOpts(j, ExecOptions{
+		Telemetry:   &mcsim.TelemetryConfig{},
+		OnTelemetry: func(t *mcsim.Telemetry) { tele = t },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if observed.Telemetry == nil || tele == nil {
+		t.Fatal("telemetry on, but no digest or no live collector")
+	}
+	observed.Telemetry = nil
 	if observed != plain {
 		t.Errorf("observed outcome %+v differs from plain %+v", observed, plain)
 	}
-	if samples == 0 {
-		t.Error("progress probe never fired")
+	if ev, now := tele.Progress(); ev != rep.Events || now != rep.Time || ev == 0 {
+		t.Errorf("collector progress (%d, %v), report clock (%d, %v)", ev, now, rep.Events, rep.Time)
 	}
 }
 
