@@ -11,16 +11,21 @@
 // # Hot path
 //
 // Every event is a call to a Handler registered once via Register: the
-// event names the handler, an op that discriminates the event kind and an
-// arg that carries a small integer payload (a channel, node or pool-slot
-// index). The future-event list is split by handler: one list per
+// event names the handler and carries two int32 payloads, op and arg, whose
+// meaning the handler defines. Most handlers take op as the event kind and
+// arg as a small index (a channel, node or pool-slot index); the wormhole
+// engine's hop handler takes op as the channel the header requests next and
+// arg as the worm. The future-event list is split by handler: one list per
 // registered Handler, an index-addressed binary heap unless the handler is
-// a FIFO lane (below), each over concrete 32-byte event structs stored in
-// one slice. Step runs the smallest (time, seq) root among
-// the heaps; seq is one global counter, so the execution order is exactly
-// that of a single heap over all events, while an engine's near-term events
-// never sift through another engine's far-future ones (the simulator's
-// per-node arrivals sit in the generator's heap, not the network's). A
+// a FIFO lane (below), each over concrete 24-byte event structs stored in
+// one slice. An event's list names its handler, so the struct holds only
+// the key and the payload, and Call finds the event's slot by its key and
+// writes the fields straight into it. Step runs the smallest (time, seq)
+// root among the heaps; seq is one global counter, so the execution order
+// is exactly that of a single heap over all events, while an engine's
+// near-term events never sift through another engine's far-future ones
+// (the simulator's per-node arrivals sit in the generator's heap, not the
+// network's). A
 // running handler's event stays at its heap's root until the handler's first
 // Call on the same heap overwrites it and sifts down, which for a near-term
 // successor stops within a level or two. The struct is deliberately
@@ -39,7 +44,7 @@
 // run. A lane's event is popped before its handler runs; the held-root
 // reuse above is a heap trick. The wormhole engine gives each distinct flit
 // time of a network a lane for its header hops, up to eight; hops over
-// channels past the eighth distinct flit time use the network's heap.
+// channels past the eighth distinct flit time use a heap of their own.
 //
 // Events are scheduled in one of two ways:
 //
@@ -62,9 +67,10 @@ import (
 	"mcnet/internal/freelist"
 )
 
-// Handler receives events. One Handler (typically the simulation engine
-// itself) serves many event kinds, discriminated by op; arg carries a small
-// integer payload such as a channel, node or pool-slot index.
+// Handler receives events. The handler defines both payloads: typically one
+// Handler (the simulation engine itself) serves many event kinds,
+// discriminated by op, and arg carries a small integer payload such as a
+// channel, node or pool-slot index.
 type Handler interface {
 	HandleEvent(op, arg int32)
 }
@@ -72,23 +78,26 @@ type Handler interface {
 // HandlerID names a Handler registered with a Scheduler.
 type HandlerID int32
 
-// event is one heap slot: 32 pointer-free bytes.
+// event is one list slot: 24 pointer-free bytes. The list it sits in names
+// its handler.
 type event struct {
 	time float64
 	seq  uint64
-	h    HandlerID
 	op   int32
 	arg  int32
 }
 
-// before is the heap order: time, with insertion sequence as the stable
-// FIFO tie-break.
-func (e *event) before(o *event) bool {
-	if e.time != o.time {
-		return e.time < o.time
+// precedes is the event order: time, with insertion sequence as the
+// stable FIFO tie-break. It reports whether e runs before key (t, seq).
+func (e *event) precedes(t float64, seq uint64) bool {
+	if e.time != t {
+		return e.time < t
 	}
-	return e.seq < o.seq
+	return e.seq < seq
 }
+
+// before reports whether e runs before o.
+func (e *event) before(o *event) bool { return e.precedes(o.time, o.seq) }
 
 // Scheduler owns the simulation clock and the future-event lists. The zero
 // value is a scheduler at time 0 with no handlers and no pending events.
@@ -195,7 +204,7 @@ func (s *Scheduler) checkTime(t float64) {
 // number.
 func (s *Scheduler) Call(t float64, h HandlerID, op, arg int32) {
 	s.checkTime(t)
-	s.schedule(event{time: t, seq: s.seq, h: h, op: op, arg: arg})
+	s.schedule(t, s.seq, h, op, arg)
 	s.seq++
 }
 
@@ -230,26 +239,30 @@ func (s *Scheduler) CallSeq(t float64, seq uint64, h HandlerID, op, arg int32) {
 	if t == s.now && seq < s.cur {
 		panic(ErrPastEvent)
 	}
-	s.schedule(event{time: t, seq: seq, h: h, op: op, arg: arg})
+	s.schedule(t, seq, h, op, arg)
 }
 
-// schedule files an event in its handler's list. The first event a running
-// heap handler schedules on its own list takes over the root slot the
-// running event still occupies: it sifts down from there, which for a
-// near-term successor stops within a level or two, instead of the running
-// event being popped and the successor pushed.
-func (s *Scheduler) schedule(e event) {
-	li := int(e.h)
-	l := &s.lists[li]
+// schedule files an event in its handler's list. The list finds the
+// event's slot by its key alone and the fields are written straight into
+// it: an event passed by value would be stored field by field and then
+// reloaded whole into the slot, a load the store buffer cannot forward. The
+// first event a running heap handler schedules on its own list takes over
+// the root slot the running event still occupies: it sifts down from there,
+// which for a near-term successor stops within a level or two, instead of
+// the running event being popped and the successor pushed.
+func (s *Scheduler) schedule(t float64, seq uint64, h HandlerID, op, arg int32) {
+	l := &s.lists[h]
+	var e *event
 	switch {
 	case l.fifo:
-		l.append(e)
-	case li+1 == s.held:
+		e = l.append(t, seq)
+	case int(h)+1 == s.held:
 		s.held = 0
-		l.ev.siftDown(0, e)
+		e = l.ev.siftDown(0, t, seq)
 	default:
-		l.ev.push(e)
+		e = l.ev.push(t, seq)
 	}
+	e.time, e.seq, e.op, e.arg = t, seq, op, arg
 }
 
 // eventList is one handler's future-event list: a heap, or for a
@@ -261,20 +274,21 @@ type eventList struct {
 	fifo bool
 }
 
-// append adds e at the tail of a FIFO list, after checking that it does
-// not precede the tail. A full list first moves its pending events to the
-// start of its storage if that frees at least half of it, and grows
-// otherwise, so appends stay amortized O(1).
-func (l *eventList) append(e event) {
+// append adds a slot for the event (t, seq) at the tail of a FIFO list,
+// after checking that the event does not precede the tail, and returns it.
+// A full list first moves its pending events to the start of its storage
+// if that frees at least half of it, and grows otherwise, so appends stay
+// amortized O(1).
+func (l *eventList) append(t float64, seq uint64) *event {
 	n := len(l.ev)
-	if n > l.head && e.before(&l.ev[n-1]) {
+	if n > l.head && !l.ev[n-1].precedes(t, seq) {
 		panic(ErrFIFOOrder)
 	}
 	if n == cap(l.ev) && 2*l.head >= n {
-		l.ev = l.ev[:copy(l.ev, l.ev[l.head:])]
-		l.head = 0
+		n = copy(l.ev, l.ev[l.head:])
+		l.ev, l.head = l.ev[:n], 0
 	}
-	l.ev = append(l.ev, e)
+	return &l.ev.grow()[n]
 }
 
 // pop removes the head event of a non-empty FIFO list; an emptied list
@@ -290,26 +304,37 @@ func (l *eventList) pop() {
 // order.
 type eventHeap []event
 
-// push appends the event and restores the heap by sifting it up.
-func (h *eventHeap) push(e event) {
-	*h = append(*h, e)
-	q := *h
+// grow extends the list by one slot and returns the extended list.
+func (h *eventHeap) grow() eventHeap {
+	if n := len(*h); n < cap(*h) {
+		*h = (*h)[:n+1]
+	} else {
+		*h = append(*h, event{})
+	}
+	return *h
+}
+
+// push adds a slot for the event (t, seq), sifting it up from the end of
+// the heap, and returns it.
+func (h *eventHeap) push(t float64, seq uint64) *event {
+	q := h.grow()
 	i := len(q) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if q[parent].before(&e) {
+		if q[parent].precedes(t, seq) {
 			break
 		}
 		q[i] = q[parent]
 		i = parent
 	}
-	q[i] = e
+	return &q[i]
 }
 
-// siftDown places e at slot i, whose previous occupant it replaces, and
-// restores the heap below it along the smaller-child path. e must not
-// precede the events above slot i.
-func (h eventHeap) siftDown(i int, e event) {
+// siftDown frees slot i, whose occupant the event (t, seq) replaces, by
+// moving the smaller child up while it precedes the event, and returns the
+// slot the event belongs in. The event must not precede the events above
+// slot i.
+func (h eventHeap) siftDown(i int, t float64, seq uint64) *event {
 	n := len(h)
 	for {
 		c := 2*i + 1
@@ -319,13 +344,13 @@ func (h eventHeap) siftDown(i int, e event) {
 		if r := c + 1; r < n && h[r].before(&h[c]) {
 			c = r
 		}
-		if !h[c].before(&e) {
+		if !h[c].precedes(t, seq) {
 			break
 		}
 		h[i] = h[c]
 		i = c
 	}
-	h[i] = e
+	return &h[i]
 }
 
 // popRoot removes the minimum event. The caller guarantees the heap is
@@ -335,7 +360,7 @@ func (h *eventHeap) popRoot() {
 	last := (*h)[n]
 	*h = (*h)[:n]
 	if n > 0 {
-		h.siftDown(0, last)
+		*h.siftDown(0, last.time, last.seq) = last
 	}
 }
 

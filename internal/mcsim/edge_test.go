@@ -160,7 +160,7 @@ func TestStressOrg1HighLoadConservation(t *testing.T) {
 	if s.net.InFlight() != 0 {
 		t.Errorf("in-flight worms after full drain: %d", s.net.InFlight())
 	}
-	if s.net.Injected() != s.net.Delivered() {
-		t.Errorf("injected %d != delivered %d", s.net.Injected(), s.net.Delivered())
+	if s.net.Delivered() != uint64(s.genCount) {
+		t.Errorf("delivered %d != generated %d", s.net.Delivered(), s.genCount)
 	}
 }

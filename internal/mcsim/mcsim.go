@@ -241,6 +241,14 @@ func New(cfg Config) (*Sim, error) {
 	if cfg.Warmup < 0 || cfg.Measure <= 0 || cfg.Drain < 0 {
 		return nil, fmt.Errorf("mcsim: bad phase counts (%d,%d,%d)", cfg.Warmup, cfg.Measure, cfg.Drain)
 	}
+	// The network counts a channel's grants in 32 bits, and a message is
+	// granted each channel at most once, so a run generates at most
+	// math.MaxInt32 messages (a replay stream has the same bound).
+	if cfg.Warmup > math.MaxInt32 || cfg.Measure > math.MaxInt32 || cfg.Drain > math.MaxInt32 ||
+		cfg.Warmup+cfg.Measure+cfg.Drain > math.MaxInt32 {
+		return nil, fmt.Errorf("mcsim: phase counts (%d,%d,%d) sum past %d messages",
+			cfg.Warmup, cfg.Measure, cfg.Drain, math.MaxInt32)
+	}
 	sys, err := system.New(cfg.Org)
 	if err != nil {
 		return nil, err

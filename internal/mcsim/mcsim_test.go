@@ -3,6 +3,7 @@ package mcsim
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"mcnet/internal/routing"
@@ -307,6 +308,35 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
 	}
+}
+
+// TestPhaseCountsBoundedByInt32: a run may generate at most math.MaxInt32
+// messages, the bound that keeps a channel's 32-bit grant count exact. New
+// rejects phase counts past it, including sums that would overflow an int,
+// and accepts a sum exactly at it.
+func TestPhaseCountsBoundedByInt32(t *testing.T) {
+	base := smallConfig(0.001, 1)
+	for _, phases := range [][3]int{
+		{1, math.MaxInt32, 0},
+		{0, math.MaxInt32, 1},
+		{math.MaxInt32, 1, 0},
+		{0, math.MaxInt, 0},
+		{math.MaxInt, math.MaxInt, math.MaxInt},
+		{math.MaxInt32 / 2, math.MaxInt32 / 2, 2},
+	} {
+		cfg := base
+		cfg.Warmup, cfg.Measure, cfg.Drain = phases[0], phases[1], phases[2]
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "sum past") {
+			t.Errorf("phases %v: error %v, want a rejection past %d messages", phases, err, math.MaxInt32)
+		}
+	}
+	cfg := base
+	cfg.Warmup, cfg.Measure, cfg.Drain = 1, math.MaxInt32-2, 1
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatalf("phases summing to math.MaxInt32 rejected: %v", err)
+	}
+	s.Release()
 }
 
 func TestWarmupExcludedFromStatistics(t *testing.T) {

@@ -167,22 +167,6 @@ func (c *DirCache) Delete(key string) error {
 	return nil
 }
 
-// Clear removes every cached entry, forcing the next run to re-execute.
-func (c *DirCache) Clear() error {
-	entries, err := os.ReadDir(c.dir)
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".json") {
-			if err := os.Remove(filepath.Join(c.dir, e.Name())); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // MemCache is an in-memory Cache for tests and single-process reuse. The
 // zero value is not usable; use NewMemCache.
 type MemCache struct {

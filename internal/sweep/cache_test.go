@@ -4,6 +4,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -92,4 +93,20 @@ func TestDirCacheReopen(t *testing.T) {
 	if !ok || got.SimLatency != 3.5 || got.Delivered != 7 {
 		t.Errorf("reopened cache: %+v, ok=%v", got, ok)
 	}
+}
+
+// Clear removes every cached entry, forcing the next run to re-execute.
+func (c *DirCache) Clear() error {
+	entries, err := os.ReadDir(c.dir)
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		if strings.HasSuffix(e.Name(), ".json") {
+			if err := os.Remove(filepath.Join(c.dir, e.Name())); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }

@@ -344,9 +344,9 @@ func FuzzReleaseOrder(f *testing.F) {
 
 // TestReleaseOrderPastLaneCap checks Network against eagerNet on networks
 // with more distinct flit times than it has lanes, so the hops over the
-// channels past the cap go through the network's heap beside the lanes'
-// FIFOs. The decoder's flit times have too few distinct values to get
-// there.
+// channels past the cap go through the hop handler's heap beside the lanes'
+// FIFOs, never through the network's heap of releases and deliveries. The
+// decoder's flit times have too few distinct values to get there.
 func TestReleaseOrderPastLaneCap(t *testing.T) {
 	src := rng.New(3)
 	for k := 0; k < 50; k++ {
@@ -386,9 +386,17 @@ func TestReleaseOrderPastLaneCap(t *testing.T) {
 		fts[i] = float64(i + 1)
 	}
 	n := New(&s, fts)
+	heap := n.hops[maxLanes]
+	if slices.Contains(n.hops[:maxLanes], heap) || heap == n.hid {
+		t.Fatalf("hop heap %d shares an ID with a lane %v or the network's heap %d", heap, n.hops[:maxLanes], n.hid)
+	}
 	for i := range fts {
-		if onHeap := n.ch[i].hop == n.hid; onHeap != (i >= maxLanes) {
-			t.Errorf("channel %d (flit time %v): hop on the heap = %v", i, fts[i], onHeap)
+		hop := n.hops[n.ch[i].hop]
+		if hop == n.hid {
+			t.Errorf("channel %d (flit time %v): hop on the network's release/delivery heap", i, fts[i])
+		}
+		if onHeap := hop == heap; onHeap != (i >= maxLanes) {
+			t.Errorf("channel %d (flit time %v): hop on the hop heap = %v", i, fts[i], onHeap)
 		}
 	}
 }

@@ -45,7 +45,11 @@
 // channel's flit time, so each distinct flit time of a network gets its own
 // des lane (Scheduler.RegisterFIFO) and its hops never sift through a heap.
 // An organization has few distinct flit times; channels past the first
-// maxLanes distinct ones schedule their hops on the network's heap.
+// maxLanes distinct ones schedule their hops on a heap of their own. Every
+// hop, on a lane or on that heap, goes to one hop handler, and its event
+// names the channel the header requests next (−1 at the route's end) and
+// the worm, so the channel record is loaded beside the worm instead of
+// after it. The network's own heap holds only releases and deliveries.
 //
 // The engine is deliberately topology-agnostic: routes are sequences of
 // dense channel indices whose flit times are fixed at construction. The
@@ -94,9 +98,10 @@ type Worm struct {
 	HeaderAt   float64
 	TailAt     float64
 
-	pos  int
 	slot int32 // index in the network's in-flight table while injected
-	acq  []float64
+	// acq holds a grant time per channel acquired so far, so len(acq) is
+	// the index in Path of the next channel the header requests.
+	acq []float64
 }
 
 // Reset prepares a worm for reuse with a new route. Owner and Tag are
@@ -107,7 +112,6 @@ func (w *Worm) Reset(id uint64, path []int32, flits int, onDone func(w *Worm)) {
 	w.Path = path
 	w.Flits = flits
 	w.OnDone = onDone
-	w.pos = 0
 	w.acq = w.acq[:0]
 	w.InjectedAt, w.HeaderAt, w.TailAt = 0, 0, 0
 }
@@ -145,8 +149,8 @@ func (w *Worm) Acquired() []float64 { return w.acq }
 // GC-transparent.
 type fifo struct {
 	head, tail int32
-	n          int
-	high       int // high-water mark of the queue length
+	n          int32
+	high       int32 // high-water mark of the queue length
 }
 
 func (n *Network) qpush(f *fifo, slot int32) {
@@ -169,7 +173,7 @@ func (n *Network) qpop(f *fifo) int32 {
 	return slot
 }
 
-func (f *fifo) len() int { return f.n }
+func (f *fifo) len() int { return int(f.n) }
 
 // Release states of a held channel.
 const (
@@ -178,27 +182,35 @@ const (
 	relScheduled              // a release event is scheduled at the key
 )
 
-// channel is one directed link. While busy, rel says what is known of the
-// holder's release; relT and relSeq are its key once the holder's header
-// has arrived. hop is the list the header's hop over the channel is
-// scheduled on: its flit time's lane, or the network's heap.
+// channel is one directed link, one 64-byte cache line. While busy, rel
+// says what is known of the holder's release; relT and relSeq are its key
+// once the holder's header has arrived. hop indexes the network's hops with
+// the list the header's hop over the channel is scheduled on: its flit
+// time's lane, or maxLanes for the hop heap. grants fits 32 bits because
+// a route never repeats a channel, so a channel is granted at most once per
+// message, and mcsim bounds a run's messages by math.MaxInt32; the queue
+// counts are bounded by the worms in flight.
 type channel struct {
 	flit      float64
-	busy      bool
-	rel       uint8
-	hop       des.HandlerID
-	waiting   fifo
 	busySince float64
 	busyTotal float64
 	relT      float64
 	relSeq    uint64
-	grants    uint64
+	waiting   fifo
+	grants    uint32
+	busy      bool
+	rel       uint8
+	hop       uint8
 }
 
-// Network owns the channel table and advances worms on a scheduler.
+// Network owns the channel table and advances worms on a scheduler. hid is
+// its heap of releases and deliveries; hops are the hop handler's lists:
+// its lanes, in the order their flit times first appear, and at maxLanes
+// its heap, registered only if some channel's flit time found no lane.
 type Network struct {
 	sched *des.Scheduler
 	hid   des.HandlerID
+	hops  [maxLanes + 1]des.HandlerID
 	ch    []channel
 	// worms and freeSlots are the in-flight table: every injected worm holds
 	// one slot until delivery, so scheduler events can name worms by a dense
@@ -208,7 +220,6 @@ type Network struct {
 	waitNext  []int32
 	freeSlots []int32
 	inFlight  int
-	injected  uint64
 	done      uint64
 }
 
@@ -224,8 +235,7 @@ func New(sched *des.Scheduler, flitTimes []float64) *Network {
 	n := &Network{sched: sched, ch: channelTables.Get(len(flitTimes))}
 	n.hid = sched.Register(n)
 	var laneFlit [maxLanes]float64
-	var lanes [maxLanes]des.HandlerID
-	nl := 0
+	nl, heap := 0, false
 	for i, ft := range flitTimes {
 		if ft <= 0 {
 			panic(fmt.Sprintf("wormhole: channel %d has non-positive flit time %v", i, ft))
@@ -235,14 +245,13 @@ func New(sched *des.Scheduler, flitTimes []float64) *Network {
 			k++
 		}
 		if k == nl && nl < maxLanes {
-			laneFlit[k], lanes[k] = ft, sched.RegisterFIFO(n)
+			laneFlit[k], n.hops[k] = ft, sched.RegisterFIFO((*hopHandler)(n))
 			nl++
 		}
-		hop := n.hid
-		if k < nl {
-			hop = lanes[k]
+		if k == nl && !heap {
+			n.hops[maxLanes], heap = sched.Register((*hopHandler)(n)), true
 		}
-		n.ch[i] = channel{flit: ft, hop: hop}
+		n.ch[i] = channel{flit: ft, hop: uint8(min(k, maxLanes))}
 	}
 	return n
 }
@@ -265,8 +274,7 @@ func (n *Network) FlitTime(c int32) float64 { return n.ch[c].flit }
 // InFlight returns the number of injected but not yet delivered worms.
 func (n *Network) InFlight() int { return n.inFlight }
 
-// Injected and Delivered count worm lifecycles, for conservation checks.
-func (n *Network) Injected() uint64  { return n.injected }
+// Delivered counts the worms delivered so far.
 func (n *Network) Delivered() uint64 { return n.done }
 
 // released reports whether ch's holder has already let it go at a release
@@ -285,7 +293,7 @@ func (n *Network) Busy(c int32) bool {
 func (n *Network) QueueLen(c int32) int { return n.ch[c].waiting.len() }
 
 // MaxQueueLen returns the high-water mark of channel c's waiting queue.
-func (n *Network) MaxQueueLen(c int32) int { return n.ch[c].waiting.high }
+func (n *Network) MaxQueueLen(c int32) int { return int(n.ch[c].waiting.high) }
 
 // BusyTime returns the total time channel c has been held in [0, now],
 // including the currently open holding interval. Observers aggregate it
@@ -302,23 +310,20 @@ func (n *Network) BusyTime(c int32) float64 {
 }
 
 // Grants returns how many times channel c was acquired.
-func (n *Network) Grants(c int32) uint64 { return n.ch[c].grants }
+func (n *Network) Grants(c int32) uint64 { return uint64(n.ch[c].grants) }
 
 // Event discriminators of the network's des.Handler. All per-flit traffic is
 // dispatched through the scheduler without allocation: the network is the
 // handler, op selects the action, and the worm or channel index rides in the
-// payload slots.
+// payload slot. Header hops go to the hop handler instead.
 const (
-	opHeader  int32 = iota // arg = worm slot: header finished crossing a channel
-	opRelease              // arg = channel: the holder's tail crossed it, grant it to the first waiter
+	opRelease int32 = iota // arg = channel: the holder's tail crossed it, grant it to the first waiter
 	opDeliver              // arg = worm slot: tail arrived at the endpoint
 )
 
 // HandleEvent implements des.Handler.
 func (n *Network) HandleEvent(op, arg int32) {
 	switch op {
-	case opHeader:
-		n.headerAdvance(n.worms[arg])
 	case opRelease:
 		c := &n.ch[arg]
 		c.busyTotal += n.sched.Now() - c.busySince
@@ -347,7 +352,6 @@ func (n *Network) Inject(w *Worm) {
 	if w.Flits <= 0 {
 		panic(fmt.Sprintf("wormhole: worm %d has %d flits", w.ID, w.Flits))
 	}
-	w.pos = 0
 	w.acq = w.acq[:0]
 	w.InjectedAt = n.sched.Now()
 	if k := len(n.freeSlots); k > 0 {
@@ -360,15 +364,30 @@ func (n *Network) Inject(w *Worm) {
 		n.waitNext = append(n.waitNext, 0)
 	}
 	n.inFlight++
-	n.injected++
-	n.request(w)
+	n.request(w, w.Path[0])
 }
 
-// request asks for the channel at w.pos, granting immediately when idle.
-// A release that went by unscheduled is settled first; a worm that has to
-// queue behind a holder whose release key is known schedules that release.
-func (n *Network) request(w *Worm) {
-	ci := w.Path[w.pos]
+// hopHandler is the network as the handler of its header hops: an event's
+// op is the channel the header requests next, or −1 once it has crossed
+// the route's last channel, and its arg is the worm's slot.
+type hopHandler Network
+
+// HandleEvent implements des.Handler: the header finished crossing a
+// channel.
+func (h *hopHandler) HandleEvent(next, slot int32) {
+	n := (*Network)(h)
+	if next < 0 {
+		n.complete(n.worms[slot])
+		return
+	}
+	n.request(n.worms[slot], next)
+}
+
+// request asks for channel ci on behalf of w, granting immediately when
+// idle. A release that went by unscheduled is settled first; a worm that
+// has to queue behind a holder whose release key is known schedules that
+// release.
+func (n *Network) request(w *Worm, ci int32) {
 	c := &n.ch[ci]
 	if c.busy && n.released(c) {
 		c.busy = false
@@ -385,7 +404,8 @@ func (n *Network) request(w *Worm) {
 	}
 }
 
-// grant hands the channel to the worm and schedules the header's hop.
+// grant hands the channel to the worm and schedules the header's hop, named
+// by the channel it requests next.
 func (n *Network) grant(c *channel, w *Worm) {
 	now := n.sched.Now()
 	c.busy = true
@@ -393,18 +413,11 @@ func (n *Network) grant(c *channel, w *Worm) {
 	c.busySince = now
 	c.grants++
 	w.acq = append(w.acq, now)
-	n.sched.Call(now+c.flit, c.hop, opHeader, w.slot)
-}
-
-// headerAdvance moves the header one hop: either request the next channel or
-// complete the route.
-func (n *Network) headerAdvance(w *Worm) {
-	w.pos++
-	if w.pos < len(w.Path) {
-		n.request(w)
-		return
+	next := int32(-1)
+	if k := len(w.acq); k < len(w.Path) {
+		next = w.Path[k]
 	}
-	n.complete(w)
+	n.sched.Call(now+c.flit, n.hops[c.hop], next, w.slot)
 }
 
 // complete runs when the header arrives at the endpoint: it reserves the
