@@ -248,10 +248,10 @@ func New(sched *des.Scheduler, flitTimes []float64) *Network {
 			laneFlit[k], n.hops[k] = ft, sched.RegisterFIFO((*hopHandler)(n))
 			nl++
 		}
-		if k == nl && !heap {
+		if k == maxLanes && !heap {
 			n.hops[maxLanes], heap = sched.Register((*hopHandler)(n)), true
 		}
-		n.ch[i] = channel{flit: ft, hop: uint8(min(k, maxLanes))}
+		n.ch[i] = channel{flit: ft, hop: uint8(k)}
 	}
 	return n
 }
