@@ -64,10 +64,22 @@ func (in *injector) at(t float64, w *Worm) {
 }
 
 // TestChannelRecordSize: a channel record fills exactly one 64-byte cache
-// line, so a request loads one line per channel, never two.
+// line, and a table of eight or more records starts on a line boundary, so
+// a request loads one line per channel, never two.
 func TestChannelRecordSize(t *testing.T) {
 	if got := unsafe.Sizeof(channel{}); got != 64 {
 		t.Errorf("channel record is %d bytes, want 64", got)
+	}
+	for _, channels := range []int{8, 13, 100, 1000} {
+		fts := make([]float64, channels)
+		for i := range fts {
+			fts[i] = 1
+		}
+		_, n := newNet(fts...)
+		if addr := uintptr(unsafe.Pointer(&n.ch[0])); addr%64 != 0 {
+			t.Errorf("table of %d channels starts at %#x, off a cache line", channels, addr)
+		}
+		n.Release()
 	}
 }
 
