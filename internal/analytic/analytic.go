@@ -641,15 +641,18 @@ func (m *Model) interPair(i, v int, lamI float64, outRate, inRate []float64, sc 
 // fully populated even when saturated (with +Inf latencies); the error is
 // ErrSaturated in that case.
 func (m *Model) Evaluate(lambdaG float64) (Result, error) {
-	return m.evaluate(lambdaG, nil)
+	return m.evaluate(lambdaG, nil, false)
 }
 
 // evaluate is the shared driver behind Model.Evaluate and Grid.Evaluate: with
 // a nil Grid it allocates a fresh scratch and computes every cluster and
 // pair directly; with a Grid it reuses the grid's scratch and consults its
 // per-point memo, which returns bit-identical values because equal class IDs
-// capture every floating-point input of the corresponding computation.
-func (m *Model) evaluate(lambdaG float64, g *Grid) (Result, error) {
+// capture every floating-point input of the corresponding computation. A
+// probe only asks whether the point saturates: it returns ErrSaturated with
+// a partial Result at the first saturated cluster or pair, which is the
+// first point where the full evaluation would mark the Result saturated.
+func (m *Model) evaluate(lambdaG float64, g *Grid, probe bool) (Result, error) {
 	if lambdaG < 0 || math.IsNaN(lambdaG) {
 		return Result{}, fmt.Errorf("analytic: invalid λ_g %v", lambdaG)
 	}
@@ -693,6 +696,9 @@ func (m *Model) evaluate(lambdaG float64, g *Grid) (Result, error) {
 		// original single-function evaluation.
 		cr.SIntra, cr.RIntra = ir.s, ir.r
 		if ir.sat != satNone {
+			if probe {
+				return res, ErrSaturated
+			}
 			saturate(cr, satWhere(ir.sat, i, 0))
 			continue
 		}
@@ -728,6 +734,9 @@ func (m *Model) evaluate(lambdaG float64, g *Grid) (Result, error) {
 			sumConc += pr.conc
 		}
 		if sat != satNone {
+			if probe {
+				return res, ErrSaturated
+			}
 			saturate(cr, satWhere(sat, i, satV))
 			continue
 		}
@@ -809,10 +818,12 @@ func (m *Model) SaturationPoint(start, limit, tol float64) float64 {
 }
 
 // SaturationPoint runs Model.SaturationPoint's search through the grid's
-// evaluator, reusing its scratch across the probes.
+// evaluator, reusing its scratch across the probes. A probe stops at the
+// first saturated cluster or pair: the search reads only whether a load
+// saturates.
 func (g *Grid) SaturationPoint(start, limit, tol float64) float64 {
 	return saturationPoint(func(l float64) bool {
-		_, err := g.Evaluate(l)
+		_, err := g.m.evaluate(l, g, true)
 		return errors.Is(err, ErrSaturated)
 	}, start, limit, tol)
 }

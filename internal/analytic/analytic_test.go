@@ -269,3 +269,53 @@ func TestSaturationPointUnbounded(t *testing.T) {
 		t.Errorf("SaturationPoint below limit returned %v, want +Inf", sat)
 	}
 }
+
+// TestSaturationProbeAgreesWithEvaluate: the saturation search's probe,
+// which returns at the first saturated cluster or pair, reports saturation
+// exactly where Grid.Evaluate marks its Result saturated. It is checked on
+// a λ ladder from zero load to far past saturation, for every topology of
+// both Table 1 organizations under both ICN2 readings, on one grid that
+// interleaves probes and full evaluations. The search over the probe also
+// lands on the same point, bit for bit, as the search over full
+// evaluations.
+func TestSaturationProbeAgreesWithEvaluate(t *testing.T) {
+	exact := DefaultOptions()
+	exact.ExactICN2Pairs = true
+	for _, base := range []system.Organization{system.Table1Org1(), system.Table1Org2()} {
+		for _, axis := range []string{"fattree", "jellyfish", "fattree+dragonfly", "jellyfish+dragonfly"} {
+			for _, opt := range []Options{DefaultOptions(), exact} {
+				org := base
+				if err := system.ApplyTopologyAxis(&org, axis); err != nil {
+					t.Fatal(err)
+				}
+				g := NewGrid(newModel(t, org, units.Default(), opt))
+				var ladder []float64
+				for l := 1e-6; l < 1; l *= 1.25 {
+					ladder = append(ladder, l)
+				}
+				sat := 0
+				for _, l := range append(ladder, 0) {
+					res, err := g.Evaluate(l)
+					_, probeErr := g.m.evaluate(l, g, true)
+					if probe := errors.Is(probeErr, ErrSaturated); probe != res.Saturated || (err == nil) != (probeErr == nil) {
+						t.Fatalf("%s %s exact=%v λ=%v: probe saturated %v (%v), evaluation %v (%v)",
+							org.Name, axis, opt.ExactICN2Pairs, l, probe, probeErr, res.Saturated, err)
+					}
+					if res.Saturated {
+						sat++
+					}
+				}
+				if sat == 0 || sat == len(ladder) {
+					t.Fatalf("%s %s: %d of %d ladder points saturated, want both kinds", org.Name, axis, sat, len(ladder))
+				}
+				full := saturationPoint(func(l float64) bool {
+					_, err := g.Evaluate(l)
+					return errors.Is(err, ErrSaturated)
+				}, 1e-6, 1, 1e-4)
+				if got := g.SaturationPoint(1e-6, 1, 1e-4); math.Float64bits(got) != math.Float64bits(full) {
+					t.Fatalf("%s %s exact=%v: probe search %v, full search %v", org.Name, axis, opt.ExactICN2Pairs, got, full)
+				}
+			}
+		}
+	}
+}

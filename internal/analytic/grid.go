@@ -185,7 +185,7 @@ func (g *Grid) interPair(i, v int) *pairResult {
 // Result, bit for bit, including saturated points and their Bottleneck
 // strings — while reusing the grid's scratch and memoized shared terms.
 func (g *Grid) Evaluate(lambdaG float64) (Result, error) {
-	return g.m.evaluate(lambdaG, g)
+	return g.m.evaluate(lambdaG, g, false)
 }
 
 // MeanLatency is the batched counterpart of Model.MeanLatency.

@@ -309,11 +309,12 @@ var expandRuns int
 
 // BenchmarkSweepExpand measures a cold expansion of the sweep-grid
 // benchmark's spec: spec parsing, model construction and the analytic
-// saturation search that places every organization's load grid. Each
-// iteration scales α_net by a distinct factor just above 1, so the sweep's
-// process-wide model memo never hits and every model is built and searched
-// afresh. Topologies come from the process-wide topo cache after the first
-// iteration, so the metric is dominated by the saturation search.
+// saturation searches that place every organization's load grid, run on up
+// to GOMAXPROCS goroutines. Each iteration scales α_net by a distinct
+// factor just above 1, so the sweep's process-wide model memo never hits
+// and every model is built and searched afresh. Topologies come from the
+// process-wide topo cache after the first iteration, so the metric is
+// dominated by the saturation searches.
 func BenchmarkSweepExpand(b *testing.B) {
 	spec := benchGridSpec()
 	d := units.Default()

@@ -230,6 +230,26 @@ type Sim struct {
 	tele *Telemetry
 }
 
+// CheckPhases reports whether a run can have the given phase message
+// counts: measure positive, warmup and drain not negative, and at most
+// math.MaxInt32 messages in all. The network counts a channel's grants in
+// 32 bits, and a message is granted each channel at most once, so that is
+// the most messages a run generates (a replay stream has the same bound).
+// New applies it; callers that accept phase counts apply it up front.
+func CheckPhases(warmup, measure, drain int) error {
+	if measure <= 0 {
+		return fmt.Errorf("measure phase must be positive, got %d", measure)
+	}
+	if warmup < 0 || drain < 0 {
+		return fmt.Errorf("negative warmup/drain (%d, %d)", warmup, drain)
+	}
+	if warmup > math.MaxInt32 || measure > math.MaxInt32 || drain > math.MaxInt32 ||
+		warmup+measure+drain > math.MaxInt32 {
+		return fmt.Errorf("phase counts (%d,%d,%d) sum past %d messages", warmup, measure, drain, math.MaxInt32)
+	}
+	return nil
+}
+
 // New builds a simulation instance.
 func New(cfg Config) (*Sim, error) {
 	if err := cfg.Par.Validate(); err != nil {
@@ -238,16 +258,8 @@ func New(cfg Config) (*Sim, error) {
 	if cfg.LambdaG <= 0 && cfg.Replay == nil {
 		return nil, fmt.Errorf("mcsim: LambdaG %v must be positive", cfg.LambdaG)
 	}
-	if cfg.Warmup < 0 || cfg.Measure <= 0 || cfg.Drain < 0 {
-		return nil, fmt.Errorf("mcsim: bad phase counts (%d,%d,%d)", cfg.Warmup, cfg.Measure, cfg.Drain)
-	}
-	// The network counts a channel's grants in 32 bits, and a message is
-	// granted each channel at most once, so a run generates at most
-	// math.MaxInt32 messages (a replay stream has the same bound).
-	if cfg.Warmup > math.MaxInt32 || cfg.Measure > math.MaxInt32 || cfg.Drain > math.MaxInt32 ||
-		cfg.Warmup+cfg.Measure+cfg.Drain > math.MaxInt32 {
-		return nil, fmt.Errorf("mcsim: phase counts (%d,%d,%d) sum past %d messages",
-			cfg.Warmup, cfg.Measure, cfg.Drain, math.MaxInt32)
+	if err := CheckPhases(cfg.Warmup, cfg.Measure, cfg.Drain); err != nil {
+		return nil, fmt.Errorf("mcsim: %v", err)
 	}
 	sys, err := system.New(cfg.Org)
 	if err != nil {
@@ -294,14 +306,11 @@ func New(cfg Config) (*Sim, error) {
 	concTcs := cfg.Par.ConcClass().Tcs(lm)
 	icn2Tcs := cfg.Par.ICN2Class().Tcs(lm)
 	flits := flitTables.Get(int(nch))
+	// A topology's first 2·Nodes() channels are its endpoint channels.
 	fillTree := func(t topo.Topology, base int32, nodeTime, swTime float64) {
-		for c := 0; c < t.Channels(); c++ {
-			if t.IsNodeChannel(c) {
-				flits[int(base)+c] = nodeTime
-			} else {
-				flits[int(base)+c] = swTime
-			}
-		}
+		net := flits[base : int(base)+t.Channels()]
+		fill(net[:2*t.Nodes()], nodeTime)
+		fill(net[2*t.Nodes():], swTime)
 	}
 	for i := range sys.Clusters {
 		cl := &sys.Clusters[i]
@@ -337,10 +346,15 @@ func New(cfg Config) (*Sim, error) {
 	s.nodeLocal = nodeLocals.Get(nodes)
 	for n := range s.nodeRNG {
 		s.nodeRNG[n].ReseedStream(cfg.Seed, uint64(n))
-		ci, local := sys.ClusterOf(n)
-		s.nodeCl[n] = int32(ci)
-		s.nodeLocal[n] = int32(local)
-		s.rates[n] = cfg.LambdaG * sys.Clusters[ci].RateFactor
+	}
+	for ci := range sys.Clusters {
+		cl := &sys.Clusters[ci]
+		lo, hi := cl.NodeBase, cl.NodeBase+cl.Nodes
+		fill(s.nodeCl[lo:hi], int32(ci))
+		fill(s.rates[lo:hi], cfg.LambdaG*cl.RateFactor)
+		for local := range s.nodeLocal[lo:hi] {
+			s.nodeLocal[lo+local] = int32(local)
+		}
 	}
 	s.slabs = msgSlabs.Get(0)
 	s.perCluster = make([]stats.Running, sys.C())
@@ -372,6 +386,13 @@ func New(cfg Config) (*Sim, error) {
 		s.setupTelemetry()
 	}
 	return s, nil
+}
+
+// fill sets every element of xs to v.
+func fill[E any](xs []E, v E) {
+	for i := range xs {
+		xs[i] = v
+	}
 }
 
 // setupWorkload materializes the configured arrival processes, size

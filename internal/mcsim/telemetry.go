@@ -186,13 +186,10 @@ func (s *Sim) channelTiers() []uint8 {
 		mark(cn.ecn1Base, cn.rootUpBase, TierECN1)
 		mark(cn.rootUpBase, cn.rootDownBase+int32(cn.ecn1.Roots()), TierConc)
 	}
-	for c := s.icn2Base; c < int32(len(tiers)); c++ {
-		if s.icn2.IsNodeChannel(int(c - s.icn2Base)) {
-			tiers[c] = uint8(TierConc)
-		} else {
-			tiers[c] = uint8(TierICN2)
-		}
-	}
+	// ICN2's first 2·Nodes() channels are its endpoint channels.
+	nodeEnd := s.icn2Base + 2*int32(s.icn2.Nodes())
+	mark(s.icn2Base, nodeEnd, TierConc)
+	mark(nodeEnd, int32(len(tiers)), TierICN2)
 	return tiers
 }
 

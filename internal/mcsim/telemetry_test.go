@@ -258,7 +258,7 @@ func linearTier(s *Sim, c int32) Tier {
 			return TierConc
 		}
 	}
-	if s.icn2.IsNodeChannel(int(c - s.icn2Base)) {
+	if c-s.icn2Base < 2*int32(s.icn2.Nodes()) {
 		return TierConc
 	}
 	return TierICN2

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"mcnet/internal/mcsim"
 	"mcnet/internal/obs"
 	"mcnet/internal/sweep"
 	"mcnet/internal/topo"
@@ -113,11 +114,8 @@ func (req jobRequest) toJob() (sweep.Job, error) {
 	if j.Warmup == 0 && j.Measure == 0 && j.Drain == 0 {
 		j.Warmup, j.Measure, j.Drain = d.Warmup, d.Measure, d.Drain
 	}
-	if j.Measure <= 0 {
-		return j, fmt.Errorf("measure phase must be positive, got %d", j.Measure)
-	}
-	if j.Warmup < 0 || j.Drain < 0 {
-		return j, fmt.Errorf("negative warmup/drain (%d, %d)", j.Warmup, j.Drain)
+	if err := mcsim.CheckPhases(j.Warmup, j.Measure, j.Drain); err != nil {
+		return j, err
 	}
 
 	if req.Rep < 0 {

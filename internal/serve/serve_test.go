@@ -275,6 +275,15 @@ func TestSimulateValidationAndJobErrors(t *testing.T) {
 			}
 		})
 	}
+	// Phase counts past the simulator's message bound get the simulator's
+	// own message up front, from both job routes, instead of a job that
+	// fails once it runs.
+	for _, path := range []string{"/v1/simulate", "/v1/compare"} {
+		w := do(t, s, "POST", path, `{"org":"org1","lambda":0.0003,"warmup":100,"measure":3000000000,"drain":100}`)
+		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "sum past 2147483647 messages") {
+			t.Fatalf("%s with phases past the bound: status %d, want 400 naming the bound: %s", path, w.Code, w.Body)
+		}
+	}
 	if w := do(t, s, "GET", "/v1/jobs/not%2Fa%2Fkey", ""); w.Code != http.StatusBadRequest {
 		t.Fatalf("malformed id: %d", w.Code)
 	}

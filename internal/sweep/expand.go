@@ -6,8 +6,10 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"runtime"
 	"strconv"
-	"strings"
+	"sync"
+	"sync/atomic"
 
 	"mcnet/internal/mcsim"
 	"mcnet/internal/system"
@@ -175,64 +177,72 @@ func (j Job) Config() (mcsim.Config, error) {
 	}, nil
 }
 
-// identity renders the outcome-determining fields canonically. Floats use
-// hex notation, which round-trips every bit. The workload fields are
-// appended only when they deviate from the defaults, so every identity (and
-// hence cache key and derived seed) from before the workload axes existed is
-// preserved verbatim.
-func (j Job) identity() string {
-	hf := func(v float64) string { return strconv.FormatFloat(v, 'x', -1, 64) }
-	parts := []string{
-		"org=" + j.Org,
-		"flits=" + strconv.Itoa(j.Flits),
-		"flitbytes=" + strconv.Itoa(j.FlitBytes),
-		"pattern=" + j.Pattern,
-		"routing=" + j.Routing,
-		"lambda=" + hf(j.Lambda),
-		"rep=" + strconv.Itoa(j.Rep),
-		"alphanet=" + hf(j.AlphaNet),
-		"alphasw=" + hf(j.AlphaSw),
-		"betanet=" + hf(j.BetaNet),
-		"warmup=" + strconv.Itoa(j.Warmup),
-		"measure=" + strconv.Itoa(j.Measure),
-		"drain=" + strconv.Itoa(j.Drain),
-		"seed=" + strconv.FormatUint(j.SimSeed, 10),
+// appendIdentity appends the outcome-determining fields, rendered
+// canonically, to b. Floats use hex notation, which round-trips every bit.
+// The workload fields are appended only when they deviate from the
+// defaults, so every identity (and hence cache key and derived seed) from
+// before the workload axes existed is preserved verbatim.
+func (j *Job) appendIdentity(b []byte) []byte {
+	hf := func(b []byte, name string, v float64) []byte {
+		return strconv.AppendFloat(append(b, name...), v, 'x', -1, 64)
 	}
+	itoa := func(b []byte, name string, v int) []byte {
+		return strconv.AppendInt(append(b, name...), int64(v), 10)
+	}
+	str := func(b []byte, name, v string) []byte { return append(append(b, name...), v...) }
+	b = str(b, "org=", j.Org)
+	b = itoa(b, "|flits=", j.Flits)
+	b = itoa(b, "|flitbytes=", j.FlitBytes)
+	b = str(b, "|pattern=", j.Pattern)
+	b = str(b, "|routing=", j.Routing)
+	b = hf(b, "|lambda=", j.Lambda)
+	b = itoa(b, "|rep=", j.Rep)
+	b = hf(b, "|alphanet=", j.AlphaNet)
+	b = hf(b, "|alphasw=", j.AlphaSw)
+	b = hf(b, "|betanet=", j.BetaNet)
+	b = itoa(b, "|warmup=", j.Warmup)
+	b = itoa(b, "|measure=", j.Measure)
+	b = itoa(b, "|drain=", j.Drain)
+	b = strconv.AppendUint(append(b, "|seed="...), j.SimSeed, 10)
 	if j.Arrival != "" {
-		parts = append(parts, "arrival="+j.Arrival)
+		b = str(b, "|arrival=", j.Arrival)
 	}
 	if j.SizeDist != "" {
-		parts = append(parts, "size="+j.SizeDist)
+		b = str(b, "|size=", j.SizeDist)
 	}
 	if j.Links != "" {
-		parts = append(parts, "links="+j.Links)
+		b = str(b, "|links=", j.Links)
 	}
 	if j.Topo != "" {
-		parts = append(parts, "topo="+j.Topo)
+		b = str(b, "|topo=", j.Topo)
 	}
-	return strings.Join(parts, "|")
+	return b
 }
 
+// identityBuf is the stack buffer an identity is built in. It holds every
+// identity the builtin specs expand to (the longest, hetero-links', is 315
+// bytes); a longer one grows onto the heap.
+type identityBuf [512]byte
+
 // Key returns the job's content hash, the cache key of its simulation
-// outcome.
+// outcome: the SHA-256 of its identity.
 func (j Job) Key() string {
-	sum := sha256.Sum256([]byte(j.identity()))
+	var buf identityBuf
+	sum := sha256.Sum256(j.appendIdentity(buf[:0]))
 	return hex.EncodeToString(sum[:])
 }
 
 // DeriveSeed computes a job's simulator seed from a sweep's base seed and
 // the job's identity (with the SimSeed field itself still zero), giving
-// every job an independent deterministic stream. It is exported for the
-// serving layer, which seeds ad-hoc jobs exactly like a sweep with the
-// default base seed would — so a served simulation and a CLI sweep of the
-// same point share one cache entry.
+// every job an independent deterministic stream: the first eight bytes of
+// the SHA-256 of the identity followed by the base seed's eight bytes. It
+// is exported for the serving layer, which seeds ad-hoc jobs exactly like a
+// sweep with the default base seed would — so a served simulation and a
+// CLI sweep of the same point share one cache entry.
 func DeriveSeed(base uint64, j Job) uint64 {
-	h := sha256.New()
-	h.Write([]byte(j.identity()))
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], base)
-	h.Write(b[:])
-	return binary.LittleEndian.Uint64(h.Sum(nil)[:8])
+	var buf identityBuf
+	sum := sha256.Sum256(binary.LittleEndian.AppendUint64(j.appendIdentity(buf[:0]), base))
+	return binary.LittleEndian.Uint64(sum[:8])
 }
 
 // Expand normalizes and validates the spec and returns its full job grid in
@@ -399,6 +409,21 @@ func canonicalOrg(spec string) (string, error) {
 	return system.Format(org), nil
 }
 
+// placementTol is the relative tolerance of the saturation searches that
+// place load grids.
+const placementTol = 1e-3
+
+// placement is one model's grid-placement search: the index of its
+// organization, the model (nil when the spec's parameters did not resolve,
+// err saying why) and, once searched, its saturation point or error.
+type placement struct {
+	org      int
+	model    *Model
+	sat      float64
+	err      error
+	searched bool
+}
+
 // loadGrids resolves the offered-traffic axis per organization: either the
 // explicit lambda list (shared), or Points loads ending at MaxFraction × the
 // organization's analytic saturation point maximized over the message and
@@ -414,29 +439,20 @@ func loadGrids(spec Spec, orgs, links, topos []string) ([][]float64, error) {
 		}
 		return grids, nil
 	}
-	// Grid placement always uses the calibrated model, even when the spec
-	// attaches a different (or no) analytic curve to the results: the grid
-	// is a sampling decision, not a modeling claim. The saturation maximum
-	// runs over the topology axis too, so every topology's curve fits on
-	// the shared grid; with the default axis this materializes exactly the
-	// pre-topology systems.
-	for oi, org := range orgs {
+	ps := placements(spec, orgs, links, topos)
+	searchPlacements(ps)
+	// Results combine in spec order, so the first error in spec order is
+	// the one reported, whichever search finished first.
+	for oi := range orgs {
 		var sat float64
-		for _, topoAxis := range topos {
-			for _, msg := range spec.Messages {
-				for _, lk := range links {
-					par, err := spec.params(msg, lk)
-					if err != nil {
-						return nil, fmt.Errorf("sweep: spec %q: %v", spec.Name, err)
-					}
-					s, err := ModelFor("calibrated", org, lk, topoAxis, par).SaturationPoint(1e-3)
-					if err != nil {
-						return nil, fmt.Errorf("sweep: spec %q: org %q: %v", spec.Name, spec.Orgs[oi], err)
-					}
-					if !math.IsInf(s, 1) && s > sat {
-						sat = s
-					}
-				}
+		for ; len(ps) > 0 && ps[0].org == oi; ps = ps[1:] {
+			switch p := &ps[0]; {
+			case p.model == nil:
+				return nil, fmt.Errorf("sweep: spec %q: %v", spec.Name, p.err)
+			case p.err != nil:
+				return nil, fmt.Errorf("sweep: spec %q: org %q: %v", spec.Name, spec.Orgs[oi], p.err)
+			case !math.IsInf(p.sat, 1) && p.sat > sat:
+				sat = p.sat
 			}
 		}
 		if sat == 0 {
@@ -450,4 +466,76 @@ func loadGrids(spec Spec, orgs, links, topos []string) ([][]float64, error) {
 		grids[oi] = grid
 	}
 	return grids, nil
+}
+
+// placements lists the saturation searches that place the spec's load
+// grids, in spec order: per organization, one per topology, message and
+// link axis value. Grid placement always uses the calibrated model, even
+// when the spec attaches a different (or no) analytic curve to the results:
+// the grid is a sampling decision, not a modeling claim. The saturation
+// maximum runs over the topology axis too, so every topology's curve fits
+// on the shared grid; with the default axis this materializes exactly the
+// pre-topology systems.
+func placements(spec Spec, orgs, links, topos []string) []placement {
+	var ps []placement
+	for oi, org := range orgs {
+		for _, topoAxis := range topos {
+			for _, msg := range spec.Messages {
+				for _, lk := range links {
+					par, err := spec.params(msg, lk)
+					p := placement{org: oi, err: err}
+					if err == nil {
+						p.model = ModelFor("calibrated", org, lk, topoAxis, par)
+					}
+					ps = append(ps, p)
+				}
+			}
+		}
+	}
+	return ps
+}
+
+// unsearched returns the indices of the placements whose model has no
+// memoized placement point yet: none on a warm pass.
+func unsearched(ps []placement) []int {
+	var todo []int
+	for i, p := range ps {
+		if p.model != nil && !p.model.saturationKnown(placementTol) {
+			todo = append(todo, i)
+		}
+	}
+	return todo
+}
+
+// searchPlacements runs every placement's search. When more than one is
+// unsearched, those run first on up to GOMAXPROCS goroutines; every search
+// left, all of them on a warm pass, is a memo read in the caller's
+// goroutine.
+func searchPlacements(ps []placement) {
+	todo := unsearched(ps)
+	if workers := min(runtime.GOMAXPROCS(0), len(todo)); workers > 1 {
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for range workers {
+			go func() {
+				defer wg.Done()
+				for k := next.Add(1) - 1; k < int64(len(todo)); k = next.Add(1) - 1 {
+					ps[todo[k]].search()
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	for i := range ps {
+		if p := &ps[i]; p.model != nil && !p.searched {
+			p.search()
+		}
+	}
+}
+
+// search runs the placement's saturation search on its memoized model.
+func (p *placement) search() {
+	p.sat, p.err = p.model.SaturationPoint(placementTol)
+	p.searched = true
 }

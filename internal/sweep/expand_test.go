@@ -1,7 +1,13 @@
 package sweep
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -361,6 +367,7 @@ func TestValidateRejections(t *testing.T) {
 		func(s *Spec) { s.Loads = Loads{Lambdas: []float64{-1}} },
 		func(s *Spec) { s.Model = "astrology" },
 		func(s *Spec) { s.Messages = []MessageGeometry{{Flits: 0, FlitBytes: 256}} },
+		func(s *Spec) { s.Warmup, s.Measure, s.Drain = 100, 3000000000, 100 },
 	}
 	for i, mutate := range bad {
 		spec := tinySpec()
@@ -368,6 +375,22 @@ func TestValidateRejections(t *testing.T) {
 		if _, err := Expand(spec); err == nil {
 			t.Errorf("case %d: expansion of invalid spec succeeded", i)
 		}
+	}
+}
+
+// TestValidatePhaseBound: a spec whose phases sum past the simulator's
+// message bound fails validation with the simulator's own message, before
+// any job runs.
+func TestValidatePhaseBound(t *testing.T) {
+	spec := tinySpec()
+	spec.Warmup, spec.Measure, spec.Drain = 100, 3000000000, 100
+	err := spec.Normalized().Validate()
+	if err == nil || !strings.Contains(err.Error(), "sum past 2147483647 messages") {
+		t.Fatalf("Validate = %v, want the phase-count bound", err)
+	}
+	spec.Warmup, spec.Measure, spec.Drain = 1, math.MaxInt32-2, 1
+	if err := spec.Normalized().Validate(); err != nil {
+		t.Fatalf("phases summing to the bound rejected: %v", err)
 	}
 }
 
@@ -416,5 +439,73 @@ func TestBuiltinSpecsExpand(t *testing.T) {
 	}
 	if _, ok := Builtin("no-such"); ok {
 		t.Error("unknown builtin resolved")
+	}
+}
+
+// joinedIdentity is the job identity as strings joined by "|", the
+// rendering keys and seeds were first defined by; appendIdentity must
+// reproduce it byte for byte.
+func joinedIdentity(j Job) string {
+	hf := func(v float64) string { return strconv.FormatFloat(v, 'x', -1, 64) }
+	parts := []string{
+		"org=" + j.Org,
+		"flits=" + strconv.Itoa(j.Flits),
+		"flitbytes=" + strconv.Itoa(j.FlitBytes),
+		"pattern=" + j.Pattern,
+		"routing=" + j.Routing,
+		"lambda=" + hf(j.Lambda),
+		"rep=" + strconv.Itoa(j.Rep),
+		"alphanet=" + hf(j.AlphaNet),
+		"alphasw=" + hf(j.AlphaSw),
+		"betanet=" + hf(j.BetaNet),
+		"warmup=" + strconv.Itoa(j.Warmup),
+		"measure=" + strconv.Itoa(j.Measure),
+		"drain=" + strconv.Itoa(j.Drain),
+		"seed=" + strconv.FormatUint(j.SimSeed, 10),
+	}
+	if j.Arrival != "" {
+		parts = append(parts, "arrival="+j.Arrival)
+	}
+	if j.SizeDist != "" {
+		parts = append(parts, "size="+j.SizeDist)
+	}
+	if j.Links != "" {
+		parts = append(parts, "links="+j.Links)
+	}
+	if j.Topo != "" {
+		parts = append(parts, "topo="+j.Topo)
+	}
+	return strings.Join(parts, "|")
+}
+
+// TestIdentityMatchesJoined pins Key and DeriveSeed to the joined identity:
+// with every optional field empty and set, at extreme field values, and
+// with an identity longer than the stack buffer.
+func TestIdentityMatchesJoined(t *testing.T) {
+	base := Job{
+		Org: "m=8:16x1,16x2", Flits: 32, FlitBytes: 256, Pattern: "uniform", Routing: "balanced",
+		Lambda: 3.1e-4, Rep: 2, AlphaNet: 0.02, AlphaSw: 0.01, BetaNet: 0.002,
+		Warmup: 100, Measure: 1000, Drain: 100, SimSeed: math.MaxUint64,
+	}
+	full := base
+	full.Arrival, full.SizeDist, full.Links, full.Topo = "mmpp:8:16", "bimodal:8:64:0.2", "icn2=0.04/0.02/0.004", "jellyfish+dragonfly"
+	extreme := full
+	extreme.Lambda, extreme.Rep, extreme.Warmup, extreme.Drain = math.SmallestNonzeroFloat64, math.MinInt, math.MaxInt, -1
+	long := full
+	long.Org = strings.Repeat("m=4:2x1,", 80) + "2x2"
+	for _, j := range []Job{base, full, extreme, long} {
+		id := joinedIdentity(j)
+		sum := sha256.Sum256([]byte(id))
+		if got, want := j.Key(), hex.EncodeToString(sum[:]); got != want {
+			t.Errorf("%.40s…: key %s, want %s", id, got, want)
+		}
+		for _, seed := range []uint64{0, 1, 1 << 63} {
+			h := sha256.New()
+			h.Write([]byte(id))
+			binary.Write(h, binary.LittleEndian, seed)
+			if got, want := DeriveSeed(seed, j), binary.LittleEndian.Uint64(h.Sum(nil)[:8]); got != want {
+				t.Errorf("%.40s… base %d: seed %d, want %d", id, seed, got, want)
+			}
+		}
 	}
 }

@@ -139,7 +139,7 @@ func (m *Model) build() (*analytic.Grid, error) {
 // SaturationPoint returns the load at which the model first saturates,
 // searched from 1e-6 to the relative tolerance tol once per entry and
 // tolerance (+Inf when the model does not saturate below λ = 1). Grid
-// placement uses 1e-3; the service reports the point at 1e-4.
+// placement uses placementTol, 1e-3; the service reports the point at 1e-4.
 func (m *Model) SaturationPoint(tol float64) (float64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -153,6 +153,15 @@ func (m *Model) SaturationPoint(tol float64) (float64, error) {
 	sat := g.SaturationPoint(1e-6, 1, tol)
 	m.sat[tol] = sat
 	return sat, nil
+}
+
+// saturationKnown reports whether the entry's saturation point at tol has
+// been searched.
+func (m *Model) saturationKnown(tol float64) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	_, ok := m.sat[tol]
+	return ok
 }
 
 // MeanLatency evaluates the model's mean latency (Eq. 36) at lambda; a

@@ -5,6 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -368,5 +371,79 @@ func TestModelSaturationPerTolerance(t *testing.T) {
 	m.mu.Unlock()
 	if n != 0 {
 		t.Fatalf("MeanLatency added %d points to the engine's map", n)
+	}
+}
+
+// TestExpandPlacementAnyProcs: a cold expansion of the sweep-grid
+// benchmark's spec places the same load grids, and so gives the same jobs,
+// whether its saturation searches run on one goroutine or on four.
+func TestExpandPlacementAnyProcs(t *testing.T) {
+	spec := memoGridSpec()
+	spec.Loads.Points = 4
+	var runs [][]Job
+	for _, procs := range []int{1, 4} {
+		resetModelMemo()
+		prev := runtime.GOMAXPROCS(procs)
+		jobs, err := Expand(spec)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS %d: %v", procs, err)
+		}
+		runs = append(runs, jobs)
+	}
+	if !reflect.DeepEqual(runs[0], runs[1]) {
+		t.Fatal("Expand at GOMAXPROCS 1 and 4 gave different jobs")
+	}
+}
+
+// TestExpandPlacementFirstError: when several placement searches fail, the
+// expansion reports the first failure in spec order at any GOMAXPROCS, not
+// the first to finish. Both failing organizations parse and build as fat
+// trees; their equal-budget jellyfish exceed the switch bound.
+func TestExpandPlacementFirstError(t *testing.T) {
+	spec := tinySpec()
+	spec.Orgs = []string{"org1", "m=4:2x9", "m=4:2x8"}
+	spec.Topologies = []string{"fattree", "jellyfish"}
+	for _, procs := range []int{1, 4} {
+		resetModelMemo()
+		prev := runtime.GOMAXPROCS(procs)
+		_, err := Expand(spec)
+		runtime.GOMAXPROCS(prev)
+		if err == nil || !strings.Contains(err.Error(), `org "m=4:2x9"`) {
+			t.Fatalf("GOMAXPROCS %d: error %v, want the m=4:2x9 jellyfish's", procs, err)
+		}
+	}
+}
+
+// TestWarmPlacementSearchesNothing: once a spec has expanded, every one of
+// its placement searches is memoized, so a warm expansion takes the serial
+// path and starts no goroutine; a cold memo leaves every search pending.
+func TestWarmPlacementSearchesNothing(t *testing.T) {
+	spec := memoGridSpec().Normalized()
+	var orgs []string
+	for _, o := range spec.Orgs {
+		c, err := canonicalOrg(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		orgs = append(orgs, c)
+	}
+	links, err := canonicalLinks(spec.Links)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topos, err := canonicalTopos(spec.Topologies)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resetModelMemo()
+	if ps := placements(spec, orgs, links, topos); len(unsearched(ps)) != len(ps) || len(ps) != 6 {
+		t.Fatalf("cold memo: %d of %d searches pending, want all 6", len(unsearched(ps)), len(ps))
+	}
+	if _, err := Expand(spec); err != nil {
+		t.Fatal(err)
+	}
+	if todo := unsearched(placements(spec, orgs, links, topos)); len(todo) != 0 {
+		t.Fatalf("warm memo: searches %v pending, want none", todo)
 	}
 }

@@ -36,6 +36,7 @@ import (
 	"strings"
 
 	"mcnet/internal/analytic"
+	"mcnet/internal/mcsim"
 	"mcnet/internal/routing"
 	"mcnet/internal/system"
 	"mcnet/internal/topo"
@@ -243,11 +244,8 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("sweep: spec %q: non-positive load %v", s.Name, l)
 		}
 	}
-	if s.Measure <= 0 {
-		return fmt.Errorf("sweep: spec %q: measure phase must be positive", s.Name)
-	}
-	if s.Warmup < 0 || s.Drain < 0 {
-		return fmt.Errorf("sweep: spec %q: negative warmup/drain (%d,%d)", s.Name, s.Warmup, s.Drain)
+	if err := mcsim.CheckPhases(s.Warmup, s.Measure, s.Drain); err != nil {
+		return fmt.Errorf("sweep: spec %q: %v", s.Name, err)
 	}
 	if s.Reps < 0 {
 		return fmt.Errorf("sweep: spec %q: negative reps %d", s.Name, s.Reps)

@@ -8,21 +8,33 @@ import (
 
 // BenchmarkTopoBuild measures fresh, uncached construction of the sweep
 // grid's topology shapes: the paper's Org1 m=8 3-tree (its largest fat
-// tree, with every route table), the equal-budget jellyfish of Org2's m=4
-// 5-tree (its largest random-regular graph, with the all-pairs path table)
-// and the dragonfly that attaches Org1's 32 clusters. Every process pays
-// these builds the first time it meets a shape. The m=4 9-tree is the
-// deepest tree the shape bound accepts; its B/op shows how close the build
-// stays to its tables' exact size.
+// tree), the equal-budget jellyfish of Org2's m=4 5-tree (its largest
+// random-regular graph) and the dragonfly that attaches Org1's 32 clusters.
+// Every process pays these builds the first time it meets a shape. The m=4
+// 9-tree is the deepest tree the shape bound accepts; its B/op shows how
+// close the build stays to its tables' exact size. These cases force the
+// route tables a simulation builds on its first route. The "-model" case
+// builds the 9-tree as the analytic model alone meets it: geometry and
+// route-length distribution, no tables.
 func BenchmarkTopoBuild(b *testing.B) {
+	withTables := func(t Topology, err error) (Topology, error) {
+		switch t := t.(type) {
+		case *FatTree:
+			t.tables()
+		case *Jellyfish:
+			t.paths()
+		}
+		return t, err
+	}
 	for _, c := range []struct {
 		name  string
 		build func() (Topology, error)
 	}{
-		{"fattree-m8-n3", func() (Topology, error) { return newFatTree(8, 3, routing.Balanced) }},
-		{"fattree-m4-n9", func() (Topology, error) { return newFatTree(4, 9, routing.Balanced) }},
+		{"fattree-m8-n3", func() (Topology, error) { return withTables(newFatTree(8, 3, routing.Balanced)) }},
+		{"fattree-m4-n9", func() (Topology, error) { return withTables(newFatTree(4, 9, routing.Balanced)) }},
+		{"fattree-m4-n9-model", func() (Topology, error) { return newFatTree(4, 9, routing.Balanced) }},
 		{"jellyfish-m4-n5", func() (Topology, error) {
-			return newJellyfish(nodeCount(4, 5), switchCount(4, 5), 4, 0)
+			return withTables(newJellyfish(nodeCount(4, 5), switchCount(4, 5), 4, 0))
 		}},
 		{"dragonfly-org1", func() (Topology, error) { return newDragonfly(32) }},
 	} {

@@ -93,8 +93,7 @@ func (d *Dragonfly) Switches() int { return d.g * d.a }
 func (d *Dragonfly) Channels() int {
 	return 2*d.terminals + d.g*d.a*(d.a-1) + d.g*(d.g-1)
 }
-func (d *Dragonfly) IsNodeChannel(c int) bool { return c < 2*d.terminals }
-func (d *Dragonfly) MaxRouteLen() int         { return 5 }
+func (d *Dragonfly) MaxRouteLen() int { return 5 }
 
 // RouteLen is the channel count of the minimal route: 2 within one router,
 // 3 within one group, and 3–5 across groups depending on whether source

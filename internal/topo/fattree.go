@@ -3,6 +3,7 @@ package topo
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"mcnet/internal/routing"
 )
@@ -41,8 +42,10 @@ import (
 // # Routing
 //
 // Routes follow the up*/down* discipline of the instance's routing.Mode
-// (fattree_route.go). The routes are precomputed at construction into flat
-// arenas, so the appenders are copies with no per-message work.
+// (fattree_route.go). The routes are precomputed into flat arenas on the
+// first request for one, so the appenders are copies with no per-message
+// work, and a tree only the analytic model reads (it reads the route-length
+// distribution) never builds them.
 type FatTree struct {
 	ports  int // m
 	levels int // n
@@ -56,7 +59,12 @@ type FatTree struct {
 
 	dist    []float64 // RouteDist: dist[2j] = P(j) of Eq. 4
 	avgDist float64
+	// rootsPow2 reports that Roots() is a power of two, so RootIndex masks.
+	rootsPow2 bool
 
+	// built guards the route tables below: buildTables runs once, on the
+	// first AppendRoute, AppendUpToRoot or AppendDownFromRoot.
+	built sync.Once
 	// routes[src*nodes+dst] spans routeArena (Balanced mode only: the
 	// RandomUp ascent depends on the per-message selector).
 	routeOff   []int32
@@ -80,10 +88,10 @@ type treeSwitch struct {
 var errBadShape = errors.New("topo: invalid m-port n-tree shape")
 
 // maxTreeNodes bounds the node count 2(m/2)^n of a buildable tree. A fat
-// tree precomputes a route for every ordered node pair, so its tables grow
-// as N²·n: 94.4 MB for the m=4 9-tree, the deepest tree within the bound
-// (71.3 MB of routes, 4.2 MB of offsets and 9.4 MB each of ascents and
-// descents), and gigabytes a few levels beyond it.
+// tree that routes precomputes a route for every ordered node pair, so its
+// tables grow as N²·n: 94.4 MB for the m=4 9-tree, the deepest tree within
+// the bound (71.3 MB of routes, 4.2 MB of offsets and 9.4 MB each of
+// ascents and descents), and gigabytes a few levels beyond it.
 const maxTreeNodes = 1 << 10
 
 // maxTreeLevels bounds n at the depth of that m=4 9-tree, so every tree
@@ -140,7 +148,8 @@ func switchCount(ports, levels int) int {
 }
 
 // NewFatTree returns the process-shared m-port n-tree of (ports, levels)
-// routed under mode, building it and its route tables on first use.
+// routed under mode, building it on first use; its route tables wait for
+// its first route.
 func NewFatTree(ports, levels int, mode routing.Mode) (*FatTree, error) {
 	key := cacheKey{kind: KindFatTree, ports: ports, size: levels, mode: mode}
 	t, err := cached(key, func() (Topology, error) { return newFatTree(ports, levels, mode) })
@@ -183,7 +192,8 @@ func newFatTree(ports, levels int, mode routing.Mode) (*FatTree, error) {
 		f.dist[2*j] = p
 		f.avgDist += 2 * float64(j) * p
 	}
-	f.buildTables()
+	roots := f.Roots()
+	f.rootsPow2 = roots&(roots-1) == 0
 	return f, nil
 }
 
@@ -214,10 +224,6 @@ func (f *FatTree) Roots() int { return f.levelSize[f.levels] }
 
 // Channels returns the number of directed channels, 2nN.
 func (f *FatTree) Channels() int { return 2 * f.levels * f.nodes }
-
-// IsNodeChannel reports whether channel id c is a node↔switch link (these
-// use the t_cn service time; switch↔switch links use t_cs).
-func (f *FatTree) IsNodeChannel(c int) bool { return c < 2*f.nodes }
 
 func (f *FatTree) MaxRouteLen() int { return 2 * f.levels }
 

@@ -85,6 +85,10 @@ func (f *FatTree) appendAscent(path []int32, src, y int) []int32 {
 	return path
 }
 
+// tables builds the route tables on the first call; every later call costs
+// one atomic load.
+func (f *FatTree) tables() { f.built.Do(f.buildTables) }
+
 // buildTables precomputes, in both modes, the ascent from every node to
 // every root and the descent from every root to every node, and then the
 // Balanced intra route of every ordered (src, dst) pair.
@@ -175,21 +179,20 @@ func (f *FatTree) AppendRoute(path []int32, base int32, src, dst int, sel uint64
 	if f.mode != routing.Balanced {
 		return f.appendRoute(path, base, src, dst, sel)
 	}
+	f.tables()
 	i := src*f.nodes + dst
 	return appendOffset(path, f.routeArena[f.routeOff[i]:f.routeOff[i+1]], base)
 }
 
 // RootIndex returns the within-level index of the root switch selected by
-// successive base-k digits of sel.
+// successive base-k digits of sel: digit l−1 picks the up-port at level l,
+// so the index is sel's n−1 low base-k digits, sel mod k^(n−1).
 func (f *FatTree) RootIndex(sel uint64) int {
-	k := uint64(f.k)
-	y, stride := 0, 1
-	for l := 1; l < f.levels; l++ {
-		y += int(sel%k) * stride
-		sel /= k
-		stride *= f.k
+	roots := uint64(f.Roots())
+	if f.rootsPow2 {
+		return int(sel & (roots - 1))
 	}
-	return y
+	return int(sel % roots)
 }
 
 // AppendUpToRoot appends the ascent from src (n channels: the injection
@@ -197,6 +200,7 @@ func (f *FatTree) RootIndex(sel uint64) int {
 // digits, offset by base, and returns the root's within-level index. This
 // is the outbound leg towards the cluster's concentrator.
 func (f *FatTree) AppendUpToRoot(path []int32, base int32, src int, sel uint64) ([]int32, int) {
+	f.tables()
 	y := f.RootIndex(sel)
 	i := (src*f.Roots() + y) * f.levels
 	return appendOffset(path, f.upArena[i:i+f.levels], base), y
@@ -207,6 +211,7 @@ func (f *FatTree) AppendUpToRoot(path []int32, base int32, src int, sel uint64) 
 // link), offset by base. This is the inbound leg from the cluster's
 // concentrator.
 func (f *FatTree) AppendDownFromRoot(path []int32, base int32, rootY, dst int) []int32 {
+	f.tables()
 	i := (rootY*f.nodes + dst) * f.levels
 	return appendOffset(path, f.downArena[i:i+f.levels], base)
 }

@@ -2,7 +2,9 @@ package topo
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"mcnet/internal/rng"
@@ -367,6 +369,57 @@ func TestAppendUpDownMatchReference(t *testing.T) {
 	}
 }
 
+// digitRootIndex is RootIndex's original form: it places sel's base-k
+// digits, least significant first, at strides k^l for the n−1 ascending
+// levels.
+func digitRootIndex(f *FatTree, sel uint64) int {
+	k := uint64(f.k)
+	y, stride := 0, 1
+	for l := 1; l < f.levels; l++ {
+		y += int(sel%k) * stride
+		sel /= k
+		stride *= f.k
+	}
+	return y
+}
+
+// TestRootIndexMatchesDigits checks RootIndex, sel mod k^(n−1), against the
+// digit loop over random selectors and the edge selectors, for every shape
+// the shape bounds accept.
+func TestRootIndexMatchesDigits(t *testing.T) {
+	src := rng.New(7)
+	shapes := 0
+	for ports := 2; ports <= 2*maxTreeNodes; ports += 2 {
+		for levels := 1; levels <= maxTreeLevels; levels++ {
+			if checkShape(ports, levels) != nil {
+				continue
+			}
+			shapes++
+			tr, err := newFatTree(ports, levels, routing.Balanced)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for trial := 0; trial < 64; trial++ {
+				sel := src.Uint64()
+				switch trial {
+				case 0:
+					sel = 0
+				case 1:
+					sel = math.MaxUint64
+				case 2:
+					sel = uint64(tr.Roots())
+				}
+				if got, want := tr.RootIndex(sel), digitRootIndex(tr, sel); got != want {
+					t.Fatalf("m=%d n=%d: RootIndex(%d) = %d, digit loop %d", ports, levels, sel, got, want)
+				}
+			}
+		}
+	}
+	if shapes < maxTreeNodes/2 {
+		t.Fatalf("checked %d shapes, want every accepted one", shapes)
+	}
+}
+
 // TestTableMatchesDynamic checks, for every ordered pair, that the
 // precomputed tables reproduce the hop-by-hop computation exactly — the
 // property that makes table-driven routing result-identical to per-message
@@ -507,5 +560,54 @@ func TestLoadSummaryString(t *testing.T) {
 	}
 	if (LoadSummary{}).Imbalance() != 0 {
 		t.Error("zero-mean imbalance should be 0")
+	}
+}
+
+// TestTablesBuildOnceUnderConcurrentRoutes: goroutines that take their
+// first routes on one fresh fat tree and one fresh jellyfish at once all
+// read the complete tables, the same routes as the label-walking reference
+// (the race detector checks the build's publication).
+func TestTablesBuildOnceUnderConcurrentRoutes(t *testing.T) {
+	tree, err := newFatTree(8, 2, routing.Balanced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jelly, err := newJellyfish(nodeCount(4, 3), switchCount(4, 3), 4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for src := 0; src < tree.Nodes(); src++ {
+				dst := (src + 1 + g) % tree.Nodes()
+				got := tree.AppendRoute(nil, 0, src, dst, 0)
+				if want := toGlobal(tree.route(src, dst, 0), 0); !reflect.DeepEqual(got, want) {
+					errs <- fmt.Sprintf("tree route %d→%d = %v, want %v", src, dst, got, want)
+					return
+				}
+				up, y := tree.AppendUpToRoot(nil, 0, src, uint64(g))
+				down := tree.AppendDownFromRoot(nil, 0, y, dst)
+				if len(up) != tree.Levels() || len(down) != tree.Levels() {
+					errs <- fmt.Sprintf("tree legs %v %v", up, down)
+					return
+				}
+			}
+			for src := 0; src < jelly.Nodes(); src++ {
+				dst := (src + 1 + g) % jelly.Nodes()
+				if len(jelly.AppendRoute(nil, 0, src, dst, 0)) != jelly.RouteLen(src, dst) {
+					errs <- fmt.Sprintf("jellyfish route %d→%d has the wrong length", src, dst)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }

@@ -2,6 +2,7 @@ package topo
 
 import (
 	"fmt"
+	"sync"
 
 	"mcnet/internal/rng"
 )
@@ -15,9 +16,10 @@ const defaultJellyfishSeed = 0x6a656c6c79 // "jelly"
 // Center Topology Design" (Singla et al.): the same node and switch budget
 // as the equivalent m-port n-tree, but with every switch port not used for
 // node attachment wired into a random regular graph among the switches.
-// Routing is single shortest path over a precomputed all-pairs table, so
-// the simulator's hot path is a zero-alloc arena copy exactly like the fat
-// tree's.
+// Routing is single shortest path over an all-pairs table, precomputed on
+// the first route, so the simulator's hot path is a zero-alloc arena copy
+// exactly like the fat tree's. The switch-pair distances the route-length
+// distribution reads are computed at construction.
 //
 // Channel layout: [0,N) node injection channels, [N,2N) node delivery
 // channels, then two directed channels per undirected switch edge e —
@@ -28,15 +30,22 @@ type Jellyfish struct {
 	ports    int
 	seed     uint64
 
-	edges     [][2]int32 // undirected switch pairs, low endpoint first
-	adj       [][]int32  // neighbor switches
-	adjChan   [][]int32  // directed channel id of s→adj[s][k]
-	dist      []int32    // switch-pair hop distance, row-major
-	pathOff   []int32    // per ordered switch pair: offset into pathArena
-	pathArena []int32    // concatenated switch-path channel ids
+	edges   [][2]int32 // undirected switch pairs, low endpoint first
+	adj     [][]int32  // neighbor switches
+	adjChan [][]int32  // directed channel id of s→adj[s][k]
+	dist    []int32    // switch-pair hop distance, row-major
+	// via[a*S+b] is the channel over which the search from switch a first
+	// reached b; buildPaths walks it back and then drops it.
+	via       []int32
 	routeDist []float64
 	avgDist   float64
 	maxRoute  int
+
+	// built guards the path tables below: buildPaths runs once, on the
+	// first AppendRoute or CheckStructure.
+	built     sync.Once
+	pathOff   []int32 // per ordered switch pair: offset into pathArena
+	pathArena []int32 // concatenated switch-path channel ids
 }
 
 // newJellyfish wires a random-regular graph over the given switch budget.
@@ -70,7 +79,7 @@ func newJellyfish(nodes, switches, ports int, seed uint64) (*Jellyfish, error) {
 		}
 	}
 	j.buildAdjacency()
-	j.buildPaths()
+	j.buildDist()
 	j.buildRouteDist()
 	return j, nil
 }
@@ -236,21 +245,16 @@ func (j *Jellyfish) buildAdjacency() {
 	}
 }
 
-// buildPaths runs BFS from every switch and freezes one shortest path per
-// ordered switch pair into a flat arena, so AppendRoute is a bounds-checked
-// copy with no allocation or per-hop branching. The searches fill the
-// distance table, whose sum sizes the arena exactly, and record in last
-// the channel over which each pair's search first reached its destination;
-// each path is then written straight into the arena by walking those
-// channels back from its destination.
-func (j *Jellyfish) buildPaths() {
+// buildDist runs BFS from every switch, visiting neighbours in adjacency
+// order. The searches fill the distance table, which the route-length
+// distribution, RouteLen and MaxRouteLen read, and record in via the
+// channel over which each pair's search first reached its destination.
+func (j *Jellyfish) buildDist() {
 	S := j.switches
-	j.dist = make([]int32, S*S)
-	last := make([]int32, S*S)
+	j.dist, j.via = make([]int32, S*S), make([]int32, S*S)
 	queue := make([]int32, S)
-	total := 0
 	for a := 0; a < S; a++ {
-		row, via := j.dist[a*S:(a+1)*S], last[a*S:(a+1)*S]
+		row, via := j.dist[a*S:(a+1)*S], j.via[a*S:(a+1)*S]
 		for i := range row {
 			row[i] = -1
 		}
@@ -262,26 +266,48 @@ func (j *Jellyfish) buildPaths() {
 				if row[v] < 0 {
 					row[v] = row[u] + 1
 					via[v] = j.adjChan[u][k]
-					total += int(row[v])
 					queue[tail] = v
 					tail++
 				}
 			}
 		}
 	}
-	j.pathOff = make([]int32, S*S+1)
-	j.pathArena = make([]int32, total)
+	j.maxRoute = 2
+	for _, d := range j.dist {
+		if int(d)+2 > j.maxRoute {
+			j.maxRoute = int(d) + 2
+		}
+	}
+}
+
+// paths builds the path tables on the first call; every later call costs
+// one atomic load.
+func (j *Jellyfish) paths() { j.built.Do(j.buildPaths) }
+
+// buildPaths freezes one shortest path per ordered switch pair into a flat
+// arena, so AppendRoute is a bounds-checked copy with no allocation or
+// per-hop branching. The distance table's sum sizes the arena exactly, and
+// each path is written straight into the arena by walking the via channels
+// back from its destination.
+func (j *Jellyfish) buildPaths() {
+	S := j.switches
+	total := 0
+	for _, d := range j.dist {
+		total += max(int(d), 0)
+	}
+	pathOff := make([]int32, S*S+1)
+	arena := make([]int32, total)
 	base := int32(2 * j.nodes)
 	off := int32(0)
 	for a := 0; a < S; a++ {
-		row, via := j.dist[a*S:(a+1)*S], last[a*S:(a+1)*S]
+		row, via := j.dist[a*S:(a+1)*S], j.via[a*S:(a+1)*S]
 		for b, d := range row {
-			j.pathOff[a*S+b] = off
+			pathOff[a*S+b] = off
 			if d <= 0 { // b == a, or unreachable
 				continue
 			}
 			off += d
-			p := j.pathArena[off-d : off]
+			p := arena[off-d : off]
 			for at, i := b, d-1; i >= 0; i-- {
 				c := via[at]
 				p[i] = c
@@ -291,13 +317,8 @@ func (j *Jellyfish) buildPaths() {
 			}
 		}
 	}
-	j.pathOff[S*S] = off
-	j.maxRoute = 2
-	for _, d := range j.dist {
-		if int(d)+2 > j.maxRoute {
-			j.maxRoute = int(d) + 2
-		}
-	}
+	pathOff[S*S] = off
+	j.pathOff, j.pathArena, j.via = pathOff, arena, nil
 }
 
 // buildRouteDist aggregates the switch-pair distances into the route-length
@@ -330,12 +351,11 @@ func (j *Jellyfish) buildRouteDist() {
 	}
 }
 
-func (j *Jellyfish) Kind() string             { return KindJellyfish }
-func (j *Jellyfish) Nodes() int               { return j.nodes }
-func (j *Jellyfish) Switches() int            { return j.switches }
-func (j *Jellyfish) Channels() int            { return 2*j.nodes + 2*len(j.edges) }
-func (j *Jellyfish) IsNodeChannel(c int) bool { return c < 2*j.nodes }
-func (j *Jellyfish) MaxRouteLen() int         { return j.maxRoute }
+func (j *Jellyfish) Kind() string     { return KindJellyfish }
+func (j *Jellyfish) Nodes() int       { return j.nodes }
+func (j *Jellyfish) Switches() int    { return j.switches }
+func (j *Jellyfish) Channels() int    { return 2*j.nodes + 2*len(j.edges) }
+func (j *Jellyfish) MaxRouteLen() int { return j.maxRoute }
 
 func (j *Jellyfish) RouteLen(src, dst int) int {
 	if src == dst {
@@ -345,6 +365,7 @@ func (j *Jellyfish) RouteLen(src, dst int) int {
 }
 
 func (j *Jellyfish) AppendRoute(path []int32, base int32, src, dst int, sel uint64) []int32 {
+	j.paths()
 	path = append(path, base+int32(src))
 	a, b := src%j.switches, dst%j.switches
 	if a != b {
@@ -399,6 +420,7 @@ func (j *Jellyfish) CheckStructure() error {
 	}
 	// Every frozen switch path must start at src's switch, chain channel by
 	// channel, end at dst's switch and match the BFS distance.
+	j.paths()
 	for a := 0; a < S; a++ {
 		for b := 0; b < S; b++ {
 			if a == b {

@@ -40,9 +40,10 @@ func hashFloats(h hash.Hash, xs []float64) {
 // fat tree's Balanced route arena and its ascent/descent arenas for every
 // tableShapes shape in both modes, the Jellyfish distance, path and
 // route-length tables for TestJellyfish's shapes, and the Dragonfly's
-// all-pairs routes for TestDragonfly's terminal counts. A rewrite of a
-// table builder must leave every digest unchanged: the simulator's routes,
-// and so every simulated result, hang off these tables.
+// all-pairs routes for TestDragonfly's terminal counts. The fat-tree and
+// jellyfish tables wait for a topology's first route, so the test forces
+// them. A rewrite of a table builder must leave every digest unchanged: the
+// simulator's routes, and so every simulated result, hang off these tables.
 func TestTablesPinned(t *testing.T) {
 	want := map[string]string{
 		"fattree m=4 n=1 balanced":  "52177fa97965e81a91ce6fa1fe8ba3343e9bb5e24dfd5487b17a6f3462a8e6c7",
@@ -80,6 +81,7 @@ func TestTablesPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			tr.tables()
 			h := sha256.New()
 			hashInt32s(h, tr.routeOff, tr.routeArena, tr.upArena, tr.downArena)
 			got[fmt.Sprintf("fattree m=%d n=%d %v", sh[0], sh[1], mode)] = hex.EncodeToString(h.Sum(nil))
@@ -90,6 +92,7 @@ func TestTablesPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		jf.paths()
 		h := sha256.New()
 		hashInt32s(h, jf.dist, jf.pathOff, jf.pathArena)
 		hashFloats(h, jf.routeDist)

@@ -6,15 +6,18 @@
 // Dragonfly-style global interconnect. All three implement the Topology
 // contract: dense channel enumeration, zero-alloc route appenders over
 // precomputed tables, and the structural distributions the analytic model
-// consumes. Built instances are shared process-wide through one cache.
+// consumes. Built instances are shared process-wide through one cache. The
+// distributions are computed at construction; the fat tree's and the
+// jellyfish's route tables on the first route, so a topology only the model
+// reads never builds them.
 //
 // # Channel-id layout
 //
 // Every topology exposes Channels() dense directed-channel identifiers in
 // [0, Channels()). Identifiers below 2·Nodes() are the node (injection /
-// delivery) channels — IsNodeChannel — which the simulator maps to the
-// endpoint link class (ICN1 node links intra-cluster, concentrator links on
-// the global tier); the rest are switch→switch channels carrying the
+// delivery) channels, which the simulator maps to the endpoint link class
+// (ICN1 node links intra-cluster, concentrator links on the global tier);
+// the rest, from 2·Nodes() on, are switch→switch channels carrying the
 // network's switch link class. Routes are sequences of these identifiers,
 // starting with the source's injection channel and ending with the
 // destination's delivery channel.
@@ -49,11 +52,9 @@ type Topology interface {
 	// Switches is the switch count — the budget equal-cost comparisons hold
 	// fixed.
 	Switches() int
-	// Channels is the number of dense directed-channel identifiers.
+	// Channels is the number of dense directed-channel identifiers; the
+	// first 2·Nodes() are the endpoint (injection and delivery) channels.
 	Channels() int
-	// IsNodeChannel reports whether channel c is an endpoint (injection or
-	// delivery) channel rather than a switch→switch channel.
-	IsNodeChannel(c int) bool
 	// MaxRouteLen bounds the channel count of any route.
 	MaxRouteLen() int
 	// RouteLen is the channel count of the (minimal) route src→dst.
@@ -192,7 +193,8 @@ func FormatAxis(cluster, global Spec) string {
 
 // cache shares built topologies process-wide: wiring, route tables and
 // distributions are pure functions of the key, and topologies are immutable
-// after construction, so concurrent simulations reuse one instance.
+// after construction apart from route tables built once under a sync.Once,
+// so concurrent simulations reuse one instance.
 var cache sync.Map // cacheKey -> Topology
 
 // cacheKey identifies a built topology. mode is set only for the fat tree,

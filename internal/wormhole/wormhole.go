@@ -236,20 +236,26 @@ func New(sched *des.Scheduler, flitTimes []float64) *Network {
 	n.hid = sched.Register(n)
 	var laneFlit [maxLanes]float64
 	nl, heap := 0, false
+	// Channels come in runs of one flit time, so a channel whose time
+	// repeats its predecessor's takes the same lane without a search.
+	prev, k := 0.0, 0
 	for i, ft := range flitTimes {
 		if ft <= 0 {
 			panic(fmt.Sprintf("wormhole: channel %d has non-positive flit time %v", i, ft))
 		}
-		k := 0
-		for k < nl && laneFlit[k] != ft {
-			k++
-		}
-		if k == nl && nl < maxLanes {
-			laneFlit[k], n.hops[k] = ft, sched.RegisterFIFO((*hopHandler)(n))
-			nl++
-		}
-		if k == maxLanes && !heap {
-			n.hops[maxLanes], heap = sched.Register((*hopHandler)(n)), true
+		if ft != prev {
+			k = 0
+			for k < nl && laneFlit[k] != ft {
+				k++
+			}
+			if k == nl && nl < maxLanes {
+				laneFlit[k], n.hops[k] = ft, sched.RegisterFIFO((*hopHandler)(n))
+				nl++
+			}
+			if k == maxLanes && !heap {
+				n.hops[maxLanes], heap = sched.Register((*hopHandler)(n)), true
+			}
+			prev = ft
 		}
 		n.ch[i] = channel{flit: ft, hop: uint8(k)}
 	}
