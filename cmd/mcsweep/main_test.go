@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -291,5 +292,123 @@ func TestRunExecuteAndResume(t *testing.T) {
 	}
 	if !strings.Contains(string(wcsv), "mmpp:4:8,fixed") {
 		t.Fatalf("workload CSV rows missing axis values:\n%s", wcsv)
+	}
+}
+
+// twoJobSpecFile writes a fast two-job sweep spec and returns its path.
+func twoJobSpecFile(t *testing.T, dir string) string {
+	t.Helper()
+	spec := sweep.Spec{
+		Name:   "two",
+		Orgs:   []string{"m=4:2x1"},
+		Loads:  sweep.Loads{Lambdas: []float64{1e-4, 2e-4}},
+		Warmup: 10, Measure: 60, Drain: 10,
+		Model: "none",
+	}
+	b, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "two.json")
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestTelemetryReportsPerExecutedJob: -telemetry writes one report per
+// executed job under <out>/telemetry/<spec>/, named by the job key, and a
+// -resume run that is all cache hits writes none.
+func TestTelemetryReportsPerExecutedJob(t *testing.T) {
+	dir := t.TempDir()
+	specPath := twoJobSpecFile(t, dir)
+	out := filepath.Join(dir, "results")
+	teleDir := filepath.Join(out, "telemetry", "two")
+
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-spec", specPath, "-out", out, "-telemetry"}, &stdout, &stderr); err != nil {
+		t.Fatalf("telemetry run: %v", err)
+	}
+	if !strings.Contains(stdout.String(), "wrote 2 telemetry reports") {
+		t.Fatalf("telemetry run stdout = %q, want 2 reports", stdout.String())
+	}
+	spec, err := loadSpec(specPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := sweep.Expand(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(teleDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(jobs) {
+		t.Fatalf("%d telemetry files, want one per job (%d)", len(entries), len(jobs))
+	}
+	for _, j := range jobs {
+		b, err := os.ReadFile(filepath.Join(teleDir, j.Key()[:12]+".json"))
+		if err != nil {
+			t.Fatalf("job %d: %v", j.Index, err)
+		}
+		var rep map[string]any
+		if err := json.Unmarshal(b, &rep); err != nil || len(rep) == 0 {
+			t.Fatalf("job %d: report %q does not decode to an object: %v", j.Index, b, err)
+		}
+	}
+
+	if err := os.RemoveAll(teleDir); err != nil {
+		t.Fatal(err)
+	}
+	stdout.Reset()
+	if err := run([]string{"-spec", specPath, "-out", out, "-telemetry", "-resume"}, &stdout, &stderr); err != nil {
+		t.Fatalf("resume run: %v", err)
+	}
+	if !strings.Contains(stdout.String(), "0 executed, 2 cache hits") {
+		t.Fatalf("resume summary = %q, want all cache hits", stdout.String())
+	}
+	if entries, err := os.ReadDir(teleDir); err != nil || len(entries) != 0 {
+		t.Fatalf("all-hit resume wrote %d telemetry files (%v), want none", len(entries), err)
+	}
+}
+
+// TestProgressTicker: without -v, stderr carries one in-place ticker line
+// per result, in job order, and the last reads "N/N jobs (H cache hits…".
+func TestProgressTicker(t *testing.T) {
+	dir := t.TempDir()
+	specPath := twoJobSpecFile(t, dir)
+	out := filepath.Join(dir, "results")
+	ticks := func(stderr string) []string {
+		var lines []string
+		for _, l := range strings.Split(strings.TrimRight(stderr, "\n"), "\r") {
+			if l = strings.TrimRight(l, " "); l != "" {
+				lines = append(lines, l)
+			}
+		}
+		return lines
+	}
+
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-spec", specPath, "-out", out}, &stdout, &stderr); err != nil {
+		t.Fatalf("first run: %v", err)
+	}
+	lines := ticks(stderr.String())
+	if len(lines) != 2 {
+		t.Fatalf("ticker lines %q, want one per job", lines)
+	}
+	for i, l := range lines {
+		if want := fmt.Sprintf("%d/2 jobs (0 cache hits", i+1); !strings.HasPrefix(l, want) {
+			t.Fatalf("ticker line %d = %q, want prefix %q", i, l, want)
+		}
+	}
+
+	stderr.Reset()
+	if err := run([]string{"-spec", specPath, "-out", out, "-resume"}, &stdout, &stderr); err != nil {
+		t.Fatalf("resume run: %v", err)
+	}
+	lines = ticks(stderr.String())
+	if last := lines[len(lines)-1]; !strings.HasPrefix(last, "2/2 jobs (2 cache hits") {
+		t.Fatalf("resume ticker ends %q, want 2/2 jobs (2 cache hits…", last)
 	}
 }
