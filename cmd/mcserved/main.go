@@ -66,7 +66,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	var (
 		addr      = fs.String("addr", "127.0.0.1:8080", "listen address (port 0 picks an ephemeral port)")
-		workers   = fs.Int("workers", 0, "simulation workers for the job queue (0 = GOMAXPROCS)")
+		workers   = fs.Int("workers", 0, "simulation workers for the job queue and each streaming sweep (0 = GOMAXPROCS)")
 		queue     = fs.Int("queue", 0, "pending-job queue depth before 429 (0 = 64)")
 		cacheDir  = fs.String("cache", "", "disk outcome-cache directory, shareable with mcsweep -out <dir>/cache (default: memory only)")
 		lruSize   = fs.Int("lru", 0, "in-memory cache entries for outcomes and analyze responses (0 = 4096)")

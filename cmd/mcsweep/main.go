@@ -26,6 +26,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -192,12 +193,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if spec.Telemetry {
 		// One full contention report per executed job (cache hits have no
 		// fresh report — their digest is already in the CSV/JSONL rows).
-		// Workers call the sink concurrently; each job writes its own file.
+		// Workers run the hook concurrently; each job writes its own file.
 		teleDir = filepath.Join(*out, "telemetry", spec.Name)
 		if err := os.MkdirAll(teleDir, 0o755); err != nil {
 			return fmt.Errorf("creating telemetry dir: %v", err)
 		}
-		eng.TelemetrySink = func(j sweep.Job, rep *mcsim.TelemetryReport) {
+		eng.Exec = func(j sweep.Job) (sweep.Outcome, bool, error) {
+			o, rep, err := sweep.ExecuteOpts(j, sweep.ExecOptions{Telemetry: &mcsim.TelemetryConfig{}})
+			if err != nil {
+				return o, false, err
+			}
 			b, err := json.Marshal(rep)
 			if err == nil {
 				err = os.WriteFile(filepath.Join(teleDir, j.Key()[:12]+".json"), append(b, '\n'), 0o644)
@@ -205,6 +210,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			if err != nil {
 				teleErr.set(fmt.Errorf("writing telemetry report for %s: %v", j.Key()[:12], err))
 			}
+			return o, false, nil
 		}
 	}
 	if *verbose {
@@ -213,25 +219,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		// line).
 		eng.Observer = &jobLogger{w: stderr}
 	} else {
-		width := 0 // pad to the widest line yet, so \r fully overwrites
-		eng.Progress = func(p sweep.Progress) {
-			line := fmt.Sprintf("%d/%d jobs (%d cache hits", p.Done, p.Total, p.CacheHits)
-			if elapsed := time.Since(start).Seconds(); elapsed > 0 {
-				rate := float64(p.Done) / elapsed
-				line += fmt.Sprintf(", %.1f jobs/s", rate)
-				if p.Done < p.Total && rate > 0 {
-					eta := time.Duration(float64(p.Total-p.Done) / rate * float64(time.Second))
-					line += fmt.Sprintf(", ETA %s", eta.Round(time.Second))
-				}
-			}
-			line += ")"
-			if len(line) > width {
-				width = len(line)
-			}
-			fmt.Fprintf(stderr, "\r%-*s", width, line)
-		}
+		eng.Sinks = append(eng.Sinks, &ticker{w: stderr, total: len(jobs), start: start})
 	}
-	sum, err := eng.RunJobs(spec, jobs)
+	sum, err := eng.RunJobs(context.Background(), spec, jobs)
 	fmt.Fprintln(stderr)
 	if err != nil {
 		return err
@@ -272,6 +262,37 @@ func (e *teleError) get() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.err
+}
+
+// ticker is the sweep.Sink behind mcsweep's in-place progress line: the
+// engine hands it every result in job order, and it rewrites one stderr
+// line with the count, the cache hits, the rate and the ETA.
+type ticker struct {
+	w          io.Writer
+	total      int
+	start      time.Time
+	done, hits int
+	width      int // the widest line yet, so \r fully overwrites
+}
+
+func (t *ticker) Write(r sweep.Result) error {
+	t.done++
+	if r.Cached {
+		t.hits++
+	}
+	line := fmt.Sprintf("%d/%d jobs (%d cache hits", t.done, t.total, t.hits)
+	if elapsed := time.Since(t.start).Seconds(); elapsed > 0 {
+		rate := float64(t.done) / elapsed
+		line += fmt.Sprintf(", %.1f jobs/s", rate)
+		if t.done < t.total && rate > 0 {
+			eta := time.Duration(float64(t.total-t.done) / rate * float64(time.Second))
+			line += fmt.Sprintf(", ETA %s", eta.Round(time.Second))
+		}
+	}
+	line += ")"
+	t.width = max(t.width, len(line))
+	fmt.Fprintf(t.w, "\r%-*s", t.width, line) // a lost tick does not fail the sweep
+	return nil
 }
 
 // jobLogger implements sweep.Observer for mcsweep -v: one line per job as

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -201,7 +202,7 @@ func TestResumeMidFileWithWorkloadColumns(t *testing.T) {
 		t.Fatal(err)
 	}
 	half := &sweep.Engine{Cache: cache}
-	if _, err := half.RunJobs(spec, jobs[:len(jobs)/2]); err != nil {
+	if _, err := half.RunJobs(context.Background(), spec, jobs[:len(jobs)/2]); err != nil {
 		t.Fatalf("seeding half the cache: %v", err)
 	}
 

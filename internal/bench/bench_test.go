@@ -330,10 +330,31 @@ func BenchmarkSweepExpand(b *testing.B) {
 	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/expand")
 }
 
+// memCache is an in-memory sweep.Cache: a map behind a mutex, safe for the
+// engine's concurrent workers.
+type memCache struct {
+	mu sync.Mutex
+	m  map[string]sweep.Outcome
+}
+
+func (c *memCache) Get(key string) (sweep.Outcome, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	o, ok := c.m[key]
+	return o, ok
+}
+
+func (c *memCache) Put(key string, o sweep.Outcome) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.m[key] = o
+	return nil
+}
+
 // warmCache holds the outcomes of every sweep-grid benchmark job, filled
 // once per process by a cold engine pass.
-var warmCache = sync.OnceValues(func() (*sweep.MemCache, error) {
-	cache := sweep.NewMemCache()
+var warmCache = sync.OnceValues(func() (*memCache, error) {
+	cache := &memCache{m: make(map[string]sweep.Outcome)}
 	_, err := (&sweep.Engine{Cache: cache}).Run(benchGridSpec())
 	return cache, err
 })

@@ -3,6 +3,7 @@ package experiments
 import (
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"mcnet/internal/plot"
@@ -10,6 +11,27 @@ import (
 	"mcnet/internal/system"
 	"mcnet/internal/units"
 )
+
+// memCache is an in-memory sweep.Cache: a map behind a mutex, safe for the
+// engine's concurrent workers.
+type memCache struct {
+	mu sync.Mutex
+	m  map[string]sweep.Outcome
+}
+
+func (c *memCache) Get(key string) (sweep.Outcome, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	o, ok := c.m[key]
+	return o, ok
+}
+
+func (c *memCache) Put(key string, o sweep.Outcome) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.m[key] = o
+	return nil
+}
 
 // tinyScale keeps the simulation side of the tests fast.
 func tinyScale() Scale { return Scale{Warmup: 300, Measure: 3000, Drain: 300, Seed: 1, Reps: 1} }
@@ -439,14 +461,14 @@ func TestWorkersKnobDoesNotChangeResults(t *testing.T) {
 
 func TestRunnerCacheReused(t *testing.T) {
 	// A cached runner re-executes nothing on the second identical figure.
-	cache := sweep.NewMemCache()
+	cache := &memCache{m: make(map[string]sweep.Outcome)}
 	r := NewRunner(tinyScale())
 	r.Cache = cache
 	fig1, err := r.LatencyFigure("cached", "cached", tinyOrg(), 32, []int{256}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cache.Len() == 0 {
+	if len(cache.m) == 0 {
 		t.Fatal("runner did not populate its cache")
 	}
 	fig2, err := r.LatencyFigure("cached", "cached", tinyOrg(), 32, []int{256}, 3)

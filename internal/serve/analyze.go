@@ -171,7 +171,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	c, err := canonicalize(req.Org, req.Lambda, req.Flits, req.FlitBytes, req.Links, req.Tech, req.Model)
 	if err != nil {
 		// A build failure outranks later fields' errors.
-		if _, berr := canonicalOrgSpec(req.Org); berr != nil {
+		if berr := checkOrgBuilds(req.Org); berr != nil {
 			err = berr
 		}
 		writeError(w, http.StatusBadRequest, "%v", err)

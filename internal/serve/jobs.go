@@ -12,12 +12,8 @@ import (
 	"sync"
 	"time"
 
-	"mcnet/internal/mcsim"
 	"mcnet/internal/obs"
 	"mcnet/internal/sweep"
-	"mcnet/internal/topo"
-	"mcnet/internal/units"
-	"mcnet/internal/workload"
 )
 
 // jobRequest is the body of POST /v1/simulate and POST /v1/compare: one
@@ -49,94 +45,51 @@ type jobRequest struct {
 }
 
 // toJob canonicalizes the request into a sweep.Job, the unit of execution,
-// identity and caching everywhere in this codebase.
+// identity and caching everywhere in this codebase: the one job that
+// sweep.Expand makes of a one-point spec holding the request's fields, so a
+// served job and a sweep of the same point get the same defaults, identity
+// and cache key.
 func (req jobRequest) toJob() (sweep.Job, error) {
-	var j sweep.Job
-	var err error
-	if j.Org, err = canonicalOrgSpec(req.Org); err != nil {
-		return j, err
-	}
-	if j.Flits, j.FlitBytes, err = resolveGeometry(req.Flits, req.FlitBytes); err != nil {
-		return j, err
-	}
-
-	d := sweep.Spec{}.Normalized() // the axis and phase defaults in one place
-	j.Pattern = req.Pattern
-	if j.Pattern == "" {
-		j.Pattern = d.Patterns[0]
-	}
-	if _, err := sweep.ParsePattern(j.Pattern); err != nil {
-		return j, err
-	}
-	j.Routing = req.Routing
-	if j.Routing == "" {
-		j.Routing = d.Routing[0]
-	}
-	if _, err := sweep.ParseRouting(j.Routing); err != nil {
-		return j, err
-	}
-
-	// Workload and links axes use the sweep's canonical encoding: the
-	// default (Poisson, fixed, homogeneous) is the empty string, so job
-	// identities — and hence cache keys and derived seeds — match sweep
-	// jobs exactly.
-	arrival, err := workload.ParseArrival(req.Arrival)
+	flits, flitBytes, err := resolveGeometry(req.Flits, req.FlitBytes)
 	if err != nil {
-		return j, err
+		return sweep.Job{}, err
 	}
-	if name := arrival.Name(); name != (workload.Poisson{}).Name() {
-		j.Arrival = name
-	}
-	sizes, err := workload.ParseSize(req.Sizes)
-	if err != nil {
-		return j, err
-	}
-	if name := sizes.Name(); name != (workload.Fixed{}).Name() {
-		j.SizeDist = name
-	}
-	tiers, err := units.ParseTiers(req.Links)
-	if err != nil {
-		return j, err
-	}
-	j.Links = tiers.String()
-	cl, gl, err := topo.ParseAxis(req.Topo)
-	if err != nil {
-		return j, err
-	}
-	j.Topo = topo.FormatAxis(cl, gl)
-
 	if err := checkLambda(req.Lambda); err != nil {
-		return j, err
+		return sweep.Job{}, err
 	}
-	j.Lambda = req.Lambda
-
-	j.Warmup, j.Measure, j.Drain = req.Warmup, req.Measure, req.Drain
-	if j.Warmup == 0 && j.Measure == 0 && j.Drain == 0 {
-		j.Warmup, j.Measure, j.Drain = d.Warmup, d.Measure, d.Drain
-	}
-	if err := mcsim.CheckPhases(j.Warmup, j.Measure, j.Drain); err != nil {
-		return j, err
-	}
-
 	if req.Rep < 0 {
-		return j, fmt.Errorf("negative rep %d", req.Rep)
+		return sweep.Job{}, fmt.Errorf("negative rep %d", req.Rep)
 	}
-	j.Rep = req.Rep
-
-	tech := resolveTech(req.Tech)
-	j.AlphaNet, j.AlphaSw, j.BetaNet = tech.AlphaNet, tech.AlphaSw, tech.BetaNet
-	par, err := j.Params()
+	axis := func(v string) []string {
+		if v == "" {
+			return nil
+		}
+		return []string{v}
+	}
+	jobs, err := sweep.Expand(sweep.Spec{
+		Name:       "served",
+		Orgs:       []string{req.Org},
+		Messages:   []sweep.MessageGeometry{{Flits: flits, FlitBytes: flitBytes}},
+		Patterns:   axis(req.Pattern),
+		Routing:    axis(req.Routing),
+		Arrivals:   axis(req.Arrival),
+		Sizes:      axis(req.Sizes),
+		Links:      axis(req.Links),
+		Topologies: axis(req.Topo),
+		Loads:      sweep.Loads{Lambdas: []float64{req.Lambda}},
+		Warmup:     req.Warmup, Measure: req.Measure, Drain: req.Drain,
+		Tech: req.Tech,
+	})
 	if err != nil {
-		return j, err
+		return sweep.Job{}, err
 	}
-	if err := par.Validate(); err != nil {
-		return j, err
-	}
-
+	// The replication is set here rather than as Reps = Rep+1, which would
+	// expand every replication before it.
+	j := jobs[0]
+	j.Rep, j.SimSeed = req.Rep, 0
+	j.SimSeed = sweep.DeriveSeed(1, j)
 	if req.Seed != 0 {
 		j.SimSeed = req.Seed
-	} else {
-		j.SimSeed = sweep.DeriveSeed(1, j)
 	}
 	return j, nil
 }

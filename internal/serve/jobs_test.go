@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net/http"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -60,4 +63,29 @@ func TestServedJobIdentityGolden(t *testing.T) {
 		fmt.Fprintf(&got, "%s\n\tkey %s seed %d\n\t%#v\n", body, j.Key(), j.SimSeed, j)
 	}
 	checkGolden(t, "served_jobs_golden.txt", got.Bytes())
+}
+
+// TestHugeClusterCountRejectedCheaply: an organization of two billion
+// clusters, a 40-byte body, gets a 400 naming the ICN2 from every route
+// that materializes organizations, in allocation that does not grow with
+// the count.
+func TestHugeClusterCountRejectedCheaply(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1}, instantOutcome)
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/analyze", `{"org":"m=4:2000000000x1","lambda":0.0003}`},
+		{"/v1/simulate", `{"org":"m=4:2000000000x1","lambda":0.0003}`},
+		{"/v1/compare", `{"org":"m=4:2000000000x1","lambda":0.0003}`},
+		{"/v1/sweep", `{"orgs":["m=4:2000000000x1"],"loads":{"lambdas":[0.0003]}}`},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		w := do(t, s, "POST", tc.path, tc.body)
+		runtime.ReadMemStats(&after)
+		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "ICN2") {
+			t.Errorf("%s: status %d, want a 400 naming the ICN2: %s", tc.path, w.Code, w.Body)
+		}
+		if b := after.TotalAlloc - before.TotalAlloc; b > 1<<20 {
+			t.Errorf("%s: allocated %d bytes before the rejection", tc.path, b)
+		}
+	}
 }

@@ -9,26 +9,24 @@ import (
 	"mcnet/internal/units"
 )
 
-// The helpers below are the request-canonicalization steps shared by the
-// analyze fast path and the simulate/compare job path. Both must agree, to
-// the byte, on which requests are valid and on the canonical identity of
-// equivalent spellings — cache keys hang off these renderings.
+// The helpers below are the request-canonicalization steps of the analyze
+// fast path; the simulate/compare job path shares the geometry and load
+// checks and leaves the rest to sweep.Expand. Cache keys hang off these
+// renderings, so equivalent spellings must canonicalize to the byte.
 
-// canonicalOrgSpec parses, materializes (so shape errors surface at request
-// time) and canonically re-renders an organization spec.
-func canonicalOrgSpec(spec string) (string, error) {
+// checkOrgBuilds parses and materializes an organization spec, so its shape
+// errors can outrank later fields' errors.
+func checkOrgBuilds(spec string) error {
 	org, err := system.ParseOrganization(spec)
 	if err != nil {
-		return "", err
+		return err
 	}
-	if _, err := system.New(org); err != nil {
-		return "", err
-	}
-	return system.Format(org), nil
+	_, err = system.New(org)
+	return err
 }
 
 // formatOrgSpec parses and canonically re-renders an organization spec
-// without materializing it: canonicalOrgSpec less the system.New check.
+// without materializing it.
 func formatOrgSpec(spec string) (string, error) {
 	org, err := system.ParseOrganization(spec)
 	if err != nil {

@@ -69,8 +69,8 @@ import (
 // Config parameterizes a Server. The zero value is usable: every field has
 // a serving-appropriate default.
 type Config struct {
-	// Workers bounds the queue workers executing simulate/compare jobs
-	// (0 = GOMAXPROCS).
+	// Workers bounds the queue workers executing simulate/compare jobs,
+	// and the worker pool of each streaming sweep (0 = GOMAXPROCS).
 	Workers int
 	// QueueDepth bounds the jobs waiting for a worker; submissions beyond it
 	// are rejected with 429 (0 = 64).
@@ -87,9 +87,6 @@ type Config struct {
 	// Disk, if non-nil, is a second outcome-cache layer under the LRU —
 	// typically a *sweep.DirCache shared with cmd/mcsweep runs.
 	Disk sweep.Cache
-	// SweepWorkers bounds the worker pool of each streaming sweep
-	// (0 = Workers).
-	SweepWorkers int
 	// MaxSweepJobs rejects sweep specs expanding beyond this many jobs
 	// (0 = 10000).
 	MaxSweepJobs int
@@ -123,9 +120,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheSize <= 0 {
 		c.CacheSize = 4096
-	}
-	if c.SweepWorkers <= 0 {
-		c.SweepWorkers = c.Workers
 	}
 	if c.MaxSweepJobs <= 0 {
 		c.MaxSweepJobs = 10000

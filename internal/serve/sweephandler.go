@@ -109,12 +109,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	eng := &sweep.Engine{
-		Workers:  s.cfg.SweepWorkers,
+		Workers:  s.cfg.Workers,
 		Exec:     s.outcome,
 		Sinks:    []sweep.Sink{&ndjsonSink{w: w}},
 		Observer: engineObserver{s: s},
 	}
-	if _, err := eng.RunJobsContext(r.Context(), spec, jobs); err != nil && r.Context().Err() == nil {
+	if _, err := eng.RunJobs(r.Context(), spec, jobs); err != nil && r.Context().Err() == nil {
 		// The status line is long gone; report the failure in-band as a
 		// final NDJSON line clients can distinguish by its "error" key.
 		b, merr := json.Marshal(errorDoc{Error: err.Error()})

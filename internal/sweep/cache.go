@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 
 	"mcnet/internal/mcsim"
 )
@@ -165,37 +164,4 @@ func (c *DirCache) Delete(key string) error {
 		return err
 	}
 	return nil
-}
-
-// MemCache is an in-memory Cache for tests and single-process reuse. The
-// zero value is not usable; use NewMemCache.
-type MemCache struct {
-	mu sync.Mutex
-	m  map[string]Outcome
-}
-
-// NewMemCache returns an empty in-memory cache.
-func NewMemCache() *MemCache { return &MemCache{m: make(map[string]Outcome)} }
-
-// Get implements Cache.
-func (c *MemCache) Get(key string) (Outcome, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	o, ok := c.m[key]
-	return o, ok
-}
-
-// Put implements Cache.
-func (c *MemCache) Put(key string, o Outcome) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m[key] = o
-	return nil
-}
-
-// Len returns the number of cached entries.
-func (c *MemCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
 }

@@ -5,8 +5,31 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// memCache is an in-memory Cache for tests.
+type memCache struct {
+	mu sync.Mutex
+	m  map[string]Outcome
+}
+
+func newMemCache() *memCache { return &memCache{m: make(map[string]Outcome)} }
+
+func (c *memCache) Get(key string) (Outcome, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	o, ok := c.m[key]
+	return o, ok
+}
+
+func (c *memCache) Put(key string, o Outcome) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.m[key] = o
+	return nil
+}
 
 func TestDirCacheRoundTrip(t *testing.T) {
 	c, err := NewDirCache(filepath.Join(t.TempDir(), "cache"))

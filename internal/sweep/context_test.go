@@ -27,10 +27,14 @@ func TestRunContextCancelStopsWorkers(t *testing.T) {
 	}
 	spec := tinySpec()
 	spec.Reps = 4 // 16 jobs, so cancellation strikes mid-grid
+	jobs, err := Expand(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := eng.RunContext(ctx, spec)
+		_, err := eng.RunJobs(ctx, spec, jobs)
 		done <- err
 	}()
 	<-entered // at least one job is executing
@@ -39,14 +43,10 @@ func TestRunContextCancelStopsWorkers(t *testing.T) {
 	select {
 	case err := <-done:
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("RunContext returned %v, want context.Canceled", err)
+			t.Fatalf("RunJobs returned %v, want context.Canceled", err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("RunContext did not return after cancel")
-	}
-	jobs, err := Expand(spec)
-	if err != nil {
-		t.Fatal(err)
+		t.Fatal("RunJobs did not return after cancel")
 	}
 	if n := atomic.LoadInt32(&started); int(n) >= len(jobs) {
 		t.Errorf("all %d jobs started despite cancellation", n)
@@ -61,8 +61,12 @@ func TestRunContextAlreadyCancelled(t *testing.T) {
 		atomic.AddInt32(&started, 1)
 		return Outcome{}, false, nil
 	}}
-	if _, err := eng.RunContext(ctx, tinySpec()); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunContext = %v, want context.Canceled", err)
+	jobs, err := Expand(tinySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.RunJobs(ctx, tinySpec(), jobs); !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunJobs = %v, want context.Canceled", err)
 	}
 	if n := atomic.LoadInt32(&started); n != 0 {
 		t.Errorf("%d jobs executed under a pre-cancelled context", n)
@@ -72,7 +76,7 @@ func TestRunContextAlreadyCancelled(t *testing.T) {
 func TestExecHookReplacesSimulator(t *testing.T) {
 	// The Exec hook supplies outcomes instead of the simulator; cached jobs
 	// still bypass it.
-	cache := NewMemCache()
+	cache := newMemCache()
 	var calls int32
 	eng := &Engine{
 		Cache: cache,

@@ -26,15 +26,6 @@ type Result struct {
 	Cached bool `json:"-"`
 }
 
-// Progress is a live engine report, delivered once per emitted result in
-// job order.
-type Progress struct {
-	Done      int // results emitted so far (including this one)
-	Total     int
-	CacheHits int
-	Result    Result
-}
-
 // Summary totals an engine run.
 type Summary struct {
 	Total     int // jobs in the expanded grid
@@ -50,28 +41,21 @@ type Engine struct {
 	Workers int
 	// Cache, if non-nil, is consulted before and written after every job.
 	Cache Cache
-	// Sinks receive every result in job order.
+	// Sinks receive every result in job order, as soon as its turn comes.
 	Sinks []Sink
-	// Progress, if non-nil, is called after each result is emitted.
-	Progress func(Progress)
-	// Exec, if non-nil, replaces Execute for jobs not satisfied by Cache.
-	// The serving layer uses it to single-flight identical jobs across
-	// concurrent sweeps and queue workers sharing one outcome cache. The
-	// boolean reports that the outcome was not executed by this call (the
-	// hook's own cache, or another caller's run); the result then counts
-	// as Cached.
+	// Exec, if non-nil, replaces Execute for jobs not satisfied by Cache,
+	// and is called from whichever worker runs the job. The serving layer
+	// uses it to single-flight identical jobs across concurrent sweeps and
+	// queue workers sharing one outcome cache; cmd/mcsweep uses it to keep
+	// each executed job's full telemetry report. The boolean reports that
+	// the outcome was not executed by this call (the hook's own cache, or
+	// another caller's run); the result then counts as Cached.
 	Exec func(Job) (Outcome, bool, error)
 	// Observer, if non-nil, receives per-job lifecycle telemetry from the
-	// workers. Unlike Progress (which reports in job order as results are
-	// emitted), the Observer sees events as they happen, from whichever
-	// worker they happen on — it must be safe for concurrent use.
+	// workers. Unlike the Sinks (which see results in job order), the
+	// Observer sees events as they happen, from whichever worker they happen
+	// on — it must be safe for concurrent use.
 	Observer Observer
-	// TelemetrySink, if non-nil, receives each executed job's full
-	// simulator telemetry report when the spec enables telemetry (the
-	// outcome itself carries only the summary digest). Like the Observer it
-	// is called from whichever worker ran the job — it must be safe for
-	// concurrent use. Cache hits produce no report.
-	TelemetrySink func(Job, *mcsim.TelemetryReport)
 }
 
 // Observer receives engine job lifecycle events. JobStarted fires when a
@@ -107,30 +91,20 @@ func (e *Engine) workers(jobs int) int {
 // job order regardless of worker scheduling, so output is deterministic at
 // any worker count.
 func (e *Engine) Run(spec Spec) (Summary, error) {
-	return e.RunContext(context.Background(), spec)
-}
-
-// RunContext is Run with cancellation: when ctx is done, no further jobs are
-// started, in-flight simulations finish (the simulator itself has no
-// preemption points) and their outcomes still land in the cache, and the run
-// returns ctx's error. The serving layer uses it for request timeouts and
-// graceful shutdown.
-func (e *Engine) RunContext(ctx context.Context, spec Spec) (Summary, error) {
-	spec = spec.Normalized()
 	jobs, err := Expand(spec)
 	if err != nil {
 		return Summary{}, err
 	}
-	return e.RunJobsContext(ctx, spec, jobs)
+	return e.RunJobs(context.Background(), spec, jobs)
 }
 
-// RunJobs executes an already expanded grid (as printed by a dry run).
-func (e *Engine) RunJobs(spec Spec, jobs []Job) (Summary, error) {
-	return e.RunJobsContext(context.Background(), spec, jobs)
-}
-
-// RunJobsContext is RunJobs with the cancellation semantics of RunContext.
-func (e *Engine) RunJobsContext(ctx context.Context, spec Spec, jobs []Job) (Summary, error) {
+// RunJobs executes an already expanded grid of spec (as printed by a dry
+// run) with cancellation: when ctx is done, no further jobs are started,
+// in-flight simulations finish (the simulator itself has no preemption
+// points) and their outcomes still land in the cache, and the run returns
+// ctx's error. The serving layer uses it for request timeouts and graceful
+// shutdown.
+func (e *Engine) RunJobs(ctx context.Context, spec Spec, jobs []Job) (Summary, error) {
 	spec = spec.Normalized()
 	sum := Summary{Total: len(jobs)}
 	if len(jobs) == 0 {
@@ -234,9 +208,6 @@ func (e *Engine) RunJobsContext(ctx context.Context, spec Spec, jobs []Job) (Sum
 					break
 				}
 			}
-			if e.Progress != nil && firstErr == nil {
-				e.Progress(Progress{Done: next, Total: len(jobs), CacheHits: sum.CacheHits, Result: res})
-			}
 		}
 	}
 	stop()
@@ -285,11 +256,7 @@ func (e *Engine) runJobInner(ctx context.Context, j Job, telemetry bool) (Result
 	if e.Exec != nil {
 		o, cached, err = e.Exec(j)
 	} else if telemetry {
-		var rep *mcsim.TelemetryReport
-		o, rep, err = ExecuteOpts(j, ExecOptions{Telemetry: &mcsim.TelemetryConfig{}})
-		if err == nil && e.TelemetrySink != nil {
-			e.TelemetrySink(j, rep)
-		}
+		o, _, err = ExecuteOpts(j, ExecOptions{Telemetry: &mcsim.TelemetryConfig{}})
 	} else {
 		o, err = Execute(j)
 	}

@@ -114,13 +114,13 @@ func TestPartialCacheResumesRemainder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := NewMemCache()
+	cache := newMemCache()
 	mem := &MemorySink{}
 	if _, err := (&Engine{Cache: cache, Sinks: []Sink{mem}}).Run(spec); err != nil {
 		t.Fatal(err)
 	}
 	full := mem.Results
-	half := NewMemCache()
+	half := newMemCache()
 	for _, j := range jobs[:len(jobs)/2] {
 		o, _ := cache.Get(j.Key())
 		if err := half.Put(j.Key(), o); err != nil {
@@ -234,23 +234,6 @@ func TestModelPresetNone(t *testing.T) {
 		}
 		if math.IsNaN(float64(r.SimLatency)) {
 			t.Error("simulation missing under model preset none")
-		}
-	}
-}
-
-func TestProgressReports(t *testing.T) {
-	var events []Progress
-	eng := &Engine{Progress: func(p Progress) { events = append(events, p) }}
-	_, _, sum := runToBytes(t, eng, tinySpec())
-	if len(events) != sum.Total {
-		t.Fatalf("%d progress events, want %d", len(events), sum.Total)
-	}
-	for i, p := range events {
-		if p.Done != i+1 || p.Total != sum.Total {
-			t.Errorf("event %d: %+v", i, p)
-		}
-		if p.Result.Job.Index != i {
-			t.Errorf("event %d delivered job %d out of order", i, p.Result.Job.Index)
 		}
 	}
 }

@@ -145,7 +145,7 @@ func fakeExec(j Job) (Outcome, bool, error) { return Outcome{SimLatency: Float(j
 // (past saturation too): the three JSONL outputs must be byte-identical.
 func TestModelMemoHistoryIndependent(t *testing.T) {
 	spec := memoGridSpec()
-	cache := NewMemCache()
+	cache := newMemCache()
 	resetModelMemo()
 	_, cold, sum := runToBytes(t, &Engine{Cache: cache}, spec)
 	if sum.Executed != sum.Total {

@@ -101,8 +101,16 @@ func New(org Organization) (*System, error) {
 	if len(org.Specs) == 0 {
 		return nil, fmt.Errorf("%w: no cluster specs", ErrBadOrganization)
 	}
-	s := &System{Name: org.Name, Ports: org.Ports}
-	for _, spec := range org.Specs {
+	// The first pass validates every spec and counts the clusters, so an
+	// organization the ICN2 cannot host is rejected before any cluster
+	// exists; the count saturates rather than overflow.
+	type shape struct {
+		ecn1 *topo.FatTree
+		net  topo.Topology
+	}
+	shapes := make([]shape, len(org.Specs))
+	c := 0
+	for i, spec := range org.Specs {
 		if spec.Count <= 0 {
 			return nil, fmt.Errorf("%w: spec count %d", ErrBadOrganization, spec.Count)
 		}
@@ -125,27 +133,9 @@ func New(org Organization) (*System, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: cluster topology: %v", ErrBadOrganization, err)
 		}
-		rate := spec.RateFactor
-		if rate == 0 {
-			rate = 1
-		}
-		for i := 0; i < spec.Count; i++ {
-			s.Clusters = append(s.Clusters, Cluster{
-				Index:      len(s.Clusters),
-				Levels:     spec.Levels,
-				Nodes:      ecn1.Nodes(),
-				NodeBase:   s.totalNodes,
-				RateFactor: rate,
-				ECN1Net:    ecn1,
-				ICN1:       spec.ICN1,
-				ECN1:       spec.ECN1,
-				Topo:       spec.Topo,
-				Net:        net,
-			})
-			s.totalNodes += ecn1.Nodes()
-		}
+		shapes[i] = shape{ecn1, net}
+		c += min(spec.Count, math.MaxInt-c)
 	}
-	c := len(s.Clusters)
 	if c < 2 {
 		return nil, fmt.Errorf("%w: a multi-cluster system needs ≥ 2 clusters, got %d", ErrBadOrganization, c)
 	}
@@ -159,7 +149,29 @@ func New(org Organization) (*System, error) {
 	if icn2.Nodes() < c {
 		return nil, fmt.Errorf("%w: m=%d ICN2 cannot host %d clusters", ErrBadOrganization, org.Ports, c)
 	}
-	s.ICN2Net = icn2
+	s := &System{Name: org.Name, Ports: org.Ports, Clusters: make([]Cluster, 0, c), ICN2Net: icn2}
+	for i, spec := range org.Specs {
+		rate := spec.RateFactor
+		if rate == 0 {
+			rate = 1
+		}
+		sh := shapes[i]
+		for range spec.Count {
+			s.Clusters = append(s.Clusters, Cluster{
+				Index:      len(s.Clusters),
+				Levels:     spec.Levels,
+				Nodes:      sh.ecn1.Nodes(),
+				NodeBase:   s.totalNodes,
+				RateFactor: rate,
+				ECN1Net:    sh.ecn1,
+				ICN1:       spec.ICN1,
+				ECN1:       spec.ECN1,
+				Topo:       spec.Topo,
+				Net:        sh.net,
+			})
+			s.totalNodes += sh.ecn1.Nodes()
+		}
+	}
 	return s, nil
 }
 

@@ -1,7 +1,9 @@
 package system
 
 import (
+	"errors"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -182,6 +184,34 @@ func TestNewRejectsBadOrganizations(t *testing.T) {
 	for _, org := range bad {
 		if _, err := New(org); err == nil {
 			t.Errorf("%s: accepted", org.Name)
+		}
+	}
+}
+
+// TestNewRejectsHugeClusterCounts: an organization with more clusters than
+// any ICN2 hosts is rejected before a single cluster is materialized, so
+// the rejection costs the same at any count, and a count sum past the int
+// range saturates instead of wrapping.
+func TestNewRejectsHugeClusterCounts(t *testing.T) {
+	for _, spec := range []string{
+		"m=4:2000000000x1",
+		"m=4@icn2topo=dragonfly:2000000000x1",
+		"m=2:2000000000x1",
+		"m=4:4611686018427387904x1,4611686018427387904x1,4611686018427387904x1",
+	} {
+		org, err := ParseOrganization(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err = New(org)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrBadOrganization) || !strings.Contains(err.Error(), "ICN2") {
+			t.Errorf("%s: err = %v, want an ICN2 rejection", spec, err)
+		}
+		if b := after.TotalAlloc - before.TotalAlloc; b > 64<<10 {
+			t.Errorf("%s: allocated %d bytes before the rejection", spec, b)
 		}
 	}
 }

@@ -33,6 +33,7 @@ package topo
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -258,6 +259,9 @@ func GlobalLevels(ports, count int) int {
 	levels, capacity := 1, 2*k
 	for capacity < count && k > 1 {
 		levels++
+		if capacity > math.MaxInt/k {
+			break // this level's capacity is past any int count
+		}
 		capacity *= k
 	}
 	return levels

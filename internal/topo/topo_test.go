@@ -312,6 +312,15 @@ func TestNewGlobalFatTreeMatchesSizing(t *testing.T) {
 			t.Errorf("NewGlobal(%d, %d): levels %d, want %d", c.ports, c.count, ft.Levels(), c.wantLevels)
 		}
 	}
+	// The largest count sizes without wrapping: the smallest n with
+	// 2k^n past MaxInt.
+	for _, c := range []struct{ ports, count, wantLevels int }{
+		{4, math.MaxInt, 62}, {6, math.MaxInt, 40}, {1024, math.MaxInt, 7},
+	} {
+		if got := GlobalLevels(c.ports, c.count); got != c.wantLevels {
+			t.Errorf("GlobalLevels(%d, MaxInt) = %d, want %d", c.ports, got, c.wantLevels)
+		}
+	}
 }
 
 // TestCacheReturnsSameInstance checks the one process-wide cache: equal
