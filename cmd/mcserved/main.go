@@ -18,8 +18,7 @@
 //	curl -s -d '{"org":"org2","lambda":0.0005,"measure":10000}' localhost:8080/v1/simulate
 //	curl -s localhost:8080/v1/jobs/<id>
 //	curl -s -d '{"orgs":["org2"],"loads":{"points":4}}' localhost:8080/v1/sweep
-//	curl -s localhost:8080/metrics            # JSON document
-//	curl -s localhost:8080/metrics/prometheus # Prometheus text exposition
+//	curl -s localhost:8080/metrics            # Prometheus text exposition
 //
 // The server prints its resolved listen URL on startup and shuts down
 // gracefully on SIGINT/SIGTERM (in-flight jobs finish, listeners drain).

@@ -190,7 +190,7 @@ func TestObservabilityFlags(t *testing.T) {
 		t.Errorf("X-Request-ID echoed as %q, want obs-flag-test-1", got)
 	}
 
-	resp, err = client.Get(base + "/metrics/prometheus")
+	resp, err = client.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

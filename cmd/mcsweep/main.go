@@ -173,13 +173,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	defer jsonlFile.Close()
-	csvSink := sweep.NewCSVSink(csvFile)
-	// The workload, links and topology columns appear only when the spec
-	// actually sweeps those axes, so older specs keep their CSV schema.
-	csvSink.Workload = spec.HasWorkloadAxes()
-	csvSink.Links = spec.HasLinkAxis()
-	csvSink.Topology = spec.HasTopologyAxis()
-	csvSink.Telemetry = spec.Telemetry
+	csvSink := sweep.NewCSVSink(csvFile, spec)
 	jsonlSink := sweep.NewJSONLSink(jsonlFile)
 
 	start := time.Now()

@@ -1,14 +1,15 @@
 // Command promlint checks a Prometheus text exposition (format 0.0.4) read
 // from stdin or from file arguments: every family must carry # HELP and
 // # TYPE lines, names must match the Prometheus grammar, samples must group
-// under their family, and histogram/summary series must use the canonical
-// suffixes. It is the smoke-test half of the observability contract: the
-// server promises a lint-clean scrape, and CI pipes /metrics/prometheus
-// through this command to hold it to that.
+// under their family, label pairs must be comma-separated with no name
+// repeated, and histogram/summary series must use the canonical suffixes
+// (every histogram bucket with its le label). It is the smoke-test half of
+// the observability contract: the server promises a lint-clean scrape, and
+// CI pipes /metrics through this command to hold it to that.
 //
 // Usage:
 //
-//	curl -s localhost:8080/metrics/prometheus | promlint
+//	curl -s localhost:8080/metrics | promlint
 //	promlint scrape1.txt scrape2.txt
 //
 // Exit status is 0 when every input is clean, 1 otherwise (with one line

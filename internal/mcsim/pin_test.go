@@ -7,6 +7,7 @@ import (
 	"math"
 	"testing"
 
+	"mcnet/internal/obs"
 	"mcnet/internal/system"
 	"mcnet/internal/units"
 	"mcnet/internal/workload"
@@ -98,7 +99,7 @@ func TestEventCountAndTelemetryPinned(t *testing.T) {
 			end := sim.Telemetry().Snapshot()
 			end.Events, end.SeriesEvery, end.Series = 0, 0, nil
 			for i := range end.Tiers {
-				end.Tiers[i].Occupancy = HistogramSnapshot{}
+				end.Tiers[i].Occupancy = obs.HistSnapshot{}
 			}
 			rep, err = json.Marshal(end)
 			if err != nil {

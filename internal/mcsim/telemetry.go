@@ -322,19 +322,6 @@ func (t *Telemetry) observeDelivery(m *message, lat float64) {
 	t.transmit.Add(lat - srcWait - netBlock)
 }
 
-// HistogramSnapshot is a histogram in wire form: cumulative counts per
-// ascending upper bound, then the +Inf total.
-type HistogramSnapshot struct {
-	Bounds     []float64 `json:"bounds"`
-	Cumulative []uint64  `json:"cumulative"`
-	Count      uint64    `json:"count"`
-	Sum        float64   `json:"sum"`
-}
-
-func histJSON(s obs.HistSnapshot) HistogramSnapshot {
-	return HistogramSnapshot{Bounds: s.Bounds, Cumulative: s.Cumulative, Count: s.Count, Sum: s.Sum}
-}
-
 // TierTelemetry is one tier's aggregate in a TelemetryReport.
 type TierTelemetry struct {
 	Tier     string `json:"tier"`
@@ -355,8 +342,8 @@ type TierTelemetry struct {
 	Grants           uint64  `json:"grants"`
 	// Blocking is the header-wait histogram (model time units); Occupancy
 	// is the queue-depth histogram over (channel, sample) pairs.
-	Blocking  HistogramSnapshot `json:"blocking"`
-	Occupancy HistogramSnapshot `json:"occupancy"`
+	Blocking  obs.HistSnapshot `json:"blocking"`
+	Occupancy obs.HistSnapshot `json:"occupancy"`
 }
 
 // LatencyDecomposition splits measured messages' mean latency into source
@@ -411,8 +398,8 @@ func (t *Telemetry) Snapshot() TelemetryReport {
 		}
 		tt.MaxQueue = int(t.maxQueue[i].Load())
 		tt.Grants = t.grants[i].Load()
-		tt.Blocking = histJSON(t.blockHist[i].Snapshot())
-		tt.Occupancy = histJSON(t.occHist[i].Snapshot())
+		tt.Blocking = t.blockHist[i].Snapshot()
+		tt.Occupancy = t.occHist[i].Snapshot()
 	}
 	if n := t.delivered.Load(); n > 0 {
 		f := float64(n)

@@ -61,12 +61,13 @@ func (h *Histogram) Observe(v float64) {
 // HistSnapshot is a consistent-enough point-in-time view of a Histogram for
 // exposition: cumulative bucket counts per bound plus the +Inf total.
 // (Prometheus scrapes tolerate the benign read skew of concurrent
-// observation; no locking is worth that tolerance.)
+// observation; no locking is worth that tolerance.) Its JSON form is the
+// histogram's wire form in telemetry reports.
 type HistSnapshot struct {
-	Bounds     []float64 // the histogram's upper bounds (not including +Inf)
-	Cumulative []uint64  // len(Bounds)+1: count ≤ each bound, then the +Inf total
-	Count      uint64    // the +Inf total, so _count always equals the +Inf bucket
-	Sum        float64
+	Bounds     []float64 `json:"bounds"`     // the histogram's upper bounds (not including +Inf)
+	Cumulative []uint64  `json:"cumulative"` // len(Bounds)+1: count ≤ each bound, then the +Inf total
+	Count      uint64    `json:"count"`      // the +Inf total, so _count always equals the +Inf bucket
+	Sum        float64   `json:"sum"`
 }
 
 // Snapshot captures the histogram's current state.
@@ -83,30 +84,4 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	}
 	s.Count = run
 	return s
-}
-
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) the way Prometheus's
-// histogram_quantile does: find the bucket holding rank q·total and
-// interpolate linearly inside it, taking 0 as the lower edge of the first
-// bucket (leading empty buckets are skipped, so q=0 gives the lower edge of
-// the first occupied one). A rank in the +Inf bucket returns the largest
-// finite bound. NaN when nothing was observed.
-func (s HistSnapshot) Quantile(q float64) float64 {
-	total := s.Cumulative[len(s.Cumulative)-1]
-	if total == 0 {
-		return math.NaN()
-	}
-	rank := q * float64(total)
-	b := 0
-	for b < len(s.Bounds) && (s.Cumulative[b] == 0 || float64(s.Cumulative[b]) < rank) {
-		b++
-	}
-	if b == len(s.Bounds) {
-		return s.Bounds[b-1]
-	}
-	lo, below := 0.0, uint64(0)
-	if b > 0 {
-		lo, below = s.Bounds[b-1], s.Cumulative[b-1]
-	}
-	return lo + (s.Bounds[b]-lo)*(rank-float64(below))/float64(s.Cumulative[b]-below)
 }

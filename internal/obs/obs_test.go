@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -143,52 +142,6 @@ func TestHistogramCountIsInfBucket(t *testing.T) {
 	check(s)
 	if s.Count != writers*each {
 		t.Fatalf("count %d, want %d", s.Count, writers*each)
-	}
-}
-
-func TestHistSnapshotQuantile(t *testing.T) {
-	if q := NewHistogram([]float64{1, 10}).Snapshot().Quantile(0.5); !math.IsNaN(q) {
-		t.Errorf("empty histogram quantile = %v, want NaN", q)
-	}
-
-	// One occupied bucket (1, 10]: ranks interpolate linearly across it.
-	h := NewHistogram([]float64{1, 10, 100})
-	for i := 0; i < 4; i++ {
-		h.Observe(5)
-	}
-	s := h.Snapshot()
-	for _, tc := range []struct{ q, want float64 }{{0, 1}, {0.5, 5.5}, {1, 10}} {
-		if got := s.Quantile(tc.q); math.Abs(got-tc.want) > 1e-12 {
-			t.Errorf("one bucket: Quantile(%v) = %v, want %v", tc.q, got, tc.want)
-		}
-	}
-
-	// A rank in the +Inf bucket reports the largest finite bound.
-	h = NewHistogram([]float64{1, 10})
-	h.Observe(0.5)
-	h.Observe(50)
-	h.Observe(500)
-	if got := h.Snapshot().Quantile(0.9); got != 10 {
-		t.Errorf("+Inf bucket: Quantile(0.9) = %v, want 10", got)
-	}
-
-	// Monotone in q over a spread of observations, first bucket anchored
-	// at 0.
-	h = NewHistogram([]float64{1, 2, 4, 8, 16})
-	for _, v := range []float64{0.5, 1.5, 1.7, 3, 3, 3.5, 7, 12, 20} {
-		h.Observe(v)
-	}
-	s = h.Snapshot()
-	if got := s.Quantile(0.5 / 9); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("Quantile(0.5/9) = %v, want 0.5 (half way through [0, 1])", got)
-	}
-	prev := math.Inf(-1)
-	for q := 0.0; q <= 1; q += 0.01 {
-		got := s.Quantile(q)
-		if got < prev {
-			t.Fatalf("Quantile(%v) = %v below Quantile at smaller q (%v)", q, got, prev)
-		}
-		prev = got
 	}
 }
 

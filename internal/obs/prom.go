@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -195,12 +196,13 @@ const MaxFamilySeries = 512
 // LintExposition validates a text exposition document: every family
 // declares HELP then TYPE exactly once before its samples, names match the
 // conventional shape, samples belong to the family whose metadata most
-// recently opened (histograms may append _bucket/_sum/_count), label pairs
-// are well-formed, every value parses as a float, no sample (name + label
-// set) appears twice, and no family exposes more than MaxFamilySeries
-// series. It returns the first violation, or nil for a clean document. An
-// empty document is a violation: a scrape that returns nothing is a broken
-// exporter, not a healthy quiet one.
+// recently opened (histograms may append _bucket/_sum/_count, and every
+// _bucket carries an le label), label pairs are well-formed and
+// comma-separated and name no label twice, every value parses as a float,
+// no sample (name + label set) appears twice, and no family exposes more
+// than MaxFamilySeries series. It returns the first violation, or nil for a
+// clean document. An empty document is a violation: a scrape that returns
+// nothing is a broken exporter, not a healthy quiet one.
 func LintExposition(doc []byte) error {
 	families := make(map[string]*familyState)
 	var cur string
@@ -272,7 +274,7 @@ func LintExposition(doc []byte) error {
 		if name != family && st.kind != "histogram" && st.kind != "summary" {
 			return fmt.Errorf("line %d: sample %s extends non-histogram family %s", lineNo, name, family)
 		}
-		labels, err := checkSampleRest(rest)
+		labels, err := checkSampleRest(rest, st.kind == "histogram" && name == family+"_bucket")
 		if err != nil {
 			return fmt.Errorf("line %d: sample %s: %v", lineNo, name, err)
 		}
@@ -340,14 +342,19 @@ func splitSampleName(line string) (name, rest string, err error) {
 
 // checkSampleRest validates the label block (if any) and the value of a
 // sample line's remainder, returning the verbatim label block (the sample's
-// series identity within its family; "" for an unlabeled sample).
-func checkSampleRest(rest string) (labels string, err error) {
+// series identity within its family; "" for an unlabeled sample). When
+// bucket is set the sample is a histogram bucket and must carry le.
+func checkSampleRest(rest string, bucket bool) (labels string, err error) {
+	var names []string
 	if strings.HasPrefix(rest, "{") {
-		end, err := scanLabelBlock(rest)
+		end, n, err := scanLabelBlock(rest)
 		if err != nil {
 			return "", err
 		}
-		labels, rest = rest[:end], rest[end:]
+		labels, names, rest = rest[:end], n, rest[end:]
+	}
+	if bucket && !slices.Contains(names, "le") {
+		return labels, fmt.Errorf("histogram bucket without an le label")
 	}
 	value := strings.TrimSpace(rest)
 	if value == "" {
@@ -367,42 +374,51 @@ func checkSampleRest(rest string) (labels string, err error) {
 }
 
 // scanLabelBlock validates `{name="value",...}` and returns the index just
-// past the closing brace. Escapes inside values follow the format's rules.
-func scanLabelBlock(s string) (int, error) {
+// past the closing brace and the label names in order. Escapes inside values
+// follow the format's rules; pairs are separated by commas (one trailing
+// comma is allowed, as Prometheus's parser allows it), and no name may
+// appear twice.
+func scanLabelBlock(s string) (int, []string, error) {
+	var names []string
 	i := 1 // past '{'
 	for {
 		if i >= len(s) {
-			return 0, fmt.Errorf("unterminated label block")
+			return 0, nil, fmt.Errorf("unterminated label block")
 		}
 		if s[i] == '}' {
-			return i + 1, nil
+			return i + 1, names, nil
 		}
 		j := strings.IndexByte(s[i:], '=')
 		if j < 0 {
-			return 0, fmt.Errorf("label without '=' in %q", s)
+			return 0, nil, fmt.Errorf("label without '=' in %q", s)
 		}
-		if name := s[i : i+j]; !labelNameRE.MatchString(name) {
-			return 0, fmt.Errorf("bad label name %q", name)
+		name := s[i : i+j]
+		if !labelNameRE.MatchString(name) {
+			return 0, nil, fmt.Errorf("bad label name %q", name)
 		}
+		if slices.Contains(names, name) {
+			return 0, nil, fmt.Errorf("repeated label name %q", name)
+		}
+		names = append(names, name)
 		i += j + 1
 		if i >= len(s) || s[i] != '"' {
-			return 0, fmt.Errorf("unquoted label value in %q", s)
+			return 0, nil, fmt.Errorf("unquoted label value in %q", s)
 		}
 		i++ // past opening quote
 		for {
 			if i >= len(s) {
-				return 0, fmt.Errorf("unterminated label value")
+				return 0, nil, fmt.Errorf("unterminated label value")
 			}
 			if s[i] == '\\' {
 				if i+1 >= len(s) {
-					return 0, fmt.Errorf("dangling escape in label value")
+					return 0, nil, fmt.Errorf("dangling escape in label value")
 				}
 				switch s[i+1] {
 				case '\\', '"', 'n':
 					i += 2
 					continue
 				default:
-					return 0, fmt.Errorf("bad escape \\%c in label value", s[i+1])
+					return 0, nil, fmt.Errorf("bad escape \\%c in label value", s[i+1])
 				}
 			}
 			if s[i] == '"' {
@@ -411,8 +427,11 @@ func scanLabelBlock(s string) (int, error) {
 			}
 			i++
 		}
-		if i < len(s) && s[i] == ',' {
+		switch {
+		case i < len(s) && s[i] == ',':
 			i++
+		case i < len(s) && s[i] != '}':
+			return 0, nil, fmt.Errorf("missing comma after label %s in %q", name, s)
 		}
 	}
 }

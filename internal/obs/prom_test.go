@@ -120,6 +120,12 @@ func TestLintCatchesViolations(t *testing.T) {
 		{"duplicate bare sample", "# HELP a_total x\n# TYPE a_total counter\na_total 1\na_total 2\n"},
 		{"duplicate labeled sample", "# HELP a_total x\n# TYPE a_total counter\n" +
 			`a_total{t="x"} 1` + "\n" + `a_total{t="x"} 2` + "\n"},
+		{"labels without comma", "# HELP a_total x\n# TYPE a_total counter\n" +
+			`a_total{a="1"b="2"} 1` + "\n"},
+		{"repeated label name", "# HELP a_total x\n# TYPE a_total counter\n" +
+			`a_total{a="1",a="2"} 1` + "\n"},
+		{"bucket without le", "# HELP h x\n# TYPE h histogram\n" +
+			`h_bucket{route="r"} 1` + "\n" + `h_sum{route="r"} 1` + "\n" + `h_count{route="r"} 1` + "\n"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

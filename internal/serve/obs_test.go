@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -43,26 +44,64 @@ func TestRequestIDEchoedAndGenerated(t *testing.T) {
 	}
 }
 
+// sampleValue returns the value of one series of a scrape: the sample name
+// and its label block exactly as the exposition writes them, e.g.
+// `mcserved_jobs{status="done"}`.
+func sampleValue(t *testing.T, doc []byte, series string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(string(doc), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("series %s: %v", series, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("series %s not in the scrape:\n%s", series, doc)
+	return 0
+}
+
+// TestMetricsContentNegotiation: GET /metrics is the text exposition
+// whatever the client accepts, and the exposition has no second URL.
 func TestMetricsContentNegotiation(t *testing.T) {
 	s := newTestServer(t, Config{}, instantOutcome)
 	do(t, s, "GET", "/healthz", "")
 
-	// Bare GET /metrics stays the JSON document (the compatibility surface).
-	w := do(t, s, "GET", "/metrics", "")
-	if ct := w.Header().Get("Content-Type"); ct != "application/json" {
-		t.Errorf("GET /metrics Content-Type = %q, want application/json", ct)
+	var docs []string
+	for _, accept := range []string{"", "application/json", "text/plain;version=0.0.4"} {
+		r := httptest.NewRequest("GET", "/metrics", nil)
+		if accept != "" {
+			r.Header.Set("Accept", accept)
+		}
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, r)
+		if w.Code != http.StatusOK {
+			t.Fatalf("Accept %q: %d %s", accept, w.Code, w.Body)
+		}
+		if ct := w.Header().Get("Content-Type"); ct != "text/plain; version=0.0.4; charset=utf-8" {
+			t.Errorf("Accept %q: Content-Type = %q, want the text exposition's", accept, ct)
+		}
+		if err := obs.LintExposition(w.Body.Bytes()); err != nil {
+			t.Errorf("Accept %q: exposition does not lint: %v", accept, err)
+		}
+		// Each scrape is one more GET /metrics; drop that route's series so
+		// the documents compare.
+		var kept []string
+		for _, line := range strings.Split(w.Body.String(), "\n") {
+			if !strings.Contains(line, `route="GET /metrics"`) {
+				kept = append(kept, line)
+			}
+		}
+		docs = append(docs, strings.Join(kept, "\n"))
 	}
-
-	// Accept: text/plain (what Prometheus sends) selects the exposition.
-	r := httptest.NewRequest("GET", "/metrics", nil)
-	r.Header.Set("Accept", "text/plain;version=0.0.4")
-	w2 := httptest.NewRecorder()
-	s.Handler().ServeHTTP(w2, r)
-	if ct := w2.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Errorf("negotiated Content-Type = %q, want text/plain", ct)
+	for i := 1; i < len(docs); i++ {
+		if docs[i] != docs[0] {
+			t.Errorf("scrape %d differs from the first beyond the /metrics route:\n%s\n---\n%s", i, docs[0], docs[i])
+		}
 	}
-	if err := obs.LintExposition(w2.Body.Bytes()); err != nil {
-		t.Errorf("negotiated exposition does not lint: %v", err)
+	if w := do(t, s, "GET", "/metrics/prometheus", ""); w.Code != http.StatusNotFound {
+		t.Errorf("GET /metrics/prometheus: %d, want 404", w.Code)
 	}
 }
 
@@ -83,7 +122,7 @@ func TestPrometheusExpositionLintCleanUnderTraffic(t *testing.T) {
 	waitDone(t, s, ref.ID)
 	do(t, s, "POST", "/v1/sweep", `{"orgs":["org1"],"loads":{"points":2},"measure":100}`)
 
-	scrape := do(t, s, "GET", "/metrics/prometheus", "")
+	scrape := do(t, s, "GET", "/metrics", "")
 	if scrape.Code != http.StatusOK {
 		t.Fatalf("scrape: %d %s", scrape.Code, scrape.Body)
 	}
@@ -126,37 +165,28 @@ func TestPrometheusExpositionLintCleanUnderTraffic(t *testing.T) {
 	}
 }
 
-// TestMetricsScrapeRaceHammer scrapes both metrics formats concurrently
-// with analyze and simulate traffic. Run under -race (CI does), it proves
-// the sharded metrics path and the exposition renderer are data-race free;
-// every scrape must also lint.
+// TestMetricsScrapeRaceHammer runs two concurrent scrapers against analyze
+// and simulate traffic. Run under -race (CI does), it proves the sharded
+// metrics path and the exposition renderer are data-race free; every scrape
+// must also lint.
 func TestMetricsScrapeRaceHammer(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 2}, instantOutcome)
 	const loops = 50
 	var wg sync.WaitGroup
 	errc := make(chan error, 4)
 	wg.Add(4)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < loops; i++ {
-			w := do(t, s, "GET", "/metrics/prometheus", "")
-			if err := obs.LintExposition(w.Body.Bytes()); err != nil {
-				errc <- fmt.Errorf("scrape %d does not lint: %v", i, err)
-				return
+	for range 2 {
+		go func() {
+			defer wg.Done()
+			for i := 0; i < loops; i++ {
+				w := do(t, s, "GET", "/metrics", "")
+				if err := obs.LintExposition(w.Body.Bytes()); err != nil {
+					errc <- fmt.Errorf("scrape %d does not lint: %v", i, err)
+					return
+				}
 			}
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < loops; i++ {
-			w := do(t, s, "GET", "/metrics", "")
-			var doc metricsDoc
-			if err := json.Unmarshal(w.Body.Bytes(), &doc); err != nil {
-				errc <- fmt.Errorf("JSON scrape %d: %v", i, err)
-				return
-			}
-		}
-	}()
+		}()
+	}
 	go func() {
 		defer wg.Done()
 		for i := 0; i < loops; i++ {
@@ -372,47 +402,44 @@ func TestJobLifecycleLogLines(t *testing.T) {
 }
 
 // TestMetricsLatencyFromHistogram records known durations on one route and
-// checks the JSON latency document derived from the route's histogram: an
-// exact max and mean, and each quantile inside the bucket its rank falls in.
+// checks the route's request counter, error counter and latency histogram
+// in the exposition.
 func TestMetricsLatencyFromHistogram(t *testing.T) {
-	m := newMetrics([]string{"POST /v1/analyze"})
+	s := newTestServer(t, Config{}, instantOutcome)
+	const route = "POST /v1/analyze"
 	// Buckets (seconds): 5×20µs in (10µs, 25µs], 4×300µs in (250µs, 500µs],
 	// 1×3ms in (1ms, 5ms].
 	for i := 0; i < 5; i++ {
-		m.record("POST /v1/analyze", 200, 20*time.Microsecond)
+		s.metrics.record(route, 200, 20*time.Microsecond)
 	}
 	for i := 0; i < 4; i++ {
-		m.record("POST /v1/analyze", 200, 300*time.Microsecond)
+		s.metrics.record(route, 200, 300*time.Microsecond)
 	}
-	m.record("POST /v1/analyze", 500, 3*time.Millisecond)
+	s.metrics.record(route, 500, 3*time.Millisecond)
 
-	doc := m.snapshot()["POST /v1/analyze"]
-	if doc.Count != 10 || doc.Errors != 1 || doc.Latency == nil {
-		t.Fatalf("route doc %+v", doc)
-	}
-	lat := doc.Latency
-	if got := float64(lat.Max); got != 3 {
-		t.Errorf("max = %v ms, want 3", got)
-	}
-	if got := float64(lat.Mean); math.Abs(got-0.43) > 1e-9 {
-		t.Errorf("mean = %v ms, want 0.43", got)
-	}
+	doc := do(t, s, "GET", "/metrics", "").Body.Bytes()
+	const lbl = `{route="` + route + `"`
 	for _, tc := range []struct {
-		name   string
-		v      sweep.Float
-		lo, hi float64 // the observed bucket, ms
+		series string
+		want   float64
 	}{
-		{"p50", lat.P50, 0.010, 0.025},
-		{"p90", lat.P90, 0.25, 0.5},
-		{"p99", lat.P99, 1, 5},
+		{"mcserved_request_duration_seconds_bucket" + lbl + `,le="1e-05"}`, 0},
+		{"mcserved_request_duration_seconds_bucket" + lbl + `,le="2.5e-05"}`, 5},
+		{"mcserved_request_duration_seconds_bucket" + lbl + `,le="0.00025"}`, 5},
+		{"mcserved_request_duration_seconds_bucket" + lbl + `,le="0.0005"}`, 9},
+		{"mcserved_request_duration_seconds_bucket" + lbl + `,le="0.001"}`, 9},
+		{"mcserved_request_duration_seconds_bucket" + lbl + `,le="0.005"}`, 10},
+		{"mcserved_request_duration_seconds_bucket" + lbl + `,le="+Inf"}`, 10},
+		{"mcserved_request_duration_seconds_count" + lbl + "}", 10},
+		{"mcserved_requests_total" + lbl + "}", 10},
+		{"mcserved_request_errors_total" + lbl + "}", 1},
 	} {
-		// The bucket bounds are seconds scaled to ms, so allow rounding.
-		if v := float64(tc.v); !(v > tc.lo && v <= tc.hi+1e-12) {
-			t.Errorf("%s = %v ms, want inside its bucket (%v, %v]", tc.name, v, tc.lo, tc.hi)
+		if got := sampleValue(t, doc, tc.series); got != tc.want {
+			t.Errorf("%s = %v, want %v", tc.series, got, tc.want)
 		}
 	}
-	if !(lat.P50 <= lat.P90 && lat.P90 <= lat.P99 && lat.P99 <= lat.Max) {
-		t.Errorf("quantiles not ordered p50 ≤ p90 ≤ p99 ≤ max: %+v", *lat)
+	if got := sampleValue(t, doc, "mcserved_request_duration_seconds_sum"+lbl+"}"); math.Abs(got-4.3e-3) > 1e-12 {
+		t.Errorf("latency sum = %v s, want 4.3e-3", got)
 	}
 }
 

@@ -13,18 +13,17 @@ import (
 // The Prometheus text exposition of the server's telemetry. Family naming
 // follows DESIGN.md §6: everything is prefixed mcserved_, counters end in
 // _total, durations are _seconds histograms, and label vocabularies
-// (route, result, status, disposition) are closed sets. The JSON document
-// on GET /metrics is the compatibility surface; this is the scrape surface
-// a fleet coordinator consumes.
+// (route, result, status, disposition) are closed sets. It is the server's
+// one metrics surface, the scrape a fleet coordinator consumes.
 
 // engineJobBuckets are the per-job wall-time histogram bounds in seconds:
 // cache hits resolve in microseconds, real simulations run seconds to
 // minutes.
 var engineJobBuckets = []float64{1e-4, 1e-3, 0.01, 0.1, 0.5, 1, 2.5, 5, 10, 30, 60, 300}
 
-// handleMetricsProm implements GET /metrics/prometheus (and the negotiated
-// text form of GET /metrics).
-func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
+// handleMetrics implements GET /metrics: the text exposition, whatever the
+// request's Accept header.
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var buf bytes.Buffer
 	e := obs.NewExposition(&buf)
 
@@ -70,7 +69,7 @@ func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 	// Per-tier contention aggregates from executed simulations' telemetry.
 	// The tier vocabulary is the closed four-tier set; per-channel series
 	// would be unbounded cardinality and are deliberately not exported.
-	busy, blocking, grants, teleRuns, teleMessages := s.teleTotals.snapshot()
+	busy, blocking, grants, teleMessages := s.teleTotals.snapshot()
 	tierNames := mcsim.TierNames()
 	e.Family("mcserved_sim_tier_busy_time_total", "counter",
 		"Channel busy time accumulated per tier across executed simulations (simulated time units).")
@@ -87,9 +86,6 @@ func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 	for i, name := range tierNames {
 		e.Sample([]obs.Label{{Name: "tier", Value: name}}, grants[i])
 	}
-	e.Family("mcserved_sim_telemetry_runs_total", "counter",
-		"Executed simulations whose telemetry was folded into the tier counters.")
-	e.Sample(nil, float64(teleRuns))
 	e.Family("mcserved_sim_messages_measured_total", "counter",
 		"Measured messages delivered across executed simulations.")
 	e.Sample(nil, teleMessages)

@@ -27,8 +27,10 @@
 //	GET  /v1/fidelity      the latest reproduction run's machine-readable
 //	                       verdict (paper_runs/<stamp>/analysis/report.json).
 //	GET  /healthz          liveness.
-//	GET  /metrics          request counts, latency quantiles, cache hit
-//	                       ratio, queue depth.
+//	GET  /metrics          the Prometheus text exposition: per-route request
+//	                       counts, errors and latency histograms, cache
+//	                       lookups, queue and job gauges, engine and per-tier
+//	                       simulation counters.
 //
 // Three layers keep repeated and concurrent work cheap:
 //
@@ -196,7 +198,6 @@ func New(cfg Config) (*Server, error) {
 	}{
 		{"GET /healthz", s.handleHealthz},
 		{"GET /metrics", s.handleMetrics},
-		{"GET /metrics/prometheus", s.handleMetricsProm},
 		{"POST /v1/analyze", s.handleAnalyze},
 		{"POST /v1/simulate", s.handleSimulate},
 		{"POST /v1/compare", s.handleCompare},

@@ -379,12 +379,12 @@ func TestCompareJobAttachesAnalysis(t *testing.T) {
 	}
 	// One execution is one lookup: the singleflight's re-check of the cache
 	// is not counted as a second miss.
-	var m metricsDoc
-	if err := json.Unmarshal(do(t, s, "GET", "/metrics", "").Body.Bytes(), &m); err != nil {
-		t.Fatal(err)
-	}
-	if m.Cache.Misses != 1 || m.Cache.MemoryHits != 1 || m.Cache.HitRatio != 0.5 {
-		t.Fatalf("outcome cache counters %+v, want 1 miss and 1 memory hit", m.Cache)
+	scrape := do(t, s, "GET", "/metrics", "").Body.Bytes()
+	for result, want := range map[string]float64{"miss": 1, "memory_hit": 1, "disk_hit": 0} {
+		series := `mcserved_outcome_cache_lookups_total{result="` + result + `"}`
+		if got := sampleValue(t, scrape, series); got != want {
+			t.Errorf("%s = %v, want %v", series, got, want)
+		}
 	}
 }
 
@@ -423,6 +423,20 @@ func TestQueueBackpressure429(t *testing.T) {
 	// Resubmitting a known job is dedup, not new work: still accepted.
 	if w := submit(1); w.Code != http.StatusOK {
 		t.Fatalf("resubmit under pressure: %d, want 200", w.Code)
+	}
+	// The rejected job left no record: one running, one queued, and the
+	// queue full at its capacity.
+	doc := do(t, s, "GET", "/metrics", "").Body.Bytes()
+	for series, want := range map[string]float64{
+		`mcserved_jobs{status="running"}`: 1,
+		`mcserved_jobs{status="queued"}`:  1,
+		"mcserved_queue_depth":            1,
+		"mcserved_queue_capacity":         1,
+		"mcserved_queue_workers_busy":     1,
+	} {
+		if got := sampleValue(t, doc, series); got != want {
+			t.Errorf("%s = %v, want %v", series, got, want)
+		}
 	}
 }
 
@@ -660,25 +674,21 @@ func TestMetricsReport(t *testing.T) {
 	if mw.Code != http.StatusOK {
 		t.Fatalf("metrics: %d", mw.Code)
 	}
-	var doc metricsDoc
-	if err := json.Unmarshal(mw.Body.Bytes(), &doc); err != nil {
-		t.Fatal(err)
-	}
-	an := doc.Requests["POST /v1/analyze"]
-	if an.Count != 3 || an.Errors != 1 {
-		t.Fatalf("analyze route stats %+v", an)
-	}
-	if an.Latency == nil || !(float64(an.Latency.P50) >= 0) || float64(an.Latency.Max) < float64(an.Latency.P50) {
-		t.Fatalf("analyze latency doc %+v", an.Latency)
-	}
-	if doc.Cache.AnalyzeHits != 1 || doc.Cache.AnalyzeMisses != 1 {
-		t.Fatalf("analyze cache counters %+v", doc.Cache)
-	}
-	if doc.SimulationsExecuted != 1 {
-		t.Fatalf("simulations_executed = %d, want 1", doc.SimulationsExecuted)
-	}
-	if doc.Queue.Capacity == 0 || doc.Queue.Done < 1 {
-		t.Fatalf("queue doc %+v", doc.Queue)
+	doc := mw.Body.Bytes()
+	for series, want := range map[string]float64{
+		`mcserved_requests_total{route="POST /v1/analyze"}`:                            3,
+		`mcserved_request_errors_total{route="POST /v1/analyze"}`:                      1,
+		`mcserved_request_duration_seconds_count{route="POST /v1/analyze"}`:            3,
+		`mcserved_request_duration_seconds_bucket{route="POST /v1/analyze",le="+Inf"}`: 3,
+		`mcserved_analyze_cache_lookups_total{result="hit"}`:                           1,
+		`mcserved_analyze_cache_lookups_total{result="miss"}`:                          1,
+		"mcserved_simulations_executed_total":                                          1,
+		`mcserved_jobs{status="done"}`:                                                 1,
+		"mcserved_queue_capacity":                                                      64,
+	} {
+		if got := sampleValue(t, doc, series); got != want {
+			t.Errorf("%s = %v, want %v", series, got, want)
+		}
 	}
 }
 

@@ -80,7 +80,6 @@ type teleTotals struct {
 	busy     [4]float64
 	blocking [4]float64
 	grants   [4]float64
-	runs     int64
 	messages float64
 }
 
@@ -96,13 +95,12 @@ func (t *teleTotals) add(rep *mcsim.TelemetryReport) {
 		t.blocking[i] += tier.BlockingTime
 		t.grants[i] += float64(tier.Grants)
 	}
-	t.runs++
 	t.messages += float64(rep.Decomposition.Messages)
 }
 
 // snapshot returns a consistent copy for the exposition.
-func (t *teleTotals) snapshot() (busy, blocking, grants [4]float64, runs int64, messages float64) {
+func (t *teleTotals) snapshot() (busy, blocking, grants [4]float64, messages float64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.busy, t.blocking, t.grants, t.runs, t.messages
+	return t.busy, t.blocking, t.grants, t.messages
 }

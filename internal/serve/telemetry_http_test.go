@@ -64,9 +64,9 @@ func TestJobTelemetryLifecycle(t *testing.T) {
 	}
 
 	// The executed run also feeds the per-tier Prometheus counters.
-	scrape := do(t, s, "GET", "/metrics/prometheus", "")
-	if !strings.Contains(scrape.Body.String(), "mcserved_sim_telemetry_runs_total 1") {
-		t.Errorf("telemetry run not counted in exposition:\n%s", scrape.Body)
+	scrape := do(t, s, "GET", "/metrics", "")
+	if !strings.Contains(scrape.Body.String(), "mcserved_simulations_executed_total 1") {
+		t.Errorf("executed simulation not counted in exposition:\n%s", scrape.Body)
 	}
 	if !strings.Contains(scrape.Body.String(), `mcserved_sim_tier_grants_total{tier="icn1"}`) {
 		t.Errorf("per-tier grant counters missing from exposition:\n%s", scrape.Body)
@@ -187,7 +187,7 @@ func TestJobTelemetryScrapeRaceHammer(t *testing.T) {
 					errc <- fmt.Errorf("scrape: %d %s", w.Code, w.Body)
 					return
 				}
-				do(t, s, "GET", "/metrics/prometheus", "")
+				do(t, s, "GET", "/metrics", "")
 			}
 		}()
 	}

@@ -37,7 +37,7 @@ func TestDirCacheConcurrentEngines(t *testing.T) {
 				return
 			}
 			var cb bytes.Buffer
-			cs := NewCSVSink(&cb)
+			cs := NewCSVSink(&cb, spec)
 			eng := &Engine{Workers: 2, Cache: cache, Sinks: []Sink{cs}}
 			sum, err := eng.Run(spec)
 			if err != nil {

@@ -14,7 +14,7 @@ import (
 func runToBytes(t *testing.T, eng *Engine, spec Spec) (csv, jsonl []byte, sum Summary) {
 	t.Helper()
 	var cb, jb bytes.Buffer
-	cs, js := NewCSVSink(&cb), NewJSONLSink(&jb)
+	cs, js := NewCSVSink(&cb, spec), NewJSONLSink(&jb)
 	eng.Sinks = []Sink{cs, js}
 	sum, err := eng.Run(spec)
 	if err != nil {

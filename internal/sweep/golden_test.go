@@ -104,9 +104,7 @@ func goldenLinksSpec() Spec {
 func runCSV(t *testing.T, spec Spec, workers int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	sink := NewCSVSink(&buf)
-	sink.Workload = spec.HasWorkloadAxes()
-	sink.Links = spec.HasLinkAxis()
+	sink := NewCSVSink(&buf, spec)
 	eng := &Engine{Workers: workers, Sinks: []Sink{sink}}
 	if _, err := eng.Run(spec); err != nil {
 		t.Fatalf("engine: %v", err)

@@ -27,21 +27,23 @@ var CSVHeader = []string{
 	"sim_latency", "sim_source_wait", "sim_pout", "delivered", "truncated",
 }
 
-// CSVWorkloadColumns are the extra columns a workload-aware sink appends
-// (see CSVSink.Workload).
+// CSVWorkloadColumns are the extra columns of a sink whose spec sweeps the
+// workload axes (Spec.HasWorkloadAxes).
 var CSVWorkloadColumns = []string{"arrival", "size_dist"}
 
-// CSVLinksColumns are the extra columns a link-heterogeneity-aware sink
-// appends (see CSVSink.Links).
+// CSVLinksColumns are the extra columns of a sink whose spec sweeps link
+// heterogeneity (Spec.HasLinkAxis).
 var CSVLinksColumns = []string{"links"}
 
-// CSVTopologyColumns are the extra columns a topology-aware sink appends
-// (see CSVSink.Topology).
+// CSVTopologyColumns are the extra columns of a sink whose spec sweeps
+// topology (Spec.HasTopologyAxis).
 var CSVTopologyColumns = []string{"topology"}
 
-// CSVTelemetryColumns are the extra columns a telemetry-aware sink appends
-// (see CSVSink.Telemetry): per-tier mean utilization and blocking share,
-// the latency decomposition means, and the observed bottleneck tier.
+// CSVTelemetryColumns are the extra columns of a sink whose spec sets
+// Spec.Telemetry: per-tier mean utilization and blocking share, the latency
+// decomposition means, and the observed bottleneck tier. Rows whose outcome
+// carries no telemetry digest (e.g. cache hits from telemetry-off runs)
+// print NaN/empty values.
 var CSVTelemetryColumns = []string{
 	"util_icn1", "util_ecn1", "util_conc", "util_icn2",
 	"blockfrac_icn1", "blockfrac_ecn1", "blockfrac_conc", "blockfrac_icn2",
@@ -51,35 +53,29 @@ var CSVTelemetryColumns = []string{
 // CSVSink streams results as CSV rows (RFC 4180 quoting: organization specs
 // contain commas). Output is deterministic: floats use the shortest exact
 // decimal representation and NaN prints as "NaN".
+//
+// The schema follows the spec: each group of extra columns appears exactly
+// when the spec sweeps that axis (or turns telemetry on), so sweeps over the
+// paper's defaults keep producing byte-identical files to versions that
+// predate those axes.
 type CSVSink struct {
-	// Workload, when set before the first Write, appends the
-	// CSVWorkloadColumns to every row. It is opt-in (keyed off
-	// Spec.HasWorkloadAxes by the CLI) so sweeps over the paper's default
-	// workload keep producing byte-identical files to pre-workload versions.
-	Workload bool
-	// Links, when set before the first Write, appends the CSVLinksColumns.
-	// Like Workload it is opt-in (keyed off Spec.HasLinkAxis by the CLI), so
-	// homogeneous-technology sweeps keep their schema byte for byte.
-	Links bool
-	// Topology, when set before the first Write, appends the
-	// CSVTopologyColumns. Opt-in like the others (keyed off
-	// Spec.HasTopologyAxis by the CLI), so fat-tree-only sweeps keep their
-	// schema byte for byte.
-	Topology bool
-	// Telemetry, when set before the first Write, appends the
-	// CSVTelemetryColumns. Opt-in (keyed off Spec.Telemetry by the CLI and
-	// NewSpecCSVSink), so telemetry-off sweeps keep their schema byte for
-	// byte. Rows whose outcome carries no telemetry digest (e.g. cache hits
-	// from telemetry-off runs) print NaN/empty values.
-	Telemetry bool
+	workload, links, topology, telemetry bool
 
 	w      *csv.Writer
 	headed bool
 }
 
-// NewCSVSink wraps w in a buffered CSV sink. Call Flush when the sweep is
-// done.
-func NewCSVSink(w io.Writer) *CSVSink { return &CSVSink{w: csv.NewWriter(w)} }
+// NewCSVSink wraps w in a buffered CSV sink whose columns are derived from
+// spec. Call Flush when the sweep is done.
+func NewCSVSink(w io.Writer, spec Spec) *CSVSink {
+	return &CSVSink{
+		workload:  spec.HasWorkloadAxes(),
+		links:     spec.HasLinkAxis(),
+		topology:  spec.HasTopologyAxis(),
+		telemetry: spec.Telemetry,
+		w:         csv.NewWriter(w),
+	}
+}
 
 func formatFloat(v float64) string {
 	if math.IsNaN(v) {
@@ -93,18 +89,18 @@ func (s *CSVSink) Write(r Result) error {
 	if !s.headed {
 		s.headed = true
 		header := CSVHeader
-		if s.Workload || s.Links || s.Topology || s.Telemetry {
+		if s.workload || s.links || s.topology || s.telemetry {
 			header = append([]string{}, CSVHeader...)
-			if s.Workload {
+			if s.workload {
 				header = append(header, CSVWorkloadColumns...)
 			}
-			if s.Links {
+			if s.links {
 				header = append(header, CSVLinksColumns...)
 			}
-			if s.Topology {
+			if s.topology {
 				header = append(header, CSVTopologyColumns...)
 			}
-			if s.Telemetry {
+			if s.telemetry {
 				header = append(header, CSVTelemetryColumns...)
 			}
 		}
@@ -121,16 +117,16 @@ func (s *CSVSink) Write(r Result) error {
 		formatFloat(float64(r.SimLatency)), formatFloat(float64(r.SimSourceWait)),
 		formatFloat(float64(r.SimPOut)), strconv.Itoa(r.Delivered), strconv.FormatBool(r.Truncated),
 	}
-	if s.Workload {
+	if s.workload {
 		row = append(row, j.ArrivalName(), j.SizeName())
 	}
-	if s.Links {
+	if s.links {
 		row = append(row, j.LinksName())
 	}
-	if s.Topology {
+	if s.topology {
 		row = append(row, j.TopoName())
 	}
-	if s.Telemetry {
+	if s.telemetry {
 		row = append(row, telemetryColumns(r.Telemetry)...)
 	}
 	return s.w.Write(row)
@@ -201,12 +197,11 @@ func (s *JSONLSink) Write(r Result) error {
 // Flush drains the buffer to the underlying writer.
 func (s *JSONLSink) Flush() error { return s.w.Flush() }
 
-// NewSpecCSVSink creates <dir>/<spec.Name>.csv and returns a CSV sink
-// configured with the spec's schema (the workload and links columns appear
-// exactly when the spec sweeps those axes, as in cmd/mcsweep), plus a close
-// function that flushes the sink and closes the file. The reproduction
-// pipeline uses it to capture every study's raw sweep rows inside the run
-// directory, so a run tree carries the full evidence behind its figures.
+// NewSpecCSVSink creates <dir>/<spec.Name>.csv and returns a CSV sink with
+// the spec's schema, plus a close function that flushes the sink and closes
+// the file. The reproduction pipeline uses it to capture every study's raw
+// sweep rows inside the run directory, so a run tree carries the full
+// evidence behind its figures.
 func NewSpecCSVSink(dir string, spec Spec) (*CSVSink, func() error, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, err
@@ -216,11 +211,7 @@ func NewSpecCSVSink(dir string, spec Spec) (*CSVSink, func() error, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	sink := NewCSVSink(f)
-	sink.Workload = spec.HasWorkloadAxes()
-	sink.Links = spec.HasLinkAxis()
-	sink.Topology = spec.HasTopologyAxis()
-	sink.Telemetry = spec.Telemetry
+	sink := NewCSVSink(f, spec)
 	closeFn := func() error {
 		ferr := sink.Flush()
 		if cerr := f.Close(); ferr == nil {
