@@ -54,6 +54,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseOrganizationRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/system
 	$(GO) test -run '^$$' -fuzz '^FuzzParseLinkClass$$' -fuzztime $(FUZZTIME) ./internal/units
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTopology$$' -fuzztime $(FUZZTIME) ./internal/topo
+	$(GO) test -run '^$$' -fuzz '^FuzzJellyfishDistances$$' -fuzztime $(FUZZTIME) ./internal/topo
 	$(GO) test -run '^$$' -fuzz '^FuzzGridEquivalence$$' -fuzztime $(FUZZTIME) ./internal/analytic
 	$(GO) test -run '^$$' -fuzz '^FuzzJourneyChains$$' -fuzztime $(FUZZTIME) ./internal/analytic
 	$(GO) test -run '^$$' -fuzz '^FuzzSchedulerOrder$$' -fuzztime $(FUZZTIME) ./internal/des

@@ -144,7 +144,8 @@ type Model struct {
 	// dist2[d] is the route-length distribution over ordered cluster pairs
 	// (for a fat-tree ICN2, the NCA distribution re-indexed at d = 2h),
 	// dICN2 its mean, c2 the η normalization per terminal (= n_c for
-	// trees), and dOf the exact per-pair route length (ExactICN2Pairs).
+	// trees), and dOf the exact per-pair route length, built only under
+	// ExactICN2Pairs, the one option that reads it.
 	dist2 []float64
 	dICN2 float64
 	c2    float64
@@ -224,12 +225,14 @@ func New(sys *system.System, par units.Params, opt Options) (*Model, error) {
 		m.dICN2 += float64(d) * p
 	}
 	m.c2 = sys.ICN2Net.EtaChannels() / float64(sys.ICN2Net.Nodes())
-	m.dOf = make([][]int, sys.C())
-	for i := range m.dOf {
-		m.dOf[i] = make([]int, sys.C())
-		for v := range m.dOf[i] {
-			if v != i {
-				m.dOf[i][v] = sys.ICN2Net.RouteLen(i, v)
+	if opt.ExactICN2Pairs {
+		m.dOf = make([][]int, sys.C())
+		for i := range m.dOf {
+			m.dOf[i] = make([]int, sys.C())
+			for v := range m.dOf[i] {
+				if v != i {
+					m.dOf[i][v] = sys.ICN2Net.RouteLen(i, v)
+				}
 			}
 		}
 	}
@@ -434,7 +437,12 @@ func satWhere(k satKind, i, v int) string {
 // slices (each of length C): lam is the per-node rate λ_i, outRate is
 // N_i·P_o(i)·λ_i, and inRate is the incoming inter-cluster rate per cluster
 // (for ConcPerEndpoint).
-func (m *Model) fillRates(lambdaG float64, lam, outRate, inRate []float64) {
+//
+// With runs set, a cluster of its predecessor's size and outgoing rate takes
+// the predecessor's in-rate. That is exact: the two sums differ only in
+// which of two equal terms they skip, so they add the same values in the
+// same order.
+func (m *Model) fillRates(lambdaG float64, lam, outRate, inRate []float64, runs bool) {
 	sys := m.Sys
 	n := float64(sys.TotalNodes())
 	c := sys.C()
@@ -443,6 +451,11 @@ func (m *Model) fillRates(lambdaG float64, lam, outRate, inRate []float64) {
 		outRate[i] = float64(sys.Clusters[i].Nodes) * m.pOut[i] * lam[i]
 	}
 	for v := 0; v < c; v++ {
+		if runs && v > 0 && sys.Clusters[v].Nodes == sys.Clusters[v-1].Nodes &&
+			math.Float64bits(outRate[v]) == math.Float64bits(outRate[v-1]) {
+			inRate[v] = inRate[v-1]
+			continue
+		}
 		in := 0.0
 		nv := float64(sys.Clusters[v].Nodes)
 		for u := 0; u < c; u++ {
@@ -646,9 +659,10 @@ func (m *Model) Evaluate(lambdaG float64) (Result, error) {
 
 // evaluate is the shared driver behind Model.Evaluate and Grid.Evaluate: with
 // a nil Grid it allocates a fresh scratch and computes every cluster and
-// pair directly; with a Grid it reuses the grid's scratch and consults its
+// pair directly; with a Grid it reuses the grid's scratch, consults its
 // per-point memo, which returns bit-identical values because equal class IDs
-// capture every floating-point input of the corresponding computation. A
+// capture every floating-point input of the corresponding computation, and
+// copies a cluster that repeats its predecessor (Grid.repeats). A
 // probe only asks whether the point saturates: it returns ErrSaturated with
 // a partial Result at the first saturated cluster or pair, which is the
 // first point where the full evaluation would mark the Result saturated.
@@ -668,7 +682,7 @@ func (m *Model) evaluate(lambdaG float64, g *Grid, probe bool) (Result, error) {
 		sc = &own
 	}
 	lam, outRate, inRate := sc.lam, sc.outRate, sc.inRate
-	m.fillRates(lambdaG, lam, outRate, inRate)
+	m.fillRates(lambdaG, lam, outRate, inRate, g != nil)
 	if g != nil {
 		g.beginPoint()
 	}
@@ -684,6 +698,10 @@ func (m *Model) evaluate(lambdaG float64, g *Grid, probe bool) (Result, error) {
 
 	for i := range sys.Clusters {
 		cr := &res.PerCluster[i]
+		if g != nil && g.repeats(i) {
+			*cr = res.PerCluster[i-1]
+			continue
+		}
 		cr.POut = m.pOut[i]
 
 		var ir intraResult

@@ -12,7 +12,10 @@ import "math"
 // bit-identical to Model.Evaluate: a memo hit replays a computation whose
 // inputs were equal bit-for-bit, and the per-source accumulation still runs
 // in ascending destination order, so every floating-point operation and its
-// order are unchanged.
+// order are unchanged. A cluster that repeats its predecessor's classes
+// copies the predecessor's result outright (repeats), and the in-rates skip
+// their C-term sum along the same runs: a point walks the C−1 destinations
+// once per run of equal clusters instead of once per cluster.
 //
 // The memo is keyed by interned classes: once per point, every cluster gets
 // an intra class, a pair-source class and a pair-destination class ID, equal
@@ -155,6 +158,19 @@ func (g *Grid) beginPoint() {
 	}
 	g.intraMemo = resetMemo(g.intraMemo, len(g.intraCls))
 	g.pairMemo = resetMemo(g.pairMemo, len(g.srcCls)*len(g.dstCls)*g.d2Slots)
+}
+
+// repeats reports whether source cluster i's ClusterResult is its
+// predecessor's: both share their intra, source and destination classes,
+// and the pairs read no per-pair route length (ExactICN2Pairs). The two
+// clusters then see the same intra result and, destination by destination,
+// the same pair results, except that i−1 skips itself and reads i where i
+// skips itself and reads i−1. Those two pairs are equal, so both sums add
+// the same values in the same order, and a saturated pair sits at the same
+// position. The Bottleneck is unaffected: i−1, being earlier, names it.
+func (g *Grid) repeats(i int) bool {
+	return i > 0 && !g.m.Opt.ExactICN2Pairs && g.intraID[i] == g.intraID[i-1] &&
+		g.srcID[i] == g.srcID[i-1] && g.dstID[i] == g.dstID[i-1]
 }
 
 // intraCluster is the memoizing wrapper around Model.intraCluster.

@@ -154,13 +154,27 @@ func equivCases(t *testing.T) []equivCase {
 			}(),
 		},
 	}
+	// The grid copies a cluster's result from its predecessor when both
+	// share every class. Equal clusters that are not adjacent (A, B, A)
+	// must not be mistaken for a run, and a run broken by a rate factor or
+	// a per-cluster link override must restart at the break: the copy
+	// would otherwise read the neighbouring destination's pair terms. The
+	// ECN1 override differs from the default class in α_net alone, so it
+	// splits only the destination class.
+	cases = append(cases,
+		equivCase{name: "runs-not-adjacent", org: "m=4:3x2,2x1,3x2", flits: 32, lm: 256, opt: analytic.DefaultOptions()},
+		equivCase{name: "runs-split-rate", org: "m=4:3x2,1x2@2,3x2", flits: 32, lm: 256, opt: analytic.DefaultOptions()},
+		equivCase{name: "runs-split-icn1", org: "m=4:3x2,1x2@icn1=0.04/0.02/0.004,3x2", flits: 32, lm: 256, opt: analytic.DefaultOptions()},
+		equivCase{name: "runs-split-ecn1", org: "m=4:3x2,1x2@ecn1=0.04/0.01/0.002,3x2", flits: 32, lm: 256, opt: analytic.DefaultOptions()},
+	)
 	// Exact ICN2 route lengths that differ between pairs of the same
-	// cluster classes.
+	// cluster classes: runs of equal clusters whose results still differ.
 	exact := analytic.DefaultOptions()
 	exact.ExactICN2Pairs = true
 	cases = append(cases,
 		equivCase{name: "exact-pairs-org1", org: system.Format(system.Table1Org1()), flits: 32, lm: 256, opt: exact},
 		equivCase{name: "exact-pairs-dragonfly", org: "m=4@icn2topo=dragonfly:8x2,4x3@topo=jellyfish", flits: 32, lm: 256, opt: exact},
+		equivCase{name: "exact-pairs-runs", org: "m=4:5x2,3x1,5x2", flits: 32, lm: 256, opt: exact},
 	)
 	// The hetero-links builtin sweeps one org against several tier specs;
 	// every combination joins the table.
@@ -301,12 +315,22 @@ func TestGridSaturationPoint(t *testing.T) {
 
 // FuzzGridEquivalence drives the equivalence property over fuzzer-chosen
 // organization shapes and load grids: whatever the topology, cluster mix and
-// λ spacing, Grid.Evaluate must be bit-identical to Model.Evaluate.
+// λ spacing, Grid.Evaluate must be bit-identical to Model.Evaluate. The
+// second spec B follows the first, A, and shape picks what sets B apart:
+// its low two bits choose a rate factor of 2, an ICN1 override, an ECN1
+// override of α_net alone (which splits only the destination class) or
+// nothing (so that A and an equal-levels B form one run); bit 2
+// repeats A after B (A, B, A); bit 3 sets ExactICN2Pairs.
 func FuzzGridEquivalence(f *testing.F) {
-	f.Add(uint8(4), uint8(1), uint8(2), uint8(2), uint8(2), float64(2e-4), uint8(6))
-	f.Add(uint8(8), uint8(2), uint8(2), uint8(4), uint8(0), float64(1e-3), uint8(3))
-	f.Add(uint8(2), uint8(3), uint8(1), uint8(1), uint8(7), float64(5e-5), uint8(9))
-	f.Fuzz(func(t *testing.T, ports, lv1, lv2, cnt1, cnt2 uint8, lamTop float64, points uint8) {
+	f.Add(uint8(4), uint8(1), uint8(2), uint8(2), uint8(2), float64(2e-4), uint8(6), uint8(0))
+	f.Add(uint8(8), uint8(2), uint8(2), uint8(4), uint8(0), float64(1e-3), uint8(3), uint8(0))
+	f.Add(uint8(2), uint8(3), uint8(1), uint8(1), uint8(7), float64(5e-5), uint8(9), uint8(0))
+	f.Add(uint8(4), uint8(2), uint8(1), uint8(2), uint8(1), float64(2e-4), uint8(5), uint8(4))
+	f.Add(uint8(4), uint8(2), uint8(2), uint8(1), uint8(1), float64(2e-4), uint8(5), uint8(5))
+	f.Add(uint8(4), uint8(2), uint8(2), uint8(2), uint8(1), float64(3e-4), uint8(4), uint8(6))
+	f.Add(uint8(4), uint8(1), uint8(1), uint8(2), uint8(2), float64(5e-4), uint8(7), uint8(7))
+	f.Add(uint8(4), uint8(2), uint8(1), uint8(2), uint8(1), float64(2e-4), uint8(6), uint8(15))
+	f.Fuzz(func(t *testing.T, ports, lv1, lv2, cnt1, cnt2 uint8, lamTop float64, points, shape uint8) {
 		// Clamp to valid, small organizations: even ports ≥ 2, levels ≥ 1,
 		// at least two clusters total.
 		p := 2 + 2*int(ports%3) // 2, 4, 6
@@ -315,18 +339,30 @@ func FuzzGridEquivalence(f *testing.F) {
 		if c1+c2 < 2 {
 			c1 = 2
 		}
-		org := system.Organization{
-			Ports: p,
-			Specs: []system.ClusterSpec{{Count: c1, Levels: l1}},
-		}
+		a := system.ClusterSpec{Count: c1, Levels: l1}
+		org := system.Organization{Ports: p, Specs: []system.ClusterSpec{a}}
 		if c2 > 0 {
-			org.Specs = append(org.Specs, system.ClusterSpec{Count: c2, Levels: l2, RateFactor: 2})
+			b := system.ClusterSpec{Count: c2, Levels: l2}
+			switch shape % 4 {
+			case 0:
+				b.RateFactor = 2
+			case 1:
+				b.ICN1 = &units.LinkClass{AlphaNet: 0.04, AlphaSw: 0.02, BetaNet: 0.004}
+			case 2:
+				b.ECN1 = &units.LinkClass{AlphaNet: 0.04, AlphaSw: 0.01, BetaNet: 0.002}
+			}
+			org.Specs = append(org.Specs, b)
+			if shape&4 != 0 {
+				org.Specs = append(org.Specs, a)
+			}
 		}
+		opt := analytic.DefaultOptions()
+		opt.ExactICN2Pairs = shape&8 != 0
 		sys, err := system.New(org)
 		if err != nil {
 			t.Skip()
 		}
-		m, err := analytic.New(sys, units.Default(), analytic.DefaultOptions())
+		m, err := analytic.New(sys, units.Default(), opt)
 		if err != nil {
 			t.Skip()
 		}

@@ -13,9 +13,9 @@ import (
 // Every process pays these builds the first time it meets a shape. The m=4
 // 9-tree is the deepest tree the shape bound accepts; its B/op shows how
 // close the build stays to its tables' exact size. These cases force the
-// route tables a simulation builds on its first route. The "-model" case
-// builds the 9-tree as the analytic model alone meets it: geometry and
-// route-length distribution, no tables.
+// route tables a simulation builds on its first route. The "-model" cases
+// build the 9-tree and the jellyfish as the analytic model alone meets
+// them: geometry, distances and route-length distribution, no tables.
 func BenchmarkTopoBuild(b *testing.B) {
 	withTables := func(t Topology, err error) (Topology, error) {
 		switch t := t.(type) {
@@ -35,6 +35,9 @@ func BenchmarkTopoBuild(b *testing.B) {
 		{"fattree-m4-n9-model", func() (Topology, error) { return newFatTree(4, 9, routing.Balanced) }},
 		{"jellyfish-m4-n5", func() (Topology, error) {
 			return withTables(newJellyfish(nodeCount(4, 5), switchCount(4, 5), 4, 0))
+		}},
+		{"jellyfish-m4-n5-model", func() (Topology, error) {
+			return newJellyfish(nodeCount(4, 5), switchCount(4, 5), 4, 0)
 		}},
 		{"dragonfly-org1", func() (Topology, error) { return newDragonfly(32) }},
 	} {

@@ -28,9 +28,10 @@ type Dragonfly struct {
 
 // newDragonfly sizes the smallest balanced Dragonfly with at least count
 // terminals (t=1 → 6, t=2 → 72, t=3 → 342, …). The route-length
-// distribution enumerates all T² terminal pairs, so count is bounded like a
-// fat tree's nodes, by maxTreeNodes: the largest accepted instance has
-// 1,056 terminals.
+// distribution is counted in closed form, but CheckStructure walks all T²
+// terminal pairs and the model all C² cluster pairs, so count is bounded
+// like a fat tree's nodes, by maxTreeNodes: the largest accepted instance
+// has 1,056 terminals.
 func newDragonfly(count int) (*Dragonfly, error) {
 	if count < 1 {
 		return nil, fmt.Errorf("topo: dragonfly needs a positive terminal count (got %d)", count)
@@ -142,16 +143,20 @@ func (d *Dragonfly) AppendRoute(path []int32, base int32, src, dst int, sel uint
 	return append(path, base+int32(d.terminals+dst))
 }
 
-// buildRouteDist enumerates the minimal-route length over all ordered
-// terminal pairs.
+// buildRouteDist counts the minimal-route lengths of all ordered terminal
+// pairs in closed form, following RouteLen's cases: p(p−1) pairs per router
+// at length 2 and a(a−1)p² per group at length 3; across each ordered group
+// pair, p² at 3 (both routers own the global link), 2p²(a−1) at 4 (one
+// does) and p²(a−1)² at 5 (neither does). The counts are exact integers, so
+// the distribution is the enumeration's, bit for bit.
 func (d *Dragonfly) buildRouteDist() {
-	counts := make([]int64, d.MaxRouteLen()+1)
-	for s := 0; s < d.terminals; s++ {
-		for t := 0; t < d.terminals; t++ {
-			if s != t {
-				counts[d.RouteLen(s, t)]++
-			}
-		}
+	p, a, g := int64(d.p), int64(d.a), int64(d.g)
+	groupPairs := g * (g - 1) * p * p
+	counts := []int64{
+		2: g * a * p * (p - 1),
+		3: g*a*(a-1)*p*p + groupPairs,
+		4: groupPairs * 2 * (a - 1),
+		5: groupPairs * (a - 1) * (a - 1),
 	}
 	d.routeDist = make([]float64, len(counts))
 	denom := float64(d.terminals) * float64(d.terminals-1)

@@ -1,6 +1,9 @@
 package topo
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // FuzzParseTopology hammers the @topo=/axis spec grammar: any accepted
 // input must format canonically and re-parse to the identical pair
@@ -38,6 +41,67 @@ func FuzzParseTopology(f *testing.F) {
 			if err != nil || spec2 != spec {
 				t.Fatalf("spec round trip drifted: %q → %+v → %q → (%+v, %v)", text, spec, spec.String(), spec2, err)
 			}
+		}
+	})
+}
+
+// bfsDistances is the reference the bit-parallel distance table must
+// match: a plain BFS from every switch over adjacency rebuilt from the edge
+// list, with −1 for unreachable pairs.
+func bfsDistances(j *Jellyfish) []int32 {
+	S := j.switches
+	adj := make([][]int32, S)
+	for _, e := range j.edges {
+		adj[e[0]] = append(adj[e[0]], e[1])
+		adj[e[1]] = append(adj[e[1]], e[0])
+	}
+	dist := make([]int32, S*S)
+	for a := 0; a < S; a++ {
+		row := dist[a*S : (a+1)*S]
+		for i := range row {
+			row[i] = -1
+		}
+		row[a] = 0
+		for queue := []int32{int32(a)}; len(queue) > 0; queue = queue[1:] {
+			u := queue[0]
+			for _, v := range adj[u] {
+				if row[v] < 0 {
+					row[v] = row[u] + 1
+					queue = append(queue, v)
+				}
+			}
+		}
+	}
+	return dist
+}
+
+// FuzzJellyfishDistances checks the construction's bit-parallel distance
+// table against a plain BFS for fuzzer-chosen budgets and wiring seeds,
+// across switch counts on both sides of the 64-source word boundaries, and
+// that the routes built on first use are shortest paths of those lengths.
+func FuzzJellyfishDistances(f *testing.F) {
+	f.Add(uint16(16), uint8(20), uint8(4), uint64(0))
+	f.Add(uint16(1), uint8(1), uint8(1), uint64(7))
+	f.Add(uint16(64), uint8(64), uint8(5), uint64(1))
+	f.Add(uint16(65), uint8(65), uint8(4), uint64(2))
+	f.Add(uint16(64), uint8(144), uint8(4), uint64(0))
+	f.Add(uint16(200), uint8(129), uint8(6), uint64(3))
+	// 17 nodes on 21 two-port switches: the swap repair revisits an edge
+	// list, so construction must refuse the budget instead of looping.
+	f.Add(uint16(16), uint8(20), uint8(1), uint64(0))
+	// 66 nodes on one seven-port switch: more nodes than ports is refused.
+	f.Add(uint16(65), uint8(0), uint8(38), uint64(25))
+	f.Fuzz(func(t *testing.T, nodes uint16, switches, ports uint8, seed uint64) {
+		n, s, p := 1+int(nodes%512), 1+int(switches), 1+int(ports%16)
+		j, err := newJellyfish(n, s, p, seed)
+		if err != nil {
+			t.Skip()
+		}
+		if want := bfsDistances(j); !slices.Equal(j.dist, want) {
+			t.Fatalf("%s: bit-parallel distances differ from BFS", j)
+		}
+		if err := j.CheckStructure(); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

@@ -1,7 +1,9 @@
 package topo
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"mcnet/internal/rng"
@@ -19,7 +21,8 @@ const defaultJellyfishSeed = 0x6a656c6c79 // "jelly"
 // Routing is single shortest path over an all-pairs table, precomputed on
 // the first route, so the simulator's hot path is a zero-alloc arena copy
 // exactly like the fat tree's. The switch-pair distances the route-length
-// distribution reads are computed at construction.
+// distribution reads are computed at construction, 64 sources at a time;
+// the routes themselves wait for their first use.
 //
 // Channel layout: [0,N) node injection channels, [N,2N) node delivery
 // channels, then two directed channels per undirected switch edge e —
@@ -30,13 +33,10 @@ type Jellyfish struct {
 	ports    int
 	seed     uint64
 
-	edges   [][2]int32 // undirected switch pairs, low endpoint first
-	adj     [][]int32  // neighbor switches
-	adjChan [][]int32  // directed channel id of s→adj[s][k]
-	dist    []int32    // switch-pair hop distance, row-major
-	// via[a*S+b] is the channel over which the search from switch a first
-	// reached b; buildPaths walks it back and then drops it.
-	via       []int32
+	edges     [][2]int32 // undirected switch pairs, low endpoint first
+	adj       [][]int32  // neighbor switches
+	adjChan   [][]int32  // directed channel id of s→adj[s][k]
+	dist      []int32    // switch-pair hop distance, row-major
 	routeDist []float64
 	avgDist   float64
 	maxRoute  int
@@ -54,6 +54,9 @@ type Jellyfish struct {
 func newJellyfish(nodes, switches, ports int, seed uint64) (*Jellyfish, error) {
 	if nodes < 1 || switches < 1 || ports < 1 {
 		return nil, fmt.Errorf("topo: jellyfish needs positive nodes/switches/ports (got %d/%d/%d)", nodes, switches, ports)
+	}
+	if (nodes+switches-1)/switches > ports {
+		return nil, fmt.Errorf("topo: jellyfish of %d nodes on %d switches attaches more nodes to a switch than its %d ports", nodes, switches, ports)
 	}
 	j := &Jellyfish{nodes: nodes, switches: switches, ports: ports, seed: seed}
 	if seed == 0 {
@@ -137,12 +140,29 @@ func (j *Jellyfish) wire(deg []int) error {
 	// Connectivity repair: while more than one component exists, swap one
 	// edge (a,b) of the main component with one edge (c,d) of another into
 	// the cross pair (a,c),(b,d) — both new edges bridge distinct
-	// components, so they can not pre-exist and the components merge.
+	// components, so they can not pre-exist, and the components merge
+	// unless both old edges were bridges: then the swap only regroups the
+	// four parts. The repair is deterministic, so once it meets an edge
+	// list it has seen before it would cycle for ever; such a budget is
+	// refused instead.
+	var seen map[string]bool
 	for {
 		comp := j.components()
 		if max := maxOf(comp); max == 0 {
 			break // single component
 		}
+		key := make([]byte, 0, 8*len(j.edges))
+		for _, e := range j.edges {
+			key = binary.LittleEndian.AppendUint32(key, uint32(e[0]))
+			key = binary.LittleEndian.AppendUint32(key, uint32(e[1]))
+		}
+		if seen[string(key)] {
+			return fmt.Errorf("topo: jellyfish wiring for %d switches (seed %d) cannot be connected by edge swaps", j.switches, j.seed)
+		}
+		if seen == nil {
+			seen = map[string]bool{}
+		}
+		seen[string(key)] = true
 		edgeIn := func(c int32) int {
 			for e, ed := range j.edges {
 				if comp[ed[0]] == c {
@@ -184,38 +204,38 @@ func (j *Jellyfish) wire(deg []int) error {
 	return nil
 }
 
-// components labels every switch with its connected-component id; id 0 is
-// the component of switch 0. The returned slice holds the per-switch label
-// and maxOf reports the highest label (0 when connected).
+// components labels every switch with its connected-component id, the
+// components numbered in order of their lowest switch, so id 0 is the
+// component of switch 0. The returned slice holds the per-switch label and
+// maxOf reports the highest label (0 when connected). A union-find forest
+// merges the edges' endpoints; every root is its set's lowest switch.
 func (j *Jellyfish) components() []int32 {
-	comp := make([]int32, j.switches)
-	for i := range comp {
-		comp[i] = -1
+	S := j.switches
+	ids := make([]int32, 2*S)
+	parent, comp := ids[:S:S], ids[S:]
+	for s := range parent {
+		parent[s] = int32(s)
 	}
-	adj := make([][]int32, j.switches)
+	find := func(s int32) int32 {
+		for parent[s] != s {
+			parent[s] = parent[parent[s]]
+			s = parent[s]
+		}
+		return s
+	}
 	for _, e := range j.edges {
-		adj[e[0]] = append(adj[e[0]], e[1])
-		adj[e[1]] = append(adj[e[1]], e[0])
+		if a, b := find(e[0]), find(e[1]); a != b {
+			parent[max(a, b)] = min(a, b)
+		}
 	}
 	var next int32
-	var queue []int32
-	for s := 0; s < j.switches; s++ {
-		if comp[s] >= 0 {
-			continue
+	for s := range comp {
+		if r := find(int32(s)); r != int32(s) {
+			comp[s] = comp[r]
+		} else {
+			comp[s] = next
+			next++
 		}
-		comp[s] = next
-		queue = append(queue[:0], int32(s))
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, v := range adj[u] {
-				if comp[v] < 0 {
-					comp[v] = next
-					queue = append(queue, v)
-				}
-			}
-		}
-		next++
 	}
 	return comp
 }
@@ -231,10 +251,26 @@ func maxOf(xs []int32) int32 {
 }
 
 // buildAdjacency derives neighbor lists and per-neighbor directed channel
-// ids from the edge list.
+// ids from the edge list, in edge-list order. Every list is a window of one
+// backing array sized by the degrees, so the appends never reallocate.
 func (j *Jellyfish) buildAdjacency() {
-	j.adj = make([][]int32, j.switches)
-	j.adjChan = make([][]int32, j.switches)
+	S, E := j.switches, len(j.edges)
+	start := make([]int32, S+1)
+	for _, ed := range j.edges {
+		start[ed[0]+1]++
+		start[ed[1]+1]++
+	}
+	for s := 0; s < S; s++ {
+		start[s+1] += start[s]
+	}
+	flat := make([]int32, 4*E)
+	nbrs, chans := flat[:2*E:2*E], flat[2*E:]
+	lists := make([][]int32, 2*S)
+	j.adj, j.adjChan = lists[:S:S], lists[S:]
+	for s := 0; s < S; s++ {
+		lo, hi := start[s], start[s+1]
+		j.adj[s], j.adjChan[s] = nbrs[lo:lo:hi], chans[lo:lo:hi]
+	}
 	base := int32(2 * j.nodes)
 	for e, ed := range j.edges {
 		a, b := ed[0], ed[1]
@@ -245,31 +281,46 @@ func (j *Jellyfish) buildAdjacency() {
 	}
 }
 
-// buildDist runs BFS from every switch, visiting neighbours in adjacency
-// order. The searches fill the distance table, which the route-length
-// distribution, RouteLen and MaxRouteLen read, and record in via the
-// channel over which each pair's search first reached its destination.
+// buildDist fills the distance table, which the route-length distribution,
+// RouteLen and MaxRouteLen read, with a bit-parallel BFS: one pass searches
+// from 64 sources at once, bit k of a switch's word standing for source
+// a0+k, so a level costs one OR per adjacency entry for all 64 searches.
+// A switch joins level d of source a0+k when a neighbour was in level d−1
+// of that search and it was not yet seen; unreachable pairs stay −1.
 func (j *Jellyfish) buildDist() {
 	S := j.switches
-	j.dist, j.via = make([]int32, S*S), make([]int32, S*S)
-	queue := make([]int32, S)
-	for a := 0; a < S; a++ {
-		row, via := j.dist[a*S:(a+1)*S], j.via[a*S:(a+1)*S]
-		for i := range row {
-			row[i] = -1
+	j.dist = make([]int32, S*S)
+	for i := range j.dist {
+		j.dist[i] = -1
+	}
+	words := make([]uint64, 3*S)
+	seen, front, next := words[:S], words[S:2*S], words[2*S:]
+	for a0 := 0; a0 < S; a0 += 64 {
+		clear(seen)
+		clear(front)
+		for k := 0; k < 64 && a0+k < S; k++ {
+			seen[a0+k], front[a0+k] = 1<<k, 1<<k
+			j.dist[(a0+k)*S+a0+k] = 0
 		}
-		row[a] = 0
-		queue[0] = int32(a)
-		for head, tail := 0, 1; head < tail; head++ {
-			u := queue[head]
-			for k, v := range j.adj[u] {
-				if row[v] < 0 {
-					row[v] = row[u] + 1
-					via[v] = j.adjChan[u][k]
-					queue[tail] = v
-					tail++
+		for level, grew := int32(1), true; grew; level++ {
+			grew = false
+			for v, nb := range j.adj {
+				var w uint64
+				for _, u := range nb {
+					w |= front[u]
+				}
+				w &^= seen[v]
+				next[v] = w
+				if w == 0 {
+					continue
+				}
+				seen[v] |= w
+				grew = true
+				for ; w != 0; w &= w - 1 {
+					j.dist[(a0+bits.TrailingZeros64(w))*S+v] = level
 				}
 			}
+			front, next = next, front
 		}
 	}
 	j.maxRoute = 2
@@ -286,39 +337,43 @@ func (j *Jellyfish) paths() { j.built.Do(j.buildPaths) }
 
 // buildPaths freezes one shortest path per ordered switch pair into a flat
 // arena, so AppendRoute is a bounds-checked copy with no allocation or
-// per-hop branching. The distance table's sum sizes the arena exactly, and
-// each path is written straight into the arena by walking the via channels
-// back from its destination.
+// per-hop branching. The distance table sizes every path, so the offsets
+// are its running sum. Per source switch a BFS visits neighbours in
+// adjacency order; when it first reaches v from u, v's path is u's path,
+// already in the arena, followed by the channel u→v.
 func (j *Jellyfish) buildPaths() {
 	S := j.switches
-	total := 0
-	for _, d := range j.dist {
-		total += max(int(d), 0)
-	}
 	pathOff := make([]int32, S*S+1)
-	arena := make([]int32, total)
-	base := int32(2 * j.nodes)
 	off := int32(0)
+	for i, d := range j.dist {
+		pathOff[i] = off
+		off += max(d, 0) // 0 for b == a, or unreachable
+	}
+	pathOff[S*S] = off
+	arena := make([]int32, off)
+	scratch := make([]int32, 2*S)
+	// mark[v] == a+1 once the search from a has reached v.
+	mark, queue := scratch[:S], scratch[S:]
 	for a := 0; a < S; a++ {
-		row, via := j.dist[a*S:(a+1)*S], j.via[a*S:(a+1)*S]
-		for b, d := range row {
-			pathOff[a*S+b] = off
-			if d <= 0 { // b == a, or unreachable
-				continue
-			}
-			off += d
-			p := arena[off-d : off]
-			for at, i := b, d-1; i >= 0; i-- {
-				c := via[at]
-				p[i] = c
-				// Channel base+2e+dir leaves switch edges[e][dir].
-				e := c - base
-				at = int(j.edges[e>>1][e&1])
+		row, dist := pathOff[a*S:(a+1)*S], j.dist[a*S:(a+1)*S]
+		stamp := int32(a + 1)
+		mark[a] = stamp
+		queue[0] = int32(a)
+		for head, tail := 0, 1; head < tail; head++ {
+			u := queue[head]
+			pu := arena[row[u] : row[u]+dist[u]]
+			for k, v := range j.adj[u] {
+				if mark[v] != stamp {
+					mark[v] = stamp
+					pv := arena[row[v] : row[v]+dist[v]]
+					pv[copy(pv, pu)] = j.adjChan[u][k]
+					queue[tail] = v
+					tail++
+				}
 			}
 		}
 	}
-	pathOff[S*S] = off
-	j.pathOff, j.pathArena, j.via = pathOff, arena, nil
+	j.pathOff, j.pathArena = pathOff, arena
 }
 
 // buildRouteDist aggregates the switch-pair distances into the route-length

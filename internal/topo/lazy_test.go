@@ -15,7 +15,9 @@ import (
 // model-only saturation search over the deepest tree the shape bound
 // accepts, m=4 n=9 with 94.4 MB of route tables, allocates under 1 MB and
 // leaves every table unbuilt, and so does one over the largest jellyfish
-// of the sweep grid. The first route then builds the tables.
+// of the sweep grid. The jellyfish holds its S² distance table but no
+// second S² table of first-reached channels: the search that records them
+// belongs to the route build. The first route then builds the tables.
 func TestModelOnlyBuildsNoTables(t *testing.T) {
 	topo.ClearCache()
 	var before, after runtime.MemStats
@@ -50,6 +52,21 @@ func TestModelOnlyBuildsNoTables(t *testing.T) {
 		if topo.TablesBuilt(tp) {
 			t.Errorf("%s: tables built by a model-only search", tp)
 		}
+	}
+	// Rebuilt fresh, as the search built it, the jellyfish allocates less
+	// than its 4·S²-byte distance table plus a second int32 table of that
+	// size.
+	topo.ClearCache()
+	runtime.ReadMemStats(&before)
+	if _, err := topo.New(topo.Spec{Kind: topo.KindJellyfish}, 4, 5, routing.Balanced); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	s := uint64(jelly.Switches())
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 8*s*s {
+		t.Errorf("model-only build of %s allocated %d bytes, want under %d: it holds a second S² table", jelly, alloc, 8*s*s)
+	} else {
+		t.Logf("model-only build of %s allocated %d bytes", jelly, alloc)
 	}
 	// The 9-tree's tables are left unbuilt: they are the 94.4 MB.
 	for _, tp := range []topo.Topology{global, jelly} {

@@ -270,6 +270,37 @@ func TestDragonfly(t *testing.T) {
 	}
 }
 
+// TestDragonflyRouteDistClosedForm compares the closed-form route-length
+// distribution with an enumeration of RouteLen over all ordered terminal
+// pairs, bit for bit, for every balance parameter t the terminal bound
+// admits (the smallest count that needs t builds it).
+func TestDragonflyRouteDistClosedForm(t *testing.T) {
+	for bal, count := 1, 1; count <= maxTreeNodes; bal++ {
+		df, err := newDragonfly(count)
+		if err != nil {
+			t.Fatalf("dragonfly %d: %v", count, err)
+		}
+		if df.t != bal {
+			t.Fatalf("dragonfly %d: balance parameter %d, want %d", count, df.t, bal)
+		}
+		counts := make([]int64, df.MaxRouteLen()+1)
+		for s := 0; s < df.Nodes(); s++ {
+			for d := 0; d < df.Nodes(); d++ {
+				if s != d {
+					counts[df.RouteLen(s, d)]++
+				}
+			}
+		}
+		denom := float64(df.Nodes()) * float64(df.Nodes()-1)
+		for l, c := range counts {
+			if want := float64(c) / denom; math.Float64bits(df.routeDist[l]) != math.Float64bits(want) {
+				t.Errorf("t=%d length %d: closed form %v, enumeration %v (%d pairs)", bal, l, df.routeDist[l], want, c)
+			}
+		}
+		count = df.Nodes() + 1
+	}
+}
+
 // TestDragonflyBound checks that a Dragonfly ICN2 refuses, with errBadShape
 // and before sizing, more terminals than maxTreeNodes (the count a fat-tree
 // ICN2 cannot host either), and that the largest accepted count builds.
