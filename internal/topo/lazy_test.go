@@ -16,8 +16,8 @@ import (
 // accepts, m=4 n=9 with 94.4 MB of route tables, allocates under 1 MB and
 // leaves every table unbuilt, and so does one over the largest jellyfish
 // of the sweep grid. The jellyfish holds its S² distance table but no
-// second S² table of first-reached channels: the search that records them
-// belongs to the route build. The first route then builds the tables.
+// second S² table of route channels: the search that picks them belongs
+// to the route build. The first route then builds the tables.
 func TestModelOnlyBuildsNoTables(t *testing.T) {
 	topo.ClearCache()
 	var before, after runtime.MemStats
