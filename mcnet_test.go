@@ -116,6 +116,7 @@ func TestCompareMatchesDirectConfig(t *testing.T) {
 		seed   uint64
 	}{
 		{"named org", "org2", DefaultParams(), 1e-4, 7},
+		{"org1", "org1", DefaultParams(), 1e-4, 9},
 		{"rates and cluster link", "m=4:2x1@2,2x2@icn1=0.04/0.02/0.004,1x3@0.5", DefaultParams(), 3e-4, 11},
 		{"topologies", "m=4@icn2topo=dragonfly:2x2@topo=jellyfish,2x3", DefaultParams(), 2e-4, 3},
 		{"tier override and geometry", "m=4@icn2topo=dragonfly:2x1@1.5,2x2@topo=jellyfish", slow, 4e-4, 5},
