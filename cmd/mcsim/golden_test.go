@@ -38,7 +38,6 @@ var goldenCases = []struct {
 	{"geometry", []string{"-m", "16", "-lm", "128"}},
 	{"reps3", []string{"-reps", "3"}},
 	{"telemetry-stdout", []string{"-telemetry", "-"}},
-	{"telemetry-series", []string{"-telemetry-series", "$DIR/series.csv"}},
 	{"record", []string{"-topo", "jellyfish", "-arrival", "mmpp:16:32", "-record", "$DIR/run.jsonl"}},
 }
 
@@ -51,8 +50,8 @@ var wallTime = regexp.MustCompile(`wall=[^ \n]+`)
 
 // TestStdoutGolden pins the command's stdout, wall times masked, for every
 // case of goldenCases, then replays the recorded trace: the replay's
-// output, and a digest of the recorded events (the trace without its
-// header line) and of every file a case wrote, are pinned too.
+// output and a digest of the recorded events (the trace without its
+// header line) are pinned too.
 func TestStdoutGolden(t *testing.T) {
 	dir := t.TempDir()
 	var got bytes.Buffer
@@ -75,9 +74,6 @@ func TestStdoutGolden(t *testing.T) {
 	runCase("replay", []string{"-replay", filepath.Join(dir, "run.jsonl")})
 	fmt.Fprintf(&got, "=== files\n")
 	fmt.Fprintf(&got, "run.jsonl events sha256 %s\n", eventsDigest(t, filepath.Join(dir, "run.jsonl")))
-	if b, err := os.ReadFile(filepath.Join(dir, "series.csv")); err == nil {
-		fmt.Fprintf(&got, "series.csv sha256 %x\n", sha256.Sum256(b))
-	}
 
 	path := filepath.Join("testdata", "stdout_golden.txt")
 	if *updateGolden {

@@ -1,9 +1,10 @@
 // Command mcsim runs the discrete-event simulator of the heterogeneous
 // multi-cluster system at one operating point and reports the measured
-// latency statistics, following the paper's §4 methodology. Its flags fill
-// one sweep job (the pattern, routing, workload and link values use the
-// sweep and serve syntax), which sweep.Job.Config turns into the simulator
-// configuration.
+// latency statistics, following the paper's §4 methodology. Its flags are a
+// one-point sweep spec (the pattern, routing, workload and link values use
+// the sweep and serve syntax) that sweep.Expand turns into one job per
+// replication: replication 0 runs with -seed itself, and replication r > 0
+// with the seed mcsweep -seed gives it.
 //
 // Usage:
 //
@@ -15,11 +16,10 @@
 //	mcsim -org org2 -lambda 3e-4 -arrival mmpp:16:32 -sizes bimodal:8:128:0.2
 //	mcsim -org org2 -topo jellyfish -lambda 3e-4 -record run.jsonl   # record the workload
 //	mcsim -replay run.jsonl                                          # bit-exact re-run
-//	mcsim -org org2 -lambda 4e-4 -telemetry - -telemetry-series tele.csv
+//	mcsim -org org2 -lambda 4e-4 -telemetry tele.json
 package main
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -27,14 +27,12 @@ import (
 	"io"
 	"math"
 	"os"
-	"strconv"
 	"time"
 
 	"mcnet/internal/mcsim"
 	"mcnet/internal/stats"
 	"mcnet/internal/sweep"
 	"mcnet/internal/system"
-	"mcnet/internal/units"
 	"mcnet/internal/workload"
 )
 
@@ -65,8 +63,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		warmup   = fs.Int("warmup", 10000, "warm-up messages (discarded)")
 		measure  = fs.Int("measure", 100000, "measured messages")
 		drain    = fs.Int("drain", 10000, "drain messages (generated, not measured)")
-		seed     = fs.Uint64("seed", 1, "base RNG seed")
-		reps     = fs.Int("reps", 1, "independent replications (seeds seed..seed+reps-1)")
+		seed     = fs.Uint64("seed", 1, "RNG seed of replication 0, and the base the other replications' seeds derive from")
+		reps     = fs.Int("reps", 1, "independent replications (replication r>0 is seeded as mcsweep -seed seeds it)")
 		pattern  = fs.String("pattern", "uniform", "traffic: uniform|hotspot:<frac>|cluster-local:<frac>, frac in [0,1]")
 		mode     = fs.String("routing", "balanced", "ascent discipline: balanced|random-up")
 		arrival  = fs.String("arrival", "poisson", "arrival process: poisson|deterministic|mmpp:<peak>:<burst>")
@@ -75,7 +73,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		record   = fs.String("record", "", "record the generation stream to this trace file (JSONL)")
 		replay   = fs.String("replay", "", "replay a recorded trace instead of generating (ignores workload flags)")
 		teleOut  = fs.String("telemetry", "", `write the per-tier contention report (JSON) to this file ("-" = stdout)`)
-		teleCSV  = fs.String("telemetry-series", "", "write the telemetry time series (CSV) to this file")
 		verbose  = fs.Bool("v", false, "print per-cluster statistics")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -85,56 +82,74 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return errBadFlags
 	}
 
-	def := units.Default()
-	job := sweep.Job{
-		Org: *orgSpec, Topo: *topoAxis, Flits: *mFlits, FlitBytes: *lm,
-		Pattern: *pattern, Routing: *mode, Arrival: *arrival, SizeDist: *sizes, Links: *links,
-		Lambda: *lambda, SimSeed: *seed,
-		AlphaNet: def.AlphaNet, AlphaSw: def.AlphaSw, BetaNet: def.BetaNet,
-		Warmup: *warmup, Measure: *measure, Drain: *drain,
+	if *replay != "" && *record != "" {
+		// A re-recorded trace would carry a header describing the replay
+		// config, not the workload the events came from.
+		return errors.New("-record cannot be combined with -replay (the trace already exists)")
 	}
-	var cfg mcsim.Config
-	var err error
+	var jobs []sweep.Job
+	var cfgs []mcsim.Config
 	if *replay != "" {
-		if *record != "" {
-			// A re-recorded trace would carry a header describing the
-			// replay config, not the workload the events came from.
-			return errors.New("-record cannot be combined with -replay (the trace already exists)")
-		}
 		tr, err := workload.ReadFile(*replay)
 		if err != nil {
 			return err
 		}
-		if cfg, err = sweep.ReplayConfig(tr); err != nil {
+		cfg, err := sweep.ReplayConfig(tr)
+		if err != nil {
 			return err
 		}
-		*reps = 1
+		cfgs = []mcsim.Config{cfg}
 		fmt.Fprintf(stdout, "replaying %s: %d events recorded from org %q\n", *replay, len(tr.Events), tr.Header.Org)
 	} else {
-		if cfg, err = job.Config(); err != nil {
+		// A spec reads all-zero phases as "unset" and fills the paper's;
+		// a flag set to zero is a request to check.
+		if err := mcsim.CheckPhases(*warmup, *measure, *drain); err != nil {
+			return fmt.Errorf("mcsim: %v", err)
+		}
+		var err error
+		jobs, err = sweep.Expand(sweep.Spec{
+			Name:       "mcsim",
+			Orgs:       []string{*orgSpec},
+			Messages:   []sweep.MessageGeometry{{Flits: *mFlits, FlitBytes: *lm}},
+			Patterns:   []string{*pattern},
+			Routing:    []string{*mode},
+			Arrivals:   []string{*arrival},
+			Sizes:      []string{*sizes},
+			Links:      []string{*links},
+			Topologies: []string{*topoAxis},
+			Loads:      sweep.Loads{Lambdas: []float64{*lambda}},
+			Warmup:     *warmup, Measure: *measure, Drain: *drain,
+			BaseSeed: *seed, Reps: *reps,
+		})
+		if err != nil {
 			return err
 		}
+		jobs[0].SimSeed = *seed
+		// The jobs carry the canonical organization; the summary keeps the
+		// name the flag gave it (Table1-Org2 for org2). Expand has parsed it.
+		org, _ := system.ParseOrganization(*orgSpec)
+		for _, j := range jobs {
+			cfg, err := j.Config()
+			if err != nil {
+				return err
+			}
+			cfg.Org.Name = org.Name
+			cfgs = append(cfgs, cfg)
+		}
+		cfg := cfgs[0]
 		fmt.Fprint(stdout, system.MustNew(cfg.Org).Summary())
 		fmt.Fprintf(stdout, "  parameters: %s   λ_g=%g   routing=%s   pattern=%s   arrival=%s   sizes=%s\n\n",
 			cfg.Par, *lambda, *mode, *pattern, cfg.Arrival.Name(), cfg.Sizes.Name())
 	}
 
-	wantTele := *teleOut != "" || *teleCSV != ""
-	if wantTele {
-		if *reps > 1 {
-			return errors.New("-telemetry/-telemetry-series need -reps 1 (one report per run)")
-		}
-		cfg.Telemetry = &mcsim.TelemetryConfig{}
+	if len(cfgs) > 1 && (*teleOut != "" || *record != "") {
+		return errors.New("-telemetry and -record need -reps 1 (one report or trace per run)")
 	}
-
 	var traceFile *os.File
 	var traceWriter *workload.Writer
 	var traceErr error
 	if *record != "" {
-		if *reps > 1 {
-			return errors.New("-record needs -reps 1 (a trace holds one run)")
-		}
-		hdr, err := job.TraceHeader()
+		hdr, err := jobs[0].TraceHeader()
 		if err != nil {
 			return err
 		}
@@ -145,7 +160,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if traceWriter, err = workload.NewWriter(traceFile, hdr); err != nil {
 			return err
 		}
-		cfg.Record = func(e workload.Event) {
+		cfgs[0].Record = func(e workload.Event) {
 			if traceErr == nil {
 				traceErr = traceWriter.Add(e)
 			}
@@ -153,9 +168,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	var means stats.Running
-	for rep := 0; rep < *reps; rep++ {
-		if *replay == "" {
-			cfg.Seed = job.SimSeed + uint64(rep)
+	for rep, cfg := range cfgs {
+		if *teleOut != "" {
+			cfg.Telemetry = &mcsim.TelemetryConfig{}
 		}
 		start := time.Now()
 		sim, err := mcsim.New(cfg)
@@ -185,27 +200,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 				fmt.Fprintf(stdout, "  cluster %2d: %v\n", i, pc)
 			}
 		}
-		if wantTele {
-			trep := sim.Telemetry().Snapshot()
-			if *teleOut != "" {
-				if err := writeTelemetryJSON(*teleOut, stdout, trep); err != nil {
-					return fmt.Errorf("writing -telemetry: %v", err)
-				}
-				if *teleOut != "-" {
-					fmt.Fprintf(stdout, "  telemetry report written to %s\n", *teleOut)
-				}
+		if *teleOut != "" {
+			if err := writeTelemetryJSON(*teleOut, stdout, sim.Telemetry().Snapshot()); err != nil {
+				return fmt.Errorf("writing -telemetry: %v", err)
 			}
-			if *teleCSV != "" {
-				if err := writeTelemetrySeries(*teleCSV, trep); err != nil {
-					return fmt.Errorf("writing -telemetry-series: %v", err)
-				}
-				fmt.Fprintf(stdout, "  telemetry series (%d samples) written to %s\n", len(trep.Series), *teleCSV)
+			if *teleOut != "-" {
+				fmt.Fprintf(stdout, "  telemetry report written to %s\n", *teleOut)
 			}
 		}
 	}
-	if *reps > 1 {
+	if len(cfgs) > 1 {
 		fmt.Fprintf(stdout, "\nacross %d replications: mean latency = %.4f ± %.4f (sd)\n",
-			*reps, means.Mean(), means.StdDev())
+			len(cfgs), means.Mean(), means.StdDev())
 	}
 	return nil
 }
@@ -223,42 +229,4 @@ func writeTelemetryJSON(path string, stdout io.Writer, rep mcsim.TelemetryReport
 		return err
 	}
 	return os.WriteFile(path, b, 0o644)
-}
-
-// writeTelemetrySeries renders the report's time series as CSV: one row per
-// snapshot with the interval per-tier utilizations.
-func writeTelemetrySeries(path string, rep mcsim.TelemetryReport) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	w := csv.NewWriter(f)
-	header := []string{"events", "time", "in_flight"}
-	for _, name := range mcsim.TierNames() {
-		header = append(header, "util_"+name)
-	}
-	if err := w.Write(header); err != nil {
-		f.Close()
-		return err
-	}
-	for _, p := range rep.Series {
-		row := []string{
-			strconv.FormatUint(p.Events, 10),
-			strconv.FormatFloat(p.Time, 'g', -1, 64),
-			strconv.Itoa(p.InFlight),
-		}
-		for _, u := range p.Util {
-			row = append(row, strconv.FormatFloat(u, 'g', -1, 64))
-		}
-		if err := w.Write(row); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	w.Flush()
-	if err := w.Error(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

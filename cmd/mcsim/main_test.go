@@ -77,3 +77,11 @@ func TestJellyfishRecordReplay(t *testing.T) {
 		t.Errorf("replay latency line differs:\n got %s\nwant %s", got, want)
 	}
 }
+
+// TestZeroPhasesRejected: a sweep spec reads all-zero phases as unset and
+// runs the paper's, but -measure 0 on the command line is an error.
+func TestZeroPhasesRejected(t *testing.T) {
+	if _, err := runMcsim(t, "-warmup", "0", "-measure", "0", "-drain", "0"); err == nil {
+		t.Error("-warmup 0 -measure 0 -drain 0 accepted")
+	}
+}

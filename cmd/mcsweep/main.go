@@ -38,7 +38,6 @@ import (
 	"sync"
 	"time"
 
-	"mcnet/internal/mcsim"
 	"mcnet/internal/sweep"
 )
 
@@ -193,7 +192,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return fmt.Errorf("creating telemetry dir: %v", err)
 		}
 		eng.Exec = func(j sweep.Job) (sweep.Outcome, bool, error) {
-			o, rep, err := sweep.ExecuteOpts(j, sweep.ExecOptions{Telemetry: &mcsim.TelemetryConfig{}})
+			o, rep, err := sweep.ExecuteTelemetry(j, nil)
 			if err != nil {
 				return o, false, err
 			}

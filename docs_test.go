@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -36,6 +37,99 @@ func TestDocsNameExistingCommands(t *testing.T) {
 			}
 		}
 	}
+}
+
+// cmdRun matches a command run from its directory, "./cmd/<name>", and the
+// rest of its command line: everything up to a code span's end, a shell
+// operator or a comment. flagRef matches one flag of that line, "-name",
+// "--name" or "-name=value"; a lone "-" or a negative number does not match.
+var (
+	cmdRun  = regexp.MustCompile(`\./cmd/([\w-]+)([^` + "`" + `|;&<>#)]*)`)
+	flagRef = regexp.MustCompile(`^--?([A-Za-z][\w-]*)(?:=.*)?$`)
+)
+
+// TestDocsNameExistingFlags fails when a document runs a command with a
+// flag that the command's FlagSet does not define.
+func TestDocsNameExistingFlags(t *testing.T) {
+	defined := map[string]map[string]bool{}
+	refs := 0
+	for _, doc := range []string{"README.md", "DESIGN.md", "doc.go", "Makefile", verifySkill} {
+		b, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(b), "\n") {
+			for _, m := range cmdRun.FindAllStringSubmatch(line, -1) {
+				cmd := m[1]
+				flags, ok := defined[cmd]
+				if !ok {
+					flags = parseFlags(t, filepath.Join("cmd", cmd))
+					defined[cmd] = flags
+				}
+				for _, tok := range strings.Fields(m[2]) {
+					if f := flagRef.FindStringSubmatch(tok); f != nil {
+						refs++
+						if !flags[f[1]] {
+							t.Errorf("%s:%d runs cmd/%s with -%s, which its FlagSet does not define", doc, i+1, cmd, f[1])
+						}
+					}
+				}
+			}
+		}
+	}
+	if refs == 0 {
+		t.Fatal("no flag of a ./cmd/<name> command line found in the documents")
+	}
+}
+
+// parseFlags returns the flags the non-test files of a command's directory
+// define: the name argument of every flag-defining call (fs.String,
+// fs.IntVar, ...) given as a string literal, plus the -h and -help every
+// FlagSet answers.
+func parseFlags(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flags := map[string]bool{"h": true, "help": true}
+	fset := token.NewFileSet()
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			arg := 0
+			switch sel.Sel.Name {
+			case "Bool", "Int", "Int64", "Uint", "Uint64", "String", "Float64", "Duration", "Func", "BoolFunc":
+			case "BoolVar", "IntVar", "Int64Var", "UintVar", "Uint64Var", "StringVar", "Float64Var", "DurationVar", "Var", "TextVar":
+				arg = 1
+			default:
+				return true
+			}
+			if len(call.Args) > arg {
+				if lit, ok := call.Args[arg].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					if name, err := strconv.Unquote(lit.Value); err == nil {
+						flags[name] = true
+					}
+				}
+			}
+			return true
+		})
+	}
+	return flags
 }
 
 // codeSpan matches an inline code span; identRef matches a package-qualified

@@ -103,7 +103,7 @@ func Agree(series []plot.Series, pair experiments.Pair, tol float64) PairAgreeme
 		if !finite(a) || !finite(s) || s <= 0 || s > 3*baseline {
 			continue
 		}
-		rel := math.Abs(a-s) / s
+		rel := sweep.RelativeError(a, s)
 		sum += rel
 		if rel > maxErr {
 			maxErr = rel

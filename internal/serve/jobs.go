@@ -500,9 +500,6 @@ func (s *Server) compareOutcome(model string, j sweep.Job, o sweep.Outcome) (com
 		return doc, err
 	}
 	doc.Analysis, doc.AnalysisSaturated = lat, saturated
-	sim := float64(o.SimLatency)
-	if !saturated && sim > 0 && !math.IsNaN(sim) {
-		doc.RelativeError = sweep.Float(math.Abs(float64(lat)-sim) / sim)
-	}
+	doc.RelativeError = sweep.Float(sweep.RelativeError(float64(lat), float64(o.SimLatency)))
 	return doc, nil
 }

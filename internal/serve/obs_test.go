@@ -257,7 +257,7 @@ func TestJobTimestampsAndWallTime(t *testing.T) {
 
 // TestRunningJobReportsProgress holds a job mid-execution with a live probe
 // registered under its key, the shape the real execution path (outcome →
-// sweep.ExecuteOpts) produces, and checks the running document reads its
+// sweep.ExecuteTelemetry) produces, and checks the running document reads its
 // progress from the probe's collector: zero before the collector is
 // published, then the collector's latest sample.
 func TestRunningJobReportsProgress(t *testing.T) {
@@ -302,10 +302,7 @@ func TestRunningJobReportsProgress(t *testing.T) {
 	if prog := progress(); prog["events"] != 0.0 || prog["sim_time"] != 0.0 {
 		t.Errorf("progress before the collector is published = %v, want zero events and sim_time", prog)
 	}
-	if _, _, err := sweep.ExecuteOpts(j, sweep.ExecOptions{
-		Telemetry:   &mcsim.TelemetryConfig{},
-		OnTelemetry: func(tele *mcsim.Telemetry) { p.tele.Store(tele) },
-	}); err != nil {
+	if _, _, err := sweep.ExecuteTelemetry(j, func(tele *mcsim.Telemetry) { p.tele.Store(tele) }); err != nil {
 		t.Fatal(err)
 	}
 	events, simTime := p.tele.Load().Progress()

@@ -324,11 +324,8 @@ func (s *Server) outcome(j sweep.Job) (sweep.Outcome, bool, error) {
 			// the finished view and the per-tier Prometheus counters.
 			p := s.progress.begin(key)
 			var rep *mcsim.TelemetryReport
-			o, rep, err = sweep.ExecuteOpts(j, sweep.ExecOptions{
-				Telemetry: &mcsim.TelemetryConfig{},
-				OnTelemetry: func(t *mcsim.Telemetry) {
-					p.tele.Store(t)
-				},
+			o, rep, err = sweep.ExecuteTelemetry(j, func(t *mcsim.Telemetry) {
+				p.tele.Store(t)
 			})
 			s.progress.end(key)
 			if rep != nil {

@@ -207,9 +207,9 @@ func TestJobTelemetryScrapeRaceHammer(t *testing.T) {
 	}
 }
 
-// TestCollectorOutlivesRelease: ExecuteOpts releases a job's simulation
+// TestCollectorOutlivesRelease: ExecuteTelemetry releases a job's simulation
 // before it returns, and the next job reuses its arrays, but the live
-// collector the server published through OnTelemetry must keep answering
+// collector the server published from it must keep answering
 // Snapshot with the finished run's report — a telemetry scrape can land
 // between the run's end and the probe's removal.
 func TestCollectorOutlivesRelease(t *testing.T) {
@@ -224,10 +224,7 @@ func TestCollectorOutlivesRelease(t *testing.T) {
 	}
 	run := func(j sweep.Job) (*mcsim.Telemetry, *mcsim.TelemetryReport) {
 		var live *mcsim.Telemetry
-		_, rep, err := sweep.ExecuteOpts(j, sweep.ExecOptions{
-			Telemetry:   &mcsim.TelemetryConfig{},
-			OnTelemetry: func(t *mcsim.Telemetry) { live = t },
-		})
+		_, rep, err := sweep.ExecuteTelemetry(j, func(t *mcsim.Telemetry) { live = t })
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -256,7 +256,7 @@ func (e *Engine) runJobInner(ctx context.Context, j Job, telemetry bool) (Result
 	if e.Exec != nil {
 		o, cached, err = e.Exec(j)
 	} else if telemetry {
-		o, _, err = ExecuteOpts(j, ExecOptions{Telemetry: &mcsim.TelemetryConfig{}})
+		o, _, err = ExecuteTelemetry(j, nil)
 	} else {
 		o, err = Execute(j)
 	}
@@ -273,38 +273,34 @@ func (e *Engine) runJobInner(ctx context.Context, j Job, telemetry bool) (Result
 
 // Execute runs one job's simulation to completion.
 func Execute(j Job) (Outcome, error) {
-	o, _, err := ExecuteOpts(j, ExecOptions{})
+	o, _, err := execute(j, nil, nil)
 	return o, err
 }
 
-// ExecOptions parameterizes ExecuteOpts. The zero value is plain Execute.
-type ExecOptions struct {
-	// Telemetry, if non-nil, enables the simulator's contention instrument:
-	// the returned outcome carries the summary digest and ExecuteOpts
-	// returns the full report. Observation-only — the measurements are
-	// bit-identical with or without it.
-	Telemetry *mcsim.TelemetryConfig
-	// OnTelemetry, if non-nil (and Telemetry is set), receives the live
-	// collector before the run starts, so a serving layer can snapshot a
-	// simulation in flight and read its progress.
-	OnTelemetry func(*mcsim.Telemetry)
+// ExecuteTelemetry runs one job's simulation with the contention instrument
+// on: the outcome carries its summary digest, and the full report is
+// returned. live, if non-nil, receives the collector before the run starts,
+// so a serving layer can snapshot a simulation in flight and read its
+// progress. Telemetry is observation-only: the measurements are
+// bit-identical to Execute's.
+func ExecuteTelemetry(j Job, live func(*mcsim.Telemetry)) (Outcome, *mcsim.TelemetryReport, error) {
+	return execute(j, &mcsim.TelemetryConfig{}, live)
 }
 
-// ExecuteOpts runs one job's simulation with optional observation hooks,
-// and releases the simulation once its outcome and report are taken. The
-// returned report is nil unless opt.Telemetry is set.
-func ExecuteOpts(j Job, opt ExecOptions) (Outcome, *mcsim.TelemetryReport, error) {
+// execute runs one job's simulation, with telemetry when tele is non-nil,
+// and releases the simulation once its outcome and report are taken.
+func execute(j Job, tele *mcsim.TelemetryConfig, live func(*mcsim.Telemetry)) (Outcome, *mcsim.TelemetryReport, error) {
 	cfg, err := j.Config()
 	if err != nil {
 		return Outcome{}, nil, err
 	}
-	cfg.Telemetry = opt.Telemetry
+	cfg.Telemetry = tele
 	sim, err := mcsim.New(cfg)
 	if err != nil {
 		return Outcome{}, nil, err
 	}
-	if opt.OnTelemetry != nil && sim.Telemetry() != nil {
-		opt.OnTelemetry(sim.Telemetry())
+	if live != nil {
+		live(sim.Telemetry())
 	}
 	res, err := sim.Run()
 	if err != nil && !res.Truncated {
@@ -328,8 +324,8 @@ func ExecuteOpts(j Job, opt ExecOptions) (Outcome, *mcsim.TelemetryReport, error
 		rep = &r
 		o.Telemetry = r.Summary()
 	}
-	// The next job reuses the run's arrays; a collector handed out through
-	// OnTelemetry stays readable.
+	// The next job reuses the run's arrays; a collector handed to live
+	// stays readable.
 	sim.Release()
 	return o, rep, nil
 }

@@ -101,9 +101,9 @@ func TestObserverFinishesEveryStartedJob(t *testing.T) {
 	}
 }
 
-// TestExecuteObservedIdentity: telemetry is pure observation — ExecuteOpts
-// with the collector on returns Execute's outcome plus the digest, and the
-// collector handed to OnTelemetry ends at the run's last sample.
+// TestExecuteObservedIdentity: telemetry is pure observation —
+// ExecuteTelemetry returns Execute's outcome plus the digest, and the live
+// collector it hands out ends at the run's last sample.
 func TestExecuteObservedIdentity(t *testing.T) {
 	jobs, err := Expand(tinySpec())
 	if err != nil {
@@ -116,10 +116,7 @@ func TestExecuteObservedIdentity(t *testing.T) {
 	}
 
 	var tele *mcsim.Telemetry
-	observed, rep, err := ExecuteOpts(j, ExecOptions{
-		Telemetry:   &mcsim.TelemetryConfig{},
-		OnTelemetry: func(t *mcsim.Telemetry) { tele = t },
-	})
+	observed, rep, err := ExecuteTelemetry(j, func(t *mcsim.Telemetry) { tele = t })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -414,3 +414,14 @@ func (f *Float) UnmarshalJSON(b []byte) error {
 	*f = Float(v)
 	return nil
 }
+
+// RelativeError is the model-vs-simulation agreement at one operating
+// point, |analysis−simulation|/simulation. It is NaN when there is nothing
+// to compare: the model saturated (analysis is not finite) or the
+// simulation measured no positive latency.
+func RelativeError(analysis, simulation float64) float64 {
+	if math.IsNaN(analysis) || math.IsInf(analysis, 0) || !(simulation > 0) {
+		return math.NaN()
+	}
+	return math.Abs(analysis-simulation) / simulation
+}

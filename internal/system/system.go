@@ -224,11 +224,15 @@ func (s *System) GlobalNode(ci, local int) int {
 // ICN2RouteDist returns the ICN2 route-length distribution over ordered
 // cluster pairs: index d holds the probability that the ICN2 route between
 // a uniformly random ordered pair of distinct occupied concentrator
-// positions crosses d channels. For a fat-tree ICN2 a route with its NCA at
-// level h crosses 2h channels, so an exactly filled tree gives Eq. 4
-// re-indexed at d = 2h, and a partially populated one the exact enumeration
-// over the occupied positions.
+// positions crosses d channels. An exactly filled ICN2 occupies every
+// terminal, so the answer is the topology's own RouteDist (for a fat tree,
+// Eq. 4 re-indexed at d = 2h, since a route with its NCA at level h crosses
+// 2h channels), which callers must not modify. A partially populated one
+// gets the exact enumeration over the occupied positions.
 func (s *System) ICN2RouteDist() []float64 {
+	if s.ICN2Exact() {
+		return s.ICN2Net.RouteDist()
+	}
 	c := s.C()
 	counts := make([]float64, s.ICN2Net.MaxRouteLen()+1)
 	for i := 0; i < c; i++ {

@@ -131,6 +131,47 @@ func TestICN2RouteDistExactOrgsMatchEq4(t *testing.T) {
 	}
 }
 
+// TestICN2RouteDistIsTheEnumerationWhenExact: an exactly filled ICN2
+// answers with its topology's own RouteDist, which must be bit-identical
+// to counting RouteLen over every ordered pair of distinct clusters, the
+// enumeration a partially filled ICN2 still runs.
+func TestICN2RouteDistIsTheEnumerationWhenExact(t *testing.T) {
+	for _, spec := range []string{
+		"org1", "org2", "m=4:16x1", "m=4:64x1", "m=4:2x2,2x3", "m=8:8x1",
+		"m=4@icn2topo=dragonfly:6x1", "m=8@icn2topo=dragonfly:72x1",
+	} {
+		org, err := ParseOrganization(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := MustNew(org)
+		if !s.ICN2Exact() {
+			t.Fatalf("%s: ICN2 not exactly filled (C=%d of %d terminals)", spec, s.C(), s.ICN2Net.Nodes())
+		}
+		c := s.C()
+		want := make([]float64, s.ICN2Net.MaxRouteLen()+1)
+		for i := 0; i < c; i++ {
+			for v := 0; v < c; v++ {
+				if i != v {
+					want[s.ICN2Net.RouteLen(i, v)]++
+				}
+			}
+		}
+		for d := range want {
+			want[d] /= float64(c * (c - 1))
+		}
+		got := s.ICN2RouteDist()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d route lengths, the enumeration has %d", spec, len(got), len(want))
+		}
+		for d := range want {
+			if math.Float64bits(got[d]) != math.Float64bits(want[d]) {
+				t.Errorf("%s: P(d=%d) = %v, the enumeration gives %v", spec, d, got[d], want[d])
+			}
+		}
+	}
+}
+
 func TestICN2RouteDistPartiallyPopulated(t *testing.T) {
 	// 5 clusters on an m=4 ICN2 require n_c=2 (capacity 8), partially filled.
 	s := MustNew(Organization{

@@ -1,6 +1,7 @@
 package mcnet
 
 import (
+	"context"
 	"math"
 
 	"mcnet/internal/analytic"
@@ -120,34 +121,34 @@ type Comparison struct {
 }
 
 // Compare evaluates both the model and a paper-methodology simulation
-// (10k/100k/10k messages) at one operating point.
+// (10k/100k/10k messages) at one operating point. The point is one job of a
+// sweep, run on the sweep engine: the analysis comes from the process-wide
+// model memo and the simulation runs with the given seed.
 func Compare(org Organization, par Params, lambdaG float64, seed uint64) (Comparison, error) {
+	spec := sweep.Spec{
+		Name:     "compare",
+		Orgs:     []string{system.Format(org)},
+		Messages: []sweep.MessageGeometry{{Flits: par.MessageFlits, FlitBytes: par.FlitBytes}},
+		Links:    []string{par.Tiers.String()},
+		Loads:    sweep.Loads{Lambdas: []float64{lambdaG}},
+		Tech:     &sweep.Tech{AlphaNet: par.AlphaNet, AlphaSw: par.AlphaSw, BetaNet: par.BetaNet},
+	}
 	cmp := Comparison{LambdaG: lambdaG, RelativeError: math.NaN()}
-	an, err := Analyze(org, par, lambdaG)
-	cmp.Analysis = an
-	if err != nil {
-		if err != analytic.ErrSaturated {
-			return cmp, err
-		}
-		cmp.AnalysisSaturated = true
-	}
-	cfg, err := sweep.Job{
-		Org: system.Format(org), Links: par.Tiers.String(),
-		Flits: par.MessageFlits, FlitBytes: par.FlitBytes,
-		AlphaNet: par.AlphaNet, AlphaSw: par.AlphaSw, BetaNet: par.BetaNet,
-		Pattern: "uniform", Routing: "balanced", Lambda: lambdaG, SimSeed: seed,
-		Warmup: 10000, Measure: 100000, Drain: 10000,
-	}.Config()
+	jobs, err := sweep.Expand(spec)
 	if err != nil {
 		return cmp, err
 	}
-	res, err := mcsim.Run(cfg)
-	if err != nil {
+	jobs[0].SimSeed = seed
+	var out sweep.MemorySink
+	eng := sweep.Engine{Sinks: []sweep.Sink{&out}}
+	if _, err := eng.RunJobs(context.Background(), spec, jobs); err != nil {
 		return cmp, err
 	}
-	cmp.Simulation = res.Latency.Mean
-	if !cmp.AnalysisSaturated && cmp.Simulation > 0 {
-		cmp.RelativeError = math.Abs(cmp.Analysis-cmp.Simulation) / cmp.Simulation
+	r := out.Results[0]
+	cmp.Analysis, cmp.Simulation, cmp.AnalysisSaturated = float64(r.Analysis), float64(r.SimLatency), r.AnalysisSaturated
+	if cmp.AnalysisSaturated {
+		cmp.Analysis = math.Inf(1)
 	}
+	cmp.RelativeError = sweep.RelativeError(cmp.Analysis, cmp.Simulation)
 	return cmp, nil
 }
