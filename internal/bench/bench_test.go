@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"net/http/httptest"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -442,4 +443,34 @@ func BenchmarkSweepFigure(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkDirCacheGet measures one DirCache.Get hit over a b.TempDir()
+// cache holding the outcomes of every sweep-grid benchmark job: open, read,
+// decode and close one entry file. A warm sweep pays it once per job.
+func BenchmarkDirCacheGet(b *testing.B) {
+	mem, err := warmCache()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cache, err := sweep.NewDirCache(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var keys []string
+	for k, o := range mem.m {
+		if err := cache.Put(k, o); err != nil {
+			b.Fatal(err)
+		}
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := cache.Get(keys[i%len(keys)]); !ok {
+			b.Fatalf("entry %s missing", keys[i%len(keys)])
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/get")
 }
