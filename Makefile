@@ -50,6 +50,7 @@ race:
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzExpand$$' -fuzztime $(FUZZTIME) ./internal/sweep
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePattern$$' -fuzztime $(FUZZTIME) ./internal/sweep
+	$(GO) test -run '^$$' -fuzz '^FuzzResultCodec$$' -fuzztime $(FUZZTIME) ./internal/sweep
 	$(GO) test -run '^$$' -fuzz '^FuzzParseWorkload$$' -fuzztime $(FUZZTIME) ./internal/workload
 	$(GO) test -run '^$$' -fuzz '^FuzzParseOrganizationRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/system
 	$(GO) test -run '^$$' -fuzz '^FuzzParseLinkClass$$' -fuzztime $(FUZZTIME) ./internal/units

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"io"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -8,6 +10,7 @@ import (
 	"mcnet/internal/des"
 	"mcnet/internal/mcsim"
 	"mcnet/internal/rng"
+	"mcnet/internal/sweep"
 	"mcnet/internal/workload"
 	"mcnet/internal/wormhole"
 )
@@ -197,6 +200,50 @@ func TestAllocsMcsimBursty(t *testing.T) {
 	gate(t, "mcsim-bursty", 300, func() {
 		if _, err := mcsim.Run(cfg); err != nil {
 			t.Fatal(err)
+		}
+	})
+}
+
+// TestAllocsSweepRows pins the two per-job costs of a warm sweep pass that
+// encoding/json's reflection used to dominate: JSONLSink.Write encodes a
+// row into a reused buffer with zero allocations once the buffer has grown,
+// and DirCache.Get reads and decodes a telemetry-off entry with four, all in
+// opening the file: the entry's path, its NUL-terminated copy for the
+// system call, and the two structs behind the *os.File.
+func TestAllocsSweepRows(t *testing.T) {
+	jobs, err := sweep.Expand(benchGridSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]sweep.Result, len(jobs))
+	for i, j := range jobs {
+		rows[i] = sweep.Result{Job: j, Analysis: sweep.Float(20 + float64(i)/3), Outcome: sweep.Outcome{
+			SimLatency: sweep.Float(21 + float64(i)/7), SimSourceWait: 0.125, SimPOut: 0.75, Delivered: j.Measure,
+		}}
+	}
+	rows[0].Analysis = sweep.Float(math.NaN())
+	sink := sweep.NewJSONLSink(io.Discard)
+	writeAll := func() {
+		for _, r := range rows {
+			if err := sink.Write(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	writeAll() // grows the row buffer
+	gate(t, "jsonl-rows", 0, writeAll)
+
+	cache, err := sweep.NewDirCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := jobs[0].Key()
+	if err := cache.Put(key, rows[0].Outcome); err != nil {
+		t.Fatal(err)
+	}
+	gate(t, "dircache-get", 4, func() {
+		if _, ok := cache.Get(key); !ok {
+			t.Fatal("entry missing")
 		}
 	})
 }

@@ -7,21 +7,26 @@ import (
 	"mcnet/internal/sweep"
 )
 
-// ndjsonSink streams sweep results as one JSON object per line, flushing
-// after every row so clients see results as jobs complete. The engine calls
-// Write in job order, so the stream is deterministic: a repeated identical
-// sweep produces byte-identical rows (the cached/executed distinction is
-// deliberately not serialized).
+// ndjsonSink streams sweep results as one JSON object per line, written by
+// the sweep package's row encoder, and flushes after every row so clients
+// see results as jobs complete. The engine calls Write in job order, so the
+// stream is deterministic: a repeated identical sweep produces
+// byte-identical rows (the cached/executed distinction is deliberately not
+// serialized).
 type ndjsonSink struct {
-	w http.ResponseWriter
+	rows *sweep.JSONLSink
+	w    http.ResponseWriter
+}
+
+func newNDJSONSink(w http.ResponseWriter) *ndjsonSink {
+	return &ndjsonSink{rows: sweep.NewJSONLSink(w), w: w}
 }
 
 func (s *ndjsonSink) Write(r sweep.Result) error {
-	b, err := json.Marshal(r)
-	if err != nil {
+	if err := s.rows.Write(r); err != nil {
 		return err
 	}
-	if _, err := s.w.Write(append(b, '\n')); err != nil {
+	if err := s.rows.Flush(); err != nil {
 		return err
 	}
 	if f, ok := s.w.(http.Flusher); ok {
@@ -111,7 +116,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	eng := &sweep.Engine{
 		Workers:  s.cfg.Workers,
 		Exec:     s.outcome,
-		Sinks:    []sweep.Sink{&ndjsonSink{w: w}},
+		Sinks:    []sweep.Sink{newNDJSONSink(w)},
 		Observer: engineObserver{s: s},
 	}
 	if _, err := eng.RunJobs(r.Context(), spec, jobs); err != nil && r.Context().Err() == nil {

@@ -1,8 +1,8 @@
 package sweep
 
 import (
-	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -53,7 +53,8 @@ type Cache interface {
 // the key is a content hash of the job) settle on a complete file either
 // way.
 type DirCache struct {
-	dir string
+	dir    string
+	prefix string // dir and a separator: an entry's path is prefix+key+".json"
 }
 
 // ValidKey reports whether key is acceptable to DirCache: non-empty, at most
@@ -86,31 +87,55 @@ func NewDirCache(dir string) (*DirCache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	return &DirCache{dir: dir}, nil
+	return &DirCache{dir: dir, prefix: filepath.Clean(dir) + string(filepath.Separator)}, nil
 }
 
 // Dir returns the cache's root directory.
 func (c *DirCache) Dir() string { return c.dir }
 
 func (c *DirCache) path(key string) string {
-	return filepath.Join(c.dir, key+".json")
+	return c.prefix + key + ".json"
 }
 
-// Get implements Cache. Unreadable or corrupt entries count as misses, as
-// do keys ValidKey rejects.
+// entryBuf sizes Get's stack buffer: a telemetry-off entry is ~110 bytes
+// and a telemetry-on one ~600.
+const entryBuf = 1024
+
+// Get implements Cache. Entries are read in the form Put writes them;
+// unreadable or corrupt entries, and anything else, count as misses, as do
+// keys ValidKey rejects.
 func (c *DirCache) Get(key string) (Outcome, bool) {
 	if !ValidKey(key) {
 		return Outcome{}, false
 	}
-	b, err := os.ReadFile(c.path(key))
+	f, err := os.Open(c.path(key))
 	if err != nil {
 		return Outcome{}, false
 	}
-	var o Outcome
-	if err := json.Unmarshal(b, &o); err != nil {
+	var stack [entryBuf]byte
+	b, err := readEntry(f, stack[:0])
+	f.Close()
+	if err != nil {
 		return Outcome{}, false
 	}
-	return o, true
+	return parseEntry(b)
+}
+
+// readEntry reads f to its end into b's spare capacity: one Read while the
+// entry fits, since a short read of a regular file ends it, and more after
+// growing b when it is full.
+func readEntry(f *os.File, b []byte) ([]byte, error) {
+	for {
+		n, err := f.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF || err == nil && len(b) < cap(b) {
+			return b, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		b = append(b, 0)[:len(b)]
+	}
 }
 
 // Put implements Cache. The entry is written to a temporary file and renamed
@@ -119,7 +144,8 @@ func (c *DirCache) Put(key string, o Outcome) error {
 	if !ValidKey(key) {
 		return fmt.Errorf("sweep: invalid cache key %q", key)
 	}
-	b, err := json.Marshal(o)
+	var stack [entryBuf]byte
+	b, err := appendOutcome(stack[:0], &o)
 	if err != nil {
 		return err
 	}
@@ -127,16 +153,17 @@ func (c *DirCache) Put(key string, o Outcome) error {
 	if err != nil {
 		return err
 	}
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
+	_, err = tmp.Write(b)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
+	if err == nil {
+		err = os.Rename(tmp.Name(), c.path(key))
 	}
-	return os.Rename(tmp.Name(), c.path(key))
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // Len returns the number of cached entries.

@@ -133,3 +133,28 @@ func (c *DirCache) Clear() error {
 	}
 	return nil
 }
+
+// TestDirCachePutFailedRenameLeavesNoTemp checks that a Put whose rename
+// fails (here the entry's path is a directory) removes its temporary file.
+func TestDirCachePutFailedRenameLeavesNoTemp(t *testing.T) {
+	dir := t.TempDir()
+	c, err := NewDirCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(filepath.Join(dir, "abc123.json"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put("abc123", Outcome{SimLatency: 1}); err == nil {
+		t.Fatal("Put over a directory succeeded")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.Name() != "abc123.json" {
+			t.Errorf("Put left %s behind", e.Name())
+		}
+	}
+}

@@ -3,7 +3,6 @@ package sweep
 import (
 	"bufio"
 	"encoding/csv"
-	"encoding/json"
 	"io"
 	"math"
 	"os"
@@ -173,9 +172,11 @@ func (s *CSVSink) Flush() error {
 	return s.w.Error()
 }
 
-// JSONLSink streams results as one JSON object per line.
+// JSONLSink streams results as one JSON object per line, byte for byte as
+// json.Marshal writes a Result.
 type JSONLSink struct {
-	w *bufio.Writer
+	w   *bufio.Writer
+	buf []byte // the row being written, reused across rows
 }
 
 // NewJSONLSink wraps w in a buffered JSONL sink. Call Flush when the sweep
@@ -184,14 +185,13 @@ func NewJSONLSink(w io.Writer) *JSONLSink { return &JSONLSink{w: bufio.NewWriter
 
 // Write implements Sink.
 func (s *JSONLSink) Write(r Result) error {
-	b, err := json.Marshal(r)
+	b, err := appendResult(s.buf[:0], &r)
 	if err != nil {
 		return err
 	}
-	if _, err := s.w.Write(b); err != nil {
-		return err
-	}
-	return s.w.WriteByte('\n')
+	s.buf = append(b, '\n')
+	_, err = s.w.Write(s.buf)
+	return err
 }
 
 // Flush drains the buffer to the underlying writer.
