@@ -187,6 +187,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			fmt.Fprintf(stdout, "rep %d: %v (partial results follow)\n", rep, err)
 		}
+		if res.Stalled {
+			fmt.Fprintf(stdout, "rep %d: warning: stalled with %d worms deadlocked in the network, %d of %d measured messages delivered (partial results follow)\n",
+				rep, sim.Network().InFlight(), res.DeliveredMeasured, cfg.Measure)
+		}
 		means.Add(res.Latency.Mean)
 		fmt.Fprintf(stdout, "rep %d (seed %d): mean=%.4f  sd=%.3f  min=%.3f  max=%.3f  n=%d\n",
 			rep, cfg.Seed, res.Latency.Mean, math.Sqrt(res.Latency.Variance),

@@ -85,3 +85,26 @@ func TestZeroPhasesRejected(t *testing.T) {
 		t.Error("-warmup 0 -measure 0 -drain 0 accepted")
 	}
 }
+
+// TestStalledWarning checks that a replication whose network deadlocks
+// (Org1 with a dragonfly ICN2, see mcsim.TestStalledRun) says so before its
+// partial results, and that a run that delivers everything does not.
+func TestStalledWarning(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	err := run([]string{"-org", "org1", "-topo", "fattree+dragonfly", "-lambda", "0.00035623125",
+		"-warmup", "200", "-measure", "2000", "-drain", "200", "-seed", "4343180570121319839"}, &stdout, &stderr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "rep 0: warning: stalled with 1622 worms deadlocked in the network, 570 of 2000 measured messages delivered (partial results follow)\n"
+	if !strings.Contains(stdout.String(), want) {
+		t.Errorf("no stall warning in output:\n%s", stdout.String())
+	}
+	out, err := runMcsim(t)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(out, "stalled") {
+		t.Errorf("a complete run warns of a stall:\n%s", out)
+	}
+}

@@ -136,6 +136,12 @@ type Result struct {
 	// Truncated reports that the event budget was exhausted before every
 	// measured message arrived (an extreme-saturation symptom).
 	Truncated bool
+	// Stalled reports that the event list emptied with worms still in the
+	// network: each waits in a channel queue behind a channel another one
+	// holds, a routing deadlock (wormhole switching without virtual
+	// channels admits it on cyclic topologies such as the dragonfly). The
+	// measurements then cover only the messages delivered before it.
+	Stalled bool
 }
 
 // message tracks one end-to-end message across its segments. Messages are
@@ -516,16 +522,17 @@ func (s *Sim) Run() (Result, error) {
 	if s.tele != nil {
 		nextSample = s.tele.stride
 	}
-	truncated := false
+	truncated, stalled := false, false
 	for s.measuredDone < s.cfg.Measure {
 		if s.sched.Executed() >= maxEvents {
 			truncated = true
 			break
 		}
 		if !s.sched.Step() {
-			// Event list exhausted: every in-flight message delivered. This
-			// can only mean the measurement phase finished (generation stops
-			// on its own) — unless phase counts exceed generated messages.
+			// Event list exhausted before the measurement phase finished:
+			// generation stops on its own, so the worms still in flight
+			// block each other and nothing can move again.
+			stalled = s.net.InFlight() > 0
 			break
 		}
 		if ev := s.sched.Executed(); ev >= nextSample {
@@ -548,6 +555,7 @@ func (s *Sim) Run() (Result, error) {
 		SimTime:           s.sched.Now(),
 		Events:            s.sched.Executed(),
 		Truncated:         truncated,
+		Stalled:           stalled,
 	}
 	res.PerCluster = make([]stats.Summary, len(s.perCluster))
 	for i := range s.perCluster {

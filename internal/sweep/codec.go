@@ -33,6 +33,9 @@ func appendResult(b []byte, r *Result) ([]byte, error) {
 	if b, err = appendOutcomeFields(b, &r.Outcome); err != nil {
 		return b, err
 	}
+	if r.Stalled {
+		b = append(b, `,"stalled":true`...)
+	}
 	return append(b, '}'), nil
 }
 

@@ -25,7 +25,7 @@ func FuzzResultCodec(f *testing.F) {
 		bits(1e-6), bits(math.NaN()), bits(9.999999999999999e20), 0, false, true, false, true, "", bits(math.NaN()),
 		[]byte(`{"sim_latency":1.0,"sim_source_wait":+1,"sim_pout":01,"delivered":-0,"truncated":false}`))
 	f.Fuzz(func(t *testing.T, org, pattern, arrival, topo string, analysis, latency, wait, pout, lambda, alpha uint64,
-		delivered int, truncated, saturated, _, telemetry bool, tier string, util uint64, entry []byte) {
+		delivered int, truncated, saturated, stalled, telemetry bool, tier string, util uint64, entry []byte) {
 		float := math.Float64frombits
 		r := Result{
 			Job: Job{
@@ -41,7 +41,8 @@ func FuzzResultCodec(f *testing.F) {
 				SimLatency: Float(float(latency)), SimSourceWait: Float(float(wait)), SimPOut: Float(float(pout)),
 				Delivered: delivered, Truncated: truncated,
 			},
-			Cached: truncated,
+			Stalled: stalled,
+			Cached:  truncated,
 		}
 		if telemetry {
 			r.Telemetry = &mcsim.TelemetrySummary{

@@ -20,6 +20,12 @@ type Result struct {
 	Analysis          Float `json:"analysis"`
 	AnalysisSaturated bool  `json:"analysis_saturated"`
 	Outcome
+	// Stalled reports a run whose event list emptied before every measured
+	// message arrived: worms left in the network wait on each other's
+	// channels (a routing deadlock), and the outcome's latency is the mean
+	// of the messages that got through. The engine derives it from the
+	// outcome, so every cache entry, old ones included, answers it.
+	Stalled bool `json:"stalled,omitempty"`
 	// Cached reports that the outcome came from the cache rather than a
 	// fresh simulation. It is deliberately excluded from serialized output
 	// so a resumed sweep reproduces the original files byte for byte.
@@ -197,6 +203,7 @@ func (e *Engine) RunJobs(ctx context.Context, spec Spec, jobs []Job) (Summary, e
 			a := analyses[analysisKey(res.Job)]
 			res.Analysis = a.value
 			res.AnalysisSaturated = a.saturated
+			res.Stalled = !res.Truncated && res.Delivered < res.Job.Measure
 			if res.Cached {
 				sum.CacheHits++
 			} else {

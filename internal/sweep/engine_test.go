@@ -2,8 +2,10 @@ package sweep
 
 import (
 	"bytes"
+	"context"
 	"encoding/csv"
 	"math"
+	"os"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -270,5 +272,60 @@ func TestWorkersIdenticalOverBenchGrid(t *testing.T) {
 	_, four, _ := runToBytes(t, &Engine{Workers: 4}, spec)
 	if !bytes.Equal(one, four) {
 		t.Error("Workers=1 and Workers=4 wrote different JSONL over the bench grid")
+	}
+}
+
+// TestStalledRow checks the stalled row field: a job whose network
+// deadlocks (Org1 with a dragonfly ICN2, see mcsim.TestStalledRun) emits
+// "stalled":true, from its run and again from its cache entry, which holds
+// no such field; a job that delivers everything omits it.
+func TestStalledRow(t *testing.T) {
+	spec := Spec{
+		Name:       "stall",
+		Orgs:       []string{"org1"},
+		Topologies: []string{"fattree+dragonfly"},
+		Loads:      Loads{Lambdas: []float64{0.00035623125, 1e-4}},
+		Warmup:     200, Measure: 2000, Drain: 200,
+		Model: "none",
+	}
+	jobs, err := Expand(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs[0].SimSeed = 4343180570121319839
+	cache, err := NewDirCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows [2][]byte
+	for pass := range rows {
+		var buf bytes.Buffer
+		mem, sink := &MemorySink{}, NewJSONLSink(&buf)
+		eng := &Engine{Workers: 2, Cache: cache, Sinks: []Sink{mem, sink}}
+		if _, err := eng.RunJobs(context.Background(), spec, jobs); err != nil {
+			t.Fatal(err)
+		}
+		if err := sink.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		stalled, done := mem.Results[0], mem.Results[1]
+		if !stalled.Stalled || stalled.Delivered != 570 || stalled.Cached != (pass == 1) {
+			t.Errorf("pass %d: stalled job reads stalled %v, %d delivered, cached %v",
+				pass, stalled.Stalled, stalled.Delivered, stalled.Cached)
+		}
+		if done.Stalled || done.Delivered != 2000 {
+			t.Errorf("pass %d: complete job reads stalled %v, %d delivered", pass, done.Stalled, done.Delivered)
+		}
+		lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+		if !strings.HasSuffix(lines[0], `,"stalled":true}`) || strings.Contains(lines[1], "stalled") {
+			t.Errorf("pass %d rows:\n%s", pass, buf.String())
+		}
+		rows[pass] = buf.Bytes()
+	}
+	if !bytes.Equal(rows[0], rows[1]) {
+		t.Errorf("warm rows differ from cold rows:\n%s\n%s", rows[1], rows[0])
+	}
+	if b, err := os.ReadFile(cache.path(jobs[0].Key())); err != nil || bytes.Contains(b, []byte("stalled")) {
+		t.Errorf("entry %s (%v) carries the derived field", b, err)
 	}
 }
