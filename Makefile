@@ -58,6 +58,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzJellyfishDistances$$' -fuzztime $(FUZZTIME) ./internal/topo
 	$(GO) test -run '^$$' -fuzz '^FuzzGridEquivalence$$' -fuzztime $(FUZZTIME) ./internal/analytic
 	$(GO) test -run '^$$' -fuzz '^FuzzJourneyChains$$' -fuzztime $(FUZZTIME) ./internal/analytic
+	$(GO) test -run '^$$' -fuzz '^FuzzSaturationSearch$$' -fuzztime $(FUZZTIME) ./internal/analytic
 	$(GO) test -run '^$$' -fuzz '^FuzzSchedulerOrder$$' -fuzztime $(FUZZTIME) ./internal/des
 	$(GO) test -run '^$$' -fuzz '^FuzzReleaseOrder$$' -fuzztime $(FUZZTIME) ./internal/wormhole
 	$(GO) test -run '^$$' -fuzz '^FuzzAnalyzeRepeat$$' -fuzztime $(FUZZTIME) ./internal/serve

@@ -663,16 +663,24 @@ func (m *Model) Evaluate(lambdaG float64) (Result, error) {
 // per-point memo, which returns bit-identical values because equal class IDs
 // capture every floating-point input of the corresponding computation, and
 // copies a cluster that repeats its predecessor (Grid.repeats). A
-// probe only asks whether the point saturates: it returns ErrSaturated with
-// a partial Result at the first saturated cluster or pair, which is the
-// first point where the full evaluation would mark the Result saturated.
+// probe, which needs a Grid, only asks whether the point saturates: it
+// returns ErrSaturated with a partial Result at the first saturated cluster
+// or pair, which is the first point where the full evaluation would mark
+// the Result saturated. A probe's per-cluster results go to the grid's
+// scratch (Grid.probeRes), which the next probe overwrites, so its caller
+// reads the error alone.
 func (m *Model) evaluate(lambdaG float64, g *Grid, probe bool) (Result, error) {
 	if lambdaG < 0 || math.IsNaN(lambdaG) {
 		return Result{}, fmt.Errorf("analytic: invalid λ_g %v", lambdaG)
 	}
 	sys := m.Sys
-	res := Result{LambdaG: lambdaG, PerCluster: make([]ClusterResult, sys.C())}
 	c := sys.C()
+	res := Result{LambdaG: lambdaG}
+	if probe {
+		res.PerCluster = g.probeRes
+	} else {
+		res.PerCluster = make([]ClusterResult, c)
+	}
 
 	var sc *scratch
 	if g != nil {
@@ -827,10 +835,12 @@ func (m *Model) MeanLatency(lambdaG float64) (float64, error) {
 }
 
 // SaturationPoint locates the offered traffic at which the model first
-// saturates, by doubling search followed by bisection to the given relative
-// tolerance. It returns +Inf if no saturation is found below limit. The
-// search runs on a throwaway Grid: every probe is bit-identical to
-// Model.Evaluate, so the point is too, at the memoized evaluator's cost.
+// saturates: it finds the first saturated rung of the ladder start·2^k,
+// then bisects between that rung and the one below to the given relative
+// tolerance. It returns +Inf if no rung up to limit saturates; for start
+// 1e-6 and limit 1 the highest rung is start·2^19 ≈ 0.524. The search
+// runs on a throwaway Grid: every probe is bit-identical to Model.Evaluate,
+// so the point is too, at the memoized evaluator's cost.
 func (m *Model) SaturationPoint(start, limit, tol float64) float64 {
 	return NewGrid(m).SaturationPoint(start, limit, tol)
 }
@@ -846,24 +856,40 @@ func (g *Grid) SaturationPoint(start, limit, tol float64) float64 {
 	}, start, limit, tol)
 }
 
-// saturationPoint is the doubling-plus-bisection search shared by the
-// wormhole model and the baseline; saturated reports whether a probe load
-// saturates.
+// saturationPoint is the saturation search shared by the wormhole model and
+// the baseline; saturated reports whether a probe load saturates. The rungs
+// are start·2^k for k = 0..top, the highest one at most limit (start itself
+// is always a rung). A binary search over k finds the first saturated rung,
+// and bisection then narrows the bracket between it and the rung below (0
+// below the first). Both steps assume that saturated crosses from false to
+// true once as the load grows; then the bracket, and so the point, is the
+// one a walk up the ladder a rung at a time would find, with about log₂ of
+// its probes.
 func saturationPoint(saturated func(float64) bool, start, limit, tol float64) float64 {
 	if start <= 0 {
 		start = 1e-9
 	}
-	lo := 0.0
-	hi := start
-	for {
-		if saturated(hi) {
-			break
+	top := 0
+	for r := 2 * start; r <= limit && r < math.Inf(1); r *= 2 {
+		top++
+	}
+	// Rung below is unsaturated (−1: no rung below); rung above saturates
+	// (top+1: no rung saturates).
+	below, above := -1, top+1
+	for above-below > 1 {
+		mid := (below + above) / 2
+		if saturated(math.Ldexp(start, mid)) {
+			above = mid
+		} else {
+			below = mid
 		}
-		lo = hi
-		hi *= 2
-		if hi > limit {
-			return math.Inf(1)
-		}
+	}
+	if above > top {
+		return math.Inf(1)
+	}
+	lo, hi := 0.0, math.Ldexp(start, above)
+	if above > 0 {
+		lo = math.Ldexp(start, above-1)
 	}
 	for hi-lo > tol*hi {
 		mid := (lo + hi) / 2

@@ -275,9 +275,11 @@ func TestSaturationPointUnbounded(t *testing.T) {
 // exactly where Grid.Evaluate marks its Result saturated. It is checked on
 // a λ ladder from zero load to far past saturation, for every topology of
 // both Table 1 organizations under both ICN2 readings, on one grid that
-// interleaves probes and full evaluations. The search over the probe also
-// lands on the same point, bit for bit, as the search over full
-// evaluations.
+// interleaves probes and full evaluations. Probes write their per-cluster
+// results into the grid's scratch, so every Result the grid hands out must
+// stay bit-identical to Model.Evaluate's after the probe that follows it.
+// The search over the probe also lands on the same point, bit for bit, as
+// the search over full evaluations.
 func TestSaturationProbeAgreesWithEvaluate(t *testing.T) {
 	exact := DefaultOptions()
 	exact.ExactICN2Pairs = true
@@ -288,7 +290,8 @@ func TestSaturationProbeAgreesWithEvaluate(t *testing.T) {
 				if err := system.ApplyTopologyAxis(&org, axis); err != nil {
 					t.Fatal(err)
 				}
-				g := NewGrid(newModel(t, org, units.Default(), opt))
+				m := newModel(t, org, units.Default(), opt)
+				g := NewGrid(m)
 				var ladder []float64
 				for l := 1e-6; l < 1; l *= 1.25 {
 					ladder = append(ladder, l)
@@ -300,6 +303,9 @@ func TestSaturationProbeAgreesWithEvaluate(t *testing.T) {
 					if probe := errors.Is(probeErr, ErrSaturated); probe != res.Saturated || (err == nil) != (probeErr == nil) {
 						t.Fatalf("%s %s exact=%v λ=%v: probe saturated %v (%v), evaluation %v (%v)",
 							org.Name, axis, opt.ExactICN2Pairs, l, probe, probeErr, res.Saturated, err)
+					}
+					if want, _ := m.Evaluate(l); !sameResultBits(res, want) {
+						t.Fatalf("%s %s exact=%v λ=%v: grid Result after a probe differs from Model.Evaluate's", org.Name, axis, opt.ExactICN2Pairs, l)
 					}
 					if res.Saturated {
 						sat++
@@ -318,4 +324,23 @@ func TestSaturationProbeAgreesWithEvaluate(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sameResultBits reports whether two Results agree in every field, floats
+// compared as bit patterns.
+func sameResultBits(a, b Result) bool {
+	eq := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	if !eq(a.LambdaG, b.LambdaG) || !eq(a.MeanLatency, b.MeanLatency) || a.Saturated != b.Saturated ||
+		a.Bottleneck != b.Bottleneck || len(a.PerCluster) != len(b.PerCluster) {
+		return false
+	}
+	for i, x := range a.PerCluster {
+		y := b.PerCluster[i]
+		if !eq(x.POut, y.POut) || !eq(x.WIntra, y.WIntra) || !eq(x.SIntra, y.SIntra) || !eq(x.RIntra, y.RIntra) ||
+			!eq(x.TIntra, y.TIntra) || !eq(x.WInter, y.WInter) || !eq(x.SInter, y.SInter) || !eq(x.RInter, y.RInter) ||
+			!eq(x.TInter, y.TInter) || !eq(x.WConc, y.WConc) || !eq(x.Latency, y.Latency) || x.Saturated != y.Saturated {
+			return false
+		}
+	}
+	return true
 }

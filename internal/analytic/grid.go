@@ -45,6 +45,10 @@ type Grid struct {
 	// destination class, d₂ slot).
 	intraMemo []memoEntry[intraResult]
 	pairMemo  []memoEntry[pairResult]
+
+	// probeRes holds a saturation probe's per-cluster results, which no
+	// caller reads: the search needs only whether the probe saturates.
+	probeRes []ClusterResult
 }
 
 // intraClass is every input of Model.intraCluster that can differ between
@@ -122,6 +126,7 @@ func NewGrid(m *Model) *Grid {
 		intraCls: make([]intraClass, 0, c),
 		srcCls:   make([]srcClass, 0, c),
 		dstCls:   make([]dstClass, 0, c),
+		probeRes: make([]ClusterResult, c),
 	}
 	if m.Opt.ExactICN2Pairs {
 		g.d2Slots = len(m.dist2)

@@ -252,13 +252,14 @@ func TestGridEvaluateInvalid(t *testing.T) {
 	}
 }
 
-// referenceSaturationPoint is the doubling-plus-bisection saturation search
-// written out over the un-memoized Model.Evaluate, the oracle both
-// SaturationPoint methods must reproduce bit for bit.
-func referenceSaturationPoint(m *analytic.Model, start, limit, tol float64) float64 {
-	saturated := func(l float64) bool {
-		_, err := m.Evaluate(l)
-		return errors.Is(err, analytic.ErrSaturated)
+// walkSaturationPoint is the saturation search as it first ran: climb the
+// ladder start·2^k a rung at a time up to limit, then bisect between the
+// first saturated rung and the one below. The search that replaced it finds
+// that rung by binary search over k and must land on the same bits whenever
+// saturated crosses from false to true once.
+func walkSaturationPoint(saturated func(float64) bool, start, limit, tol float64) float64 {
+	if start <= 0 {
+		start = 1e-9
 	}
 	lo, hi := 0.0, start
 	for !saturated(hi) {
@@ -275,6 +276,16 @@ func referenceSaturationPoint(m *analytic.Model, start, limit, tol float64) floa
 		}
 	}
 	return (lo + hi) / 2
+}
+
+// referenceSaturationPoint is the rung walk over the un-memoized
+// Model.Evaluate, the oracle both SaturationPoint methods must reproduce bit
+// for bit.
+func referenceSaturationPoint(m *analytic.Model, start, limit, tol float64) float64 {
+	return walkSaturationPoint(func(l float64) bool {
+		_, err := m.Evaluate(l)
+		return errors.Is(err, analytic.ErrSaturated)
+	}, start, limit, tol)
 }
 
 // TestGridSaturationPoint pins that Model.SaturationPoint (which searches on
@@ -313,14 +324,55 @@ func TestGridSaturationPoint(t *testing.T) {
 	}
 }
 
+// fuzzModel builds a small organization from fuzzer-chosen bytes, skipping
+// the ones that do not build. The second spec B follows the first, A, and
+// shape picks what sets B apart: its low two bits choose a rate factor of
+// 2, an ICN1 override, an ECN1 override of α_net alone (which splits only
+// the destination class) or nothing (so that A and an equal-levels B form
+// one run); bit 2 repeats A after B (A, B, A); bit 3 sets ExactICN2Pairs.
+func fuzzModel(t *testing.T, ports, lv1, lv2, cnt1, cnt2, shape uint8) *analytic.Model {
+	// Clamp to valid, small organizations: even ports ≥ 2, levels ≥ 1,
+	// at least two clusters total.
+	p := 2 + 2*int(ports%3) // 2, 4, 6
+	l1, l2 := 1+int(lv1%3), 1+int(lv2%3)
+	c1, c2 := 1+int(cnt1%3), int(cnt2%3)
+	if c1+c2 < 2 {
+		c1 = 2
+	}
+	a := system.ClusterSpec{Count: c1, Levels: l1}
+	org := system.Organization{Ports: p, Specs: []system.ClusterSpec{a}}
+	if c2 > 0 {
+		b := system.ClusterSpec{Count: c2, Levels: l2}
+		switch shape % 4 {
+		case 0:
+			b.RateFactor = 2
+		case 1:
+			b.ICN1 = &units.LinkClass{AlphaNet: 0.04, AlphaSw: 0.02, BetaNet: 0.004}
+		case 2:
+			b.ECN1 = &units.LinkClass{AlphaNet: 0.04, AlphaSw: 0.01, BetaNet: 0.002}
+		}
+		org.Specs = append(org.Specs, b)
+		if shape&4 != 0 {
+			org.Specs = append(org.Specs, a)
+		}
+	}
+	opt := analytic.DefaultOptions()
+	opt.ExactICN2Pairs = shape&8 != 0
+	sys, err := system.New(org)
+	if err != nil {
+		t.Skip()
+	}
+	m, err := analytic.New(sys, units.Default(), opt)
+	if err != nil {
+		t.Skip()
+	}
+	return m
+}
+
 // FuzzGridEquivalence drives the equivalence property over fuzzer-chosen
 // organization shapes and load grids: whatever the topology, cluster mix and
 // λ spacing, Grid.Evaluate must be bit-identical to Model.Evaluate. The
-// second spec B follows the first, A, and shape picks what sets B apart:
-// its low two bits choose a rate factor of 2, an ICN1 override, an ECN1
-// override of α_net alone (which splits only the destination class) or
-// nothing (so that A and an equal-levels B form one run); bit 2
-// repeats A after B (A, B, A); bit 3 sets ExactICN2Pairs.
+// organizations come from fuzzModel.
 func FuzzGridEquivalence(f *testing.F) {
 	f.Add(uint8(4), uint8(1), uint8(2), uint8(2), uint8(2), float64(2e-4), uint8(6), uint8(0))
 	f.Add(uint8(8), uint8(2), uint8(2), uint8(4), uint8(0), float64(1e-3), uint8(3), uint8(0))
@@ -331,41 +383,7 @@ func FuzzGridEquivalence(f *testing.F) {
 	f.Add(uint8(4), uint8(1), uint8(1), uint8(2), uint8(2), float64(5e-4), uint8(7), uint8(7))
 	f.Add(uint8(4), uint8(2), uint8(1), uint8(2), uint8(1), float64(2e-4), uint8(6), uint8(15))
 	f.Fuzz(func(t *testing.T, ports, lv1, lv2, cnt1, cnt2 uint8, lamTop float64, points, shape uint8) {
-		// Clamp to valid, small organizations: even ports ≥ 2, levels ≥ 1,
-		// at least two clusters total.
-		p := 2 + 2*int(ports%3) // 2, 4, 6
-		l1, l2 := 1+int(lv1%3), 1+int(lv2%3)
-		c1, c2 := 1+int(cnt1%3), int(cnt2%3)
-		if c1+c2 < 2 {
-			c1 = 2
-		}
-		a := system.ClusterSpec{Count: c1, Levels: l1}
-		org := system.Organization{Ports: p, Specs: []system.ClusterSpec{a}}
-		if c2 > 0 {
-			b := system.ClusterSpec{Count: c2, Levels: l2}
-			switch shape % 4 {
-			case 0:
-				b.RateFactor = 2
-			case 1:
-				b.ICN1 = &units.LinkClass{AlphaNet: 0.04, AlphaSw: 0.02, BetaNet: 0.004}
-			case 2:
-				b.ECN1 = &units.LinkClass{AlphaNet: 0.04, AlphaSw: 0.01, BetaNet: 0.002}
-			}
-			org.Specs = append(org.Specs, b)
-			if shape&4 != 0 {
-				org.Specs = append(org.Specs, a)
-			}
-		}
-		opt := analytic.DefaultOptions()
-		opt.ExactICN2Pairs = shape&8 != 0
-		sys, err := system.New(org)
-		if err != nil {
-			t.Skip()
-		}
-		m, err := analytic.New(sys, units.Default(), opt)
-		if err != nil {
-			t.Skip()
-		}
+		m := fuzzModel(t, ports, lv1, lv2, cnt1, cnt2, shape)
 		if math.IsNaN(lamTop) || lamTop <= 0 || lamTop > 1 {
 			lamTop = 1e-4
 		}

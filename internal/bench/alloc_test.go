@@ -7,6 +7,7 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"mcnet/internal/analytic"
 	"mcnet/internal/des"
 	"mcnet/internal/mcsim"
 	"mcnet/internal/rng"
@@ -246,4 +247,16 @@ func TestAllocsSweepRows(t *testing.T) {
 			t.Fatal("entry missing")
 		}
 	})
+}
+
+// TestAllocsSaturationProbe pins a saturation search on a warmed grid, and
+// so each of its probes, at zero allocations: a probe writes its
+// per-cluster results into the grid's scratch, and the memo tables have
+// grown to the model's class counts.
+func TestAllocsSaturationProbe(t *testing.T) {
+	for _, m := range sweepGridModels(t) {
+		g := analytic.NewGrid(m)
+		g.SaturationPoint(1e-6, 1, 1e-3)
+		gate(t, "saturation-search", 0, func() { g.SaturationPoint(1e-6, 1, 1e-3) })
+	}
 }

@@ -290,6 +290,54 @@ func BenchmarkAnalyticEval(b *testing.B) {
 	}
 }
 
+// sweepGridModels builds the calibrated models of the sweep-grid
+// benchmark's six placements: both Table 1 organizations under each of its
+// three topology axes.
+func sweepGridModels(tb testing.TB) []*analytic.Model {
+	spec := benchGridSpec()
+	var models []*analytic.Model
+	for _, name := range spec.Orgs {
+		for _, axis := range spec.Topologies {
+			org, err := system.ParseOrganization(name)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			if err := system.ApplyTopologyAxis(&org, axis); err != nil {
+				tb.Fatal(err)
+			}
+			sys, err := system.New(org)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			m, err := analytic.New(sys, units.Default(), analytic.DefaultOptions())
+			if err != nil {
+				tb.Fatal(err)
+			}
+			models = append(models, m)
+		}
+	}
+	return models
+}
+
+// BenchmarkSaturationSearch measures the analytic layer's share of a cold
+// sweep-grid expansion: the six placement searches, each at the placement
+// tolerance 1e-3 on a fresh Grid, as sweep.Expand runs them on a model it
+// has not searched. The models are built outside the timer, so the number
+// is the search alone; BenchmarkSweepExpand adds parsing, model builds and
+// the goroutines around it.
+func BenchmarkSaturationSearch(b *testing.B) {
+	models := sweepGridModels(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		for _, m := range models {
+			if sat := analytic.NewGrid(m).SaturationPoint(1e-6, 1, 1e-3); !(sat > 0) {
+				b.Fatalf("saturation point %v", sat)
+			}
+		}
+	}
+	b.ReportMetric(b.Elapsed().Seconds()*1e6/float64(b.N*len(models)), "us/search")
+}
+
 // benchGridSpec is the sweep-grid benchmark's spec: both Table 1
 // organizations × three topologies at equal switch budget × Poisson and
 // MMPP arrivals × 4 loads.

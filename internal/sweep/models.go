@@ -138,7 +138,8 @@ func (m *Model) build() (*analytic.Grid, error) {
 
 // SaturationPoint returns the load at which the model first saturates,
 // searched from 1e-6 to the relative tolerance tol once per entry and
-// tolerance (+Inf when the model does not saturate below λ = 1). Grid
+// tolerance (+Inf when the model does not saturate at the highest rung of
+// the search's ladder, 1e-6·2^19 ≈ 0.524, the last below λ = 1). Grid
 // placement uses placementTol, 1e-3; the service reports the point at 1e-4.
 func (m *Model) SaturationPoint(tol float64) (float64, error) {
 	m.mu.Lock()

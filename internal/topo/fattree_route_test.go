@@ -611,3 +611,63 @@ func TestTablesBuildOnceUnderConcurrentRoutes(t *testing.T) {
 		t.Error(e)
 	}
 }
+
+// TestJellyfishTablesBuildOnceUnderConcurrentFirstUse: a jellyfish builds
+// its distance table and paths on the first AppendRoute, RouteLen or
+// CheckStructure. Goroutines that make each of those calls first, at once,
+// must share one build (run it under -race) and read the same tables as a
+// twin built by one caller.
+func TestJellyfishTablesBuildOnceUnderConcurrentFirstUse(t *testing.T) {
+	jelly, err := newJellyfish(nodeCount(4, 4), switchCount(4, 4), 4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := newJellyfish(nodeCount(4, 4), switchCount(4, 4), 4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin.paths()
+	n := jelly.Nodes()
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	errs := make(chan string, 6)
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for src := 0; src < n; src++ {
+				dst := (src + 1 + g) % n
+				switch g % 3 {
+				case 0:
+					got := jelly.AppendRoute(nil, 0, src, dst, 0)
+					if want := twin.AppendRoute(nil, 0, src, dst, 0); !reflect.DeepEqual(got, want) {
+						errs <- fmt.Sprintf("route %d→%d = %v, want %v", src, dst, got, want)
+						return
+					}
+				case 1:
+					if got, want := jelly.RouteLen(src, dst), twin.RouteLen(src, dst); got != want {
+						errs <- fmt.Sprintf("RouteLen(%d, %d) = %d, want %d", src, dst, got, want)
+						return
+					}
+				case 2:
+					if src == 0 {
+						if err := jelly.CheckStructure(); err != nil {
+							errs <- err.Error()
+							return
+						}
+					}
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	if !reflect.DeepEqual(jelly.dist, twin.dist) || !reflect.DeepEqual(jelly.pathOff, twin.pathOff) || !reflect.DeepEqual(jelly.pathArena, twin.pathArena) {
+		t.Error("concurrently built tables differ from a single caller's")
+	}
+}

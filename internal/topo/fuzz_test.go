@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"math"
 	"slices"
 	"testing"
 )
@@ -75,10 +76,49 @@ func bfsDistances(j *Jellyfish) []int32 {
 	return dist
 }
 
-// FuzzJellyfishDistances checks the construction's bit-parallel distance
-// table against a plain BFS for fuzzer-chosen budgets and wiring seeds,
-// across switch counts on both sides of the 64-source word boundaries, and
-// that the routes built on first use are shortest paths of those lengths.
+// referenceRouteDist aggregates a switch-pair distance table into the
+// route-length distribution over uniform ordered node pairs, its mean and
+// the longest route, pair by pair: the histogram construction counts
+// inside its BFS must match it bit for bit.
+func referenceRouteDist(nodes, switches int, dist []int32) (routeDist []float64, avg float64, maxRoute int) {
+	S := switches
+	maxRoute = 2
+	for _, d := range dist {
+		maxRoute = max(maxRoute, int(d)+2)
+	}
+	at := make([]int64, S)
+	for i := 0; i < nodes; i++ {
+		at[i%S]++
+	}
+	counts := make([]int64, maxRoute+1)
+	for a := 0; a < S; a++ {
+		for b := 0; b < S; b++ {
+			var pairs int64
+			if a == b {
+				pairs = at[a] * (at[a] - 1)
+			} else {
+				pairs = at[a] * at[b]
+			}
+			if pairs > 0 {
+				counts[int(dist[a*S+b])+2] += pairs
+			}
+		}
+	}
+	routeDist = make([]float64, len(counts))
+	denom := float64(nodes) * float64(nodes-1)
+	for d, c := range counts {
+		routeDist[d] = float64(c) / denom
+		avg += float64(d) * routeDist[d]
+	}
+	return routeDist, avg, maxRoute
+}
+
+// FuzzJellyfishDistances checks, for fuzzer-chosen budgets and wiring seeds
+// across switch counts on both sides of the 64-source word boundaries, that
+// construction builds no distance table; that the table the first route
+// builds matches a plain BFS; that the route-length distribution, its mean
+// and MaxRouteLen counted at construction match the table's, bit for bit;
+// and that the routes are shortest paths of those lengths.
 func FuzzJellyfishDistances(f *testing.F) {
 	f.Add(uint16(16), uint8(20), uint8(4), uint64(0))
 	f.Add(uint16(1), uint8(1), uint8(1), uint64(7))
@@ -97,8 +137,22 @@ func FuzzJellyfishDistances(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		if want := bfsDistances(j); !slices.Equal(j.dist, want) {
+		if j.dist != nil {
+			t.Fatalf("%s: construction built the distance table", j)
+		}
+		j.paths()
+		want := bfsDistances(j)
+		if !slices.Equal(j.dist, want) {
 			t.Fatalf("%s: bit-parallel distances differ from BFS", j)
+		}
+		dist, avg, maxRoute := referenceRouteDist(n, s, want)
+		if got := j.RouteDist(); len(got) != len(dist) || !slices.EqualFunc(got, dist, func(a, b float64) bool {
+			return math.Float64bits(a) == math.Float64bits(b)
+		}) {
+			t.Fatalf("%s: route-length distribution %v, the distance table's %v", j, got, dist)
+		}
+		if math.Float64bits(j.AvgDistance()) != math.Float64bits(avg) || j.MaxRouteLen() != maxRoute {
+			t.Fatalf("%s: mean route %v, longest %d; the distance table's %v, %d", j, j.AvgDistance(), j.MaxRouteLen(), avg, maxRoute)
 		}
 		if err := j.CheckStructure(); err != nil {
 			t.Fatal(err)

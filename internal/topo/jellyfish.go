@@ -20,9 +20,10 @@ const defaultJellyfishSeed = 0x6a656c6c79 // "jelly"
 // node attachment wired into a random regular graph among the switches.
 // Routing is single shortest path over an all-pairs table, precomputed on
 // the first route, so the simulator's hot path is a zero-alloc arena copy
-// exactly like the fat tree's. The switch-pair distances the route-length
-// distribution reads are computed at construction, 64 sources at a time;
-// the routes themselves wait for their first use.
+// exactly like the fat tree's. Construction counts the route-length
+// distribution the model reads with a BFS from 64 sources at a time, and
+// keeps no switch-pair table: the distance table and the paths wait for
+// the first route, RouteLen or CheckStructure.
 //
 // Channel layout: [0,N) node injection channels, [N,2N) node delivery
 // channels, then two directed channels per undirected switch edge e —
@@ -36,14 +37,14 @@ type Jellyfish struct {
 	edges     [][2]int32 // undirected switch pairs, low endpoint first
 	adj       [][]int32  // neighbor switches
 	adjChan   [][]int32  // directed channel id of s→adj[s][k]
-	dist      []int32    // switch-pair hop distance, row-major
 	routeDist []float64
 	avgDist   float64
 	maxRoute  int
 
-	// built guards the path tables below: buildPaths runs once, on the
-	// first AppendRoute or CheckStructure.
+	// built guards the route tables below: buildDist and buildPaths run
+	// once, on the first AppendRoute, RouteLen or CheckStructure.
 	built     sync.Once
+	dist      []int32 // switch-pair hop distance, row-major
 	pathOff   []int32 // per ordered switch pair: offset into pathArena
 	pathArena []int32 // concatenated switch-path channel ids
 }
@@ -82,7 +83,6 @@ func newJellyfish(nodes, switches, ports int, seed uint64) (*Jellyfish, error) {
 		}
 	}
 	j.buildAdjacency()
-	j.buildDist()
 	j.buildRouteDist()
 	return j, nil
 }
@@ -281,18 +281,14 @@ func (j *Jellyfish) buildAdjacency() {
 	}
 }
 
-// buildDist fills the distance table, which the route-length distribution,
-// RouteLen and MaxRouteLen read, with a bit-parallel BFS: one pass searches
-// from 64 sources at once, bit k of a switch's word standing for source
-// a0+k, so a level costs one OR per adjacency entry for all 64 searches.
-// A switch joins level d of source a0+k when a neighbour was in level d−1
-// of that search and it was not yet seen; unreachable pairs stay −1.
-func (j *Jellyfish) buildDist() {
+// bfs64 runs a bit-parallel BFS from every switch: one pass searches from
+// 64 sources at once, bit k of a switch's word standing for source a0+k,
+// so a level costs one OR per adjacency entry for all 64 searches. A switch
+// joins level d of source a0+k when a neighbour was in level d−1 of that
+// search and it was not yet seen; reach gets, per pass, level d ≥ 1 and
+// switch v, the word w of the searches that reach v at d.
+func (j *Jellyfish) bfs64(reach func(a0, d, v int, w uint64)) {
 	S := j.switches
-	j.dist = make([]int32, S*S)
-	for i := range j.dist {
-		j.dist[i] = -1
-	}
 	words := make([]uint64, 3*S)
 	seen, front, next := words[:S], words[S:2*S], words[2*S:]
 	for a0 := 0; a0 < S; a0 += 64 {
@@ -300,9 +296,8 @@ func (j *Jellyfish) buildDist() {
 		clear(front)
 		for k := 0; k < 64 && a0+k < S; k++ {
 			seen[a0+k], front[a0+k] = 1<<k, 1<<k
-			j.dist[(a0+k)*S+a0+k] = 0
 		}
-		for level, grew := int32(1), true; grew; level++ {
+		for d, grew := 1, true; grew; d++ {
 			grew = false
 			for v, nb := range j.adj {
 				var w uint64
@@ -316,24 +311,39 @@ func (j *Jellyfish) buildDist() {
 				}
 				seen[v] |= w
 				grew = true
-				for ; w != 0; w &= w - 1 {
-					j.dist[(a0+bits.TrailingZeros64(w))*S+v] = level
-				}
+				reach(a0, d, v, w)
 			}
 			front, next = next, front
 		}
 	}
-	j.maxRoute = 2
-	for _, d := range j.dist {
-		if int(d)+2 > j.maxRoute {
-			j.maxRoute = int(d) + 2
-		}
-	}
 }
 
-// paths builds the path tables on the first call; every later call costs
-// one atomic load.
-func (j *Jellyfish) paths() { j.built.Do(j.buildPaths) }
+// buildDist fills the distance table, which the path build, RouteLen and
+// CheckStructure read, from bfs64; unreachable pairs stay −1.
+func (j *Jellyfish) buildDist() {
+	S := j.switches
+	j.dist = make([]int32, S*S)
+	for i := range j.dist {
+		j.dist[i] = -1
+	}
+	for a := 0; a < S; a++ {
+		j.dist[a*S+a] = 0
+	}
+	j.bfs64(func(a0, d, v int, w uint64) {
+		for ; w != 0; w &= w - 1 {
+			j.dist[(a0+bits.TrailingZeros64(w))*S+v] = int32(d)
+		}
+	})
+}
+
+// paths builds the distance and path tables on the first call; every later
+// call costs one atomic load.
+func (j *Jellyfish) paths() {
+	j.built.Do(func() {
+		j.buildDist()
+		j.buildPaths()
+	})
+}
 
 // buildPaths freezes one shortest path per ordered switch pair into a flat
 // arena, so AppendRoute is a bounds-checked copy with no allocation or
@@ -376,28 +386,32 @@ func (j *Jellyfish) buildPaths() {
 	j.pathOff, j.pathArena = pathOff, arena
 }
 
-// buildRouteDist aggregates the switch-pair distances into the route-length
-// distribution over uniform ordered node pairs.
+// buildRouteDist counts the route-length distribution over uniform ordered
+// node pairs from bfs64, keeping no table. Node i sits on switch i mod S,
+// so a switch carries q = N div S nodes, or q+1 if it is one of the first
+// N mod S. A source word w that first reaches switch v at level d
+// therefore adds nodes(v)·(q·|w| + |w ∩ heavy|) node pairs at route length
+// d+2, heavy marking the sources with q+1 nodes; the pairs within one
+// switch sit at length 2. MaxRouteLen is the deepest level over all switch
+// pairs, empty switches included, plus 2.
 func (j *Jellyfish) buildRouteDist() {
-	S := j.switches
-	at := make([]int64, S)
-	for i := 0; i < j.nodes; i++ {
-		at[i%S]++
-	}
-	counts := make([]int64, j.maxRoute+1)
-	for a := 0; a < S; a++ {
-		for b := 0; b < S; b++ {
-			var pairs int64
-			if a == b {
-				pairs = at[a] * (at[a] - 1)
-			} else {
-				pairs = at[a] * at[b]
-			}
-			if pairs > 0 {
-				counts[int(j.dist[a*S+b])+2] += pairs
-			}
+	q, r := int64(j.nodes/j.switches), j.nodes%j.switches
+	counts := []int64{2: int64(r)*(q+1)*q + int64(j.switches-r)*q*(q-1)}
+	j.bfs64(func(a0, d, v int, w uint64) {
+		var heavy uint64
+		if r > a0 {
+			heavy = 1<<min(r-a0, 64) - 1
 		}
-	}
+		nv := q
+		if v < r {
+			nv++
+		}
+		if d+2 == len(counts) {
+			counts = append(counts, 0)
+		}
+		counts[d+2] += nv * (q*int64(bits.OnesCount64(w)) + int64(bits.OnesCount64(w&heavy)))
+	})
+	j.maxRoute = len(counts) - 1
 	j.routeDist = make([]float64, len(counts))
 	denom := float64(j.nodes) * float64(j.nodes-1)
 	for d, c := range counts {
@@ -416,6 +430,7 @@ func (j *Jellyfish) RouteLen(src, dst int) int {
 	if src == dst {
 		return 0
 	}
+	j.paths()
 	return int(j.dist[(src%j.switches)*j.switches+dst%j.switches]) + 2
 }
 
