@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -135,19 +136,40 @@ func parseFlags(t *testing.T, dir string) map[string]bool {
 // codeSpan matches an inline code span; identRef matches a package-qualified
 // name inside one, pkg.Ident or pkg.Type.Member. A path or file name such as
 // internal/mcsim/mcsim.go does not match: the package must not follow a word
-// character, '.' or '/'.
+// character, '.' or '/'. testRef matches a span that is a test, benchmark,
+// fuzz or example function's name, with an optional /sub case (the bare
+// prefix, as in "`Example` tests", names the kind, not a function); bareRef
+// matches a span that is one exported CamelCase identifier, and notIdent
+// holds the ones the documents write as code that name no Go declaration.
 var (
 	codeSpan = regexp.MustCompile("`[^`]+`")
 	identRef = regexp.MustCompile(`(?:^|[^\w./])([a-z]\w*)\.([A-Za-z_]\w*)(?:\.([A-Za-z_]\w*))?`)
+	testRef  = regexp.MustCompile("^`(Test|Benchmark|Fuzz|Example)(\\w*)(?:/[^`]*)?`$")
+	bareRef  = regexp.MustCompile("^`([A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*)`$")
+	notIdent = map[string]bool{
+		"Accept": true, // the HTTP header
+		"NaN":    true, // a float's rendering in CSV and JSON
+	}
 )
 
 // TestDocsNameExistingIdentifiers fails when a document's code span names an
 // internal package's declaration, method or struct field that the package's
 // non-test files no longer declare. pkg.Ident may name a method or field of
 // any of the package's types (des.RegisterFIFO); pkg.Type.Member must name
-// one of Type's.
+// one of Type's. A bare span fails too when no file of the repository
+// declares it: a Test, Benchmark, Fuzz or Example name must be a function
+// of some _test.go file, any other exported CamelCase name a declaration,
+// method or field of some non-test file.
 func TestDocsNameExistingIdentifiers(t *testing.T) {
-	pkgs := map[string]*pkgDecls{}
+	pkgs, tests := repoDecls(t)
+	declared := func(name string) bool {
+		for _, d := range pkgs {
+			if d.names[name] || d.anyMember(name) {
+				return true
+			}
+		}
+		return false
+	}
 	for _, doc := range []string{"README.md", "DESIGN.md", verifySkill} {
 		b, err := os.ReadFile(doc)
 		if err != nil {
@@ -163,19 +185,22 @@ func TestDocsNameExistingIdentifiers(t *testing.T) {
 				continue
 			}
 			for _, span := range codeSpan.FindAllString(line, -1) {
+				if m := testRef.FindStringSubmatch(span); m != nil {
+					if name := m[1] + m[2]; m[2] != "" && !tests[name] {
+						t.Errorf("%s:%d names %s, which no _test.go file declares", doc, i+1, name)
+					}
+				} else if m := bareRef.FindStringSubmatch(span); m != nil && !notIdent[m[1]] && !declared(m[1]) {
+					t.Errorf("%s:%d names %s, which no non-test file declares", doc, i+1, m[1])
+				}
 				for _, m := range identRef.FindAllStringSubmatch(span, -1) {
 					pkg, name, member := m[1], m[2], m[3]
 					dir := filepath.Join("internal", pkg)
-					if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+					d, ok := pkgs[dir]
+					if !ok {
 						continue
 					}
 					if _, err := os.Stat(filepath.Join(dir, pkg+"."+name)); err == nil {
 						continue // a file name such as mcsim.go
-					}
-					d, ok := pkgs[pkg]
-					if !ok {
-						d = parseDecls(t, dir)
-						pkgs[pkg] = d
 					}
 					ref := pkg + "." + name
 					if member != "" {
@@ -193,6 +218,44 @@ func TestDocsNameExistingIdentifiers(t *testing.T) {
 			}
 		}
 	}
+}
+
+// repoDecls parses every directory of the repository, perfbench's module
+// included: pkgs holds what each one's non-test files declare, by path, and
+// tests the top-level functions of all _test.go files.
+func repoDecls(t *testing.T) (pkgs map[string]*pkgDecls, tests map[string]bool) {
+	t.Helper()
+	pkgs, tests = map[string]*pkgDecls{}, map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(dir string, e fs.DirEntry, err error) error {
+		if err != nil || !e.IsDir() {
+			return err
+		}
+		if dir != "." && (strings.HasPrefix(e.Name(), ".") || e.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		pkgs[dir] = parseDecls(t, dir)
+		files, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+		if err != nil {
+			return err
+		}
+		for _, path := range files {
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			for _, decl := range f.Decls {
+				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
+					tests[fn.Name.Name] = true
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pkgs, tests
 }
 
 // pkgDecls is what one package's non-test files declare: top-level names,

@@ -197,29 +197,3 @@ func TestGeometryScalingShapes(t *testing.T) {
 		t.Errorf("M 32→64 scaled zero-load latency by %v, want ≈2", r)
 	}
 }
-
-// TestModelRefinementOrdering pins the relationship between the three model
-// variants: paper-literal saturates before the calibrated default, and the
-// concentrator-feedback refinement saturates between the default and the
-// simulator's knee.
-func TestModelRefinementOrdering(t *testing.T) {
-	org := Table1Org1()
-	par := DefaultParams()
-	sys := system.MustNew(org)
-	mk := func(opt ModelOptions) float64 {
-		m, err := analytic.New(sys, par, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m.SaturationPoint(1e-6, 1, 1e-3)
-	}
-	literal := mk(PaperLiteralModelOptions())
-	def := mk(DefaultModelOptions())
-	fb := DefaultModelOptions()
-	fb.ConcServiceFeedback = true
-	refined := mk(fb)
-	if !(literal < refined && refined < def) {
-		t.Errorf("saturation ordering literal(%v) < refined(%v) < default(%v) violated",
-			literal, refined, def)
-	}
-}

@@ -32,11 +32,13 @@
 //
 // # Interpretation options
 //
-// Two spots of the paper are typographically ambiguous in the available text
-// (Eq. 7's ICN2 rate normalization and Eq. 33's concentrator arrival rate;
-// see DESIGN.md §3). Options selects between the channel-count-consistent
-// reading (default, calibrated against the simulator) and the paper-literal
-// reading (kept for the ablation experiment).
+// Three spots of the paper are ambiguous in the available text: the ICN2
+// rate normalization of Eqs. 7/12, the concentrator arrival rate of Eq. 33
+// and the source-queue arrival rate of Eqs. 23/30 (see DESIGN.md §3).
+// Options.PaperLiteral switches all three at once between the channel-
+// count-consistent readings (the default, calibrated against the
+// simulator) and the paper-literal ones (kept for the ablation
+// experiment).
 //
 // The model also supports per-cluster injection-rate factors (processor-
 // power heterogeneity), a strict extension of the paper's assumption 3.
@@ -52,74 +54,42 @@ import (
 	"mcnet/internal/units"
 )
 
-// ConcArrivalMode selects the arrival rate used for the concentrator and
-// dispatcher M/D/1 queues (Eq. 33).
-type ConcArrivalMode int
+// channelFactor is the constant F in the denominators of the channel rate
+// equations (Eqs. 10–12). The paper uses 4; the directed-channel count of an
+// m-port n-tree (2nN channels for traffic of d_avg·λ link crossings) would
+// correspond to 2.
+const channelFactor = 4
 
-const (
-	// ConcPerEndpoint uses the physical per-device rates: the concentrator
-	// of cluster i serves the cluster's outgoing flow N_i·P_o(i)·λ_i and the
-	// dispatcher of cluster v serves v's incoming flow. This is the default;
-	// it reproduces the simulator's dominant bottleneck.
-	ConcPerEndpoint ConcArrivalMode = iota
-	// ConcPairExtrapolated uses the pair-extrapolated per-concentrator rate
-	// λ_I2(i,v)/C for both buffers, the closest defensible reading of the
-	// paper's Eq. 33.
-	ConcPairExtrapolated
-)
-
-// Options selects between interpretations of the ambiguous equations.
+// Options selects between the two readings of the paper's ambiguous
+// equations.
 type Options struct {
-	// ChannelFactor is the constant F in the denominators of the channel
-	// rate equations (Eqs. 10–12). The paper uses 4; the directed-channel
-	// count of an m-port n-tree (2nN channels for traffic of d_avg·λ link
-	// crossings) corresponds to 2.
-	ChannelFactor float64
-	// ICN2PaperLiteral, when true, uses the pair-extrapolated *total* ICN2
-	// load in Eq. 12's numerator without normalizing by the concentrator
-	// count C, which is the literal OCR reading of Eqs. 7+12. The default
-	// (false) divides by C so that η_I2 is a per-channel rate on the same
-	// footing as Eqs. 10–11.
-	ICN2PaperLiteral bool
-	// ConcArrival selects the concentrator queue arrival rates.
-	ConcArrival ConcArrivalMode
-	// SourceAggregate, when true, feeds the source-queue M/G/1 (Eqs. 23, 30)
-	// with the aggregate network arrival rates λ_I1 and λ_E1 of Eqs. 5–6,
-	// the literal reading of "substitution of λ = λ_I1". The default (false)
-	// uses the per-injection-channel rates ((1−P_o)·λ_i and P_o·λ_i): a
-	// node's source queue physically receives only that node's messages.
-	// The aggregate reading saturates the model a factor ≈2 before the
-	// paper's own plotted traffic ranges, while the per-node reading puts
-	// the model's saturation exactly where the paper's figures stop —
-	// see the "saturation" and "ablation-icn2" experiments (mcrepro -list).
-	SourceAggregate bool
-	// ExactICN2Pairs replaces the distribution P(h, n_c) by the exact NCA
-	// level of each cluster pair (i,v), a refinement the paper's model
-	// averages away.
-	ExactICN2Pairs bool
-	// ConcServiceFeedback is a refinement beyond the paper: the
-	// concentrator's effective service extends past M·t_cs by the blocking
-	// the message's header suffers entering ICN2 (approximated by one
-	// stage of Eq. 16, ½·η_I2·(M·t_cs)²). The paper's M/D/1 term ignores
-	// this downstream coupling, which is one reason its model outlives the
-	// simulator near saturation.
-	ConcServiceFeedback bool
+	// PaperLiteral, when true, takes the literal reading of all three
+	// ambiguous spots (DESIGN.md §3); the default, false, takes the
+	// calibrated one:
+	//
+	//   - Eqs. 7/12: η_I2's numerator is the pair-extrapolated total ICN2
+	//     load, not that load over the concentrator count C, a per-channel
+	//     rate on the same footing as Eqs. 10–11.
+	//   - Eqs. 23/30: the source-queue M/G/1 is fed the aggregate rates λ_I1
+	//     and λ_E1 of Eqs. 5–6, not the node's own (1−P_o)·λ_i and P_o·λ_i;
+	//     the aggregate reading saturates the model a factor ≈2 before the
+	//     paper's plotted traffic ranges (mcrepro's "ablation-icn2").
+	//   - Eq. 33: the concentrator and the dispatcher buffer both take the
+	//     pair-extrapolated rate λ_I2(i,v)/C, not cluster i's outgoing flow
+	//     N_i·P_o(i)·λ_i and cluster v's incoming flow, which reproduce the
+	//     simulator's dominant bottleneck.
+	PaperLiteral bool
 }
 
 // DefaultOptions returns the calibrated defaults used by the experiments.
 func DefaultOptions() Options {
-	return Options{ChannelFactor: 4, ConcArrival: ConcPerEndpoint}
+	return Options{}
 }
 
 // PaperLiteralOptions returns the closest literal reading of the paper's
 // equations, used by the interpretation ablation.
 func PaperLiteralOptions() Options {
-	return Options{
-		ChannelFactor:    4,
-		ICN2PaperLiteral: true,
-		ConcArrival:      ConcPairExtrapolated,
-		SourceAggregate:  true,
-	}
+	return Options{PaperLiteral: true}
 }
 
 // Model evaluates the analytical latency of one system. Create with New.
@@ -143,13 +113,11 @@ type Model struct {
 	// ICN2 structural quantities come from the global interconnect plugin:
 	// dist2[d] is the route-length distribution over ordered cluster pairs
 	// (for a fat-tree ICN2, the NCA distribution re-indexed at d = 2h),
-	// dICN2 its mean, c2 the η normalization per terminal (= n_c for
-	// trees), and dOf the exact per-pair route length, built only under
-	// ExactICN2Pairs, the one option that reads it.
+	// dICN2 its mean and c2 the η normalization per terminal (= n_c for
+	// trees).
 	dist2 []float64
 	dICN2 float64
 	c2    float64
-	dOf   [][]int
 
 	// Tier-resolved connection service times (Eqs. 14–15 evaluated per
 	// network): per source cluster for ICN1/ECN1, global for the ICN2 switch
@@ -170,9 +138,6 @@ type Model struct {
 func New(sys *system.System, par units.Params, opt Options) (*Model, error) {
 	if err := par.Validate(); err != nil {
 		return nil, err
-	}
-	if opt.ChannelFactor <= 0 {
-		return nil, fmt.Errorf("analytic: ChannelFactor %v must be positive", opt.ChannelFactor)
 	}
 	m := &Model{Sys: sys, Par: par, Opt: opt}
 	m.probJ = make([][]float64, sys.C())
@@ -225,17 +190,6 @@ func New(sys *system.System, par units.Params, opt Options) (*Model, error) {
 		m.dICN2 += float64(d) * p
 	}
 	m.c2 = sys.ICN2Net.EtaChannels() / float64(sys.ICN2Net.Nodes())
-	if opt.ExactICN2Pairs {
-		m.dOf = make([][]int, sys.C())
-		for i := range m.dOf {
-			m.dOf[i] = make([]int, sys.C())
-			for v := range m.dOf[i] {
-				if v != i {
-					m.dOf[i][v] = sys.ICN2Net.RouteLen(i, v)
-				}
-			}
-		}
-	}
 	return m, nil
 }
 
@@ -379,8 +333,7 @@ type scratch struct {
 }
 
 // newScratch sizes a scratch for every cluster and pair of m. Pair suffix
-// blocks are laid out by (l, d₂); every exact pair route length indexes the
-// route-length distribution too, so one layout serves both ICN2 options.
+// blocks are laid out by (l, d₂).
 func newScratch(m *Model) scratch {
 	c := m.Sys.C()
 	rates := make([]float64, 3*c)
@@ -436,7 +389,7 @@ func satWhere(k satKind, i, v int) string {
 // fillRates computes the per-cluster aggregate rates at λ_g into the supplied
 // slices (each of length C): lam is the per-node rate λ_i, outRate is
 // N_i·P_o(i)·λ_i, and inRate is the incoming inter-cluster rate per cluster
-// (for ConcPerEndpoint).
+// (for the calibrated Eq. 33 dispatcher arrivals).
 //
 // With runs set, a cluster of its predecessor's size and outgoing rate takes
 // the predecessor's in-rate. That is exact: the two sums differ only in
@@ -487,11 +440,10 @@ type intraResult struct {
 func (m *Model) intraCluster(i int, lamI float64, sc *scratch) intraResult {
 	cl := &m.Sys.Clusters[i]
 	nNodes := float64(cl.Nodes)
-	f := m.Opt.ChannelFactor
 	mtcnI1, mtcsI1 := m.mtcnI1[i], m.mtcsI1[i]
 	tcnI1, tcsI1 := m.tcnI1[i], m.tcsI1[i]
 	lamI1 := nNodes * (1 - m.pOut[i]) * lamI // Eq. 5
-	etaI1 := m.dAvgI1[i] * lamI1 / (f * m.etaChI1[i])
+	etaI1 := m.dAvgI1[i] * lamI1 / (channelFactor * m.etaChI1[i])
 	dist := m.distI1[i]
 	// Every route length shares the node-end stage, so one walk yields S₀
 	// for all of them: s0[d−2] is that of the d−1 stage journey.
@@ -512,7 +464,7 @@ func (m *Model) intraCluster(i int, lamI float64, sc *scratch) intraResult {
 	}
 	sigma2 := sq(res.s - mtcnI1) // Eq. 22
 	lamSrcI1 := (1 - m.pOut[i]) * lamI
-	if m.Opt.SourceAggregate {
+	if m.Opt.PaperLiteral {
 		lamSrcI1 = lamI1
 	}
 	w, err := queueing.MG1Wait(lamSrcI1, res.s, sigma2)
@@ -543,23 +495,22 @@ func (m *Model) interPair(i, v int, lamI float64, outRate, inRate []float64, sc 
 	clv := &sys.Clusters[v]
 	ni := cl.Levels
 	nNodes := float64(cl.Nodes)
-	f := m.Opt.ChannelFactor
 	n := float64(sys.TotalNodes())
 	c := sys.C()
 	mtcsE1i := m.mtcsE1[i]
 	mtcnE1v, mtcsE1v := m.mtcnE1[v], m.mtcsE1[v]
 	lamE1 := outRate[i] + outRate[v] // Eq. 6
-	etaE1 := m.dAvg[i] * lamE1 / (f * float64(ni) * nNodes)
+	etaE1 := m.dAvg[i] * lamE1 / (channelFactor * float64(ni) * nNodes)
 	// Eq. 7: pair-extrapolated total ICN2 load; Eq. 12 normalization per
-	// Options. c2 is the interconnect's η channel count per terminal — the
-	// tree level count n_c of the paper's Eq. 12, generalized.
+	// Options.PaperLiteral. c2 is the interconnect's η channel count per
+	// terminal — the tree level count n_c of the paper's Eq. 12, generalized.
 	lamI2Total := lamE1 * n / (nNodes + float64(clv.Nodes))
 	lamI2PerConc := lamI2Total / float64(c)
 	var etaI2 float64
-	if m.Opt.ICN2PaperLiteral {
-		etaI2 = lamI2Total * m.dICN2 / (f * m.c2)
+	if m.Opt.PaperLiteral {
+		etaI2 = lamI2Total * m.dICN2 / (channelFactor * m.c2)
 	} else {
-		etaI2 = lamI2PerConc * m.dICN2 / (f * m.c2)
+		etaI2 = lamI2PerConc * m.dICN2 / (channelFactor * m.c2)
 	}
 
 	ps := pairStages{
@@ -609,7 +560,7 @@ func (m *Model) interPair(i, v int, lamI float64, outRate, inRate []float64, sc 
 		return pr
 	}
 	lamSrcE := m.pOut[i] * lamI
-	if m.Opt.SourceAggregate {
+	if m.Opt.PaperLiteral {
 		lamSrcE = lamE1
 	}
 	we, err := queueing.MG1Wait(lamSrcE, se, sq(se-mtcnE1v)) // Eq. 30
@@ -617,34 +568,24 @@ func (m *Model) interPair(i, v int, lamI float64, outRate, inRate []float64, sc 
 		pr.sat = satSourceE
 		return pr
 	}
-	// Eq. 33–34: concentrator + dispatcher waits. The service is
-	// deterministic M·t_cs of the concentrator links' class, optionally
-	// extended by the ICN2 entry blocking at that tier's M·t_cs
-	// (ConcServiceFeedback refinement).
-	concService := m.mtcsConc
-	concVariance := 0.0
-	if m.Opt.ConcServiceFeedback {
-		extra := 0.5 * etaI2 * m.mtcsI2 * m.mtcsI2
-		concService += extra
-		concVariance = extra * extra // blocking is bursty, not fixed
-	}
+	// Eq. 33–34: concentrator + dispatcher waits, M/D/1 with the
+	// deterministic service M·t_cs of the concentrator links' class.
 	var wConc float64
-	switch m.Opt.ConcArrival {
-	case ConcPerEndpoint:
-		wOut, err1 := queueing.MG1Wait(outRate[i], concService, concVariance)
-		wIn, err2 := queueing.MG1Wait(inRate[v], concService, concVariance)
-		if err1 != nil || err2 != nil {
-			pr.sat = satConc
-			return pr
-		}
-		wConc = wOut + wIn
-	case ConcPairExtrapolated:
-		ws, err := queueing.MG1Wait(lamI2PerConc, concService, concVariance)
+	if m.Opt.PaperLiteral {
+		ws, err := queueing.MG1Wait(lamI2PerConc, m.mtcsConc, 0)
 		if err != nil {
 			pr.sat = satConc
 			return pr
 		}
 		wConc = 2 * ws
+	} else {
+		wOut, err1 := queueing.MG1Wait(outRate[i], m.mtcsConc, 0)
+		wIn, err2 := queueing.MG1Wait(inRate[v], m.mtcsConc, 0)
+		if err1 != nil || err2 != nil {
+			pr.sat = satConc
+			return pr
+		}
+		wConc = wOut + wIn
 	}
 	pr.w, pr.s, pr.r, pr.conc = we, se, re, wConc
 	return pr
@@ -795,8 +736,7 @@ func (m *Model) evaluate(lambdaG float64, g *Grid, probe bool) (Result, error) {
 // inter-cluster message from i to v with its probability (Eq. 27): ECN1
 // ascent height j, descent height l, and ICN2 route length d₂ (2h for a
 // fat-tree ICN2, whose distribution makes this the paper's (j, l, h)
-// enumeration verbatim), honoring the ExactICN2Pairs option. The callback
-// returns false to stop early.
+// enumeration verbatim). The callback returns false to stop early.
 func forEachJLD(m *Model, i, v int, fn func(j, l, d2 int, p float64) bool) {
 	pj := m.probJ[i]
 	pl := m.probJ[v]
@@ -806,12 +746,6 @@ func forEachJLD(m *Model, i, v int, fn func(j, l, d2 int, p float64) bool) {
 		}
 		for l := 1; l < len(pl); l++ {
 			if pl[l] == 0 {
-				continue
-			}
-			if m.Opt.ExactICN2Pairs {
-				if !fn(j, l, m.dOf[i][v], pj[j]*pl[l]) {
-					return
-				}
 				continue
 			}
 			for d2 := 2; d2 < len(m.dist2); d2++ {
@@ -864,7 +798,10 @@ func (g *Grid) SaturationPoint(start, limit, tol float64) float64 {
 // below the first). Both steps assume that saturated crosses from false to
 // true once as the load grows; then the bracket, and so the point, is the
 // one a walk up the ladder a rung at a time would find, with about log₂ of
-// its probes.
+// its probes. The bisection also stops once the midpoint no longer splits
+// the bracket: a tolerance below the float spacing (tol = 0) would
+// otherwise never end it, and neither would a probe that saturates at every
+// load above 0, which halves the bracket into the subnormals.
 func saturationPoint(saturated func(float64) bool, start, limit, tol float64) float64 {
 	if start <= 0 {
 		start = 1e-9
@@ -893,6 +830,9 @@ func saturationPoint(saturated func(float64) bool, start, limit, tol float64) fl
 	}
 	for hi-lo > tol*hi {
 		mid := (lo + hi) / 2
+		if mid <= lo || mid >= hi {
+			break
+		}
 		if saturated(mid) {
 			hi = mid
 		} else {

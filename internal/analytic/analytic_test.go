@@ -155,24 +155,6 @@ func TestPaperLiteralSaturatesEarlier(t *testing.T) {
 	}
 }
 
-func TestExactICN2PairsCloseToDistribution(t *testing.T) {
-	// For exactly filled ICN2 trees the pairwise-exact refinement must agree
-	// with the distribution form within a few percent at moderate load.
-	opt := DefaultOptions()
-	optExact := opt
-	optExact.ExactICN2Pairs = true
-	a := newModel(t, system.Table1Org2(), units.Default(), opt)
-	b := newModel(t, system.Table1Org2(), units.Default(), optExact)
-	la, err1 := a.MeanLatency(2e-4)
-	lb, err2 := b.MeanLatency(2e-4)
-	if err1 != nil || err2 != nil {
-		t.Fatalf("errors: %v, %v", err1, err2)
-	}
-	if math.Abs(la-lb) > 0.05*la {
-		t.Errorf("distribution form %v vs exact pairs %v differ by more than 5%%", la, lb)
-	}
-}
-
 func TestRateFactorEquivalence(t *testing.T) {
 	// Scaling every cluster's rate factor by α must equal scaling λ_g by α.
 	org := system.Table1Org2()
@@ -226,39 +208,12 @@ func TestInvalidInputs(t *testing.T) {
 	if _, err := New(sys, units.Params{}, DefaultOptions()); err == nil {
 		t.Error("invalid params accepted")
 	}
-	if _, err := New(sys, units.Default(), Options{ChannelFactor: 0}); err == nil {
-		t.Error("zero channel factor accepted")
-	}
 	m := newModel(t, system.Table1Org2(), units.Default(), DefaultOptions())
 	if _, err := m.Evaluate(-1); err == nil {
 		t.Error("negative λ accepted")
 	}
 	if _, err := m.Evaluate(math.NaN()); err == nil {
 		t.Error("NaN λ accepted")
-	}
-}
-
-func TestConcServiceFeedbackTightensSaturation(t *testing.T) {
-	// The refinement extends the concentrator's effective service time, so
-	// it must predict saturation earlier than the plain paper model —
-	// moving the model's boundary toward the simulator's observed knee.
-	plain := org1Model(t)
-	opt := DefaultOptions()
-	opt.ConcServiceFeedback = true
-	refined := newModel(t, system.Table1Org1(), units.Default(), opt)
-	sp := plain.SaturationPoint(1e-5, 1, 1e-3)
-	sr := refined.SaturationPoint(1e-5, 1, 1e-3)
-	if !(sr < sp) {
-		t.Errorf("refined λ_sat %v not below plain %v", sr, sp)
-	}
-	// At low load the two agree (the feedback term vanishes with η).
-	lp, err1 := plain.MeanLatency(sp / 20)
-	lr, err2 := refined.MeanLatency(sp / 20)
-	if err1 != nil || err2 != nil {
-		t.Fatalf("errors: %v, %v", err1, err2)
-	}
-	if math.Abs(lp-lr) > 0.02*lp {
-		t.Errorf("low-load disagreement: plain %v vs refined %v", lp, lr)
 	}
 }
 
@@ -274,18 +229,16 @@ func TestSaturationPointUnbounded(t *testing.T) {
 // which returns at the first saturated cluster or pair, reports saturation
 // exactly where Grid.Evaluate marks its Result saturated. It is checked on
 // a λ ladder from zero load to far past saturation, for every topology of
-// both Table 1 organizations under both ICN2 readings, on one grid that
+// both Table 1 organizations under both model presets, on one grid that
 // interleaves probes and full evaluations. Probes write their per-cluster
 // results into the grid's scratch, so every Result the grid hands out must
 // stay bit-identical to Model.Evaluate's after the probe that follows it.
 // The search over the probe also lands on the same point, bit for bit, as
 // the search over full evaluations.
 func TestSaturationProbeAgreesWithEvaluate(t *testing.T) {
-	exact := DefaultOptions()
-	exact.ExactICN2Pairs = true
 	for _, base := range []system.Organization{system.Table1Org1(), system.Table1Org2()} {
 		for _, axis := range []string{"fattree", "jellyfish", "fattree+dragonfly", "jellyfish+dragonfly"} {
-			for _, opt := range []Options{DefaultOptions(), exact} {
+			for _, opt := range []Options{DefaultOptions(), PaperLiteralOptions()} {
 				org := base
 				if err := system.ApplyTopologyAxis(&org, axis); err != nil {
 					t.Fatal(err)
@@ -301,11 +254,11 @@ func TestSaturationProbeAgreesWithEvaluate(t *testing.T) {
 					res, err := g.Evaluate(l)
 					_, probeErr := g.m.evaluate(l, g, true)
 					if probe := errors.Is(probeErr, ErrSaturated); probe != res.Saturated || (err == nil) != (probeErr == nil) {
-						t.Fatalf("%s %s exact=%v λ=%v: probe saturated %v (%v), evaluation %v (%v)",
-							org.Name, axis, opt.ExactICN2Pairs, l, probe, probeErr, res.Saturated, err)
+						t.Fatalf("%s %s literal=%v λ=%v: probe saturated %v (%v), evaluation %v (%v)",
+							org.Name, axis, opt.PaperLiteral, l, probe, probeErr, res.Saturated, err)
 					}
 					if want, _ := m.Evaluate(l); !sameResultBits(res, want) {
-						t.Fatalf("%s %s exact=%v λ=%v: grid Result after a probe differs from Model.Evaluate's", org.Name, axis, opt.ExactICN2Pairs, l)
+						t.Fatalf("%s %s literal=%v λ=%v: grid Result after a probe differs from Model.Evaluate's", org.Name, axis, opt.PaperLiteral, l)
 					}
 					if res.Saturated {
 						sat++
@@ -319,7 +272,7 @@ func TestSaturationProbeAgreesWithEvaluate(t *testing.T) {
 					return errors.Is(err, ErrSaturated)
 				}, 1e-6, 1, 1e-4)
 				if got := g.SaturationPoint(1e-6, 1, 1e-4); math.Float64bits(got) != math.Float64bits(full) {
-					t.Fatalf("%s %s exact=%v: probe search %v, full search %v", org.Name, axis, opt.ExactICN2Pairs, got, full)
+					t.Fatalf("%s %s literal=%v: probe search %v, full search %v", org.Name, axis, opt.PaperLiteral, got, full)
 				}
 			}
 		}

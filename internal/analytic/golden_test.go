@@ -9,7 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 
-	"mcnet/internal/analytic"
+	"mcnet/internal/sweep"
 	"mcnet/internal/system"
 )
 
@@ -24,13 +24,15 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden mo
 // clusters saturate one after another and then inside their ICN1 chains.
 var goldenFractions = []float64{0, 0.05, 0.25, 0.5, 0.75, 0.9, 0.99, 1, 1.01, 1.1, 1.3, 2, 5, 20, 100}
 
-// goldenCase is one model configuration pinned by the fixture.
+// goldenCase is one model configuration pinned by the fixture. model names
+// its preset the way sweep.ModelOptions does: "calibrated" or
+// "paper-literal".
 type goldenCase struct {
 	name      string
 	org       string
 	links     string
 	flits, lm int
-	opt       analytic.Options
+	model     string
 }
 
 func goldenCases() []goldenCase {
@@ -40,30 +42,18 @@ func goldenCases() []goldenCase {
 		}
 		return system.Format(org)
 	}
-	with := func(f func(*analytic.Options)) analytic.Options {
-		o := analytic.DefaultOptions()
-		f(&o)
-		return o
-	}
 	org1, org2 := system.Format(system.Table1Org1()), system.Format(system.Table1Org2())
 	return []goldenCase{
-		{name: "org1", org: org1, flits: 32, lm: 256, opt: analytic.DefaultOptions()},
-		{name: "org2", org: org2, flits: 32, lm: 256, opt: analytic.DefaultOptions()},
-		{name: "org1-jellyfish", org: axis(system.Table1Org1(), "jellyfish"), flits: 32, lm: 256, opt: analytic.DefaultOptions()},
-		{name: "org2-dragonfly", org: axis(system.Table1Org2(), "fattree+dragonfly"), flits: 32, lm: 256, opt: analytic.DefaultOptions()},
-		{name: "org2-jellyfish-dragonfly", org: axis(system.Table1Org2(), "jellyfish+dragonfly"), flits: 64, lm: 512, opt: analytic.DefaultOptions()},
-		{name: "cluster-overrides", org: "m=4:2x1@ecn1=0.04/0.02/0.004,2x2@2,1x3@icn1=0.01/0.005/0.001,2x2@topo=jellyfish", flits: 32, lm: 256, opt: analytic.DefaultOptions()},
-		{name: "tier-overrides", org: org2, links: "icn2=0.04/0.02/0.004+conc=0.04/0.02/0.004", flits: 32, lm: 256, opt: analytic.DefaultOptions()},
-		{name: "icn1-tier", org: org1, links: "icn1=0.01/0.005/0.001", flits: 32, lm: 256, opt: analytic.DefaultOptions()},
-		{name: "paper-literal", org: org2, flits: 32, lm: 256, opt: analytic.PaperLiteralOptions()},
-		{name: "paper-literal-rate", org: "m=8:12x1,16x2@2,4x3", flits: 64, lm: 512, opt: analytic.PaperLiteralOptions()},
-		{name: "exact-pairs", org: org1, flits: 32, lm: 256, opt: with(func(o *analytic.Options) { o.ExactICN2Pairs = true })},
-		{name: "exact-pairs-dragonfly", org: axis(system.Table1Org2(), "jellyfish+dragonfly"), flits: 32, lm: 256, opt: with(func(o *analytic.Options) { o.ExactICN2Pairs = true })},
-		{name: "conc-feedback", org: org2, links: "conc=0.04/0.02/0.004", flits: 32, lm: 256, opt: with(func(o *analytic.Options) { o.ConcServiceFeedback = true })},
-		{name: "exact-feedback-overrides", org: "m=4@icn2topo=dragonfly:3x2@ecn1=0.04/0.02/0.004,3x2@1.5,2x3@topo=jellyfish", links: "icn2=0.04/0.02/0.004", flits: 32, lm: 256, opt: with(func(o *analytic.Options) {
-			o.ExactICN2Pairs = true
-			o.ConcServiceFeedback = true
-		})},
+		{name: "org1", org: org1, flits: 32, lm: 256, model: "calibrated"},
+		{name: "org2", org: org2, flits: 32, lm: 256, model: "calibrated"},
+		{name: "org1-jellyfish", org: axis(system.Table1Org1(), "jellyfish"), flits: 32, lm: 256, model: "calibrated"},
+		{name: "org2-dragonfly", org: axis(system.Table1Org2(), "fattree+dragonfly"), flits: 32, lm: 256, model: "calibrated"},
+		{name: "org2-jellyfish-dragonfly", org: axis(system.Table1Org2(), "jellyfish+dragonfly"), flits: 64, lm: 512, model: "calibrated"},
+		{name: "cluster-overrides", org: "m=4:2x1@ecn1=0.04/0.02/0.004,2x2@2,1x3@icn1=0.01/0.005/0.001,2x2@topo=jellyfish", flits: 32, lm: 256, model: "calibrated"},
+		{name: "tier-overrides", org: org2, links: "icn2=0.04/0.02/0.004+conc=0.04/0.02/0.004", flits: 32, lm: 256, model: "calibrated"},
+		{name: "icn1-tier", org: org1, links: "icn1=0.01/0.005/0.001", flits: 32, lm: 256, model: "calibrated"},
+		{name: "paper-literal", org: org2, flits: 32, lm: 256, model: "paper-literal"},
+		{name: "paper-literal-rate", org: "m=8:12x1,16x2@2,4x3", flits: 64, lm: 512, model: "paper-literal"},
 	}
 }
 
@@ -76,9 +66,13 @@ func bits(x float64) string { return fmt.Sprintf("%016x", math.Float64bits(x)) }
 // bits).
 func writeGolden(t *testing.T, b *bytes.Buffer) {
 	for _, c := range goldenCases() {
-		m := buildModel(t, c.org, c.links, c.flits, c.lm, c.opt)
+		opt, err := sweep.ModelOptions(c.model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := buildModel(t, c.org, c.links, c.flits, c.lm, opt)
 		sat := m.SaturationPoint(1e-6, 1, 1e-3)
-		fmt.Fprintf(b, "case %s org=%s links=%q M=%d Lm=%d opt=%+v sat=%s\n", c.name, c.org, c.links, c.flits, c.lm, c.opt, bits(sat))
+		fmt.Fprintf(b, "case %s org=%s links=%q M=%d Lm=%d model=%s sat=%s\n", c.name, c.org, c.links, c.flits, c.lm, c.model, bits(sat))
 		for _, f := range goldenFractions {
 			l := f * sat
 			res, _ := m.Evaluate(l)
@@ -104,7 +98,7 @@ func writeGolden(t *testing.T, b *bytes.Buffer) {
 
 // TestEvaluateGolden pins Model.Evaluate bit for bit over organizations,
 // topology axes, per-cluster and per-tier link overrides, rate factors and
-// every model option, on λ grids running far past saturation. Grid and Model
+// both model presets, on λ grids running far past saturation. Grid and Model
 // share one evaluation path, so FuzzGridEquivalence cannot see a change in
 // that path; this fixture can. Regenerate with -update-golden.
 func TestEvaluateGolden(t *testing.T) {

@@ -31,10 +31,6 @@ type Grid struct {
 
 	// topoID numbers each cluster's distinct ICN1 topology spec.
 	topoID []int32
-	// d2Slots is the pair memo's extent in the ICN2 route length: the
-	// route-length distribution's length under ExactICN2Pairs, where the
-	// pair's own route length is an input, and 1 otherwise.
-	d2Slots int
 
 	// Per-point class IDs of each cluster and the class keys they index.
 	intraID, srcID, dstID []int32
@@ -42,7 +38,7 @@ type Grid struct {
 	srcCls                []srcClass
 	dstCls                []dstClass
 	// Per-point memos: intraMemo by intra class, pairMemo by (source class,
-	// destination class, d₂ slot).
+	// destination class).
 	intraMemo []memoEntry[intraResult]
 	pairMemo  []memoEntry[pairResult]
 
@@ -65,9 +61,8 @@ type intraClass struct {
 // srcClass and dstClass split the inputs of Model.interPair that can differ
 // between (source, destination) pairs into the source's and the
 // destination's: shapes and sizes, the source rate and ECN1 class, the
-// destination ECN1 class and the λ-dependent aggregate rates. The pair's
-// ICN2 route length is the third memo index under ExactICN2Pairs; otherwise
-// the averaged distribution is pair-independent. The ECN1 legs are always
+// destination ECN1 class and the λ-dependent aggregate rates. The ICN2
+// route-length distribution is pair-independent, the ECN1 legs are always
 // trees and the global interconnect is model-global, so no topology
 // identity is needed here.
 type srcClass struct {
@@ -122,14 +117,10 @@ func NewGrid(m *Model) *Grid {
 		intraID:  ids[c : 2*c : 2*c],
 		srcID:    ids[2*c : 3*c : 3*c],
 		dstID:    ids[3*c:],
-		d2Slots:  1,
 		intraCls: make([]intraClass, 0, c),
 		srcCls:   make([]srcClass, 0, c),
 		dstCls:   make([]dstClass, 0, c),
 		probeRes: make([]ClusterResult, c),
-	}
-	if m.Opt.ExactICN2Pairs {
-		g.d2Slots = len(m.dist2)
 	}
 	var topos []string
 	for i := range g.topoID {
@@ -162,20 +153,19 @@ func (g *Grid) beginPoint() {
 		})
 	}
 	g.intraMemo = resetMemo(g.intraMemo, len(g.intraCls))
-	g.pairMemo = resetMemo(g.pairMemo, len(g.srcCls)*len(g.dstCls)*g.d2Slots)
+	g.pairMemo = resetMemo(g.pairMemo, len(g.srcCls)*len(g.dstCls))
 }
 
 // repeats reports whether source cluster i's ClusterResult is its
-// predecessor's: both share their intra, source and destination classes,
-// and the pairs read no per-pair route length (ExactICN2Pairs). The two
-// clusters then see the same intra result and, destination by destination,
-// the same pair results, except that i−1 skips itself and reads i where i
-// skips itself and reads i−1. Those two pairs are equal, so both sums add
-// the same values in the same order, and a saturated pair sits at the same
-// position. The Bottleneck is unaffected: i−1, being earlier, names it.
+// predecessor's: both share their intra, source and destination classes.
+// The two clusters then see the same intra result and, destination by
+// destination, the same pair results, except that i−1 skips itself and
+// reads i where i skips itself and reads i−1. Those two pairs are equal, so
+// both sums add the same values in the same order, and a saturated pair
+// sits at the same position. The Bottleneck is unaffected: i−1, being
+// earlier, names it.
 func (g *Grid) repeats(i int) bool {
-	return i > 0 && !g.m.Opt.ExactICN2Pairs && g.intraID[i] == g.intraID[i-1] &&
-		g.srcID[i] == g.srcID[i-1] && g.dstID[i] == g.dstID[i-1]
+	return i > 0 && g.intraID[i] == g.intraID[i-1] && g.srcID[i] == g.srcID[i-1] && g.dstID[i] == g.dstID[i-1]
 }
 
 // intraCluster is the memoizing wrapper around Model.intraCluster.
@@ -191,11 +181,7 @@ func (g *Grid) intraCluster(i int) intraResult {
 // memo slot, valid until the next point.
 func (g *Grid) interPair(i, v int) *pairResult {
 	m := g.m
-	d2 := 0
-	if m.Opt.ExactICN2Pairs {
-		d2 = m.dOf[i][v]
-	}
-	e := &g.pairMemo[(int(g.srcID[i])*len(g.dstCls)+int(g.dstID[v]))*g.d2Slots+d2]
+	e := &g.pairMemo[int(g.srcID[i])*len(g.dstCls)+int(g.dstID[v])]
 	if !e.set {
 		e.val, e.set = m.interPair(i, v, g.sc.lam[i], g.sc.outRate, g.sc.inRate, &g.sc), true
 	}

@@ -144,15 +144,6 @@ func equivCases(t *testing.T) []equivCase {
 		{name: "intern-ecn1-class", org: "m=4:3x2,3x2@ecn1=0.04/0.01/0.002,3x2@ecn1=0.02/0.03/0.002", flits: 32, lm: 256, opt: analytic.DefaultOptions()},
 		{name: "intern-icn1-class", org: "m=4:3x2,3x2@icn1=0.04/0.01/0.002,3x2@icn1=0.02/0.03/0.002", flits: 32, lm: 256, opt: analytic.DefaultOptions()},
 		{name: "intern-icn1-topo", org: "m=4:3x2,3x2@topo=jellyfish", flits: 32, lm: 256, opt: analytic.DefaultOptions()},
-		{
-			name: "exact-pairs-feedback", org: "m=4:4x2", flits: 32, lm: 256,
-			opt: func() analytic.Options {
-				o := analytic.DefaultOptions()
-				o.ExactICN2Pairs = true
-				o.ConcServiceFeedback = true
-				return o
-			}(),
-		},
 	}
 	// The grid copies a cluster's result from its predecessor when both
 	// share every class. Equal clusters that are not adjacent (A, B, A)
@@ -167,14 +158,14 @@ func equivCases(t *testing.T) []equivCase {
 		equivCase{name: "runs-split-icn1", org: "m=4:3x2,1x2@icn1=0.04/0.02/0.004,3x2", flits: 32, lm: 256, opt: analytic.DefaultOptions()},
 		equivCase{name: "runs-split-ecn1", org: "m=4:3x2,1x2@ecn1=0.04/0.01/0.002,3x2", flits: 32, lm: 256, opt: analytic.DefaultOptions()},
 	)
-	// Exact ICN2 route lengths that differ between pairs of the same
-	// cluster classes: runs of equal clusters whose results still differ.
-	exact := analytic.DefaultOptions()
-	exact.ExactICN2Pairs = true
+	// The paper-literal preset's pair terms read both clusters' sizes
+	// (the pair-extrapolated ICN2 rate of Eq. 7): Org1, a dragonfly ICN2
+	// over jellyfish clusters, and equal clusters split by a smaller one.
+	literal := analytic.PaperLiteralOptions()
 	cases = append(cases,
-		equivCase{name: "exact-pairs-org1", org: system.Format(system.Table1Org1()), flits: 32, lm: 256, opt: exact},
-		equivCase{name: "exact-pairs-dragonfly", org: "m=4@icn2topo=dragonfly:8x2,4x3@topo=jellyfish", flits: 32, lm: 256, opt: exact},
-		equivCase{name: "exact-pairs-runs", org: "m=4:5x2,3x1,5x2", flits: 32, lm: 256, opt: exact},
+		equivCase{name: "paper-literal-org1", org: system.Format(system.Table1Org1()), flits: 32, lm: 256, opt: literal},
+		equivCase{name: "paper-literal-dragonfly", org: "m=4@icn2topo=dragonfly:8x2,4x3@topo=jellyfish", flits: 32, lm: 256, opt: literal},
+		equivCase{name: "paper-literal-runs", org: "m=4:5x2,3x1,5x2", flits: 32, lm: 256, opt: literal},
 	)
 	// The hetero-links builtin sweeps one org against several tier specs;
 	// every combination joins the table.
@@ -256,7 +247,8 @@ func TestGridEvaluateInvalid(t *testing.T) {
 // ladder start·2^k a rung at a time up to limit, then bisect between the
 // first saturated rung and the one below. The search that replaced it finds
 // that rung by binary search over k and must land on the same bits whenever
-// saturated crosses from false to true once.
+// saturated crosses from false to true once. Its bisection stops where the
+// search's does, once the midpoint no longer splits the bracket.
 func walkSaturationPoint(saturated func(float64) bool, start, limit, tol float64) float64 {
 	if start <= 0 {
 		start = 1e-9
@@ -269,7 +261,11 @@ func walkSaturationPoint(saturated func(float64) bool, start, limit, tol float64
 		}
 	}
 	for hi-lo > tol*hi {
-		if mid := (lo + hi) / 2; saturated(mid) {
+		mid := (lo + hi) / 2
+		if mid <= lo || mid >= hi {
+			break
+		}
+		if saturated(mid) {
 			hi = mid
 		} else {
 			lo = mid
@@ -329,7 +325,8 @@ func TestGridSaturationPoint(t *testing.T) {
 // shape picks what sets B apart: its low two bits choose a rate factor of
 // 2, an ICN1 override, an ECN1 override of α_net alone (which splits only
 // the destination class) or nothing (so that A and an equal-levels B form
-// one run); bit 2 repeats A after B (A, B, A); bit 3 sets ExactICN2Pairs.
+// one run); bit 2 repeats A after B (A, B, A); bit 3 selects the
+// paper-literal preset instead of the calibrated one.
 func fuzzModel(t *testing.T, ports, lv1, lv2, cnt1, cnt2, shape uint8) *analytic.Model {
 	// Clamp to valid, small organizations: even ports ≥ 2, levels ≥ 1,
 	// at least two clusters total.
@@ -357,7 +354,9 @@ func fuzzModel(t *testing.T, ports, lv1, lv2, cnt1, cnt2, shape uint8) *analytic
 		}
 	}
 	opt := analytic.DefaultOptions()
-	opt.ExactICN2Pairs = shape&8 != 0
+	if shape&8 != 0 {
+		opt = analytic.PaperLiteralOptions()
+	}
 	sys, err := system.New(org)
 	if err != nil {
 		t.Skip()

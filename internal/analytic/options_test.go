@@ -33,75 +33,21 @@ func TestModelOnPartiallyPopulatedICN2(t *testing.T) {
 	if err != nil || v <= 0 {
 		t.Fatalf("latency = %v, err = %v", v, err)
 	}
-	// The exact-pairs refinement must also work on partial trees and stay
-	// within a few percent (P(h) is enumerated from the same positions).
-	opt := DefaultOptions()
-	opt.ExactICN2Pairs = true
-	me := newModel(t, partialOrg(), units.Default(), opt)
-	ve, err := me.MeanLatency(0.3 * sat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(v-ve) > 0.10*v {
-		t.Errorf("distribution %v vs exact-pairs %v differ by >10%%", v, ve)
-	}
 }
 
 func TestAllOptionCombinationsEvaluate(t *testing.T) {
-	// Every combination of the interpretation switches must produce a
-	// finite positive latency at a sufficiently low load and detect
-	// saturation at an absurd one.
+	// Both model presets must produce a finite positive latency at a
+	// sufficiently low load and detect saturation at an absurd one.
 	org := system.Table1Org2()
-	for _, literal := range []bool{false, true} {
-		for _, aggregate := range []bool{false, true} {
-			for _, feedback := range []bool{false, true} {
-				for _, exact := range []bool{false, true} {
-					for _, conc := range []ConcArrivalMode{ConcPerEndpoint, ConcPairExtrapolated} {
-						opt := Options{
-							ChannelFactor:       4,
-							ICN2PaperLiteral:    literal,
-							SourceAggregate:     aggregate,
-							ConcServiceFeedback: feedback,
-							ExactICN2Pairs:      exact,
-							ConcArrival:         conc,
-						}
-						m := newModel(t, org, units.Default(), opt)
-						v, err := m.MeanLatency(1e-6)
-						if err != nil || v <= 0 || math.IsInf(v, 0) {
-							t.Errorf("opts %+v: low-load latency %v, err %v", opt, v, err)
-						}
-						if _, err := m.MeanLatency(1); !errors.Is(err, ErrSaturated) {
-							t.Errorf("opts %+v: λ=1 not saturated (err %v)", opt, err)
-						}
-					}
-				}
-			}
+	for _, opt := range []Options{DefaultOptions(), PaperLiteralOptions()} {
+		m := newModel(t, org, units.Default(), opt)
+		v, err := m.MeanLatency(1e-6)
+		if err != nil || v <= 0 || math.IsInf(v, 0) {
+			t.Errorf("opts %+v: low-load latency %v, err %v", opt, v, err)
 		}
-	}
-}
-
-func TestChannelFactorScalesChainWaits(t *testing.T) {
-	// Halving the channel factor doubles the per-channel rates, so the
-	// chain waits grow and latency at a fixed mid load must increase.
-	optF4 := DefaultOptions()
-	optF2 := DefaultOptions()
-	optF2.ChannelFactor = 2
-	m4 := newModel(t, system.Table1Org1(), units.Default(), optF4)
-	m2 := newModel(t, system.Table1Org1(), units.Default(), optF2)
-	sat := m4.SaturationPoint(1e-6, 1, 1e-3)
-	v4, err1 := m4.MeanLatency(0.6 * sat)
-	v2, err2 := m2.MeanLatency(0.6 * sat)
-	if err1 != nil || err2 != nil {
-		t.Fatalf("errors: %v %v", err1, err2)
-	}
-	if !(v2 > v4) {
-		t.Errorf("F=2 latency %v not above F=4 latency %v", v2, v4)
-	}
-	// As load vanishes the factor becomes irrelevant (waits vanish).
-	z4, _ := m4.MeanLatency(1e-9)
-	z2, _ := m2.MeanLatency(1e-9)
-	if math.Abs(z4-z2) > 1e-5*z4 {
-		t.Errorf("zero-load latencies differ: %v vs %v", z4, z2)
+		if _, err := m.MeanLatency(1); !errors.Is(err, ErrSaturated) {
+			t.Errorf("opts %+v: λ=1 not saturated (err %v)", opt, err)
+		}
 	}
 }
 

@@ -1,10 +1,12 @@
 package analytic_test
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"mcnet/internal/analytic"
+	"mcnet/internal/system"
 )
 
 // clampTo returns v when it lies in [lo, hi] and def otherwise (NaN
@@ -21,7 +23,7 @@ func clampTo(v, lo, hi, def float64) float64 {
 // predicate:
 //
 //   - 0: a threshold, saturated from thr on (or above thr when mode's top
-//     bit is set), with thr placed by (mode>>1)%5 below start, exactly on
+//     bit is set), with thr placed by (mode>>1)%5 in [0, start/2), exactly on
 //     rung x, between rung x and the next, past limit, or with start above
 //     limit;
 //   - 1: a random organization from fuzzModel, searched through a Grid
@@ -53,14 +55,14 @@ func FuzzSaturationSearch(f *testing.F) {
 			}
 			return
 		}
-		// A tolerance of at least 1e-9 and a threshold far above the
-		// subnormals keep the bisection finite. A start of zero or below
-		// stands for the default start.
+		// A start of zero or below stands for the default start. The
+		// tolerance and the threshold reach 0, where the bisection ends
+		// only because the bracket stops splitting.
 		if !(start <= 0 || start >= 1e-200 && start <= 1e3) {
 			start = 1e-6
 		}
 		limit = clampTo(limit, 1e-12, 1e6, 1)
-		tol = clampTo(tol, 1e-9, 0.5, 1e-3)
+		tol = clampTo(tol, 0, 0.5, 1e-3)
 		x = clampTo(math.Abs(x), 0, 1e3, 0)
 		rung, frac := int(x)%48, x-math.Floor(x)
 		s := start
@@ -69,8 +71,8 @@ func FuzzSaturationSearch(f *testing.F) {
 		}
 		var thr float64
 		switch (mode >> 1) % 5 {
-		case 0: // below start: every rung saturates
-			thr = s * (0.25 + frac/2)
+		case 0: // below start, down to 0: every rung saturates
+			thr = s * frac / 2
 		case 1: // exactly on a rung
 			thr = math.Ldexp(s, rung)
 		case 2: // between two rungs
@@ -112,4 +114,42 @@ func TestSaturationSearchProbes(t *testing.T) {
 			t.Errorf("first saturated rung %d: %d probes, want at most 5", k, probes)
 		}
 	}
+}
+
+// TestSaturationSearchTerminates pins that the bisection ends once the
+// midpoint no longer splits the bracket: under tol = 0 on Org1's model, and
+// on a strict predicate that saturates at every load above 0 (the fuzz
+// corpus entry 9fa0d9e71267a46a), whose bracket halves into the subnormals.
+// No double halves more than about 1,075 times before reaching 0, so a
+// search past maxProbes probes would never end; its next probe fails the
+// test instead.
+func TestSaturationSearchTerminates(t *testing.T) {
+	const maxProbes = 1100
+	search := func(t *testing.T, saturated func(float64) bool, tol float64) float64 {
+		probes := 0
+		return analytic.SaturationSearch(func(l float64) bool {
+			if probes++; probes > maxProbes {
+				t.Fatalf("search still running after %d probes", maxProbes)
+			}
+			return saturated(l)
+		}, 1e-6, 1, tol)
+	}
+	t.Run("org1-tol0", func(t *testing.T) {
+		m := buildModel(t, system.Format(system.Table1Org1()), "", 32, 256, analytic.DefaultOptions())
+		got := search(t, func(l float64) bool {
+			_, err := m.Evaluate(l)
+			return errors.Is(err, analytic.ErrSaturated)
+		}, 0)
+		if want := m.SaturationPoint(1e-6, 1, 1e-9); math.Abs(got-want) > 1e-9*want {
+			t.Errorf("point %v, %v at tol 1e-9", got, want)
+		}
+		if pub := m.SaturationPoint(1e-6, 1, 0); !bitsEqual(pub, got) {
+			t.Errorf("Model.SaturationPoint %v, search %v", pub, got)
+		}
+	})
+	t.Run("always-saturated", func(t *testing.T) {
+		if got := search(t, func(l float64) bool { return l > 0 }, 1e-4); got != 0 {
+			t.Errorf("point %v, want 0", got)
+		}
+	})
 }

@@ -17,8 +17,6 @@ type (
 	Result = analytic.Result
 	// ClusterResult is the per-source-cluster breakdown.
 	ClusterResult = analytic.ClusterResult
-	// ConcArrivalMode selects the concentrator queue arrival rates.
-	ConcArrivalMode = analytic.ConcArrivalMode
 )
 
 // Re-exported constructors and constants.
@@ -31,10 +29,4 @@ var (
 	PaperLiteralOptions = analytic.PaperLiteralOptions
 	// ErrSaturated marks operating points beyond the stability region.
 	ErrSaturated = analytic.ErrSaturated
-)
-
-// Concentrator arrival modes.
-const (
-	ConcPerEndpoint      = analytic.ConcPerEndpoint
-	ConcPairExtrapolated = analytic.ConcPairExtrapolated
 )

@@ -14,15 +14,12 @@ import (
 // a distinct type or a wrapper changed signature, these assignments would
 // stop compiling.
 var (
-	_ *analytic.Model          = (*core.Model)(nil)
-	_ analytic.Options         = core.Options{}
-	_ analytic.Result          = core.Result{}
-	_ analytic.ClusterResult   = core.ClusterResult{}
-	_ analytic.ConcArrivalMode = core.ConcArrivalMode(0)
-	_ analytic.ConcArrivalMode = core.ConcPerEndpoint
-	_ analytic.ConcArrivalMode = core.ConcPairExtrapolated
-	_ func() analytic.Options  = core.DefaultOptions
-	_ func() analytic.Options  = core.PaperLiteralOptions
+	_ *analytic.Model         = (*core.Model)(nil)
+	_ analytic.Options        = core.Options{}
+	_ analytic.Result         = core.Result{}
+	_ analytic.ClusterResult  = core.ClusterResult{}
+	_ func() analytic.Options = core.DefaultOptions
+	_ func() analytic.Options = core.PaperLiteralOptions
 )
 
 var _ func(*system.System, units.Params, analytic.Options) (*analytic.Model, error) = core.New
@@ -32,9 +29,6 @@ var _ func(*system.System, units.Params, analytic.Options) (*analytic.Model, err
 func TestCoreMatchesAnalytic(t *testing.T) {
 	if core.ErrSaturated != analytic.ErrSaturated {
 		t.Fatal("core.ErrSaturated is not analytic.ErrSaturated")
-	}
-	if core.ConcPerEndpoint != analytic.ConcPerEndpoint || core.ConcPairExtrapolated != analytic.ConcPairExtrapolated {
-		t.Fatal("core's concentrator arrival modes differ from analytic's")
 	}
 	if core.DefaultOptions() != analytic.DefaultOptions() || core.PaperLiteralOptions() != analytic.PaperLiteralOptions() {
 		t.Fatal("core's option presets differ from analytic's")

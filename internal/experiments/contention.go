@@ -6,7 +6,6 @@ import (
 	"slices"
 	"strings"
 
-	"mcnet/internal/analytic"
 	"mcnet/internal/mcsim"
 	"mcnet/internal/plot"
 	"mcnet/internal/sweep"
@@ -209,23 +208,12 @@ func (r Runner) ContentionStudy(points int) ([]plot.Series, error) {
 // saturation point (Result.Bottleneck) for the organization, topology and
 // technology a job simulates.
 func modelBottleneck(j sweep.Job) (string, error) {
-	org, err := j.TopoOrg()
-	if err != nil {
-		return "", err
-	}
 	par, err := j.Params()
 	if err != nil {
 		return "", err
 	}
-	sys, err := system.New(org)
-	if err != nil {
-		return "", err
-	}
-	m, err := analytic.New(sys, par, analytic.DefaultOptions())
-	if err != nil {
-		return "", err
-	}
-	sat, err := sweep.ModelFor("calibrated", j.Org, j.Links, j.Topo, par).SaturationPoint(1e-3)
+	m := sweep.ModelFor("calibrated", j.Org, j.Links, j.Topo, par)
+	sat, err := m.SaturationPoint(1e-3)
 	if err != nil {
 		return "", err
 	}

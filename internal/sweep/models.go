@@ -169,13 +169,21 @@ func (m *Model) saturationKnown(tol float64) bool {
 // saturated model answers analytic.ErrSaturated. The value is not kept:
 // callers that answer the same λ again keep their own answers.
 func (m *Model) MeanLatency(lambda float64) (float64, error) {
+	res, err := m.Evaluate(lambda)
+	return res.MeanLatency, err
+}
+
+// Evaluate evaluates the model at lambda on the entry's grid, bit-identical
+// to analytic.Model.Evaluate; a saturated model answers analytic.ErrSaturated
+// with the Result's Bottleneck set.
+func (m *Model) Evaluate(lambda float64) (analytic.Result, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	g, err := m.gridLocked()
 	if err != nil {
-		return 0, err
+		return analytic.Result{}, err
 	}
-	return g.MeanLatency(lambda)
+	return g.Evaluate(lambda)
 }
 
 // point returns the model's mean latency (Eq. 36) at lambda as an analysis
