@@ -1,12 +1,17 @@
 package sweep
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+
+	"mcnet/internal/mcsim"
 )
 
 // memCache is an in-memory Cache for tests.
@@ -156,5 +161,136 @@ func TestDirCachePutFailedRenameLeavesNoTemp(t *testing.T) {
 		if e.Name() != "abc123.json" {
 			t.Errorf("Put left %s behind", e.Name())
 		}
+	}
+}
+
+// telemetryOutcome is a telemetry-on outcome, the larger of the two entry
+// forms.
+func telemetryOutcome() Outcome {
+	return Outcome{SimLatency: 40.25, SimSourceWait: 3.5, SimPOut: 0.75, Delivered: 2000,
+		Telemetry: &mcsim.TelemetrySummary{
+			Tiers:      []mcsim.TierSummary{{Tier: "icn1"}, {Tier: "ecn1"}, {Tier: "concentrator"}, {Tier: "icn2"}},
+			Bottleneck: "icn2", MeanQueueing: 1.5, MeanBlocking: 2.25, MeanTransmission: 12,
+		}}
+}
+
+// TestDirCacheReadEdgeCases: entry files of awkward sizes and shapes — at,
+// below and above Get's stack buffer, empty, cut short, or a directory in
+// the entry's place — read as misses and never panic, while a valid entry
+// padded to the same sizes (JSON whitespace before the closing brace) reads
+// back whole.
+func TestDirCacheReadEdgeCases(t *testing.T) {
+	dir := t.TempDir()
+	c, err := NewDirCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := telemetryOutcome()
+	entry, err := appendOutcome(nil, &o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	padded := func(size int) []byte {
+		b := append([]byte(nil), entry[:len(entry)-1]...)
+		b = append(b, bytes.Repeat([]byte{' '}, size-len(entry))...)
+		return append(b, '}')
+	}
+	junk := func(size int) []byte { return append([]byte(`{"sim_latency":`), bytes.Repeat([]byte{'9'}, size-15)...) }
+	write := func(key string, b []byte) {
+		t.Helper()
+		if err := os.WriteFile(filepath.Join(dir, key+".json"), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	misses := map[string][]byte{
+		"junk-1024":    junk(entryBuf),
+		"junk-3072":    junk(3 << 10),
+		"empty":        {},
+		"truncated":    entry[:len(entry)-1],
+		"half":         entry[:len(entry)/2],
+		"pad-1024-cut": padded(entryBuf)[:entryBuf-1],
+	}
+	for key, b := range misses {
+		write(key, b)
+	}
+	if err := os.Mkdir(filepath.Join(dir, "dir.json"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	misses["dir"] = nil
+	for key := range misses {
+		if got, ok := c.Get(key); ok {
+			t.Errorf("%s: read as a hit: %+v", key, got)
+		}
+	}
+	for _, size := range []int{len(entry), entryBuf - 1, entryBuf, entryBuf + 1, 2 * entryBuf, 3 << 10} {
+		key := fmt.Sprintf("pad-%d", size)
+		write(key, padded(size))
+		got, ok := c.Get(key)
+		if !ok {
+			t.Errorf("%s: valid entry of %d bytes read as a miss", key, size)
+			continue
+		}
+		if b, _ := appendOutcome(nil, &got); !bytes.Equal(b, entry) {
+			t.Errorf("%s: read back %s, want %s", key, b, entry)
+		}
+	}
+}
+
+// TestDirCacheGetClosesFiles: Gets over hits, misses, absent keys and the
+// awkward files of TestDirCacheReadEdgeCases leave the process's count of
+// open file descriptors unchanged. Linux only: it counts /proc/self/fd.
+func TestDirCacheGetClosesFiles(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("counts /proc/self/fd")
+	}
+	dir := t.TempDir()
+	c, err := NewDirCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := telemetryOutcome()
+	for _, k := range []string{"hit", "big"} {
+		if err := c.Put(k, o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Put("plain", Outcome{SimLatency: 1, Delivered: 2}); err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{
+		"junk-1024": bytes.Repeat([]byte{'x'}, entryBuf),
+		"junk-3072": bytes.Repeat([]byte{'x'}, 3<<10),
+		"empty":     {},
+		"truncated": []byte(`{"sim_latency":1,"sim_source_wait":`),
+	}
+	for key, b := range files {
+		if err := os.WriteFile(filepath.Join(dir, key+".json"), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Mkdir(filepath.Join(dir, "dir.json"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	keys := []string{"hit", "big", "plain", "absent", "junk-1024", "junk-3072", "empty", "truncated", "dir", "../escape"}
+	openFDs := func() int {
+		t.Helper()
+		fds, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(fds)
+	}
+	before := openFDs()
+	hits := 0
+	for i := 0; i < 10000; i++ {
+		if _, ok := c.Get(keys[i%len(keys)]); ok {
+			hits++
+		}
+	}
+	if after := openFDs(); after != before {
+		t.Errorf("%d open file descriptors after 10,000 Gets, %d before", after, before)
+	}
+	if want := 3 * 1000; hits != want {
+		t.Errorf("%d hits, want %d", hits, want)
 	}
 }

@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/csv"
+	"errors"
+	"fmt"
 	"math"
 	"os"
+	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -327,5 +331,216 @@ func TestStalledRow(t *testing.T) {
 	}
 	if b, err := os.ReadFile(cache.path(jobs[0].Key())); err != nil || bytes.Contains(b, []byte("stalled")) {
 		t.Errorf("entry %s (%v) carries the derived field", b, err)
+	}
+}
+
+// funcSink is a Sink that calls its function for every row.
+type funcSink func(Result) error
+
+func (f funcSink) Write(r Result) error { return f(r) }
+
+// TestRowsInJobOrderWhenJobsFinishLastFirst: with every job in flight at
+// once and an Exec hook that lets job i return only after job i+1 has, the
+// jobs finish last-first, and the rows still reach the sink in job order.
+func TestRowsInJobOrderWhenJobsFinishLastFirst(t *testing.T) {
+	spec := tinySpec()
+	spec.Reps = 2 // 8 jobs
+	jobs, err := Expand(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(jobs)
+	released := make([]chan struct{}, n)
+	for i := range released {
+		released[i] = make(chan struct{})
+	}
+	var mu sync.Mutex
+	var finished []int
+	mem := &MemorySink{}
+	eng := &Engine{Workers: n, Sinks: []Sink{mem}, Exec: func(j Job) (Outcome, bool, error) {
+		if j.Index+1 < n {
+			<-released[j.Index+1]
+		}
+		mu.Lock()
+		finished = append(finished, j.Index)
+		mu.Unlock()
+		close(released[j.Index])
+		return Outcome{Delivered: j.Index}, false, nil
+	}}
+	if _, err := eng.RunJobs(context.Background(), spec, jobs); err != nil {
+		t.Fatal(err)
+	}
+	for i, idx := range finished {
+		if idx != n-1-i {
+			t.Fatalf("jobs finished in order %v, want last-first", finished)
+		}
+	}
+	if len(mem.Results) != n {
+		t.Fatalf("%d rows, want %d", len(mem.Results), n)
+	}
+	for i, r := range mem.Results {
+		if r.Job.Index != i || r.Delivered != i {
+			t.Errorf("row %d carries job %d (outcome %d)", i, r.Job.Index, r.Delivered)
+		}
+	}
+}
+
+// TestRowStreamsBeforeLaterJobsFinish: a row reaches the sinks as soon as
+// its turn comes, not when the run ends — job 1's Exec hook returns only
+// once the sink has seen row 0.
+func TestRowStreamsBeforeLaterJobsFinish(t *testing.T) {
+	first := make(chan struct{})
+	var once sync.Once
+	sink := funcSink(func(Result) error { once.Do(func() { close(first) }); return nil })
+	eng := &Engine{Workers: 2, Sinks: []Sink{sink}, Exec: func(j Job) (Outcome, bool, error) {
+		if j.Index == 1 {
+			select {
+			case <-first:
+			case <-time.After(10 * time.Second):
+				return Outcome{}, false, errors.New("row 0 was not emitted while job 1 ran")
+			}
+		}
+		return Outcome{Delivered: 1}, false, nil
+	}}
+	if _, err := eng.Run(tinySpec()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestJobErrorStopsRows: a failing job's error is returned, and no row at or
+// after its position reaches the sinks.
+func TestJobErrorStopsRows(t *testing.T) {
+	spec := tinySpec()
+	spec.Reps = 4 // 16 jobs
+	jobs, err := Expand(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bad = 5
+	boom := errors.New("job failed")
+	for _, workers := range []int{1, 2, 4} {
+		mem := &MemorySink{}
+		obs := &countingObserver{}
+		eng := &Engine{Workers: workers, Sinks: []Sink{mem}, Observer: obs, Exec: func(j Job) (Outcome, bool, error) {
+			if j.Index == bad {
+				return Outcome{}, false, boom
+			}
+			return Outcome{Delivered: 1}, false, nil
+		}}
+		if _, err := eng.RunJobs(context.Background(), spec, jobs); !errors.Is(err, boom) {
+			t.Errorf("workers %d: RunJobs returned %v, want the job's error", workers, err)
+		}
+		for i, r := range mem.Results {
+			if r.Job.Index != i || i >= bad {
+				t.Errorf("workers %d: row %d carries job %d, failing job is %d", workers, i, r.Job.Index, bad)
+			}
+		}
+		if obs.started != obs.executed+obs.cached {
+			t.Errorf("workers %d: %d jobs started, %d finished", workers, obs.started, obs.executed+obs.cached)
+		}
+	}
+}
+
+// TestSinkErrorReturned: a failing sink stops the run with a "sweep: sink:"
+// error that wraps the sink's own.
+func TestSinkErrorReturned(t *testing.T) {
+	full := errors.New("disk full")
+	rows := 0
+	sink := funcSink(func(Result) error {
+		rows++
+		if rows == 2 {
+			return full
+		}
+		return nil
+	})
+	spec := tinySpec()
+	spec.Reps = 4
+	eng := &Engine{Workers: 2, Sinks: []Sink{sink}, Exec: func(Job) (Outcome, bool, error) {
+		return Outcome{Delivered: 1}, false, nil
+	}}
+	_, err := eng.Run(spec)
+	if !errors.Is(err, full) || !strings.HasPrefix(err.Error(), "sweep: sink: ") {
+		t.Fatalf("Run returned %v, want a sweep: sink: error wrapping the sink's", err)
+	}
+	if rows != 2 {
+		t.Errorf("sink saw %d rows after failing on the second", rows)
+	}
+}
+
+// TestRunJobsLeavesNoGoroutines: once RunJobs returns, the goroutine count
+// is back where it was before the call — after a successful run, a job
+// error, a sink error and a cancelled context. A goroutine that has
+// signalled its end may take a moment to exit, so the count is polled.
+func TestRunJobsLeavesNoGoroutines(t *testing.T) {
+	spec := tinySpec()
+	spec.Reps = 4 // 16 jobs
+	jobs, err := Expand(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok := func(Job) (Outcome, bool, error) { return Outcome{Delivered: 1}, false, nil }
+	cases := []struct {
+		name string
+		run  func() error
+	}{
+		{"success", func() error {
+			_, err := (&Engine{Workers: 4, Sinks: []Sink{&MemorySink{}}, Exec: ok}).RunJobs(context.Background(), spec, jobs)
+			return err
+		}},
+		{"job-error", func() error {
+			eng := &Engine{Workers: 4, Exec: func(j Job) (Outcome, bool, error) {
+				if j.Index == 3 {
+					return Outcome{}, false, errors.New("job failed")
+				}
+				return ok(j)
+			}}
+			if _, err := eng.RunJobs(context.Background(), spec, jobs); err == nil {
+				return errors.New("no error from a failing job")
+			}
+			return nil
+		}},
+		{"sink-error", func() error {
+			sink := funcSink(func(Result) error { return errors.New("sink failed") })
+			if _, err := (&Engine{Workers: 4, Sinks: []Sink{sink}, Exec: ok}).RunJobs(context.Background(), spec, jobs); err == nil {
+				return errors.New("no error from a failing sink")
+			}
+			return nil
+		}},
+		{"cancel", func() error {
+			ctx, cancel := context.WithCancel(context.Background())
+			entered := make(chan struct{}, len(jobs))
+			release := make(chan struct{})
+			eng := &Engine{Workers: 4, Exec: func(j Job) (Outcome, bool, error) {
+				entered <- struct{}{}
+				<-release
+				return ok(j)
+			}}
+			done := make(chan error, 1)
+			go func() {
+				_, err := eng.RunJobs(ctx, spec, jobs)
+				done <- err
+			}()
+			<-entered
+			cancel()
+			close(release)
+			if err := <-done; !errors.Is(err, context.Canceled) {
+				return fmt.Errorf("cancelled run returned %v", err)
+			}
+			return nil
+		}},
+	}
+	for _, c := range cases {
+		before := runtime.NumGoroutine()
+		if err := c.run(); err != nil {
+			t.Errorf("%s: %v", c.name, err)
+			continue
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if got := runtime.NumGoroutine(); got > before {
+			t.Errorf("%s: %d goroutines after RunJobs returned, %d before", c.name, got, before)
+		}
 	}
 }
