@@ -9,7 +9,7 @@ BENCH_OUT ?= BENCH_$(REV).json
 # Per-fuzzer exploration budget of the fuzz smoke.
 FUZZTIME ?= 15s
 
-.PHONY: all build test race vet fmt-check staticcheck lint fuzz bench bench-all bench-gate perfbench-check cover serve smoke paper paper-small ci clean
+.PHONY: all build test race vet vet-platforms fmt-check staticcheck lint fuzz bench bench-all bench-gate perfbench-check cover serve smoke paper paper-small ci clean
 
 all: build test
 
@@ -18,6 +18,13 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# vet-platforms vets the tree as darwin and windows build it, so direct
+# syscall use that compiles only on linux fails lint rather than a user's
+# build.
+vet-platforms:
+	GOOS=darwin $(GO) vet ./...
+	GOOS=windows $(GO) vet ./...
 
 fmt-check:
 	@out="$$(gofmt -l .)"; \
@@ -33,7 +40,7 @@ staticcheck:
 		echo "staticcheck not installed; skipping (CI runs it)"; \
 	fi
 
-lint: fmt-check vet staticcheck
+lint: fmt-check vet vet-platforms staticcheck
 
 # The allocation gates run twenty more times in one process, so a gate that
 # GC timing or other runtime noise can move fails on the change that makes
@@ -176,7 +183,7 @@ paper-small:
 	$(GO) run ./cmd/mcrepro -small
 
 # ci mirrors .github/workflows/ci.yml so local runs reproduce the pipeline:
-# lint job (fmt-check, vet, staticcheck), test job (build, test, race, fuzz),
+# lint job (fmt-check, vet on linux, darwin and windows, staticcheck), test job (build, test, race, fuzz),
 # the bench-gate, perfbench-check, serve-smoke and repro-gate jobs.
 ci: lint build test race fuzz bench-gate perfbench-check smoke paper-small
 

@@ -3,6 +3,7 @@ package bench
 import (
 	"io"
 	"math"
+	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -205,12 +206,9 @@ func TestAllocsMcsimBursty(t *testing.T) {
 	})
 }
 
-// TestAllocsSweepRows pins the two per-job costs of a warm sweep pass that
+// TestAllocsSweepRows pins the per-row cost of a warm sweep pass that
 // encoding/json's reflection used to dominate: JSONLSink.Write encodes a
-// row into a reused buffer with zero allocations once the buffer has grown,
-// and DirCache.Get reads and decodes a telemetry-off entry with four, all in
-// opening the file: the entry's path, its NUL-terminated copy for the
-// system call, and the two structs behind the *os.File.
+// row into a reused buffer with zero allocations once the buffer has grown.
 func TestAllocsSweepRows(t *testing.T) {
 	jobs, err := sweep.Expand(benchGridSpec())
 	if err != nil {
@@ -233,20 +231,36 @@ func TestAllocsSweepRows(t *testing.T) {
 	}
 	writeAll() // grows the row buffer
 	gate(t, "jsonl-rows", 0, writeAll)
+}
 
-	cache, err := sweep.NewDirCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := jobs[0].Key()
-	if err := cache.Put(key, rows[0].Outcome); err != nil {
-		t.Fatal(err)
-	}
-	gate(t, "dircache-get", 4, func() {
-		if _, ok := cache.Get(key); !ok {
+// TestAllocsDirCacheGet pins the per-job cost of a warm sweep pass over a
+// disk cache: DirCache.Get reads and decodes a telemetry-off entry with two
+// allocations, the entry's path and its NUL-terminated copy for the open
+// system call, and so with at most their bytes rounded up to the
+// allocator's size classes. An *os.File, and its two structs, would add
+// about 100 B and two allocations more.
+func TestAllocsDirCacheGet(t *testing.T) {
+	cache, keys := filledDirCache(t)
+	get := func() {
+		if _, ok := cache.Get(keys[0]); !ok {
 			t.Fatal("entry missing")
 		}
-	})
+	}
+	gate(t, "dircache-get", 2, get)
+
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // as in gate
+	const gets = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < gets; i++ {
+		get()
+	}
+	runtime.ReadMemStats(&after)
+	path := len(filepath.Join(cache.Dir(), keys[0]+".json"))
+	got, budget := (after.TotalAlloc-before.TotalAlloc)/gets, uint64(2*(path+1)+64)
+	if got > budget {
+		t.Errorf("dircache-get: %d B per hit, budget %d B for a %d-byte path", got, budget, path)
+	}
 }
 
 // TestAllocsSaturationProbe pins a saturation search on a warmed grid, and

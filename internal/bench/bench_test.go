@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"net/http/httptest"
 	"sort"
@@ -9,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"mcnet/internal/analytic"
 	"mcnet/internal/des"
@@ -409,14 +411,29 @@ var warmCache = sync.OnceValues(func() (*memCache, error) {
 })
 
 // BenchmarkSweepWarm measures one engine pass of the sweep-grid benchmark's
-// spec over a filled in-memory outcome cache: expansion, the analysis
-// column and the ordered emission of every row, with no simulation. It is
-// the sweep engine's warm-cache number.
+// spec over a filled outcome cache: expansion, the analysis column, one
+// cache read per job and the ordered emission of every row, with no
+// simulation. It is the sweep engine's warm-cache number: "mem" reads an
+// in-memory cache, so it prices the engine alone, and "dir" reads a
+// DirCache in b.TempDir(), as a resumed sweep and perfbench's warm passes
+// do.
 func BenchmarkSweepWarm(b *testing.B) {
-	cache, err := warmCache()
+	mem, err := warmCache()
 	if err != nil {
 		b.Fatal(err)
 	}
+	dir, _ := filledDirCache(b)
+	for _, c := range []struct {
+		name  string
+		cache sweep.Cache
+	}{{"mem", mem}, {"dir", dir}} {
+		b.Run(c.name, func(b *testing.B) { benchWarmPasses(b, c.cache) })
+	}
+}
+
+// benchWarmPasses times warm engine passes of the sweep-grid spec over
+// cache, which holds every job's outcome.
+func benchWarmPasses(b *testing.B, cache sweep.Cache) {
 	spec := benchGridSpec()
 	run := func() int {
 		var buf bytes.Buffer
@@ -493,26 +510,33 @@ func BenchmarkSweepFigure(b *testing.B) {
 	}
 }
 
-// BenchmarkDirCacheGet measures one DirCache.Get hit over a b.TempDir()
-// cache holding the outcomes of every sweep-grid benchmark job: open, read,
-// decode and close one entry file. A warm sweep pays it once per job.
-func BenchmarkDirCacheGet(b *testing.B) {
+// filledDirCache returns a DirCache in tb.TempDir() holding the outcomes of
+// every sweep-grid benchmark job, and its keys in sorted order.
+func filledDirCache(tb testing.TB) (*sweep.DirCache, []string) {
 	mem, err := warmCache()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	cache, err := sweep.NewDirCache(b.TempDir())
+	cache, err := sweep.NewDirCache(tb.TempDir())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	var keys []string
 	for k, o := range mem.m {
 		if err := cache.Put(k, o); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
+	return cache, keys
+}
+
+// BenchmarkDirCacheGet measures one DirCache.Get hit over a b.TempDir()
+// cache holding the outcomes of every sweep-grid benchmark job: open, read,
+// decode and close one entry file. A warm sweep pays it once per job.
+func BenchmarkDirCacheGet(b *testing.B) {
+	cache, keys := filledDirCache(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -521,4 +545,57 @@ func BenchmarkDirCacheGet(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/get")
+}
+
+// simulateJobs numbers every BenchmarkServeSimulateJob iteration in the
+// process, so that no two iterations, in any round, post the same load.
+var simulateJobs int
+
+// BenchmarkServeSimulateJob measures one served simulate job end to end
+// through Server.Handler(): the POST /v1/simulate that decodes,
+// canonicalizes and queues the job, a queue worker's telemetry-on run, and
+// the GET /v1/jobs/{id} polls, one every 100 µs, until it reads done. Every
+// iteration posts a λ no earlier one used, so no job is answered from the
+// outcome cache or joins another's run. The phases are small (Org1 with
+// 100/1000/100 messages), so the number is the serving layer's per-job
+// cost on top of a short simulation.
+func BenchmarkServeSimulateJob(b *testing.B) {
+	srv, err := serve.New(serve.Config{Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	h := srv.Handler()
+	do := func(method, path, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		return rec
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		simulateJobs++
+		lambda := strconv.FormatFloat(0.0002+float64(simulateJobs)*1e-12, 'g', -1, 64)
+		rec := do("POST", "/v1/simulate", `{"org":"org1","lambda":`+lambda+`,"warmup":100,"measure":1000,"drain":100}`)
+		var ref struct {
+			ID string `json:"id"`
+		}
+		if rec.Code != 202 || json.Unmarshal(rec.Body.Bytes(), &ref) != nil {
+			b.Fatalf("submit: status %d, X-Cache %q: %s", rec.Code, rec.Header().Get("X-Cache"), rec.Body)
+		}
+		for {
+			rec := do("GET", "/v1/jobs/"+ref.ID, "")
+			var doc struct {
+				Status string `json:"status"`
+			}
+			if rec.Code != 200 || json.Unmarshal(rec.Body.Bytes(), &doc) != nil || doc.Status == "failed" {
+				b.Fatalf("poll: status %d: %s", rec.Code, rec.Body)
+			}
+			if doc.Status == "done" {
+				break
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/job")
 }

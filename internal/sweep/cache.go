@@ -2,10 +2,10 @@ package sweep
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 
 	"mcnet/internal/mcsim"
 )
@@ -103,39 +103,38 @@ const entryBuf = 1024
 
 // Get implements Cache. Entries are read in the form Put writes them;
 // unreadable or corrupt entries, and anything else, count as misses, as do
-// keys ValidKey rejects.
+// keys ValidKey rejects. The entry is read with plain system calls into a
+// stack buffer, grown only when an entry fills it: os.Open would register
+// the file with the runtime's network poller (which a regular file never
+// needs), and that costs a warm sweep more than the read itself.
 func (c *DirCache) Get(key string) (Outcome, bool) {
 	if !ValidKey(key) {
 		return Outcome{}, false
 	}
-	f, err := os.Open(c.path(key))
+	fd, err := syscall.Open(c.path(key), syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
 	if err != nil {
 		return Outcome{}, false
 	}
 	var stack [entryBuf]byte
-	b, err := readEntry(f, stack[:0])
-	f.Close()
-	if err != nil {
-		return Outcome{}, false
-	}
-	return parseEntry(b)
-}
-
-// readEntry reads f to its end into b's spare capacity: one Read while the
-// entry fits, since a short read of a regular file ends it, and more after
-// growing b when it is full.
-func readEntry(f *os.File, b []byte) ([]byte, error) {
+	b := stack[:0]
 	for {
-		n, err := f.Read(b[len(b):cap(b)])
-		b = b[:len(b)+n]
-		if err == io.EOF || err == nil && len(b) < cap(b) {
-			return b, nil
+		n, err := syscall.Read(fd, b[len(b):cap(b)])
+		if err == syscall.EINTR {
+			continue
 		}
 		if err != nil {
-			return nil, err
+			syscall.Close(fd)
+			return Outcome{}, false
+		}
+		b = b[:len(b)+n]
+		// A short read of a regular file ends it.
+		if n == 0 || len(b) < cap(b) {
+			break
 		}
 		b = append(b, 0)[:len(b)]
 	}
+	syscall.Close(fd)
+	return parseEntry(b)
 }
 
 // Put implements Cache. The entry is written to a temporary file and renamed

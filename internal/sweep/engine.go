@@ -6,6 +6,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mcnet/internal/mcsim"
@@ -40,7 +41,10 @@ type Summary struct {
 }
 
 // Engine executes a sweep's jobs on a bounded worker pool and streams
-// results, in job order, to its sinks.
+// results, in job order, to its sinks. The workers claim jobs from a
+// shared counter and the calling goroutine emits the rows, so a job costs
+// no goroutine handoff beyond the one that reports it done: a cache hit
+// costs little more than its read.
 type Engine struct {
 	// Workers bounds the number of concurrent simulations
 	// (0 = runtime.GOMAXPROCS).
@@ -109,7 +113,10 @@ func (e *Engine) Run(spec Spec) (Summary, error) {
 // in-flight simulations finish (the simulator itself has no preemption
 // points) and their outcomes still land in the cache, and the run returns
 // ctx's error. The serving layer uses it for request timeouts and graceful
-// shutdown.
+// shutdown. The first job or sink error likewise stops new jobs and is
+// returned; no row at or after a failed job's position is emitted.
+// RunJobs returns only once its workers have: no goroutine outlives it.
+// It holds one result slot (~370 bytes) per job for the length of the run.
 func (e *Engine) RunJobs(ctx context.Context, spec Spec, jobs []Job) (Summary, error) {
 	spec = spec.Normalized()
 	sum := Summary{Total: len(jobs)}
@@ -121,85 +128,49 @@ func (e *Engine) RunJobs(ctx context.Context, spec Spec, jobs []Job) (Summary, e
 		return sum, err
 	}
 
-	type indexed struct {
-		pos int
-		res Result
-		err error
-	}
-	workers := e.workers(len(jobs))
-	in := make(chan int)
-	out := make(chan indexed, workers)
-	abort := make(chan struct{})
-	var abortOnce sync.Once
-	stop := func() { abortOnce.Do(func() { close(abort) }) }
-
-	// Tie the abort channel to the caller's context so cancellation stops
-	// the feeder and the workers promptly.
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		select {
-		case <-ctx.Done():
-			stop()
-		case <-watchDone:
-		}
-	}()
-
+	// Workers claim job positions from claim and leave each job's outcome in
+	// its own slot; done carries only the position, and holds one per job,
+	// so a worker never waits on the emitter. Storing n in claim stops
+	// further claims: a worker does so on its job's error, the emitter on
+	// a sink error and on its way out.
+	n := len(jobs)
+	slots := make([]slot, n)
+	done := make(chan int, n)
+	var claim atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range e.workers(n) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for pos := range in {
-				res, err := e.runJob(ctx, jobs[pos], spec.Telemetry)
-				select {
-				case out <- indexed{pos, res, err}:
-				case <-abort:
+			for {
+				pos := int(claim.Add(1) - 1)
+				if pos >= n {
 					return
 				}
+				s := &slots[pos]
+				if s.err = ctx.Err(); s.err == nil {
+					s.res, s.err = e.runJob(jobs[pos], spec.Telemetry)
+				}
+				if s.err != nil {
+					claim.Store(int64(n))
+				}
+				done <- pos
 			}
 		}()
 	}
-	go func() {
-		defer close(in)
-		for pos := range jobs {
-			select {
-			case in <- pos:
-			case <-abort:
-				return
-			}
-		}
-	}()
-	go func() {
-		wg.Wait()
-		close(out)
-	}()
 
-	var firstErr error
-	fail := func(err error) {
-		if firstErr == nil {
-			firstErr = err
+	// The emitter walks the slots in job order, each as soon as it and
+	// every slot before it are filled, and clears a slot once its row is
+	// out. The first error stops the walk.
+	ready := make([]bool, n)
+	for next := 0; next < n && err == nil; {
+		pos := <-done
+		if err = slots[pos].err; err != nil {
+			break
 		}
-		stop()
-	}
-	pending := make(map[int]Result, workers)
-	next := 0
-	for r := range out {
-		if r.err != nil {
-			fail(r.err)
-			continue
-		}
-		pending[r.pos] = r.res
-		for {
-			res, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			next++
-			if firstErr != nil {
-				continue
-			}
+		ready[pos] = true
+		for ; next < n && ready[next] && err == nil; next++ {
+			res := &slots[next].res
 			a := analyses[analysisKey(res.Job)]
 			res.Analysis = a.value
 			res.AnalysisSaturated = a.saturated
@@ -210,36 +181,45 @@ func (e *Engine) RunJobs(ctx context.Context, spec Spec, jobs []Job) (Summary, e
 				sum.Executed++
 			}
 			for _, s := range e.Sinks {
-				if err := s.Write(res); err != nil {
-					fail(fmt.Errorf("sweep: sink: %w", err))
+				if werr := s.Write(*res); werr != nil {
+					err = fmt.Errorf("sweep: sink: %w", werr)
 					break
 				}
 			}
+			slots[next] = slot{}
 		}
 	}
-	stop()
-	if firstErr == nil {
-		firstErr = ctx.Err()
+	claim.Store(int64(n))
+	wg.Wait()
+	if err == nil {
+		err = ctx.Err()
 	}
-	return sum, firstErr
+	return sum, err
+}
+
+// slot is one job's place in a run: the worker that ran the job writes it,
+// and the emitter reads it after receiving the job's position.
+type slot struct {
+	res Result
+	err error
 }
 
 // runJob satisfies one job from the cache or by running the simulator (or
 // the engine's Exec hook).
-func (e *Engine) runJob(ctx context.Context, j Job, telemetry bool) (Result, error) {
+func (e *Engine) runJob(j Job, telemetry bool) (Result, error) {
 	var start time.Time
 	if e.Observer != nil {
 		start = time.Now()
 		e.Observer.JobStarted(j)
 	}
-	res, err := e.runJobInner(ctx, j, telemetry)
+	res, err := e.runJobInner(j, telemetry)
 	if e.Observer != nil {
 		e.Observer.JobFinished(j, res.Cached, time.Since(start).Seconds())
 	}
 	return res, err
 }
 
-func (e *Engine) runJobInner(ctx context.Context, j Job, telemetry bool) (Result, error) {
+func (e *Engine) runJobInner(j Job, telemetry bool) (Result, error) {
 	key := j.Key()
 	if e.Cache != nil {
 		if o, ok := e.Cache.Get(key); ok && (!telemetry || o.Telemetry != nil) {
@@ -250,9 +230,6 @@ func (e *Engine) runJobInner(ctx context.Context, j Job, telemetry bool) (Result
 			// measurements are bit-identical (telemetry is observation-only).
 			return Result{Job: j, Outcome: o, Cached: true}, nil
 		}
-	}
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
 	}
 	if testHookJobStart != nil {
 		testHookJobStart(j)
